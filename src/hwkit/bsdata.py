@@ -9,6 +9,7 @@ needed because every consumer reads roots and multiplicities.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -287,14 +288,6 @@ def classify_pair(bred: ReducedBFunction, alpha) -> PairClass:
     return PairClass(lc, plt, klt)
 
 
-def _ceil(q: Fraction) -> int:
-    return -((-q.numerator) // q.denominator)
-
-
-def _floor(q: Fraction) -> int:
-    return q.numerator // q.denominator
-
-
 def _integer_shift_mults(bred: ReducedBFunction, alpha: Fraction):
     """Multiplicities of roots of the form -alpha - i, keyed by the integer i."""
     out = {}
@@ -315,7 +308,7 @@ def weight_bounds(bred: ReducedBFunction, alpha, n: int):
     if not (0 < alpha <= 1):
         raise PreconditionError("alpha outside (0,1]", hypothesis="alpha in (0,1]")
     shifts = _integer_shift_mults(bred, alpha)
-    fl = _floor(alpha)
+    fl = math.floor(alpha)
     lower = n + max(shifts.values(), default=0) + fl
     lower = max(lower, n + fl)
     upper = n + sum(m for i, m in shifts.items() if i >= 0) + fl
@@ -340,8 +333,8 @@ def genlevel_bound(bred: ReducedBFunction, alpha, l: int, n: int,
         raise PreconditionError("reduced b-function is 1 (smooth point)",
                                 hypothesis="f is singular at the point")
     if graded:
-        return n - l - _ceil(alpha + a0) + 1
-    return min(n - 1, n - _ceil(alpha + a0) + 1 - _floor(alpha))
+        return n - l - math.ceil(alpha + a0) + 1
+    return min(n - 1, n - math.ceil(alpha + a0) + 1 - math.floor(alpha))
 
 
 def hodge_pole_full(bred: ReducedBFunction, alpha, k: int, l: int) -> bool:

@@ -4,7 +4,11 @@ Exit codes: 0 success, 2 precondition violation (the violated mathematical
 hypothesis is named), 3 inconclusive at the given bounds.  Envelopes are
 deterministic JSON (no timings, no environment data) so identical inputs
 yield byte-identical output; with HWKIT_CACHE set, envelopes are cached
-content-addressed and written with atomic replace.
+content-addressed and written with atomic replace.  The cache key covers the
+verb and every parsed option except --json (an --input file is keyed by the
+SHA-256 of its text, not its path), so no two runs that could produce
+different envelopes share a key.  An unreadable or corrupt cache entry counts
+as a miss and is rewritten.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from .bsdata import (BFunction, bfunction_snc, bfunction_whom_isolated,
                      weight_bounds, weighted_minimal_exponent)
 from .errors import (HwkitError, InconclusiveAtBound, ParseError,
                      PreconditionError)
-from .exactalg import (WeightVector, fmt_rational, mono_str, parse_rational,
-                       poly_parse)
+from .exactalg import (Polynomial, WeightVector, fmt_rational, infer_dim,
+                       mono_str, parse_rational, poly_parse)
 from .ppd import (gamma_ideal, hodge_on_weight, hodge_weight_interval21,
                   parse_annihilator_file, weight_module_generators,
                   weight_step_presentation)
@@ -53,15 +57,25 @@ def envelope(command: str, inputs: dict, outputs: dict,
 
 
 def _cache_lookup(key: str):
+    """(envelope, path) of a valid cache entry, (None, path) on a miss and
+    (None, None) with caching off.  An entry that does not decode, or is not
+    the canonical text of a JSON object (a truncated write), is a miss."""
     root = os.environ.get("HWKIT_CACHE")
     if not root:
         return None, None
     os.makedirs(root, exist_ok=True)
     path = os.path.join(root, key + ".json")
-    if os.path.exists(path):
+    if not os.path.exists(path):
+        return None, path
+    try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read(), path
-    return None, path
+            text = fh.read()
+        env = json.loads(text)
+    except ValueError:
+        return None, path
+    if not isinstance(env, dict) or _canonical_json(env) != text:
+        return None, path
+    return env, path
 
 
 def _cache_store(path: str, text: str):
@@ -77,20 +91,15 @@ def _cache_store(path: str, text: str):
             os.unlink(tmp)
 
 
-def cached_run(command: str, payload: dict, json_mode: bool, compute) -> dict:
+def cached_run(args, payload: dict, compute) -> dict:
     """Serve the envelope from the content-addressed cache when possible;
     otherwise compute, store atomically, and emit."""
-    key = _cache_key(command, payload)
-    cached, path = _cache_lookup(key)
-    if cached is not None:
-        env = json.loads(cached)
-        sys.stdout.write(cached) if json_mode else _pretty(env)
-        return env
-    env = compute()
-    text = _canonical_json(env)
-    if path:
-        _cache_store(path, text)
-    sys.stdout.write(text) if json_mode else _pretty(env)
+    env, path = _cache_lookup(_cache_key(args, payload))
+    if env is None:
+        env = compute()
+        if path:
+            _cache_store(path, _canonical_json(env))
+    sys.stdout.write(_canonical_json(env)) if args.json else _pretty(env)
     return env
 
 
@@ -100,9 +109,13 @@ def _pretty(env: dict):
         print(f"  {k}: {json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else v}")
 
 
-def _cache_key(command: str, payload: dict) -> str:
-    blob = _canonical_json({"command": command, "payload": payload,
-                            "version": __version__})
+def _cache_key(args, payload: dict) -> str:
+    """Hash of the verb and every parsed option but --json; --input is
+    replaced by the SHA-256 of the file text that the payload records."""
+    options = {k: v for k, v in vars(args).items() if k not in ("func", "json")}
+    if "input" in options:
+        options["input"] = payload["input_sha"]
+    blob = _canonical_json({"options": options, "version": __version__})
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -121,19 +134,19 @@ def _add_bounds(p, order=4, xdeg=12, dtord=6):
 
 
 def _reduced_bfunction(args):
-    """Route to the closed-form b-function: a monomial goes through the
-    monomial table, otherwise weights are required for the quasi-homogeneous
-    route.  Returns (reduced b-function, source description)."""
+    """Route to the closed-form b-function: a monomial (--exponents, or a
+    one-term --poly) goes through the monomial table, otherwise weights are
+    required for the quasi-homogeneous route.  Returns (reduced b-function,
+    source description, f)."""
     if getattr(args, "exponents", None):
-        a = tuple(int(x) for x in args.exponents.split(","))
-        return breduce(bfunction_snc(a)), {"exponents": list(a)}
-    if not args.poly:
+        f = Polynomial.monomial(tuple(int(x) for x in args.exponents.split(",")))
+    elif args.poly:
+        f = poly_parse(args.poly, args.dim or infer_dim(args.poly))
+    else:
         raise PreconditionError("need --exponents or --poly")
-    dim = args.dim or _infer_dim(args.poly)
-    f = poly_parse(args.poly, dim)
     if len(f.terms) == 1:
         a = next(iter(f.terms))
-        return breduce(bfunction_snc(a)), {"exponents": list(a)}
+        return breduce(bfunction_snc(a)), {"exponents": list(a)}, f
     if not args.weights:
         raise PreconditionError(
             "non-monomial input needs --weights for the quasi-homogeneous "
@@ -141,13 +154,7 @@ def _reduced_bfunction(args):
     w = WeightVector.parse(args.weights)
     germ = QuasiHomogeneousGerm(f, w)
     b = bfunction_whom_isolated(f, w, germ.milnor)
-    return breduce(b), {"poly": str(f), "weights": str(w)}
-
-
-def _infer_dim(text: str) -> int:
-    import re
-    idx = [int(m[1:]) for m in re.findall(r"[xd]\d+", text)]
-    return max(idx) if idx else 1
+    return breduce(b), {"poly": str(f), "weights": str(w)}, f
 
 
 def _normalize_alpha(alpha: Fraction):
@@ -180,13 +187,12 @@ def cmd_snc(args) -> int:
     payload = {"exponents": list(a), "alpha": fmt_rational(alpha),
                "kmax": args.kmax, "lmax": str(args.lmax),
                "stratum": args.stratum}
-    cached_run("snc", payload, args.json,
-               lambda: envelope("snc", payload, outputs))
+    cached_run(args, payload, lambda: envelope("snc", payload, outputs))
     return 0
 
 
 def cmd_whom(args) -> int:
-    dim = args.dim or _infer_dim(args.poly)
+    dim = args.dim or infer_dim(args.poly)
     f = poly_parse(args.poly, dim)
     w = WeightVector.parse(args.weights)
     germ = QuasiHomogeneousGerm(f, w)
@@ -198,34 +204,23 @@ def cmd_whom(args) -> int:
                "presentation": pres.to_json()}
     payload = {"poly": str(f), "weights": str(w),
                "alpha": fmt_rational(alpha), "k": args.k, "l": args.l}
-    cached_run("whom", payload, args.json,
-               lambda: envelope("whom", payload, outputs))
+    cached_run(args, payload, lambda: envelope("whom", payload, outputs))
     return 0
 
 
 def cmd_bfun(args) -> int:
-    bred, source = _reduced_bfunction(args)
+    bred, source, f = _reduced_bfunction(args)
     # rebuild the unreduced function for reporting
     roots = dict(bred.roots)
     roots[Fraction(-1)] = roots.get(Fraction(-1), 0) + 1
-    if getattr(args, "exponents", None) or (args.poly and
-                                            len(poly_parse(args.poly, args.dim or _infer_dim(args.poly)).terms) == 1):
-        prov = "closed-form-snc"
-    else:
-        prov = "closed-form-whom"
+    prov = "closed-form-snc" if len(f.terms) == 1 else "closed-form-whom"
     b = BFunction(roots, provenance=prov)
     certs = None
     if args.verify:
-        if args.poly:
-            f = poly_parse(args.poly, args.dim or _infer_dim(args.poly))
-        else:
-            a = tuple(int(x) for x in args.exponents.split(","))
-            from .exactalg import Polynomial
-            f = Polynomial.monomial(a)
         b, cert = certify_bfunction(f, b, args.order, args.xdeg)
         certs = [cert.to_json()]
     payload = {"source": source, "verify": bool(args.verify)}
-    cached_run("bfun", payload, args.json,
+    cached_run(args, payload,
                lambda: envelope("bfun", payload,
                                 {"bfunction": b.to_json(),
                                  "product": b.product_string()},
@@ -236,7 +231,7 @@ def cmd_bfun(args) -> int:
 def cmd_verify(args) -> int:
     if args.what != "bfun":
         raise PreconditionError(f"unknown verification target {args.what!r}")
-    dim = args.dim or _infer_dim(args.poly)
+    dim = args.dim or infer_dim(args.poly)
     f = poly_parse(args.poly, dim)
     b = BFunction.parse(args.b)
     payload = {"poly": str(f), "b": b.product_string(),
@@ -255,13 +250,13 @@ def cmd_verify(args) -> int:
         return envelope("verify", payload,
                         {"certificate": attempts[-1], "attempts": attempts})
 
-    env = cached_run("verify", payload, args.json, compute)
+    env = cached_run(args, payload, compute)
     verdict = env["outputs"]["certificate"]["verdict"]
     return 0 if verdict == "member" else 3
 
 
 def cmd_classify(args) -> int:
-    bred, source = _reduced_bfunction(args)
+    bred, source, _ = _reduced_bfunction(args)
     alpha = parse_rational(args.alpha)
     cls = classify_pair(bred, alpha)
     a0 = weighted_minimal_exponent(bred, 0)
@@ -269,20 +264,14 @@ def cmd_classify(args) -> int:
     outputs = {"classification": cls.to_json(),
                "reduced_bfunction": bred.product_string(),
                "minimal_exponent": fmt_rational(a0) if a0 is not None else None}
-    cached_run("classify", payload, args.json,
-               lambda: envelope("classify", payload, outputs))
+    cached_run(args, payload, lambda: envelope("classify", payload, outputs))
     return 0
 
 
 def cmd_bounds(args) -> int:
-    bred, source = _reduced_bfunction(args)
+    bred, source, f = _reduced_bfunction(args)
     alpha = parse_rational(args.alpha)
-    dim = args.dim
-    if not dim:
-        if getattr(args, "exponents", None):
-            dim = len(args.exponents.split(","))
-        else:
-            dim = _infer_dim(args.poly)
+    dim = args.dim or f.dim
     lo, hi = weight_bounds(bred, alpha, dim)
     gl = genlevel_bound(bred, alpha, args.l, dim, graded=False)
     glg = genlevel_bound(bred, alpha, args.l, dim, graded=True)
@@ -291,8 +280,7 @@ def cmd_bounds(args) -> int:
     outputs = {"weight_bounds": [lo, hi], "genlevel_bound": gl,
                "genlevel_bound_graded": glg,
                "reduced_bfunction": bred.product_string()}
-    cached_run("bounds", payload, args.json,
-               lambda: envelope("bounds", payload, outputs))
+    cached_run(args, payload, lambda: envelope("bounds", payload, outputs))
     return 0
 
 
@@ -303,7 +291,7 @@ def cmd_crosscheck(args) -> int:
         obj = SncDivisor(tuple(int(x) for x in args.exponents.split(",")))
         name = str(obj)
     else:
-        dim = args.dim or _infer_dim(args.poly)
+        dim = args.dim or infer_dim(args.poly)
         obj = QuasiHomogeneousGerm(poly_parse(args.poly, dim),
                                    WeightVector.parse(args.weights))
         name = str(obj.f)
@@ -325,7 +313,7 @@ def cmd_crosscheck(args) -> int:
                         {"certificate": attempts[-1], "attempts": attempts},
                         bounds=bounds.to_json())
 
-    env = cached_run("crosscheck", payload, args.json, compute)
+    env = cached_run(args, payload, compute)
     verdict = env["outputs"]["certificate"]["verdict"]
     return 0 if verdict == "member" else 3
 
@@ -361,13 +349,13 @@ def cmd_ppd(args) -> int:
         return envelope("ppd", payload, outputs, bounds=bounds.to_json(),
                         provenance=provenance)
 
-    cached_run("ppd", payload, args.json, compute)
+    cached_run(args, payload, compute)
     return 0
 
 
 def cmd_suite(args) -> int:
     payload = {"profile": args.profile}
-    env = cached_run("suite", payload, args.json,
+    env = cached_run(args, payload,
                      lambda: envelope("suite", payload,
                                       suite_mod.run_suite(args.profile)))
     passed = env["outputs"]["passed"]

@@ -392,6 +392,12 @@ def poly_parse(text: str, dim: int) -> Polynomial:
     return Polynomial.parse(text, dim)
 
 
+def infer_dim(text: str) -> int:
+    """The largest variable index x<i> or d<i> named in the text, or 1."""
+    idx = [int(m[1:]) for m in re.findall(r"[xd]\d+", text)]
+    return max(idx) if idx else 1
+
+
 # ---------------------------------------------------------------------------
 # weight vectors and weighted degrees
 

@@ -1,9 +1,12 @@
 """Sparse exact linear algebra over Q.
 
 Vectors are dicts mapping hashable, mutually comparable coordinate labels to
-nonzero Fractions.  The incremental echelon supports membership tests with
-exact witnesses and nullspace extraction (a column that reduces to zero
-yields the dependency expressing it in terms of earlier columns).
+nonzero Fractions.  `Echelon` is the one elimination primitive: every span,
+membership test, kernel and projection in the package goes through it.  Each
+inserted vector may bring a companion vector; every stored row carries the
+same exact combination of the inserted companions that it is of the inserted
+vectors, so a dependency or a witness comes out of the echelon already built
+in whatever terms the caller chose.  Companions never take part in pivoting.
 """
 
 from __future__ import annotations
@@ -11,19 +14,29 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def _axpy(acc: dict, coeff, vec: dict):
+    """acc += coeff * vec in place, dropping coordinates that cancel."""
+    for c, v in vec.items():
+        nv = acc.get(c, _ZERO) + coeff * v
+        if nv:
+            acc[c] = nv
+        else:
+            acc.pop(c, None)
+
+
 class Echelon:
     """Row space accumulator in (partial) echelon form.
 
     Each stored row is normalized so that its pivot (its largest coordinate)
-    has coefficient 1.  With `track=True`, every row carries the combination
-    of originally inserted vectors it equals, keyed by the caller's tags.
+    has coefficient 1, and carries its companion: the combination of the
+    inserted companions matching the combination of inserted vectors the row
+    equals.  A vector inserted without a companion contributes zero.
     """
 
-    __slots__ = ("rows", "track")
+    __slots__ = ("rows",)
 
-    def __init__(self, track: bool = False):
-        self.rows = {}  # pivot coordinate -> (row vector, combination or None)
-        self.track = track
+    def __init__(self):
+        self.rows = {}  # pivot coordinate -> (row vector, companion)
 
     @property
     def rank(self) -> int:
@@ -32,11 +45,12 @@ class Echelon:
     def reduce(self, vec: dict):
         """Reduce vec against the stored rows.
 
-        Returns (residual, combo) with vec == residual + sum(combo[t] * original[t]).
-        combo is None unless tracking is enabled.
+        Returns (residual, carried): vec - residual is a combination of
+        inserted vectors, and carried is the same combination of their
+        companions.
         """
         vec = dict(vec)
-        combo = {} if self.track else None
+        carried = {}
         while True:
             pivot = None
             for c in vec:
@@ -45,40 +59,40 @@ class Echelon:
             if pivot is None:
                 break
             coeff = vec[pivot]
-            row, rcombo = self.rows[pivot]
+            row, companion = self.rows[pivot]
+            # _axpy twice, inlined: this loop is the package's hot path
             for c2, v2 in row.items():
                 nv = vec.get(c2, _ZERO) - coeff * v2
                 if nv:
                     vec[c2] = nv
                 else:
                     vec.pop(c2, None)
-            if self.track:
-                for t, v2 in rcombo.items():
-                    nv = combo.get(t, _ZERO) + coeff * v2
-                    if nv:
-                        combo[t] = nv
-                    else:
-                        combo.pop(t, None)
-        return vec, combo
+            for c2, v2 in companion.items():
+                nv = carried.get(c2, _ZERO) + coeff * v2
+                if nv:
+                    carried[c2] = nv
+                else:
+                    carried.pop(c2, None)
+        return vec, carried
 
-    def insert(self, vec: dict, tag=None):
-        """Insert vec; return None if it increased the rank, otherwise the
-        dependency combo with vec == sum(combo[t] * original[t])."""
-        residual, combo = self.reduce(vec)
+    def insert(self, vec: dict, companion: dict | None = None):
+        """Insert vec with its companion; return None if it increased the
+        rank, otherwise the carried combination: vec equals a combination of
+        earlier inserted vectors, and this is that combination of their
+        companions."""
+        residual, carried = self.reduce(vec)
         if not residual:
-            return combo if self.track else {}
+            return carried
         pivot = max(residual)
-        pc = residual[pivot]
-        row = {c: v / pc for c, v in residual.items()}
-        rcombo = None
-        if self.track:
-            rcombo = {t: -v / pc for t, v in combo.items()}
-            nv = rcombo.get(tag, _ZERO) + Fraction(1) / pc
-            if nv:
-                rcombo[tag] = nv
-            else:
-                rcombo.pop(tag, None)
-        self.rows[pivot] = (row, rcombo)
+        inv = Fraction(1) / residual[pivot]
+        row = {c: v * inv for c, v in residual.items()}
+        # row = (vec - reduced part) / pivot coefficient, and likewise for
+        # the companion
+        ninv = -inv
+        rcomp = {c: v * ninv for c, v in carried.items()}
+        if companion:
+            _axpy(rcomp, inv, companion)
+        self.rows[pivot] = (row, rcomp)
         return None
 
     def contains(self, vec: dict) -> bool:
@@ -89,51 +103,23 @@ class Echelon:
 _ZERO = Fraction(0)
 
 
-def vec_add(a: dict, b: dict, scale=1) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        nv = out.get(k, _ZERO) + scale * v
-        if nv:
-            out[k] = nv
-        else:
-            out.pop(k, None)
-    return out
+def nullspace(columns, companions):
+    """Spanning set of the dependencies sum(x_i * columns_i) == 0, one per
+    column that depends on the earlier ones (x_i = 1 there).
 
-
-def solve(columns, rhs, track_tags=None):
-    """Solve sum(x_i * columns_i) == rhs exactly.
-
-    Returns the coefficient dict {tag: Fraction} or None when inconsistent.
+    Each dependency is returned as its companion combination
+    sum(x_i * companions_i); with companions {i: 1} that is the coefficient
+    dict itself.
     """
-    ech = Echelon(track=True)
-    tags = track_tags or list(range(len(columns)))
-    for tag, col in zip(tags, columns):
-        ech.insert(col, tag)
-    residual, combo = ech.reduce(rhs)
-    if residual:
-        return None
-    return combo
-
-
-def nullspace(columns, tags):
-    """Spanning set of dependencies sum(x_i * columns_i) == 0.
-
-    Each returned dict maps tags to coefficients of one dependency.
-    """
-    ech = Echelon(track=True)
+    ech = Echelon()
     out = []
-    for tag, col in zip(tags, columns):
+    for col, comp in zip(columns, companions):
         if not col:
-            out.append({tag: Fraction(1)})
+            out.append(dict(comp))
             continue
-        dep = ech.insert(col, tag)
-        if dep is not None:
-            dep = dict(dep)
-            nv = dep.get(tag, _ZERO) - 1
-            if nv:
-                dep[tag] = nv
-            else:
-                dep.pop(tag, None)
-            # dep now satisfies sum(dep[t] * col[t]) == 0 with dep[tag] = -1
-            out.append({t: -v for t, v in dep.items()})
+        carried = ech.insert(col, comp)
+        if carried is not None:
+            dep = {c: -v for c, v in carried.items()}
+            _axpy(dep, 1, comp)
+            out.append(dep)
     return out

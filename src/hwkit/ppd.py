@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .bsdata import BFunction, RootMultiset, beta_factor, roots_in_interval
 from .errors import InconclusiveAtBound, ParseError, PreconditionError
-from .exactalg import Polynomial, fmt_rational, parse_rational
+from .exactalg import Polynomial, fmt_rational, infer_dim, parse_rational
 from .linalg import Echelon, nullspace
 from .snc import HodgePresentation
 from .vforacle import Bounds, DEFAULT_BOUNDS, pole_apply
@@ -247,47 +247,31 @@ def weight_step_presentation(inp: AnnihilatorInput, l: int,
     return reduce_presentation(pres, inp.f, bounds)
 
 
-def _stacked_solution_space(gamma_gens, w0_gens, spoly: WeylOperator, k: int,
-                            dim: int, bounds: Bounds, search_order: int,
-                            search_xdeg: int, s_bound: int):
-    """Basis of {u = sum A_i g_i : total_order(u) <= k and spoly*u inside
-    the bounded span of the w0 generators}, as WeylOperators."""
-    w0_ech = Echelon()
-    w0_basis = bounded_operator_basis(dim, bounds.order, bounds.xdeg,
-                                      with_s=True, s_bound=s_bound)
-    for g in w0_gens:
-        for op in w0_basis:
-            w0_ech.insert(dict(weyl_mul(op, g).terms))
+def _order_bounded_elements(gens, sbasis, k: int, residual=None):
+    """Basis of the elements u = sum A_i g_i, each A_i a combination of the
+    sbasis operators, with total order <= k and, when residual is given,
+    residual(u) == 0 (a linear map into coordinate dicts).
 
-    sbasis = bounded_operator_basis(dim, search_order, search_xdeg,
-                                    with_s=True, s_bound=s_bound)
-    cols, tags, exprs = [], [], {}
-    for gi, g in enumerate(gamma_gens):
-        for oi, op in enumerate(sbasis):
+    The order > k part and the residual are stacked into one column per
+    product op * g; every nullspace dependency, carried with the products as
+    companions, is an element of the answer.
+    """
+    cols, comps = [], []
+    for g in gens:
+        for op in sbasis:
             u = weyl_mul(op, g)
-            stacked = {}
-            for key, c in u.terms.items():
-                _, de, sp = key
-                if sum(de) + sp > k:
-                    stacked[("h", key)] = c
-            v = weyl_mul(spoly, u)
-            residual, _ = w0_ech.reduce(dict(v.terms))
-            for key, c in residual.items():
-                stacked[("r", key)] = c
+            stacked = {("h", key): c for key, c in u.terms.items()
+                       if sum(key[1]) + key[2] > k}
+            if residual is not None:
+                for key, c in residual(u).items():
+                    stacked[("r", key)] = c
             cols.append(stacked)
-            tags.append((gi, oi))
-            exprs[(gi, oi)] = u
-    deps = nullspace(cols, tags)
+            comps.append(u.terms)
     found = Echelon()
     out = []
-    for dep in deps:
-        u = WeylOperator.zero(dim)
-        for tag, c in dep.items():
-            u = u + exprs[tag].scale(c)
-        if u.is_zero():
-            continue
-        if found.insert(dict(u.terms)) is None:
-            out.append(u)
+    for dep in nullspace(cols, comps):
+        if dep and found.insert(dep) is None:
+            out.append(WeylOperator(gens[0].dim, dep))
     return out
 
 
@@ -314,8 +298,18 @@ def hodge_on_weight(inp: AnnihilatorInput, l: int, k: int,
              + WeylOperator.constant(dim, inp.alpha)) ** l
     so = search_order if search_order is not None else min(bounds.order, k + 2)
     sx = search_xdeg if search_xdeg is not None else min(bounds.xdeg, 6)
-    sols = _stacked_solution_space(gamma.generators, gamma0.generators, spoly,
-                                   k, dim, bounds, so, sx, s_bound=l + 2)
+    s_bound = l + 2
+    w0 = Echelon()
+    w0_basis = bounded_operator_basis(dim, bounds.order, bounds.xdeg,
+                                      with_s=True, s_bound=s_bound)
+    for g in gamma0.generators:
+        for op in w0_basis:
+            w0.insert(dict(weyl_mul(op, g).terms))
+    sbasis = bounded_operator_basis(dim, so, sx, with_s=True, s_bound=s_bound)
+    # spoly*u must lie in the bounded span of the w0 generators
+    sols = _order_bounded_elements(
+        gamma.generators, sbasis, k,
+        lambda u: w0.reduce(dict(weyl_mul(spoly, u).terms))[0])
     if not sols:
         raise InconclusiveAtBound("no elements found at these bounds",
                                   bounds={"order": so, "xdeg": sx})
@@ -357,27 +351,8 @@ def hodge_weight_interval21(inp: AnnihilatorInput, l: int | None, k: int,
     so = search_order if search_order is not None else min(bounds.order, k + 2)
     sx = search_xdeg if search_xdeg is not None else min(bounds.xdeg, 6)
     sbasis = bounded_operator_basis(dim, so, sx)
-    cols, tags, exprs = [], [], {}
-    for gi, g in enumerate(gens):
-        for oi, op in enumerate(sbasis):
-            u = weyl_mul(op, g)
-            stacked = {}
-            for key, c in u.terms.items():
-                _, de, sp = key
-                if sum(de) + sp > k:
-                    stacked[("h", key)] = c
-            cols.append(stacked)
-            tags.append((gi, oi))
-            exprs[(gi, oi)] = u
-    deps = nullspace(cols, tags)
-    found = Echelon()
     summands = []
-    for dep in deps:
-        u = WeylOperator.zero(dim)
-        for tag, c in dep.items():
-            u = u + exprs[tag].scale(c)
-        if u.is_zero() or found.insert(dict(u.terms)) is not None:
-            continue
+    for u in _order_bounded_elements(gens, sbasis, k):
         num, pole = operator_on_pole(u, inp.f, 1, Fraction(0))
         if not num.is_zero():
             summands.append((0, num, pole))
@@ -419,9 +394,7 @@ def parse_annihilator_file(text: str, dim: int | None = None,
     if f_text is None or e_text is None or b_text is None:
         raise ParseError("annihilator file needs f:, E: and b: headers", 0)
     if dim is None:
-        import re as _re
-        idx = [int(m[1:]) for m in _re.findall(r"[xd]\d+", text)]
-        dim = max(idx) if idx else 1
+        dim = infer_dim(text)
     f = Polynomial.parse(f_text, dim)
     euler = WeylOperator.parse(e_text, dim)
     b = BFunction.parse(b_text)

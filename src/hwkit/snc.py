@@ -5,6 +5,7 @@ lowest Hodge step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -12,14 +13,6 @@ from itertools import combinations
 from .errors import PreconditionError
 from .exactalg import (MonomialIdeal, Polynomial, fmt_rational, grlex_key,
                        mono_str)
-
-
-def _ceil(q: Fraction) -> int:
-    return -((-q.numerator) // q.denominator)
-
-
-def _floor(q: Fraction) -> int:
-    return q.numerator // q.denominator
 
 
 class SncDivisor:
@@ -135,7 +128,7 @@ def snc_f0_ideal(d: SncDivisor, alpha, l: int) -> MonomialIdeal:
         Jset = set(J)
         e = [0] * d.dim
         for i in d.support:
-            c = _ceil(alpha * d.a[i])
+            c = math.ceil(alpha * d.a[i])
             e[i] = c if (i in ia and i not in Jset) else c - 1
         gens.append(tuple(e))
     return MonomialIdeal(d.dim, gens)
@@ -157,7 +150,7 @@ def snc_multiplier_ideal(d: SncDivisor, alpha) -> MonomialIdeal:
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise PreconditionError("alpha must be positive", hypothesis="alpha > 0")
-    e = tuple(_floor(alpha * ai) for ai in d.a)
+    e = tuple(math.floor(alpha * ai) for ai in d.a)
     return MonomialIdeal(d.dim, [e])
 
 

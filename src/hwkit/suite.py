@@ -6,6 +6,7 @@ byte-identical across runs.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -90,16 +91,12 @@ def criterion_2() -> dict:
         eq(f"{d} a={alpha} I_0 = multiplier ideal",
            snc_f0_ideal(d, alpha, 0), snc_multiplier_ideal(d, alpha))
         m = d.m_alpha(alpha)
-        gens = tuple(max(_ceil(alpha * ai) - 1, 0) if ai else 0 for ai in d.a)
+        gens = tuple(max(math.ceil(alpha * ai) - 1, 0) if ai else 0 for ai in d.a)
         eq(f"{d} a={alpha} I_top = eps-shifted multiplier ideal",
            snc_f0_ideal(d, alpha, m), MonomialIdeal(d.dim, [gens]))
     passed = all(c["ok"] for c in checks)
     return {"criterion": 2, "name": "SNC golden tables", "passed": passed,
             "checks": checks}
-
-
-def _ceil(q: Fraction) -> int:
-    return -((-q.numerator) // q.denominator)
 
 
 def criterion_3(bounds: Bounds = Bounds(4, 12, 6)) -> dict:

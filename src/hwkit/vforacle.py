@@ -10,6 +10,7 @@ three-valued: "member" always carries a witness that re-evaluates exactly;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -224,20 +225,20 @@ class SpanWindow:
 
     __slots__ = ("echelon", "bounds", "dim", "n_vectors")
 
-    def __init__(self, bounds: Bounds, dim: int, track: bool):
-        self.echelon = Echelon(track=track)
+    def __init__(self, bounds: Bounds, dim: int):
+        self.echelon = Echelon()
         self.bounds = bounds
         self.dim = dim
         self.n_vectors = 0
 
-    def add_vector(self, vec: dict, tag):
+    def add_vector(self, vec: dict, companion):
         if not vec:
             return
         if any(j > self.bounds.dt or sum(m) > self.bounds.xdeg
                for (j, m) in vec):
             return
         self.n_vectors += 1
-        self.echelon.insert(vec, tag)
+        self.echelon.insert(vec, companion)
 
     def reduce(self, vec: dict):
         return self.echelon.reduce(vec)
@@ -253,7 +254,9 @@ def bf_span(gens, f: Polynomial, bounds: Bounds, with_dt: bool = False,
 
     `gens` is a list of BfElement or (BfElement, budget) pairs; a budget
     caps |g| (+ e) for that generator, defaulting to bounds.order.
-    with_dt additionally adjoins dt-powers (the t-order direction).
+    with_dt additionally adjoins dt-powers (the t-order direction).  With
+    track, reductions against the span carry their witness combination keyed
+    by (generator, gamma, dt power, beta).
     """
     norm = []
     for g in gens:
@@ -262,7 +265,7 @@ def bf_span(gens, f: Polynomial, bounds: Bounds, with_dt: bool = False,
         else:
             norm.append((g, bounds.order))
     dim = f.dim
-    span = SpanWindow(bounds, dim, track)
+    span = SpanWindow(bounds, dim)
     for gi, (gen, budget) in enumerate(norm):
         budget = min(budget, bounds.order)
         if budget < 0 or gen.is_zero():
@@ -282,7 +285,8 @@ def bf_span(gens, f: Polynomial, bounds: Bounds, with_dt: bool = False,
                 for beta in monomials_upto_degree(dim, bounds.xdeg - deg):
                     vec = {(j, mono_mul(m, beta)): c
                            for (j, m), c in vec0.items()}
-                    span.add_vector(vec, (gi, gamma, e, beta))
+                    span.add_vector(vec, {(gi, gamma, e, beta): 1}
+                                    if track else None)
     return span
 
 
@@ -295,8 +299,6 @@ def truncated_span(gens, f: Polynomial, order_bound: int, xdeg_bound: int,
 
 
 def _witness_json(combo) -> list:
-    if combo is None:
-        return []
     out = []
     for tag, c in sorted(combo.items(), key=lambda kv: repr(kv[0])):
         gi, gamma, e, beta = tag
@@ -367,9 +369,9 @@ def verify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
     for op in basis:
         applied.append(apply_to_twisted(op, f, sec0))
     pole_target = max([sec.pole for sec in applied] + [1])
-    ech = Echelon(track=True)
+    ech = Echelon()
     for idx, sec in enumerate(applied):
-        ech.insert(_section_vector(sec, f, pole_target), idx)
+        ech.insert(_section_vector(sec, f, pole_target), {idx: 1})
 
     def rhs_vector(roots: RootMultiset) -> dict:
         # roots(s) * f^s written over the common pole: coeffs * f^(pole-1)
@@ -378,15 +380,15 @@ def verify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
                               for j, c in roots.coefficients().items()})
         return _section_vector(sec, f, pole_target)
 
-    residual, combo = ech.reduce(rhs_vector(b))
+    residual, carried = ech.reduce(rhs_vector(b))
     bounds_json = {"order": order_bound, "xdeg": xdeg_bound}
     if residual:
         return SpanCertificate("not-found-at-bound", bounds_json,
                                detail="no operator at these bounds satisfies "
                                       "the functional equation")
-    operator = WeylOperator.zero(dim)
-    for idx, c in combo.items():
-        operator = operator + basis[idx].scale(c)
+    # basis operators are distinct monic monomials: one term per index
+    operator = WeylOperator(dim, {next(iter(basis[idx].terms)): c
+                                  for idx, c in carried.items()})
     # re-evaluate the witness exactly
     check = apply_to_twisted(operator, f, sec0)
     target = TwistedSection(dim, 1, 1,
@@ -428,14 +430,10 @@ def certify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
 # candidate canonical filtrations
 
 
-def _ceil(q: Fraction) -> int:
-    return -((-q.numerator) // q.denominator)
-
-
 def snc_v_generator_exponents(a, lam: Fraction):
     """Exponent vector of the level-lam generator monomial: per support index
     max(ceil(lam * a_i) - 1, 0)."""
-    return tuple(max(_ceil(Fraction(lam) * ai) - 1, 0) if ai else 0 for ai in a)
+    return tuple(max(math.ceil(Fraction(lam) * ai) - 1, 0) if ai else 0 for ai in a)
 
 
 def candidate_v_snc(a, lam, jmax: int):
@@ -573,9 +571,9 @@ def verify_v_axioms(family, f: Polynomial, grid,
     report = {"checks": [], "all_member": True, "skipped": 0}
     for gam in grid:
         gam = Fraction(gam)
-        span_up = bf_span(family.gens(gam + 1), f, bounds, track=True)
-        span_down = bf_span(family.gens(gam - 1), f, bounds, track=True)
-        span_strict = bf_span(family.strict_gens(gam), f, bounds, track=True)
+        span_up = bf_span(family.gens(gam + 1), f, bounds)
+        span_down = bf_span(family.gens(gam - 1), f, bounds)
+        span_strict = bf_span(family.strict_gens(gam), f, bounds)
         n = family.nilpotency(gam)
         for gi, gen in enumerate(family.gens(gam)):
             entries = [
@@ -660,8 +658,6 @@ def phi_shift(u: BfElement, f: Polynomial) -> BfElement:
     """Shift a twist-alpha element to the untwisted module:
     sum_i sum_{j>=i} g_j f^(i-j) C(j,i) Q_{j-i}(-alpha) dt^i.
     Fails when a required exact division by f does not hold."""
-    import math
-
     alpha = u.twist
     k = u.max_layer()
     out = {}
@@ -713,21 +709,31 @@ class ModuleSpan:
 
     __slots__ = ("echelon", "pole", "alpha", "xdeg", "n_vectors")
 
-    def __init__(self, pole: int, alpha: Fraction, xdeg: int, track: bool):
-        self.echelon = Echelon(track=track)
+    def __init__(self, pole: int, alpha: Fraction, xdeg: int):
+        self.echelon = Echelon()
         self.pole = pole
         self.alpha = alpha
         self.xdeg = xdeg
         self.n_vectors = 0
 
-    def add(self, p: Polynomial, tag):
+    def add(self, p: Polynomial):
         if p.is_zero() or p.total_degree() > self.xdeg:
             return
         self.n_vectors += 1
-        self.echelon.insert(dict(p.terms), tag)
+        self.echelon.insert(dict(p.terms))
 
     def reduce_poly(self, p: Polynomial):
         return self.echelon.reduce(dict(p.terms))
+
+
+def _twist_shift(alpha_base: Fraction, alpha: Fraction) -> int:
+    """The integer by which twist alpha exceeds alpha_base; presentations
+    can only be compared when their twists differ by an integer."""
+    delta = alpha - alpha_base
+    if delta.denominator != 1:
+        raise PreconditionError("presentations live in different twists",
+                                hypothesis="twists differ by an integer")
+    return int(delta)
 
 
 def presentation_elements(pres: HodgePresentation, f: Polynomial,
@@ -735,12 +741,9 @@ def presentation_elements(pres: HodgePresentation, f: Polynomial,
     """All vectors x^beta d^gamma (g f^(-j-alpha)) of a presentation, cleared
     to the common pole (relative to alpha_base); elements whose clearing
     leaves the degree window are skipped.  Yields (polynomial, tag)."""
-    delta = pres.alpha - alpha_base
-    if delta.denominator != 1:
-        raise PreconditionError("presentations live in different twists",
-                                hypothesis="twists differ by an integer")
+    shift = _twist_shift(alpha_base, pres.alpha)
     for si, (budget, g, j) in enumerate(pres.summands):
-        step = j + int(delta)
+        step = j + shift
         for gamma in monomials_upto_degree(f.dim, budget):
             num, p = pole_apply(gamma, g, step, alpha_base, f)
             if p > pole_target or num.is_zero():
@@ -753,13 +756,20 @@ def presentation_elements(pres: HodgePresentation, f: Polynomial,
                 yield num.mul_mono(beta), (si, gamma, beta)
 
 
-def presentation_span(pres: HodgePresentation, f: Polynomial,
-                      alpha_base: Fraction, pole_target: int, xdeg: int,
-                      track: bool = True) -> ModuleSpan:
-    span = ModuleSpan(pole_target, alpha_base, xdeg, track)
-    for p, tag in presentation_elements(pres, f, alpha_base, pole_target, xdeg):
-        span.add(p, tag)
+def _module_span(vectors, pole: int, alpha: Fraction, xdeg: int) -> ModuleSpan:
+    """Span of the polynomials of (polynomial, tag) pairs."""
+    span = ModuleSpan(pole, alpha, xdeg)
+    for p, _ in vectors:
+        span.add(p)
     return span
+
+
+def presentation_span(pres: HodgePresentation, f: Polynomial,
+                      alpha_base: Fraction, pole_target: int,
+                      xdeg: int) -> ModuleSpan:
+    return _module_span(
+        presentation_elements(pres, f, alpha_base, pole_target, xdeg),
+        pole_target, alpha_base, xdeg)
 
 
 def _cross_containment(name: str, source_vectors, target_span: ModuleSpan,
@@ -786,21 +796,17 @@ def presentations_equal(p1: HodgePresentation, p2: HodgePresentation,
     """Two-sided bounded containment between the spans the presentations
     denote, after aligning twists (which must differ by an integer)."""
     alpha_base = p1.alpha
-    delta = p2.alpha - alpha_base
-    if delta.denominator != 1:
-        raise PreconditionError("presentations live in different twists",
-                                hypothesis="twists differ by an integer")
-    pole_target = max(p1.max_pole(), p2.max_pole() + int(delta), 0)
-    span1 = presentation_span(p1, f, alpha_base, pole_target, bounds.xdeg)
-    span2 = presentation_span(p2, f, alpha_base, pole_target, bounds.xdeg)
-    ok21, d21 = _cross_containment(
-        "second-in-first",
-        presentation_elements(p2, f, alpha_base, pole_target, bounds.xdeg),
-        span1, expect_nonempty=bool(p2.summands))
-    ok12, d12 = _cross_containment(
-        "first-in-second",
-        presentation_elements(p1, f, alpha_base, pole_target, bounds.xdeg),
-        span2, expect_nonempty=bool(p1.summands))
+    pole_target = max(p1.max_pole(),
+                      p2.max_pole() + _twist_shift(alpha_base, p2.alpha), 0)
+    elems1, elems2 = (
+        list(presentation_elements(p, f, alpha_base, pole_target, bounds.xdeg))
+        for p in (p1, p2))
+    span1 = _module_span(elems1, pole_target, alpha_base, bounds.xdeg)
+    span2 = _module_span(elems2, pole_target, alpha_base, bounds.xdeg)
+    ok21, d21 = _cross_containment("second-in-first", elems2, span1,
+                                   expect_nonempty=bool(p2.summands))
+    ok12, d12 = _cross_containment("first-in-second", elems1, span2,
+                                   expect_nonempty=bool(p1.summands))
     if ok12 and ok21:
         return SpanCertificate("member", bounds.to_json(),
                                witness=[d12, d21])
@@ -815,7 +821,7 @@ def reduce_presentation(pres: HodgePresentation, f: Polynomial,
     already lies in the bounded span of the summands kept so far (low pole
     steps and low degrees first).  Never changes the denoted span."""
     pole_target = max((j for _, _, j in pres.summands), default=0)
-    span = ModuleSpan(pole_target, pres.alpha, bounds.xdeg, track=False)
+    span = ModuleSpan(pole_target, pres.alpha, bounds.xdeg)
     kept = []
     order = sorted(pres.summands,
                    key=lambda t: (t[2], t[1].total_degree(),
@@ -827,9 +833,9 @@ def reduce_presentation(pres: HodgePresentation, f: Polynomial,
             continue
         kept.append((budget, g, j))
         single = HodgePresentation.build(pres.alpha, pres.dim, [(budget, g, j)])
-        for p, tag in presentation_elements(single, f, pres.alpha,
-                                            pole_target, bounds.xdeg):
-            span.add(p, tag)
+        for p, _ in presentation_elements(single, f, pres.alpha,
+                                          pole_target, bounds.xdeg):
+            span.add(p)
     return HodgePresentation.build(pres.alpha, pres.dim, kept)
 
 
@@ -839,11 +845,8 @@ def presentation_contained(p1: HodgePresentation, p2: HodgePresentation,
     """One-sided bounded containment: every vector of the first presentation
     reduces inside the span of the second."""
     alpha_base = p1.alpha
-    delta = p2.alpha - alpha_base
-    if delta.denominator != 1:
-        raise PreconditionError("presentations live in different twists",
-                                hypothesis="twists differ by an integer")
-    pole_target = max(p1.max_pole(), p2.max_pole() + int(delta), 0)
+    pole_target = max(p1.max_pole(),
+                      p2.max_pole() + _twist_shift(alpha_base, p2.alpha), 0)
     span2 = presentation_span(p2, f, alpha_base, pole_target, bounds.xdeg)
     ok, d = _cross_containment(
         "first-in-second",
@@ -862,10 +865,7 @@ def dspans_equal(p1: HodgePresentation, p2: HodgePresentation, f: Polynomial,
     bounded operator span of the other side (budgets taken from the bounds,
     not from the presentations)."""
     alpha_base = p1.alpha
-    delta = p2.alpha - alpha_base
-    if delta.denominator != 1:
-        raise PreconditionError("presentations live in different twists",
-                                hypothesis="twists differ by an integer")
+    shift = _twist_shift(alpha_base, p2.alpha)
 
     def full(pres, extra_shift):
         return HodgePresentation.build(
@@ -877,8 +877,8 @@ def dspans_equal(p1: HodgePresentation, p2: HodgePresentation, f: Polynomial,
 
     directions = []
     for name, src, tgt in (
-            ("first-in-second", gen_steps(p1, 0), full(p2, int(delta))),
-            ("second-in-first", gen_steps(p2, int(delta)), full(p1, 0))):
+            ("first-in-second", gen_steps(p1, 0), full(p2, shift)),
+            ("second-in-first", gen_steps(p2, shift), full(p1, 0))):
         # Witness combinations may pass through representations deeper than
         # both generator lists; search pole depths progressively (any success
         # is a sound witness, rows being true members of the target span).
@@ -895,7 +895,7 @@ def dspans_equal(p1: HodgePresentation, p2: HodgePresentation, f: Polynomial,
                     break
                 if depth not in spans:
                     spans[depth] = presentation_span(
-                        tgt, f, alpha_base, depth, bounds.xdeg, track=False)
+                        tgt, f, alpha_base, depth, bounds.xdeg)
                 if not spans[depth].reduce_poly(vec)[0]:
                     found = True
                     break
@@ -968,9 +968,7 @@ def crosscheck_hodge_weight(kind: str, obj, alpha, k: int, l: int,
             for beta in monomials_upto_degree(f.dim, bounds.xdeg - deg):
                 oracle_vectors.append((num.mul_mono(beta), (gi, gamma, beta)))
 
-    oracle_span = ModuleSpan(pole_target, alpha, bounds.xdeg, track=True)
-    for p, tag in oracle_vectors:
-        oracle_span.add(p, tag)
+    oracle_span = _module_span(oracle_vectors, pole_target, alpha, bounds.xdeg)
     closed_span = presentation_span(pres, f, alpha, pole_target, bounds.xdeg)
 
     ok_oc, d_oc = _cross_containment("oracle-in-closed-form",

@@ -252,10 +252,6 @@ def weyl_mul(a: WeylOperator, b: WeylOperator) -> WeylOperator:
     return WeylOperator(dim, out)
 
 
-def total_order(a: WeylOperator):
-    return a.total_order()
-
-
 # ---------------------------------------------------------------------------
 # sections g(x,s) * f^(s+m)
 
@@ -436,19 +432,20 @@ def syzygy_kernel(targets, order_bound: int, xdeg_bound: int,
         if t.dim != dim:
             raise DimensionMismatch("targets of mixed dimension")
     basis = bounded_operator_basis(dim, order_bound, xdeg_bound, with_s, s_bound)
+    keys = [next(iter(op.terms)) for op in basis]
     columns = []
-    tags = []
+    companions = []
     for ti, t in enumerate(targets):
         for oi, op in enumerate(basis):
-            prod = weyl_mul(op, t)
-            columns.append(dict(prod.terms))
-            tags.append((ti, oi))
-    deps = nullspace(columns, tags)
+            columns.append(dict(weyl_mul(op, t).terms))
+            companions.append({(ti, oi): 1})
     out = []
-    for dep in deps:
-        tup = [WeylOperator.zero(dim) for _ in targets]
+    for dep in nullspace(columns, companions):
+        # basis operators are distinct monic monomials: one term per entry
+        parts = [{} for _ in targets]
         for (ti, oi), c in dep.items():
-            tup[ti] = tup[ti] + basis[oi].scale(c)
+            parts[ti][keys[oi]] = c
+        tup = [WeylOperator(dim, p) for p in parts]
         total = WeylOperator.zero(dim)
         for p, t in zip(tup, targets):
             total = total + weyl_mul(p, t)

@@ -11,7 +11,8 @@ from .errors import (NotIsolatedSingularity, NotQuasiHomogeneous,
                      PreconditionError)
 from .exactalg import (Polynomial, WeightVector, graded_ideal, grlex_key,
                        mono_mul, monomials_of_weighted_degree,
-                       monomials_upto_degree, weighted_degree)
+                       monomials_upto_degree, monomials_weighted_upto,
+                       weighted_degree)
 from .linalg import Echelon
 from .snc import HodgePresentation
 
@@ -66,7 +67,7 @@ def milnor_basis(f: Polynomial, w: WeightVector):
 
     # degrees actually occurring, up to socle + max w
     degrees = sorted({weighted_degree(m, w)
-                      for m in _monomials_weighted_window(w, socle + maxw)})
+                      for m in monomials_weighted_upto(w, socle + maxw)})
     basis = []
     for gamma in degrees:
         std, full = standard_at(gamma)
@@ -78,23 +79,6 @@ def milnor_basis(f: Polynomial, w: WeightVector):
                 "modulo the Jacobian ideal")
     basis.sort(key=grlex_key)
     return basis
-
-
-def _monomials_weighted_window(w: WeightVector, bound: Fraction):
-    out = []
-
-    def rec(prefix, remaining, i):
-        if i == w.dim:
-            out.append(tuple(prefix))
-            return
-        e = 0
-        while e * w.weights[i] <= remaining:
-            rec(prefix + [e], remaining - e * w.weights[i], i + 1)
-            e += 1
-
-    if bound >= 0:
-        rec([], Fraction(bound), 0)
-    return out
 
 
 class QuasiHomogeneousGerm:

@@ -2,11 +2,17 @@
 and enforcing the stated runtime budget.  All tolerances are exact equality;
 there is nothing to calibrate."""
 
+import hashlib
 import json
 import time
 
 from hwkit import suite
 from hwkit.cli import main
+
+# SHA-256 of `hwkit suite --profile default --json`; independent of
+# PYTHONHASHSEED.
+SUITE_ENVELOPE_SHA256 = (
+    "0bcb0716ccd5c4520983fde8e184c89f4650d445f786f2926f778dee1880d678")
 
 
 def _run(fn, budget_seconds, label):
@@ -75,3 +81,5 @@ def test_criterion_10_cli_determinism(tmp_path, monkeypatch, capsys):
     assert rt["passed"]
     env = json.loads(out1)
     assert env["outputs"]["passed"] is True
+    # the behavioural contract: refactors keep the suite envelope byte-exact
+    assert hashlib.sha256(out1.encode()).hexdigest() == SUITE_ENVELOPE_SHA256

@@ -1,7 +1,8 @@
+import argparse
 import json
 import os
 
-from hwkit.cli import main
+from hwkit.cli import _cache_key, build_parser, main
 
 NODE_ANN = """# ordinary double point, untwisted
 f: x1*x2
@@ -180,3 +181,71 @@ def test_ppd_cusp_file(capsys):
     hp = env["outputs"]["hodge_presentation"]
     assert hp["summands"] == [
         {"budget": 0, "generator": "1", "pole_step": 0}]
+
+
+def test_cache_key_covers_bfun_bounds(capsys, tmp_path, monkeypatch):
+    # a starved window must not be served for a later, larger one
+    monkeypatch.setenv("HWKIT_CACHE", str(tmp_path))
+    argv = ("bfun", "--exponents", "2,3", "--verify")
+    _, env1 = run_json(capsys, *argv, "--order", "1", "--xdeg", "1")
+    assert env1["outputs"]["bfunction"]["verified"] is False
+    code, env2 = run_json(capsys, *argv, "--order", "5", "--xdeg", "6")
+    assert code == 0
+    assert env2["outputs"]["bfunction"]["verified"] is True
+    assert env2["certificates"][0]["verdict"] == "member"
+
+
+def _spellings(action):
+    """Two command-line spellings of an option that parse to different
+    values."""
+    opt = action.option_strings[0]
+    if action.nargs == 0:
+        return [], [opt]
+    values = list(action.choices) if action.choices else ["1", "2"]
+    return [opt, values[0]], [opt, values[1]]
+
+
+def test_cache_key_changes_with_every_option():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    payload = {"input_sha": "0" * 64}
+    for verb, parser in sub.choices.items():
+        positional = [a.choices[0] for a in parser._actions
+                      if not a.option_strings]
+        options = [a for a in parser._actions
+                   if a.option_strings and a.dest not in ("help", "json")]
+        assert options, verb
+        base = {a.dest: _spellings(a)[0] for a in options}
+
+        def key(changed=None, extra=()):
+            argv = [verb] + positional + list(extra)
+            for a in options:
+                argv += _spellings(a)[1] if a is changed else base[a.dest]
+            return _cache_key(build_parser().parse_args(argv), payload)
+
+        ref = key()
+        assert key(extra=["--json"]) == ref, verb
+        for a in options:
+            if a.dest != "input":
+                assert key(changed=a) != ref, (verb, a.dest)
+    # an input file is keyed by its content, not its path
+    args = build_parser().parse_args(["ppd", "--input", "a.ann"])
+    moved = build_parser().parse_args(["ppd", "--input", "b.ann"])
+    assert _cache_key(args, payload) == _cache_key(moved, payload)
+    assert _cache_key(args, payload) != _cache_key(args, {"input_sha": "1" * 64})
+
+
+def test_corrupt_cache_entry_is_a_miss(capsys, tmp_path, monkeypatch):
+    argv = ("classify", "--exponents", "1,1", "--alpha", "1", "--json")
+    monkeypatch.delenv("HWKIT_CACHE", raising=False)
+    _, cold = run(capsys, *argv)
+    monkeypatch.setenv("HWKIT_CACHE", str(tmp_path))
+    run(capsys, *argv)
+    (entry,) = tmp_path.iterdir()
+    for garbage in (b"", cold[:len(cold) // 2].encode(), cold[:-1].encode(),
+                    b"[]\n", b"\xff\xfe garbage"):
+        entry.write_bytes(garbage)
+        code, out = run(capsys, *argv)
+        assert code == 0 and out == cold
+        assert entry.read_text(encoding="utf-8") == cold
+    assert [p.name for p in tmp_path.iterdir()] == [entry.name]

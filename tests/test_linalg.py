@@ -1,0 +1,124 @@
+"""Echelon and nullspace on seeded random sparse systems over Q."""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from hwkit.linalg import Echelon, nullspace
+
+SEEDS = range(12)
+
+
+def random_system(seed, n_cols=14, n_coords=9):
+    """Sparse columns over coordinates 0..n_coords-1; about a third of them
+    are built as combinations of earlier ones, so dependencies occur."""
+    rng = random.Random(seed)
+    cols = []
+    for _ in range(n_cols):
+        if cols and rng.random() < 0.35:
+            col = {}
+            for c in rng.sample(cols, min(len(cols), rng.randint(1, 3))):
+                add(col, F(rng.randint(-4, 4), rng.randint(1, 3)), c)
+        else:
+            col = {rng.randrange(n_coords): F(rng.randint(-5, 5), rng.randint(1, 4))
+                   for _ in range(rng.randint(0, 4))}
+        cols.append({k: v for k, v in col.items() if v})
+    return rng, cols
+
+
+def add(acc, coeff, vec):
+    for k, v in vec.items():
+        acc[k] = acc.get(k, F(0)) + coeff * v
+        if not acc[k]:
+            del acc[k]
+    return acc
+
+
+def combine(coeffs, vectors):
+    out = {}
+    for i, c in coeffs.items():
+        add(out, c, vectors[i])
+    return out
+
+
+def dense_rank(cols, n_coords):
+    """Rank by plain Gaussian elimination on the dense matrix."""
+    rows = [[col.get(j, F(0)) for j in range(n_coords)] for col in cols]
+    rank = 0
+    for j in range(n_coords):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][j]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][j]:
+                q = rows[r][j] / rows[rank][j]
+                rows[r] = [a - q * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_nullspace_dependencies_annihilate_columns(seed):
+    _, cols = random_system(seed)
+    deps = nullspace(cols, [{i: 1} for i in range(len(cols))])
+    ech = Echelon()
+    for c in cols:
+        ech.insert(c)
+    assert len(deps) == len(cols) - ech.rank
+    for dep in deps:
+        assert dep
+        assert combine(dep, cols) == {}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_reduce_carries_the_reduced_part(seed):
+    rng, cols = random_system(seed)
+    tagged, self_carried = Echelon(), Echelon()
+    for i, c in enumerate(cols):
+        tagged.insert(c, {i: 1})
+        self_carried.insert(c, c)
+    for _ in range(5):
+        vec = {rng.randrange(9): F(rng.randint(-6, 6), rng.randint(1, 5))
+               for _ in range(rng.randint(1, 5))}
+        vec = {k: v for k, v in vec.items() if v}
+        residual, carried = tagged.reduce(vec)
+        assert not set(residual) & set(tagged.rows)
+        expected = add(dict(vec), F(-1), residual)
+        assert combine(carried, cols) == expected
+        # with each column as its own companion, carried is vec - residual
+        residual2, carried2 = self_carried.reduce(vec)
+        assert residual2 == residual and carried2 == expected
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_rank_matches_dense_elimination(seed):
+    _, cols = random_system(seed)
+    ech = Echelon()
+    for c in cols:
+        ech.insert(c)
+    assert ech.rank == dense_rank(cols, 9)
+    assert all(row[p] == 1 and max(row) == p
+               for p, (row, _) in ech.rows.items())
+
+
+def test_dependent_insert_without_companions():
+    ech = Echelon()
+    assert ech.insert({0: F(1), 1: F(2)}) is None
+    assert ech.insert({1: F(3)}) is None
+    assert ech.insert({0: F(2), 1: F(7)}) == {}
+    assert ech.insert({}) == {}
+    assert ech.rank == 2
+    assert ech.contains({0: F(5)}) and not ech.contains({2: F(1)})
+
+
+def test_companions_need_not_be_tags():
+    ech = Echelon()
+    ech.insert({0: F(1)}, {"a": F(1)})
+    ech.insert({1: F(1)}, {"b": F(2)})
+    assert ech.insert({0: F(3), 1: F(1, 2)}, {"z": F(1)}) == {
+        "a": F(3), "b": F(1)}
+    assert nullspace([{0: F(1)}, {0: F(2)}, {}],
+                     [{"x": F(1)}, {"y": F(1)}, {"e": F(4)}]) == [
+        {"y": F(1), "x": F(-2)}, {"e": F(4)}]
