@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 precondition violation (the violated mathematical
-hypothesis is named), 3 inconclusive at the given bounds.  Envelopes are
+hypothesis is named) or malformed input (one line on stderr), 3 inconclusive
+at the given bounds.  Envelopes are
 deterministic JSON (no timings, no environment data) so identical inputs
 yield byte-identical output; with HWKIT_CACHE set, envelopes are cached
 content-addressed and written with atomic replace.  The cache key covers the
@@ -17,6 +18,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 import tempfile
 from fractions import Fraction
@@ -127,10 +129,29 @@ def _bounds(args) -> Bounds:
     return Bounds(order=args.order, xdeg=args.xdeg, dt=args.dtord)
 
 
+def _nonnegative(text: str) -> int:
+    """argparse type of the bound options: an integer >= 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def _add_bounds(p, order=4, xdeg=12, dtord=6):
-    p.add_argument("--order", type=int, default=order)
-    p.add_argument("--xdeg", type=int, default=xdeg)
-    p.add_argument("--dtord", type=int, default=dtord)
+    p.add_argument("--order", type=_nonnegative, default=order)
+    p.add_argument("--xdeg", type=_nonnegative, default=xdeg)
+    p.add_argument("--dtord", type=_nonnegative, default=dtord)
+
+
+def _parse_exponents(text: str) -> tuple:
+    """The --exponents option: comma-separated non-negative integers."""
+    if not re.fullmatch(r"\s*\d+\s*(,\s*\d+\s*)*", text):
+        raise ParseError(f"--exponents {text!r} is not a comma-separated "
+                         "list of non-negative integers", 0)
+    return tuple(int(x) for x in text.split(","))
 
 
 def _reduced_bfunction(args):
@@ -139,7 +160,7 @@ def _reduced_bfunction(args):
     required for the quasi-homogeneous route.  Returns (reduced b-function,
     source description, f)."""
     if getattr(args, "exponents", None):
-        f = Polynomial.monomial(tuple(int(x) for x in args.exponents.split(",")))
+        f = Polynomial.monomial(_parse_exponents(args.exponents))
     elif args.poly:
         f = poly_parse(args.poly, args.dim or infer_dim(args.poly))
     else:
@@ -168,7 +189,7 @@ def _normalize_alpha(alpha: Fraction):
 
 
 def cmd_snc(args) -> int:
-    a = tuple(int(x) for x in args.exponents.split(","))
+    a = _parse_exponents(args.exponents)
     d = SncDivisor(a)
     alpha = parse_rational(args.alpha)
     norm, shift = _normalize_alpha(alpha)
@@ -288,9 +309,13 @@ def cmd_crosscheck(args) -> int:
     alpha = parse_rational(args.alpha)
     bounds = _bounds(args)
     if args.source == "snc":
-        obj = SncDivisor(tuple(int(x) for x in args.exponents.split(",")))
+        if not args.exponents:
+            raise PreconditionError("--source snc needs --exponents")
+        obj = SncDivisor(_parse_exponents(args.exponents))
         name = str(obj)
     else:
+        if not (args.poly and args.weights):
+            raise PreconditionError("--source whom needs --poly and --weights")
         dim = args.dim or infer_dim(args.poly)
         obj = QuasiHomogeneousGerm(poly_parse(args.poly, dim),
                                    WeightVector.parse(args.weights))
@@ -319,8 +344,13 @@ def cmd_crosscheck(args) -> int:
 
 
 def cmd_ppd(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(args.input, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise HwkitError(f"cannot read {args.input}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise HwkitError(f"cannot read {args.input}: not UTF-8 text") from None
     payload = {"input_sha": hashlib.sha256(text.encode()).hexdigest(),
                "l": args.l, "k": args.k,
                "bounds": {"order": args.order, "xdeg": args.xdeg,
@@ -367,8 +397,15 @@ def cmd_suite(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one stderr line, with exit code 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="hwkit")
+    ap = _Parser(prog="hwkit")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="verb", required=True)
 
@@ -401,8 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly")
     p.add_argument("--weights")
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--order", type=int, default=4)
-    p.add_argument("--xdeg", type=int, default=8)
+    p.add_argument("--order", type=_nonnegative, default=4)
+    p.add_argument("--xdeg", type=_nonnegative, default=8)
     p.set_defaults(func=cmd_bfun)
 
     p = sub.add_parser("verify", help="oracle verification")
@@ -410,9 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("what", choices=["bfun"])
     p.add_argument("--poly", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--order", type=int, default=4)
-    p.add_argument("--xdeg", type=int, default=8)
-    p.add_argument("--escalate", type=int, default=0,
+    p.add_argument("--order", type=_nonnegative, default=4)
+    p.add_argument("--xdeg", type=_nonnegative, default=8)
+    p.add_argument("--escalate", type=_nonnegative, default=0,
                    help="doublings to offer on an inconclusive verdict")
     p.set_defaults(func=cmd_verify)
 
@@ -444,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
-    p.add_argument("--escalate", type=int, default=0,
+    p.add_argument("--escalate", type=_nonnegative, default=0,
                    help="doublings to offer on an inconclusive verdict")
     _add_bounds(p)
     p.set_defaults(func=cmd_crosscheck)

@@ -772,22 +772,50 @@ def presentation_span(pres: HodgePresentation, f: Polynomial,
         pole_target, alpha_base, xdeg)
 
 
+def _verdict(name: str, count: int, expect_nonempty: bool):
+    """A passing direction over count source vectors.  With expect_nonempty,
+    an empty source family counts as inconclusive (guards against vacuous
+    verdicts when the window is too small to represent anything)."""
+    if expect_nonempty and count == 0:
+        return False, {"direction": name,
+                       "failed_at": "window too small to represent anything"}
+    return True, {"direction": name, "vectors": count}
+
+
 def _cross_containment(name: str, source_vectors, target_span: ModuleSpan,
-                       expect_nonempty: bool = False):
-    """Reduce every source vector against the target span; report the first
-    failure or the vector count.  With expect_nonempty, an empty source
-    family counts as inconclusive (guards against vacuous verdicts when the
-    window is too small to represent anything)."""
+                       expect_nonempty: bool = False,
+                       source_span: ModuleSpan | None = None):
+    """Report the first source vector outside the target span, or the vector
+    count.  Given source_span, the span of the source vectors (all nonzero and
+    inside the window), only its echelon rows are reduced: they span the same
+    space, so the vectors are scanned only to name the first failure."""
+    if source_span is not None and not any(
+            target_span.echelon.reduce(row)[0]
+            for row, _ in source_span.echelon.rows.values()):
+        return _verdict(name, source_span.n_vectors, expect_nonempty)
     count = 0
     for p, tag in source_vectors:
         count += 1
         residual, _ = target_span.reduce_poly(p)
         if residual:
             return False, {"direction": name, "failed_at": repr(tag)}
-    if expect_nonempty and count == 0:
-        return False, {"direction": name,
-                       "failed_at": "window too small to represent anything"}
-    return True, {"direction": name, "vectors": count}
+    if source_span is not None:
+        raise AssertionError(f"{name}: a row of the source span is not "
+                             "contained but every source vector is")
+    return _verdict(name, count, expect_nonempty)
+
+
+def _mutual_containment(first, second):
+    """Two-sided containment of the sides (name, vectors, span,
+    expect_nonempty): the results of "first in second" and "second in first".
+    Once the first holds, equal ranks make the spans equal, so the second
+    needs no reduction; its vectors are then never read."""
+    name1, vectors1, span1, nonempty1 = first
+    name2, vectors2, span2, nonempty2 = second
+    d1 = _cross_containment(name1, vectors1, span2, nonempty1, span1)
+    if d1[0] and span1.echelon.rank == span2.echelon.rank:
+        return d1, _verdict(name2, span2.n_vectors, nonempty2)
+    return d1, _cross_containment(name2, vectors2, span1, nonempty2, span2)
 
 
 def presentations_equal(p1: HodgePresentation, p2: HodgePresentation,
@@ -798,15 +826,16 @@ def presentations_equal(p1: HodgePresentation, p2: HodgePresentation,
     alpha_base = p1.alpha
     pole_target = max(p1.max_pole(),
                       p2.max_pole() + _twist_shift(alpha_base, p2.alpha), 0)
-    elems1, elems2 = (
-        list(presentation_elements(p, f, alpha_base, pole_target, bounds.xdeg))
-        for p in (p1, p2))
-    span1 = _module_span(elems1, pole_target, alpha_base, bounds.xdeg)
-    span2 = _module_span(elems2, pole_target, alpha_base, bounds.xdeg)
-    ok21, d21 = _cross_containment("second-in-first", elems2, span1,
-                                   expect_nonempty=bool(p2.summands))
-    ok12, d12 = _cross_containment("first-in-second", elems1, span2,
-                                   expect_nonempty=bool(p1.summands))
+
+    def side(name, p):
+        return (name,
+                presentation_elements(p, f, alpha_base, pole_target,
+                                      bounds.xdeg),
+                presentation_span(p, f, alpha_base, pole_target, bounds.xdeg),
+                bool(p.summands))
+
+    (ok21, d21), (ok12, d12) = _mutual_containment(
+        side("second-in-first", p2), side("first-in-second", p1))
     if ok12 and ok21:
         return SpanCertificate("member", bounds.to_json(),
                                witness=[d12, d21])
@@ -971,13 +1000,11 @@ def crosscheck_hodge_weight(kind: str, obj, alpha, k: int, l: int,
     oracle_span = _module_span(oracle_vectors, pole_target, alpha, bounds.xdeg)
     closed_span = presentation_span(pres, f, alpha, pole_target, bounds.xdeg)
 
-    ok_oc, d_oc = _cross_containment("oracle-in-closed-form",
-                                     oracle_vectors, closed_span,
-                                     expect_nonempty=bool(gens))
-    ok_co, d_co = _cross_containment(
-        "closed-form-in-oracle",
-        presentation_elements(pres, f, alpha, pole_target, bounds.xdeg),
-        oracle_span, expect_nonempty=bool(pres.summands))
+    (ok_oc, d_oc), (ok_co, d_co) = _mutual_containment(
+        ("oracle-in-closed-form", oracle_vectors, oracle_span, bool(gens)),
+        ("closed-form-in-oracle",
+         presentation_elements(pres, f, alpha, pole_target, bounds.xdeg),
+         closed_span, bool(pres.summands)))
     if ok_oc and ok_co:
         return SpanCertificate("member", bounds.to_json(), witness=[d_oc, d_co])
     return SpanCertificate("not-found-at-bound", bounds.to_json(),

@@ -37,7 +37,8 @@ class WeylOperator:
         clean = {}
         if terms:
             for (xe, de, sp), c in terms.items():
-                c = Fraction(c)
+                if type(c) is not Fraction:  # a Fraction is already canonical
+                    c = Fraction(c)
                 if not c:
                     continue
                 if len(xe) != dim or len(de) != dim:

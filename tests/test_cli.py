@@ -2,6 +2,8 @@ import argparse
 import json
 import os
 
+import pytest
+
 from hwkit.cli import _cache_key, build_parser, main
 
 NODE_ANN = """# ordinary double point, untwisted
@@ -112,6 +114,50 @@ def test_precondition_exit_code(capsys):
 
 def test_parse_error_exit_code(capsys):
     assert main(["classify", "--poly", "x1 +", "--alpha", "1"]) == 2
+
+
+CROSS = ("crosscheck", "--alpha", "1", "--k", "0", "--l", "0")
+VERIFY = ("verify", "bfun", "--poly", "x1^2", "--b", "(s+1)(s+1/2)")
+MALFORMED = [
+    # --exponents that do not parse
+    ("classify", "--exponents", "2,x", "--alpha", "1"),
+    ("bounds", "--exponents", "2,,3", "--alpha", "1"),
+    ("bfun", "--exponents", "-1"),
+    ("snc", "--exponents", "1,1.5", "--alpha", "1"),
+    CROSS + ("--source", "snc", "--exponents", "1,y"),
+    # a crosscheck source without its input
+    CROSS + ("--source", "snc"),
+    CROSS + ("--source", "whom"),
+    CROSS + ("--source", "whom", "--poly", "x1^2+x2^3"),
+    # unreadable --input files ({} is the test's temporary directory)
+    ("ppd", "--input", "{}/missing.ann"),
+    ("ppd", "--input", "{}"),
+    ("ppd", "--input", "{}/latin1.ann"),
+    # negative bounds
+    VERIFY + ("--order", "-1"),
+    VERIFY + ("--escalate", "-1"),
+    CROSS + ("--source", "snc", "--exponents", "1,1", "--escalate", "-1"),
+    CROSS + ("--source", "snc", "--exponents", "1,1", "--xdeg", "-1"),
+    CROSS + ("--source", "snc", "--exponents", "1,1", "--dtord", "-1"),
+    ("bfun", "--exponents", "2,3", "--verify", "--order", "-2"),
+    ("ppd", "--input", "{}/node.ann", "--xdeg", "-1"),
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED, ids=" ".join)
+def test_malformed_input_exits_2(capsys, tmp_path, argv):
+    (tmp_path / "latin1.ann").write_bytes("f: x1*x2 # caf\xe9\n".encode(
+        "latin-1"))
+    (tmp_path / "node.ann").write_text(NODE_ANN)
+    argv = [a.replace("{}", str(tmp_path)) for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the option
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1, err
+    assert "Traceback" not in err
 
 
 def test_envelope_roundtrip_and_determinism(capsys):

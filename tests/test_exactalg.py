@@ -134,3 +134,34 @@ def test_rational_format():
     assert parse_rational("-7/3") == Fraction(-7, 3)
     with pytest.raises(ParseError):
         parse_rational("1.5")
+
+
+def test_constructor_canonicalizes_coefficients():
+    p = Polynomial(2, {(1, 0): 3, (0, 1): "1/2", (1, 1): Fraction(6, 4),
+                       (2, 0): 0, (0, 2): Fraction(0), (0, 0): "0"})
+    assert p.terms == {(1, 0): Fraction(3), (0, 1): Fraction(1, 2),
+                       (1, 1): Fraction(3, 2)}
+    assert all(type(c) is Fraction for c in p.terms.values())
+    assert p == poly_parse("3*x1 + 1/2*x2 + 3/2*x1*x2", 2)
+    for bad in ((1,), (1, 0, 0)):
+        with pytest.raises(DimensionMismatch):
+            Polynomial(2, {bad: Fraction(1)})
+
+
+def test_mul_mono_shifts_terms():
+    rng = random.Random(11)
+    for _ in range(25):
+        p = Polynomial(2, {m: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                           for m in monomials_upto_degree(2, 3)
+                           if rng.random() < 0.4})
+        m = (rng.randint(0, 3), rng.randint(0, 3))
+        shifted = Polynomial(2, {(a + m[0], b + m[1]): c
+                                 for (a, b), c in p.terms.items()})
+        assert p.mul_mono(m) == shifted
+        assert p.mul_mono(m).terms == shifted.terms
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        assert p.mul_mono(m, c) == shifted.scale(c)
+    assert poly_parse("x1 - x2", 2).mul_mono((1, 0), 2) == poly_parse(
+        "2*x1^2 - 2*x1*x2", 2)
+    with pytest.raises(DimensionMismatch):
+        poly_parse("x1", 2).mul_mono((1,))

@@ -8,10 +8,12 @@ from hwkit.errors import PreconditionError, WindowExceeded
 from hwkit.exactalg import (Polynomial, WeightVector, monomials_upto_degree,
                             poly_parse)
 from hwkit.snc import HodgePresentation, SncDivisor
-from hwkit.vforacle import (BfElement, Bounds, SncVFamily, WhomVFamily, act,
-                            apply_s_shifted, bf_span, candidate_v_snc,
-                            crosscheck_hodge_weight, dspans_equal,
-                            kernel_filtration_check, membership, phi_shift,
+from hwkit.vforacle import (BfElement, Bounds, ModuleSpan, SncVFamily,
+                            WhomVFamily, _cross_containment,
+                            _mutual_containment, act, apply_s_shifted,
+                            bf_span, candidate_v_snc, crosscheck_hodge_weight,
+                            dspans_equal, kernel_filtration_check, membership,
+                            phi_shift, presentation_contained,
                             presentations_equal, psi_map, q_poch,
                             reduce_presentation, truncated_span,
                             verify_bfunction, verify_v_axioms)
@@ -315,6 +317,144 @@ def test_crosscheck_starved_is_inconclusive():
     cert = crosscheck_hodge_weight("snc", SncDivisor((1, 1)), 1, 2, 1,
                                    Bounds(0, 1, 0))
     assert cert.verdict == "not-found-at-bound"
+
+
+def _pres(*summands):
+    return HodgePresentation.build(
+        F(1), 2, [(b, poly_parse(g, 2), j) for b, g, j in summands])
+
+
+def test_containment_details_pinned():
+    # detail strings as the vector-by-vector scan reported them
+    B = Bounds(3, 8, 4)
+    x, y = _pres((0, "x1", 0)), _pres((0, "x2", 0))
+    cert = presentations_equal(x, y, XY, B)
+    assert cert.detail == (
+        "[{'direction': 'first-in-second', 'failed_at': '(0, (0, 0), (0, 0))'}"
+        ", {'direction': 'second-in-first', 'failed_at': '(0, (0, 0), (0, 0))'}"
+        "]")
+    # first-in-second holds at a lower rank; the other side names its tag
+    cert = presentations_equal(x, _pres((0, "x1", 0), (0, "x2", 0)), XY, B)
+    assert cert.detail == ("[{'direction': 'second-in-first', "
+                           "'failed_at': '(0, (0, 0), (0, 0))'}]")
+    # a failure after passing vectors: the first failing tag is named
+    d1 = _pres((1, "x1^2", 0))
+    assert presentations_equal(d1, x, XY, B).detail == (
+        "[{'direction': 'first-in-second', 'failed_at': '(0, (0, 1), (0, 0))'}]")
+    assert presentation_contained(d1, x, XY, B).detail == (
+        "{'direction': 'first-in-second', 'failed_at': '(0, (0, 1), (0, 0))'}")
+    assert presentation_contained(x, _pres((0, "x1", 0), (0, "x2", 0)), XY,
+                                  B).witness == [
+        {"direction": "first-in-second", "vectors": 36}]
+    cert = crosscheck_hodge_weight("snc", SncDivisor((1, 1)), 1, 2, 1,
+                                   Bounds(0, 1, 0))
+    assert cert.detail == (
+        "[{'direction': 'oracle-in-closed-form', "
+        "'failed_at': 'window too small to represent anything'}, "
+        "{'direction': 'closed-form-in-oracle', "
+        "'failed_at': 'window too small to represent anything'}]")
+
+
+def _dense_rank(vectors) -> int:
+    cols = sorted({c for v in vectors for c in v})
+    rows = [[v.get(c, F(0)) for c in cols] for v in vectors]
+    rank = 0
+    for j in range(len(cols)):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][j]:
+                q = rows[i][j] / rows[rank][j]
+                rows[i] = [a - q * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _reference_containment(name, source, target, expect_nonempty):
+    """Vector by vector: a source vector is contained when adding it to the
+    target family keeps the dense rank."""
+    target = [p.terms for p, _ in target]
+    base = _dense_rank(target)
+    for p, tag in source:
+        if _dense_rank(target + [p.terms]) > base:
+            return False, {"direction": name, "failed_at": repr(tag)}
+    if expect_nonempty and not source:
+        return False, {"direction": name,
+                       "failed_at": "window too small to represent anything"}
+    return True, {"direction": name, "vectors": len(source)}
+
+
+def _sparse_poly(rng, xdeg=3):
+    while True:
+        p = Polynomial(2, {m: F(rng.randint(-4, 4), rng.randint(1, 3))
+                           for m in monomials_upto_degree(2, xdeg)
+                           if rng.random() < 0.25})
+        if not p.is_zero():
+            return p
+
+
+def _family(rng, label, base=(), xdeg=3):
+    """Tagged nonzero polynomials: random ones, and (given base) random
+    combinations of base, so that containment both holds and fails."""
+    out = []
+    for i in range(rng.randint(0, 6)):
+        p = Polynomial.zero(2)
+        if base and rng.random() < 0.7:
+            for q, _ in rng.sample(base, rng.randint(1, len(base))):
+                p = p + q.scale(rng.randint(-2, 2))
+        if p.is_zero():
+            p = _sparse_poly(rng, xdeg)
+        out.append((p, (label, i)))
+    return out
+
+
+def _span(vectors, xdeg=3):
+    span = ModuleSpan(0, F(0), xdeg)
+    for p, _ in vectors:
+        span.add(p)
+    return span
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_row_containment_matches_vector_scan(seed):
+    rng = random.Random(seed)
+    a = _family(rng, "a")
+    b = _family(rng, "b", base=a)
+    if rng.random() < 0.5:
+        a, b = b, a
+    span_a, span_b = _span(a), _span(b)
+    ne_a, ne_b = rng.random() < 0.5, rng.random() < 0.5
+    for name, src, src_span, ne, tgt, tgt_span in (
+            ("a-in-b", a, span_a, ne_a, b, span_b),
+            ("b-in-a", b, span_b, ne_b, a, span_a)):
+        ref = _reference_containment(name, src, tgt, ne)
+        assert _cross_containment(name, iter(src), tgt_span, ne,
+                                  src_span) == ref
+        assert _cross_containment(name, iter(src), tgt_span, ne) == ref
+    assert _mutual_containment(("a-in-b", iter(a), span_a, ne_a),
+                               ("b-in-a", iter(b), span_b, ne_b)) == (
+        _reference_containment("a-in-b", a, b, ne_a),
+        _reference_containment("b-in-a", b, a, ne_b))
+
+
+def test_mutual_containment_keeps_expect_nonempty():
+    # the rank shortcut still reports an empty family as inconclusive
+    empty = _span([])
+    assert _mutual_containment(("a-in-b", iter([]), empty, False),
+                               ("b-in-a", iter([]), empty, True)) == (
+        (True, {"direction": "a-in-b", "vectors": 0}),
+        (False, {"direction": "b-in-a",
+                 "failed_at": "window too small to represent anything"}))
+
+
+def test_row_containment_checks_its_source_span():
+    # a failing row that no source vector explains is an internal error
+    x1, x2 = poly_parse("x1", 2), poly_parse("x2", 2)
+    with pytest.raises(AssertionError):
+        _cross_containment("x-in-x", [(x1, "x1")], _span([(x1, 0)]),
+                           source_span=_span([(x2, 0)]))
 
 
 def test_candidate_v_whom():

@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from hwkit.errors import DimensionMismatch
 from hwkit.exactalg import Polynomial, poly_parse
 from hwkit.weyl import (TwistedSection, WeylOperator, annihilates_power,
                         apply_to_twisted, bounded_operator_basis,
@@ -19,6 +22,17 @@ def rand_operator(rng, dim=2, with_s=False):
         sp = rng.randint(0, 1) if with_s else 0
         terms[(xe, de, sp)] = Fraction(rng.randint(-4, 4))
     return WeylOperator(dim, terms)
+
+
+def test_constructor_canonicalizes_coefficients():
+    z = (0, 0)
+    a = WeylOperator(2, {((1, 0), z, 0): 2, (z, (0, 1), 1): "-1/3",
+                         (z, z, 0): Fraction(0), ((0, 1), z, 0): 0})
+    assert a.terms == {((1, 0), z, 0): Fraction(2),
+                       (z, (0, 1), 1): Fraction(-1, 3)}
+    assert all(type(c) is Fraction for c in a.terms.values())
+    with pytest.raises(DimensionMismatch):
+        WeylOperator(2, {((1,), z, 0): Fraction(1)})
 
 
 def test_normal_order_basics():
