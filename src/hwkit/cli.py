@@ -130,7 +130,8 @@ def _bounds(args) -> Bounds:
 
 
 def _nonnegative(text: str) -> int:
-    """argparse type of the bound options: an integer >= 0."""
+    """argparse type of the bound options and the indices k, l: an
+    integer >= 0."""
     try:
         n = int(text)
     except ValueError:
@@ -140,18 +141,33 @@ def _nonnegative(text: str) -> int:
     return n
 
 
+def _lmax(text: str):
+    """argparse type of --lmax: "auto" or an integer >= 0."""
+    return text if text == "auto" else _nonnegative(text)
+
+
 def _add_bounds(p, order=4, xdeg=12, dtord=6):
     p.add_argument("--order", type=_nonnegative, default=order)
     p.add_argument("--xdeg", type=_nonnegative, default=xdeg)
     p.add_argument("--dtord", type=_nonnegative, default=dtord)
 
 
-def _parse_exponents(text: str) -> tuple:
-    """The --exponents option: comma-separated non-negative integers."""
+def _parse_naturals(option: str, text: str) -> tuple:
+    """An option of comma-separated non-negative integers."""
     if not re.fullmatch(r"\s*\d+\s*(,\s*\d+\s*)*", text):
-        raise ParseError(f"--exponents {text!r} is not a comma-separated "
+        raise ParseError(f"{option} {text!r} is not a comma-separated "
                          "list of non-negative integers", 0)
     return tuple(int(x) for x in text.split(","))
+
+
+def _parse_stratum(text: str, dim: int) -> list:
+    """The --stratum option: the vanishing coordinates, numbered 1..dim;
+    returns their indices."""
+    coords = _parse_naturals("--stratum", text)
+    if not all(1 <= c <= dim for c in coords):
+        raise ParseError(f"--stratum {text!r} names a coordinate outside "
+                         f"1..{dim}", 0)
+    return [c - 1 for c in coords]
 
 
 def _reduced_bfunction(args):
@@ -160,7 +176,7 @@ def _reduced_bfunction(args):
     required for the quasi-homogeneous route.  Returns (reduced b-function,
     source description, f)."""
     if getattr(args, "exponents", None):
-        f = Polynomial.monomial(_parse_exponents(args.exponents))
+        f = Polynomial.monomial(_parse_naturals("--exponents", args.exponents))
     elif args.poly:
         f = poly_parse(args.poly, args.dim or infer_dim(args.poly))
     else:
@@ -189,14 +205,14 @@ def _normalize_alpha(alpha: Fraction):
 
 
 def cmd_snc(args) -> int:
-    a = _parse_exponents(args.exponents)
+    a = _parse_naturals("--exponents", args.exponents)
     d = SncDivisor(a)
     alpha = parse_rational(args.alpha)
     norm, shift = _normalize_alpha(alpha)
     if args.stratum:
-        d = d.restrict_to_stratum(int(x) - 1 for x in args.stratum.split(","))
+        d = d.restrict_to_stratum(_parse_stratum(args.stratum, d.dim))
     m = d.m_alpha(norm)
-    lmax = m if args.lmax == "auto" else min(int(args.lmax), m)
+    lmax = m if args.lmax == "auto" else min(args.lmax, m)
     rows = []
     for l in range(lmax + 1):
         gens = snc_f0_ideal(d, norm, l).to_json()
@@ -311,7 +327,7 @@ def cmd_crosscheck(args) -> int:
     if args.source == "snc":
         if not args.exponents:
             raise PreconditionError("--source snc needs --exponents")
-        obj = SncDivisor(_parse_exponents(args.exponents))
+        obj = SncDivisor(_parse_naturals("--exponents", args.exponents))
         name = str(obj)
     else:
         if not (args.poly and args.weights):
@@ -417,8 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--exponents", required=True)
     p.add_argument("--alpha", required=True)
-    p.add_argument("--lmax", default="auto")
-    p.add_argument("--kmax", type=int, default=2)
+    p.add_argument("--lmax", type=_lmax, default="auto")
+    p.add_argument("--kmax", type=_nonnegative, default=2)
     p.add_argument("--stratum", default=None)
     p.set_defaults(func=cmd_snc)
 
@@ -428,8 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", required=True)
     p.add_argument("--weights", required=True)
     p.add_argument("--alpha", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--k", type=_nonnegative, required=True)
+    p.add_argument("--l", type=_nonnegative, required=True)
     p.set_defaults(func=cmd_whom)
 
     p = sub.add_parser("bfun", help="closed-form b-function data")
@@ -468,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly")
     p.add_argument("--weights")
     p.add_argument("--alpha", required=True)
-    p.add_argument("--l", type=int, default=0)
+    p.add_argument("--l", type=_nonnegative, default=0)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("crosscheck", help="master cross-check of a closed "
@@ -479,8 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly")
     p.add_argument("--weights")
     p.add_argument("--alpha", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--k", type=_nonnegative, required=True)
+    p.add_argument("--l", type=_nonnegative, required=True)
     p.add_argument("--escalate", type=_nonnegative, default=0,
                    help="doublings to offer on an inconclusive verdict")
     _add_bounds(p)
@@ -489,8 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ppd", help="annihilator-presentation route")
     common(p)
     p.add_argument("--input", required=True)
-    p.add_argument("--l", type=int, default=0)
-    p.add_argument("--k", type=int, default=0)
+    p.add_argument("--l", type=_nonnegative, default=0)
+    p.add_argument("--k", type=_nonnegative, default=0)
     p.add_argument("--weight-only", action="store_true")
     p.add_argument("--interval21", action="store_true")
     _add_bounds(p, xdeg=10)

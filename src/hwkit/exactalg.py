@@ -286,19 +286,12 @@ class Polynomial:
         return Polynomial(self.dim, {m: v * c for m, v in self.terms.items()})
 
     def mul_mono(self, m: Mono, coeff=1) -> "Polynomial":
-        if coeff != 1:
-            coeff = Fraction(coeff)
-            return Polynomial(self.dim, {mono_mul(k, m): v * coeff
+        if coeff == 1:  # a monomial shift is injective: no coefficient changes
+            return Polynomial(self.dim, {mono_mul(k, m): v
                                          for k, v in self.terms.items()})
-        if len(m) != self.dim:
-            raise DimensionMismatch(
-                f"monomial {m} in dimension-{self.dim} polynomial")
-        # a monomial shift is injective: the terms stay canonical
-        out = Polynomial.__new__(Polynomial)
-        out.dim = self.dim
-        out.terms = {mono_mul(k, m): v for k, v in self.terms.items()}
-        out._hash = None
-        return out
+        coeff = Fraction(coeff)
+        return Polynomial(
+            self.dim, {mono_mul(k, m): v * coeff for k, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:

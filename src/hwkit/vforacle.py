@@ -782,27 +782,21 @@ def _verdict(name: str, count: int, expect_nonempty: bool):
     return True, {"direction": name, "vectors": count}
 
 
-def _cross_containment(name: str, source_vectors, target_span: ModuleSpan,
-                       expect_nonempty: bool = False,
-                       source_span: ModuleSpan | None = None):
+def _cross_containment(name: str, source_vectors, source_span: ModuleSpan,
+                       target_span: ModuleSpan, expect_nonempty: bool = False):
     """Report the first source vector outside the target span, or the vector
-    count.  Given source_span, the span of the source vectors (all nonzero and
-    inside the window), only its echelon rows are reduced: they span the same
-    space, so the vectors are scanned only to name the first failure."""
-    if source_span is not None and not any(
-            target_span.echelon.reduce(row)[0]
-            for row, _ in source_span.echelon.rows.values()):
+    count.  source_span is the span of the source vectors (all nonzero and
+    inside the window); only its echelon rows are reduced, as they span the
+    same space, so the vectors are scanned only to name the first failure."""
+    if not any(target_span.echelon.reduce(row)[0]
+               for row, _ in source_span.echelon.rows.values()):
         return _verdict(name, source_span.n_vectors, expect_nonempty)
-    count = 0
     for p, tag in source_vectors:
-        count += 1
         residual, _ = target_span.reduce_poly(p)
         if residual:
             return False, {"direction": name, "failed_at": repr(tag)}
-    if source_span is not None:
-        raise AssertionError(f"{name}: a row of the source span is not "
-                             "contained but every source vector is")
-    return _verdict(name, count, expect_nonempty)
+    raise AssertionError(f"{name}: a row of the source span is not "
+                         "contained but every source vector is")
 
 
 def _mutual_containment(first, second):
@@ -812,10 +806,19 @@ def _mutual_containment(first, second):
     needs no reduction; its vectors are then never read."""
     name1, vectors1, span1, nonempty1 = first
     name2, vectors2, span2, nonempty2 = second
-    d1 = _cross_containment(name1, vectors1, span2, nonempty1, span1)
+    d1 = _cross_containment(name1, vectors1, span1, span2, nonempty1)
     if d1[0] and span1.echelon.rank == span2.echelon.rank:
         return d1, _verdict(name2, span2.n_vectors, nonempty2)
-    return d1, _cross_containment(name2, vectors2, span1, nonempty2, span2)
+    return d1, _cross_containment(name2, vectors2, span2, span1, nonempty2)
+
+
+def _elements_and_span(pres: HodgePresentation, f: Polynomial,
+                       alpha_base: Fraction, pole_target: int, xdeg: int):
+    """The element list of a presentation and its span, built from the list
+    once, so that a failing containment can scan the elements again."""
+    elements = list(presentation_elements(pres, f, alpha_base, pole_target,
+                                          xdeg))
+    return elements, _module_span(elements, pole_target, alpha_base, xdeg)
 
 
 def presentations_equal(p1: HodgePresentation, p2: HodgePresentation,
@@ -829,9 +832,8 @@ def presentations_equal(p1: HodgePresentation, p2: HodgePresentation,
 
     def side(name, p):
         return (name,
-                presentation_elements(p, f, alpha_base, pole_target,
-                                      bounds.xdeg),
-                presentation_span(p, f, alpha_base, pole_target, bounds.xdeg),
+                *_elements_and_span(p, f, alpha_base, pole_target,
+                                    bounds.xdeg),
                 bool(p.summands))
 
     (ok21, d21), (ok12, d12) = _mutual_containment(
@@ -879,7 +881,7 @@ def presentation_contained(p1: HodgePresentation, p2: HodgePresentation,
     span2 = presentation_span(p2, f, alpha_base, pole_target, bounds.xdeg)
     ok, d = _cross_containment(
         "first-in-second",
-        presentation_elements(p1, f, alpha_base, pole_target, bounds.xdeg),
+        *_elements_and_span(p1, f, alpha_base, pole_target, bounds.xdeg),
         span2, expect_nonempty=bool(p1.summands))
     if ok:
         return SpanCertificate("member", bounds.to_json(), witness=[d])

@@ -40,6 +40,16 @@ def test_snc_table(capsys):
     assert by_l[2] == ["1"]
 
 
+def test_snc_stratum_and_lmax(capsys):
+    # coordinates are numbered from 1; --lmax is capped by the top offset
+    code, env = run_json(capsys, "snc", "--exponents", "1,1", "--alpha", "1",
+                         "--kmax", "0", "--stratum", "1", "--lmax", "5")
+    assert code == 0
+    assert env["outputs"]["weight_top_offset"] == 1
+    assert [r["generators"] for r in env["outputs"]["rows"]] == [["x1"], ["1"]]
+    assert env["inputs"]["lmax"] == "5" and env["inputs"]["stratum"] == "1"
+
+
 def test_snc_alpha_normalization(capsys):
     code, env = run_json(capsys, "snc", "--exponents", "1,1", "--alpha", "0")
     assert code == 0
@@ -116,6 +126,7 @@ def test_parse_error_exit_code(capsys):
     assert main(["classify", "--poly", "x1 +", "--alpha", "1"]) == 2
 
 
+SNC = ("snc", "--exponents", "1,1", "--alpha", "1")
 CROSS = ("crosscheck", "--alpha", "1", "--k", "0", "--l", "0")
 VERIFY = ("verify", "bfun", "--poly", "x1^2", "--b", "(s+1)(s+1/2)")
 MALFORMED = [
@@ -141,6 +152,19 @@ MALFORMED = [
     CROSS + ("--source", "snc", "--exponents", "1,1", "--dtord", "-1"),
     ("bfun", "--exponents", "2,3", "--verify", "--order", "-2"),
     ("ppd", "--input", "{}/node.ann", "--xdeg", "-1"),
+    # negative indices, and snc strata and weight ranges that do not parse
+    SNC + ("--kmax", "-1"),
+    SNC + ("--lmax", "x"),
+    SNC + ("--lmax", "-1"),
+    SNC + ("--stratum", "a"),
+    SNC + ("--stratum", "0"),
+    SNC + ("--stratum", "3"),
+    ("whom", "--poly", "x1^2+x2^3", "--weights", "1/2,1/3", "--alpha", "5/6",
+     "--k", "0", "--l", "-1"),
+    ("bounds", "--exponents", "2,3", "--alpha", "1/2", "--l", "-1"),
+    ("crosscheck", "--source", "snc", "--exponents", "1,1", "--alpha", "1",
+     "--k", "-1", "--l", "0"),
+    ("ppd", "--input", "{}/node.ann", "--k", "-1"),
 ]
 
 

@@ -430,9 +430,8 @@ def test_row_containment_matches_vector_scan(seed):
             ("a-in-b", a, span_a, ne_a, b, span_b),
             ("b-in-a", b, span_b, ne_b, a, span_a)):
         ref = _reference_containment(name, src, tgt, ne)
-        assert _cross_containment(name, iter(src), tgt_span, ne,
-                                  src_span) == ref
-        assert _cross_containment(name, iter(src), tgt_span, ne) == ref
+        assert _cross_containment(name, iter(src), src_span, tgt_span,
+                                  ne) == ref
     assert _mutual_containment(("a-in-b", iter(a), span_a, ne_a),
                                ("b-in-a", iter(b), span_b, ne_b)) == (
         _reference_containment("a-in-b", a, b, ne_a),
@@ -453,8 +452,8 @@ def test_row_containment_checks_its_source_span():
     # a failing row that no source vector explains is an internal error
     x1, x2 = poly_parse("x1", 2), poly_parse("x2", 2)
     with pytest.raises(AssertionError):
-        _cross_containment("x-in-x", [(x1, "x1")], _span([(x1, 0)]),
-                           source_span=_span([(x2, 0)]))
+        _cross_containment("x-in-x", [(x1, "x1")], _span([(x2, 0)]),
+                           _span([(x1, 0)]))
 
 
 def test_candidate_v_whom():
