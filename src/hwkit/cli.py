@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 precondition violation (the violated mathematical
 hypothesis is named) or malformed input (one line on stderr), 3 inconclusive
-at the given bounds.  Envelopes are
+at the given bounds, 4 a failed internal check (a witness that does not
+re-evaluate or a syzygy that does not re-multiply to zero; one line on
+stderr).  Envelopes are
 deterministic JSON (no timings, no environment data) so identical inputs
 yield byte-identical output; with HWKIT_CACHE set, envelopes are cached
 content-addressed and written with atomic replace.  The cache key covers the
@@ -27,8 +29,8 @@ from . import __version__, suite as suite_mod
 from .bsdata import (BFunction, bfunction_snc, bfunction_whom_isolated,
                      classify_pair, genlevel_bound, reduce as breduce,
                      weight_bounds, weighted_minimal_exponent)
-from .errors import (HwkitError, InconclusiveAtBound, ParseError,
-                     PreconditionError)
+from .errors import (HwkitError, InconclusiveAtBound, InternalCheckFailed,
+                     ParseError, PreconditionError)
 from .exactalg import (Polynomial, WeightVector, fmt_rational, infer_dim,
                        mono_str, parse_rational, poly_parse)
 from .ppd import (gamma_ideal, hodge_on_weight, hodge_weight_interval21,
@@ -538,6 +540,9 @@ def main(argv=None) -> int:
     except HwkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalCheckFailed as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

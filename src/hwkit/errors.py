@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto exit codes: precondition violations exit 2,
-bound-limited (inconclusive) computations exit 3.
+bound-limited (inconclusive) computations exit 3, failed internal checks
+exit 4.
 """
 
 from __future__ import annotations
@@ -51,3 +52,9 @@ class InconclusiveAtBound(HwkitError):
     def __init__(self, message: str, bounds: dict | None = None):
         super().__init__(message)
         self.bounds = bounds or {}
+
+
+class InternalCheckFailed(AssertionError):
+    """An independent re-check of a computed result failed (a witness that
+    does not re-evaluate, a syzygy that does not re-multiply to zero): a
+    fault in hwkit, never a property of the input."""

@@ -13,13 +13,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bsdata import BFunction, RootMultiset, beta_factor, roots_in_interval
-from .errors import InconclusiveAtBound, ParseError, PreconditionError
+from .errors import (InconclusiveAtBound, InternalCheckFailed, ParseError,
+                     PreconditionError)
 from .exactalg import Polynomial, fmt_rational, infer_dim, parse_rational
 from .linalg import Echelon, nullspace
 from .snc import HodgePresentation
 from .vforacle import Bounds, DEFAULT_BOUNDS, pole_apply
-from .weyl import (WeylOperator, bounded_operator_basis, syzygy_kernel,
-                   weyl_mul, annihilates_power)
+from .weyl import (WeylOperator, annihilates_power, basis_products,
+                   bounded_operator_basis, syzygy_kernel, weyl_mul)
 
 
 def check_annihilator(zeta: WeylOperator, f: Polynomial) -> bool:
@@ -57,6 +58,9 @@ class AnnihilatorInput:
     def __post_init__(self):
         self.alpha = Fraction(self.alpha)
         self.zetas = tuple(self.zetas)
+        if not self.f.total_degree():
+            raise PreconditionError("f is constant",
+                                    hypothesis="f is non-constant")
         if self.alpha < 0:
             raise PreconditionError("alpha must be non-negative",
                                     hypothesis="alpha >= 0")
@@ -185,7 +189,8 @@ def weight_module_generators(inp: AnnihilatorInput, l: int,
     for p, t in zip(witness, targets):
         total = total + weyl_mul(p, t)
     if not total.is_zero():
-        raise AssertionError("Euler witness tuple failed re-multiplication")
+        raise InternalCheckFailed(
+            "Euler witness tuple failed re-multiplication")
 
     seen = Echelon()
     gens = []
@@ -256,22 +261,22 @@ def _order_bounded_elements(gens, sbasis, k: int, residual=None):
     product op * g; every nullspace dependency, carried with the products as
     companions, is an element of the answer.
     """
+    dim = gens[0].dim
     cols, comps = [], []
     for g in gens:
-        for op in sbasis:
-            u = weyl_mul(op, g)
-            stacked = {("h", key): c for key, c in u.terms.items()
+        for u in basis_products(sbasis, g):
+            stacked = {("h", key): c for key, c in u.items()
                        if sum(key[1]) + key[2] > k}
             if residual is not None:
-                for key, c in residual(u).items():
+                for key, c in residual(WeylOperator(dim, u)).items():
                     stacked[("r", key)] = c
             cols.append(stacked)
-            comps.append(u.terms)
+            comps.append(u)
     found = Echelon()
     out = []
     for dep in nullspace(cols, comps):
         if dep and found.insert(dep) is None:
-            out.append(WeylOperator(gens[0].dim, dep))
+            out.append(WeylOperator(dim, dep))
     return out
 
 
@@ -303,8 +308,8 @@ def hodge_on_weight(inp: AnnihilatorInput, l: int, k: int,
     w0_basis = bounded_operator_basis(dim, bounds.order, bounds.xdeg,
                                       with_s=True, s_bound=s_bound)
     for g in gamma0.generators:
-        for op in w0_basis:
-            w0.insert(dict(weyl_mul(op, g).terms))
+        for u in basis_products(w0_basis, g):
+            w0.insert(u)
     sbasis = bounded_operator_basis(dim, so, sx, with_s=True, s_bound=s_bound)
     # spoly*u must lie in the bounded span of the w0 generators
     sols = _order_bounded_elements(

@@ -14,13 +14,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatch, PreconditionError, WindowExceeded
+from .errors import (DimensionMismatch, InternalCheckFailed,
+                     PreconditionError, WindowExceeded)
 from .exactalg import (Polynomial, fmt_rational, graded_ideal, grlex_key,
                        mono_mul, monomials_upto_degree)
 from .bsdata import BFunction, RootMultiset
 from .linalg import Echelon
 from .snc import HodgePresentation, SncDivisor, snc_hodge_weight
-from .weyl import TwistedSection, WeylOperator, apply_to_twisted
+from .weyl import (TwistedSection, WeylOperator, apply_to_twisted, basis_keys,
+                   bounded_operator_basis, d_part_images)
 from .whom import QuasiHomogeneousGerm, whom_hodge_weight
 
 
@@ -357,21 +359,27 @@ def verify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
     member  => the equation holds with the returned operator witness, and
                the certificate records whether b is minimal at these bounds.
     """
-    from .weyl import bounded_operator_basis
-
     if b.is_one():
         raise PreconditionError("empty b-function")
+    if not f.total_degree():
+        raise PreconditionError("f is constant", hypothesis="f is non-constant")
     dim = f.dim
     basis = bounded_operator_basis(dim, order_bound, xdeg_bound, with_s=True,
                                    s_bound=b.degree())
+    keys = basis_keys(basis)
     sec0 = TwistedSection.power(dim, 1)
-    applied = []
-    for op in basis:
-        applied.append(apply_to_twisted(op, f, sec0))
-    pole_target = max([sec.pole for sec in applied] + [1])
+    # d^g f^(s+1), normalized, for each d-part g; x^b and s^j only multiply
+    # the numerator, so the pole of x^b d^g s^j f^(s+1) is at most that of
+    # d^g f^(s+1), and the b = 0, j = 0 operator of every g is in the basis
+    d_parts = {g for _, g, _ in keys}
+    images = d_part_images(d_parts, sec0,
+                           lambda sec, i: sec.apply_d(i, f).normalized(f))
+    pole_target = max([images[g].pole for g in d_parts] + [1])
+    vectors = {g: _section_vector(images[g], f, pole_target) for g in d_parts}
     ech = Echelon()
-    for idx, sec in enumerate(applied):
-        ech.insert(_section_vector(sec, f, pole_target), {idx: 1})
+    for idx, (xb, g, j) in enumerate(keys):
+        ech.insert({(k + j, mono_mul(m, xb)): c
+                    for (k, m), c in vectors[g].items()}, {idx: 1})
 
     def rhs_vector(roots: RootMultiset) -> dict:
         # roots(s) * f^s written over the common pole: coeffs * f^(pole-1)
@@ -387,15 +395,14 @@ def verify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
                                detail="no operator at these bounds satisfies "
                                       "the functional equation")
     # basis operators are distinct monic monomials: one term per index
-    operator = WeylOperator(dim, {next(iter(basis[idx].terms)): c
-                                  for idx, c in carried.items()})
+    operator = WeylOperator(dim, {keys[idx]: c for idx, c in carried.items()})
     # re-evaluate the witness exactly
     check = apply_to_twisted(operator, f, sec0)
     target = TwistedSection(dim, 1, 1,
                             {j: Polynomial.constant(dim, c)
                              for j, c in b.coefficients().items()})
     if not check.same_element(target, f):
-        raise AssertionError("witness failed re-evaluation")
+        raise InternalCheckFailed("witness failed re-evaluation")
 
     divisors = []
     minimal = True
@@ -795,8 +802,8 @@ def _cross_containment(name: str, source_vectors, source_span: ModuleSpan,
         residual, _ = target_span.reduce_poly(p)
         if residual:
             return False, {"direction": name, "failed_at": repr(tag)}
-    raise AssertionError(f"{name}: a row of the source span is not "
-                         "contained but every source vector is")
+    raise InternalCheckFailed(f"{name}: a row of the source span is not "
+                              "contained but every source vector is")
 
 
 def _mutual_containment(first, second):

@@ -3,8 +3,9 @@
 Operators are kept in normal order (x-factors left of d-factors, s central)
 as sparse dicts keyed by (x exponents, d exponents, s power).  The module
 also provides the symbolic calculus of operators acting on sections
-g(x,s) * f^(s+m), bounded operator bases, and bounded-degree syzygy kernels
-computed by exact linear algebra and certified by re-multiplication.
+g(x,s) * f^(s+m), bounded operator bases and their images (one d-step per
+d-part, see `d_part_images`), and bounded-degree syzygy kernels computed by
+exact linear algebra and certified by re-multiplication.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DimensionMismatch, ParseError
-from .exactalg import (Polynomial, fmt_rational, monomials_upto_degree,
-                       parse_terms)
+from .errors import DimensionMismatch, InternalCheckFailed, ParseError
+from .exactalg import (Polynomial, fmt_rational, mono_mul,
+                       monomials_upto_degree, parse_terms)
 from .linalg import nullspace
 
 Key = tuple  # (xExponents, dExponents, sPower)
@@ -418,6 +419,69 @@ def bounded_operator_basis(dim: int, order_bound: int, xdeg_bound: int,
     return [WeylOperator.mono(b, g, j) for (b, g, j) in keys]
 
 
+def basis_keys(basis) -> list:
+    """The key (b, g, j) of each operator x^b d^g s^j of a basis of monic
+    monomials."""
+    keys = []
+    for op in basis:
+        if len(op.terms) != 1 or next(iter(op.terms.values())) != 1:
+            raise ValueError("basis operators must be monic monomials")
+        keys.append(next(iter(op.terms)))
+    return keys
+
+
+def d_part_images(d_parts, start, step) -> dict:
+    """Map every d-part g in d_parts (and each g - e_i on the way down) to
+    d^g applied to start.  Each image is made from the image of g - e_i, i
+    the last index with g_i > 0, by one call step(image, i), which must
+    return d_i applied to image; so a basis of monomials x^b d^g s^j costs
+    one step per distinct d-part, however many (b, j) share it."""
+    images = {}
+
+    def image(g):
+        out = images.get(g)
+        if out is None:
+            i = max((k for k, e in enumerate(g) if e), default=None)
+            if i is None:
+                out = start
+            else:
+                out = step(image(g[:i] + (g[i] - 1,) + g[i + 1:]), i)
+            images[g] = out
+        return out
+
+    for g in d_parts:
+        image(g)
+    return images
+
+
+def _d_step(terms: dict, i: int) -> dict:
+    """Terms of d_i * t for the normal-ordered terms of t:
+    d_i x^a d^e s^k = x^a d^(e+e_i) s^k + a_i x^(a-e_i) d^e s^k."""
+    out = {}
+    for (xe, de, sp), c in terms.items():
+        key = (xe, de[:i] + (de[i] + 1,) + de[i + 1:], sp)
+        out[key] = out[key] + c if key in out else c
+        if xe[i]:
+            key = (xe[:i] + (xe[i] - 1,) + xe[i + 1:], de, sp)
+            c2 = xe[i] * c
+            out[key] = out[key] + c2 if key in out else c2
+    return {k: c for k, c in out.items() if c}
+
+
+def basis_products(basis, t: WeylOperator) -> list:
+    """weyl_mul(op, t).terms for each op = x^b d^g s^j of a basis of monic
+    monomials.  In normal order x^b and the central s^j stand left of
+    d^g * t, so each product is the image d^g * t with every key shifted by
+    (b, j): the coefficients are reused, not recomputed."""
+    for op in basis:
+        op._check(t)
+    keys = basis_keys(basis)
+    images = d_part_images([g for _, g, _ in keys], t.terms, _d_step)
+    return [{(mono_mul(xe, b), de, sp + j): c
+             for (xe, de, sp), c in images[g].items()}
+            for b, g, j in keys]
+
+
 def syzygy_kernel(targets, order_bound: int, xdeg_bound: int,
                   with_s: bool = False, s_bound: int | None = None):
     """Spanning set, within the stated bounds, of tuples (P_0,...,P_r) with
@@ -433,13 +497,12 @@ def syzygy_kernel(targets, order_bound: int, xdeg_bound: int,
         if t.dim != dim:
             raise DimensionMismatch("targets of mixed dimension")
     basis = bounded_operator_basis(dim, order_bound, xdeg_bound, with_s, s_bound)
-    keys = [next(iter(op.terms)) for op in basis]
+    keys = basis_keys(basis)
     columns = []
     companions = []
     for ti, t in enumerate(targets):
-        for oi, op in enumerate(basis):
-            columns.append(dict(weyl_mul(op, t).terms))
-            companions.append({(ti, oi): 1})
+        columns.extend(basis_products(basis, t))
+        companions.extend({(ti, oi): 1} for oi in range(len(basis)))
     out = []
     for dep in nullspace(columns, companions):
         # basis operators are distinct monic monomials: one term per entry
@@ -451,6 +514,6 @@ def syzygy_kernel(targets, order_bound: int, xdeg_bound: int,
         for p, t in zip(tup, targets):
             total = total + weyl_mul(p, t)
         if not total.is_zero():
-            raise AssertionError("syzygy failed re-multiplication check")
+            raise InternalCheckFailed("syzygy failed re-multiplication check")
         out.append(tuple(tup))
     return out

@@ -1,10 +1,13 @@
 import argparse
+import hashlib
 import json
 import os
+import pathlib
 
 import pytest
 
 from hwkit.cli import _cache_key, build_parser, main
+from hwkit.weyl import TwistedSection
 
 NODE_ANN = """# ordinary double point, untwisted
 f: x1*x2
@@ -165,6 +168,12 @@ MALFORMED = [
     ("crosscheck", "--source", "snc", "--exponents", "1,1", "--alpha", "1",
      "--k", "-1", "--l", "0"),
     ("ppd", "--input", "{}/node.ann", "--k", "-1"),
+    # a constant f
+    ("verify", "bfun", "--poly", "1", "--b", "(s+1)"),
+    ("verify", "bfun", "--poly", "2", "--b", "(s+1)", "--order", "0",
+     "--xdeg", "0"),
+    ("verify", "bfun", "--poly", "0", "--b", "(s+1)"),
+    ("ppd", "--input", "{}/zero.ann", "--weight-only"),
 ]
 
 
@@ -173,6 +182,7 @@ def test_malformed_input_exits_2(capsys, tmp_path, argv):
     (tmp_path / "latin1.ann").write_bytes("f: x1*x2 # caf\xe9\n".encode(
         "latin-1"))
     (tmp_path / "node.ann").write_text(NODE_ANN)
+    (tmp_path / "zero.ann").write_text(NODE_ANN.replace("f: x1*x2", "f: 0"))
     argv = [a.replace("{}", str(tmp_path)) for a in argv]
     try:
         code = main(argv)
@@ -182,6 +192,52 @@ def test_malformed_input_exits_2(capsys, tmp_path, argv):
     assert code == 2
     assert len(err.strip().splitlines()) == 1, err
     assert "Traceback" not in err
+
+
+def test_internal_check_failure_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(TwistedSection, "same_element",
+                        lambda self, other, f: False)
+    code = main(["verify", "bfun", "--poly", "x1^2", "--b", "(s+1)(s+1/2)",
+                 "--order", "2", "--xdeg", "2"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.strip().splitlines() == [
+        "internal check failed: witness failed re-evaluation"]
+    assert "Traceback" not in err
+
+
+CUSP_ANN = str(pathlib.Path(__file__).parent / "data" / "cusp.ann")
+# (exit code, SHA-256 of the --json envelope) of cheap jobs through the
+# bounded-basis kernels; {} is the test's temporary directory
+PINNED = [
+    (("bfun", "--exponents", "2,3", "--verify", "--order", "2", "--xdeg", "2"),
+     0, "2a42daf2934f264d7050f02e835b2f68d88daedadcd0a0b8ffbf2858cd334444"),
+    (("verify", "bfun", "--poly", "x1*x2", "--b", "(s+1)", "--order", "3",
+      "--xdeg", "4"),
+     3, "8fc89ec74794ada13452cb5df1f203b20ec4a2b58ce2217f54cd9bf4c7ec7090"),
+    (("verify", "bfun", "--poly", "x1^2+x2^3", "--b", "(s+1)(s+5/6)(s+7/6)",
+      "--order", "1", "--xdeg", "2", "--escalate", "2"),
+     0, "b29c438c71c17f06b6d364cf5621e3f3a463c037bd52b079f6ffd2491d7c0676"),
+    (("ppd", "--input", CUSP_ANN, "--weight-only"),
+     0, "5bab4be062bf5a3a642552660eb3f3438e5f4606325ed7c7505e7a7d6364e364"),
+    (("ppd", "--input", "{}/node.ann", "--l", "0", "--k", "0"),
+     0, "691f94e37ad1ad8cfe57de1350e48264b47fdcaccfdec6e87760aaa5ab9066ef"),
+    (("ppd", "--input", "{}/node.ann", "--l", "0", "--k", "0",
+      "--interval21", "--xdeg", "4"),
+     0, "1485a31bb682487a8e2ae251b75ccd3d459732f5134e6c4d1874fad405a67c0e"),
+]
+
+
+@pytest.mark.parametrize("argv,code,sha", PINNED,
+                         ids=[" ".join(p[0][:2]) + f" #{i}"
+                              for i, p in enumerate(PINNED)])
+def test_envelope_pinned(capsys, tmp_path, monkeypatch, argv, code, sha):
+    monkeypatch.delenv("HWKIT_CACHE", raising=False)
+    (tmp_path / "node.ann").write_text(NODE_ANN)
+    argv = [a.replace("{}", str(tmp_path)) for a in argv]
+    got, out = run(capsys, *argv, "--json")
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 
 def test_envelope_roundtrip_and_determinism(capsys):

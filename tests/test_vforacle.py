@@ -7,6 +7,8 @@ from hwkit.bsdata import BFunction, bfunction_snc
 from hwkit.errors import PreconditionError, WindowExceeded
 from hwkit.exactalg import (Polynomial, WeightVector, monomials_upto_degree,
                             poly_parse)
+from hwkit import vforacle
+from hwkit.linalg import Echelon
 from hwkit.snc import HodgePresentation, SncDivisor
 from hwkit.vforacle import (BfElement, Bounds, ModuleSpan, SncVFamily,
                             WhomVFamily, _cross_containment,
@@ -17,6 +19,7 @@ from hwkit.vforacle import (BfElement, Bounds, ModuleSpan, SncVFamily,
                             presentations_equal, psi_map, q_poch,
                             reduce_presentation, truncated_span,
                             verify_bfunction, verify_v_axioms)
+from hwkit.weyl import TwistedSection, apply_to_twisted, bounded_operator_basis
 from hwkit.whom import QuasiHomogeneousGerm
 
 F = Fraction
@@ -151,6 +154,37 @@ def test_verify_bfunction_multiple_property():
     bigger = BFunction({F(-1): 1, F(-1, 2): 1, F(-1, 3): 1})
     assert verify_bfunction(f, b, 2, 2).is_member()
     assert verify_bfunction(f, bigger, 3, 3).is_member()
+
+
+@pytest.mark.parametrize("poly,dim,b,order,xdeg", [
+    ("x1^2", 1, {F(-1): 1, F(-1, 2): 1}, 2, 2),
+    ("x1*x2", 2, {F(-1): 2}, 3, 4),
+    ("x1*x2", 2, {F(-1): 1}, 2, 3),
+    ("x1^2+x2^3", 2, {F(-1): 1, F(-5, 6): 1, F(-7, 6): 1}, 2, 3),
+    ("x1*x2*x3", 3, {F(-1): 3}, 2, 1),
+])
+def test_verify_bfunction_columns_match_apply_to_twisted(
+        monkeypatch, poly, dim, b, order, xdeg):
+    # the columns built from one image per d-part equal every basis operator
+    # applied to f^(s+1) on its own, over the same common pole
+    inserted = []
+
+    class Recording(Echelon):
+        def insert(self, vec, companion=None):
+            inserted.append(vec)
+            return super().insert(vec, companion)
+
+    monkeypatch.setattr(vforacle, "Echelon", Recording)
+    f = poly_parse(poly, dim)
+    bf = BFunction(b)
+    verify_bfunction(f, bf, order, xdeg)
+    basis = bounded_operator_basis(dim, order, xdeg, with_s=True,
+                                   s_bound=bf.degree())
+    sec0 = TwistedSection.power(dim, 1)
+    applied = [apply_to_twisted(op, f, sec0) for op in basis]
+    pole_target = max([sec.pole for sec in applied] + [1])
+    want = [vforacle._section_vector(sec, f, pole_target) for sec in applied]
+    assert inserted == want
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ import pytest
 from hwkit.errors import DimensionMismatch
 from hwkit.exactalg import Polynomial, poly_parse
 from hwkit.weyl import (TwistedSection, WeylOperator, annihilates_power,
-                        apply_to_twisted, bounded_operator_basis,
-                        syzygy_kernel, weyl_mul)
+                        apply_to_twisted, basis_products,
+                        bounded_operator_basis, d_part_images, syzygy_kernel,
+                        weyl_mul)
 
 
 def op(text, dim):
@@ -144,6 +145,47 @@ def test_syzygy_random_remultiplication():
         targets = [rand_operator(rng) for _ in range(rng.randint(2, 3))]
         total += len(syzygy_kernel(targets, 1, 1))
     assert total > 0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("with_s", [False, True])
+def test_basis_products_equal_weyl_mul(dim, with_s):
+    rng = random.Random(100 * dim + with_s)
+    order, xdeg = (3, 2) if dim < 3 else (2, 1)
+    basis = bounded_operator_basis(dim, order, xdeg, with_s=with_s)
+    for _ in range(6):
+        t = rand_operator(rng, dim, with_s)
+        want = [weyl_mul(op, t).terms for op in basis]
+        assert basis_products(basis, t) == want
+        shuffled = list(range(len(basis)))
+        rng.shuffle(shuffled)
+        got = basis_products([basis[i] for i in shuffled], t)
+        assert got == [want[i] for i in shuffled]
+
+
+def test_d_part_images_one_step_per_d_part():
+    steps = []
+
+    def step(image, i):
+        steps.append(i)
+        return image + (i,)
+
+    gs = [(2, 1), (0, 1), (2, 1), (1, 0), (0, 0)]
+    images = d_part_images(gs, (), step)
+    # every d-part and every g - e_i on the way down, each made once
+    assert set(images) == {(0, 0), (1, 0), (2, 0), (0, 1), (2, 1)}
+    assert len(steps) == len(images) - 1
+    assert images[(2, 1)] == (0, 0, 1) and images[(0, 1)] == (1,)
+
+
+def test_basis_products_rejects_non_monic_basis():
+    t = op("x1*d1", 1)
+    with pytest.raises(ValueError):
+        basis_products([op("2*d1", 1)], t)
+    with pytest.raises(ValueError):
+        basis_products([op("d1 + x1", 1)], t)
+    with pytest.raises(DimensionMismatch):
+        basis_products(bounded_operator_basis(2, 1, 1), t)
 
 
 def test_operator_parse_print_roundtrip():
