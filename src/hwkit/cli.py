@@ -378,8 +378,8 @@ def cmd_ppd(args) -> int:
     def compute():
         inp = parse_annihilator_file(text, dim=args.dim)
         bounds = _bounds(args)
-        _, meta = weight_module_generators(inp, args.l, bounds)
-        wpres = weight_step_presentation(inp, args.l, bounds)
+        gens, meta = weight_module_generators(inp, args.l, bounds)
+        wpres = weight_step_presentation(inp, gens, bounds)
         outputs = {"weight_presentation": wpres.to_json(),
                    "meta": meta,
                    "gamma": gamma_ideal(inp).to_json(),
@@ -388,7 +388,7 @@ def cmd_ppd(args) -> int:
             if inp.pp_asserted else []
         if not args.weight_only:
             if args.interval21:
-                pres = hodge_weight_interval21(inp, args.l, args.k, bounds)
+                pres = hodge_weight_interval21(inp, gens, args.k, bounds)
             else:
                 pres = hodge_on_weight(inp, args.l, args.k, bounds)
             from .vforacle import reduce_presentation

@@ -55,10 +55,6 @@ def mono_div(a: Mono, b: Mono) -> Mono:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def mono_degree(a: Mono) -> int:
-    return sum(a)
-
-
 def grlex_key(m: Mono):
     return (sum(m), m)
 

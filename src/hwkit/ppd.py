@@ -214,9 +214,11 @@ def operator_on_pole(op: WeylOperator, f: Polynomial, step: int,
     (numerator, pole), with the pole kept minimal."""
     if not op.is_s_free():
         raise ValueError("operator still carries s")
+    images = pole_apply([de for _, de, _ in op.terms], Polynomial.one(f.dim),
+                        step, alpha, f)
     parts = []
     for (xe, de, _), c in op.terms.items():
-        num, p = pole_apply(de, Polynomial.one(f.dim), step, alpha, f)
+        num, p = images[de]
         parts.append((num.mul_mono(xe, c), p))
     if not parts:
         return Polynomial.zero(f.dim), step
@@ -232,22 +234,20 @@ def operator_on_pole(op: WeylOperator, f: Polynomial, step: int,
     return total, pole
 
 
-def weight_step_presentation(inp: AnnihilatorInput, l: int,
-                             bounds: Bounds = DEFAULT_BOUNDS,
-                             budget: int | None = None) -> HodgePresentation:
-    """The weight-(n+l) step as a presentation: each syzygy first component
-    evaluated on f^(-1-alpha), carrying the full operator budget (the step
-    is a D-module, not just an O-module).  The generator list is minimalized
-    at the given bounds."""
+def weight_step_presentation(inp: AnnihilatorInput, gens,
+                             bounds: Bounds = DEFAULT_BOUNDS) -> HodgePresentation:
+    """The weight-(n+l) step as a presentation, from the generators of
+    weight_module_generators(inp, l, bounds): each syzygy first component
+    evaluated on f^(-1-alpha), carrying the full operator budget bounds.order
+    (the step is a D-module, not just an O-module).  The generator list is
+    minimalized at the given bounds."""
     from .vforacle import reduce_presentation
 
-    gens, _ = weight_module_generators(inp, l, bounds)
-    budget = bounds.order if budget is None else budget
     summands = []
     for g in gens:
         num, pole = operator_on_pole(g, inp.f, 1, inp.alpha)
         if not num.is_zero():
-            summands.append((budget, num, pole))
+            summands.append((bounds.order, num, pole))
     pres = HodgePresentation.build(inp.alpha, inp.dim, summands)
     return reduce_presentation(pres, inp.f, bounds)
 
@@ -255,7 +255,7 @@ def weight_step_presentation(inp: AnnihilatorInput, l: int,
 def _order_bounded_elements(gens, sbasis, k: int, residual=None):
     """Basis of the elements u = sum A_i g_i, each A_i a combination of the
     sbasis operators, with total order <= k and, when residual is given,
-    residual(u) == 0 (a linear map into coordinate dicts).
+    residual(u) == 0 (a linear map from terms dicts into coordinate dicts).
 
     The order > k part and the residual are stacked into one column per
     product op * g; every nullspace dependency, carried with the products as
@@ -268,7 +268,7 @@ def _order_bounded_elements(gens, sbasis, k: int, residual=None):
             stacked = {("h", key): c for key, c in u.items()
                        if sum(key[1]) + key[2] > k}
             if residual is not None:
-                for key, c in residual(WeylOperator(dim, u)).items():
+                for key, c in residual(u).items():
                     stacked[("r", key)] = c
             cols.append(stacked)
             comps.append(u)
@@ -299,8 +299,11 @@ def hodge_on_weight(inp: AnnihilatorInput, l: int, k: int,
     dim = inp.dim
     gamma = gamma_ideal(inp)
     gamma0 = gamma_ideal(inp, 0)
-    spoly = (WeylOperator.s(dim)
-             + WeylOperator.constant(dim, inp.alpha)) ** l
+    # (s + alpha)^l by s-power: s is central, so multiplying by it shifts
+    # s-powers and scales coefficients
+    spoly = {sp: c for (_, _, sp), c in (
+        (WeylOperator.s(dim) + WeylOperator.constant(dim, inp.alpha)) ** l
+    ).terms.items()}
     so = search_order if search_order is not None else min(bounds.order, k + 2)
     sx = search_xdeg if search_xdeg is not None else min(bounds.xdeg, 6)
     s_bound = l + 2
@@ -311,10 +314,18 @@ def hodge_on_weight(inp: AnnihilatorInput, l: int, k: int,
         for u in basis_products(w0_basis, g):
             w0.insert(u)
     sbasis = bounded_operator_basis(dim, so, sx, with_s=True, s_bound=s_bound)
-    # spoly*u must lie in the bounded span of the w0 generators
-    sols = _order_bounded_elements(
-        gamma.generators, sbasis, k,
-        lambda u: w0.reduce(dict(weyl_mul(spoly, u).terms))[0])
+
+    def residual(u):
+        # spoly*u must lie in the bounded span of the w0 generators
+        prod = {}
+        for j, cj in spoly.items():
+            for (xe, de, sp), c in u.items():
+                key = (xe, de, sp + j)
+                v = cj * c
+                prod[key] = prod[key] + v if key in prod else v
+        return w0.reduce({key: c for key, c in prod.items() if c})[0]
+
+    sols = _order_bounded_elements(gamma.generators, sbasis, k, residual)
     if not sols:
         raise InconclusiveAtBound("no elements found at these bounds",
                                   bounds={"order": so, "xdeg": sx})
@@ -327,15 +338,15 @@ def hodge_on_weight(inp: AnnihilatorInput, l: int, k: int,
     return HodgePresentation.build(inp.alpha, dim, summands)
 
 
-def hodge_weight_interval21(inp: AnnihilatorInput, l: int | None, k: int,
+def hodge_weight_interval21(inp: AnnihilatorInput, gens, k: int,
                             bounds: Bounds = DEFAULT_BOUNDS,
                             search_order: int | None = None,
                             search_xdeg: int | None = None) -> HodgePresentation:
     """Untwisted (alpha = 0) Hodge pieces under the hypothesis that all
     b-function roots lie in (-2,-1]: the bounded intersection of the syzygy
-    first components extended by the ideal of E+1 with the order-<=k
-    operators, applied to f^(-1).  l = None gives the full-filtration
-    fallback F_k D f^(-1)."""
+    first components gens (of weight_module_generators at the weight level)
+    extended by the ideal of E+1 with the order-<=k operators, applied to
+    f^(-1).  gens = None gives the full-filtration fallback F_k D f^(-1)."""
     if inp.alpha != 0:
         raise PreconditionError("this formula is for the untwisted module",
                                 hypothesis="alpha = 0")
@@ -348,11 +359,9 @@ def hodge_weight_interval21(inp: AnnihilatorInput, l: int | None, k: int,
             "this formula needs the asserted primality flag",
             hypothesis="symbol ideal of the annihilator is prime (asserted)")
     dim = inp.dim
-    if l is None:
+    if gens is None:
         return HodgePresentation.unit(Fraction(0), dim, k, 1)
-    p1, _ = weight_module_generators(inp, l, bounds)
-    euler1 = inp.euler + WeylOperator.one(dim)
-    gens = list(p1) + [euler1]
+    gens = list(gens) + [inp.euler + WeylOperator.one(dim)]
     so = search_order if search_order is not None else min(bounds.order, k + 2)
     sx = search_xdeg if search_xdeg is not None else min(bounds.xdeg, 6)
     sbasis = bounded_operator_basis(dim, so, sx)

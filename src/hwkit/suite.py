@@ -17,7 +17,8 @@ from .bsdata import (BFunction, ReducedBFunction, bfunction_snc,
                      weighted_minimal_exponent)
 from .exactalg import (MonomialIdeal, Polynomial, WeightVector, mono_str,
                        monomials_upto_degree, poly_parse)
-from .ppd import AnnihilatorInput, hodge_on_weight, weight_step_presentation
+from .ppd import (AnnihilatorInput, hodge_on_weight, weight_module_generators,
+                  weight_step_presentation)
 from .snc import (HodgePresentation, SncDivisor, snc_f0_ideal,
                   snc_hodge_weight, snc_multiplier_ideal)
 from .vforacle import (Bounds, SncVFamily, crosscheck_hodge_weight,
@@ -207,7 +208,8 @@ def criterion_7(bounds: Bounds = Bounds(4, 10, 6)) -> dict:
     rows = []
     ok = True
     for l in (0, 1):
-        wpres = weight_step_presentation(inp, l, bounds)
+        gens, _ = weight_module_generators(inp, l, bounds)
+        wpres = weight_step_presentation(inp, gens, bounds)
         spres = HodgePresentation.build(
             Fraction(1), 2,
             [(0, Polynomial.monomial(m), 0) for m in snc_f0_ideal(d, 1, l).gens])

@@ -192,10 +192,6 @@ def act(sym: str, u: BfElement, f: Polynomial) -> BfElement:
     raise ValueError(f"unknown symbol {sym!r}")
 
 
-def act_d(i: int, u: BfElement, f: Polynomial) -> BfElement:
-    return act(f"d{i + 1}", u, f)
-
-
 def apply_s_shifted(u: BfElement, f: Polynomial, shift: Fraction) -> BfElement:
     """(s + shift) * u."""
     return act("s", u, f) + u.scale(shift)
@@ -203,21 +199,6 @@ def apply_s_shifted(u: BfElement, f: Polynomial, shift: Fraction) -> BfElement:
 
 # ---------------------------------------------------------------------------
 # bounded spans in the graph-embedding module
-
-
-def _derivative_images(gen: BfElement, f: Polynomial, max_order: int):
-    """All d^gamma * gen for |gamma| <= max_order, keyed by gamma."""
-    dim = gen.dim
-    images = {(0,) * dim: gen}
-    for total in range(1, max_order + 1):
-        for gamma in monomials_upto_degree(dim, total):
-            if sum(gamma) != total:
-                continue
-            i = next(k for k, e in enumerate(gamma) if e)
-            prev = list(gamma)
-            prev[i] -= 1
-            images[gamma] = act_d(i, images[tuple(prev)], f)
-    return images
 
 
 class SpanWindow:
@@ -272,7 +253,8 @@ def bf_span(gens, f: Polynomial, bounds: Bounds, with_dt: bool = False,
         budget = min(budget, bounds.order)
         if budget < 0 or gen.is_zero():
             continue
-        images = _derivative_images(gen, f, budget)
+        images = d_part_images(monomials_upto_degree(dim, budget), gen,
+                               lambda u, i: act(f"d{i + 1}", u, f))
         for gamma, img in sorted(images.items(), key=lambda kv: grlex_key(kv[0])):
             emax = (budget - sum(gamma)) if with_dt else 0
             for e in range(emax + 1):
@@ -314,11 +296,7 @@ def membership(u: BfElement, gens, f: Polynomial,
     """Bounded membership of u in the truncated span of the generators."""
     if u.max_layer() > bounds.dt or u.max_degree() > bounds.xdeg:
         raise WindowExceeded("element exceeds the truncation window")
-    span = bf_span(gens, f, bounds, with_dt=True, track=True)
-    residual, combo = span.reduce(u.vector())
-    if residual:
-        return SpanCertificate("not-found-at-bound", bounds.to_json())
-    return SpanCertificate("member", bounds.to_json(), witness=_witness_json(combo))
+    return bf_membership(u, bf_span(gens, f, bounds, with_dt=True, track=True))
 
 
 def bf_membership(u: BfElement, span: SpanWindow) -> SpanCertificate:
@@ -696,18 +674,19 @@ def phi_shift(u: BfElement, f: Polynomial) -> BfElement:
 # spans inside the twisted localization module
 
 
-def pole_apply(gamma, g: Polynomial, pole: int, alpha: Fraction,
-               f: Polynomial):
-    """Apply d^gamma to g * f^(-pole-alpha): returns (numerator, pole').
-    Each step: d_i (g f^(-c)) = (d_i(g) f - c g d_i(f)) f^(-c-1)."""
-    cur = g
-    p = pole
-    for i, e in enumerate(gamma):
-        df = f.partial(i)
-        for _ in range(e):
-            cur = cur.partial(i) * f - (cur * df).scale(p + alpha)
-            p += 1
-    return cur, p
+def pole_apply(gammas, g: Polynomial, pole: int, alpha: Fraction,
+               f: Polynomial) -> dict:
+    """Map each gamma of gammas to d^gamma applied to g * f^(-pole-alpha), as
+    (numerator, pole + |gamma|), one step per gamma (see d_part_images):
+    d_i (num f^(-p-alpha)) = (d_i(num) f - (p+alpha) num d_i(f)) f^(-p-1-alpha).
+    """
+    dfs = [f.partial(i) for i in range(f.dim)]
+
+    def step(image, i):
+        num, p = image
+        return num.partial(i) * f - (num * dfs[i]).scale(p + alpha), p + 1
+
+    return d_part_images(gammas, (g, pole), step)
 
 
 class ModuleSpan:
@@ -750,9 +729,10 @@ def presentation_elements(pres: HodgePresentation, f: Polynomial,
     leaves the degree window are skipped.  Yields (polynomial, tag)."""
     shift = _twist_shift(alpha_base, pres.alpha)
     for si, (budget, g, j) in enumerate(pres.summands):
-        step = j + shift
-        for gamma in monomials_upto_degree(f.dim, budget):
-            num, p = pole_apply(gamma, g, step, alpha_base, f)
+        gammas = list(monomials_upto_degree(f.dim, budget))
+        images = pole_apply(gammas, g, j + shift, alpha_base, f)
+        for gamma in gammas:
+            num, p = images[gamma]
             if p > pole_target or num.is_zero():
                 continue
             num = num * f ** (pole_target - p)
@@ -987,7 +967,8 @@ def crosscheck_hodge_weight(kind: str, obj, alpha, k: int, l: int,
         budget = min(budget, bounds.order)
         if budget < 0:
             continue
-        images = _derivative_images(gen, f, budget)
+        images = d_part_images(monomials_upto_degree(f.dim, budget), gen,
+                               lambda u, i: act(f"d{i + 1}", u, f))
         for gamma, img in sorted(images.items(), key=lambda kv: grlex_key(kv[0])):
             if img.is_zero() or img.max_layer() > bounds.dt:
                 continue

@@ -162,11 +162,6 @@ class WeylOperator:
     def is_s_free(self) -> bool:
         return all(sp == 0 for (_, _, sp) in self.terms)
 
-    def to_polynomial(self) -> Polynomial:
-        if not self.is_polynomial():
-            raise ValueError("operator has d- or s-part")
-        return Polynomial(self.dim, {xe: c for (xe, _, _), c in self.terms.items()})
-
     def total_order(self):
         """Max of |dExponents| + sPower; None for the zero operator
         (the distinguished minus-infinity marker)."""
@@ -287,16 +282,6 @@ class TwistedSection:
     def mul_s_power(self, j: int) -> "TwistedSection":
         return TwistedSection(self.dim, self.shift, self.pole,
                               {k + j: p for k, p in self.coeffs.items()})
-
-    def mul_spoly(self, spoly: dict) -> "TwistedSection":
-        """Multiply by sum_j spoly[j] * s^j with Fraction coefficients."""
-        out = {}
-        for k, p in self.coeffs.items():
-            for j, c in spoly.items():
-                key = k + j
-                q = p.scale(c)
-                out[key] = out[key] + q if key in out else q
-        return TwistedSection(self.dim, self.shift, self.pole, out)
 
     def mul_poly(self, g: Polynomial) -> "TwistedSection":
         return TwistedSection(self.dim, self.shift, self.pole,

@@ -225,6 +225,18 @@ PINNED = [
     (("ppd", "--input", "{}/node.ann", "--l", "0", "--k", "0",
       "--interval21", "--xdeg", "4"),
      0, "1485a31bb682487a8e2ae251b75ccd3d459732f5134e6c4d1874fad405a67c0e"),
+    (("crosscheck", "--source", "whom", "--poly", "x1^2+x2^3", "--weights",
+      "1/2,1/3", "--alpha", "5/6", "--k", "1", "--l", "0"),
+     0, "8eb9f7a2a7968873ba4e29e0014b0c9999db54bc01ee4da7e6e96437c8aa35b4"),
+    (("crosscheck", "--source", "snc", "--exponents", "1,1,1", "--alpha", "1",
+      "--k", "2", "--l", "1"),
+     0, "71c99bbbd23dd78d24be90f7522789e02e4439d4ad1b50d0fd74e1a804df631d"),
+    (("crosscheck", "--source", "snc", "--exponents", "2,3", "--alpha", "1",
+      "--k", "2", "--l", "0", "--order", "1", "--xdeg", "1", "--dtord", "1",
+      "--escalate", "3"),
+     3, "67889faeac05ce69603a6f28733f58d2e7691836b87113c981a2b59f0238eff4"),
+    (("ppd", "--input", "{}/node.ann", "--l", "1", "--k", "1", "--xdeg", "8"),
+     0, "89c6fb4169cf82dcb229a40662837851296e46ffbc41beedd1b6dc0af1dab3ab"),
 ]
 
 

@@ -8,7 +8,8 @@ import pytest
 from hwkit.bsdata import (ReducedBFunction, bfunction_snc,
                           bfunction_whom_isolated, hodge_pole_full, reduce)
 from hwkit.exactalg import Polynomial, WeightVector, poly_parse
-from hwkit.ppd import AnnihilatorInput, hodge_on_weight, weight_step_presentation
+from hwkit.ppd import (AnnihilatorInput, hodge_on_weight,
+                       weight_module_generators, weight_step_presentation)
 from hwkit.snc import HodgePresentation, SncDivisor, snc_hodge_weight
 from hwkit.vforacle import (Bounds, crosscheck_hodge_weight, dspans_equal,
                             presentations_equal, verify_bfunction)
@@ -53,10 +54,13 @@ def test_triple_point_weight_steps_agree(triple):
     germ, _, inp = triple
     B = Bounds(4, 12, 6)
     unit0 = HodgePresentation.build(F(0), 2, [(0, Polynomial.one(2), 0)])
-    assert dspans_equal(weight_step_presentation(inp, 0, B), unit0, germ.f,
-                        B).is_member()
+    assert dspans_equal(
+        weight_step_presentation(inp, weight_module_generators(inp, 0, B)[0],
+                                 B),
+        unit0, germ.f, B).is_member()
     # the syzygy route at twist 0 against the graded closed form at twist 1
-    w3 = weight_step_presentation(inp, 1, B)
+    w3 = weight_step_presentation(inp, weight_module_generators(inp, 1, B)[0],
+                                  B)
     whom_pres = whom_hodge_weight(germ, 1, 0, 1)
     assert dspans_equal(w3, whom_pres, germ.f, B).is_member()
 

@@ -95,7 +95,8 @@ def test_weight_steps_match_snc():
     inp = xy_input()
     d = SncDivisor((1, 1))
     for l in (0, 1):
-        wpres = weight_step_presentation(inp, l, B)
+        wpres = weight_step_presentation(
+            inp, weight_module_generators(inp, l, B)[0], B)
         spres = HodgePresentation.build(
             F(1), 2,
             [(0, Polynomial.monomial(m), 0)
@@ -123,7 +124,8 @@ def test_hodge_on_weight_requires_flag_for_higher_k():
 def test_cusp_weight_and_hodge():
     inp = cusp_input()
     unit0 = HodgePresentation.build(F(0), 2, [(0, Polynomial.one(2), 0)])
-    wp = weight_step_presentation(inp, 0, B)
+    wp = weight_step_presentation(inp, weight_module_generators(inp, 0, B)[0],
+                                  B)
     assert dspans_equal(wp, unit0, inp.f, B).is_member()
     hp = hodge_on_weight(inp, 0, 0, B)
     assert presentations_equal(hp, unit0, inp.f, B).is_member()
@@ -142,15 +144,19 @@ def test_interval21():
     pres = hodge_weight_interval21(inp, None, 2, B)
     assert pres.summands == ((2, Polynomial.one(2), 1),)
     d = SncDivisor((1, 1))
-    got = hodge_weight_interval21(inp, 1, 0, B)
+    got = hodge_weight_interval21(
+        inp, weight_module_generators(inp, 1, B)[0], 0, B)
     assert presentations_equal(got, snc_hodge_weight(d, 1, 0, 1), XY,
                                B).is_member()
-    got2 = hodge_weight_interval21(inp, 0, 1, B)
+    got2 = hodge_weight_interval21(
+        inp, weight_module_generators(inp, 0, B)[0], 1, B)
     assert presentations_equal(got2, snc_hodge_weight(d, 1, 1, 0), XY,
                                B).is_member()
     # hypothesis gate: cusp roots leave (-2, -1]
     with pytest.raises(PreconditionError):
-        hodge_weight_interval21(cusp_input(), 0, 0, B)
+        hodge_weight_interval21(
+            cusp_input(), weight_module_generators(cusp_input(), 0, B)[0], 0,
+            B)
 
 
 def test_annihilator_file_roundtrip():
@@ -173,6 +179,8 @@ x1*d1 - x2*d2
 def test_weight_step_monotone_in_l():
     from hwkit.vforacle import presentation_contained
     inp = xy_input()
-    w0 = weight_step_presentation(inp, 0, B)
-    w1 = weight_step_presentation(inp, 1, B)
+    w0 = weight_step_presentation(inp, weight_module_generators(inp, 0, B)[0],
+                                  B)
+    w1 = weight_step_presentation(inp, weight_module_generators(inp, 1, B)[0],
+                                  B)
     assert presentation_contained(w0, w1, XY, B).is_member()

@@ -19,7 +19,8 @@ from hwkit.vforacle import (BfElement, Bounds, ModuleSpan, SncVFamily,
                             presentations_equal, psi_map, q_poch,
                             reduce_presentation, truncated_span,
                             verify_bfunction, verify_v_axioms)
-from hwkit.weyl import TwistedSection, apply_to_twisted, bounded_operator_basis
+from hwkit.weyl import (TwistedSection, apply_to_twisted,
+                        bounded_operator_basis, d_part_images)
 from hwkit.whom import QuasiHomogeneousGerm
 
 F = Fraction
@@ -189,6 +190,38 @@ def test_verify_bfunction_columns_match_apply_to_twisted(
 
 # ---------------------------------------------------------------------------
 # candidate filtrations
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_d_gamma_images_match_step_chains(dim):
+    # pole_apply against the per-exponent loop, and the d_part_images
+    # BfElement images against chains that step the first index instead
+    rng = random.Random(300 + dim)
+    gammas = list(monomials_upto_degree(dim, 3))
+    for _ in range(3):
+        f = rand_poly(rng, dim) + Polynomial.monomial((1,) + (0,) * (dim - 1))
+        g = rand_poly(rng, dim)
+        pole, alpha = rng.randint(0, 2), F(rng.randint(0, 5), 6)
+        images = vforacle.pole_apply(gammas, g, pole, alpha, f)
+        assert set(images) == set(gammas)
+        for gamma in gammas:
+            num, p = g, pole
+            for i, e in enumerate(gamma):
+                for _ in range(e):
+                    num = (num.partial(i) * f
+                           - (num * f.partial(i)).scale(p + alpha))
+                    p += 1
+            assert images[gamma] == (num, p), gamma
+
+        gen = BfElement(dim, {0: rand_poly(rng, dim), 1: rand_poly(rng, dim)})
+        images = d_part_images(gammas, gen,
+                               lambda u, i: act(f"d{i + 1}", u, f))
+        chain = {gammas[0]: gen}  # grlex order: each gamma after gamma - e_i
+        for gamma in gammas[1:]:
+            i = next(k for k, e in enumerate(gamma) if e)
+            prev = gamma[:i] + (gamma[i] - 1,) + gamma[i + 1:]
+            chain[gamma] = act(f"d{i + 1}", chain[prev], f)
+        assert images == chain
 
 
 def test_candidate_v_snc_exponents():
