@@ -140,7 +140,7 @@ class BFunction(RootMultiset):
             raise ValueError(f"unknown provenance {provenance!r}")
         for r in self.roots:
             if r >= 0:
-                raise ValueError(f"b-function root {r} is not negative")
+                raise PreconditionError(f"b-function root {r} is not negative")
             if dim is not None and r <= -dim - 1:
                 raise ValueError(f"root {r} out of range (-{dim + 1},0)")
         self.provenance = provenance

@@ -131,16 +131,25 @@ def _bounds(args) -> Bounds:
     return Bounds(order=args.order, xdeg=args.xdeg, dt=args.dtord)
 
 
-def _nonnegative(text: str) -> int:
-    """argparse type of the bound options and the indices k, l: an
-    integer >= 0."""
+def _int_at_least(text: str, least: int) -> int:
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    if n < least:
+        raise argparse.ArgumentTypeError(f"must be >= {least}, got {n}")
     return n
+
+
+def _nonnegative(text: str) -> int:
+    """argparse type of the bound options and the indices k, l: an
+    integer >= 0."""
+    return _int_at_least(text, 0)
+
+
+def _positive(text: str) -> int:
+    """argparse type of --dim: an integer >= 1."""
+    return _int_at_least(text, 1)
 
 
 def _lmax(text: str):
@@ -429,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--json", action="store_true")
-        p.add_argument("--dim", type=int, default=None)
+        p.add_argument("--dim", type=_positive, default=None)
 
     p = sub.add_parser("snc", help="closed-form tables for monomial divisors")
     common(p)

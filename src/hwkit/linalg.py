@@ -30,17 +30,29 @@ class Echelon:
     Each stored row is normalized so that its pivot (its largest coordinate)
     has coefficient 1, and carries its companion: the combination of the
     inserted companions matching the combination of inserted vectors the row
-    equals.  A vector inserted without a companion contributes zero.
+    equals.  A vector inserted without a companion contributes zero.  The row
+    format is private to this module; callers read `pivots()`, `basis()`,
+    `rank` and `n_vectors` (the number of inserts, dependent ones included).
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("_rows", "n_vectors")
 
     def __init__(self):
-        self.rows = {}  # pivot coordinate -> (row vector, companion)
+        self._rows = {}  # pivot coordinate -> (row vector, companion)
+        self.n_vectors = 0
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
+
+    def pivots(self) -> frozenset:
+        """The leading coordinates of the span."""
+        return frozenset(self._rows)
+
+    def basis(self) -> list:
+        """Copies of the stored rows, each with pivot coefficient 1, in the
+        order they gained rank."""
+        return [dict(row) for row, _ in self._rows.values()]
 
     def reduce(self, vec: dict):
         """Reduce vec against the stored rows.
@@ -54,12 +66,12 @@ class Echelon:
         while True:
             pivot = None
             for c in vec:
-                if c in self.rows and (pivot is None or c > pivot):
+                if c in self._rows and (pivot is None or c > pivot):
                     pivot = c
             if pivot is None:
                 break
             coeff = vec[pivot]
-            row, companion = self.rows[pivot]
+            row, companion = self._rows[pivot]
             # _axpy twice, inlined: this loop is the package's hot path
             for c2, v2 in row.items():
                 nv = vec.get(c2, _ZERO) - coeff * v2
@@ -80,6 +92,7 @@ class Echelon:
         rank, otherwise the carried combination: vec equals a combination of
         earlier inserted vectors, and this is that combination of their
         companions."""
+        self.n_vectors += 1
         residual, carried = self.reduce(vec)
         if not residual:
             return carried
@@ -92,12 +105,8 @@ class Echelon:
         rcomp = {c: v * ninv for c, v in carried.items()}
         if companion:
             _axpy(rcomp, inv, companion)
-        self.rows[pivot] = (row, rcomp)
+        self._rows[pivot] = (row, rcomp)
         return None
-
-    def contains(self, vec: dict) -> bool:
-        residual, _ = self.reduce(vec)
-        return not residual
 
 
 _ZERO = Fraction(0)

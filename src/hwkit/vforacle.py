@@ -201,62 +201,24 @@ def apply_s_shifted(u: BfElement, f: Polynomial, shift: Fraction) -> BfElement:
 # bounded spans in the graph-embedding module
 
 
-class SpanWindow:
-    """Row space of a bounded operator family applied to generators, inside
-    the (xdeg, dt) window.  Generated vectors that leave the window are
-    excluded, so membership verdicts are only ever bound-relative."""
-
-    __slots__ = ("echelon", "bounds", "dim", "n_vectors")
-
-    def __init__(self, bounds: Bounds, dim: int):
-        self.echelon = Echelon()
-        self.bounds = bounds
-        self.dim = dim
-        self.n_vectors = 0
-
-    def add_vector(self, vec: dict, companion):
-        if not vec:
-            return
-        if any(j > self.bounds.dt or sum(m) > self.bounds.xdeg
-               for (j, m) in vec):
-            return
-        self.n_vectors += 1
-        self.echelon.insert(vec, companion)
-
-    def reduce(self, vec: dict):
-        return self.echelon.reduce(vec)
-
-    def contains(self, vec: dict) -> bool:
-        residual, _ = self.reduce(vec)
-        return not residual
-
-
-def bf_span(gens, f: Polynomial, bounds: Bounds, with_dt: bool = False,
-            track: bool = False) -> SpanWindow:
-    """Span of {x^b d^g (dt^e) * gen} within the window.
-
-    `gens` is a list of BfElement or (BfElement, budget) pairs; a budget
-    caps |g| (+ e) for that generator, defaulting to bounds.order.
-    with_dt additionally adjoins dt-powers (the t-order direction).  With
-    track, reductions against the span carry their witness combination keyed
-    by (generator, gamma, dt power, beta).
+def bf_span(gens, f: Polynomial, bounds: Bounds,
+            with_dt: bool = False) -> Echelon:
+    """Span of {x^b d^g (dt^e) * gen} over the BfElements gens, with
+    |g| (+ e) at most bounds.order; with_dt adjoins the dt-powers (the
+    t-order direction).  Images that leave the (xdeg, dt) window are skipped,
+    so membership verdicts are only ever bound-relative.  Reductions against
+    the span carry their witness combination keyed by (generator, gamma,
+    dt power, beta).
     """
-    norm = []
-    for g in gens:
-        if isinstance(g, tuple):
-            norm.append(g)
-        else:
-            norm.append((g, bounds.order))
     dim = f.dim
-    span = SpanWindow(bounds, dim)
-    for gi, (gen, budget) in enumerate(norm):
-        budget = min(budget, bounds.order)
-        if budget < 0 or gen.is_zero():
+    span = Echelon()
+    for gi, gen in enumerate(gens):
+        if gen.is_zero():
             continue
-        images = d_part_images(monomials_upto_degree(dim, budget), gen,
+        images = d_part_images(monomials_upto_degree(dim, bounds.order), gen,
                                lambda u, i: act(f"d{i + 1}", u, f))
         for gamma, img in sorted(images.items(), key=lambda kv: grlex_key(kv[0])):
-            emax = (budget - sum(gamma)) if with_dt else 0
+            emax = (bounds.order - sum(gamma)) if with_dt else 0
             for e in range(emax + 1):
                 base = img if e == 0 else BfElement(
                     dim, {j + e: p for j, p in img.layers.items()}, img.twist)
@@ -269,17 +231,8 @@ def bf_span(gens, f: Polynomial, bounds: Bounds, with_dt: bool = False,
                 for beta in monomials_upto_degree(dim, bounds.xdeg - deg):
                     vec = {(j, mono_mul(m, beta)): c
                            for (j, m), c in vec0.items()}
-                    span.add_vector(vec, {(gi, gamma, e, beta): 1}
-                                    if track else None)
+                    span.insert(vec, {(gi, gamma, e, beta): 1})
     return span
-
-
-def truncated_span(gens, f: Polynomial, order_bound: int, xdeg_bound: int,
-                   dt_bound: int | None = None) -> SpanWindow:
-    """Bounded span with dt-powers adjoined up to the implied t-order."""
-    bounds = Bounds(order_bound, xdeg_bound,
-                    dt_bound if dt_bound is not None else DEFAULT_BOUNDS.dt)
-    return bf_span(gens, f, bounds, with_dt=True, track=True)
 
 
 def _witness_json(combo) -> list:
@@ -296,16 +249,18 @@ def membership(u: BfElement, gens, f: Polynomial,
     """Bounded membership of u in the truncated span of the generators."""
     if u.max_layer() > bounds.dt or u.max_degree() > bounds.xdeg:
         raise WindowExceeded("element exceeds the truncation window")
-    return bf_membership(u, bf_span(gens, f, bounds, with_dt=True, track=True))
+    return bf_membership(u, bf_span(gens, f, bounds, with_dt=True), bounds)
 
 
-def bf_membership(u: BfElement, span: SpanWindow) -> SpanCertificate:
-    if u.max_layer() > span.bounds.dt or u.max_degree() > span.bounds.xdeg:
+def bf_membership(u: BfElement, span: Echelon,
+                  bounds: Bounds) -> SpanCertificate:
+    """Membership of u in a bf_span built at bounds."""
+    if u.max_layer() > bounds.dt or u.max_degree() > bounds.xdeg:
         raise WindowExceeded("element exceeds the truncation window")
     residual, combo = span.reduce(u.vector())
     if residual:
-        return SpanCertificate("not-found-at-bound", span.bounds.to_json())
-    return SpanCertificate("member", span.bounds.to_json(),
+        return SpanCertificate("not-found-at-bound", bounds.to_json())
+    return SpanCertificate("member", bounds.to_json(),
                            witness=_witness_json(combo))
 
 
@@ -573,7 +528,7 @@ def verify_v_axioms(family, f: Polynomial, grid,
                 verdict = "member"
                 if not elt.is_zero():
                     try:
-                        verdict = bf_membership(elt, span).verdict
+                        verdict = bf_membership(elt, span, bounds).verdict
                     except WindowExceeded:
                         verdict = "window-exceeded"
                 report["checks"].append({
@@ -592,7 +547,7 @@ def kernel_filtration_check(f: Polynomial, lam, l: int, kernel_gens,
     """Certify (s+lam)^l * g lies in the strict span for every kernel
     generator g."""
     lam = Fraction(lam)
-    span = bf_span(strict_gens, f, bounds, track=True)
+    span = bf_span(strict_gens, f, bounds)
     witnesses = []
     for gi, gen in enumerate(kernel_gens):
         g = gen[0] if isinstance(gen, tuple) else gen
@@ -603,7 +558,7 @@ def kernel_filtration_check(f: Polynomial, lam, l: int, kernel_gens,
             witnesses.append({"generator": gi, "witness": []})
             continue
         try:
-            cert = bf_membership(u, span)
+            cert = bf_membership(u, span, bounds)
         except WindowExceeded:
             return SpanCertificate("not-found-at-bound", bounds.to_json(),
                                    detail=f"generator {gi} exceeds the window")
@@ -689,29 +644,6 @@ def pole_apply(gammas, g: Polynomial, pole: int, alpha: Fraction,
     return d_part_images(gammas, (g, pole), step)
 
 
-class ModuleSpan:
-    """Bounded span inside the twisted localization module: elements are
-    polynomials at a fixed pole order, inside a degree window."""
-
-    __slots__ = ("echelon", "pole", "alpha", "xdeg", "n_vectors")
-
-    def __init__(self, pole: int, alpha: Fraction, xdeg: int):
-        self.echelon = Echelon()
-        self.pole = pole
-        self.alpha = alpha
-        self.xdeg = xdeg
-        self.n_vectors = 0
-
-    def add(self, p: Polynomial):
-        if p.is_zero() or p.total_degree() > self.xdeg:
-            return
-        self.n_vectors += 1
-        self.echelon.insert(dict(p.terms))
-
-    def reduce_poly(self, p: Polynomial):
-        return self.echelon.reduce(dict(p.terms))
-
-
 def _twist_shift(alpha_base: Fraction, alpha: Fraction) -> int:
     """The integer by which twist alpha exceeds alpha_base; presentations
     can only be compared when their twists differ by an integer."""
@@ -743,20 +675,20 @@ def presentation_elements(pres: HodgePresentation, f: Polynomial,
                 yield num.mul_mono(beta), (si, gamma, beta)
 
 
-def _module_span(vectors, pole: int, alpha: Fraction, xdeg: int) -> ModuleSpan:
-    """Span of the polynomials of (polynomial, tag) pairs."""
-    span = ModuleSpan(pole, alpha, xdeg)
+def _module_span(vectors) -> Echelon:
+    """Span of the polynomials of (polynomial, tag) pairs: a bounded span
+    inside the twisted localization module, at one pole order."""
+    span = Echelon()
     for p, _ in vectors:
-        span.add(p)
+        span.insert(p.terms)
     return span
 
 
 def presentation_span(pres: HodgePresentation, f: Polynomial,
                       alpha_base: Fraction, pole_target: int,
-                      xdeg: int) -> ModuleSpan:
+                      xdeg: int) -> Echelon:
     return _module_span(
-        presentation_elements(pres, f, alpha_base, pole_target, xdeg),
-        pole_target, alpha_base, xdeg)
+        presentation_elements(pres, f, alpha_base, pole_target, xdeg))
 
 
 def _verdict(name: str, count: int, expect_nonempty: bool):
@@ -769,17 +701,16 @@ def _verdict(name: str, count: int, expect_nonempty: bool):
     return True, {"direction": name, "vectors": count}
 
 
-def _cross_containment(name: str, source_vectors, source_span: ModuleSpan,
-                       target_span: ModuleSpan, expect_nonempty: bool = False):
+def _cross_containment(name: str, source_vectors, source_span: Echelon,
+                       target_span: Echelon, expect_nonempty: bool = False):
     """Report the first source vector outside the target span, or the vector
     count.  source_span is the span of the source vectors (all nonzero and
-    inside the window); only its echelon rows are reduced, as they span the
-    same space, so the vectors are scanned only to name the first failure."""
-    if not any(target_span.echelon.reduce(row)[0]
-               for row, _ in source_span.echelon.rows.values()):
+    inside the window); only its basis is reduced, as it spans the same
+    space, so the vectors are scanned only to name the first failure."""
+    if not any(target_span.reduce(row)[0] for row in source_span.basis()):
         return _verdict(name, source_span.n_vectors, expect_nonempty)
     for p, tag in source_vectors:
-        residual, _ = target_span.reduce_poly(p)
+        residual, _ = target_span.reduce(p.terms)
         if residual:
             return False, {"direction": name, "failed_at": repr(tag)}
     raise InternalCheckFailed(f"{name}: a row of the source span is not "
@@ -794,7 +725,7 @@ def _mutual_containment(first, second):
     name1, vectors1, span1, nonempty1 = first
     name2, vectors2, span2, nonempty2 = second
     d1 = _cross_containment(name1, vectors1, span1, span2, nonempty1)
-    if d1[0] and span1.echelon.rank == span2.echelon.rank:
+    if d1[0] and span1.rank == span2.rank:
         return d1, _verdict(name2, span2.n_vectors, nonempty2)
     return d1, _cross_containment(name2, vectors2, span2, span1, nonempty2)
 
@@ -805,7 +736,7 @@ def _elements_and_span(pres: HodgePresentation, f: Polynomial,
     once, so that a failing containment can scan the elements again."""
     elements = list(presentation_elements(pres, f, alpha_base, pole_target,
                                           xdeg))
-    return elements, _module_span(elements, pole_target, alpha_base, xdeg)
+    return elements, _module_span(elements)
 
 
 def presentations_equal(p1: HodgePresentation, p2: HodgePresentation,
@@ -839,7 +770,7 @@ def reduce_presentation(pres: HodgePresentation, f: Polynomial,
     already lies in the bounded span of the summands kept so far (low pole
     steps and low degrees first).  Never changes the denoted span."""
     pole_target = max((j for _, _, j in pres.summands), default=0)
-    span = ModuleSpan(pole_target, pres.alpha, bounds.xdeg)
+    span = Echelon()
     kept = []
     order = sorted(pres.summands,
                    key=lambda t: (t[2], t[1].total_degree(),
@@ -847,13 +778,13 @@ def reduce_presentation(pres: HodgePresentation, f: Polynomial,
     for budget, g, j in order:
         vec = g * f ** (pole_target - j)
         if (vec.total_degree() <= bounds.xdeg and kept
-                and not span.reduce_poly(vec)[0]):
+                and not span.reduce(vec.terms)[0]):
             continue
         kept.append((budget, g, j))
         single = HodgePresentation.build(pres.alpha, pres.dim, [(budget, g, j)])
         for p, _ in presentation_elements(single, f, pres.alpha,
                                           pole_target, bounds.xdeg):
-            span.add(p)
+            span.insert(p.terms)
     return HodgePresentation.build(pres.alpha, pres.dim, kept)
 
 
@@ -914,7 +845,7 @@ def dspans_equal(p1: HodgePresentation, p2: HodgePresentation, f: Polynomial,
                 if depth not in spans:
                     spans[depth] = presentation_span(
                         tgt, f, alpha_base, depth, bounds.xdeg)
-                if not spans[depth].reduce_poly(vec)[0]:
+                if not spans[depth].reduce(vec.terms)[0]:
                     found = True
                     break
             if not found:
@@ -987,7 +918,7 @@ def crosscheck_hodge_weight(kind: str, obj, alpha, k: int, l: int,
             for beta in monomials_upto_degree(f.dim, bounds.xdeg - deg):
                 oracle_vectors.append((num.mul_mono(beta), (gi, gamma, beta)))
 
-    oracle_span = _module_span(oracle_vectors, pole_target, alpha, bounds.xdeg)
+    oracle_span = _module_span(oracle_vectors)
     closed_span = presentation_span(pres, f, alpha, pole_target, bounds.xdeg)
 
     (ok_oc, d_oc), (ok_co, d_co) = _mutual_containment(

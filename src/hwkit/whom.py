@@ -62,7 +62,8 @@ def milnor_basis(f: Polynomial, w: WeightVector):
             for m in monomials_of_weighted_degree(w, mult_deg):
                 vec = {mono_mul(m, mm): c for mm, c in p.terms.items()}
                 ech.insert(vec)
-        standard = [m for m in monos if m not in ech.rows]
+        pivots = ech.pivots()
+        standard = [m for m in monos if m not in pivots]
         return standard, not standard
 
     # degrees actually occurring, up to socle + max w

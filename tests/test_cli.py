@@ -168,6 +168,15 @@ MALFORMED = [
     ("crosscheck", "--source", "snc", "--exponents", "1,1", "--alpha", "1",
      "--k", "-1", "--l", "0"),
     ("ppd", "--input", "{}/node.ann", "--k", "-1"),
+    # b-functions with a root >= 0, as an option and in a .ann file
+    ("verify", "bfun", "--poly", "x1^2+x2^3", "--b", "s", "--order", "1",
+     "--xdeg", "1"),
+    ("verify", "bfun", "--poly", "x1^2", "--b", "(s-1)"),
+    ("ppd", "--input", "{}/root0.ann"),
+    # dimensions below 1
+    ("bounds", "--exponents", "1,1", "--alpha", "1", "--dim", "-3"),
+    ("verify", "bfun", "--poly", "x1^2", "--b", "(s+1)", "--dim", "0"),
+    ("ppd", "--input", "{}/node.ann", "--dim", "0"),
     # a constant f
     ("verify", "bfun", "--poly", "1", "--b", "(s+1)"),
     ("verify", "bfun", "--poly", "2", "--b", "(s+1)", "--order", "0",
@@ -183,6 +192,7 @@ def test_malformed_input_exits_2(capsys, tmp_path, argv):
         "latin-1"))
     (tmp_path / "node.ann").write_text(NODE_ANN)
     (tmp_path / "zero.ann").write_text(NODE_ANN.replace("f: x1*x2", "f: 0"))
+    (tmp_path / "root0.ann").write_text(NODE_ANN.replace("b: ", "b: s*"))
     argv = [a.replace("{}", str(tmp_path)) for a in argv]
     try:
         code = main(argv)

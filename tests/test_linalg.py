@@ -84,7 +84,7 @@ def test_reduce_carries_the_reduced_part(seed):
                for _ in range(rng.randint(1, 5))}
         vec = {k: v for k, v in vec.items() if v}
         residual, carried = tagged.reduce(vec)
-        assert not set(residual) & set(tagged.rows)
+        assert not set(residual) & tagged.pivots()
         expected = add(dict(vec), F(-1), residual)
         assert combine(carried, cols) == expected
         # with each column as its own companion, carried is vec - residual
@@ -99,8 +99,11 @@ def test_rank_matches_dense_elimination(seed):
     for c in cols:
         ech.insert(c)
     assert ech.rank == dense_rank(cols, 9)
-    assert all(row[p] == 1 and max(row) == p
-               for p, (row, _) in ech.rows.items())
+    basis = ech.basis()
+    assert len(basis) == ech.rank
+    assert all(row[max(row)] == 1 for row in basis)
+    assert ech.pivots() == {max(row) for row in basis}
+    assert ech.n_vectors == len(cols)
 
 
 def test_dependent_insert_without_companions():
@@ -109,8 +112,8 @@ def test_dependent_insert_without_companions():
     assert ech.insert({1: F(3)}) is None
     assert ech.insert({0: F(2), 1: F(7)}) == {}
     assert ech.insert({}) == {}
-    assert ech.rank == 2
-    assert ech.contains({0: F(5)}) and not ech.contains({2: F(1)})
+    assert ech.rank == 2 and ech.n_vectors == 4
+    assert not ech.reduce({0: F(5)})[0] and ech.reduce({2: F(1)})[0]
 
 
 def test_companions_need_not_be_tags():

@@ -86,7 +86,7 @@ def test_weight_generators_contain_f():
         ech = Echelon()
         for g in gens:
             ech.insert(dict(g.terms))
-        assert ech.contains(dict(WeylOperator.from_polynomial(XY).terms))
+        assert not ech.reduce(WeylOperator.from_polynomial(XY).terms)[0]
     with pytest.raises(PreconditionError):
         weight_module_generators(inp, 2, B)  # l not below multiplicity
 

@@ -10,14 +10,14 @@ from hwkit.exactalg import (Polynomial, WeightVector, monomials_upto_degree,
 from hwkit import vforacle
 from hwkit.linalg import Echelon
 from hwkit.snc import HodgePresentation, SncDivisor
-from hwkit.vforacle import (BfElement, Bounds, ModuleSpan, SncVFamily,
-                            WhomVFamily, _cross_containment,
+from hwkit.vforacle import (BfElement, Bounds, SncVFamily,
+                            WhomVFamily, _cross_containment, _module_span,
                             _mutual_containment, act, apply_s_shifted,
                             bf_span, candidate_v_snc, crosscheck_hodge_weight,
                             dspans_equal, kernel_filtration_check, membership,
                             phi_shift, presentation_contained,
                             presentations_equal, psi_map, q_poch,
-                            reduce_presentation, truncated_span,
+                            reduce_presentation,
                             verify_bfunction, verify_v_axioms)
 from hwkit.weyl import (TwistedSection, apply_to_twisted,
                         bounded_operator_basis, d_part_images)
@@ -79,12 +79,64 @@ def test_act_twisted_partial_rejected():
 
 def test_truncated_span_o_module():
     f = poly_parse("x1", 1)
-    span = truncated_span([BfElement.unit(1)], f, 0, 2, 2)
+    span = bf_span([BfElement.unit(1)], f, Bounds(0, 2, 2), with_dt=True)
     one = BfElement.from_poly(Polynomial.one(1))
     xsq = BfElement.from_poly(poly_parse("x1^2", 1))
-    assert span.contains(one.vector())
-    assert span.contains(xsq.vector())
-    assert span.echelon.rank == 3  # {1, x, x^2}
+    assert not span.reduce(one.vector())[0]
+    assert not span.reduce(xsq.vector())[0]
+    assert span.rank == 3  # {1, x, x^2}
+
+
+@pytest.fixture
+def inserted(monkeypatch):
+    """Every vector inserted into an Echelon while the test runs."""
+    out = []
+    insert = Echelon.insert
+
+    def recording(self, vec, companion=None):
+        out.append(dict(vec))
+        return insert(self, vec, companion)
+
+    monkeypatch.setattr(Echelon, "insert", recording)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_span_producers_stay_in_the_window(seed, inserted):
+    # no producer leans on the span to drop an out-of-window vector: every
+    # vector it inserts is nonzero and inside (dt, xdeg)
+    rng = random.Random(700 + seed)
+    f = poly_parse(rng.choice(["x1*x2", "x1^2+x2^3", "x1^2*x2"]), 2)
+    B = Bounds(2, rng.randint(3, 5), rng.randint(1, 2))
+    # the unit generator and summand keep each span nonempty
+    gens = [BfElement.unit(2)] + [
+        BfElement(2, {j: rand_poly(rng, 2, 4) for j in range(3)})
+        for _ in range(rng.randint(1, 3))]
+    pres = HodgePresentation.build(
+        F(rng.randint(1, 5), 6), 2,
+        [(0, Polynomial.one(2), 4)]
+        + [(rng.randint(0, 2), rand_poly(rng, 2, 3), rng.randint(0, 2))
+           for _ in range(rng.randint(1, 3))])
+    crosschecks = [("snc", SncDivisor((1, 1)), 1, 1, 1),
+                   ("snc", SncDivisor((2, 3)), F(1, 2), 0, 0),
+                   ("snc", SncDivisor((1, 2)), F(1, 2), 1, 0),
+                   ("whom", cusp_germ(), F(5, 6), 1, 0)]
+
+    def check(run, inside):
+        inserted.clear()
+        run()
+        assert inserted
+        assert all(vec and all(map(inside, vec)) for vec in inserted)
+
+    for with_dt in (False, True):
+        check(lambda: bf_span(gens, f, B, with_dt=with_dt),
+              lambda key: key[0] <= B.dt and sum(key[1]) <= B.xdeg)
+    check(lambda: vforacle.presentation_span(pres, f, pres.alpha,
+                                             pres.max_pole(), B.xdeg),
+          lambda m: sum(m) <= B.xdeg)
+    for case in crosschecks:
+        check(lambda: crosscheck_hodge_weight(*case, B),
+              lambda m: sum(m) <= B.xdeg)
 
 
 def test_membership_with_dt_direction():
@@ -165,17 +217,9 @@ def test_verify_bfunction_multiple_property():
     ("x1*x2*x3", 3, {F(-1): 3}, 2, 1),
 ])
 def test_verify_bfunction_columns_match_apply_to_twisted(
-        monkeypatch, poly, dim, b, order, xdeg):
+        inserted, poly, dim, b, order, xdeg):
     # the columns built from one image per d-part equal every basis operator
     # applied to f^(s+1) on its own, over the same common pole
-    inserted = []
-
-    class Recording(Echelon):
-        def insert(self, vec, companion=None):
-            inserted.append(vec)
-            return super().insert(vec, companion)
-
-    monkeypatch.setattr(vforacle, "Echelon", Recording)
     f = poly_parse(poly, dim)
     bf = BFunction(b)
     verify_bfunction(f, bf, order, xdeg)
@@ -477,13 +521,6 @@ def _family(rng, label, base=(), xdeg=3):
     return out
 
 
-def _span(vectors, xdeg=3):
-    span = ModuleSpan(0, F(0), xdeg)
-    for p, _ in vectors:
-        span.add(p)
-    return span
-
-
 @pytest.mark.parametrize("seed", range(40))
 def test_row_containment_matches_vector_scan(seed):
     rng = random.Random(seed)
@@ -491,7 +528,7 @@ def test_row_containment_matches_vector_scan(seed):
     b = _family(rng, "b", base=a)
     if rng.random() < 0.5:
         a, b = b, a
-    span_a, span_b = _span(a), _span(b)
+    span_a, span_b = _module_span(a), _module_span(b)
     ne_a, ne_b = rng.random() < 0.5, rng.random() < 0.5
     for name, src, src_span, ne, tgt, tgt_span in (
             ("a-in-b", a, span_a, ne_a, b, span_b),
@@ -507,7 +544,7 @@ def test_row_containment_matches_vector_scan(seed):
 
 def test_mutual_containment_keeps_expect_nonempty():
     # the rank shortcut still reports an empty family as inconclusive
-    empty = _span([])
+    empty = _module_span([])
     assert _mutual_containment(("a-in-b", iter([]), empty, False),
                                ("b-in-a", iter([]), empty, True)) == (
         (True, {"direction": "a-in-b", "vectors": 0}),
@@ -519,8 +556,8 @@ def test_row_containment_checks_its_source_span():
     # a failing row that no source vector explains is an internal error
     x1, x2 = poly_parse("x1", 2), poly_parse("x2", 2)
     with pytest.raises(AssertionError):
-        _cross_containment("x-in-x", [(x1, "x1")], _span([(x2, 0)]),
-                           _span([(x1, 0)]))
+        _cross_containment("x-in-x", [(x1, "x1")], _module_span([(x2, 0)]),
+                           _module_span([(x1, 0)]))
 
 
 def test_candidate_v_whom():
