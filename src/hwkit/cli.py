@@ -29,8 +29,8 @@ from . import __version__, suite as suite_mod
 from .bsdata import (BFunction, bfunction_snc, bfunction_whom_isolated,
                      classify_pair, genlevel_bound, reduce as breduce,
                      weight_bounds, weighted_minimal_exponent)
-from .errors import (HwkitError, InconclusiveAtBound, InternalCheckFailed,
-                     ParseError, PreconditionError)
+from .errors import (DimensionMismatch, HwkitError, InconclusiveAtBound,
+                     InternalCheckFailed, ParseError, PreconditionError)
 from .exactalg import (Polynomial, WeightVector, fmt_rational, infer_dim,
                        mono_str, parse_rational, poly_parse)
 from .ppd import (gamma_ideal, hodge_on_weight, hodge_weight_interval21,
@@ -185,9 +185,13 @@ def _reduced_bfunction(args):
     """Route to the closed-form b-function: a monomial (--exponents, or a
     one-term --poly) goes through the monomial table, otherwise weights are
     required for the quasi-homogeneous route.  Returns (reduced b-function,
-    source description, f)."""
+    source description, f).  A --dim below the number of variables of the
+    input is rejected; a larger one is an ambient dimension."""
     if getattr(args, "exponents", None):
         f = Polynomial.monomial(_parse_naturals("--exponents", args.exponents))
+        if args.dim is not None and args.dim < f.dim:
+            raise DimensionMismatch(f"--dim {args.dim} is below the {f.dim} "
+                                    "variables of --exponents")
     elif args.poly:
         f = poly_parse(args.poly, args.dim or infer_dim(args.poly))
     else:

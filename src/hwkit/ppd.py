@@ -9,7 +9,8 @@ conditional provenance tag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .bsdata import BFunction, RootMultiset, beta_factor, roots_in_interval
@@ -158,9 +159,7 @@ def gamma_ideal(inp: AnnihilatorInput, l: int | None = None) -> GammaPresentatio
 
 
 def weight_module_generators(inp: AnnihilatorInput, l: int,
-                             bounds: Bounds = DEFAULT_BOUNDS,
-                             search_order: int | None = None,
-                             search_xdeg: int | None = None):
+                             bounds: Bounds = DEFAULT_BOUNDS):
     """First components of the bounded syzygy kernel of
     (P_0,...,P_{m+1}) -> P_0 (E+alpha+1)^l + sum P_i zeta_i + P_{m+1} f.
 
@@ -175,8 +174,7 @@ def weight_module_generators(inp: AnnihilatorInput, l: int,
             f"l={l} is not below the multiplicity {mult} of -alpha-1",
             hypothesis="l < multiplicity of -alpha-1 as a b-function root")
     dim = inp.dim
-    so = search_order if search_order is not None else min(bounds.order, l + 2)
-    sx = search_xdeg if search_xdeg is not None else min(bounds.xdeg, 4)
+    so, sx = min(bounds.order, l + 2), min(bounds.xdeg, 4)
     shifted = (inp.euler + WeylOperator.constant(dim, inp.alpha + 1)) ** l
     targets = [shifted] + list(inp.zetas) + [WeylOperator.from_polynomial(inp.f)]
     kernel = syzygy_kernel(targets, so, sx)
@@ -254,8 +252,9 @@ def weight_step_presentation(inp: AnnihilatorInput, gens,
 
 def _order_bounded_elements(gens, sbasis, k: int, residual=None):
     """Basis of the elements u = sum A_i g_i, each A_i a combination of the
-    sbasis operators, with total order <= k and, when residual is given,
-    residual(u) == 0 (a linear map from terms dicts into coordinate dicts).
+    operators of the basis keys sbasis, with total order <= k and, when
+    residual is given, residual(u) == 0 (a linear map from terms dicts into
+    coordinate dicts).
 
     The order > k part and the residual are stacked into one column per
     product op * g; every nullspace dependency, carried with the products as
@@ -281,9 +280,7 @@ def _order_bounded_elements(gens, sbasis, k: int, residual=None):
 
 
 def hodge_on_weight(inp: AnnihilatorInput, l: int, k: int,
-                    bounds: Bounds = DEFAULT_BOUNDS,
-                    search_order: int | None = None,
-                    search_xdeg: int | None = None) -> HodgePresentation:
+                    bounds: Bounds = DEFAULT_BOUNDS) -> HodgePresentation:
     """Hodge step k of the weight-(n+l) piece: elements of the weighted
     sub-ideal with total order <= k, evaluated at s = -alpha on f^(-1-alpha).
 
@@ -299,21 +296,18 @@ def hodge_on_weight(inp: AnnihilatorInput, l: int, k: int,
     dim = inp.dim
     gamma = gamma_ideal(inp)
     gamma0 = gamma_ideal(inp, 0)
-    # (s + alpha)^l by s-power: s is central, so multiplying by it shifts
-    # s-powers and scales coefficients
-    spoly = {sp: c for (_, _, sp), c in (
-        (WeylOperator.s(dim) + WeylOperator.constant(dim, inp.alpha)) ** l
-    ).terms.items()}
-    so = search_order if search_order is not None else min(bounds.order, k + 2)
-    sx = search_xdeg if search_xdeg is not None else min(bounds.xdeg, 6)
-    s_bound = l + 2
+    # (s + alpha)^l = sum_j C(l, j) alpha^(l-j) s^j; s is central, so
+    # multiplying by it shifts s-powers and scales coefficients
+    spoly = {j: math.comb(l, j) * inp.alpha ** (l - j)
+             for j in range(l, -1, -1)}
+    spoly = {j: c for j, c in spoly.items() if c}
+    so, sx = min(bounds.order, k + 2), min(bounds.xdeg, 6)
     w0 = Echelon()
-    w0_basis = bounded_operator_basis(dim, bounds.order, bounds.xdeg,
-                                      with_s=True, s_bound=s_bound)
+    w0_basis = bounded_operator_basis(dim, bounds.order, bounds.xdeg, l + 2)
     for g in gamma0.generators:
         for u in basis_products(w0_basis, g):
             w0.insert(u)
-    sbasis = bounded_operator_basis(dim, so, sx, with_s=True, s_bound=s_bound)
+    sbasis = bounded_operator_basis(dim, so, sx, l + 2)
 
     def residual(u):
         # spoly*u must lie in the bounded span of the w0 generators
@@ -339,9 +333,7 @@ def hodge_on_weight(inp: AnnihilatorInput, l: int, k: int,
 
 
 def hodge_weight_interval21(inp: AnnihilatorInput, gens, k: int,
-                            bounds: Bounds = DEFAULT_BOUNDS,
-                            search_order: int | None = None,
-                            search_xdeg: int | None = None) -> HodgePresentation:
+                            bounds: Bounds = DEFAULT_BOUNDS) -> HodgePresentation:
     """Untwisted (alpha = 0) Hodge pieces under the hypothesis that all
     b-function roots lie in (-2,-1]: the bounded intersection of the syzygy
     first components gens (of weight_module_generators at the weight level)
@@ -362,8 +354,7 @@ def hodge_weight_interval21(inp: AnnihilatorInput, gens, k: int,
     if gens is None:
         return HodgePresentation.unit(Fraction(0), dim, k, 1)
     gens = list(gens) + [inp.euler + WeylOperator.one(dim)]
-    so = search_order if search_order is not None else min(bounds.order, k + 2)
-    sx = search_xdeg if search_xdeg is not None else min(bounds.xdeg, 6)
+    so, sx = min(bounds.order, k + 2), min(bounds.xdeg, 6)
     sbasis = bounded_operator_basis(dim, so, sx)
     summands = []
     for u in _order_bounded_elements(gens, sbasis, k):

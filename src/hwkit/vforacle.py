@@ -21,7 +21,7 @@ from .exactalg import (Polynomial, fmt_rational, graded_ideal, grlex_key,
 from .bsdata import BFunction, RootMultiset
 from .linalg import Echelon
 from .snc import HodgePresentation, SncDivisor, snc_hodge_weight
-from .weyl import (TwistedSection, WeylOperator, apply_to_twisted, basis_keys,
+from .weyl import (TwistedSection, WeylOperator, apply_to_twisted,
                    bounded_operator_basis, d_part_images)
 from .whom import QuasiHomogeneousGerm, whom_hodge_weight
 
@@ -297,9 +297,7 @@ def verify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
     if not f.total_degree():
         raise PreconditionError("f is constant", hypothesis="f is non-constant")
     dim = f.dim
-    basis = bounded_operator_basis(dim, order_bound, xdeg_bound, with_s=True,
-                                   s_bound=b.degree())
-    keys = basis_keys(basis)
+    keys = bounded_operator_basis(dim, order_bound, xdeg_bound, b.degree())
     sec0 = TwistedSection.power(dim, 1)
     # d^g f^(s+1), normalized, for each d-part g; x^b and s^j only multiply
     # the numerator, so the pole of x^b d^g s^j f^(s+1) is at most that of
@@ -327,7 +325,7 @@ def verify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
         return SpanCertificate("not-found-at-bound", bounds_json,
                                detail="no operator at these bounds satisfies "
                                       "the functional equation")
-    # basis operators are distinct monic monomials: one term per index
+    # distinct basis keys: one term per index
     operator = WeylOperator(dim, {keys[idx]: c for idx, c in carried.items()})
     # re-evaluate the witness exactly
     check = apply_to_twisted(operator, f, sec0)

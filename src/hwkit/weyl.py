@@ -389,29 +389,17 @@ def annihilates_power(a: WeylOperator, f: Polynomial, shift: int) -> bool:
 
 
 def bounded_operator_basis(dim: int, order_bound: int, xdeg_bound: int,
-                           with_s: bool = False, s_bound: int | None = None):
-    """All monomial operators x^b d^g s^j with |g|+j <= order_bound,
-    |b| <= xdeg_bound and j <= s_bound, in graded-lex order."""
-    if order_bound < 0 or xdeg_bound < 0:
+                           s_bound: int = 0) -> list:
+    """Keys (b, g, j) of the monomial operators x^b d^g s^j with
+    |g|+j <= order_bound, |b| <= xdeg_bound and j <= s_bound, in graded-lex
+    order.  s_bound = 0 gives the s-free basis."""
+    if min(order_bound, xdeg_bound, s_bound) < 0:
         raise ValueError("bounds must be non-negative")
-    smax = 0 if not with_s else (order_bound if s_bound is None else min(s_bound, order_bound))
-    keys = []
-    for b in monomials_upto_degree(dim, xdeg_bound):
-        for g in monomials_upto_degree(dim, order_bound):
-            for j in range(min(smax, order_bound - sum(g)) + 1):
-                keys.append((b, g, j))
+    keys = [(b, g, j)
+            for b in monomials_upto_degree(dim, xdeg_bound)
+            for g in monomials_upto_degree(dim, order_bound)
+            for j in range(min(s_bound, order_bound - sum(g)) + 1)]
     keys.sort(key=lambda k: (sum(k[0]) + sum(k[1]) + k[2], k))
-    return [WeylOperator.mono(b, g, j) for (b, g, j) in keys]
-
-
-def basis_keys(basis) -> list:
-    """The key (b, g, j) of each operator x^b d^g s^j of a basis of monic
-    monomials."""
-    keys = []
-    for op in basis:
-        if len(op.terms) != 1 or next(iter(op.terms.values())) != 1:
-            raise ValueError("basis operators must be monic monomials")
-        keys.append(next(iter(op.terms)))
     return keys
 
 
@@ -453,24 +441,23 @@ def _d_step(terms: dict, i: int) -> dict:
     return {k: c for k, c in out.items() if c}
 
 
-def basis_products(basis, t: WeylOperator) -> list:
-    """weyl_mul(op, t).terms for each op = x^b d^g s^j of a basis of monic
-    monomials.  In normal order x^b and the central s^j stand left of
-    d^g * t, so each product is the image d^g * t with every key shifted by
-    (b, j): the coefficients are reused, not recomputed."""
-    for op in basis:
-        op._check(t)
-    keys = basis_keys(basis)
+def basis_products(keys, t: WeylOperator) -> list:
+    """weyl_mul(x^b d^g s^j, t).terms for each basis key (b, g, j).  In
+    normal order x^b and the central s^j stand left of d^g * t, so each
+    product is the image d^g * t with every key shifted by (b, j): the
+    coefficients are reused, not recomputed."""
+    for b, g, _ in keys:
+        if len(b) != t.dim or len(g) != t.dim:
+            raise DimensionMismatch(f"key ({b},{g}) vs dimension {t.dim}")
     images = d_part_images([g for _, g, _ in keys], t.terms, _d_step)
     return [{(mono_mul(xe, b), de, sp + j): c
              for (xe, de, sp), c in images[g].items()}
             for b, g, j in keys]
 
 
-def syzygy_kernel(targets, order_bound: int, xdeg_bound: int,
-                  with_s: bool = False, s_bound: int | None = None):
+def syzygy_kernel(targets, order_bound: int, xdeg_bound: int):
     """Spanning set, within the stated bounds, of tuples (P_0,...,P_r) with
-    sum_i P_i * targets_i == 0, each P_i a combination of
+    sum_i P_i * targets_i == 0, each P_i a combination of the s-free
     bounded_operator_basis monomials.  Every returned tuple is re-multiplied
     and checked against zero before being returned.
     """
@@ -481,16 +468,15 @@ def syzygy_kernel(targets, order_bound: int, xdeg_bound: int,
     for t in targets:
         if t.dim != dim:
             raise DimensionMismatch("targets of mixed dimension")
-    basis = bounded_operator_basis(dim, order_bound, xdeg_bound, with_s, s_bound)
-    keys = basis_keys(basis)
+    keys = bounded_operator_basis(dim, order_bound, xdeg_bound)
     columns = []
     companions = []
     for ti, t in enumerate(targets):
-        columns.extend(basis_products(basis, t))
-        companions.extend({(ti, oi): 1} for oi in range(len(basis)))
+        columns.extend(basis_products(keys, t))
+        companions.extend({(ti, oi): 1} for oi in range(len(keys)))
     out = []
     for dep in nullspace(columns, companions):
-        # basis operators are distinct monic monomials: one term per entry
+        # distinct basis keys: one term per entry
         parts = [{} for _ in targets]
         for (ti, oi), c in dep.items():
             parts[ti][keys[oi]] = c

@@ -177,6 +177,10 @@ MALFORMED = [
     ("bounds", "--exponents", "1,1", "--alpha", "1", "--dim", "-3"),
     ("verify", "bfun", "--poly", "x1^2", "--b", "(s+1)", "--dim", "0"),
     ("ppd", "--input", "{}/node.ann", "--dim", "0"),
+    # dimensions below the number of --exponents
+    ("bounds", "--exponents", "1,1", "--alpha", "1", "--dim", "1"),
+    ("classify", "--exponents", "1,1", "--alpha", "1", "--dim", "1"),
+    ("bfun", "--exponents", "2,3", "--dim", "1"),
     # a constant f
     ("verify", "bfun", "--poly", "1", "--b", "(s+1)"),
     ("verify", "bfun", "--poly", "2", "--b", "(s+1)", "--order", "0",

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from hwkit.bsdata import (ReducedBFunction, bfunction_snc,
-                          bfunction_whom_isolated, hodge_pole_full, reduce)
+from hwkit.bsdata import (bfunction_snc, bfunction_whom_isolated,
+                          hodge_pole_full, reduce)
 from hwkit.exactalg import Polynomial, WeightVector, poly_parse
 from hwkit.ppd import (AnnihilatorInput, hodge_on_weight,
                        weight_module_generators, weight_step_presentation)

@@ -11,8 +11,7 @@ from hwkit.ppd import (AnnihilatorInput, check_annihilator, gamma_ideal,
                        weight_module_generators, weight_step_presentation)
 from hwkit.snc import (HodgePresentation, SncDivisor, snc_f0_ideal,
                        snc_hodge_weight)
-from hwkit.vforacle import (Bounds, dspans_equal, presentations_equal,
-                            reduce_presentation)
+from hwkit.vforacle import Bounds, dspans_equal, presentations_equal
 from hwkit.weyl import WeylOperator
 from hwkit.whom import QuasiHomogeneousGerm
 

@@ -12,14 +12,14 @@ from hwkit.linalg import Echelon
 from hwkit.snc import HodgePresentation, SncDivisor
 from hwkit.vforacle import (BfElement, Bounds, SncVFamily,
                             WhomVFamily, _cross_containment, _module_span,
-                            _mutual_containment, act, apply_s_shifted,
-                            bf_span, candidate_v_snc, crosscheck_hodge_weight,
+                            _mutual_containment, act, bf_span,
+                            candidate_v_snc, crosscheck_hodge_weight,
                             dspans_equal, kernel_filtration_check, membership,
                             phi_shift, presentation_contained,
                             presentations_equal, psi_map, q_poch,
                             reduce_presentation,
                             verify_bfunction, verify_v_axioms)
-from hwkit.weyl import (TwistedSection, apply_to_twisted,
+from hwkit.weyl import (TwistedSection, WeylOperator, apply_to_twisted,
                         bounded_operator_basis, d_part_images)
 from hwkit.whom import QuasiHomogeneousGerm
 
@@ -223,10 +223,10 @@ def test_verify_bfunction_columns_match_apply_to_twisted(
     f = poly_parse(poly, dim)
     bf = BFunction(b)
     verify_bfunction(f, bf, order, xdeg)
-    basis = bounded_operator_basis(dim, order, xdeg, with_s=True,
-                                   s_bound=bf.degree())
+    keys = bounded_operator_basis(dim, order, xdeg, bf.degree())
     sec0 = TwistedSection.power(dim, 1)
-    applied = [apply_to_twisted(op, f, sec0) for op in basis]
+    applied = [apply_to_twisted(WeylOperator.mono(*key), f, sec0)
+               for key in keys]
     pole_target = max([sec.pole for sec in applied] + [1])
     want = [vforacle._section_vector(sec, f, pole_target) for sec in applied]
     assert inserted == want
