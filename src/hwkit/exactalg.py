@@ -11,7 +11,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .errors import DimensionMismatch, ParseError
+from .errors import DimensionMismatch, ParseError, PreconditionError
 
 Mono = tuple  # exponent vector; length equals the ambient dimension
 
@@ -410,7 +410,7 @@ class WeightVector:
     def __init__(self, weights: Iterable):
         ws = tuple(Fraction(w) for w in weights)
         if not ws or any(w <= 0 for w in ws):
-            raise ValueError("weights must be strictly positive")
+            raise PreconditionError("weights must be strictly positive")
         self.weights = ws
         self.total = sum(ws, Fraction(0))
 

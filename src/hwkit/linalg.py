@@ -1,17 +1,25 @@
 """Sparse exact linear algebra over Q.
 
 Vectors are dicts mapping hashable, mutually comparable coordinate labels to
-nonzero Fractions.  `Echelon` is the one elimination primitive: every span,
+nonzero rationals.  `Echelon` is the one elimination primitive: every span,
 membership test, kernel and projection in the package goes through it.  Each
 inserted vector may bring a companion vector; every stored row carries the
 same exact combination of the inserted companions that it is of the inserted
 vectors, so a dependency or a witness comes out of the echelon already built
 in whatever terms the caller chose.  Companions never take part in pivoting.
+
+Inside `Echelon` every row, together with its companion, is a primitive
+integer vector.  An incoming vector is scaled by the lcm of its denominators
+and reduced fraction-free (Bareiss, Math. Comp. 1968, with the content
+divided out after each step that multiplies), its scale travelling as one
+integer denominator.  `Fraction` appears only at the boundary: every value
+`reduce`, `insert`, `basis()` and `nullspace` return is a `Fraction`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def _axpy(acc: dict, coeff, vec: dict):
@@ -24,21 +32,44 @@ def _axpy(acc: dict, coeff, vec: dict):
             acc.pop(c, None)
 
 
+def _integral(vec: dict, companion: dict):
+    """(vec', companion', den): integer dicts and a positive int with
+    vec == vec'/den and companion == companion'/den."""
+    den = lcm(*(v.denominator for v in vec.values()),
+              *(v.denominator for v in companion.values()))
+    return ({c: v.numerator * (den // v.denominator) for c, v in vec.items()},
+            {c: v.numerator * (den // v.denominator)
+             for c, v in companion.items()},
+            den)
+
+
+def _content(den: int, *vecs) -> int:
+    """gcd of den and every value of vecs, stopping as soon as it is 1."""
+    for vec in vecs:
+        for v in vec.values():
+            if den == 1:
+                return 1
+            den = gcd(den, v)
+    return den
+
+
 class Echelon:
     """Row space accumulator in (partial) echelon form.
 
-    Each stored row is normalized so that its pivot (its largest coordinate)
-    has coefficient 1, and carries its companion: the combination of the
-    inserted companions matching the combination of inserted vectors the row
-    equals.  A vector inserted without a companion contributes zero.  The row
-    format is private to this module; callers read `pivots()`, `basis()`,
-    `rank` and `n_vectors` (the number of inserts, dependent ones included).
+    Each stored row's pivot is its largest coordinate.  A row is kept as a
+    primitive integer vector with its pivot coefficient (positive) and its
+    companion, scaled alike: the combination of the inserted companions
+    matching the combination of inserted vectors the row equals.  A vector
+    inserted without a companion contributes zero.  The row format is
+    private to this module; callers read `pivots()`, `basis()`, `rank` and
+    `n_vectors` (the number of inserts, dependent ones included).
     """
 
     __slots__ = ("_rows", "n_vectors")
 
     def __init__(self):
-        self._rows = {}  # pivot coordinate -> (row vector, companion)
+        # pivot coordinate -> (integer row, its pivot coefficient, companion)
+        self._rows = {}
         self.n_vectors = 0
 
     @property
@@ -50,9 +81,59 @@ class Echelon:
         return frozenset(self._rows)
 
     def basis(self) -> list:
-        """Copies of the stored rows, each with pivot coefficient 1, in the
-        order they gained rank."""
-        return [dict(row) for row, _ in self._rows.values()]
+        """The stored rows as Fraction vectors, each with pivot coefficient
+        1, in the order they gained rank."""
+        return [{c: Fraction(v, p) for c, v in row.items()}
+                for row, p, _ in self._rows.values()]
+
+    def _eliminate(self, vec: dict, comb: dict, den: int):
+        """Reduce the integer vector vec/den fraction-free against the rows.
+
+        Each step multiplies vec, comb and den by m = pivot/g and subtracts
+        a/g times the row, and the row's companion from comb, where a is
+        vec's coefficient at the row's pivot and g = gcd(a, pivot); if m is
+        not 1 it then divides out the content the three share (without the
+        multiplication any common factor divides den, so sizes stay bounded).
+        Returns the final (vec, comb, den):
+        vec/den is the residual, and comb/den is the initial comb/den minus
+        the carried combination of companions.
+        """
+        rows = self._rows
+        while True:
+            pivot = None
+            for c in vec:
+                if c in rows and (pivot is None or c > pivot):
+                    pivot = c
+            if pivot is None:
+                return vec, comb, den
+            row, p, companion = rows[pivot]
+            a = vec[pivot]
+            g = gcd(a, p)
+            a //= g
+            m = p // g
+            if m != 1:
+                vec = {c: v * m for c, v in vec.items()}
+                comb = {c: v * m for c, v in comb.items()}
+                den *= m
+            # this loop is the package's hot path
+            for c, v in row.items():
+                nv = vec.get(c, 0) - a * v
+                if nv:
+                    vec[c] = nv
+                else:
+                    vec.pop(c, None)
+            for c, v in companion.items():
+                nv = comb.get(c, 0) - a * v
+                if nv:
+                    comb[c] = nv
+                else:
+                    comb.pop(c, None)
+            if m != 1:
+                content = _content(den, vec, comb)
+                if content != 1:
+                    vec = {c: v // content for c, v in vec.items()}
+                    comb = {c: v // content for c, v in comb.items()}
+                    den //= content
 
     def reduce(self, vec: dict):
         """Reduce vec against the stored rows.
@@ -61,31 +142,9 @@ class Echelon:
         inserted vectors, and carried is the same combination of their
         companions.
         """
-        vec = dict(vec)
-        carried = {}
-        while True:
-            pivot = None
-            for c in vec:
-                if c in self._rows and (pivot is None or c > pivot):
-                    pivot = c
-            if pivot is None:
-                break
-            coeff = vec[pivot]
-            row, companion = self._rows[pivot]
-            # _axpy twice, inlined: this loop is the package's hot path
-            for c2, v2 in row.items():
-                nv = vec.get(c2, _ZERO) - coeff * v2
-                if nv:
-                    vec[c2] = nv
-                else:
-                    vec.pop(c2, None)
-            for c2, v2 in companion.items():
-                nv = carried.get(c2, _ZERO) + coeff * v2
-                if nv:
-                    carried[c2] = nv
-                else:
-                    carried.pop(c2, None)
-        return vec, carried
+        vec, comb, den = self._eliminate(*_integral(vec, {}))
+        return ({c: Fraction(v, den) for c, v in vec.items()},
+                {c: Fraction(-v, den) for c, v in comb.items()})
 
     def insert(self, vec: dict, companion: dict | None = None):
         """Insert vec with its companion; return None if it increased the
@@ -93,20 +152,22 @@ class Echelon:
         earlier inserted vectors, and this is that combination of their
         companions."""
         self.n_vectors += 1
-        residual, carried = self.reduce(vec)
-        if not residual:
-            return carried
-        pivot = max(residual)
-        inv = Fraction(1) / residual[pivot]
-        row = {c: v * inv for c, v in residual.items()}
-        # row = (vec - reduced part) / pivot coefficient, and likewise for
-        # the companion
-        ninv = -inv
-        rcomp = {c: v * ninv for c, v in carried.items()}
-        if companion:
-            _axpy(rcomp, inv, companion)
-        self._rows[pivot] = (row, rcomp)
-        return None
+        companion = companion or {}
+        vec, comb, den = self._eliminate(*_integral(vec, companion))
+        if vec:
+            pivot = max(vec)
+            content = _content(0, vec, comb)
+            if vec[pivot] < 0:
+                content = -content
+            if content != 1:
+                vec = {c: v // content for c, v in vec.items()}
+                comb = {c: v // content for c, v in comb.items()}
+            self._rows[pivot] = (vec, vec[pivot], comb)
+            return None
+        # comb/den is companion minus the carried combination
+        carried = {c: Fraction(-v, den) for c, v in comb.items()}
+        _axpy(carried, 1, companion)
+        return carried
 
 
 _ZERO = Fraction(0)
@@ -124,7 +185,7 @@ def nullspace(columns, companions):
     out = []
     for col, comp in zip(columns, companions):
         if not col:
-            out.append(dict(comp))
+            out.append({c: Fraction(v) for c, v in comp.items()})
             continue
         carried = ech.insert(col, comp)
         if carried is not None:

@@ -296,6 +296,15 @@ def verify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
         raise PreconditionError("empty b-function")
     if not f.total_degree():
         raise PreconditionError("f is constant", hypothesis="f is non-constant")
+    bounds_json = {"order": order_bound, "xdeg": xdeg_bound}
+    not_found = SpanCertificate("not-found-at-bound", bounds_json,
+                                detail="no operator at these bounds satisfies "
+                                       "the functional equation")
+    # a basis operator x^b d^g s^j has j <= order_bound - |g|, and d^g adds
+    # at most |g| to the s-degree, so P(s) f^(s+1) has s-degree at most
+    # order_bound, while b(s) f^s has s-degree deg b
+    if b.degree() > order_bound:
+        return not_found
     dim = f.dim
     keys = bounded_operator_basis(dim, order_bound, xdeg_bound, b.degree())
     sec0 = TwistedSection.power(dim, 1)
@@ -320,11 +329,8 @@ def verify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
         return _section_vector(sec, f, pole_target)
 
     residual, carried = ech.reduce(rhs_vector(b))
-    bounds_json = {"order": order_bound, "xdeg": xdeg_bound}
     if residual:
-        return SpanCertificate("not-found-at-bound", bounds_json,
-                               detail="no operator at these bounds satisfies "
-                                      "the functional equation")
+        return not_found
     # distinct basis keys: one term per index
     operator = WeylOperator(dim, {keys[idx]: c for idx, c in carried.items()})
     # re-evaluate the witness exactly

@@ -187,6 +187,12 @@ MALFORMED = [
      "--xdeg", "0"),
     ("verify", "bfun", "--poly", "0", "--b", "(s+1)"),
     ("ppd", "--input", "{}/zero.ann", "--weight-only"),
+    # --weights with a zero or negative entry
+    ("whom", "--poly", "x1^2+x2^3", "--weights", "0,1", "--alpha", "1",
+     "--k", "0", "--l", "0"),
+    ("bfun", "--poly", "x1^2+x2^3", "--weights", "1/2,0"),
+    ("bounds", "--poly", "x1^2+x2^3", "--weights", "0,1/3", "--alpha", "1"),
+    CROSS + ("--source", "whom", "--poly", "x1^2+x2^3", "--weights=-1/2,1/3"),
 ]
 
 

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hwkit.linalg import Echelon, nullspace
 
@@ -125,3 +126,108 @@ def test_companions_need_not_be_tags():
     assert nullspace([{0: F(1)}, {0: F(2)}, {}],
                      [{"x": F(1)}, {"y": F(1)}, {"e": F(4)}]) == [
         {"y": F(1), "x": F(-2)}, {"e": F(4)}]
+
+
+# ---------------------------------------------------------------------------
+# property test against a Fraction reference
+
+
+class FractionEchelon:
+    """Reference elimination in Fraction arithmetic: the same max-coordinate
+    pivot rule, rows normalized to pivot coefficient 1."""
+
+    def __init__(self):
+        self.rows = {}  # pivot -> (row, companion)
+
+    def reduce(self, vec):
+        vec, carried = dict(vec), {}
+        while True:
+            hits = [c for c in vec if c in self.rows]
+            if not hits:
+                return vec, carried
+            pivot = max(hits)
+            row, comp = self.rows[pivot]
+            coeff = vec[pivot]
+            add(vec, -coeff, row)
+            add(carried, coeff, comp)
+
+    def insert(self, vec, companion=None):
+        residual, carried = self.reduce(vec)
+        if not residual:
+            return carried
+        pivot = max(residual)
+        inv = F(1) / residual[pivot]
+        comp = add({c: -v for c, v in carried.items()}, F(1), companion or {})
+        self.rows[pivot] = ({c: v * inv for c, v in residual.items()},
+                            {c: v * inv for c, v in comp.items()})
+        return None
+
+
+def reference_nullspace(columns, companions):
+    ech, out = FractionEchelon(), []
+    for col, comp in zip(columns, companions):
+        carried = ech.insert(col, comp)
+        if carried is not None:
+            out.append(add({c: -v for c, v in carried.items()}, F(1), comp))
+    return out
+
+
+def all_fractions(*vecs):
+    return all(type(v) is F for vec in vecs for v in vec.values())
+
+
+# integers, and Fractions with denominators up to 2^61 - 1 and 3^40
+BIG_DENOMINATORS = st.sampled_from([1, 2, 3, 12, 10**9 + 7, 2**61 - 1, 3**40])
+RATIONALS = st.one_of(
+    st.integers(-9, 9),
+    st.builds(F, st.integers(-10**15, 10**15), BIG_DENOMINATORS),
+).filter(bool)
+VECTORS = st.dictionaries(st.integers(0, 7), RATIONALS, max_size=5)
+COMPANIONS = st.one_of(
+    st.none(), st.dictionaries(st.sampled_from("abcd"), RATIONALS, max_size=3))
+
+
+@st.composite
+def systems(draw):
+    """Columns with companions, some columns dependent on earlier ones, and
+    probe vectors, some of them in the span."""
+    cols = []
+    for _ in range(draw(st.integers(1, 10))):
+        if cols and draw(st.booleans()):
+            picks = draw(st.lists(st.sampled_from(cols), min_size=1,
+                                  max_size=3))
+            cols.append(combine({i: draw(RATIONALS)
+                                 for i in range(len(picks))}, picks))
+        else:
+            cols.append(draw(VECTORS))
+    comps = [draw(COMPANIONS) for _ in cols]
+    probes = draw(st.lists(VECTORS, max_size=3))
+    probes.append(combine({i: draw(RATIONALS) for i in range(len(cols))}, cols))
+    return cols, comps, probes
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@example(  # a negative pivot coefficient, a big denominator, a companion
+    ([{0: F(1, 2**61 - 1), 3: -2}, {3: F(-4, 3)}, {0: 5, 3: 7}],
+     [{"a": F(1, 3)}, None, {"b": -1}], [{3: 1, 5: F(1, 7)}]))
+@given(systems())
+def test_echelon_matches_fraction_reference(system):
+    cols, comps, probes = system
+    ech, ref = Echelon(), FractionEchelon()
+    for col, comp in zip(cols, comps):
+        got = ech.insert(col, comp)
+        assert got == ref.insert(col, comp)
+        assert got is None or all_fractions(got)
+    assert ech.rank == len(ref.rows) and ech.n_vectors == len(cols)
+    assert ech.pivots() == set(ref.rows)
+    basis = ech.basis()
+    assert basis == [row for row, _ in ref.rows.values()]
+    assert all_fractions(*basis)
+    for vec in probes:
+        residual, carried = ech.reduce(vec)
+        assert (residual, carried) == ref.reduce(vec)
+        assert all_fractions(residual, carried)
+    comps = [comp or {"e": i + 1} for i, comp in enumerate(comps)]
+    deps = nullspace(cols, comps)
+    assert deps == reference_nullspace(cols, comps)
+    assert all_fractions(*deps)
