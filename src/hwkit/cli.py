@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -38,7 +39,7 @@ from .ppd import (gamma_ideal, hodge_on_weight, hodge_weight_interval21,
                   weight_step_presentation)
 from .snc import SncDivisor, snc_f0_ideal
 from .vforacle import (Bounds, certify_bfunction, crosscheck_hodge_weight,
-                       verify_bfunction)
+                       reduce_presentation, verify_bfunction)
 from .whom import QuasiHomogeneousGerm, whom_hodge_weight, whom_weight_top
 
 
@@ -211,7 +212,7 @@ def _reduced_bfunction(args):
 
 def _normalize_alpha(alpha: Fraction):
     """Shift alpha into (0,1]; the integer part is bookkeeping only."""
-    shift = -((-alpha.numerator) // alpha.denominator) - 1  # ceil(alpha) - 1
+    shift = math.ceil(alpha) - 1
     return alpha - shift, shift
 
 
@@ -404,7 +405,6 @@ def cmd_ppd(args) -> int:
                 pres = hodge_weight_interval21(inp, gens, args.k, bounds)
             else:
                 pres = hodge_on_weight(inp, args.l, args.k, bounds)
-            from .vforacle import reduce_presentation
             pres = reduce_presentation(pres, inp.f, bounds)
             outputs["hodge_presentation"] = pres.to_json()
         return envelope("ppd", payload, outputs, bounds=bounds.to_json(),

@@ -282,9 +282,6 @@ class Polynomial:
         return Polynomial(self.dim, {m: v * c for m, v in self.terms.items()})
 
     def mul_mono(self, m: Mono, coeff=1) -> "Polynomial":
-        if coeff == 1:  # a monomial shift is injective: no coefficient changes
-            return Polynomial(self.dim, {mono_mul(k, m): v
-                                         for k, v in self.terms.items()})
         coeff = Fraction(coeff)
         return Polynomial(
             self.dim, {mono_mul(k, m): v * coeff for k, v in self.terms.items()})

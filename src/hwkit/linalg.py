@@ -7,6 +7,8 @@ inserted vector may bring a companion vector; every stored row carries the
 same exact combination of the inserted companions that it is of the inserted
 vectors, so a dependency or a witness comes out of the echelon already built
 in whatever terms the caller chose.  Companions never take part in pivoting.
+A dependent insert returns its dependency directly, as its companion minus
+the carried combination, and `nullspace` only collects those.
 
 Inside `Echelon` every row, together with its companion, is a primitive
 integer vector.  An incoming vector is scaled by the lcm of its denominators
@@ -20,16 +22,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-
-
-def _axpy(acc: dict, coeff, vec: dict):
-    """acc += coeff * vec in place, dropping coordinates that cancel."""
-    for c, v in vec.items():
-        nv = acc.get(c, _ZERO) + coeff * v
-        if nv:
-            acc[c] = nv
-        else:
-            acc.pop(c, None)
 
 
 def _integral(vec: dict, companion: dict):
@@ -148,29 +140,24 @@ class Echelon:
 
     def insert(self, vec: dict, companion: dict | None = None):
         """Insert vec with its companion; return None if it increased the
-        rank, otherwise the carried combination: vec equals a combination of
-        earlier inserted vectors, and this is that combination of their
-        companions."""
+        rank, otherwise the dependency: vec equals a combination of earlier
+        inserted vectors, and the dependency is the companion minus that
+        combination of their companions (a vector with no nonzero entry
+        comes back as its companion)."""
         self.n_vectors += 1
-        companion = companion or {}
-        vec, comb, den = self._eliminate(*_integral(vec, companion))
-        if vec:
-            pivot = max(vec)
-            content = _content(0, vec, comb)
-            if vec[pivot] < 0:
-                content = -content
-            if content != 1:
-                vec = {c: v // content for c, v in vec.items()}
-                comb = {c: v // content for c, v in comb.items()}
-            self._rows[pivot] = (vec, vec[pivot], comb)
-            return None
-        # comb/den is companion minus the carried combination
-        carried = {c: Fraction(-v, den) for c, v in comb.items()}
-        _axpy(carried, 1, companion)
-        return carried
-
-
-_ZERO = Fraction(0)
+        vec, comb, den = self._eliminate(*_integral(vec, companion or {}))
+        if not vec:
+            # comb/den is companion minus the carried combination
+            return {c: Fraction(v, den) for c, v in comb.items()}
+        pivot = max(vec)
+        content = _content(0, vec, comb)
+        if vec[pivot] < 0:
+            content = -content
+        if content != 1:
+            vec = {c: v // content for c, v in vec.items()}
+            comb = {c: v // content for c, v in comb.items()}
+        self._rows[pivot] = (vec, vec[pivot], comb)
+        return None
 
 
 def nullspace(columns, companions):
@@ -178,18 +165,9 @@ def nullspace(columns, companions):
     column that depends on the earlier ones (x_i = 1 there).
 
     Each dependency is returned as its companion combination
-    sum(x_i * companions_i); with companions {i: 1} that is the coefficient
-    dict itself.
+    sum(x_i * companions_i), as `Echelon.insert` returns it; with companions
+    {i: 1} that is the coefficient dict itself.
     """
     ech = Echelon()
-    out = []
-    for col, comp in zip(columns, companions):
-        if not col:
-            out.append({c: Fraction(v) for c, v in comp.items()})
-            continue
-        carried = ech.insert(col, comp)
-        if carried is not None:
-            dep = {c: -v for c, v in carried.items()}
-            _axpy(dep, 1, comp)
-            out.append(dep)
-    return out
+    deps = (ech.insert(col, comp) for col, comp in zip(columns, companions))
+    return [dep for dep in deps if dep is not None]

@@ -19,7 +19,8 @@ from .errors import (InconclusiveAtBound, InternalCheckFailed, ParseError,
 from .exactalg import Polynomial, fmt_rational, infer_dim, parse_rational
 from .linalg import Echelon, nullspace
 from .snc import HodgePresentation
-from .vforacle import Bounds, DEFAULT_BOUNDS, pole_apply
+from .vforacle import (Bounds, DEFAULT_BOUNDS, clear_to_pole, pole_apply,
+                       reduce_presentation)
 from .weyl import (WeylOperator, annihilates_power, basis_products,
                    bounded_operator_basis, syzygy_kernel, weyl_mul)
 
@@ -196,7 +197,7 @@ def weight_module_generators(inp: AnnihilatorInput, l: int,
         p0 = tup[0]
         if p0.is_zero():
             continue
-        if seen.insert(dict(p0.terms)) is None:
+        if seen.insert(p0.terms) is None:
             gens.append(p0)
     meta = {"complete_at_bounds": {"order": so, "xdeg": sx},
             "tuples": len(kernel)}
@@ -221,9 +222,7 @@ def operator_on_pole(op: WeylOperator, f: Polynomial, step: int,
     if not parts:
         return Polynomial.zero(f.dim), step
     pole = max(p for _, p in parts)
-    total = Polynomial.zero(f.dim)
-    for num, p in parts:
-        total = total + num * f ** (pole - p)
+    total = clear_to_pole(parts, f, pole)
     while pole > 0 and not total.is_zero():
         q = total.div_exact(f)
         if q is None:
@@ -239,8 +238,6 @@ def weight_step_presentation(inp: AnnihilatorInput, gens,
     evaluated on f^(-1-alpha), carrying the full operator budget bounds.order
     (the step is a D-module, not just an O-module).  The generator list is
     minimalized at the given bounds."""
-    from .vforacle import reduce_presentation
-
     summands = []
     for g in gens:
         num, pole = operator_on_pole(g, inp.f, 1, inp.alpha)

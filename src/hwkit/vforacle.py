@@ -146,14 +146,13 @@ def act(sym: str, u: BfElement, f: Polynomial) -> BfElement:
       x<i>: multiply by the variable
       d<i>: g dt^j -> (d_i g) dt^j - (d_i f) g dt^(j+1)  (untwisted only)
     """
-    if sym == "t":
-        out = {}
+    out = {}
 
-        def acc(j, p):
-            if p.is_zero():
-                return
+    def acc(j, p):
+        if not p.is_zero():
             out[j] = out[j] + p if j in out else p
 
+    if sym == "t":
         for j, p in u.layers.items():
             acc(j, p * f)
             if j >= 1:
@@ -178,16 +177,9 @@ def act(sym: str, u: BfElement, f: Polynomial) -> BfElement:
                 "the polynomial window; shift to twist 0 first",
                 hypothesis="twist = 0 for d_i action")
         df = f.partial(i)
-        out = {}
-
-        def acc2(j, p):
-            if p.is_zero():
-                return
-            out[j] = out[j] + p if j in out else p
-
         for j, p in u.layers.items():
-            acc2(j, p.partial(i))
-            acc2(j + 1, (p * df).scale(-1))
+            acc(j, p.partial(i))
+            acc(j + 1, (p * df).scale(-1))
         return BfElement(u.dim, out, u.twist)
     raise ValueError(f"unknown symbol {sym!r}")
 
@@ -648,6 +640,34 @@ def pole_apply(gammas, g: Polynomial, pole: int, alpha: Fraction,
     return d_part_images(gammas, (g, pole), step)
 
 
+def clear_to_pole(parts, f: Polynomial, pole: int) -> Polynomial:
+    """The parts (num, p), each standing for num * f^(-p), written over one
+    pole: the numerator sum of num * f^(pole - p), zero numerators skipped."""
+    total = Polynomial.zero(f.dim)
+    for num, p in parts:
+        if not num.is_zero():
+            total = total + num * f ** (pole - p)
+    return total
+
+
+def _window_vectors(parts, f: Polynomial, pole_target: int, xdeg: int, tag):
+    """The vectors x^beta * N of one element given by its (numerator, pole)
+    parts, N its numerator cleared to pole_target, as (terms dict,
+    tag + (beta,)) for every beta with deg N + |beta| <= xdeg.  Yields nothing
+    when a pole exceeds pole_target, N is zero or deg N exceeds xdeg."""
+    if any(p > pole_target for _, p in parts):
+        return
+    num = clear_to_pole(parts, f, pole_target)
+    if num.is_zero():
+        return
+    deg = num.total_degree()
+    if deg > xdeg:
+        return
+    for beta in monomials_upto_degree(f.dim, xdeg - deg):
+        yield ({mono_mul(m, beta): c for m, c in num.terms.items()},
+               tag + (beta,))
+
+
 def _twist_shift(alpha_base: Fraction, alpha: Fraction) -> int:
     """The integer by which twist alpha exceeds alpha_base; presentations
     can only be compared when their twists differ by an integer."""
@@ -662,29 +682,22 @@ def presentation_elements(pres: HodgePresentation, f: Polynomial,
                           alpha_base: Fraction, pole_target: int, xdeg: int):
     """All vectors x^beta d^gamma (g f^(-j-alpha)) of a presentation, cleared
     to the common pole (relative to alpha_base); elements whose clearing
-    leaves the degree window are skipped.  Yields (polynomial, tag)."""
+    leaves the degree window are skipped.  Yields (terms dict, tag)."""
     shift = _twist_shift(alpha_base, pres.alpha)
     for si, (budget, g, j) in enumerate(pres.summands):
         gammas = list(monomials_upto_degree(f.dim, budget))
         images = pole_apply(gammas, g, j + shift, alpha_base, f)
         for gamma in gammas:
-            num, p = images[gamma]
-            if p > pole_target or num.is_zero():
-                continue
-            num = num * f ** (pole_target - p)
-            deg = num.total_degree()
-            if deg > xdeg:
-                continue
-            for beta in monomials_upto_degree(f.dim, xdeg - deg):
-                yield num.mul_mono(beta), (si, gamma, beta)
+            yield from _window_vectors([images[gamma]], f, pole_target, xdeg,
+                                       (si, gamma))
 
 
 def _module_span(vectors) -> Echelon:
-    """Span of the polynomials of (polynomial, tag) pairs: a bounded span
-    inside the twisted localization module, at one pole order."""
+    """Span of the vectors of (terms dict, tag) pairs: a bounded span inside
+    the twisted localization module, at one pole order."""
     span = Echelon()
-    for p, _ in vectors:
-        span.insert(p.terms)
+    for vec, _ in vectors:
+        span.insert(vec)
     return span
 
 
@@ -713,8 +726,8 @@ def _cross_containment(name: str, source_vectors, source_span: Echelon,
     space, so the vectors are scanned only to name the first failure."""
     if not any(target_span.reduce(row)[0] for row in source_span.basis()):
         return _verdict(name, source_span.n_vectors, expect_nonempty)
-    for p, tag in source_vectors:
-        residual, _ = target_span.reduce(p.terms)
+    for vec, tag in source_vectors:
+        residual, _ = target_span.reduce(vec)
         if residual:
             return False, {"direction": name, "failed_at": repr(tag)}
     raise InternalCheckFailed(f"{name}: a row of the source span is not "
@@ -786,9 +799,9 @@ def reduce_presentation(pres: HodgePresentation, f: Polynomial,
             continue
         kept.append((budget, g, j))
         single = HodgePresentation.build(pres.alpha, pres.dim, [(budget, g, j)])
-        for p, _ in presentation_elements(single, f, pres.alpha,
-                                          pole_target, bounds.xdeg):
-            span.insert(p.terms)
+        for vec, _ in presentation_elements(single, f, pres.alpha,
+                                            pole_target, bounds.xdeg):
+            span.insert(vec)
     return HodgePresentation.build(pres.alpha, pres.dim, kept)
 
 
@@ -905,22 +918,11 @@ def crosscheck_hodge_weight(kind: str, obj, alpha, k: int, l: int,
         images = d_part_images(monomials_upto_degree(f.dim, budget), gen,
                                lambda u, i: act(f"d{i + 1}", u, f))
         for gamma, img in sorted(images.items(), key=lambda kv: grlex_key(kv[0])):
-            if img.is_zero() or img.max_layer() > bounds.dt:
+            if img.max_layer() > bounds.dt:
                 continue
-            num = Polynomial.zero(f.dim)
-            ok = True
-            for p, j in psi_map(img, alpha, f):
-                if j > pole_target:
-                    ok = False
-                    break
-                num = num + p * f ** (pole_target - j)
-            if not ok or num.is_zero():
-                continue
-            deg = num.total_degree()
-            if deg > bounds.xdeg:
-                continue
-            for beta in monomials_upto_degree(f.dim, bounds.xdeg - deg):
-                oracle_vectors.append((num.mul_mono(beta), (gi, gamma, beta)))
+            oracle_vectors.extend(_window_vectors(
+                psi_map(img, alpha, f), f, pole_target, bounds.xdeg,
+                (gi, gamma)))
 
     oracle_span = _module_span(oracle_vectors)
     closed_span = presentation_span(pres, f, alpha, pole_target, bounds.xdeg)

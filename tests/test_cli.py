@@ -60,6 +60,18 @@ def test_snc_alpha_normalization(capsys):
     assert env["outputs"]["alpha_integer_shift"] == -1
 
 
+@pytest.mark.parametrize("alpha, normalized, shift", [
+    ("-1/2", "1/2", -1), ("0", "1", -1), ("1/2", "1/2", 0), ("1", "1", 0),
+    ("5/2", "1/2", 2), ("3", "1", 2)])
+def test_snc_alpha_normalization_values(capsys, alpha, normalized, shift):
+    # alpha is shifted by ceil(alpha) - 1 into (0, 1]
+    code, env = run_json(capsys, "snc", "--exponents", "1,1",
+                         f"--alpha={alpha}")
+    assert code == 0
+    assert env["outputs"]["alpha_normalized"] == normalized
+    assert env["outputs"]["alpha_integer_shift"] == shift
+
+
 def test_whom(capsys):
     code, env = run_json(capsys, "whom", "--poly", "x1^2+x2^3", "--weights",
                          "1/2,1/3", "--alpha", "5/6", "--k", "1", "--l", "0")

@@ -122,7 +122,7 @@ def test_companions_need_not_be_tags():
     ech.insert({0: F(1)}, {"a": F(1)})
     ech.insert({1: F(1)}, {"b": F(2)})
     assert ech.insert({0: F(3), 1: F(1, 2)}, {"z": F(1)}) == {
-        "a": F(3), "b": F(1)}
+        "z": F(1), "a": F(-3), "b": F(-1)}
     assert nullspace([{0: F(1)}, {0: F(2)}, {}],
                      [{"x": F(1)}, {"y": F(1)}, {"e": F(4)}]) == [
         {"y": F(1), "x": F(-2)}, {"e": F(4)}]
@@ -153,11 +153,11 @@ class FractionEchelon:
 
     def insert(self, vec, companion=None):
         residual, carried = self.reduce(vec)
+        comp = add({c: -v for c, v in carried.items()}, F(1), companion or {})
         if not residual:
-            return carried
+            return comp
         pivot = max(residual)
         inv = F(1) / residual[pivot]
-        comp = add({c: -v for c, v in carried.items()}, F(1), companion or {})
         self.rows[pivot] = ({c: v * inv for c, v in residual.items()},
                             {c: v * inv for c, v in comp.items()})
         return None
@@ -166,9 +166,9 @@ class FractionEchelon:
 def reference_nullspace(columns, companions):
     ech, out = FractionEchelon(), []
     for col, comp in zip(columns, companions):
-        carried = ech.insert(col, comp)
-        if carried is not None:
-            out.append(add({c: -v for c, v in carried.items()}, F(1), comp))
+        dep = ech.insert(col, comp)
+        if dep is not None:
+            out.append(dep)
     return out
 
 

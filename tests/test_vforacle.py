@@ -503,10 +503,10 @@ def _dense_rank(vectors) -> int:
 def _reference_containment(name, source, target, expect_nonempty):
     """Vector by vector: a source vector is contained when adding it to the
     target family keeps the dense rank."""
-    target = [p.terms for p, _ in target]
+    target = [vec for vec, _ in target]
     base = _dense_rank(target)
-    for p, tag in source:
-        if _dense_rank(target + [p.terms]) > base:
+    for vec, tag in source:
+        if _dense_rank(target + [vec]) > base:
             return False, {"direction": name, "failed_at": repr(tag)}
     if expect_nonempty and not source:
         return False, {"direction": name,
@@ -524,17 +524,18 @@ def _sparse_poly(rng, xdeg=3):
 
 
 def _family(rng, label, base=(), xdeg=3):
-    """Tagged nonzero polynomials: random ones, and (given base) random
-    combinations of base, so that containment both holds and fails."""
+    """Tagged terms dicts of nonzero polynomials: random ones, and (given
+    base) random combinations of base, so that containment both holds and
+    fails."""
     out = []
     for i in range(rng.randint(0, 6)):
         p = Polynomial.zero(2)
         if base and rng.random() < 0.7:
             for q, _ in rng.sample(base, rng.randint(1, len(base))):
-                p = p + q.scale(rng.randint(-2, 2))
+                p = p + Polynomial(2, q).scale(rng.randint(-2, 2))
         if p.is_zero():
             p = _sparse_poly(rng, xdeg)
-        out.append((p, (label, i)))
+        out.append((p.terms, (label, i)))
     return out
 
 
@@ -573,8 +574,9 @@ def test_row_containment_checks_its_source_span():
     # a failing row that no source vector explains is an internal error
     x1, x2 = poly_parse("x1", 2), poly_parse("x2", 2)
     with pytest.raises(AssertionError):
-        _cross_containment("x-in-x", [(x1, "x1")], _module_span([(x2, 0)]),
-                           _module_span([(x1, 0)]))
+        _cross_containment("x-in-x", [(x1.terms, "x1")],
+                           _module_span([(x2.terms, 0)]),
+                           _module_span([(x1.terms, 0)]))
 
 
 def test_candidate_v_whom():
