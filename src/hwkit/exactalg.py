@@ -2,13 +2,16 @@
 ideals, weight vectors and the weighted-graded slices of the polynomial ring.
 
 Everything here is immutable and pure.  No floating point is used anywhere
-in this package; all scalars are `fractions.Fraction`.
+in this package; products accumulate integer numerators, and every returned
+scalar is a `fractions.Fraction`.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
+from operator import add, sub
 from typing import Iterable, Iterator
 
 from .errors import DimensionMismatch, ParseError, PreconditionError
@@ -39,12 +42,21 @@ def fmt_rational(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def integer_terms(terms: dict):
+    """(numerators, den) for a dict of Fractions: den is the lcm of the
+    denominators (1 for an empty dict), and numerators maps each key to the
+    int n with value == n/den."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {k: c.numerator * (den // c.denominator)
+            for k, c in terms.items()}, den
+
+
 # ---------------------------------------------------------------------------
 # monomial helpers
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Mono, b: Mono) -> bool:
@@ -52,7 +64,7 @@ def mono_divides(a: Mono, b: Mono) -> bool:
 
 
 def mono_div(a: Mono, b: Mono) -> Mono:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def grlex_key(m: Mono):
@@ -266,12 +278,17 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
+        num_a, den_a = integer_terms(self.terms)
+        num_b, den_b = integer_terms(other.terms)
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        for m1, c1 in num_a.items():
+            for m2, c2 in num_b.items():
                 m = mono_mul(m1, m2)
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return Polynomial(self.dim, out)
+                out[m] = out.get(m, 0) + c1 * c2
+        den = den_a * den_b
+        for m, c in out.items():
+            out[m] = Fraction(c, den)
+        return Polynomial(self.dim, out)  # drops the sums that cancelled
 
     __rmul__ = __mul__
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import (DimensionMismatch, InternalCheckFailed,
                      PreconditionError, WindowExceeded)
@@ -392,8 +393,7 @@ class SncVFamily:
         self.d = d
         self.jmax = jmax
         # smallest positive grading step: 1/lcm of the nonzero exponents
-        from math import lcm
-        self.eps = Fraction(1, 2 * lcm(*[ai for ai in d.a if ai]))
+        self.eps = Fraction(1, 2 * math.lcm(*[ai for ai in d.a if ai]))
 
     def gens(self, lam) -> list:
         return candidate_v_snc(self.d.a, lam, self.jmax)
@@ -410,7 +410,6 @@ class SncVFamily:
         """Level-l kernel-filtration generators per the closed form: the
         layer-0 monomials f^(lam) * prod over the integral indices outside a
         size-l subset."""
-        from itertools import combinations
         lam = Fraction(lam)
         ia = self.d.integral_indices(lam)
         if not (0 <= l <= len(ia)):
@@ -577,7 +576,7 @@ def q_poch(j: int, beta: Fraction) -> Fraction:
     return out
 
 
-def psi_map(u: BfElement, beta, f: Polynomial):
+def psi_map(u: BfElement, beta):
     """Image of sum g_j dt^j under the layer-collapse into the module twisted
     by beta more: the list of (g_j * Q_j(beta), pole step j)."""
     beta = Fraction(beta)
@@ -921,7 +920,7 @@ def crosscheck_hodge_weight(kind: str, obj, alpha, k: int, l: int,
             if img.max_layer() > bounds.dt:
                 continue
             oracle_vectors.extend(_window_vectors(
-                psi_map(img, alpha, f), f, pole_target, bounds.xdeg,
+                psi_map(img, alpha), f, pole_target, bounds.xdeg,
                 (gi, gamma)))
 
     oracle_span = _module_span(oracle_vectors)

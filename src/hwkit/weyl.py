@@ -10,22 +10,15 @@ exact linear algebra and certified by re-multiplication.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from math import comb, perm
 
 from .errors import DimensionMismatch, InternalCheckFailed, ParseError
-from .exactalg import (Polynomial, fmt_rational, mono_mul,
+from .exactalg import (Polynomial, fmt_rational, integer_terms, mono_mul,
                        monomials_upto_degree, parse_terms)
 from .linalg import nullspace
 
 Key = tuple  # (xExponents, dExponents, sPower)
-
-
-def _falling(n: int, k: int) -> int:
-    out = 1
-    for j in range(k):
-        out *= n - j
-    return out
 
 
 class WeylOperator:
@@ -222,31 +215,46 @@ class WeylOperator:
 
 def weyl_mul(a: WeylOperator, b: WeylOperator) -> WeylOperator:
     """Normal-ordered product.  Per variable, d^c x^b expands by Leibniz:
-    d^c x^b = sum_k C(c,k) * b!/(b-k)! * x^(b-k) d^(c-k)."""
+    d^c x^b = sum_k C(c,k) * b!/(b-k)! * x^(b-k) d^(c-k).
+
+    Both operands are brought to integer numerators over the lcm of their
+    denominators; the products accumulate as ints, and each coefficient
+    becomes one Fraction over the product of the two denominators."""
     a._check(b)
     dim = a.dim
+    num_a, den_a = integer_terms(a.terms)
+    num_b, den_b = integer_terms(b.terms)
     out = {}
-    for (xa, da, sa), ca in a.terms.items():
-        for (xb, db, sb), cb in b.terms.items():
+    for (xa, da, sa), ca in num_a.items():
+        for (xb, db, sb), cb in num_b.items():
             base = ca * cb
+            xe = mono_mul(xa, xb)
+            de = mono_mul(da, db)
             sp = sa + sb
-            # distribute each variable's commutator independently
-            acc = [((), Fraction(1))]  # (k vector prefix, coefficient)
-            for i in range(dim):
-                c_i, b_i = da[i], xb[i]
-                nxt = []
-                for prefix, coeff in acc:
-                    for k in range(min(c_i, b_i) + 1):
-                        nxt.append(
-                            (prefix + (k,),
-                             coeff * math.comb(c_i, k) * _falling(b_i, k)))
-                acc = nxt
-            for kvec, coeff in acc:
-                xe = tuple(xa[i] + xb[i] - kvec[i] for i in range(dim))
-                de = tuple(da[i] + db[i] - kvec[i] for i in range(dim))
+            # a variable whose d^c x^b has c or b zero commutes as is
+            active = [i for i in range(dim) if da[i] and xb[i]]
+            if not active:
                 key = (xe, de, sp)
-                out[key] = out.get(key, Fraction(0)) + base * coeff
-    return WeylOperator(dim, out)
+                out[key] = out.get(key, 0) + base
+                continue
+            # distribute each active variable's commutator independently
+            acc = [((), base)]  # (k vector prefix, coefficient)
+            for i in active:
+                c_i, b_i = da[i], xb[i]
+                acc = [(prefix + (k,), coeff * comb(c_i, k) * perm(b_i, k))
+                       for prefix, coeff in acc
+                       for k in range(min(c_i, b_i) + 1)]
+            for kvec, coeff in acc:
+                xk, dk = list(xe), list(de)
+                for i, k in zip(active, kvec):
+                    xk[i] -= k
+                    dk[i] -= k
+                key = (tuple(xk), tuple(dk), sp)
+                out[key] = out.get(key, 0) + coeff
+    den = den_a * den_b
+    for key, c in out.items():
+        out[key] = Fraction(c, den)
+    return WeylOperator(dim, out)  # drops the sums that cancelled
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hwkit.errors import DimensionMismatch, ParseError
 from hwkit.exactalg import (MonomialIdeal, Polynomial, WeightVector,
@@ -165,3 +166,58 @@ def test_mul_mono_shifts_terms():
         "2*x1^2 - 2*x1*x2", 2)
     with pytest.raises(DimensionMismatch):
         poly_parse("x1", 2).mul_mono((1,))
+
+
+# integers, and Fractions with large or pairwise coprime denominators
+RATIONALS = st.one_of(
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-10**15, 10**15),
+              st.sampled_from([2, 3, 7, 12, 10**9 + 7, 2**61 - 1, 3**40])),
+).filter(bool)
+
+
+@st.composite
+def polynomial_pairs(draw):
+    """Two polynomials of one dimension 1..3, with few exponents so that
+    products collide and cancel; either may be empty."""
+    dim = draw(st.integers(1, 3))
+    monos = st.tuples(*[st.integers(0, 2)] * dim)
+    return tuple(Polynomial(dim, draw(st.dictionaries(monos, RATIONALS,
+                                                      max_size=5)))
+                 for _ in range(2))
+
+
+def reference_mul(p, q):
+    """The schoolbook product in Fraction arithmetic, summed per monomial in
+    first-seen order, zeros dropped."""
+    out = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            out[m] = out.get(m, Fraction(0)) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@example((poly_parse("x1 + 1", 1), poly_parse("x1 - 1", 1)))  # x1 cancels
+@example((Polynomial.zero(2), poly_parse("x1 - 3/7*x2", 2)))
+@example((Polynomial(3, {(1, 0, 2): Fraction(5, 2**61 - 1),
+                         (0, 0, 0): Fraction(-7, 3**40)}),
+          Polynomial(3, {(0, 1, 0): Fraction(-(2**61 - 1), 10**9 + 7),
+                         (1, 0, 2): Fraction(3**40, 2)})))
+@given(polynomial_pairs())
+def test_polynomial_mul_matches_fraction_reference(pair):
+    p, q = pair
+    got, ref = (p * q).terms, reference_mul(p, q)
+    assert got == ref
+    assert list(got) == list(ref)
+    assert all(type(c) is Fraction for c in got.values())
+
+
+def test_polynomial_products_cancel():
+    x, y = poly_parse("x1", 2), poly_parse("x1 + 2/3*x2 - 5", 2)
+    assert (x * y - y * x).is_zero()
+    assert (poly_parse("x1 + 1/3", 1) * poly_parse("3*x1 - 1", 1)
+            == poly_parse("3*x1^2 - 1/3", 1))
+    assert (Polynomial.zero(2) * y).terms == {}
+    assert (y * 0).terms == {} and (y * Fraction(3, 2)) == y.scale(Fraction(3, 2))

@@ -356,9 +356,9 @@ def test_q_poch():
 
 def test_psi_map():
     g = poly_parse("x1", 2)
-    assert psi_map(BfElement.from_poly(g, 0), 0, XY) == [(g, 0)]
-    assert psi_map(BfElement.from_poly(g, 1), 0, XY) == []
-    assert psi_map(BfElement.from_poly(g, 2), 1, XY) == [(g.scale(2), 2)]
+    assert psi_map(BfElement.from_poly(g, 0), 0) == [(g, 0)]
+    assert psi_map(BfElement.from_poly(g, 1), 0) == []
+    assert psi_map(BfElement.from_poly(g, 2), 1) == [(g.scale(2), 2)]
 
 
 def test_phi_shift():

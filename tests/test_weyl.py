@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hwkit.errors import DimensionMismatch
 from hwkit.exactalg import Polynomial, poly_parse
@@ -248,3 +249,79 @@ def test_principal_symbol_multiplicative():
         assert p.total_order() == a.total_order() + b.total_order()
         assert _leading_symbol(p) == _symbol_mul(_leading_symbol(a),
                                                  _leading_symbol(b), 2)
+
+
+# integers, and Fractions with large or pairwise coprime denominators
+RATIONALS = st.one_of(
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-10**15, 10**15),
+              st.sampled_from([2, 3, 7, 12, 10**9 + 7, 2**61 - 1, 3**40])),
+).filter(bool)
+
+
+@st.composite
+def operator_pairs(draw):
+    """Two operators of one dimension 1..3 with s-powers up to 2 and
+    exponents up to 3, so that Leibniz terms collide and cancel; either may
+    be empty."""
+    dim = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * dim)
+    keys = st.tuples(exps, exps, st.integers(0, 2))
+    return tuple(WeylOperator(dim, draw(st.dictionaries(keys, RATIONALS,
+                                                        max_size=4)))
+                 for _ in range(2))
+
+
+def reference_weyl_mul(a, b):
+    """The normal-ordered product in Fraction arithmetic: per pair of terms,
+    d^c x^b = sum_k C(c,k) b!/(b-k)! x^(b-k) d^(c-k) in every variable, summed
+    per key in first-seen order, zeros dropped."""
+    dim = a.dim
+    out = {}
+    for (xa, da, sa), ca in a.terms.items():
+        for (xb, db, sb), cb in b.terms.items():
+            acc = [((), Fraction(1))]
+            for i in range(dim):
+                c_i, b_i = da[i], xb[i]
+                acc = [(prefix + (k,), coeff * math.comb(c_i, k)
+                        * (math.factorial(b_i) // math.factorial(b_i - k)))
+                       for prefix, coeff in acc
+                       for k in range(min(c_i, b_i) + 1)]
+            for kvec, coeff in acc:
+                xe = tuple(xa[i] + xb[i] - kvec[i] for i in range(dim))
+                de = tuple(da[i] + db[i] - kvec[i] for i in range(dim))
+                key = (xe, de, sa + sb)
+                out[key] = out.get(key, Fraction(0)) + ca * cb * coeff
+    return {k: c for k, c in out.items() if c}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@example((op("d1 + x1", 1), op("d1 - x1", 1)))  # the x1*d1 terms cancel
+@example((WeylOperator.zero(2), op("d1*x2 - 3/7*s", 2)))
+@example((op("d1*x2 - 3/7*s", 2), WeylOperator.zero(2)))
+@example((WeylOperator(3, {((0, 1, 0), (2, 0, 3), 1): Fraction(5, 2**61 - 1),
+                           ((0, 0, 0), (0, 0, 0), 0): Fraction(-7, 3**40)}),
+          WeylOperator(3, {((3, 0, 2), (0, 1, 0), 2):
+                           Fraction(-(2**61 - 1), 10**9 + 7),
+                           ((1, 2, 1), (1, 0, 0), 0): Fraction(3**40, 2)})))
+@given(operator_pairs())
+def test_weyl_mul_matches_fraction_reference(pair):
+    a, b = pair
+    got, ref = weyl_mul(a, b).terms, reference_weyl_mul(a, b)
+    assert got == ref
+    assert list(got) == list(ref)
+    assert all(type(c) is Fraction for c in got.values())
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_commutator_products_cancel(dim):
+    one = WeylOperator.one(dim)
+    for i in range(dim):
+        d, x = WeylOperator.d(i, dim), WeylOperator.x(i, dim)
+        assert (weyl_mul(d, x) - weyl_mul(x, d) - one).is_zero()
+        # [d^2, x^2/3] = 4/3*x*d + 2/3
+        x2 = x.scale(Fraction(1, 3)) * x
+        d2 = weyl_mul(d, d)
+        assert (weyl_mul(d2, x2) - weyl_mul(x2, d2)
+                - weyl_mul(x, d).scale(Fraction(4, 3))
+                - one.scale(Fraction(2, 3))).is_zero()
