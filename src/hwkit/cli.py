@@ -210,6 +210,29 @@ def _reduced_bfunction(args):
     return breduce(b), {"poly": str(f), "weights": str(w)}, f
 
 
+def _escalated_run(args, payload: dict, start: Bounds, attempt,
+                   **extra) -> int:
+    """Emit the envelope of a bounded certification: attempt(start), then
+    up to --escalate more attempts at doubled bounds while the verdict is
+    not member.  Outputs hold the last certificate and every attempt; extra
+    goes to the envelope.  Exit 0 on member, 3 otherwise."""
+
+    def compute():
+        bd, attempts = start, []
+        for _ in range(args.escalate + 1):
+            cert = attempt(bd)
+            attempts.append(cert.to_json())
+            if cert.is_member():
+                break
+            bd = bd.doubled()
+        return envelope(args.verb, payload,
+                        {"certificate": attempts[-1], "attempts": attempts},
+                        **extra)
+
+    env = cached_run(args, payload, compute)
+    return 0 if env["outputs"]["certificate"]["verdict"] == "member" else 3
+
+
 def _normalize_alpha(alpha: Fraction):
     """Shift alpha into (0,1]; the integer part is bookkeeping only."""
     shift = math.ceil(alpha) - 1
@@ -290,22 +313,10 @@ def cmd_verify(args) -> int:
     payload = {"poly": str(f), "b": b.product_string(),
                "order": args.order, "xdeg": args.xdeg,
                "escalate": args.escalate}
-
-    def compute():
-        order, xdeg = args.order, args.xdeg
-        attempts = []
-        for _ in range(args.escalate + 1):
-            cert = verify_bfunction(f, b, order, xdeg)
-            attempts.append(cert.to_json())
-            if cert.is_member():
-                break
-            order, xdeg = order * 2, xdeg * 2
-        return envelope("verify", payload,
-                        {"certificate": attempts[-1], "attempts": attempts})
-
-    env = cached_run(args, payload, compute)
-    verdict = env["outputs"]["certificate"]["verdict"]
-    return 0 if verdict == "member" else 3
+    # verify_bfunction reads no dt bound, so dt = 0 stays 0 when doubled
+    return _escalated_run(
+        args, payload, Bounds(order=args.order, xdeg=args.xdeg, dt=0),
+        lambda bd: verify_bfunction(f, b, bd.order, bd.xdeg))
 
 
 def cmd_classify(args) -> int:
@@ -355,24 +366,11 @@ def cmd_crosscheck(args) -> int:
     payload = {"source": args.source, "f": name,
                "alpha": fmt_rational(alpha), "k": args.k, "l": args.l,
                "bounds": bounds.to_json(), "escalate": args.escalate}
-
-    def compute():
-        b = bounds
-        attempts = []
-        for _ in range(args.escalate + 1):
-            cert = crosscheck_hodge_weight(args.source, obj, alpha, args.k,
-                                           args.l, b)
-            attempts.append(cert.to_json())
-            if cert.is_member():
-                break
-            b = b.doubled()
-        return envelope("crosscheck", payload,
-                        {"certificate": attempts[-1], "attempts": attempts},
-                        bounds=bounds.to_json())
-
-    env = cached_run(args, payload, compute)
-    verdict = env["outputs"]["certificate"]["verdict"]
-    return 0 if verdict == "member" else 3
+    return _escalated_run(
+        args, payload, bounds,
+        lambda bd: crosscheck_hodge_weight(args.source, obj, alpha, args.k,
+                                           args.l, bd),
+        bounds=bounds.to_json())
 
 
 def cmd_ppd(args) -> int:
@@ -440,12 +438,13 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    def common(p):
+    def common(p, dim=True):
         p.add_argument("--json", action="store_true")
-        p.add_argument("--dim", type=_positive, default=None)
+        if dim:
+            p.add_argument("--dim", type=_positive, default=None)
 
     p = sub.add_parser("snc", help="closed-form tables for monomial divisors")
-    common(p)
+    common(p, dim=False)
     p.add_argument("--exponents", required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--lmax", type=_lmax, default="auto")
@@ -528,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ppd)
 
     p = sub.add_parser("suite", help="acceptance battery")
-    common(p)
+    common(p, dim=False)
     p.add_argument("--profile", default="default",
                    choices=["default", "corrupted", "starved"])
     p.set_defaults(func=cmd_suite)

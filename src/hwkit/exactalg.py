@@ -71,13 +71,14 @@ def grlex_key(m: Mono):
     return (sum(m), m)
 
 
+def power_factors(name: str, exps) -> list:
+    """["x1", "x3^2"] for name "x" and exponents (1, 0, 2)."""
+    return [f"{name}{i + 1}" if e == 1 else f"{name}{i + 1}^{e}"
+            for i, e in enumerate(exps) if e]
+
+
 def mono_str(m: Mono) -> str:
-    parts = []
-    for i, e in enumerate(m):
-        if e == 0:
-            continue
-        parts.append(f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}")
-    return "*".join(parts) if parts else "1"
+    return "*".join(power_factors("x", m)) or "1"
 
 
 def monomials_upto_degree(dim: int, bound: int) -> Iterator[Mono]:
@@ -197,10 +198,88 @@ def parse_terms(text: str, allow: str = "x"):
 # polynomials
 
 
-class Polynomial:
-    """Sparse multivariate polynomial over Q, canonical and immutable."""
+class SparseTerms:
+    """Canonical sparse dict {key: nonzero Fraction} in `dim` variables: the
+    arithmetic, identity and printing that `Polynomial` and
+    `weyl.WeylOperator` share.  A subclass supplies its own `__init__` (key
+    canonicalisation), `constant`, product, `sorted_keys` (printing order)
+    and `_factors(key)` (the key printed as a product, "" for a constant)."""
 
     __slots__ = ("dim", "terms", "_hash")
+
+    @classmethod
+    def zero(cls, dim: int):
+        return cls(dim, {})
+
+    @classmethod
+    def one(cls, dim: int):
+        return cls.constant(dim, 1)
+
+    def _check(self, other: "SparseTerms"):
+        if self.dim != other.dim:
+            raise DimensionMismatch(f"{self.dim} vs {other.dim}")
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out.get(k, Fraction(0)) + c
+        return type(self)(self.dim, out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return type(self)(self.dim, {k: -c for k, c in self.terms.items()})
+
+    def scale(self, c):
+        c = Fraction(c)
+        if not c:
+            return self.zero(self.dim)
+        return type(self)(self.dim, {k: v * c for k, v in self.terms.items()})
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power")
+        out = self.one(self.dim)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        # type-exact: a Polynomial never equals a WeylOperator
+        return (type(other) is type(self) and self.dim == other.dim
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.dim, frozenset(self.terms.items())))
+        return self._hash
+
+    def __str__(self):
+        """Signed sum in `sorted_keys` order: "-3/4*x1^2 + x2 - 1"."""
+        parts = []
+        for key in self.sorted_keys():
+            c = self.terms[key]
+            body = self._factors(key)
+            if not body or abs(c) != 1:
+                body = fmt_rational(abs(c)) + (f"*{body}" if body else "")
+            if parts:
+                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+            else:
+                parts.append(body if c > 0 else f"-{body}")
+        return " ".join(parts) or "0"
+
+    __repr__ = __str__
+
+
+class Polynomial(SparseTerms):
+    """Sparse multivariate polynomial over Q, canonical and immutable."""
+
+    __slots__ = ()
 
     def __init__(self, dim: int, terms=None):
         self.dim = dim
@@ -220,16 +299,8 @@ class Polynomial:
     # -- constructors
 
     @classmethod
-    def zero(cls, dim: int) -> "Polynomial":
-        return cls(dim, {})
-
-    @classmethod
     def constant(cls, dim: int, c) -> "Polynomial":
         return cls(dim, {(0,) * dim: Fraction(c)})
-
-    @classmethod
-    def one(cls, dim: int) -> "Polynomial":
-        return cls.constant(dim, 1)
 
     @classmethod
     def monomial(cls, m: Mono, coeff=1) -> "Polynomial":
@@ -257,27 +328,12 @@ class Polynomial:
 
     # -- arithmetic
 
-    def _check(self, other: "Polynomial"):
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"{self.dim} vs {other.dim}")
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return Polynomial(self.dim, out)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.dim, {m: -c for m, c in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
+        if not (self.terms and other.terms):
+            return Polynomial.zero(self.dim)
         num_a, den_a = integer_terms(self.terms)
         num_b, den_b = integer_terms(other.terms)
         out = {}
@@ -292,24 +348,10 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
-        if not c:
-            return Polynomial.zero(self.dim)
-        return Polynomial(self.dim, {m: v * c for m, v in self.terms.items()})
-
     def mul_mono(self, m: Mono, coeff=1) -> "Polynomial":
         coeff = Fraction(coeff)
         return Polynomial(
             self.dim, {mono_mul(k, m): v * coeff for k, v in self.terms.items()})
-
-    def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise ValueError("negative power")
-        out = Polynomial.one(self.dim)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def partial(self, i: int) -> "Polynomial":
         out = {}
@@ -323,17 +365,18 @@ class Polynomial:
 
     # -- queries
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def total_degree(self) -> int:
         return max((sum(m) for m in self.terms), default=0)
 
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.dim, Fraction(0))
 
-    def monomials(self):
+    def sorted_keys(self):
+        """Monomials in descending grlex order."""
         return sorted(self.terms, key=grlex_key, reverse=True)
+
+    def _factors(self, m: Mono) -> str:
+        return "*".join(power_factors("x", m))
 
     def leading_monomial(self) -> Mono:
         if not self.terms:
@@ -368,38 +411,6 @@ class Polynomial:
                 else:
                     rem.pop(key, None)
         return Polynomial(self.dim, quo)
-
-    # -- identity
-
-    def __eq__(self, other):
-        return (isinstance(other, Polynomial) and self.dim == other.dim
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.dim, frozenset(self.terms.items())))
-        return self._hash
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in self.monomials():
-            c = self.terms[m]
-            ms = mono_str(m)
-            if ms == "1":
-                body = fmt_rational(abs(c))
-            elif abs(c) == 1:
-                body = ms
-            else:
-                body = f"{fmt_rational(abs(c))}*{ms}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
-
-    __repr__ = __str__
 
 
 def poly_parse(text: str, dim: int) -> Polynomial:

@@ -262,18 +262,17 @@ def bf_membership(u: BfElement, span: Echelon,
 
 
 def _section_vector(sec: TwistedSection, f: Polynomial, pole_target: int) -> dict:
+    """{(s-power, monomial): coefficient} of sec written over the pole
+    pole_target; keys of distinct s-powers never collide."""
     mult = f ** (pole_target - sec.pole)
-    out = {}
-    for j, p in sec.coeffs.items():
-        q = p * mult
-        for m, c in q.terms.items():
-            key = (j, m)
-            v = out.get(key, Fraction(0)) + c
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-    return out
+    return {(j, m): c for j, p in sec.coeffs.items()
+            for m, c in (p * mult).terms.items()}
+
+
+def _roots_section(dim: int, roots: RootMultiset) -> TwistedSection:
+    """The section roots(s) * f^s, kept as roots(s) * f^(s+1) / f."""
+    return TwistedSection(dim, 1, 1, {j: Polynomial.constant(dim, c)
+                                      for j, c in roots.coefficients().items()})
 
 
 def verify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
@@ -315,11 +314,7 @@ def verify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
                     for (k, m), c in vectors[g].items()}, {idx: 1})
 
     def rhs_vector(roots: RootMultiset) -> dict:
-        # roots(s) * f^s written over the common pole: coeffs * f^(pole-1)
-        sec = TwistedSection(dim, 1, 1,
-                             {j: Polynomial.constant(dim, c)
-                              for j, c in roots.coefficients().items()})
-        return _section_vector(sec, f, pole_target)
+        return _section_vector(_roots_section(dim, roots), f, pole_target)
 
     residual, carried = ech.reduce(rhs_vector(b))
     if residual:
@@ -328,10 +323,7 @@ def verify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
     operator = WeylOperator(dim, {keys[idx]: c for idx, c in carried.items()})
     # re-evaluate the witness exactly
     check = apply_to_twisted(operator, f, sec0)
-    target = TwistedSection(dim, 1, 1,
-                            {j: Polynomial.constant(dim, c)
-                             for j, c in b.coefficients().items()})
-    if not check.same_element(target, f):
+    if not check.same_element(_roots_section(dim, b), f):
         raise InternalCheckFailed("witness failed re-evaluation")
 
     divisors = []

@@ -14,17 +14,17 @@ from fractions import Fraction
 from math import comb, perm
 
 from .errors import DimensionMismatch, InternalCheckFailed, ParseError
-from .exactalg import (Polynomial, fmt_rational, integer_terms, mono_mul,
-                       monomials_upto_degree, parse_terms)
+from .exactalg import (Polynomial, SparseTerms, integer_terms, mono_mul,
+                       monomials_upto_degree, parse_terms, power_factors)
 from .linalg import nullspace
 
 Key = tuple  # (xExponents, dExponents, sPower)
 
 
-class WeylOperator:
+class WeylOperator(SparseTerms):
     """Normal-form element of the Weyl algebra over Q, with s central."""
 
-    __slots__ = ("dim", "terms", "_hash")
+    __slots__ = ()
 
     def __init__(self, dim: int, terms=None):
         self.dim = dim
@@ -44,17 +44,9 @@ class WeylOperator:
     # -- constructors
 
     @classmethod
-    def zero(cls, dim: int) -> "WeylOperator":
-        return cls(dim, {})
-
-    @classmethod
     def constant(cls, dim: int, c) -> "WeylOperator":
         z = (0,) * dim
         return cls(dim, {(z, z, 0): Fraction(c)})
-
-    @classmethod
-    def one(cls, dim: int) -> "WeylOperator":
-        return cls.constant(dim, 1)
 
     @classmethod
     def x(cls, i: int, dim: int) -> "WeylOperator":
@@ -103,29 +95,6 @@ class WeylOperator:
 
     # -- arithmetic
 
-    def _check(self, other: "WeylOperator"):
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"{self.dim} vs {other.dim}")
-
-    def __add__(self, other: "WeylOperator") -> "WeylOperator":
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return WeylOperator(self.dim, out)
-
-    def __sub__(self, other: "WeylOperator") -> "WeylOperator":
-        return self + (-other)
-
-    def __neg__(self) -> "WeylOperator":
-        return WeylOperator(self.dim, {k: -c for k, c in self.terms.items()})
-
-    def scale(self, c) -> "WeylOperator":
-        c = Fraction(c)
-        if not c:
-            return WeylOperator.zero(self.dim)
-        return WeylOperator(self.dim, {k: v * c for k, v in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
@@ -136,18 +105,7 @@ class WeylOperator:
             return self.scale(other)
         return NotImplemented
 
-    def __pow__(self, n: int) -> "WeylOperator":
-        if n < 0:
-            raise ValueError("negative power")
-        out = WeylOperator.one(self.dim)
-        for _ in range(n):
-            out = weyl_mul(out, self)
-        return out
-
     # -- queries
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def is_polynomial(self) -> bool:
         return all(sum(de) == 0 and sp == 0 for (_, de, sp) in self.terms)
@@ -170,47 +128,17 @@ class WeylOperator:
             out[key] = out.get(key, Fraction(0)) + c * value ** sp
         return WeylOperator(self.dim, out)
 
-    def __eq__(self, other):
-        return (isinstance(other, WeylOperator) and self.dim == other.dim
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.dim, frozenset(self.terms.items())))
-        return self._hash
-
     def sorted_keys(self):
         return sorted(
             self.terms,
             key=lambda k: (sum(k[0]) + sum(k[1]) + k[2], k),
             reverse=True)
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for key in self.sorted_keys():
-            xe, de, sp = key
-            c = self.terms[key]
-            factors = []
-            for i, e in enumerate(xe):
-                if e:
-                    factors.append(f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}")
-            for i, e in enumerate(de):
-                if e:
-                    factors.append(f"d{i + 1}" if e == 1 else f"d{i + 1}^{e}")
-            if sp:
-                factors.append("s" if sp == 1 else f"s^{sp}")
-            body = "*".join(factors) if factors else "1"
-            if abs(c) != 1 or not factors:
-                body = fmt_rational(abs(c)) + ("*" + "*".join(factors) if factors else "")
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
-
-    __repr__ = __str__
+    def _factors(self, key: Key) -> str:
+        xe, de, sp = key
+        s_part = ["s" if sp == 1 else f"s^{sp}"] if sp else []
+        return "*".join(power_factors("x", xe) + power_factors("d", de)
+                        + s_part)
 
 
 def weyl_mul(a: WeylOperator, b: WeylOperator) -> WeylOperator:

@@ -193,6 +193,9 @@ MALFORMED = [
     ("bounds", "--exponents", "1,1", "--alpha", "1", "--dim", "1"),
     ("classify", "--exponents", "1,1", "--alpha", "1", "--dim", "1"),
     ("bfun", "--exponents", "2,3", "--dim", "1"),
+    # --dim on the verbs that take no dimension
+    ("snc", "--exponents", "2,3", "--alpha", "1", "--dim", "1"),
+    ("suite", "--dim", "1"),
     # a constant f
     ("verify", "bfun", "--poly", "1", "--b", "(s+1)"),
     ("verify", "bfun", "--poly", "2", "--b", "(s+1)", "--order", "0",
