@@ -216,6 +216,9 @@ class SparseTerms:
         return cls.constant(dim, 1)
 
     def _check(self, other: "SparseTerms"):
+        if type(other) is not type(self):
+            raise DimensionMismatch(
+                f"{type(self).__name__} vs {type(other).__name__}")
         if self.dim != other.dim:
             raise DimensionMismatch(f"{self.dim} vs {other.dim}")
 

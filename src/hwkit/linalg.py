@@ -1,38 +1,32 @@
 """Sparse exact linear algebra over Q.
 
 Vectors are dicts mapping hashable, mutually comparable coordinate labels to
-nonzero rationals.  `Echelon` is the one elimination primitive: every span,
-membership test, kernel and projection in the package goes through it.  Each
-inserted vector may bring a companion vector; every stored row carries the
-same exact combination of the inserted companions that it is of the inserted
-vectors, so a dependency or a witness comes out of the echelon already built
-in whatever terms the caller chose.  Companions never take part in pivoting.
-A dependent insert returns its dependency directly, as its companion minus
-the carried combination, and `nullspace` only collects those.
+nonzero integer numerators, handed over together with one positive int
+denominator: the vector `vec` with denominator `den` stands for
+{c: v/den}.  A producer scales each family of vectors once (for example with
+`exactalg.integer_terms`) and passes the numerators on, so the elimination
+never rescales a `Fraction` column.  `Echelon` is the one elimination
+primitive: every span, membership test, kernel and projection in the package
+goes through it.  Each inserted vector may bring a companion vector over the
+same denominator; every stored row carries the same exact combination of the
+inserted companions that it is of the inserted vectors, so a dependency or a
+witness comes out of the echelon already built in whatever terms the caller
+chose.  Companions never take part in pivoting.  A dependent insert returns
+its dependency directly, as its companion minus the carried combination, and
+`nullspace` only collects those.  `Echelon` copies what it is handed and
+never mutates a caller's dict.
 
 Inside `Echelon` every row, together with its companion, is a primitive
-integer vector.  An incoming vector is scaled by the lcm of its denominators
-and reduced fraction-free (Bareiss, Math. Comp. 1968, with the content
-divided out after each step that multiplies), its scale travelling as one
-integer denominator.  `Fraction` appears only at the boundary: every value
-`reduce`, `insert`, `basis()` and `nullspace` return is a `Fraction`.
+integer vector, reduced fraction-free (Bareiss, Math. Comp. 1968, with the
+content divided out after each step that multiplies), its scale travelling
+as one integer denominator.  `Fraction` appears only at the boundary: every
+value `reduce`, `insert`, `basis()` and `nullspace` return is a `Fraction`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-
-
-def _integral(vec: dict, companion: dict):
-    """(vec', companion', den): integer dicts and a positive int with
-    vec == vec'/den and companion == companion'/den."""
-    den = lcm(*(v.denominator for v in vec.values()),
-              *(v.denominator for v in companion.values()))
-    return ({c: v.numerator * (den // v.denominator) for c, v in vec.items()},
-            {c: v.numerator * (den // v.denominator)
-             for c, v in companion.items()},
-            den)
+from math import gcd
 
 
 def _content(den: int, *vecs) -> int:
@@ -127,25 +121,27 @@ class Echelon:
                     comb = {c: v // content for c, v in comb.items()}
                     den //= content
 
-    def reduce(self, vec: dict):
-        """Reduce vec against the stored rows.
+    def reduce(self, vec: dict, den: int):
+        """Reduce the vector vec/den (integer numerators) against the rows.
 
-        Returns (residual, carried): vec - residual is a combination of
+        Returns (residual, carried): vec/den - residual is a combination of
         inserted vectors, and carried is the same combination of their
         companions.
         """
-        vec, comb, den = self._eliminate(*_integral(vec, {}))
+        vec, comb, den = self._eliminate(dict(vec), {}, den)
         return ({c: Fraction(v, den) for c, v in vec.items()},
                 {c: Fraction(-v, den) for c, v in comb.items()})
 
-    def insert(self, vec: dict, companion: dict | None = None):
-        """Insert vec with its companion; return None if it increased the
-        rank, otherwise the dependency: vec equals a combination of earlier
+    def insert(self, vec: dict, den: int, companion: dict | None = None):
+        """Insert the vector vec/den with its companion companion/den (both
+        integer numerators over den); return None if it increased the rank,
+        otherwise the dependency: the vector equals a combination of earlier
         inserted vectors, and the dependency is the companion minus that
         combination of their companions (a vector with no nonzero entry
         comes back as its companion)."""
         self.n_vectors += 1
-        vec, comb, den = self._eliminate(*_integral(vec, companion or {}))
+        vec, comb, den = self._eliminate(dict(vec), dict(companion or {}),
+                                         den)
         if not vec:
             # comb/den is companion minus the carried combination
             return {c: Fraction(v, den) for c, v in comb.items()}
@@ -160,14 +156,16 @@ class Echelon:
         return None
 
 
-def nullspace(columns, companions):
-    """Spanning set of the dependencies sum(x_i * columns_i) == 0, one per
-    column that depends on the earlier ones (x_i = 1 there).
+def nullspace(columns, dens, companions):
+    """Spanning set of the dependencies sum(x_i * columns_i/dens_i) == 0, one
+    per column that depends on the earlier ones (x_i = 1 there).
 
-    Each dependency is returned as its companion combination
-    sum(x_i * companions_i), as `Echelon.insert` returns it; with companions
-    {i: 1} that is the coefficient dict itself.
+    Each companion is over its column's denominator.  Each dependency is
+    returned as its companion combination sum(x_i * companions_i/dens_i), as
+    `Echelon.insert` returns it; with companions {i: dens_i} that is the
+    coefficient dict itself.
     """
     ech = Echelon()
-    deps = (ech.insert(col, comp) for col, comp in zip(columns, companions))
+    deps = (ech.insert(col, den, comp)
+            for col, den, comp in zip(columns, dens, companions))
     return [dep for dep in deps if dep is not None]

@@ -9,6 +9,7 @@ conditional provenance tag.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,13 +17,15 @@ from fractions import Fraction
 from .bsdata import BFunction, RootMultiset, beta_factor, roots_in_interval
 from .errors import (InconclusiveAtBound, InternalCheckFailed, ParseError,
                      PreconditionError)
-from .exactalg import Polynomial, fmt_rational, infer_dim, parse_rational
+from .exactalg import (Polynomial, fmt_rational, infer_dim, integer_terms,
+                       parse_rational)
 from .linalg import Echelon, nullspace
 from .snc import HodgePresentation
 from .vforacle import (Bounds, DEFAULT_BOUNDS, clear_to_pole, pole_apply,
                        reduce_presentation)
-from .weyl import (WeylOperator, annihilates_power, basis_products,
-                   bounded_operator_basis, syzygy_kernel, weyl_mul)
+from .weyl import (KeyPacking, WeylOperator, annihilates_power,
+                   basis_products, bounded_operator_basis, syzygy_kernel,
+                   weyl_mul, window_packing)
 
 
 def check_annihilator(zeta: WeylOperator, f: Polynomial) -> bool:
@@ -197,7 +200,7 @@ def weight_module_generators(inp: AnnihilatorInput, l: int,
         p0 = tup[0]
         if p0.is_zero():
             continue
-        if seen.insert(p0.terms) is None:
+        if seen.insert(*integer_terms(p0.terms)) is None:
             gens.append(p0)
     meta = {"complete_at_bounds": {"order": so, "xdeg": sx},
             "tuples": len(kernel)}
@@ -247,39 +250,85 @@ def weight_step_presentation(inp: AnnihilatorInput, gens,
     return reduce_presentation(pres, inp.f, bounds)
 
 
-def _order_bounded_elements(gens, sbasis, k: int, residual=None):
+def _order_bounded_elements(gens, sbasis, k: int, packing, residual=None):
     """Basis of the elements u = sum A_i g_i, each A_i a combination of the
     operators of the basis keys sbasis, with total order <= k and, when
-    residual is given, residual(u) == 0 (a linear map from terms dicts into
-    coordinate dicts).
+    residual is given, residual(u) == 0 (a linear map from integer terms
+    dicts, keyed by `packing`, into Fraction coordinate dicts).
 
     The order > k part and the residual are stacked into one column per
-    product op * g; every nullspace dependency, carried with the products as
+    product op * g, the residual block shifted by packing.top above the
+    first; every nullspace dependency, carried with the products as
     companions, is an element of the answer.
     """
     dim = gens[0].dim
-    cols, comps = [], []
+    above_k = functools.cache(lambda code: packing.order(code) > k)
+    cols, dens, comps = [], [], []
     for g in gens:
-        for u in basis_products(sbasis, g):
-            stacked = {("h", key): c for key, c in u.items()
-                       if sum(key[1]) + key[2] > k}
+        products, den = basis_products(sbasis, g, packing)
+        for u in products:
+            stacked = {code: c for code, c in u.items() if above_k(code)}
+            scale = 1
             if residual is not None:
-                for key, c in residual(u).items():
-                    stacked[("r", key)] = c
+                res, scale = integer_terms(residual(u))
+                if scale != 1:
+                    stacked = {code: c * scale for code, c in stacked.items()}
+                    u = {code: c * scale for code, c in u.items()}
+                for code, c in res.items():
+                    stacked[code + packing.top] = c
             cols.append(stacked)
+            dens.append(den * scale)
             comps.append(u)
     found = Echelon()
     out = []
-    for dep in nullspace(cols, comps):
-        if dep and found.insert(dep) is None:
-            out.append(WeylOperator(dim, dep))
+    for dep in nullspace(cols, dens, comps):
+        if dep and found.insert(*integer_terms(dep)) is None:
+            out.append(WeylOperator(dim, {packing.unpack(code): c
+                                          for code, c in dep.items()}))
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class W0Span:
+    """What w0_span(inp, l, bounds) builds: the span, the key packing it is
+    keyed by, the gamma generators that packing also covers, and the
+    (inp, l, bounds) it was built for, which hodge_on_weight checks."""
+
+    inp: AnnihilatorInput
+    l: int
+    bounds: Bounds
+    gens: tuple
+    packing: KeyPacking
+    span: Echelon
+
+
+def w0_span(inp: AnnihilatorInput, l: int,
+            bounds: Bounds = DEFAULT_BOUNDS) -> W0Span:
+    """The bounded span, at bounds with s-powers up to l + 2, of the products
+    of the level-0 weighted sub-ideal's generators.  Its packing also covers
+    the products of the gamma generators over the same window, whose
+    s-powers the residual map (s + alpha)^l raises by at most l; it does not
+    depend on the Hodge step k, so one span serves
+    hodge_on_weight(inp, l, k, bounds, w0) for every k."""
+    gens, gens0 = gamma_ideal(inp).generators, gamma_ideal(inp, 0).generators
+    packing = window_packing(gens + gens0, bounds.order, bounds.xdeg, l + 2,
+                             s_extra=l)
+    basis = bounded_operator_basis(inp.dim, bounds.order, bounds.xdeg, l + 2)
+    span = Echelon()
+    for g in gens0:
+        products, den = basis_products(basis, g, packing)
+        for u in products:
+            span.insert(u, den)
+    return W0Span(inp, l, bounds, gens, packing, span)
+
+
 def hodge_on_weight(inp: AnnihilatorInput, l: int, k: int,
-                    bounds: Bounds = DEFAULT_BOUNDS) -> HodgePresentation:
+                    bounds: Bounds = DEFAULT_BOUNDS,
+                    w0: W0Span | None = None) -> HodgePresentation:
     """Hodge step k of the weight-(n+l) piece: elements of the weighted
     sub-ideal with total order <= k, evaluated at s = -alpha on f^(-1-alpha).
+    w0 is w0_span(inp, l, bounds), built here when not given; a span built
+    for another input, level or bounds raises InternalCheckFailed.
 
     k = 0 is unconditional; k >= 1 requires the asserted primality flag and
     the output then carries conditional provenance.
@@ -291,32 +340,33 @@ def hodge_on_weight(inp: AnnihilatorInput, l: int, k: int,
             "higher Hodge steps need the asserted primality flag",
             hypothesis="symbol ideal of the annihilator is prime (asserted)")
     dim = inp.dim
-    gamma = gamma_ideal(inp)
-    gamma0 = gamma_ideal(inp, 0)
+    if w0 is None:
+        w0 = w0_span(inp, l, bounds)
+    elif (w0.inp, w0.l, w0.bounds) != (inp, l, bounds):
+        raise InternalCheckFailed(
+            "the w0 span was built for another input, level or bounds")
+    gens, packing = w0.gens, w0.packing
     # (s + alpha)^l = sum_j C(l, j) alpha^(l-j) s^j; s is central, so
-    # multiplying by it shifts s-powers and scales coefficients
-    spoly = {j: math.comb(l, j) * inp.alpha ** (l - j)
-             for j in range(l, -1, -1)}
-    spoly = {j: c for j, c in spoly.items() if c}
+    # multiplying by s^j adds the packed key of s^j
+    spoly, _ = integer_terms({j: math.comb(l, j) * inp.alpha ** (l - j)
+                              for j in range(l, -1, -1)})
+    spoly = {packing.shift((0,) * dim, j): c for j, c in spoly.items() if c}
     so, sx = min(bounds.order, k + 2), min(bounds.xdeg, 6)
-    w0 = Echelon()
-    w0_basis = bounded_operator_basis(dim, bounds.order, bounds.xdeg, l + 2)
-    for g in gamma0.generators:
-        for u in basis_products(w0_basis, g):
-            w0.insert(u)
     sbasis = bounded_operator_basis(dim, so, sx, l + 2)
 
     def residual(u):
-        # spoly*u must lie in the bounded span of the w0 generators
+        # spoly*u must lie in the bounded span of the w0 generators; spoly
+        # is scaled by one constant, which leaves the kernel unchanged
         prod = {}
-        for j, cj in spoly.items():
-            for (xe, de, sp), c in u.items():
-                key = (xe, de, sp + j)
+        for shift, cj in spoly.items():
+            for code, c in u.items():
+                key = code + shift
                 v = cj * c
                 prod[key] = prod[key] + v if key in prod else v
-        return w0.reduce({key: c for key, c in prod.items() if c})[0]
+        return w0.span.reduce({key: c for key, c in prod.items() if c},
+                              1)[0]
 
-    sols = _order_bounded_elements(gamma.generators, sbasis, k, residual)
+    sols = _order_bounded_elements(gens, sbasis, k, packing, residual)
     if not sols:
         raise InconclusiveAtBound("no elements found at these bounds",
                                   bounds={"order": so, "xdeg": sx})
@@ -353,8 +403,9 @@ def hodge_weight_interval21(inp: AnnihilatorInput, gens, k: int,
     gens = list(gens) + [inp.euler + WeylOperator.one(dim)]
     so, sx = min(bounds.order, k + 2), min(bounds.xdeg, 6)
     sbasis = bounded_operator_basis(dim, so, sx)
+    packing = window_packing(gens, so, sx)
     summands = []
-    for u in _order_bounded_elements(gens, sbasis, k):
+    for u in _order_bounded_elements(gens, sbasis, k, packing):
         num, pole = operator_on_pole(u, inp.f, 1, Fraction(0))
         if not num.is_zero():
             summands.append((0, num, pole))

@@ -17,8 +17,8 @@ from .bsdata import (BFunction, ReducedBFunction, bfunction_snc,
                      weighted_minimal_exponent)
 from .exactalg import (MonomialIdeal, Polynomial, WeightVector, mono_str,
                        monomials_upto_degree, poly_parse)
-from .ppd import (AnnihilatorInput, hodge_on_weight, weight_module_generators,
-                  weight_step_presentation)
+from .ppd import (AnnihilatorInput, hodge_on_weight, w0_span,
+                  weight_module_generators, weight_step_presentation)
 from .snc import (HodgePresentation, SncDivisor, snc_f0_ideal,
                   snc_hodge_weight, snc_multiplier_ideal)
 from .vforacle import (Bounds, SncVFamily, crosscheck_hodge_weight,
@@ -216,8 +216,9 @@ def criterion_7(bounds: Bounds = Bounds(4, 10, 6)) -> dict:
         cert = dspans_equal(wpres, spres, f, bounds)
         ok = ok and cert.is_member()
         rows.append({"check": f"weight step l={l}", "verdict": cert.verdict})
+        w0 = w0_span(inp, l, bounds)
         for k in (0, 1):
-            hp = hodge_on_weight(inp, l, k, bounds)
+            hp = hodge_on_weight(inp, l, k, bounds, w0)
             cert2 = presentations_equal(hp, snc_hodge_weight(d, 1, k, l), f,
                                         bounds)
             ok = ok and cert2.is_member()

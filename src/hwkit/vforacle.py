@@ -18,7 +18,7 @@ from itertools import combinations
 from .errors import (DimensionMismatch, InternalCheckFailed,
                      PreconditionError, WindowExceeded)
 from .exactalg import (Polynomial, fmt_rational, graded_ideal, grlex_key,
-                       mono_mul, monomials_upto_degree)
+                       integer_terms, mono_mul, monomials_upto_degree)
 from .bsdata import BFunction, RootMultiset
 from .linalg import Echelon
 from .snc import HodgePresentation, SncDivisor, snc_hodge_weight
@@ -220,11 +220,11 @@ def bf_span(gens, f: Polynomial, bounds: Bounds,
                 deg = base.max_degree()
                 if base.max_layer() > bounds.dt or deg > bounds.xdeg:
                     continue
-                vec0 = base.vector()
+                vec0, den = integer_terms(base.vector())
                 for beta in monomials_upto_degree(dim, bounds.xdeg - deg):
                     vec = {(j, mono_mul(m, beta)): c
                            for (j, m), c in vec0.items()}
-                    span.insert(vec, {(gi, gamma, e, beta): 1})
+                    span.insert(vec, den, {(gi, gamma, e, beta): den})
     return span
 
 
@@ -250,7 +250,7 @@ def bf_membership(u: BfElement, span: Echelon,
     """Membership of u in a bf_span built at bounds."""
     if u.max_layer() > bounds.dt or u.max_degree() > bounds.xdeg:
         raise WindowExceeded("element exceeds the truncation window")
-    residual, combo = span.reduce(u.vector())
+    residual, combo = span.reduce(*integer_terms(u.vector()))
     if residual:
         return SpanCertificate("not-found-at-bound", bounds.to_json())
     return SpanCertificate("member", bounds.to_json(),
@@ -307,16 +307,20 @@ def verify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
     images = d_part_images(d_parts, sec0,
                            lambda sec, i: sec.apply_d(i, f).normalized(f))
     pole_target = max([images[g].pole for g in d_parts] + [1])
-    vectors = {g: _section_vector(images[g], f, pole_target) for g in d_parts}
+    vectors = {g: integer_terms(_section_vector(images[g], f, pole_target))
+               for g in d_parts}
     ech = Echelon()
     for idx, (xb, g, j) in enumerate(keys):
-        ech.insert({(k + j, mono_mul(m, xb)): c
-                    for (k, m), c in vectors[g].items()}, {idx: 1})
+        vec, den = vectors[g]
+        ech.insert({(k + j, mono_mul(m, xb)): c for (k, m), c in vec.items()},
+                   den, {idx: den})
 
-    def rhs_vector(roots: RootMultiset) -> dict:
-        return _section_vector(_roots_section(dim, roots), f, pole_target)
+    def rhs_vector(roots: RootMultiset):
+        """(numerators, den) of the section roots(s) * f^s."""
+        return integer_terms(
+            _section_vector(_roots_section(dim, roots), f, pole_target))
 
-    residual, carried = ech.reduce(rhs_vector(b))
+    residual, carried = ech.reduce(*rhs_vector(b))
     if residual:
         return not_found
     # distinct basis keys: one term per index
@@ -334,7 +338,7 @@ def verify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
         if not smaller[r]:
             del smaller[r]
         div = RootMultiset(smaller)
-        res_d, _ = ech.reduce(rhs_vector(div))
+        res_d, _ = ech.reduce(*rhs_vector(div))
         verdict = "not-found-at-bound" if res_d else "member"
         if verdict == "member":
             minimal = False
@@ -643,8 +647,9 @@ def clear_to_pole(parts, f: Polynomial, pole: int) -> Polynomial:
 
 def _window_vectors(parts, f: Polynomial, pole_target: int, xdeg: int, tag):
     """The vectors x^beta * N of one element given by its (numerator, pole)
-    parts, N its numerator cleared to pole_target, as (terms dict,
-    tag + (beta,)) for every beta with deg N + |beta| <= xdeg.  Yields nothing
+    parts, N its numerator cleared to pole_target, as (integer numerators,
+    den, tag + (beta,)) for every beta with deg N + |beta| <= xdeg; N is
+    scaled to integers once, and every shift shares its den.  Yields nothing
     when a pole exceeds pole_target, N is zero or deg N exceeds xdeg."""
     if any(p > pole_target for _, p in parts):
         return
@@ -654,8 +659,9 @@ def _window_vectors(parts, f: Polynomial, pole_target: int, xdeg: int, tag):
     deg = num.total_degree()
     if deg > xdeg:
         return
+    terms, den = integer_terms(num.terms)
     for beta in monomials_upto_degree(f.dim, xdeg - deg):
-        yield ({mono_mul(m, beta): c for m, c in num.terms.items()},
+        yield ({mono_mul(m, beta): c for m, c in terms.items()}, den,
                tag + (beta,))
 
 
@@ -673,7 +679,8 @@ def presentation_elements(pres: HodgePresentation, f: Polynomial,
                           alpha_base: Fraction, pole_target: int, xdeg: int):
     """All vectors x^beta d^gamma (g f^(-j-alpha)) of a presentation, cleared
     to the common pole (relative to alpha_base); elements whose clearing
-    leaves the degree window are skipped.  Yields (terms dict, tag)."""
+    leaves the degree window are skipped.  Yields (integer numerators, den,
+    tag), as `_window_vectors` does."""
     shift = _twist_shift(alpha_base, pres.alpha)
     for si, (budget, g, j) in enumerate(pres.summands):
         gammas = list(monomials_upto_degree(f.dim, budget))
@@ -684,11 +691,12 @@ def presentation_elements(pres: HodgePresentation, f: Polynomial,
 
 
 def _module_span(vectors) -> Echelon:
-    """Span of the vectors of (terms dict, tag) pairs: a bounded span inside
-    the twisted localization module, at one pole order."""
+    """Span of the vectors of (integer numerators, den, tag) triples: a
+    bounded span inside the twisted localization module, at one pole
+    order."""
     span = Echelon()
-    for vec, _ in vectors:
-        span.insert(vec)
+    for vec, den, _ in vectors:
+        span.insert(vec, den)
     return span
 
 
@@ -715,10 +723,11 @@ def _cross_containment(name: str, source_vectors, source_span: Echelon,
     count.  source_span is the span of the source vectors (all nonzero and
     inside the window); only its basis is reduced, as it spans the same
     space, so the vectors are scanned only to name the first failure."""
-    if not any(target_span.reduce(row)[0] for row in source_span.basis()):
+    if not any(target_span.reduce(*integer_terms(row))[0]
+               for row in source_span.basis()):
         return _verdict(name, source_span.n_vectors, expect_nonempty)
-    for vec, tag in source_vectors:
-        residual, _ = target_span.reduce(vec)
+    for vec, den, tag in source_vectors:
+        residual, _ = target_span.reduce(vec, den)
         if residual:
             return False, {"direction": name, "failed_at": repr(tag)}
     raise InternalCheckFailed(f"{name}: a row of the source span is not "
@@ -786,13 +795,13 @@ def reduce_presentation(pres: HodgePresentation, f: Polynomial,
     for budget, g, j in order:
         vec = g * f ** (pole_target - j)
         if (vec.total_degree() <= bounds.xdeg and kept
-                and not span.reduce(vec.terms)[0]):
+                and not span.reduce(*integer_terms(vec.terms))[0]):
             continue
         kept.append((budget, g, j))
         single = HodgePresentation.build(pres.alpha, pres.dim, [(budget, g, j)])
-        for vec, _ in presentation_elements(single, f, pres.alpha,
-                                            pole_target, bounds.xdeg):
-            span.insert(vec)
+        for vec, den, _ in presentation_elements(single, f, pres.alpha,
+                                                 pole_target, bounds.xdeg):
+            span.insert(vec, den)
     return HodgePresentation.build(pres.alpha, pres.dim, kept)
 
 
@@ -853,7 +862,7 @@ def dspans_equal(p1: HodgePresentation, p2: HodgePresentation, f: Polynomial,
                 if depth not in spans:
                     spans[depth] = presentation_span(
                         tgt, f, alpha_base, depth, bounds.xdeg)
-                if not spans[depth].reduce(vec.terms)[0]:
+                if not spans[depth].reduce(*integer_terms(vec.terms))[0]:
                     found = True
                     break
             if not found:

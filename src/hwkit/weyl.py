@@ -5,7 +5,9 @@ as sparse dicts keyed by (x exponents, d exponents, s power).  The module
 also provides the symbolic calculus of operators acting on sections
 g(x,s) * f^(s+m), bounded operator bases and their images (one d-step per
 d-part, see `d_part_images`), and bounded-degree syzygy kernels computed by
-exact linear algebra and certified by re-multiplication.
+exact linear algebra and certified by re-multiplication.  Inside the bounded
+spans an operator key is packed into one int (`KeyPacking`), with a radix
+computed from the window before anything is built (`window_packing`).
 """
 
 from __future__ import annotations
@@ -377,18 +379,112 @@ def _d_step(terms: dict, i: int) -> dict:
     return {k: c for k, c in out.items() if c}
 
 
-def basis_products(keys, t: WeylOperator) -> list:
-    """weyl_mul(x^b d^g s^j, t).terms for each basis key (b, g, j).  In
-    normal order x^b and the central s^j stand left of d^g * t, so each
-    product is the image d^g * t with every key shifted by (b, j): the
-    coefficients are reused, not recomputed."""
-    for b, g, _ in keys:
+class KeyPacking:
+    """Operator keys (x exponents, d exponents, s power) packed into ints.
+
+    The 2n+1 exponents are the digits of the int in base `radix`, most
+    significant first in tuple order (the packed-exponent-vector technique of
+    Monagan and Pearce, CASC 2007).  While every exponent stays below the
+    radix, int order equals tuple order, so an `Echelon` picks the same
+    pivots, and multiplying by x^b s^j is adding `shift(b, j)`.  `reach` is
+    the most a window may still add to an x or s exponent of an image
+    d^g * t (`pack_image` checks it); `top` exceeds every packed key, so
+    `code + top` stacks a second block of coordinates above the first.
+    """
+
+    __slots__ = ("dim", "radix", "reach", "top")
+
+    def __init__(self, dim: int, radix: int, reach: int):
+        self.dim = dim
+        self.radix = radix
+        self.reach = reach
+        self.top = radix ** (2 * dim + 1)
+
+    def pack(self, key: Key) -> int:
+        xe, de, sp = key
+        code = 0
+        for e in xe + de:
+            code = code * self.radix + e
+        return code * self.radix + sp
+
+    def unpack(self, code: int) -> Key:
+        digits = []
+        for _ in range(2 * self.dim + 1):
+            code, e = divmod(code, self.radix)
+            digits.append(e)
+        digits.reverse()
+        n = self.dim
+        return tuple(digits[:n]), tuple(digits[n:2 * n]), digits[2 * n]
+
+    def order(self, code: int) -> int:
+        """|d exponents| + s power of a packed key."""
+        code, total = divmod(code, self.radix)
+        for _ in range(self.dim):
+            code, e = divmod(code, self.radix)
+            total += e
+        return total
+
+    def shift(self, b, j: int) -> int:
+        """The packed key of x^b s^j: adding it multiplies by x^b s^j."""
+        return self.pack((b, (0,) * self.dim, j))
+
+    def pack_image(self, terms: dict) -> dict:
+        """terms with packed keys, for an image d^g * t whose x and s
+        exponents may still grow by `reach`; raises InternalCheckFailed when
+        an exponent could then reach the radix and alias another key."""
+        top_xs = max((max(*xe, sp) for xe, _, sp in terms), default=0)
+        top_d = max((max(de) for _, de, _ in terms), default=0)
+        if top_xs + self.reach >= self.radix or top_d >= self.radix:
+            raise InternalCheckFailed(
+                f"operator exponents reach the packing radix {self.radix}")
+        return {self.pack(key): c for key, c in terms.items()}
+
+
+def window_packing(generators, order_bound: int, xdeg_bound: int,
+                   s_bound: int = 0, s_extra: int = 0) -> KeyPacking:
+    """The packing of every product x^b d^g s^j * t, with (b, g, j) in
+    bounded_operator_basis(dim, order_bound, xdeg_bound, s_bound) and t in
+    generators, and of those products times s^i for i <= s_extra.
+
+    d^g never raises an x exponent, and adds at most |g| to a d exponent;
+    x^b adds at most |b| to an x exponent, s^j s^i at most
+    min(s_bound, order_bound) + s_extra to the s power.  So the radix is one
+    more than the largest generator exponent plus the largest of those
+    reaches.
+    """
+    generators = list(generators)
+    largest = max((e for t in generators for xe, de, sp in t.terms
+                   for e in (*xe, *de, sp)), default=0)
+    reach = max(xdeg_bound, order_bound,
+                min(s_bound, order_bound) + s_extra)
+    return KeyPacking(generators[0].dim, 1 + largest + reach, reach)
+
+
+def basis_products(keys, t: WeylOperator, packing: KeyPacking):
+    """(columns, den): for each basis key (b, g, j), the terms of
+    weyl_mul(x^b d^g s^j, t) as integer numerators over den, keyed by
+    `packing`.  In normal order x^b and the central s^j stand left of
+    d^g * t, so each product is the image d^g * t with every key shifted by
+    (b, j): t is scaled to integers once, each image is packed once, and a
+    product costs one int addition per term."""
+    if packing.dim != t.dim:
+        raise DimensionMismatch(f"packing of dimension {packing.dim} vs "
+                                f"{t.dim}")
+    for b, g, j in keys:
         if len(b) != t.dim or len(g) != t.dim:
             raise DimensionMismatch(f"key ({b},{g}) vs dimension {t.dim}")
-    images = d_part_images([g for _, g, _ in keys], t.terms, _d_step)
-    return [{(mono_mul(xe, b), de, sp + j): c
-             for (xe, de, sp), c in images[g].items()}
-            for b, g, j in keys]
+        if max(*b, j) > packing.reach:
+            raise InternalCheckFailed(f"key ({b},{g},{j}) shifts beyond the "
+                                      f"packing's reach {packing.reach}")
+    num, den = integer_terms(t.terms)
+    d_parts = {g for _, g, _ in keys}
+    images = d_part_images(d_parts, num, _d_step)
+    packed = {g: packing.pack_image(images[g]) for g in d_parts}
+    columns = []
+    for b, g, j in keys:
+        shift = packing.shift(b, j)
+        columns.append({code + shift: c for code, c in packed[g].items()})
+    return columns, den
 
 
 def syzygy_kernel(targets, order_bound: int, xdeg_bound: int):
@@ -405,16 +501,21 @@ def syzygy_kernel(targets, order_bound: int, xdeg_bound: int):
         if t.dim != dim:
             raise DimensionMismatch("targets of mixed dimension")
     keys = bounded_operator_basis(dim, order_bound, xdeg_bound)
-    columns = []
-    companions = []
+    packing = window_packing(targets, order_bound, xdeg_bound)
+    n = len(keys)
+    columns, dens, companions = [], [], []
     for ti, t in enumerate(targets):
-        columns.extend(basis_products(keys, t))
-        companions.extend({(ti, oi): 1} for oi in range(len(keys)))
+        cols, den = basis_products(keys, t, packing)
+        columns.extend(cols)
+        dens.extend([den] * n)
+        # the tag of column (ti, oi) is ti * n + oi, one int
+        companions.extend({ti * n + oi: den} for oi in range(n))
     out = []
-    for dep in nullspace(columns, companions):
+    for dep in nullspace(columns, dens, companions):
         # distinct basis keys: one term per entry
         parts = [{} for _ in targets]
-        for (ti, oi), c in dep.items():
+        for tag, c in dep.items():
+            ti, oi = divmod(tag, n)
             parts[ti][keys[oi]] = c
         tup = [WeylOperator(dim, p) for p in parts]
         total = WeylOperator.zero(dim)

@@ -10,7 +10,7 @@ from fractions import Fraction
 from .errors import (NotIsolatedSingularity, NotQuasiHomogeneous,
                      PreconditionError)
 from .exactalg import (Polynomial, WeightVector, graded_ideal, grlex_key,
-                       mono_mul, monomials_of_weighted_degree,
+                       integer_terms, mono_mul, monomials_of_weighted_degree,
                        monomials_upto_degree, monomials_weighted_upto,
                        weighted_degree)
 from .linalg import Echelon
@@ -46,6 +46,7 @@ def milnor_basis(f: Polynomial, w: WeightVector):
     if any(p.constant_term() for p in partials):
         raise NotIsolatedSingularity("f is smooth at the origin")
 
+    integral_partials = [integer_terms(p.terms) for p in partials]
     socle = sum((1 - 2 * wi for wi in w.weights), Fraction(0))
     maxw = max(w.weights)
 
@@ -55,13 +56,12 @@ def milnor_basis(f: Polynomial, w: WeightVector):
         if not monos:
             return [], True
         ech = Echelon()
-        for i, p in enumerate(partials):
-            if p.is_zero():
+        for i, (num, den) in enumerate(integral_partials):
+            if not num:
                 continue
             mult_deg = gamma - (1 - w.weights[i])
             for m in monomials_of_weighted_degree(w, mult_deg):
-                vec = {mono_mul(m, mm): c for mm, c in p.terms.items()}
-                ech.insert(vec)
+                ech.insert({mono_mul(m, mm): c for mm, c in num.items()}, den)
         pivots = ech.pivots()
         standard = [m for m in monos if m not in pivots]
         return standard, not standard

@@ -18,6 +18,16 @@ pp: true
 x1*d1 - x2*d2
 """
 
+# the ordinary triple point of the benchmark's ppd-syzygy pool, byte for byte
+TRIPLE_ANN = (
+    "# ordinary triple point x1*x2*(x1+x2), untwisted\n"
+    "f: x1^2*x2 + x1*x2^2\n"
+    "E: 1/3*x1*d1 + 1/3*x2*d2\n"
+    "alpha: 0\n"
+    "b: (s+1)^2(s+2/3)(s+4/3)\n"
+    "pp: true\n"
+    "1/3*x1^2*d1 + 2/3*x1*x2*d1 - 2/3*x1*x2*d2 - 1/3*x2^2*d2\n")
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -272,6 +282,8 @@ PINNED = [
      3, "67889faeac05ce69603a6f28733f58d2e7691836b87113c981a2b59f0238eff4"),
     (("ppd", "--input", "{}/node.ann", "--l", "1", "--k", "1", "--xdeg", "8"),
      0, "89c6fb4169cf82dcb229a40662837851296e46ffbc41beedd1b6dc0af1dab3ab"),
+    (("ppd", "--input", "{}/triple.ann", "--l", "1", "--weight-only"),
+     0, "eebae11bba4bf979264fae1e46179749358074e29fb40a4436490be8e881969f"),
 ]
 
 
@@ -281,6 +293,7 @@ PINNED = [
 def test_envelope_pinned(capsys, tmp_path, monkeypatch, argv, code, sha):
     monkeypatch.delenv("HWKIT_CACHE", raising=False)
     (tmp_path / "node.ann").write_text(NODE_ANN)
+    (tmp_path / "triple.ann").write_text(TRIPLE_ANN)
     argv = [a.replace("{}", str(tmp_path)) for a in argv]
     got, out = run(capsys, *argv, "--json")
     assert got == code

@@ -8,7 +8,7 @@ import pytest
 from hwkit.bsdata import (bfunction_snc, bfunction_whom_isolated,
                           hodge_pole_full, reduce)
 from hwkit.exactalg import Polynomial, WeightVector, poly_parse
-from hwkit.ppd import (AnnihilatorInput, hodge_on_weight,
+from hwkit.ppd import (AnnihilatorInput, hodge_on_weight, w0_span,
                        weight_module_generators, weight_step_presentation)
 from hwkit.snc import HodgePresentation, SncDivisor, snc_hodge_weight
 from hwkit.vforacle import (Bounds, crosscheck_hodge_weight, dspans_equal,
@@ -68,8 +68,9 @@ def test_triple_point_weight_steps_agree(triple):
 def test_triple_point_hodge_pieces_agree(triple):
     germ, _, inp = triple
     B = Bounds(4, 12, 6)
+    w0 = w0_span(inp, 1, B)
     for k in (0, 1):
-        hp = hodge_on_weight(inp, 1, k, B)
+        hp = hodge_on_weight(inp, 1, k, B, w0)
         wh = whom_hodge_weight(germ, 1, k, 1)
         assert presentations_equal(hp, wh, germ.f, B).is_member(), k
 

@@ -1,7 +1,9 @@
-"""Echelon and nullspace on seeded random sparse systems over Q."""
+"""Echelon and nullspace on seeded random sparse systems over Q, handed
+over as integer numerators with one denominator per vector."""
 
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -26,6 +28,30 @@ def random_system(seed, n_cols=14, n_coords=9):
                    for _ in range(rng.randint(0, 4))}
         cols.append({k: v for k, v in col.items() if v})
     return rng, cols
+
+
+def integral(vec, companion=None):
+    """(numerators, den, companion numerators): the Fraction vector and its
+    companion over the lcm of all their denominators, as Echelon takes
+    them."""
+    companion = companion or {}
+    den = lcm(*(F(v).denominator for v in (*vec.values(),
+                                            *companion.values())))
+    return ({c: int(v * den) for c, v in vec.items()}, den,
+            {c: int(v * den) for c, v in companion.items()})
+
+
+def insert(ech, vec, companion=None):
+    return ech.insert(*integral(vec, companion))
+
+
+def reduce(ech, vec):
+    return ech.reduce(*integral(vec)[:2])
+
+
+def integral_nullspace(columns, companions):
+    cols, dens, comps = zip(*map(integral, columns, companions))
+    return nullspace(list(cols), dens, comps)
 
 
 def add(acc, coeff, vec):
@@ -63,10 +89,10 @@ def dense_rank(cols, n_coords):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_nullspace_dependencies_annihilate_columns(seed):
     _, cols = random_system(seed)
-    deps = nullspace(cols, [{i: 1} for i in range(len(cols))])
+    deps = integral_nullspace(cols, [{i: 1} for i in range(len(cols))])
     ech = Echelon()
     for c in cols:
-        ech.insert(c)
+        insert(ech, c)
     assert len(deps) == len(cols) - ech.rank
     for dep in deps:
         assert dep
@@ -78,18 +104,18 @@ def test_reduce_carries_the_reduced_part(seed):
     rng, cols = random_system(seed)
     tagged, self_carried = Echelon(), Echelon()
     for i, c in enumerate(cols):
-        tagged.insert(c, {i: 1})
-        self_carried.insert(c, c)
+        insert(tagged, c, {i: 1})
+        insert(self_carried, c, c)
     for _ in range(5):
         vec = {rng.randrange(9): F(rng.randint(-6, 6), rng.randint(1, 5))
                for _ in range(rng.randint(1, 5))}
         vec = {k: v for k, v in vec.items() if v}
-        residual, carried = tagged.reduce(vec)
+        residual, carried = reduce(tagged, vec)
         assert not set(residual) & tagged.pivots()
         expected = add(dict(vec), F(-1), residual)
         assert combine(carried, cols) == expected
         # with each column as its own companion, carried is vec - residual
-        residual2, carried2 = self_carried.reduce(vec)
+        residual2, carried2 = reduce(self_carried, vec)
         assert residual2 == residual and carried2 == expected
 
 
@@ -98,7 +124,7 @@ def test_rank_matches_dense_elimination(seed):
     _, cols = random_system(seed)
     ech = Echelon()
     for c in cols:
-        ech.insert(c)
+        insert(ech, c)
     assert ech.rank == dense_rank(cols, 9)
     basis = ech.basis()
     assert len(basis) == ech.rank
@@ -109,23 +135,50 @@ def test_rank_matches_dense_elimination(seed):
 
 def test_dependent_insert_without_companions():
     ech = Echelon()
-    assert ech.insert({0: F(1), 1: F(2)}) is None
-    assert ech.insert({1: F(3)}) is None
-    assert ech.insert({0: F(2), 1: F(7)}) == {}
-    assert ech.insert({}) == {}
+    assert insert(ech, {0: F(1), 1: F(2)}) is None
+    assert insert(ech, {1: F(3)}) is None
+    assert insert(ech, {0: F(2), 1: F(7)}) == {}
+    assert insert(ech, {}) == {}
     assert ech.rank == 2 and ech.n_vectors == 4
-    assert not ech.reduce({0: F(5)})[0] and ech.reduce({2: F(1)})[0]
+    assert not reduce(ech, {0: F(5)})[0] and reduce(ech, {2: F(1)})[0]
 
 
 def test_companions_need_not_be_tags():
     ech = Echelon()
-    ech.insert({0: F(1)}, {"a": F(1)})
-    ech.insert({1: F(1)}, {"b": F(2)})
-    assert ech.insert({0: F(3), 1: F(1, 2)}, {"z": F(1)}) == {
+    insert(ech, {0: F(1)}, {"a": F(1)})
+    insert(ech, {1: F(1)}, {"b": F(2)})
+    assert insert(ech, {0: F(3), 1: F(1, 2)}, {"z": F(1)}) == {
         "z": F(1), "a": F(-3), "b": F(-1)}
-    assert nullspace([{0: F(1)}, {0: F(2)}, {}],
-                     [{"x": F(1)}, {"y": F(1)}, {"e": F(4)}]) == [
+    assert integral_nullspace([{0: F(1)}, {0: F(2)}, {}],
+                              [{"x": F(1)}, {"y": F(1)}, {"e": F(4)}]) == [
         {"y": F(1), "x": F(-2)}, {"e": F(4)}]
+
+
+def test_companion_shares_the_vector_denominator():
+    # the companion {"t": 3} over den 6 is t/2, as the vector is 1/2 at 0
+    ech = Echelon()
+    assert ech.insert({0: 3}, 6, {"t": 3}) is None
+    assert ech.insert({0: 1}, 1, {"u": 1}) == {"u": F(1), "t": F(-1)}
+    assert nullspace([{0: 1}, {0: 2}], [3, 1], [{"a": 3}, {"b": 1}]) == [
+        {"b": F(1), "a": F(-6)}]
+
+
+def test_insert_and_reduce_leave_their_arguments_alone():
+    ech = Echelon()
+    vecs = [{0: 2, 1: 4}, {1: 3, 2: -6}, {0: 1, 2: 5}, {0: 5, 1: 1, 2: 7}]
+    comps = [{"a": 1}, {"b": 2}, {"c": -3}, {}]
+    for i, (vec, comp) in enumerate(zip(vecs, comps)):
+        before = (dict(vec), dict(comp))
+        ech.insert(vec, i + 1, comp)
+        assert (vec, comp) == before
+    for vec in vecs:
+        before = dict(vec)
+        ech.reduce(vec, 2)
+        assert vec == before
+    # a dependent insert (every pivot present) also leaves its dicts alone
+    vec, comp = {0: 4, 1: 8}, {"d": 1}
+    assert ech.insert(vec, 1, comp) is not None
+    assert (vec, comp) == ({0: 4, 1: 8}, {"d": 1})
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +268,7 @@ def test_echelon_matches_fraction_reference(system):
     cols, comps, probes = system
     ech, ref = Echelon(), FractionEchelon()
     for col, comp in zip(cols, comps):
-        got = ech.insert(col, comp)
+        got = insert(ech, col, comp)
         assert got == ref.insert(col, comp)
         assert got is None or all_fractions(got)
     assert ech.rank == len(ref.rows) and ech.n_vectors == len(cols)
@@ -224,10 +277,10 @@ def test_echelon_matches_fraction_reference(system):
     assert basis == [row for row, _ in ref.rows.values()]
     assert all_fractions(*basis)
     for vec in probes:
-        residual, carried = ech.reduce(vec)
+        residual, carried = reduce(ech, vec)
         assert (residual, carried) == ref.reduce(vec)
         assert all_fractions(residual, carried)
     comps = [comp or {"e": i + 1} for i, comp in enumerate(comps)]
-    deps = nullspace(cols, comps)
+    deps = integral_nullspace(cols, comps)
     assert deps == reference_nullspace(cols, comps)
     assert all_fractions(*deps)

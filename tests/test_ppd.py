@@ -3,11 +3,12 @@ from fractions import Fraction
 import pytest
 
 from hwkit.bsdata import bfunction_snc, bfunction_whom_isolated
-from hwkit.errors import ParseError, PreconditionError
-from hwkit.exactalg import Polynomial, WeightVector, poly_parse
+from hwkit.errors import InternalCheckFailed, ParseError, PreconditionError
+from hwkit.exactalg import (Polynomial, WeightVector, integer_terms,
+                            poly_parse)
 from hwkit.ppd import (AnnihilatorInput, check_annihilator, gamma_ideal,
                        hodge_on_weight, hodge_weight_interval21,
-                       operator_on_pole, parse_annihilator_file,
+                       operator_on_pole, parse_annihilator_file, w0_span,
                        weight_module_generators, weight_step_presentation)
 from hwkit.snc import (HodgePresentation, SncDivisor, snc_f0_ideal,
                        snc_hodge_weight)
@@ -84,8 +85,9 @@ def test_weight_generators_contain_f():
         from hwkit.linalg import Echelon
         ech = Echelon()
         for g in gens:
-            ech.insert(dict(g.terms))
-        assert not ech.reduce(WeylOperator.from_polynomial(XY).terms)[0]
+            ech.insert(*integer_terms(g.terms))
+        assert not ech.reduce(
+            *integer_terms(WeylOperator.from_polynomial(XY).terms))[0]
     with pytest.raises(PreconditionError):
         weight_module_generators(inp, 2, B)  # l not below multiplicity
 
@@ -107,10 +109,26 @@ def test_hodge_on_weight_matches_snc():
     inp = xy_input()
     d = SncDivisor((1, 1))
     for l in (0, 1):
+        w0 = w0_span(inp, l, B)
         for k in (0, 1):
-            hp = hodge_on_weight(inp, l, k, B)
+            hp = hodge_on_weight(inp, l, k, B, w0)
             cert = presentations_equal(hp, snc_hodge_weight(d, 1, k, l), XY, B)
             assert cert.is_member(), (l, k, cert.detail)
+    # a span passed in gives what the span built inside gives
+    assert hp == hodge_on_weight(inp, 1, 1, B)
+
+
+def test_hodge_on_weight_refuses_a_span_built_elsewhere():
+    # a span keyed by the packing of other bounds, another level or another
+    # input would decode to other monomials: it raises instead
+    inp = xy_input()
+    w0 = w0_span(inp, 1, B)
+    for l, bounds in ((1, Bounds(B.order, B.xdeg + 1, B.dt)),
+                      (1, Bounds(B.order - 1, B.xdeg, B.dt)), (0, B)):
+        with pytest.raises(InternalCheckFailed):
+            hodge_on_weight(inp, l, 0, bounds, w0)
+    with pytest.raises(InternalCheckFailed):
+        hodge_on_weight(xy_input(pp=False), 1, 0, B, w0)
 
 
 def test_hodge_on_weight_requires_flag_for_higher_k():

@@ -97,3 +97,19 @@ def test_group_laws(p):
 def test_printed_form_pinned(p, text):
     assert str(p) == text
     assert repr(p) == text
+
+
+def test_mixed_classes_refuse_to_combine():
+    # a Weyl key (xe, de, sp) has the length of a monomial in dimension 3,
+    # so only the class check stops a Polynomial with Weyl keys
+    p = Polynomial.parse("x1+x2+x3", 3)
+    w = WeylOperator.parse("d1", 3)
+    for a, b in ((p, w), (w, p)):
+        with pytest.raises(DimensionMismatch):
+            a + b
+        with pytest.raises(DimensionMismatch):
+            a - b
+    with pytest.raises(DimensionMismatch):
+        p * w
+    with pytest.raises(DimensionMismatch):
+        w * p

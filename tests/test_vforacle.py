@@ -5,8 +5,8 @@ import pytest
 
 from hwkit.bsdata import BFunction, bfunction_snc
 from hwkit.errors import PreconditionError, WindowExceeded
-from hwkit.exactalg import (Polynomial, WeightVector, monomials_upto_degree,
-                            poly_parse)
+from hwkit.exactalg import (Polynomial, WeightVector, integer_terms,
+                            monomials_upto_degree, poly_parse)
 from hwkit import vforacle
 from hwkit.linalg import Echelon
 from hwkit.snc import HodgePresentation, SncDivisor
@@ -82,20 +82,21 @@ def test_truncated_span_o_module():
     span = bf_span([BfElement.unit(1)], f, Bounds(0, 2, 2), with_dt=True)
     one = BfElement.from_poly(Polynomial.one(1))
     xsq = BfElement.from_poly(poly_parse("x1^2", 1))
-    assert not span.reduce(one.vector())[0]
-    assert not span.reduce(xsq.vector())[0]
+    assert not span.reduce(*integer_terms(one.vector()))[0]
+    assert not span.reduce(*integer_terms(xsq.vector()))[0]
     assert span.rank == 3  # {1, x, x^2}
 
 
 @pytest.fixture
 def inserted(monkeypatch):
-    """Every vector inserted into an Echelon while the test runs."""
+    """Every vector inserted into an Echelon while the test runs, as the
+    Fractions its numerators over den stand for."""
     out = []
     insert = Echelon.insert
 
-    def recording(self, vec, companion=None):
-        out.append(dict(vec))
-        return insert(self, vec, companion)
+    def recording(self, vec, den, companion=None):
+        out.append({c: F(v, den) for c, v in vec.items()})
+        return insert(self, vec, den, companion)
 
     monkeypatch.setattr(Echelon, "insert", recording)
     return out
@@ -232,6 +233,7 @@ def test_verify_bfunction_degree_above_order_builds_nothing(inserted):
     ("x1*x2", 2, {F(-1): 1}, 2, 3),
     ("x1^2+x2^3", 2, {F(-1): 1, F(-5, 6): 1}, 2, 3),
     ("x1*x2*x3", 3, {F(-1): 2}, 2, 1),
+    ("1/2*x1^2", 1, {F(-1): 1, F(-1, 2): 1}, 2, 2),  # columns over den 2
 ])
 def test_verify_bfunction_columns_match_apply_to_twisted(
         inserted, poly, dim, b, order, xdeg):
@@ -483,6 +485,10 @@ def test_containment_details_pinned():
         "'failed_at': 'window too small to represent anything'}]")
 
 
+def _fractions(vec, den):
+    return {c: F(v, den) for c, v in vec.items()}
+
+
 def _dense_rank(vectors) -> int:
     cols = sorted({c for v in vectors for c in v})
     rows = [[v.get(c, F(0)) for c in cols] for v in vectors]
@@ -503,10 +509,10 @@ def _dense_rank(vectors) -> int:
 def _reference_containment(name, source, target, expect_nonempty):
     """Vector by vector: a source vector is contained when adding it to the
     target family keeps the dense rank."""
-    target = [vec for vec, _ in target]
+    target = [_fractions(vec, den) for vec, den, _ in target]
     base = _dense_rank(target)
-    for vec, tag in source:
-        if _dense_rank(target + [vec]) > base:
+    for vec, den, tag in source:
+        if _dense_rank(target + [_fractions(vec, den)]) > base:
             return False, {"direction": name, "failed_at": repr(tag)}
     if expect_nonempty and not source:
         return False, {"direction": name,
@@ -524,18 +530,19 @@ def _sparse_poly(rng, xdeg=3):
 
 
 def _family(rng, label, base=(), xdeg=3):
-    """Tagged terms dicts of nonzero polynomials: random ones, and (given
-    base) random combinations of base, so that containment both holds and
-    fails."""
+    """Tagged integer terms dicts (numerators, den, tag) of nonzero
+    polynomials: random ones, and (given base) random combinations of base,
+    so that containment both holds and fails."""
     out = []
     for i in range(rng.randint(0, 6)):
         p = Polynomial.zero(2)
         if base and rng.random() < 0.7:
-            for q, _ in rng.sample(base, rng.randint(1, len(base))):
-                p = p + Polynomial(2, q).scale(rng.randint(-2, 2))
+            for q, den, _ in rng.sample(base, rng.randint(1, len(base))):
+                p = p + Polynomial(2, _fractions(q, den)).scale(
+                    rng.randint(-2, 2))
         if p.is_zero():
             p = _sparse_poly(rng, xdeg)
-        out.append((p.terms, (label, i)))
+        out.append((*integer_terms(p.terms), (label, i)))
     return out
 
 
@@ -574,9 +581,9 @@ def test_row_containment_checks_its_source_span():
     # a failing row that no source vector explains is an internal error
     x1, x2 = poly_parse("x1", 2), poly_parse("x2", 2)
     with pytest.raises(AssertionError):
-        _cross_containment("x-in-x", [(x1.terms, "x1")],
-                           _module_span([(x2.terms, 0)]),
-                           _module_span([(x1.terms, 0)]))
+        _cross_containment("x-in-x", [(*integer_terms(x1.terms), "x1")],
+                           _module_span([(*integer_terms(x2.terms), 0)]),
+                           _module_span([(*integer_terms(x1.terms), 0)]))
 
 
 def test_candidate_v_whom():

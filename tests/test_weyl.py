@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hwkit.errors import DimensionMismatch
-from hwkit.exactalg import Polynomial, poly_parse
-from hwkit.weyl import (TwistedSection, WeylOperator, annihilates_power,
-                        apply_to_twisted, basis_products,
+from hwkit.errors import DimensionMismatch, InternalCheckFailed
+from hwkit.exactalg import Polynomial, mono_mul, poly_parse
+from hwkit.weyl import (KeyPacking, TwistedSection, WeylOperator,
+                        annihilates_power, apply_to_twisted, basis_products,
                         bounded_operator_basis, d_part_images, syzygy_kernel,
-                        weyl_mul)
+                        weyl_mul, window_packing)
 
 
 def op(text, dim):
@@ -173,20 +173,36 @@ def test_syzygy_random_remultiplication():
     assert total > 0
 
 
+def decoded_products(keys, t, packing):
+    """basis_products with every key unpacked and every numerator divided
+    by the shared denominator."""
+    columns, den = basis_products(keys, t, packing)
+    return [{packing.unpack(code): Fraction(c, den) for code, c in col.items()}
+            for col in columns]
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("with_s", [False, True])
 def test_basis_products_equal_weyl_mul(dim, with_s):
     rng = random.Random(100 * dim + with_s)
     order, xdeg = (3, 2) if dim < 3 else (2, 1)
-    keys = bounded_operator_basis(dim, order, xdeg, order if with_s else 0)
+    s_bound = order if with_s else 0
+    keys = bounded_operator_basis(dim, order, xdeg, s_bound)
     for _ in range(6):
         t = rand_operator(rng, dim, with_s)
+        packing = window_packing([t], order, xdeg, s_bound)
         want = [weyl_mul(WeylOperator.mono(*key), t).terms for key in keys]
-        assert basis_products(keys, t) == want
+        assert decoded_products(keys, t, packing) == want
         shuffled = list(range(len(keys)))
         rng.shuffle(shuffled)
-        got = basis_products([keys[i] for i in shuffled], t)
+        got = decoded_products([keys[i] for i in shuffled], t, packing)
         assert got == [want[i] for i in shuffled]
+    # fractional coefficients share one denominator per generator
+    t = op("-5/6*x1*d1 + 3/4*d1^2", dim)
+    packing = window_packing([t], order, xdeg, s_bound)
+    assert basis_products(keys, t, packing)[1] == 12
+    assert decoded_products(keys, t, packing) == [
+        weyl_mul(WeylOperator.mono(*key), t).terms for key in keys]
 
 
 def test_d_part_images_one_step_per_d_part():
@@ -205,8 +221,81 @@ def test_d_part_images_one_step_per_d_part():
 
 
 def test_basis_products_rejects_dimension_mismatch():
+    t = op("x1*d1", 1)
     with pytest.raises(DimensionMismatch):
-        basis_products(bounded_operator_basis(2, 1, 1), op("x1*d1", 1))
+        basis_products(bounded_operator_basis(2, 1, 1), t,
+                       window_packing([t], 1, 1))
+    with pytest.raises(DimensionMismatch):
+        basis_products(bounded_operator_basis(1, 1, 1), t,
+                       window_packing([op("x1*d1", 2)], 1, 1))
+
+
+def test_basis_products_refuse_a_radix_that_aliases():
+    # x1^2 at x-degree 3 reaches x1^5: radix 6 holds it, radix 5 would
+    # alias x1^5 with a d-exponent of the next digit
+    t = op("x1^2", 1)
+    keys = bounded_operator_basis(1, 1, 3)
+    packing = window_packing([t], 1, 3)
+    assert (packing.radix, packing.reach) == (6, 3)
+    assert ((5,), (0,), 0) in {
+        packing.unpack(code) for col in basis_products(keys, t, packing)[0]
+        for code in col}
+    with pytest.raises(InternalCheckFailed):
+        basis_products(keys, t, KeyPacking(1, 5, 3))
+    # and so are keys that shift further than the packing was sized for
+    with pytest.raises(InternalCheckFailed):
+        basis_products(bounded_operator_basis(1, 1, 4), t, packing)
+    # the d-exponents of an image are checked against the radix itself
+    with pytest.raises(InternalCheckFailed):
+        basis_products(bounded_operator_basis(1, 3, 0), op("d1^2", 1),
+                       KeyPacking(1, 5, 0))
+
+
+@st.composite
+def packing_windows(draw):
+    """Generators and a window (order, xdeg, s_bound, s_extra) in dim 1-3."""
+    dim = draw(st.integers(1, 3))
+    exps = st.integers(0, 3)
+    key = st.tuples(st.tuples(*[exps] * dim), st.tuples(*[exps] * dim),
+                    st.integers(0, 2))
+    gens = [WeylOperator(dim, {k: 1 for k in keys}) for keys in draw(
+        st.lists(st.lists(key, min_size=1, max_size=3), min_size=1,
+                 max_size=2))]
+    window = draw(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                            st.integers(0, 2), st.integers(0, 2)))
+    return gens, window
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@example(([op("x1^3*d1^3*s^2", 1)], (2, 2, 2, 2)))  # every digit at its top
+@given(packing_windows())
+def test_packing_is_exact_inside_the_window(case):
+    gens, (order, xdeg, s_bound, s_extra) = case
+    dim = gens[0].dim
+    packing = window_packing(gens, order, xdeg, s_bound, s_extra)
+    basis = bounded_operator_basis(dim, order, xdeg, s_bound)
+    reached = set()
+    for t in gens:
+        for g in {g for _, g, _ in basis}:
+            image = weyl_mul(WeylOperator.mono((0,) * dim, g, 0), t)
+            for (xe, de, sp) in image.terms:
+                code = packing.pack((xe, de, sp))
+                assert packing.order(code) == sum(de) + sp
+                for b, g2, j in basis:
+                    if g2 != g:
+                        continue
+                    for i in range(s_extra + 1):
+                        key = (mono_mul(xe, b), de, sp + j + i)
+                        # a shift is one addition, and unpacks exactly
+                        assert code + packing.shift(b, j + i) == \
+                            packing.pack(key)
+                        assert packing.unpack(packing.pack(key)) == key
+                        reached.add(key)
+    # int order is tuple order on everything the window reaches
+    ordered = sorted(reached)
+    codes = [packing.pack(key) for key in ordered]
+    assert codes == sorted(set(codes))
+    assert all(code < packing.top for code in codes)
 
 
 def test_operator_parse_print_roundtrip():
