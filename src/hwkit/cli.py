@@ -173,12 +173,14 @@ def _parse_naturals(option: str, text: str) -> tuple:
 
 
 def _parse_stratum(text: str, dim: int) -> list:
-    """The --stratum option: the vanishing coordinates, numbered 1..dim;
-    returns their indices."""
+    """The --stratum option: the distinct vanishing coordinates, numbered
+    1..dim; returns their indices."""
     coords = _parse_naturals("--stratum", text)
     if not all(1 <= c <= dim for c in coords):
         raise ParseError(f"--stratum {text!r} names a coordinate outside "
                          f"1..{dim}", 0)
+    if len(set(coords)) != len(coords):
+        raise ParseError(f"--stratum {text!r} repeats a coordinate", 0)
     return [c - 1 for c in coords]
 
 

@@ -486,12 +486,6 @@ def monomials_weighted_upto(w: WeightVector, bound: Fraction):
     return out
 
 
-def monomials_of_weighted_degree(w: WeightVector, gamma: Fraction):
-    gamma = Fraction(gamma)
-    return [m for m in monomials_weighted_upto(w, gamma)
-            if weighted_degree(m, w) == gamma]
-
-
 # ---------------------------------------------------------------------------
 # monomial ideals
 

@@ -48,7 +48,9 @@ class Echelon:
     matching the combination of inserted vectors the row equals.  A vector
     inserted without a companion contributes zero.  The row format is
     private to this module; callers read `pivots()`, `basis()`, `rank` and
-    `n_vectors` (the number of inserts, dependent ones included).
+    `n_vectors` (the number of inserts, dependent ones included; a caller
+    that knows a vector to be a multiple of an inserted one may count it
+    there instead of inserting it).
     """
 
     __slots__ = ("_rows", "n_vectors")

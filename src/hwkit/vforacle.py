@@ -18,7 +18,8 @@ from itertools import combinations
 from .errors import (DimensionMismatch, InternalCheckFailed,
                      PreconditionError, WindowExceeded)
 from .exactalg import (Polynomial, fmt_rational, graded_ideal, grlex_key,
-                       integer_terms, mono_mul, monomials_upto_degree)
+                       integer_terms, mono_div, mono_mul,
+                       monomials_upto_degree)
 from .bsdata import BFunction, RootMultiset
 from .linalg import Echelon
 from .snc import HodgePresentation, SncDivisor, snc_hodge_weight
@@ -645,24 +646,63 @@ def clear_to_pole(parts, f: Polynomial, pole: int) -> Polynomial:
     return total
 
 
-def _window_vectors(parts, f: Polynomial, pole_target: int, xdeg: int, tag):
-    """The vectors x^beta * N of one element given by its (numerator, pole)
-    parts, N its numerator cleared to pole_target, as (integer numerators,
-    den, tag + (beta,)) for every beta with deg N + |beta| <= xdeg; N is
-    scaled to integers once, and every shift shares its den.  Yields nothing
-    when a pole exceeds pole_target, N is zero or deg N exceeds xdeg."""
-    if any(p > pole_target for _, p in parts):
-        return
-    num = clear_to_pole(parts, f, pole_target)
-    if num.is_zero():
-        return
-    deg = num.total_degree()
-    if deg > xdeg:
-        return
-    terms, den = integer_terms(num.terms)
-    for beta in monomials_upto_degree(f.dim, xdeg - deg):
-        yield ({mono_mul(m, beta): c for m, c in terms.items()}, den,
-               tag + (beta,))
+class _WindowFamily:
+    """The window vectors x^beta * N of the elements of one span, N an
+    element's numerator cleared to the common pole.
+
+    N factors uniquely as c * x^mu * S: mu is the componentwise-minimum
+    exponent, and S is primitive with a positive coefficient at its largest
+    key.  x^beta * N and x^beta' * N' are scalar multiples exactly when
+    S = S' and mu + beta = mu' + beta', so the family keeps, for each shape
+    S, the positions mu + beta it has produced.  A vector whose position is
+    taken is a multiple of an earlier vector of the family and comes with
+    None for its numerators: it is counted, but not inserted.  The shift
+    sets are built once per family."""
+
+    __slots__ = ("dim", "_shifts", "_taken")
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self._shifts = {}  # bound -> monomials of total degree <= bound
+        self._taken = {}   # shape S -> positions mu + beta produced
+
+    def shifts(self, bound: int) -> tuple:
+        """The exponent vectors of total degree <= bound, in grlex order."""
+        if bound not in self._shifts:
+            self._shifts[bound] = tuple(monomials_upto_degree(self.dim, bound))
+        return self._shifts[bound]
+
+    def vectors(self, parts, f: Polynomial, pole_target: int, xdeg: int, tag):
+        """The vectors x^beta * N of one element given by its (numerator,
+        pole) parts, as (integer numerators, den, tag + (beta,)) for every
+        beta with deg N + |beta| <= xdeg, the numerators None for a multiple
+        of an earlier vector; N is scaled to integers once, and every shift
+        shares its den.  Yields nothing when a pole exceeds pole_target, N
+        is zero or deg N exceeds xdeg."""
+        if any(p > pole_target for _, p in parts):
+            return
+        num = clear_to_pole(parts, f, pole_target)
+        if num.is_zero():
+            return
+        deg = num.total_degree()
+        if deg > xdeg:
+            return
+        terms, den = integer_terms(num.terms)
+        mu = tuple(map(min, zip(*terms)))
+        content = math.gcd(*terms.values())
+        if terms[max(terms)] < 0:
+            content = -content
+        shape = frozenset((mono_div(m, mu), c // content)
+                          for m, c in terms.items())
+        taken = self._taken.setdefault(shape, set())
+        for beta in self.shifts(xdeg - deg):
+            position = mono_mul(mu, beta)
+            if position in taken:
+                yield None, den, tag + (beta,)
+                continue
+            taken.add(position)
+            yield ({mono_mul(m, beta): c for m, c in terms.items()}, den,
+                   tag + (beta,))
 
 
 def _twist_shift(alpha_base: Fraction, alpha: Fraction) -> int:
@@ -678,25 +718,30 @@ def _twist_shift(alpha_base: Fraction, alpha: Fraction) -> int:
 def presentation_elements(pres: HodgePresentation, f: Polynomial,
                           alpha_base: Fraction, pole_target: int, xdeg: int):
     """All vectors x^beta d^gamma (g f^(-j-alpha)) of a presentation, cleared
-    to the common pole (relative to alpha_base); elements whose clearing
-    leaves the degree window are skipped.  Yields (integer numerators, den,
-    tag), as `_window_vectors` does."""
+    to the common pole (relative to alpha_base), as one family; elements
+    whose clearing leaves the degree window are skipped.  Yields (integer
+    numerators, den, tag), as `_WindowFamily.vectors` does."""
     shift = _twist_shift(alpha_base, pres.alpha)
+    family = _WindowFamily(f.dim)
     for si, (budget, g, j) in enumerate(pres.summands):
-        gammas = list(monomials_upto_degree(f.dim, budget))
+        gammas = family.shifts(budget)
         images = pole_apply(gammas, g, j + shift, alpha_base, f)
         for gamma in gammas:
-            yield from _window_vectors([images[gamma]], f, pole_target, xdeg,
-                                       (si, gamma))
+            yield from family.vectors([images[gamma]], f, pole_target, xdeg,
+                                      (si, gamma))
 
 
 def _module_span(vectors) -> Echelon:
     """Span of the vectors of (integer numerators, den, tag) triples: a
     bounded span inside the twisted localization module, at one pole
-    order."""
+    order.  A vector with None numerators, a multiple of an earlier one,
+    counts in n_vectors as the dependent insert it would be."""
     span = Echelon()
     for vec, den, _ in vectors:
-        span.insert(vec, den)
+        if vec is None:
+            span.n_vectors += 1
+        else:
+            span.insert(vec, den)
     return span
 
 
@@ -722,11 +767,15 @@ def _cross_containment(name: str, source_vectors, source_span: Echelon,
     """Report the first source vector outside the target span, or the vector
     count.  source_span is the span of the source vectors (all nonzero and
     inside the window); only its basis is reduced, as it spans the same
-    space, so the vectors are scanned only to name the first failure."""
+    space, so the vectors are scanned only to name the first failure; a
+    vector with None numerators is a multiple of an earlier one and cannot
+    fail first."""
     if not any(target_span.reduce(*integer_terms(row))[0]
                for row in source_span.basis()):
         return _verdict(name, source_span.n_vectors, expect_nonempty)
     for vec, den, tag in source_vectors:
+        if vec is None:
+            continue
         residual, _ = target_span.reduce(vec, den)
         if residual:
             return False, {"direction": name, "failed_at": repr(tag)}
@@ -801,7 +850,8 @@ def reduce_presentation(pres: HodgePresentation, f: Polynomial,
         single = HodgePresentation.build(pres.alpha, pres.dim, [(budget, g, j)])
         for vec, den, _ in presentation_elements(single, f, pres.alpha,
                                                  pole_target, bounds.xdeg):
-            span.insert(vec, den)
+            if vec is not None:
+                span.insert(vec, den)
     return HodgePresentation.build(pres.alpha, pres.dim, kept)
 
 
@@ -909,18 +959,20 @@ def crosscheck_hodge_weight(kind: str, obj, alpha, k: int, l: int,
     pole_target = max(pres.max_pole(),
                       max((g.max_layer() + b for g, b in gens), default=0))
 
-    # oracle-side vectors: bounded operators in the graph module, collapsed
+    # oracle-side vectors: bounded operators in the graph module, collapsed,
+    # as one family
     oracle_vectors = []
+    family = _WindowFamily(f.dim)
     for gi, (gen, budget) in enumerate(gens):
         budget = min(budget, bounds.order)
         if budget < 0:
             continue
-        images = d_part_images(monomials_upto_degree(f.dim, budget), gen,
+        images = d_part_images(family.shifts(budget), gen,
                                lambda u, i: act(f"d{i + 1}", u, f))
         for gamma, img in sorted(images.items(), key=lambda kv: grlex_key(kv[0])):
             if img.max_layer() > bounds.dt:
                 continue
-            oracle_vectors.extend(_window_vectors(
+            oracle_vectors.extend(family.vectors(
                 psi_map(img, alpha), f, pole_target, bounds.xdeg,
                 (gi, gamma)))
 

@@ -10,9 +10,8 @@ from fractions import Fraction
 from .errors import (NotIsolatedSingularity, NotQuasiHomogeneous,
                      PreconditionError)
 from .exactalg import (Polynomial, WeightVector, graded_ideal, grlex_key,
-                       integer_terms, mono_mul, monomials_of_weighted_degree,
-                       monomials_upto_degree, monomials_weighted_upto,
-                       weighted_degree)
+                       integer_terms, mono_mul, monomials_upto_degree,
+                       monomials_weighted_upto, weighted_degree)
 from .linalg import Echelon
 from .snc import HodgePresentation
 
@@ -49,28 +48,28 @@ def milnor_basis(f: Polynomial, w: WeightVector):
     integral_partials = [integer_terms(p.terms) for p in partials]
     socle = sum((1 - 2 * wi for wi in w.weights), Fraction(0))
     maxw = max(w.weights)
+    # the monomials up to socle + max w, enumerated once, by weighted degree
+    # (each bucket in grlex order); every degree queried below is at most
+    # that bound
+    by_degree = {}
+    for m in monomials_weighted_upto(w, socle + maxw):
+        by_degree.setdefault(weighted_degree(m, w), []).append(m)
 
     def standard_at(gamma: Fraction):
         """(standard monomials, full_rank) at weighted degree gamma."""
-        monos = monomials_of_weighted_degree(w, gamma)
-        if not monos:
-            return [], True
         ech = Echelon()
         for i, (num, den) in enumerate(integral_partials):
             if not num:
                 continue
             mult_deg = gamma - (1 - w.weights[i])
-            for m in monomials_of_weighted_degree(w, mult_deg):
+            for m in by_degree.get(mult_deg, ()):
                 ech.insert({mono_mul(m, mm): c for mm, c in num.items()}, den)
         pivots = ech.pivots()
-        standard = [m for m in monos if m not in pivots]
+        standard = [m for m in by_degree[gamma] if m not in pivots]
         return standard, not standard
 
-    # degrees actually occurring, up to socle + max w
-    degrees = sorted({weighted_degree(m, w)
-                      for m in monomials_weighted_upto(w, socle + maxw)})
     basis = []
-    for gamma in degrees:
+    for gamma in sorted(by_degree):
         std, full = standard_at(gamma)
         if gamma <= socle:
             basis.extend(std)

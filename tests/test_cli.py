@@ -184,6 +184,7 @@ MALFORMED = [
     SNC + ("--stratum", "a"),
     SNC + ("--stratum", "0"),
     SNC + ("--stratum", "3"),
+    SNC + ("--stratum", "1,1"),
     ("whom", "--poly", "x1^2+x2^3", "--weights", "1/2,1/3", "--alpha", "5/6",
      "--k", "0", "--l", "-1"),
     ("bounds", "--exponents", "2,3", "--alpha", "1/2", "--l", "-1"),

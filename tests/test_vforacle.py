@@ -1,12 +1,15 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hwkit.bsdata import BFunction, bfunction_snc
 from hwkit.errors import PreconditionError, WindowExceeded
+from hwkit.cli import main
 from hwkit.exactalg import (Polynomial, WeightVector, integer_terms,
-                            monomials_upto_degree, poly_parse)
+                            mono_mul, monomials_upto_degree, poly_parse)
 from hwkit import vforacle
 from hwkit.linalg import Echelon
 from hwkit.snc import HodgePresentation, SncDivisor
@@ -584,6 +587,136 @@ def test_row_containment_checks_its_source_span():
         _cross_containment("x-in-x", [(*integer_terms(x1.terms), "x1")],
                            _module_span([(*integer_terms(x2.terms), 0)]),
                            _module_span([(*integer_terms(x1.terms), 0)]))
+
+
+def every_window_vector(parts, f, pole_target, xdeg, tag):
+    """The window vectors of one element with none skipped: every shift of
+    its cleared numerator, the reference a window family must match."""
+    if any(p > pole_target for _, p in parts):
+        return
+    num = vforacle.clear_to_pole(parts, f, pole_target)
+    if num.is_zero() or num.total_degree() > xdeg:
+        return
+    terms, den = integer_terms(num.terms)
+    for beta in monomials_upto_degree(f.dim, xdeg - num.total_degree()):
+        yield ({mono_mul(m, beta): c for m, c in terms.items()}, den,
+               tag + (beta,))
+
+
+def _direction(vec: dict) -> frozenset:
+    """A vector scaled to coefficient 1 at its largest key: equal exactly
+    for scalar multiples."""
+    top = vec[max(vec)]
+    return frozenset((c, F(v) / top) for c, v in vec.items())
+
+
+BASES = {2: ["x1", "x1 + x2", "x1 - x2", "2*x1*x2 + 3*x2^2", "x2^2 - 1/2",
+             "x1^2 + x2^2"],
+         3: ["x1", "x1 + x2", "x1 - x2", "x1*x3 - 2*x2", "x3^2 + 1/3*x1",
+             "x1*x2*x3"]}
+SHIFTS = {dim: list(monomials_upto_degree(dim, 2)) for dim in (2, 3)}
+POLES = {2: ["x1*x2", "x1^2+x2^3"], 3: ["x1*x2*x3", "x1^2+x2^2+x3^2"]}
+
+
+@st.composite
+def window_families(draw):
+    """(f, xdeg, elements, target elements) in dimension 2 or 3: elements
+    are (numerator, pole) parts, drawn as c * x^a * base at pole 0 or 1, so
+    that exact x-multiples and scalar multiples of one another are common
+    (with a monomial f, f * p at pole 1 is an x-multiple of p too)."""
+    dim = draw(st.sampled_from([2, 3]))
+    f = poly_parse(draw(st.sampled_from(POLES[dim])), dim)
+    bases = draw(st.lists(st.sampled_from(BASES[dim]), min_size=1,
+                          max_size=2, unique=True))
+    element = st.builds(
+        lambda base, shift, c, pole: [(
+            poly_parse(base, dim).mul_mono(shift).scale(c), pole)],
+        st.sampled_from(bases), st.sampled_from(SHIFTS[dim]),
+        st.sampled_from([F(1), F(-1), F(2), F(-3, 2), F(1, 3)]),
+        st.sampled_from([0, 1]))
+    elements = draw(st.lists(element, min_size=2, max_size=6))
+    target = draw(st.lists(st.sampled_from(elements), max_size=4))
+    return f, draw(st.integers(3, 5)), elements, target
+
+
+def _window_stream(produce, elements, f, xdeg):
+    return [v for i, parts in enumerate(elements)
+            for v in produce(parts, f, 1, xdeg, (i,))]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(window_families())
+def test_window_family_inserts_each_vector_once(case):
+    f, xdeg, elements, target = case
+    family = vforacle._WindowFamily(f.dim)
+    stream = _window_stream(family.vectors, elements, f, xdeg)
+    every = _window_stream(every_window_vector, elements, f, xdeg)
+    # the same window vectors in the same order, a skipped one as None
+    assert [tag for *_, tag in stream] == [tag for *_, tag in every]
+    for (vec, den, _), (ref, ref_den, _) in zip(stream, every):
+        assert vec is None or (vec, den) == (ref, ref_den)
+    kept = [_direction(vec) for vec, _, _ in stream if vec is not None]
+    assert len(kept) == len(set(kept)) == len({_direction(vec)
+                                              for vec, _, _ in every})
+    span = _module_span(stream)
+    full = Echelon()
+    for vec, den, _ in every:
+        full.insert(vec, den)
+    assert span.rank == full.rank
+    assert span.pivots() == full.pivots()
+    assert span.basis() == full.basis()
+    assert span.n_vectors == full.n_vectors == len(every)
+    # a target family that may miss some of the vectors, so that the scan
+    # names the same first failure with and without skipping
+    target_span = _module_span(_window_stream(
+        vforacle._WindowFamily(f.dim).vectors, target, f, xdeg))
+    for expect_nonempty in (False, True):
+        assert _cross_containment("a-in-b", iter(stream), span, target_span,
+                                  expect_nonempty) == _cross_containment(
+            "a-in-b", iter(every), full, target_span, expect_nonempty)
+
+
+CROSS_111 = ("crosscheck", "--source", "snc", "--exponents", "1,1,1",
+             "--alpha", "1", "--k", "2", "--l", "1", "--json")
+CROSS_111_SHA = (
+    "71c99bbbd23dd78d24be90f7522789e02e4439d4ad1b50d0fd74e1a804df631d")
+
+
+def test_crosscheck_inserts_each_window_vector_once(inserted, monkeypatch,
+                                                    capsys):
+    # the pinned crosscheck inserts as many vectors into each module span as
+    # its window vectors have distinct directions, with an unchanged envelope
+    monkeypatch.delenv("HWKIT_CACHE", raising=False)
+    module_span = vforacle._module_span
+    marks = []
+
+    def marked(vectors):
+        marks.append(len(inserted))
+        return module_span(vectors)
+
+    monkeypatch.setattr(vforacle, "_module_span", marked)
+
+    def spans():
+        """The vectors inserted into each module span, in order."""
+        inserted.clear()
+        marks.clear()
+        assert main(list(CROSS_111)) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == CROSS_111_SHA
+        ends = marks[1:] + [len(inserted)]
+        return [inserted[a:b] for a, b in zip(marks, ends)]
+
+    kept = spans()
+    with monkeypatch.context() as m:
+        m.setattr(vforacle._WindowFamily, "vectors",
+                  lambda self, *args: every_window_vector(*args))
+        every = spans()
+    assert len(kept) == len(every) == 2  # the oracle and closed-form spans
+    assert sum(map(len, kept)) < sum(map(len, every))
+    for got, ref in zip(kept, every):
+        assert len(got) == len({_direction(vec) for vec in ref})
+        assert {_direction(vec) for vec in got} == {_direction(vec)
+                                                    for vec in ref}
 
 
 def test_candidate_v_whom():
