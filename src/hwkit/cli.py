@@ -11,7 +11,9 @@ content-addressed and written with atomic replace.  The cache key covers the
 verb and every parsed option except --json (an --input file is keyed by the
 SHA-256 of its text, not its path), so no two runs that could produce
 different envelopes share a key.  An unreadable or corrupt cache entry counts
-as a miss and is rewritten.
+as a miss and is rewritten; a cache root that cannot be created or written
+counts as a miss that stores nothing.  Every verb computes its outputs only
+on a miss.
 """
 
 from __future__ import annotations
@@ -63,12 +65,16 @@ def envelope(command: str, inputs: dict, outputs: dict,
 
 def _cache_lookup(key: str):
     """(envelope, path) of a valid cache entry, (None, path) on a miss and
-    (None, None) with caching off.  An entry that does not decode, or is not
-    the canonical text of a JSON object (a truncated write), is a miss."""
+    (None, None) with caching off or a root that cannot be created.  An
+    entry that cannot be read or decoded, or is not the canonical text of a
+    JSON object (a truncated write), is a miss."""
     root = os.environ.get("HWKIT_CACHE")
     if not root:
         return None, None
-    os.makedirs(root, exist_ok=True)
+    try:
+        os.makedirs(root, exist_ok=True)
+    except OSError:
+        return None, None
     path = os.path.join(root, key + ".json")
     if not os.path.exists(path):
         return None, path
@@ -76,7 +82,7 @@ def _cache_lookup(key: str):
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
         env = json.loads(text)
-    except ValueError:
+    except (OSError, ValueError):
         return None, path
     if not isinstance(env, dict) or _canonical_json(env) != text:
         return None, path
@@ -86,13 +92,14 @@ def _cache_lookup(key: str):
 def _cache_store(path: str, text: str):
     if not path:
         return
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except OSError:
-        if os.path.exists(tmp):
+        if tmp and os.path.exists(tmp):
             os.unlink(tmp)
 
 
@@ -172,24 +179,25 @@ def _parse_naturals(option: str, text: str) -> tuple:
     return tuple(int(x) for x in text.split(","))
 
 
-def _parse_stratum(text: str, dim: int) -> list:
+def _parse_stratum(text: str, dim: int) -> tuple:
     """The --stratum option: the distinct vanishing coordinates, numbered
-    1..dim; returns their indices."""
+    1..dim, in increasing order."""
     coords = _parse_naturals("--stratum", text)
     if not all(1 <= c <= dim for c in coords):
         raise ParseError(f"--stratum {text!r} names a coordinate outside "
                          f"1..{dim}", 0)
     if len(set(coords)) != len(coords):
         raise ParseError(f"--stratum {text!r} repeats a coordinate", 0)
-    return [c - 1 for c in coords]
+    return tuple(sorted(coords))
 
 
-def _reduced_bfunction(args):
+def _bfunction_source(args):
     """Route to the closed-form b-function: a monomial (--exponents, or a
     one-term --poly) goes through the monomial table, otherwise weights are
-    required for the quasi-homogeneous route.  Returns (reduced b-function,
-    source description, f).  A --dim below the number of variables of the
-    input is rejected; a larger one is an ambient dimension."""
+    required for the quasi-homogeneous route.  Returns (source description,
+    f, weights or None for the monomial route).  A --dim below the number of
+    variables of the input is rejected; a larger one is an ambient
+    dimension."""
     if getattr(args, "exponents", None):
         f = Polynomial.monomial(_parse_naturals("--exponents", args.exponents))
         if args.dim is not None and args.dim < f.dim:
@@ -200,16 +208,21 @@ def _reduced_bfunction(args):
     else:
         raise PreconditionError("need --exponents or --poly")
     if len(f.terms) == 1:
-        a = next(iter(f.terms))
-        return breduce(bfunction_snc(a)), {"exponents": list(a)}, f
+        return {"exponents": list(next(iter(f.terms)))}, f, None
     if not args.weights:
         raise PreconditionError(
             "non-monomial input needs --weights for the quasi-homogeneous "
             "route", hypothesis="f is monomial or weight-1 quasi-homogeneous")
     w = WeightVector.parse(args.weights)
+    return {"poly": str(f), "weights": str(w)}, f, w
+
+
+def _reduced_bfunction(f: Polynomial, w) -> BFunction:
+    """The closed-form reduced b-function of a source of _bfunction_source."""
+    if w is None:
+        return breduce(bfunction_snc(next(iter(f.terms))))
     germ = QuasiHomogeneousGerm(f, w)
-    b = bfunction_whom_isolated(f, w, germ.milnor)
-    return breduce(b), {"poly": str(f), "weights": str(w)}, f
+    return breduce(bfunction_whom_isolated(f, w, germ.milnor))
 
 
 def _escalated_run(args, payload: dict, start: Bounds, attempt,
@@ -249,23 +262,30 @@ def cmd_snc(args) -> int:
     a = _parse_naturals("--exponents", args.exponents)
     d = SncDivisor(a)
     alpha = parse_rational(args.alpha)
-    norm, shift = _normalize_alpha(alpha)
     if args.stratum:
-        d = d.restrict_to_stratum(_parse_stratum(args.stratum, d.dim))
-    m = d.m_alpha(norm)
-    lmax = m if args.lmax == "auto" else min(args.lmax, m)
-    rows = []
-    for l in range(lmax + 1):
-        gens = snc_f0_ideal(d, norm, l).to_json()
-        for k in range(args.kmax + 1):
-            rows.append({"k": k, "l": l, "generators": gens})
-    outputs = {"alpha_normalized": fmt_rational(norm),
-               "alpha_integer_shift": shift,
-               "weight_top_offset": m, "rows": rows}
+        stratum = _parse_stratum(args.stratum, d.dim)
+        # one payload and one cache key per stratum, whatever the order
+        args.stratum = ",".join(map(str, stratum))
+        d = d.restrict_to_stratum([c - 1 for c in stratum])
     payload = {"exponents": list(a), "alpha": fmt_rational(alpha),
                "kmax": args.kmax, "lmax": str(args.lmax),
                "stratum": args.stratum}
-    cached_run(args, payload, lambda: envelope("snc", payload, outputs))
+
+    def compute():
+        norm, shift = _normalize_alpha(alpha)
+        m = d.m_alpha(norm)
+        lmax = m if args.lmax == "auto" else min(args.lmax, m)
+        rows = []
+        for l in range(lmax + 1):
+            gens = snc_f0_ideal(d, norm, l).to_json()
+            for k in range(args.kmax + 1):
+                rows.append({"k": k, "l": l, "generators": gens})
+        return envelope("snc", payload,
+                        {"alpha_normalized": fmt_rational(norm),
+                         "alpha_integer_shift": shift,
+                         "weight_top_offset": m, "rows": rows})
+
+    cached_run(args, payload, compute)
     return 0
 
 
@@ -273,36 +293,42 @@ def cmd_whom(args) -> int:
     dim = args.dim or infer_dim(args.poly)
     f = poly_parse(args.poly, dim)
     w = WeightVector.parse(args.weights)
-    germ = QuasiHomogeneousGerm(f, w)
     alpha = parse_rational(args.alpha)
-    pres = whom_hodge_weight(germ, alpha, args.k, args.l)
-    outputs = {"milnor_basis": [mono_str(m) for m in germ.milnor],
-               "milnor_number": germ.mu,
-               "weight_top_offset": whom_weight_top(germ, alpha),
-               "presentation": pres.to_json()}
     payload = {"poly": str(f), "weights": str(w),
                "alpha": fmt_rational(alpha), "k": args.k, "l": args.l}
-    cached_run(args, payload, lambda: envelope("whom", payload, outputs))
+
+    def compute():
+        germ = QuasiHomogeneousGerm(f, w)
+        pres = whom_hodge_weight(germ, alpha, args.k, args.l)
+        return envelope("whom", payload,
+                        {"milnor_basis": [mono_str(m) for m in germ.milnor],
+                         "milnor_number": germ.mu,
+                         "weight_top_offset": whom_weight_top(germ, alpha),
+                         "presentation": pres.to_json()})
+
+    cached_run(args, payload, compute)
     return 0
 
 
 def cmd_bfun(args) -> int:
-    bred, source, f = _reduced_bfunction(args)
-    # rebuild the unreduced function for reporting
-    roots = dict(bred.roots)
-    roots[Fraction(-1)] = roots.get(Fraction(-1), 0) + 1
-    prov = "closed-form-snc" if len(f.terms) == 1 else "closed-form-whom"
-    b = BFunction(roots, provenance=prov)
-    certs = None
-    if args.verify:
-        b, cert = certify_bfunction(f, b, args.order, args.xdeg)
-        certs = [cert.to_json()]
+    source, f, w = _bfunction_source(args)
     payload = {"source": source, "verify": bool(args.verify)}
-    cached_run(args, payload,
-               lambda: envelope("bfun", payload,
-                                {"bfunction": b.to_json(),
-                                 "product": b.product_string()},
-                                certificates=certs))
+
+    def compute():
+        # rebuild the unreduced function for reporting
+        roots = dict(_reduced_bfunction(f, w).roots)
+        roots[Fraction(-1)] = roots.get(Fraction(-1), 0) + 1
+        b = BFunction(roots, provenance="closed-form-snc" if w is None
+                      else "closed-form-whom")
+        certs = None
+        if args.verify:
+            b, cert = certify_bfunction(f, b, args.order, args.xdeg)
+            certs = [cert.to_json()]
+        return envelope("bfun", payload, {"bfunction": b.to_json(),
+                                          "product": b.product_string()},
+                        certificates=certs)
+
+    cached_run(args, payload, compute)
     return 0
 
 
@@ -322,31 +348,41 @@ def cmd_verify(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    bred, source, _ = _reduced_bfunction(args)
+    source, f, w = _bfunction_source(args)
     alpha = parse_rational(args.alpha)
-    cls = classify_pair(bred, alpha)
-    a0 = weighted_minimal_exponent(bred, 0)
     payload = {"source": source, "alpha": fmt_rational(alpha)}
-    outputs = {"classification": cls.to_json(),
-               "reduced_bfunction": bred.product_string(),
-               "minimal_exponent": fmt_rational(a0) if a0 is not None else None}
-    cached_run(args, payload, lambda: envelope("classify", payload, outputs))
+
+    def compute():
+        bred = _reduced_bfunction(f, w)
+        a0 = weighted_minimal_exponent(bred, 0)
+        return envelope("classify", payload, {
+            "classification": classify_pair(bred, alpha).to_json(),
+            "reduced_bfunction": bred.product_string(),
+            "minimal_exponent": fmt_rational(a0) if a0 is not None else None})
+
+    cached_run(args, payload, compute)
     return 0
 
 
 def cmd_bounds(args) -> int:
-    bred, source, f = _reduced_bfunction(args)
+    source, f, w = _bfunction_source(args)
     alpha = parse_rational(args.alpha)
     dim = args.dim or f.dim
-    lo, hi = weight_bounds(bred, alpha, dim)
-    gl = genlevel_bound(bred, alpha, args.l, dim, graded=False)
-    glg = genlevel_bound(bred, alpha, args.l, dim, graded=True)
     payload = {"source": source, "alpha": fmt_rational(alpha),
                "dim": dim, "l": args.l}
-    outputs = {"weight_bounds": [lo, hi], "genlevel_bound": gl,
-               "genlevel_bound_graded": glg,
-               "reduced_bfunction": bred.product_string()}
-    cached_run(args, payload, lambda: envelope("bounds", payload, outputs))
+
+    def compute():
+        bred = _reduced_bfunction(f, w)
+        lo, hi = weight_bounds(bred, alpha, dim)
+        return envelope("bounds", payload, {
+            "weight_bounds": [lo, hi],
+            "genlevel_bound": genlevel_bound(bred, alpha, args.l, dim,
+                                             graded=False),
+            "genlevel_bound_graded": genlevel_bound(bred, alpha, args.l, dim,
+                                                    graded=True),
+            "reduced_bfunction": bred.product_string()})
+
+    cached_run(args, payload, compute)
     return 0
 
 

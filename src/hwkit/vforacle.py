@@ -646,47 +646,57 @@ def clear_to_pole(parts, f: Polynomial, pole: int) -> Polynomial:
     return total
 
 
-class _WindowFamily:
-    """The window vectors x^beta * N of the elements of one span, N an
-    element's numerator cleared to the common pole.
+class WindowSpan:
+    """A bounded span inside the twisted localization module: the window
+    vectors x^beta * N of its elements, N an element's numerator cleared to
+    the common pole pole_target, for every beta with deg N + |beta| <= xdeg.
 
     N factors uniquely as c * x^mu * S: mu is the componentwise-minimum
     exponent, and S is primitive with a positive coefficient at its largest
     key.  x^beta * N and x^beta' * N' are scalar multiples exactly when
-    S = S' and mu + beta = mu' + beta', so the family keeps, for each shape
-    S, the positions mu + beta it has produced.  A vector whose position is
-    taken is a multiple of an earlier vector of the family and comes with
-    None for its numerators: it is counted, but not inserted.  The shift
-    sets are built once per family."""
+    S = S' and mu + beta = mu' + beta', so the span keeps, for each shape S,
+    the positions mu + beta it has taken.  A vector whose position is taken
+    is a multiple of an earlier vector of the span: it counts in n_vectors,
+    as the dependent insert it would be, but is not inserted.  The shift
+    sets are built once per span.  tags holds the tag of the vector behind
+    each row, in the order the rows gained rank."""
 
-    __slots__ = ("dim", "_shifts", "_taken")
+    __slots__ = ("f", "pole_target", "xdeg", "echelon", "tags", "_shifts",
+                 "_taken")
 
-    def __init__(self, dim: int):
-        self.dim = dim
+    def __init__(self, f: Polynomial, pole_target: int, xdeg: int):
+        self.f = f
+        self.pole_target = pole_target
+        self.xdeg = xdeg
+        self.echelon = Echelon()
+        self.tags = []
         self._shifts = {}  # bound -> monomials of total degree <= bound
-        self._taken = {}   # shape S -> positions mu + beta produced
+        self._taken = {}   # shape S -> positions mu + beta taken
 
     def shifts(self, bound: int) -> tuple:
         """The exponent vectors of total degree <= bound, in grlex order."""
         if bound not in self._shifts:
-            self._shifts[bound] = tuple(monomials_upto_degree(self.dim, bound))
+            self._shifts[bound] = tuple(monomials_upto_degree(self.f.dim,
+                                                              bound))
         return self._shifts[bound]
 
-    def vectors(self, parts, f: Polynomial, pole_target: int, xdeg: int, tag):
-        """The vectors x^beta * N of one element given by its (numerator,
-        pole) parts, as (integer numerators, den, tag + (beta,)) for every
-        beta with deg N + |beta| <= xdeg, the numerators None for a multiple
-        of an earlier vector; N is scaled to integers once, and every shift
-        shares its den.  Yields nothing when a pole exceeds pole_target, N
-        is zero or deg N exceeds xdeg."""
-        if any(p > pole_target for _, p in parts):
+    def insert(self, vec: dict, den: int, tag):
+        """Insert the vector vec/den (integer numerators), recording its tag
+        if it gains rank."""
+        if self.echelon.insert(vec, den) is None:
+            self.tags.append(tag)
+
+    def add(self, parts, tag):
+        """Add the window vectors of one element given by its (numerator,
+        pole) parts, tagged tag + (beta,); N is scaled to integers once, and
+        every shift shares its den.  Adds nothing when a pole exceeds
+        pole_target, N is zero or deg N exceeds xdeg."""
+        if any(p > self.pole_target for _, p in parts):
             return
-        num = clear_to_pole(parts, f, pole_target)
-        if num.is_zero():
+        num = clear_to_pole(parts, self.f, self.pole_target)
+        if num.is_zero() or num.total_degree() > self.xdeg:
             return
         deg = num.total_degree()
-        if deg > xdeg:
-            return
         terms, den = integer_terms(num.terms)
         mu = tuple(map(min, zip(*terms)))
         content = math.gcd(*terms.values())
@@ -695,14 +705,23 @@ class _WindowFamily:
         shape = frozenset((mono_div(m, mu), c // content)
                           for m, c in terms.items())
         taken = self._taken.setdefault(shape, set())
-        for beta in self.shifts(xdeg - deg):
+        for beta in self.shifts(self.xdeg - deg):
             position = mono_mul(mu, beta)
             if position in taken:
-                yield None, den, tag + (beta,)
+                self.echelon.n_vectors += 1
                 continue
             taken.add(position)
-            yield ({mono_mul(m, beta): c for m, c in terms.items()}, den,
-                   tag + (beta,))
+            self.insert({mono_mul(m, beta): c for m, c in terms.items()},
+                        den, tag + (beta,))
+
+    def add_summand(self, si: int, summand, alpha: Fraction):
+        """Add the vectors x^beta d^gamma (g f^(-j-alpha)) of the summand
+        (budget, g, j), tagged (si, gamma, beta)."""
+        budget, g, j = summand
+        gammas = self.shifts(budget)
+        images = pole_apply(gammas, g, j, alpha, self.f)
+        for gamma in gammas:
+            self.add([images[gamma]], (si, gamma))
 
 
 def _twist_shift(alpha_base: Fraction, alpha: Fraction) -> int:
@@ -715,41 +734,17 @@ def _twist_shift(alpha_base: Fraction, alpha: Fraction) -> int:
     return int(delta)
 
 
-def presentation_elements(pres: HodgePresentation, f: Polynomial,
-                          alpha_base: Fraction, pole_target: int, xdeg: int):
-    """All vectors x^beta d^gamma (g f^(-j-alpha)) of a presentation, cleared
-    to the common pole (relative to alpha_base), as one family; elements
-    whose clearing leaves the degree window are skipped.  Yields (integer
-    numerators, den, tag), as `_WindowFamily.vectors` does."""
-    shift = _twist_shift(alpha_base, pres.alpha)
-    family = _WindowFamily(f.dim)
-    for si, (budget, g, j) in enumerate(pres.summands):
-        gammas = family.shifts(budget)
-        images = pole_apply(gammas, g, j + shift, alpha_base, f)
-        for gamma in gammas:
-            yield from family.vectors([images[gamma]], f, pole_target, xdeg,
-                                      (si, gamma))
-
-
-def _module_span(vectors) -> Echelon:
-    """Span of the vectors of (integer numerators, den, tag) triples: a
-    bounded span inside the twisted localization module, at one pole
-    order.  A vector with None numerators, a multiple of an earlier one,
-    counts in n_vectors as the dependent insert it would be."""
-    span = Echelon()
-    for vec, den, _ in vectors:
-        if vec is None:
-            span.n_vectors += 1
-        else:
-            span.insert(vec, den)
-    return span
-
-
 def presentation_span(pres: HodgePresentation, f: Polynomial,
                       alpha_base: Fraction, pole_target: int,
-                      xdeg: int) -> Echelon:
-    return _module_span(
-        presentation_elements(pres, f, alpha_base, pole_target, xdeg))
+                      xdeg: int) -> WindowSpan:
+    """The span of all vectors x^beta d^gamma (g f^(-j-alpha)) of a
+    presentation, cleared to the common pole (relative to alpha_base);
+    elements whose clearing leaves the degree window are skipped."""
+    shift = _twist_shift(alpha_base, pres.alpha)
+    span = WindowSpan(f, pole_target, xdeg)
+    for si, (budget, g, j) in enumerate(pres.summands):
+        span.add_summand(si, (budget, g, j + shift), alpha_base)
+    return span
 
 
 def _verdict(name: str, count: int, expect_nonempty: bool):
@@ -762,47 +757,29 @@ def _verdict(name: str, count: int, expect_nonempty: bool):
     return True, {"direction": name, "vectors": count}
 
 
-def _cross_containment(name: str, source_vectors, source_span: Echelon,
-                       target_span: Echelon, expect_nonempty: bool = False):
-    """Report the first source vector outside the target span, or the vector
-    count.  source_span is the span of the source vectors (all nonzero and
-    inside the window); only its basis is reduced, as it spans the same
-    space, so the vectors are scanned only to name the first failure; a
-    vector with None numerators is a multiple of an earlier one and cannot
-    fail first."""
-    if not any(target_span.reduce(*integer_terms(row))[0]
-               for row in source_span.basis()):
-        return _verdict(name, source_span.n_vectors, expect_nonempty)
-    for vec, den, tag in source_vectors:
-        if vec is None:
-            continue
-        residual, _ = target_span.reduce(vec, den)
-        if residual:
+def _cross_containment(name: str, source: WindowSpan, target: WindowSpan,
+                       expect_nonempty: bool = False):
+    """Report the tag of the first source vector outside the target span,
+    or the vector count.  Only the source rows are reduced: a row is its
+    vector minus earlier rows, which span the earlier vectors, so the first
+    row outside the target is that of the first vector outside it."""
+    for row, tag in zip(source.echelon.basis(), source.tags):
+        if target.echelon.reduce(*integer_terms(row))[0]:
             return False, {"direction": name, "failed_at": repr(tag)}
-    raise InternalCheckFailed(f"{name}: a row of the source span is not "
-                              "contained but every source vector is")
+    return _verdict(name, source.echelon.n_vectors, expect_nonempty)
 
 
 def _mutual_containment(first, second):
-    """Two-sided containment of the sides (name, vectors, span,
-    expect_nonempty): the results of "first in second" and "second in first".
-    Once the first holds, equal ranks make the spans equal, so the second
-    needs no reduction; its vectors are then never read."""
-    name1, vectors1, span1, nonempty1 = first
-    name2, vectors2, span2, nonempty2 = second
-    d1 = _cross_containment(name1, vectors1, span1, span2, nonempty1)
-    if d1[0] and span1.rank == span2.rank:
-        return d1, _verdict(name2, span2.n_vectors, nonempty2)
-    return d1, _cross_containment(name2, vectors2, span2, span1, nonempty2)
-
-
-def _elements_and_span(pres: HodgePresentation, f: Polynomial,
-                       alpha_base: Fraction, pole_target: int, xdeg: int):
-    """The element list of a presentation and its span, built from the list
-    once, so that a failing containment can scan the elements again."""
-    elements = list(presentation_elements(pres, f, alpha_base, pole_target,
-                                          xdeg))
-    return elements, _module_span(elements)
+    """Two-sided containment of the sides (name, span, expect_nonempty):
+    the results of "first in second" and "second in first".  Once the first
+    holds, equal ranks make the spans equal, so the second needs no
+    reduction."""
+    name1, span1, nonempty1 = first
+    name2, span2, nonempty2 = second
+    d1 = _cross_containment(name1, span1, span2, nonempty1)
+    if d1[0] and span1.echelon.rank == span2.echelon.rank:
+        return d1, _verdict(name2, span2.echelon.n_vectors, nonempty2)
+    return d1, _cross_containment(name2, span2, span1, nonempty2)
 
 
 def presentations_equal(p1: HodgePresentation, p2: HodgePresentation,
@@ -816,8 +793,7 @@ def presentations_equal(p1: HodgePresentation, p2: HodgePresentation,
 
     def side(name, p):
         return (name,
-                *_elements_and_span(p, f, alpha_base, pole_target,
-                                    bounds.xdeg),
+                presentation_span(p, f, alpha_base, pole_target, bounds.xdeg),
                 bool(p.summands))
 
     (ok21, d21), (ok12, d12) = _mutual_containment(
@@ -836,7 +812,7 @@ def reduce_presentation(pres: HodgePresentation, f: Polynomial,
     already lies in the bounded span of the summands kept so far (low pole
     steps and low degrees first).  Never changes the denoted span."""
     pole_target = max((j for _, _, j in pres.summands), default=0)
-    span = Echelon()
+    span = WindowSpan(f, pole_target, bounds.xdeg)
     kept = []
     order = sorted(pres.summands,
                    key=lambda t: (t[2], t[1].total_degree(),
@@ -844,14 +820,10 @@ def reduce_presentation(pres: HodgePresentation, f: Polynomial,
     for budget, g, j in order:
         vec = g * f ** (pole_target - j)
         if (vec.total_degree() <= bounds.xdeg and kept
-                and not span.reduce(*integer_terms(vec.terms))[0]):
+                and not span.echelon.reduce(*integer_terms(vec.terms))[0]):
             continue
+        span.add_summand(len(kept), (budget, g, j), pres.alpha)
         kept.append((budget, g, j))
-        single = HodgePresentation.build(pres.alpha, pres.dim, [(budget, g, j)])
-        for vec, den, _ in presentation_elements(single, f, pres.alpha,
-                                                 pole_target, bounds.xdeg):
-            if vec is not None:
-                span.insert(vec, den)
     return HodgePresentation.build(pres.alpha, pres.dim, kept)
 
 
@@ -863,11 +835,11 @@ def presentation_contained(p1: HodgePresentation, p2: HodgePresentation,
     alpha_base = p1.alpha
     pole_target = max(p1.max_pole(),
                       p2.max_pole() + _twist_shift(alpha_base, p2.alpha), 0)
-    span2 = presentation_span(p2, f, alpha_base, pole_target, bounds.xdeg)
     ok, d = _cross_containment(
         "first-in-second",
-        *_elements_and_span(p1, f, alpha_base, pole_target, bounds.xdeg),
-        span2, expect_nonempty=bool(p1.summands))
+        presentation_span(p1, f, alpha_base, pole_target, bounds.xdeg),
+        presentation_span(p2, f, alpha_base, pole_target, bounds.xdeg),
+        expect_nonempty=bool(p1.summands))
     if ok:
         return SpanCertificate("member", bounds.to_json(), witness=[d])
     return SpanCertificate("not-found-at-bound", bounds.to_json(),
@@ -912,7 +884,8 @@ def dspans_equal(p1: HodgePresentation, p2: HodgePresentation, f: Polynomial,
                 if depth not in spans:
                     spans[depth] = presentation_span(
                         tgt, f, alpha_base, depth, bounds.xdeg)
-                if not spans[depth].reduce(*integer_terms(vec.terms))[0]:
+                if not spans[depth].echelon.reduce(
+                        *integer_terms(vec.terms))[0]:
                     found = True
                     break
             if not found:
@@ -959,31 +932,22 @@ def crosscheck_hodge_weight(kind: str, obj, alpha, k: int, l: int,
     pole_target = max(pres.max_pole(),
                       max((g.max_layer() + b for g, b in gens), default=0))
 
-    # oracle-side vectors: bounded operators in the graph module, collapsed,
-    # as one family
-    oracle_vectors = []
-    family = _WindowFamily(f.dim)
+    # oracle side: bounded operators in the graph module, collapsed
+    oracle_span = WindowSpan(f, pole_target, bounds.xdeg)
     for gi, (gen, budget) in enumerate(gens):
         budget = min(budget, bounds.order)
         if budget < 0:
             continue
-        images = d_part_images(family.shifts(budget), gen,
+        images = d_part_images(oracle_span.shifts(budget), gen,
                                lambda u, i: act(f"d{i + 1}", u, f))
         for gamma, img in sorted(images.items(), key=lambda kv: grlex_key(kv[0])):
-            if img.max_layer() > bounds.dt:
-                continue
-            oracle_vectors.extend(family.vectors(
-                psi_map(img, alpha), f, pole_target, bounds.xdeg,
-                (gi, gamma)))
+            if img.max_layer() <= bounds.dt:
+                oracle_span.add(psi_map(img, alpha), (gi, gamma))
 
-    oracle_span = _module_span(oracle_vectors)
     closed_span = presentation_span(pres, f, alpha, pole_target, bounds.xdeg)
-
     (ok_oc, d_oc), (ok_co, d_co) = _mutual_containment(
-        ("oracle-in-closed-form", oracle_vectors, oracle_span, bool(gens)),
-        ("closed-form-in-oracle",
-         presentation_elements(pres, f, alpha, pole_target, bounds.xdeg),
-         closed_span, bool(pres.summands)))
+        ("oracle-in-closed-form", oracle_span, bool(gens)),
+        ("closed-form-in-oracle", closed_span, bool(pres.summands)))
     if ok_oc and ok_co:
         return SpanCertificate("member", bounds.to_json(), witness=[d_oc, d_co])
     return SpanCertificate("not-found-at-bound", bounds.to_json(),

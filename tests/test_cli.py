@@ -6,6 +6,7 @@ import pathlib
 
 import pytest
 
+from hwkit import cli, vforacle
 from hwkit.cli import _cache_key, build_parser, main
 from hwkit.weyl import TwistedSection
 
@@ -319,6 +320,88 @@ def test_cache_hit_identical(capsys, tmp_path, monkeypatch):
     _, warm = run(capsys, "classify", "--exponents", "1,1", "--alpha", "1",
                   "--json")
     assert cold == warm
+
+
+CACHED_WORK = [
+    (("bfun", "--exponents", "2,3", "--verify"), vforacle,
+     "verify_bfunction"),
+    (("snc", "--exponents", "2,3,1", "--alpha", "1/2"), cli, "snc_f0_ideal"),
+    (("whom", "--poly", "x1^2+x2^3", "--weights", "1/2,1/3", "--alpha",
+      "5/6", "--k", "1", "--l", "0"), cli, "QuasiHomogeneousGerm"),
+    (("classify", "--exponents", "1,2", "--alpha", "1/2"), cli,
+     "_reduced_bfunction"),
+    (("bounds", "--exponents", "1,2", "--alpha", "1/2"), cli,
+     "_reduced_bfunction"),
+]
+
+
+@pytest.mark.parametrize("argv, owner, name", CACHED_WORK,
+                         ids=[argv[0] for argv, _, _ in CACHED_WORK])
+def test_cache_hit_does_no_work(capsys, tmp_path, monkeypatch, argv, owner,
+                                name):
+    # a warm run prints the cold run's bytes without computing anything
+    monkeypatch.setenv("HWKIT_CACHE", str(tmp_path))
+    work, calls = getattr(owner, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return work(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    cold = run(capsys, *argv, "--json")
+    assert cold[0] == 0 and calls
+    calls.clear()
+    assert run(capsys, *argv, "--json") == cold
+    assert not calls
+
+
+def test_unusable_cache_is_a_miss(capsys, tmp_path, monkeypatch):
+    # a root that names a file, an entry that cannot be read and a root
+    # that cannot be written all give the uncached envelope
+    argv = ["classify", "--exponents", "1,1", "--alpha", "1", "--json"]
+    monkeypatch.delenv("HWKIT_CACHE", raising=False)
+    uncached = run(capsys, *argv)
+
+    def served():
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (uncached[0], uncached[1], "")
+
+    root = tmp_path / "file"
+    root.write_text("not a directory")
+    monkeypatch.setenv("HWKIT_CACHE", str(root))
+    served()
+    assert root.read_text() == "not a directory"
+    root = tmp_path / "cache"
+    monkeypatch.setenv("HWKIT_CACHE", str(root))
+    served()
+    (entry,) = root.iterdir()
+    entry.unlink()
+    entry.mkdir()
+    served()
+    assert list(root.iterdir()) == [entry] and entry.is_dir()
+    entry.rmdir()
+
+    def unwritable(*args, **kwargs):
+        raise PermissionError("read-only cache")
+
+    monkeypatch.setattr(cli.tempfile, "mkstemp", unwritable)
+    served()
+    assert not list(root.iterdir())
+
+
+def test_stratum_order_gives_one_envelope(capsys, tmp_path, monkeypatch):
+    # the coordinates are sorted in the payload and the key; sorted input
+    # keeps the bytes it had
+    monkeypatch.setenv("HWKIT_CACHE", str(tmp_path))
+    outs = {run(capsys, "snc", "--exponents", "2,3,1", "--alpha", "1/2",
+                "--stratum", stratum, "--json")[1]
+            for stratum in ("1,2", "2,1", "2, 1")}
+    (out,) = outs
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f57d47302c667ef0a4935199e25a4b7f741cd53b7d5aefd54e549091f13a2f16")
+    assert json.loads(out)["inputs"]["stratum"] == "1,2"
+    assert len(os.listdir(tmp_path)) == 1
 
 
 def test_suite_profiles(capsys, tmp_path, monkeypatch):

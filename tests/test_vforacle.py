@@ -8,13 +8,14 @@ from hypothesis import given, settings, strategies as st
 from hwkit.bsdata import BFunction, bfunction_snc
 from hwkit.errors import PreconditionError, WindowExceeded
 from hwkit.cli import main
-from hwkit.exactalg import (Polynomial, WeightVector, integer_terms,
-                            mono_mul, monomials_upto_degree, poly_parse)
+from hwkit.exactalg import (Polynomial, WeightVector, grlex_key,
+                            integer_terms, mono_mul, monomials_upto_degree,
+                            poly_parse)
 from hwkit import vforacle
 from hwkit.linalg import Echelon
 from hwkit.snc import HodgePresentation, SncDivisor
-from hwkit.vforacle import (BfElement, Bounds, SncVFamily,
-                            WhomVFamily, _cross_containment, _module_span,
+from hwkit.vforacle import (BfElement, Bounds, SncVFamily, WhomVFamily,
+                            WindowSpan, _cross_containment,
                             _mutual_containment, act, bf_span,
                             candidate_v_snc, crosscheck_hodge_weight,
                             dspans_equal, kernel_filtration_check, membership,
@@ -549,6 +550,15 @@ def _family(rng, label, base=(), xdeg=3):
     return out
 
 
+def _raw_span(family):
+    """A window span holding the tagged vectors of family, each inserted
+    as it is."""
+    span = WindowSpan(XY, 0, 3)
+    for vec, den, tag in family:
+        span.insert(vec, den, tag)
+    return span
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_row_containment_matches_vector_scan(seed):
     rng = random.Random(seed)
@@ -556,37 +566,27 @@ def test_row_containment_matches_vector_scan(seed):
     b = _family(rng, "b", base=a)
     if rng.random() < 0.5:
         a, b = b, a
-    span_a, span_b = _module_span(a), _module_span(b)
+    span_a, span_b = _raw_span(a), _raw_span(b)
     ne_a, ne_b = rng.random() < 0.5, rng.random() < 0.5
     for name, src, src_span, ne, tgt, tgt_span in (
             ("a-in-b", a, span_a, ne_a, b, span_b),
             ("b-in-a", b, span_b, ne_b, a, span_a)):
         ref = _reference_containment(name, src, tgt, ne)
-        assert _cross_containment(name, iter(src), src_span, tgt_span,
-                                  ne) == ref
-    assert _mutual_containment(("a-in-b", iter(a), span_a, ne_a),
-                               ("b-in-a", iter(b), span_b, ne_b)) == (
+        assert _cross_containment(name, src_span, tgt_span, ne) == ref
+    assert _mutual_containment(("a-in-b", span_a, ne_a),
+                               ("b-in-a", span_b, ne_b)) == (
         _reference_containment("a-in-b", a, b, ne_a),
         _reference_containment("b-in-a", b, a, ne_b))
 
 
 def test_mutual_containment_keeps_expect_nonempty():
     # the rank shortcut still reports an empty family as inconclusive
-    empty = _module_span([])
-    assert _mutual_containment(("a-in-b", iter([]), empty, False),
-                               ("b-in-a", iter([]), empty, True)) == (
+    empty = _raw_span([])
+    assert _mutual_containment(("a-in-b", empty, False),
+                               ("b-in-a", empty, True)) == (
         (True, {"direction": "a-in-b", "vectors": 0}),
         (False, {"direction": "b-in-a",
                  "failed_at": "window too small to represent anything"}))
-
-
-def test_row_containment_checks_its_source_span():
-    # a failing row that no source vector explains is an internal error
-    x1, x2 = poly_parse("x1", 2), poly_parse("x2", 2)
-    with pytest.raises(AssertionError):
-        _cross_containment("x-in-x", [(*integer_terms(x1.terms), "x1")],
-                           _module_span([(*integer_terms(x2.terms), 0)]),
-                           _module_span([(*integer_terms(x1.terms), 0)]))
 
 
 def every_window_vector(parts, f, pole_target, xdeg, tag):
@@ -644,36 +644,129 @@ def _window_stream(produce, elements, f, xdeg):
             for v in produce(parts, f, 1, xdeg, (i,))]
 
 
+class _RecordingSpan(WindowSpan):
+    """A window span that records every vector it inserts."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.inserted = []
+
+    def insert(self, vec, den, tag):
+        self.inserted.append((vec, den, tag))
+        super().insert(vec, den, tag)
+
+
+def _window_span(elements, f, xdeg, cls=WindowSpan):
+    span = cls(f, 1, xdeg)
+    for i, parts in enumerate(elements):
+        span.add(parts, (i,))
+    return span
+
+
+def _scan_containment(name, source, target, expect_nonempty):
+    """Vector by vector: the tag of the first source vector that does not
+    reduce in a plain Echelon of every target vector."""
+    span = Echelon()
+    for vec, den, _ in target:
+        span.insert(vec, den)
+    for vec, den, tag in source:
+        if span.reduce(vec, den)[0]:
+            return False, {"direction": name, "failed_at": repr(tag)}
+    if expect_nonempty and not source:
+        return False, {"direction": name,
+                       "failed_at": "window too small to represent anything"}
+    return True, {"direction": name, "vectors": len(source)}
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(window_families())
 def test_window_family_inserts_each_vector_once(case):
     f, xdeg, elements, target = case
-    family = vforacle._WindowFamily(f.dim)
-    stream = _window_stream(family.vectors, elements, f, xdeg)
+    span = _window_span(elements, f, xdeg, _RecordingSpan)
     every = _window_stream(every_window_vector, elements, f, xdeg)
-    # the same window vectors in the same order, a skipped one as None
-    assert [tag for *_, tag in stream] == [tag for *_, tag in every]
-    for (vec, den, _), (ref, ref_den, _) in zip(stream, every):
-        assert vec is None or (vec, den) == (ref, ref_den)
-    kept = [_direction(vec) for vec, _, _ in stream if vec is not None]
+    # the inserted vectors are window vectors, in the order of the stream
+    reference = {tag: (vec, den) for vec, den, tag in every}
+    tags = [tag for *_, tag in span.inserted]
+    assert tags == [tag for *_, tag in every if tag in set(tags)]
+    for vec, den, tag in span.inserted:
+        assert (vec, den) == reference[tag]
+    kept = [_direction(vec) for vec, _, _ in span.inserted]
     assert len(kept) == len(set(kept)) == len({_direction(vec)
                                               for vec, _, _ in every})
-    span = _module_span(stream)
-    full = Echelon()
-    for vec, den, _ in every:
-        full.insert(vec, den)
-    assert span.rank == full.rank
-    assert span.pivots() == full.pivots()
-    assert span.basis() == full.basis()
-    assert span.n_vectors == full.n_vectors == len(every)
-    # a target family that may miss some of the vectors, so that the scan
-    # names the same first failure with and without skipping
-    target_span = _module_span(_window_stream(
-        vforacle._WindowFamily(f.dim).vectors, target, f, xdeg))
+    full, full_tags = Echelon(), []
+    for vec, den, tag in every:
+        if full.insert(vec, den) is None:
+            full_tags.append(tag)
+    assert span.echelon.rank == full.rank
+    assert span.echelon.pivots() == full.pivots()
+    assert span.echelon.basis() == full.basis()
+    assert span.echelon.n_vectors == full.n_vectors == len(every)
+    assert span.tags == full_tags
+    # a target family that may miss some of the vectors, so that the rows
+    # name the first failing vector of the scan over every vector
+    target_span = _window_span(target, f, xdeg)
+    target_every = _window_stream(every_window_vector, target, f, xdeg)
     for expect_nonempty in (False, True):
-        assert _cross_containment("a-in-b", iter(stream), span, target_span,
-                                  expect_nonempty) == _cross_containment(
-            "a-in-b", iter(every), full, target_span, expect_nonempty)
+        assert _cross_containment("a-in-b", span, target_span,
+                                  expect_nonempty) == _scan_containment(
+            "a-in-b", every, target_every, expect_nonempty)
+
+
+def _reference_reduce(pres, f, xdeg):
+    """The kept summands of the greedy minimalization over a plain
+    Echelon that takes every window vector of each kept summand."""
+    pole_target = max((j for _, _, j in pres.summands), default=0)
+    span, kept = Echelon(), []
+    for budget, g, j in sorted(pres.summands, key=lambda t: (
+            t[2], t[1].total_degree(), grlex_key(t[1].leading_monomial()))):
+        vec = g * f ** (pole_target - j)
+        if (vec.total_degree() <= xdeg and kept
+                and not span.reduce(*integer_terms(vec.terms))[0]):
+            continue
+        kept.append((budget, g, j))
+        gammas = list(monomials_upto_degree(f.dim, budget))
+        images = vforacle.pole_apply(gammas, g, j, pres.alpha, f)
+        for gamma in gammas:
+            for v, den, _ in every_window_vector([images[gamma]], f,
+                                                 pole_target, xdeg, ()):
+                span.insert(v, den)
+    return HodgePresentation.build(pres.alpha, pres.dim, kept)
+
+
+@st.composite
+def shared_presentations(draw):
+    """(f, xdeg, presentation) in dimension 2 whose summands c * x^a *
+    base share one or two bases, so that their window vectors share
+    multiples across summands."""
+    f = poly_parse(draw(st.sampled_from(POLES[2])), 2)
+    bases = draw(st.lists(st.sampled_from(BASES[2]), min_size=1,
+                          max_size=2, unique=True))
+    summand = st.builds(
+        lambda budget, base, shift, c, pole: (
+            budget, poly_parse(base, 2).mul_mono(shift).scale(c), pole),
+        st.integers(0, 2), st.sampled_from(bases),
+        st.sampled_from(SHIFTS[2]),
+        st.sampled_from([F(1), F(-1), F(2), F(1, 3)]),
+        st.sampled_from([0, 1]))
+    summands = draw(st.lists(summand, min_size=1, max_size=5))
+    alpha = draw(st.sampled_from([F(1), F(1, 2), F(5, 6)]))
+    return (f, draw(st.integers(3, 6)),
+            HodgePresentation.build(alpha, 2, summands))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(shared_presentations())
+def test_reduce_presentation_matches_every_vector_reference(case):
+    f, xdeg, pres = case
+    got = reduce_presentation(pres, f, Bounds(2, xdeg, 4))
+    assert got.to_json() == _reference_reduce(pres, f, xdeg).to_json()
+
+
+def _add_every_vector(span, parts, tag):
+    """WindowSpan.add with no window vector skipped."""
+    for vec, den, t in every_window_vector(parts, span.f, span.pole_target,
+                                           span.xdeg, tag):
+        span.insert(vec, den, t)
 
 
 CROSS_111 = ("crosscheck", "--source", "snc", "--exponents", "1,1,1",
@@ -687,14 +780,14 @@ def test_crosscheck_inserts_each_window_vector_once(inserted, monkeypatch,
     # the pinned crosscheck inserts as many vectors into each module span as
     # its window vectors have distinct directions, with an unchanged envelope
     monkeypatch.delenv("HWKIT_CACHE", raising=False)
-    module_span = vforacle._module_span
+    init = WindowSpan.__init__
     marks = []
 
-    def marked(vectors):
+    def marked(self, *args):
         marks.append(len(inserted))
-        return module_span(vectors)
+        init(self, *args)
 
-    monkeypatch.setattr(vforacle, "_module_span", marked)
+    monkeypatch.setattr(WindowSpan, "__init__", marked)
 
     def spans():
         """The vectors inserted into each module span, in order."""
@@ -708,8 +801,7 @@ def test_crosscheck_inserts_each_window_vector_once(inserted, monkeypatch,
 
     kept = spans()
     with monkeypatch.context() as m:
-        m.setattr(vforacle._WindowFamily, "vectors",
-                  lambda self, *args: every_window_vector(*args))
+        m.setattr(WindowSpan, "add", _add_every_vector)
         every = spans()
     assert len(kept) == len(every) == 2  # the oracle and closed-form spans
     assert sum(map(len, kept)) < sum(map(len, every))
