@@ -210,28 +210,29 @@ def weight_module_generators(inp: AnnihilatorInput, l: int,
     return gens, meta
 
 
-def operator_on_pole(op: WeylOperator, f: Polynomial, step: int,
-                     alpha: Fraction):
-    """Evaluate an s-free operator applied to f^(-step-alpha) as
-    (numerator, pole), with the pole kept minimal."""
-    if not op.is_s_free():
-        raise ValueError("operator still carries s")
-    images = pole_apply([de for _, de, _ in op.terms], Polynomial.one(f.dim),
-                        step, alpha, f)
-    parts = []
-    for (xe, de, _), c in op.terms.items():
-        num, p = images[de]
-        parts.append((num.mul_mono(xe, c), p))
-    if not parts:
-        return Polynomial.zero(f.dim), step
-    pole = max(p for _, p in parts)
-    total = clear_to_pole(parts, f, pole)
-    while pole > 0 and not total.is_zero():
-        q = total.div_exact(f)
-        if q is None:
-            break
-        total, pole = q, pole - 1
-    return total, pole
+def operators_on_pole(ops, f: Polynomial, step: int, alpha: Fraction) -> list:
+    """Evaluate each s-free operator of ops applied to f^(-step-alpha) as
+    (numerator, pole), with the pole kept minimal.  One pole_apply call over
+    the d-parts of all the ops gives the images d^gamma f^(-step-alpha) that
+    their terms share."""
+    if not all(op.is_s_free() for op in ops):
+        raise InternalCheckFailed(
+            "an operator evaluated on a pole still carries s")
+    images = pole_apply({de for op in ops for _, de, _ in op.terms},
+                        Polynomial.one(f.dim), step, alpha, f)
+    out = []
+    for op in ops:
+        parts = [(images[de][0].mul_mono(xe, c), images[de][1])
+                 for (xe, de, _), c in op.terms.items()]
+        pole = max((p for _, p in parts), default=step)
+        total = clear_to_pole(parts, f, pole)
+        while pole > 0 and not total.is_zero():
+            q = total.div_exact(f)
+            if q is None:
+                break
+            total, pole = q, pole - 1
+        out.append((total, pole))
+    return out
 
 
 def weight_step_presentation(inp: AnnihilatorInput, gens,
@@ -241,11 +242,9 @@ def weight_step_presentation(inp: AnnihilatorInput, gens,
     evaluated on f^(-1-alpha), carrying the full operator budget bounds.order
     (the step is a D-module, not just an O-module).  The generator list is
     minimalized at the given bounds."""
-    summands = []
-    for g in gens:
-        num, pole = operator_on_pole(g, inp.f, 1, inp.alpha)
-        if not num.is_zero():
-            summands.append((bounds.order, num, pole))
+    summands = [(bounds.order, num, pole)
+                for num, pole in operators_on_pole(gens, inp.f, 1, inp.alpha)
+                if not num.is_zero()]
     pres = HodgePresentation.build(inp.alpha, inp.dim, summands)
     return reduce_presentation(pres, inp.f, bounds)
 
@@ -370,12 +369,10 @@ def hodge_on_weight(inp: AnnihilatorInput, l: int, k: int,
     if not sols:
         raise InconclusiveAtBound("no elements found at these bounds",
                                   bounds={"order": so, "xdeg": sx})
-    summands = []
-    for u in sols:
-        num, pole = operator_on_pole(u.substitute_s(-inp.alpha), inp.f, 1,
-                                     inp.alpha)
-        if not num.is_zero():
-            summands.append((0, num, pole))
+    ops = [u.substitute_s(-inp.alpha) for u in sols]
+    summands = [(0, num, pole)
+                for num, pole in operators_on_pole(ops, inp.f, 1, inp.alpha)
+                if not num.is_zero()]
     return HodgePresentation.build(inp.alpha, dim, summands)
 
 
@@ -404,11 +401,10 @@ def hodge_weight_interval21(inp: AnnihilatorInput, gens, k: int,
     so, sx = min(bounds.order, k + 2), min(bounds.xdeg, 6)
     sbasis = bounded_operator_basis(dim, so, sx)
     packing = window_packing(gens, so, sx)
-    summands = []
-    for u in _order_bounded_elements(gens, sbasis, k, packing):
-        num, pole = operator_on_pole(u, inp.f, 1, Fraction(0))
-        if not num.is_zero():
-            summands.append((0, num, pole))
+    ops = _order_bounded_elements(gens, sbasis, k, packing)
+    summands = [(0, num, pole)
+                for num, pole in operators_on_pole(ops, inp.f, 1, Fraction(0))
+                if not num.is_zero()]
     if not summands:
         raise InconclusiveAtBound("no elements found at these bounds",
                                   bounds={"order": so, "xdeg": sx})

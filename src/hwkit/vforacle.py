@@ -638,11 +638,21 @@ def pole_apply(gammas, g: Polynomial, pole: int, alpha: Fraction,
 
 def clear_to_pole(parts, f: Polynomial, pole: int) -> Polynomial:
     """The parts (num, p), each standing for num * f^(-p), written over one
-    pole: the numerator sum of num * f^(pole - p), zero numerators skipped."""
-    total = Polynomial.zero(f.dim)
+    pole: the numerator sum of num * f^(pole - p), zero numerators skipped.
+    The numerators are summed per p and cleared by Horner's rule, one
+    product by f per pole step."""
+    by_pole = {}
     for num, p in parts:
         if not num.is_zero():
-            total = total + num * f ** (pole - p)
+            by_pole[p] = by_pole[p] + num if p in by_pole else num
+    if max(by_pole, default=pole) > pole:
+        raise ValueError("a part lies above the pole")
+    total = Polynomial.zero(f.dim)
+    for p in range(min(by_pole, default=pole), pole + 1):
+        if not total.is_zero():
+            total = total * f
+        if p in by_pole:
+            total = total + by_pole[p]
     return total
 
 

@@ -29,6 +29,17 @@ TRIPLE_ANN = (
     "pp: true\n"
     "1/3*x1^2*d1 + 2/3*x1*x2*d1 - 2/3*x1*x2*d2 - 1/3*x2^2*d2\n")
 
+# tests/data/cusp.ann twisted by alpha = 1/6: the roots of b lie in
+# (-13/6, -1/6), and -7/6 is one, so l = 0 is valid
+CUSP_TWISTED_ANN = (
+    "# cuspidal cubic, twisted by alpha = 1/6\n"
+    "f: x1^2 + x2^3\n"
+    "E: 1/2*x1*d1 + 1/3*x2*d2\n"
+    "alpha: 1/6\n"
+    "b: (s+1)(s+5/6)(s+7/6)\n"
+    "pp: true\n"
+    "3*x2^2*d1 - 2*x1*d2\n")
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -286,6 +297,12 @@ PINNED = [
      0, "89c6fb4169cf82dcb229a40662837851296e46ffbc41beedd1b6dc0af1dab3ab"),
     (("ppd", "--input", "{}/triple.ann", "--l", "1", "--weight-only"),
      0, "eebae11bba4bf979264fae1e46179749358074e29fb40a4436490be8e881969f"),
+    (("ppd", "--input", "{}/cusp_twisted.ann", "--l", "0", "--k", "0"),
+     0, "8e158f1ba9f8628f92cf7de61b2e36d35c00214eeecfb9cc96102dd6865e0a44"),
+    # the k = 1 Hodge elements have order 1, so this envelope sees the
+    # (p + alpha) factor of the pole images; the k = 0 one does not
+    (("ppd", "--input", "{}/cusp_twisted.ann", "--l", "0", "--k", "1"),
+     0, "6c483ea49824b47be2a3e465df7f9027e17fbcb894887ad64d7b5bf0ac5914d7"),
 ]
 
 
@@ -296,6 +313,7 @@ def test_envelope_pinned(capsys, tmp_path, monkeypatch, argv, code, sha):
     monkeypatch.delenv("HWKIT_CACHE", raising=False)
     (tmp_path / "node.ann").write_text(NODE_ANN)
     (tmp_path / "triple.ann").write_text(TRIPLE_ANN)
+    (tmp_path / "cusp_twisted.ann").write_text(CUSP_TWISTED_ANN)
     argv = [a.replace("{}", str(tmp_path)) for a in argv]
     got, out = run(capsys, *argv, "--json")
     assert got == code

@@ -1,18 +1,21 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hwkit import ppd
 from hwkit.bsdata import bfunction_snc, bfunction_whom_isolated
 from hwkit.errors import InternalCheckFailed, ParseError, PreconditionError
 from hwkit.exactalg import (Polynomial, WeightVector, integer_terms,
-                            poly_parse)
+                            monomials_upto_degree, poly_parse)
 from hwkit.ppd import (AnnihilatorInput, check_annihilator, gamma_ideal,
                        hodge_on_weight, hodge_weight_interval21,
-                       operator_on_pole, parse_annihilator_file, w0_span,
+                       operators_on_pole, parse_annihilator_file, w0_span,
                        weight_module_generators, weight_step_presentation)
 from hwkit.snc import (HodgePresentation, SncDivisor, snc_f0_ideal,
                        snc_hodge_weight)
-from hwkit.vforacle import Bounds, dspans_equal, presentations_equal
+from hwkit.vforacle import (Bounds, dspans_equal, pole_apply,
+                            presentations_equal)
 from hwkit.weyl import WeylOperator
 from hwkit.whom import QuasiHomogeneousGerm
 
@@ -149,10 +152,94 @@ def test_cusp_weight_and_hodge():
 
 
 def test_operator_on_pole():
-    num, pole = operator_on_pole(WeylOperator.from_polynomial(XY), XY, 1, F(0))
+    (num, pole), (num2, pole2) = operators_on_pole(
+        [WeylOperator.from_polynomial(XY), WeylOperator.d(0, 2)], XY, 1, F(0))
     assert (str(num), pole) == ("1", 0)
-    num2, pole2 = operator_on_pole(WeylOperator.d(0, 2), XY, 1, F(0))
     assert (str(num2), pole2) == ("-x2", 2)
+
+
+def test_operators_on_pole_rejects_s():
+    # an operator that still carries s is a fault of the caller: exit 4,
+    # not a traceback
+    with pytest.raises(InternalCheckFailed):
+        operators_on_pole([WeylOperator.d(0, 2), WeylOperator.parse("s*d1", 2)],
+                          XY, 1, F(0))
+
+
+def operator_on_pole_reference(op, f, step, alpha):
+    """One operator on f^(-step-alpha) on its own: its own d-part images,
+    each term cleared with f ** (pole - p), then divided down."""
+    images = pole_apply([de for _, de, _ in op.terms], Polynomial.one(f.dim),
+                        step, alpha, f)
+    parts = [(images[de][0].mul_mono(xe, c), images[de][1])
+             for (xe, de, _), c in op.terms.items()]
+    if not parts:
+        return Polynomial.zero(f.dim), step
+    pole = max(p for _, p in parts)
+    total = Polynomial.zero(f.dim)
+    for num, p in parts:
+        total = total + num * f ** (pole - p)
+    while pole > 0 and not total.is_zero():
+        q = total.div_exact(f)
+        if q is None:
+            break
+        total, pole = q, pole - 1
+    return total, pole
+
+
+def hamiltonian(f):
+    """f_2 d1 - f_1 d2, which kills every power of f: its terms cancel."""
+    terms = {(xe, (1, 0), 0): c for xe, c in f.partial(1).terms.items()}
+    terms.update({(xe, (0, 1), 0): -c for xe, c in f.partial(0).terms.items()})
+    return WeylOperator(2, terms)
+
+
+POLES = [poly_parse(t, 2) for t in ("x1*x2", "x1^2+x2^3", "x1^2*x2+x1*x2^2")]
+XMONOS = list(monomials_upto_degree(2, 2))
+DPARTS = list(monomials_upto_degree(2, 3))
+TERMS = st.dictionaries(
+    st.tuples(st.sampled_from(XMONOS), st.sampled_from(DPARTS),
+              st.just(0)),
+    st.sampled_from([F(1), F(-1), F(2), F(1, 2), F(-3, 2)]), max_size=4)
+
+
+# each op is drawn as a function of f: random terms, the zero operator, or
+# operators whose terms cancel on every power of f
+OPS = st.one_of(
+    TERMS.map(lambda t: lambda f: WeylOperator(2, t)),
+    st.sampled_from([lambda f: WeylOperator.zero(2), hamiltonian,
+                     lambda f: WeylOperator.parse("x1", 2) * hamiltonian(f)]))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(POLES), st.sampled_from([0, 1, 2]),
+       st.sampled_from([F(0), F(1, 2), F(5, 6)]), st.lists(OPS, max_size=4))
+def test_operators_on_pole_matches_one_at_a_time(f, step, alpha, makers):
+    ops = [make(f) for make in makers]
+    assert operators_on_pole(ops, f, step, alpha) == [
+        operator_on_pole_reference(op, f, step, alpha) for op in ops]
+
+
+def test_one_pole_apply_per_presentation(monkeypatch):
+    # every operator of a presentation shares one set of d-part images
+    calls = []
+    real = ppd.pole_apply
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ppd, "pole_apply", counted)
+    inp, bounds = xy_input(), Bounds(order=4, xdeg=8, dt=6)
+    gens = weight_module_generators(inp, 0, bounds)[0]
+    counts = []
+    for build in (lambda: weight_step_presentation(inp, gens, bounds),
+                  lambda: hodge_on_weight(inp, 0, 1, bounds),
+                  lambda: hodge_weight_interval21(inp, gens, 1, bounds)):
+        calls.clear()
+        build()
+        counts.append(len(calls))
+    assert counts == [1, 1, 1]
 
 
 def test_interval21():

@@ -589,6 +589,37 @@ def test_mutual_containment_keeps_expect_nonempty():
                  "failed_at": "window too small to represent anything"}))
 
 
+def cleared_by_powers(parts, f, pole):
+    """The sum of num * f ** (pole - p) over the nonzero parts."""
+    total = Polynomial.zero(f.dim)
+    for num, p in parts:
+        if not num.is_zero():
+            total = total + num * f ** (pole - p)
+    return total
+
+
+@pytest.mark.parametrize("poles,pole", [
+    ([], 0), ([], 3),                # no parts
+    ([1, 1, 1], 1), ([2, 0, 2], 2),  # repeated poles
+    ([0, 3], 3), ([4, 1], 4),        # gaps between poles
+    ([0, 1], 4), ([2], 5),           # the pole above every part
+])
+def test_clear_to_pole_matches_powers(poles, pole):
+    rng = random.Random(10 * len(poles) + pole)
+    for f in (XY, poly_parse("x1^2+x2^3", 2)):
+        parts = [(rand_poly(rng), p) for p in poles]
+        # zero numerators, one of them above the pole, are skipped; a part
+        # and its negative at one pole cancel
+        parts += [(Polynomial.zero(2), pole), (Polynomial.zero(2), pole + 1)]
+        if poles:
+            g = rand_poly(rng) + XY
+            parts += [(g, poles[0]), (-g, poles[0])]
+        assert vforacle.clear_to_pole(parts, f, pole) == \
+            cleared_by_powers(parts, f, pole), (poles, pole, str(f))
+    with pytest.raises(ValueError):
+        vforacle.clear_to_pole([(XY, pole + 1)], XY, pole)
+
+
 def every_window_vector(parts, f, pole_target, xdeg, tag):
     """The window vectors of one element with none skipped: every shift of
     its cleared numerator, the reference a window family must match."""
