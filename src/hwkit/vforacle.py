@@ -24,7 +24,7 @@ from .bsdata import BFunction, RootMultiset
 from .linalg import Echelon
 from .snc import HodgePresentation, SncDivisor, snc_hodge_weight
 from .weyl import (TwistedSection, WeylOperator, apply_to_twisted,
-                   bounded_operator_basis, d_part_images)
+                   d_part_images, graded_operator_basis)
 from .whom import QuasiHomogeneousGerm, whom_hodge_weight
 
 
@@ -282,6 +282,14 @@ def verify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
     exact linear system for P over the bounded operator basis (s adjoined),
     then refute every maximal proper divisor of b at the same bounds.
 
+    Only the columns of graded_operator_basis are built.  For each weight w
+    making f homogeneous, the column of x^b d^g s^j, cleared to the pole the
+    full d-part set fixes, is w-homogeneous of degree w.(b - g) plus a shared
+    constant.  So the elimination is block-diagonal, and b(s) f^s and its
+    divisors lie in the kept block w.(b - g) = -deg_w f, whose rows,
+    residuals and witness are those of the full system.  The kept-block part
+    of a solution is itself one: not-found-at-bound covers the whole window.
+
     member  => the equation holds with the returned operator witness, and
                the certificate records whether b is minimal at these bounds.
     """
@@ -299,17 +307,15 @@ def verify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
     if b.degree() > order_bound:
         return not_found
     dim = f.dim
-    keys = bounded_operator_basis(dim, order_bound, xdeg_bound, b.degree())
+    keys = graded_operator_basis(f, order_bound, xdeg_bound, b.degree())
     sec0 = TwistedSection.power(dim, 1)
-    # d^g f^(s+1), normalized, for each d-part g; x^b and s^j only multiply
-    # the numerator, so the pole of x^b d^g s^j f^(s+1) is at most that of
-    # d^g f^(s+1), and the b = 0, j = 0 operator of every g is in the basis
-    d_parts = {g for _, g, _ in keys}
-    images = d_part_images(d_parts, sec0,
+    # d^g f^(s+1), normalized, for every d-part g of the full basis; x^b and
+    # s^j only multiply the numerator, so this fixes the full basis' pole
+    images = d_part_images(monomials_upto_degree(dim, order_bound), sec0,
                            lambda sec, i: sec.apply_d(i, f).normalized(f))
-    pole_target = max([images[g].pole for g in d_parts] + [1])
+    pole_target = max([sec.pole for sec in images.values()] + [1])
     vectors = {g: integer_terms(_section_vector(images[g], f, pole_target))
-               for g in d_parts}
+               for g in {g for _, g, _ in keys}}
     ech = Echelon()
     for idx, (xb, g, j) in enumerate(keys):
         vec, den = vectors[g]
@@ -332,18 +338,12 @@ def verify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
         raise InternalCheckFailed("witness failed re-evaluation")
 
     divisors = []
-    minimal = True
     for r in b.sorted_roots():
-        smaller = dict(b.roots)
-        smaller[r] -= 1
-        if not smaller[r]:
-            del smaller[r]
-        div = RootMultiset(smaller)
+        div = RootMultiset({q: m - (q == r) for q, m in b.roots.items()})
         res_d, _ = ech.reduce(*rhs_vector(div))
-        verdict = "not-found-at-bound" if res_d else "member"
-        if verdict == "member":
-            minimal = False
-        divisors.append({"divisor": div.product_string(), "verdict": verdict})
+        divisors.append({"divisor": div.product_string(),
+                         "verdict": "not-found-at-bound" if res_d else "member"})
+    minimal = all(d["verdict"] != "member" for d in divisors)
     return SpanCertificate(
         "member", bounds_json,
         witness={"operator": str(operator), "divisors": divisors,

@@ -13,7 +13,7 @@ computed from the window before anything is built (`window_packing`).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, perm
+from math import comb, lcm, perm
 
 from .errors import DimensionMismatch, InternalCheckFailed, ParseError
 from .exactalg import (Polynomial, SparseTerms, integer_terms, mono_mul,
@@ -331,11 +331,50 @@ def bounded_operator_basis(dim: int, order_bound: int, xdeg_bound: int,
     """Keys (b, g, j) of the monomial operators x^b d^g s^j with
     |g|+j <= order_bound, |b| <= xdeg_bound and j <= s_bound, in graded-lex
     order.  s_bound = 0 gives the s-free basis."""
+    return _graded_keys(dim, [], order_bound, xdeg_bound, s_bound)
+
+
+def homogeneity_grading(f: Polynomial) -> list:
+    """[(w, deg_w f)]: an integer basis of the weights w that make f
+    w-homogeneous, from one `nullspace` call over the differences of f's
+    exponent vectors (all of Q^n for a monomial, none for a generic f)."""
+    base = next(iter(f.terms), (0,) * f.dim)
+    columns = [{r: a[i] - base[i] for r, a in enumerate(f.terms)
+                if a[i] != base[i]} for i in range(f.dim)]
+    grading = []
+    for dep in nullspace(columns, [1] * f.dim, [{i: 1} for i in range(f.dim)]):
+        scale = lcm(*(c.denominator for c in dep.values()))
+        w = tuple(int(dep.get(i, 0) * scale) for i in range(f.dim))
+        grading.append((w, sum(wi * e for wi, e in zip(w, base))))
+    return grading
+
+
+def graded_operator_basis(f: Polynomial, order_bound: int, xdeg_bound: int,
+                          s_bound: int = 0) -> list:
+    """The keys of bounded_operator_basis(f.dim, ...) with w.(b - g) =
+    -deg_w f for every (w, deg_w f) of homogeneity_grading(f), in the same
+    order: the operators that carry f^(s+1) into the w-degree of f^s."""
+    return _graded_keys(f.dim, homogeneity_grading(f), order_bound,
+                        xdeg_bound, s_bound)
+
+
+def _graded_keys(dim, grading, order_bound, xdeg_bound, s_bound) -> list:
+    """The bounded basis keys (b, g, j) with w.(b - g) = -deg for every
+    (w, deg) of grading: x-monomials are bucketed once by grade vector, and
+    each d-part g looks up the bucket grade(g) - deg."""
     if min(order_bound, xdeg_bound, s_bound) < 0:
         raise ValueError("bounds must be non-negative")
+
+    def grade(m):
+        return tuple(sum(wi * e for wi, e in zip(w, m)) for w, _ in grading)
+
+    buckets = {}
+    for b in monomials_upto_degree(dim, xdeg_bound):
+        buckets.setdefault(grade(b), []).append(b)
     keys = [(b, g, j)
-            for b in monomials_upto_degree(dim, xdeg_bound)
             for g in monomials_upto_degree(dim, order_bound)
+            for b in buckets.get(tuple(
+                d - deg for d, (_, deg) in zip(grade(g), grading)), ())
             for j in range(min(s_bound, order_bound - sum(g)) + 1)]
     keys.sort(key=lambda k: (sum(k[0]) + sum(k[1]) + k[2], k))
     return keys

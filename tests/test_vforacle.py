@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hwkit.bsdata import BFunction, bfunction_snc
+from hwkit.bsdata import BFunction, RootMultiset, bfunction_snc
 from hwkit.errors import PreconditionError, WindowExceeded
 from hwkit.cli import main
 from hwkit.exactalg import (Polynomial, WeightVector, grlex_key,
@@ -24,7 +24,8 @@ from hwkit.vforacle import (BfElement, Bounds, SncVFamily, WhomVFamily,
                             reduce_presentation,
                             verify_bfunction, verify_v_axioms)
 from hwkit.weyl import (TwistedSection, WeylOperator, apply_to_twisted,
-                        bounded_operator_basis, d_part_images)
+                        bounded_operator_basis, d_part_images,
+                        graded_operator_basis, homogeneity_grading)
 from hwkit.whom import QuasiHomogeneousGerm
 
 F = Fraction
@@ -236,23 +237,134 @@ def test_verify_bfunction_degree_above_order_builds_nothing(inserted):
     ("x1*x2", 2, {F(-1): 2}, 3, 4),
     ("x1*x2", 2, {F(-1): 1}, 2, 3),
     ("x1^2+x2^3", 2, {F(-1): 1, F(-5, 6): 1}, 2, 3),
-    ("x1*x2*x3", 3, {F(-1): 2}, 2, 1),
+    ("x1*x2*x3", 3, {F(-1): 2}, 2, 1),  # no column has the degree of b
     ("1/2*x1^2", 1, {F(-1): 1, F(-1, 2): 1}, 2, 2),  # columns over den 2
+    ("x1*x2*x3", 3, {F(-1): 3}, 3, 1),
+    ("x1^2+x2^3+x1*x2", 2, {F(-1): 1}, 2, 2),  # no grading: every column
 ])
 def test_verify_bfunction_columns_match_apply_to_twisted(
         inserted, poly, dim, b, order, xdeg):
-    # the columns built from one image per d-part equal every basis operator
-    # applied to f^(s+1) on its own, over the same common pole
+    # the columns built from one image per d-part equal every graded basis
+    # operator applied to f^(s+1) on its own, over the common pole of the
+    # full d-part set; the dim columns of homogeneity_grading's nullspace
+    # come first
     f = poly_parse(poly, dim)
     bf = BFunction(b)
     verify_bfunction(f, bf, order, xdeg)
-    keys = bounded_operator_basis(dim, order, xdeg, bf.degree())
+    columns = inserted[dim:]
+    if len(f.terms) == 1:  # a monomial has no exponent differences
+        assert inserted[:dim] == [{}] * dim
     sec0 = TwistedSection.power(dim, 1)
-    applied = [apply_to_twisted(WeylOperator.mono(*key), f, sec0)
-               for key in keys]
-    pole_target = max([sec.pole for sec in applied] + [1])
-    want = [vforacle._section_vector(sec, f, pole_target) for sec in applied]
-    assert inserted == want
+    pole_target = max([apply_to_twisted(WeylOperator.mono((0,) * dim, g, 0),
+                                        f, sec0).pole
+                       for g in monomials_upto_degree(dim, order)] + [1])
+    keys = graded_operator_basis(f, order, xdeg, bf.degree())
+    want = [vforacle._section_vector(
+                apply_to_twisted(WeylOperator.mono(*key), f, sec0), f,
+                pole_target)
+            for key in keys]
+    assert columns == want
+
+
+def full_basis_certificate(f, b, order, xdeg):
+    """The JSON of verify_bfunction's certificate, solved as before the
+    restriction to one weighted degree: every bounded_operator_basis column
+    inserted into one Echelon, in basis order."""
+    bounds = {"order": order, "xdeg": xdeg}
+    not_found = {"verdict": "not-found-at-bound", "bounds": bounds,
+                 "detail": "no operator at these bounds satisfies the "
+                           "functional equation"}
+    if b.degree() > order:
+        return not_found
+    keys = bounded_operator_basis(f.dim, order, xdeg, b.degree())
+    sec0 = TwistedSection.power(f.dim, 1)
+    sections = [apply_to_twisted(WeylOperator.mono(*key), f, sec0)
+                for key in keys]
+    pole_target = max([sec.pole for sec in sections] + [1])
+    ech = Echelon()
+    for idx, sec in enumerate(sections):
+        vec, den = integer_terms(vforacle._section_vector(sec, f,
+                                                          pole_target))
+        ech.insert(vec, den, {idx: den})
+
+    def residual(roots):
+        rhs = vforacle._roots_section(f.dim, roots)
+        return ech.reduce(*integer_terms(
+            vforacle._section_vector(rhs, f, pole_target)))
+
+    res, carried = residual(b)
+    if res:
+        return not_found
+    divisors = []
+    for r in b.sorted_roots():
+        smaller = dict(b.roots)
+        smaller[r] -= 1
+        div = RootMultiset(smaller)
+        divisors.append({"divisor": div.product_string(),
+                         "verdict": "not-found-at-bound" if residual(div)[0]
+                         else "member"})
+    operator = WeylOperator(f.dim, {keys[i]: c for i, c in carried.items()})
+    return {"verdict": "member", "bounds": bounds,
+            "witness": {"operator": str(operator), "divisors": divisors,
+                        "minimal_at_bound": all(
+                            d["verdict"] == "not-found-at-bound"
+                            for d in divisors)}}
+
+
+# (f, dim, b, order, xdeg, the verdict, divisors that come back member)
+GRADING_CASES = [
+    # SNC: every weight vector is a grading
+    ("x1*x2", 2, "(s+1)^2", 2, 2, "member", 0),
+    ("x1*x2", 2, "(s+1)^3", 3, 3, "member", 1),
+    ("x1^2*x2^3", 2, "(s+1)^2*(s+2/3)*(s+1/2)*(s+1/3)", 5, 1, "member", 0),
+    ("x1^2*x2^3", 2, "(s+1)", 2, 2, "not-found-at-bound", 0),
+    ("x1*x2*x3", 3, "(s+1)^3", 3, 1, "member", 0),
+    # quasi-homogeneous: one line of gradings
+    ("x1^2+x2^3", 2, "(s+1)*(s+7/6)*(s+5/6)", 3, 3, "member", 0),
+    ("x1^2+x2^3", 2, "(s+1)^2*(s+7/6)*(s+5/6)", 4, 3, "member", 1),
+    ("x1^2+x2^3", 2, "(s+1)*(s+5/6)", 3, 6, "not-found-at-bound", 0),
+    ("x1^2+x2^3", 2, "(s+1)*(s+7/6)*(s+5/6)", 2, 3,  # deg b > order
+     "not-found-at-bound", 0),
+    ("x1^2*x2+x1*x2^2", 2, "(s+1)^2*(s+4/3)*(s+2/3)", 4, 6, "member", 0),
+    ("x1^3+x2^4", 2,
+     "(s+1)*(s+17/12)*(s+7/6)*(s+13/12)*(s+11/12)*(s+5/6)*(s+7/12)", 7, 2,
+     "member", 0),
+    # no grading: the full system
+    ("x1^2+x2^3+x1*x2", 2, "(s+1)^2", 2, 2, "member", 0),
+    ("x1^2+x2^3+x1*x2", 2, "(s+1)^3", 3, 2, "member", 1),
+    ("x1^2+x2^3+x1*x2", 2, "(s+1)", 2, 2, "not-found-at-bound", 0),
+]
+
+
+@pytest.mark.parametrize("poly,dim,b,order,xdeg,verdict,members",
+                         GRADING_CASES)
+def test_verify_bfunction_graded_solve_matches_full_basis(
+        poly, dim, b, order, xdeg, verdict, members):
+    # the solve over one weighted degree gives the certificate of the full
+    # system byte for byte: witness, divisor verdicts and minimality
+    f = poly_parse(poly, dim)
+    bf = BFunction.parse(b)
+    got = verify_bfunction(f, bf, order, xdeg).to_json()
+    assert got == full_basis_certificate(f, bf, order, xdeg)
+    assert got["verdict"] == verdict
+    assert sum(d["verdict"] == "member"
+               for d in got.get("witness", {}).get("divisors", [])) == members
+
+
+@pytest.mark.parametrize("poly,dim,b,order,xdeg,verdict,members",
+                         [c for c in GRADING_CASES if c[5] == "member"])
+def test_verify_bfunction_witness_is_w_homogeneous(
+        poly, dim, b, order, xdeg, verdict, members):
+    # every term x^b d^g s^j of the witness P carries f^(s+1) into the
+    # weighted degree of b(s) f^s: w.(b - g) = -deg_w f for every grading
+    f = poly_parse(poly, dim)
+    cert = verify_bfunction(f, BFunction.parse(b), order, xdeg)
+    operator = WeylOperator.parse(cert.witness["operator"], dim)
+    assert operator.terms
+    for xe, de, _ in operator.terms:
+        for w, deg in homogeneity_grading(f):
+            assert sum(wi * (bi - gi)
+                       for wi, bi, gi in zip(w, xe, de)) == -deg
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from hwkit.errors import DimensionMismatch, InternalCheckFailed
 from hwkit.exactalg import Polynomial, mono_mul, poly_parse
+from hwkit.linalg import Echelon
 from hwkit.weyl import (KeyPacking, TwistedSection, WeylOperator,
                         annihilates_power, apply_to_twisted, basis_products,
-                        bounded_operator_basis, d_part_images, syzygy_kernel,
-                        weyl_mul, window_packing)
+                        bounded_operator_basis, d_part_images,
+                        graded_operator_basis, homogeneity_grading,
+                        syzygy_kernel, weyl_mul, window_packing)
 
 
 def op(text, dim):
@@ -140,6 +142,47 @@ def test_bounded_basis_size_closed_form(dim):
                             * (min(s_bound, order - d) + 1)
                             for d in range(order + 1))
                 assert len(keys) == math.comb(dim + xdeg, dim) * per_x
+
+
+@pytest.mark.parametrize("text,dim,rank", [
+    ("x1^5", 1, 1), ("x1*x2", 2, 2), ("x1^2*x2^3", 2, 2), ("x1*x2*x3", 3, 3),
+    ("x1^2+x2^3", 2, 1), ("x1^2*x2+x1*x2^2", 2, 1), ("x1^3+x2^4", 2, 1),
+    ("x1*x2+x3^2", 3, 2), ("x1^2+x2^3+x1*x2", 2, 0), ("x1+1", 1, 0),
+])
+def test_homogeneity_grading(text, dim, rank):
+    # a basis of int weights, each giving every term of f the same degree:
+    # all of Q^n for a monomial, a line for a quasi-homogeneous germ
+    f = poly_parse(text, dim)
+    grading = homogeneity_grading(f)
+    assert len(grading) == rank
+    independent = Echelon()
+    for w, deg in grading:
+        assert all(type(v) is int for v in (*w, deg))
+        assert {sum(wi * ai for wi, ai in zip(w, a)) for a in f.terms} == {deg}
+        assert independent.insert(
+            {i: wi for i, wi in enumerate(w) if wi}, 1) is None
+
+
+@pytest.mark.parametrize("text,dim,bounds,kept,total", [
+    ("x1^2+x2^3", 2, (3, 4, 3), 5, 300),
+    ("x1*x2*x3", 3, (5, 6, 3), 15, 10164),
+    ("x1^2*x2+x1*x2^2", 2, (5, 6, 4), 50, 1540),
+    ("x1^2+x2^3+x1*x2", 2, (3, 4, 2), 285, 285),
+])
+def test_graded_basis_is_one_degree_of_the_full_basis(text, dim, bounds,
+                                                      kept, total):
+    # the keys x^b d^g s^j with w.(b - g) = -deg_w f, found by filtering
+    # the full basis, in its order
+    f = poly_parse(text, dim)
+    grading = homogeneity_grading(f)
+    full = bounded_operator_basis(dim, *bounds)
+    want = [(b, g, j) for b, g, j in full
+            if all(sum(wi * (bi - gi) for wi, bi, gi in zip(w, b, g)) == -deg
+                   for w, deg in grading)]
+    assert graded_operator_basis(f, *bounds) == want
+    assert (len(want), len(full)) == (kept, total)
+    with pytest.raises(ValueError):
+        graded_operator_basis(f, 1, -1, 0)
 
 
 def test_syzygy_symmetric_pair():
