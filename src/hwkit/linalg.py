@@ -20,7 +20,9 @@ Inside `Echelon` every row, together with its companion, is a primitive
 integer vector, reduced fraction-free (Bareiss, Math. Comp. 1968, with the
 content divided out after each step that multiplies), its scale travelling
 as one integer denominator.  `Fraction` appears only at the boundary: every
-value `reduce`, `insert`, `basis()` and `nullspace` return is a `Fraction`.
+value `reduce`, `insert` and `nullspace` return is a `Fraction`.  `basis()`
+returns each row in the input format, integer numerators with their
+(positive) pivot coefficient as denominator.
 """
 
 from __future__ import annotations
@@ -69,10 +71,9 @@ class Echelon:
         return frozenset(self._rows)
 
     def basis(self) -> list:
-        """The stored rows as Fraction vectors, each with pivot coefficient
-        1, in the order they gained rank."""
-        return [{c: Fraction(v, p) for c, v in row.items()}
-                for row, p, _ in self._rows.values()]
+        """The stored rows as (integer numerators, pivot coefficient p), in
+        the order they gained rank: row/p has pivot coefficient 1."""
+        return [(dict(row), p) for row, p, _ in self._rows.values()]
 
     def _eliminate(self, vec: dict, comb: dict, den: int):
         """Reduce the integer vector vec/den fraction-free against the rows.

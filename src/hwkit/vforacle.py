@@ -18,13 +18,13 @@ from itertools import combinations
 from .errors import (DimensionMismatch, InternalCheckFailed,
                      PreconditionError, WindowExceeded)
 from .exactalg import (Polynomial, fmt_rational, graded_ideal, grlex_key,
-                       integer_terms, mono_div, mono_mul,
+                       integer_terms, mono_mul,
                        monomials_upto_degree)
 from .bsdata import BFunction, RootMultiset
 from .linalg import Echelon
 from .snc import HodgePresentation, SncDivisor, snc_hodge_weight
-from .weyl import (TwistedSection, WeylOperator, apply_to_twisted,
-                   d_part_images, graded_operator_basis)
+from .weyl import (KeyPacking, TwistedSection, WeylOperator,
+                   apply_to_twisted, d_part_images, graded_operator_basis)
 from .whom import QuasiHomogeneousGerm, whom_hodge_weight
 
 
@@ -661,6 +661,11 @@ class WindowSpan:
     vectors x^beta * N of its elements, N an element's numerator cleared to
     the common pole pole_target, for every beta with deg N + |beta| <= xdeg.
 
+    A coordinate x^m is packed into one int, the key of the operator x^m at
+    radix xdeg + 1 (`packing.shift(m, 0)`): no window exponent exceeds xdeg,
+    so int order is tuple order and the pivots, rows and tags are those of
+    tuple keys, and a shift x^beta adds the packed beta.  Spans compared with
+    each other share xdeg.
     N factors uniquely as c * x^mu * S: mu is the componentwise-minimum
     exponent, and S is primitive with a positive coefficient at its largest
     key.  x^beta * N and x^beta' * N' are scalar multiples exactly when
@@ -668,27 +673,39 @@ class WindowSpan:
     the positions mu + beta it has taken.  A vector whose position is taken
     is a multiple of an earlier vector of the span: it counts in n_vectors,
     as the dependent insert it would be, but is not inserted.  The shift
-    sets are built once per span.  tags holds the tag of the vector behind
-    each row, in the order the rows gained rank."""
+    sets are built and packed once per span.  tags holds the tag of the
+    vector behind each row, in the order the rows gained rank."""
 
-    __slots__ = ("f", "pole_target", "xdeg", "echelon", "tags", "_shifts",
-                 "_taken")
+    __slots__ = ("f", "pole_target", "xdeg", "packing", "echelon", "tags",
+                 "_shifts", "_taken")
 
     def __init__(self, f: Polynomial, pole_target: int, xdeg: int):
         self.f = f
         self.pole_target = pole_target
         self.xdeg = xdeg
+        self.packing = KeyPacking(f.dim, xdeg + 1, 0)
         self.echelon = Echelon()
         self.tags = []
-        self._shifts = {}  # bound -> monomials of total degree <= bound
-        self._taken = {}   # shape S -> positions mu + beta taken
+        self._shifts = {}  # bound -> (monomials of degree <= bound, codes)
+        self._taken = {}   # shape S -> packed positions mu + beta taken
 
     def shifts(self, bound: int) -> tuple:
-        """The exponent vectors of total degree <= bound, in grlex order."""
+        """(the exponent vectors of total degree <= bound, in grlex order,
+        and their packed keys)."""
         if bound not in self._shifts:
-            self._shifts[bound] = tuple(monomials_upto_degree(self.f.dim,
-                                                              bound))
+            betas = tuple(monomials_upto_degree(self.f.dim, bound))
+            codes = tuple(self.packing.shift(b, 0) for b in betas)
+            self._shifts[bound] = betas, codes
         return self._shifts[bound]
+
+    def contains(self, num: Polynomial) -> bool:
+        """Whether num, a numerator over pole_target, lies in the span; raises
+        InternalCheckFailed above xdeg, where a packed key could alias."""
+        if num.total_degree() > self.xdeg:
+            raise InternalCheckFailed("a numerator exceeds the window degree")
+        terms, den = integer_terms(num.terms)
+        vec = {self.packing.shift(m, 0): c for m, c in terms.items()}
+        return not self.echelon.reduce(vec, den)[0]
 
     def insert(self, vec: dict, den: int, tag):
         """Insert the vector vec/den (integer numerators), recording its tag
@@ -698,9 +715,9 @@ class WindowSpan:
 
     def add(self, parts, tag):
         """Add the window vectors of one element given by its (numerator,
-        pole) parts, tagged tag + (beta,); N is scaled to integers once, and
-        every shift shares its den.  Adds nothing when a pole exceeds
-        pole_target, N is zero or deg N exceeds xdeg."""
+        pole) parts, tagged tag + (beta,); N is scaled to integers and packed
+        once, and every shift shares its den.  Adds nothing when a pole
+        exceeds pole_target, N is zero or deg N exceeds xdeg."""
         if any(p > self.pole_target for _, p in parts):
             return
         num = clear_to_pole(parts, self.f, self.pole_target)
@@ -708,27 +725,28 @@ class WindowSpan:
             return
         deg = num.total_degree()
         terms, den = integer_terms(num.terms)
-        mu = tuple(map(min, zip(*terms)))
+        # mu <= m componentwise, so m - mu subtracts digit by digit
+        mu = self.packing.shift(tuple(map(min, zip(*terms))), 0)
+        terms = {self.packing.shift(m, 0): c for m, c in terms.items()}
         content = math.gcd(*terms.values())
         if terms[max(terms)] < 0:
             content = -content
-        shape = frozenset((mono_div(m, mu), c // content)
-                          for m, c in terms.items())
+        shape = frozenset((m - mu, c // content) for m, c in terms.items())
         taken = self._taken.setdefault(shape, set())
-        for beta in self.shifts(self.xdeg - deg):
-            position = mono_mul(mu, beta)
+        for beta, shift in zip(*self.shifts(self.xdeg - deg)):
+            position = mu + shift
             if position in taken:
                 self.echelon.n_vectors += 1
                 continue
             taken.add(position)
-            self.insert({mono_mul(m, beta): c for m, c in terms.items()},
-                        den, tag + (beta,))
+            self.insert({m + shift: c for m, c in terms.items()}, den,
+                        tag + (beta,))
 
     def add_summand(self, si: int, summand, alpha: Fraction):
         """Add the vectors x^beta d^gamma (g f^(-j-alpha)) of the summand
         (budget, g, j), tagged (si, gamma, beta)."""
         budget, g, j = summand
-        gammas = self.shifts(budget)
+        gammas, _ = self.shifts(budget)
         images = pole_apply(gammas, g, j, alpha, self.f)
         for gamma in gammas:
             self.add([images[gamma]], (si, gamma))
@@ -773,8 +791,8 @@ def _cross_containment(name: str, source: WindowSpan, target: WindowSpan,
     or the vector count.  Only the source rows are reduced: a row is its
     vector minus earlier rows, which span the earlier vectors, so the first
     row outside the target is that of the first vector outside it."""
-    for row, tag in zip(source.echelon.basis(), source.tags):
-        if target.echelon.reduce(*integer_terms(row))[0]:
+    for (row, p), tag in zip(source.echelon.basis(), source.tags):
+        if target.echelon.reduce(row, p)[0]:
             return False, {"direction": name, "failed_at": repr(tag)}
     return _verdict(name, source.echelon.n_vectors, expect_nonempty)
 
@@ -829,8 +847,7 @@ def reduce_presentation(pres: HodgePresentation, f: Polynomial,
                                   grlex_key(t[1].leading_monomial())))
     for budget, g, j in order:
         vec = g * f ** (pole_target - j)
-        if (vec.total_degree() <= bounds.xdeg and kept
-                and not span.echelon.reduce(*integer_terms(vec.terms))[0]):
+        if vec.total_degree() <= bounds.xdeg and kept and span.contains(vec):
             continue
         span.add_summand(len(kept), (budget, g, j), pres.alpha)
         kept.append((budget, g, j))
@@ -894,8 +911,7 @@ def dspans_equal(p1: HodgePresentation, p2: HodgePresentation, f: Polynomial,
                 if depth not in spans:
                     spans[depth] = presentation_span(
                         tgt, f, alpha_base, depth, bounds.xdeg)
-                if not spans[depth].echelon.reduce(
-                        *integer_terms(vec.terms))[0]:
+                if spans[depth].contains(vec):
                     found = True
                     break
             if not found:
@@ -948,7 +964,7 @@ def crosscheck_hodge_weight(kind: str, obj, alpha, k: int, l: int,
         budget = min(budget, bounds.order)
         if budget < 0:
             continue
-        images = d_part_images(oracle_span.shifts(budget), gen,
+        images = d_part_images(oracle_span.shifts(budget)[0], gen,
                                lambda u, i: act(f"d{i + 1}", u, f))
         for gamma, img in sorted(images.items(), key=lambda kv: grlex_key(kv[0])):
             if img.max_layer() <= bounds.dt:

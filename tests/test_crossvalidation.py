@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hwkit.bsdata import (bfunction_snc, bfunction_whom_isolated,
-                          hodge_pole_full, reduce)
+                          genlevel_bound, hodge_pole_full, reduce)
 from hwkit.exactalg import Polynomial, WeightVector, poly_parse
 from hwkit.ppd import (AnnihilatorInput, hodge_on_weight, w0_span,
                        weight_module_generators, weight_step_presentation)
@@ -118,3 +118,34 @@ def test_snc_pole_predicate_consistency():
                         alpha, d.dim, [(0, Polynomial.one(d.dim), k)])
                     got = presentations_equal(pres, unit, f, B).is_member()
                     assert predicted == got, (a, alpha, k, l)
+
+
+def test_generating_level_bound_in_the_window():
+    """From the generating level on, k >= genlevel_bound(b, alpha, l, n), the
+    D-module that F_k W_{n+l} generates is the one F_{k+1} W_{n+l}
+    generates: dspans_equal of the closed forms at steps k and k + 1.  The
+    level is l = 0, except at alpha = 1, where the whom closed forms start
+    at stratum l = 1; the weight-step bound (graded=False) does not depend
+    on l.  A verdict short of member (a generator outside the window, say)
+    is inconclusive, never a refutation, but most checks must be members."""
+    B = Bounds(4, 16, 6)
+    cases = []
+    for text, w in (("x1^2+x2^3", "1/2,1/3"), ("x1^3+x2^4", "1/3,1/4")):
+        germ = QuasiHomogeneousGerm(poly_parse(text, 2), WeightVector.parse(w))
+        bred = reduce(bfunction_whom_isolated(germ.f, germ.w, germ.milnor))
+        for alpha in (F(1, 2), F(5, 6), F(1)):
+            l = 1 if alpha == 1 else 0
+            cases.append((germ.f, bred, alpha, l, lambda k, g=germ, a=alpha,
+                          l=l: whom_hodge_weight(g, a, k, l)))
+    d = SncDivisor((1, 1, 1))
+    cases.append((d.polynomial(), reduce(bfunction_snc(d.a)), F(1, 2), 0,
+                  lambda k: snc_hodge_weight(d, F(1, 2), k, 0)))
+    levels, members = [], 0
+    for f, bred, alpha, l, closed in cases:
+        level = genlevel_bound(bred, alpha, l, f.dim, graded=False)
+        levels.append(level)
+        for k in (level, level + 1):
+            members += dspans_equal(closed(k), closed(k + 1), f,
+                                    B).is_member()
+    assert levels == [1, 1, 0, 1, 1, 0, 2]
+    assert members >= 12  # of 14

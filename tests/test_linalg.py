@@ -49,6 +49,16 @@ def reduce(ech, vec):
     return ech.reduce(*integral(vec)[:2])
 
 
+def fraction_basis(ech):
+    """ech.basis() as Fraction rows: each pair (integer numerators, pivot
+    coefficient p) stands for numerators/p, and p is a positive int."""
+    pairs = ech.basis()
+    assert all(type(p) is int and p > 0 and row[max(row)] == p
+               and all(type(v) is int for v in row.values())
+               for row, p in pairs)
+    return [{c: F(v, p) for c, v in row.items()} for row, p in pairs]
+
+
 def integral_nullspace(columns, companions):
     cols, dens, comps = zip(*map(integral, columns, companions))
     return nullspace(list(cols), dens, comps)
@@ -126,7 +136,7 @@ def test_rank_matches_dense_elimination(seed):
     for c in cols:
         insert(ech, c)
     assert ech.rank == dense_rank(cols, 9)
-    basis = ech.basis()
+    basis = fraction_basis(ech)
     assert len(basis) == ech.rank
     assert all(row[max(row)] == 1 for row in basis)
     assert ech.pivots() == {max(row) for row in basis}
@@ -273,7 +283,7 @@ def test_echelon_matches_fraction_reference(system):
         assert got is None or all_fractions(got)
     assert ech.rank == len(ref.rows) and ech.n_vectors == len(cols)
     assert ech.pivots() == set(ref.rows)
-    basis = ech.basis()
+    basis = fraction_basis(ech)
     assert basis == [row for row, _ in ref.rows.values()]
     assert all_fractions(*basis)
     for vec in probes:

@@ -1,3 +1,4 @@
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from hwkit.snc import (HodgePresentation, SncDivisor, snc_f0_ideal,
                        snc_hodge_weight)
 from hwkit.vforacle import (Bounds, dspans_equal, pole_apply,
                             presentations_equal)
-from hwkit.weyl import WeylOperator
+from hwkit.weyl import WeylOperator, homogeneity_grading
 from hwkit.whom import QuasiHomogeneousGerm
 
 F = Fraction
@@ -288,3 +289,63 @@ def test_weight_step_monotone_in_l():
     w1 = weight_step_presentation(inp, weight_module_generators(inp, 1, B)[0],
                                   B)
     assert presentation_contained(w0, w1, XY, B).is_member()
+
+
+# the node, cusp and triple-point inputs of the benchmark's ppd pool
+GRADED_ANN = {
+    "node": ("f: x1*x2\nE: 1/2*x1*d1 + 1/2*x2*d2\nalpha: 0\nb: (s+1)^2\n"
+             "pp: true\nx1*d1 - x2*d2\n"),
+    "cusp": (pathlib.Path(__file__).parent / "data" / "cusp.ann").read_text(
+        encoding="utf-8"),
+    "triple": ("f: x1^2*x2 + x1*x2^2\nE: 1/3*x1*d1 + 1/3*x2*d2\nalpha: 0\n"
+               "b: (s+1)^2(s+2/3)(s+4/3)\npp: true\n"
+               "1/3*x1^2*d1 + 2/3*x1*x2*d1 - 2/3*x1*x2*d2 - 1/3*x2^2*d2\n"),
+}
+
+
+def _w_degrees(op, w):
+    """The values w.(b - g) over the terms x^b d^g s^j of op (s weighs 0)."""
+    return {sum(wi * (b - g) for wi, b, g in zip(w, xe, de))
+            for xe, de, _ in op.terms}
+
+
+@pytest.mark.parametrize("name", sorted(GRADED_ANN))
+def test_syzygies_and_dependencies_are_w_homogeneous(name, monkeypatch):
+    # every column of the Weyl routes is w-homogeneous for each weight w
+    # that makes f homogeneous, so every syzygy tuple and every order-bounded
+    # dependency must be too; a packing alias or a wrong Leibniz factor
+    # would mix degrees
+    inp = parse_annihilator_file(GRADED_ANN[name])
+    grading = homogeneity_grading(inp.f)
+    assert grading
+    kernels, elements = [], []
+    syzygy_kernel, order_bounded = (ppd.syzygy_kernel,
+                                    ppd._order_bounded_elements)
+
+    def kernel_spy(targets, *args):
+        out = syzygy_kernel(targets, *args)
+        kernels.append((targets, out))
+        return out
+
+    def elements_spy(*args):
+        out = order_bounded(*args)
+        elements.extend(out)
+        return out
+
+    monkeypatch.setattr(ppd, "syzygy_kernel", kernel_spy)
+    monkeypatch.setattr(ppd, "_order_bounded_elements", elements_spy)
+    for l in range(inp.b.multiplicity(-inp.alpha - 1)):
+        weight_module_generators(inp, l, B)
+    hodge_on_weight(inp, 0, 0, B)
+    if name == "node":
+        hodge_weight_interval21(
+            inp, weight_module_generators(inp, 0, B)[0], 0, B)
+    assert kernels and all(out for _, out in kernels) and elements
+    for w, _ in grading:
+        for targets, out in kernels:
+            target_degrees = [_w_degrees(t, w) for t in targets]
+            assert all(len(d) == 1 for d in target_degrees)
+            for tup in out:
+                assert len({d + min(td) for p, td in zip(tup, target_degrees)
+                            for d in _w_degrees(p, w)}) == 1
+        assert all(len(_w_degrees(u, w)) == 1 for u in elements)

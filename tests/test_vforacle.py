@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hwkit.bsdata import BFunction, RootMultiset, bfunction_snc
-from hwkit.errors import PreconditionError, WindowExceeded
+from hwkit.errors import InternalCheckFailed, PreconditionError, WindowExceeded
 from hwkit.cli import main
 from hwkit.exactalg import (Polynomial, WeightVector, grlex_key,
-                            integer_terms, mono_mul, monomials_upto_degree,
-                            poly_parse)
+                            integer_terms, mono_div, mono_divides, mono_mul,
+                            monomials_upto_degree, poly_parse)
 from hwkit import vforacle
 from hwkit.linalg import Echelon
 from hwkit.snc import HodgePresentation, SncDivisor
@@ -92,18 +92,39 @@ def test_truncated_span_o_module():
     assert span.rank == 3  # {1, x, x^2}
 
 
+def _monomial(span, code):
+    """The exponent vector m of a window span's packed key of x^m; a key
+    that is no x-monomial within the span's radix fails."""
+    m = span.packing.unpack(code)[0]
+    assert span.packing.shift(m, 0) == code
+    return m
+
+
+def _unpacked(span, vec):
+    """vec with each packed key of the window span read back as its
+    exponent vector."""
+    return {_monomial(span, code): v for code, v in vec.items()}
+
+
 @pytest.fixture
 def inserted(monkeypatch):
     """Every vector inserted into an Echelon while the test runs, as the
-    Fractions its numerators over den stand for."""
+    Fractions its numerators over den stand for; a window span's vectors
+    come with their packed keys read back as exponent vectors."""
     out = []
     insert = Echelon.insert
+    span_insert = WindowSpan.insert
 
     def recording(self, vec, den, companion=None):
         out.append({c: F(v, den) for c, v in vec.items()})
         return insert(self, vec, den, companion)
 
+    def unpacking(self, vec, den, tag):
+        span_insert(self, vec, den, tag)
+        out[-1] = _unpacked(self, out[-1])
+
     monkeypatch.setattr(Echelon, "insert", recording)
+    monkeypatch.setattr(WindowSpan, "insert", unpacking)
     return out
 
 
@@ -788,14 +809,15 @@ def _window_stream(produce, elements, f, xdeg):
 
 
 class _RecordingSpan(WindowSpan):
-    """A window span that records every vector it inserts."""
+    """A window span that records every vector it inserts, with its keys
+    read back as exponent vectors."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.inserted = []
 
     def insert(self, vec, den, tag):
-        self.inserted.append((vec, den, tag))
+        self.inserted.append((_unpacked(self, vec), den, tag))
         super().insert(vec, den, tag)
 
 
@@ -841,8 +863,10 @@ def test_window_family_inserts_each_vector_once(case):
         if full.insert(vec, den) is None:
             full_tags.append(tag)
     assert span.echelon.rank == full.rank
-    assert span.echelon.pivots() == full.pivots()
-    assert span.echelon.basis() == full.basis()
+    assert {_monomial(span, code)
+            for code in span.echelon.pivots()} == full.pivots()
+    assert [(_unpacked(span, row), p)
+            for row, p in span.echelon.basis()] == full.basis()
     assert span.echelon.n_vectors == full.n_vectors == len(every)
     assert span.tags == full_tags
     # a target family that may miss some of the vectors, so that the rows
@@ -909,7 +933,46 @@ def _add_every_vector(span, parts, tag):
     """WindowSpan.add with no window vector skipped."""
     for vec, den, t in every_window_vector(parts, span.f, span.pole_target,
                                            span.xdeg, tag):
-        span.insert(vec, den, t)
+        span.insert({span.packing.shift(m, 0): c for m, c in vec.items()},
+                    den, t)
+
+
+@st.composite
+def window_monomials(draw):
+    """(dim, xdeg, monomials of total degree <= xdeg) in 1 to 3 variables."""
+    dim, xdeg = draw(st.integers(1, 3)), draw(st.integers(0, 6))
+    monos = st.sampled_from(list(monomials_upto_degree(dim, xdeg)))
+    return dim, xdeg, draw(st.lists(monos, min_size=1, max_size=8))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(window_monomials())
+def test_window_packing_is_exact(case):
+    # a window span packs a monomial into one int at radix xdeg + 1: tuple
+    # order is kept, shifts and shape offsets are int additions and
+    # subtractions, and its packing reduce refuses a degree above xdeg
+    dim, xdeg, monos = case
+    span = WindowSpan(poly_parse("x1", dim), 0, xdeg)
+    assert span.packing.radix == xdeg + 1
+
+    def pack(m):
+        return span.packing.shift(m, 0)
+
+    for a in monos:
+        assert _monomial(span, pack(a)) == a
+        for b in monos:
+            assert (a < b) == (pack(a) < pack(b))
+            if sum(a) + sum(b) <= xdeg:
+                assert pack(a) + pack(b) == pack(mono_mul(a, b))
+            if mono_divides(b, a):
+                assert pack(a) - pack(b) == pack(mono_div(a, b))
+    # the packing reduce agrees with add's packing inside the window
+    mu = monos[0]
+    span.add([(Polynomial.monomial(mu), 0)], ())
+    for m in monomials_upto_degree(dim, xdeg):
+        assert span.contains(Polynomial.monomial(m)) == mono_divides(mu, m)
+    with pytest.raises(InternalCheckFailed):
+        span.contains(Polynomial.monomial((xdeg + 1,) + (0,) * (dim - 1)))
 
 
 CROSS_111 = ("crosscheck", "--source", "snc", "--exponents", "1,1,1",
