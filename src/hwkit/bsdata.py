@@ -131,10 +131,10 @@ class BFunction(RootMultiset):
     confirms the functional equation and refutes every maximal proper
     divisor."""
 
-    __slots__ = ("provenance", "verified", "certificate", "dim")
+    __slots__ = ("provenance", "verified", "dim")
 
     def __init__(self, roots, provenance: str = "user-supplied",
-                 verified: bool = False, certificate=None, dim=None):
+                 verified: bool = False, dim=None):
         super().__init__(roots)
         if provenance not in PROVENANCES:
             raise ValueError(f"unknown provenance {provenance!r}")
@@ -145,15 +145,14 @@ class BFunction(RootMultiset):
                 raise ValueError(f"root {r} out of range (-{dim + 1},0)")
         self.provenance = provenance
         self.verified = verified
-        self.certificate = certificate
         self.dim = dim
 
     @classmethod
     def parse(cls, text: str, provenance: str = "user-supplied") -> "BFunction":
         return cls(parse_root_product(text), provenance=provenance)
 
-    def with_verification(self, certificate) -> "BFunction":
-        return BFunction(self.roots, self.provenance, True, certificate, self.dim)
+    def with_verification(self) -> "BFunction":
+        return BFunction(self.roots, self.provenance, True, self.dim)
 
     def to_json(self):
         return {"roots": super().to_json(), "provenance": self.provenance,

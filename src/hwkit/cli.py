@@ -217,12 +217,16 @@ def _bfunction_source(args):
     return {"poly": str(f), "weights": str(w)}, f, w
 
 
+def _bfunction(f: Polynomial, w) -> BFunction:
+    """The closed-form b-function of a source of _bfunction_source."""
+    if w is None:
+        return bfunction_snc(next(iter(f.terms)))
+    return bfunction_whom_isolated(f, w, QuasiHomogeneousGerm(f, w).milnor)
+
+
 def _reduced_bfunction(f: Polynomial, w) -> BFunction:
     """The closed-form reduced b-function of a source of _bfunction_source."""
-    if w is None:
-        return breduce(bfunction_snc(next(iter(f.terms))))
-    germ = QuasiHomogeneousGerm(f, w)
-    return breduce(bfunction_whom_isolated(f, w, germ.milnor))
+    return breduce(_bfunction(f, w))
 
 
 def _escalated_run(args, payload: dict, start: Bounds, attempt,
@@ -315,11 +319,7 @@ def cmd_bfun(args) -> int:
     payload = {"source": source, "verify": bool(args.verify)}
 
     def compute():
-        # rebuild the unreduced function for reporting
-        roots = dict(_reduced_bfunction(f, w).roots)
-        roots[Fraction(-1)] = roots.get(Fraction(-1), 0) + 1
-        b = BFunction(roots, provenance="closed-form-snc" if w is None
-                      else "closed-form-whom")
+        b = _bfunction(f, w)
         certs = None
         if args.verify:
             b, cert = certify_bfunction(f, b, args.order, args.xdeg)

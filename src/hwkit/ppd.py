@@ -243,8 +243,7 @@ def weight_step_presentation(inp: AnnihilatorInput, gens,
     (the step is a D-module, not just an O-module).  The generator list is
     minimalized at the given bounds."""
     summands = [(bounds.order, num, pole)
-                for num, pole in operators_on_pole(gens, inp.f, 1, inp.alpha)
-                if not num.is_zero()]
+                for num, pole in operators_on_pole(gens, inp.f, 1, inp.alpha)]
     pres = HodgePresentation.build(inp.alpha, inp.dim, summands)
     return reduce_presentation(pres, inp.f, bounds)
 
@@ -371,8 +370,7 @@ def hodge_on_weight(inp: AnnihilatorInput, l: int, k: int,
                                   bounds={"order": so, "xdeg": sx})
     ops = [u.substitute_s(-inp.alpha) for u in sols]
     summands = [(0, num, pole)
-                for num, pole in operators_on_pole(ops, inp.f, 1, inp.alpha)
-                if not num.is_zero()]
+                for num, pole in operators_on_pole(ops, inp.f, 1, inp.alpha)]
     return HodgePresentation.build(inp.alpha, dim, summands)
 
 
@@ -403,25 +401,25 @@ def hodge_weight_interval21(inp: AnnihilatorInput, gens, k: int,
     packing = window_packing(gens, so, sx)
     ops = _order_bounded_elements(gens, sbasis, k, packing)
     summands = [(0, num, pole)
-                for num, pole in operators_on_pole(ops, inp.f, 1, Fraction(0))
-                if not num.is_zero()]
-    if not summands:
+                for num, pole in operators_on_pole(ops, inp.f, 1, Fraction(0))]
+    pres = HodgePresentation.build(Fraction(0), dim, summands)
+    if not pres.summands:
         raise InconclusiveAtBound("no elements found at these bounds",
                                   bounds={"order": so, "xdeg": sx})
-    return HodgePresentation.build(Fraction(0), dim, summands)
+    return pres
 
 
 # ---------------------------------------------------------------------------
 # annihilator input files
 
 
-def parse_annihilator_file(text: str, dim: int | None = None,
-                           pp_default: bool = False) -> AnnihilatorInput:
+def parse_annihilator_file(text: str,
+                           dim: int | None = None) -> AnnihilatorInput:
     """Header lines `f:`, `E:`, `alpha:`, `b:`, `pp:`; every other non-empty
     line is one annihilator generator in the operator grammar."""
     f_text = e_text = b_text = None
     alpha = Fraction(0)
-    pp = pp_default
+    pp = False
     zeta_lines = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()

@@ -352,11 +352,11 @@ def verify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
 
 def certify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
                       xdeg_bound: int):
-    """Run verify_bfunction; on success return the verified copy of b with
-    the certificate attached, else (b unchanged, certificate)."""
+    """Run verify_bfunction; return (b, certificate), b replaced by its
+    verified copy when it is certified minimal at the bounds."""
     cert = verify_bfunction(f, b, order_bound, xdeg_bound)
     if cert.is_member() and cert.witness.get("minimal_at_bound"):
-        return b.with_verification(cert.to_json()), cert
+        return b.with_verification(), cert
     return b, cert
 
 
@@ -423,6 +423,15 @@ class SncVFamily:
         return out
 
 
+def _graded_slices(germ: QuasiHomogeneousGerm, lam: Fraction, strict: bool,
+                   jmax: int):
+    """(j, x^g at layer j) for j = 0..jmax and the minimal monomials x^g of
+    weighted degree >= lam + j - |w| (> when strict)."""
+    for j in range(jmax + 1):
+        for g in graded_ideal(germ.w, lam + j - germ.w.total, strict).gens:
+            yield j, BfElement.from_poly(Polynomial.monomial(g), j)
+
+
 def candidate_v_whom(germ: QuasiHomogeneousGerm, lam, k: int):
     """Candidate level-lam filtration generators of a weight-1
     quasi-homogeneous isolated singularity, truncated at t-order k: the
@@ -432,12 +441,7 @@ def candidate_v_whom(germ: QuasiHomogeneousGerm, lam, k: int):
     if lam > 1:
         raise PreconditionError("levels above 1 are reached by the t-action",
                                 hypothesis="lam <= 1")
-    out = []
-    for j in range(k + 1):
-        ideal = graded_ideal(germ.w, lam + j - germ.w.total, strict=False)
-        for g in ideal.gens:
-            out.append((BfElement.from_poly(Polynomial.monomial(g), j), k - j))
-    return out
+    return [(u, k - j) for j, u in _graded_slices(germ, lam, False, k)]
 
 
 class WhomVFamily:
@@ -454,12 +458,8 @@ class WhomVFamily:
         if lam > 1:
             inner = self._graded_gens(lam - 1, strict)
             return [act("t", u, self.germ.f) for u in inner]
-        out = []
-        for j in range(self.jmax + 1):
-            ideal = graded_ideal(self.germ.w, lam + j - self.germ.w.total, strict)
-            for g in ideal.gens:
-                out.append(BfElement.from_poly(Polynomial.monomial(g), j))
-        return out
+        return [u for _, u in
+                _graded_slices(self.germ, lam, strict, self.jmax)]
 
     def gens(self, lam) -> list:
         return self._graded_gens(lam, strict=False)
@@ -480,14 +480,8 @@ class WhomVFamily:
         if lam == 1 and l == 0:
             raise PreconditionError(
                 "no closed form for the lowest kernel level at integral twist")
-        strict = l < top
-        out = []
-        for j in range(budget + 1):
-            ideal = graded_ideal(self.germ.w, lam + j - self.germ.w.total, strict)
-            for g in ideal.gens:
-                out.append((BfElement.from_poly(Polynomial.monomial(g), j),
-                            budget - j))
-        return out
+        return [(u, budget - j)
+                for j, u in _graded_slices(self.germ, lam, l < top, budget)]
 
 
 def verify_v_axioms(family, f: Polynomial, grid,
@@ -810,28 +804,36 @@ def _mutual_containment(first, second):
     return d1, _cross_containment(name2, span2, span1, nonempty2)
 
 
+def _certificate(bounds: Bounds, directions) -> SpanCertificate:
+    """member, witnessed by the details, when every (ok, detail) direction
+    holds; else not-found-at-bound listing the details of the failed ones."""
+    if all(ok for ok, _ in directions):
+        return SpanCertificate("member", bounds.to_json(),
+                               witness=[d for _, d in directions])
+    return SpanCertificate("not-found-at-bound", bounds.to_json(),
+                           detail=str([d for ok, d in directions if not ok]))
+
+
+def _common_pole_spans(p1: HodgePresentation, p2: HodgePresentation,
+                       f: Polynomial, xdeg: int) -> tuple:
+    """The spans of the two presentations at the twist of the first,
+    cleared to the pole both reach."""
+    pole_target = max(p1.max_pole(),
+                      p2.max_pole() + _twist_shift(p1.alpha, p2.alpha), 0)
+    return tuple(presentation_span(p, f, p1.alpha, pole_target, xdeg)
+                 for p in (p1, p2))
+
+
 def presentations_equal(p1: HodgePresentation, p2: HodgePresentation,
                         f: Polynomial,
                         bounds: Bounds = DEFAULT_BOUNDS) -> SpanCertificate:
     """Two-sided bounded containment between the spans the presentations
     denote, after aligning twists (which must differ by an integer)."""
-    alpha_base = p1.alpha
-    pole_target = max(p1.max_pole(),
-                      p2.max_pole() + _twist_shift(alpha_base, p2.alpha), 0)
-
-    def side(name, p):
-        return (name,
-                presentation_span(p, f, alpha_base, pole_target, bounds.xdeg),
-                bool(p.summands))
-
-    (ok21, d21), (ok12, d12) = _mutual_containment(
-        side("second-in-first", p2), side("first-in-second", p1))
-    if ok12 and ok21:
-        return SpanCertificate("member", bounds.to_json(),
-                               witness=[d12, d21])
-    return SpanCertificate("not-found-at-bound", bounds.to_json(),
-                           detail=str([d for ok, d in ((ok12, d12), (ok21, d21))
-                                       if not ok]))
+    span1, span2 = _common_pole_spans(p1, p2, f, bounds.xdeg)
+    d21, d12 = _mutual_containment(
+        ("second-in-first", span2, bool(p2.summands)),
+        ("first-in-second", span1, bool(p1.summands)))
+    return _certificate(bounds, [d12, d21])
 
 
 def reduce_presentation(pres: HodgePresentation, f: Polynomial,
@@ -859,13 +861,8 @@ def presentation_contained(p1: HodgePresentation, p2: HodgePresentation,
                            bounds: Bounds = DEFAULT_BOUNDS) -> SpanCertificate:
     """One-sided bounded containment: every vector of the first presentation
     reduces inside the span of the second."""
-    alpha_base = p1.alpha
-    pole_target = max(p1.max_pole(),
-                      p2.max_pole() + _twist_shift(alpha_base, p2.alpha), 0)
     ok, d = _cross_containment(
-        "first-in-second",
-        presentation_span(p1, f, alpha_base, pole_target, bounds.xdeg),
-        presentation_span(p2, f, alpha_base, pole_target, bounds.xdeg),
+        "first-in-second", *_common_pole_spans(p1, p2, f, bounds.xdeg),
         expect_nonempty=bool(p1.summands))
     if ok:
         return SpanCertificate("member", bounds.to_json(), witness=[d])
@@ -927,21 +924,11 @@ def dspans_equal(p1: HodgePresentation, p2: HodgePresentation, f: Polynomial,
 # the master cross-check
 
 
-def _kernel_candidates(kind: str, obj, alpha: Fraction, k: int, l: int,
-                       bounds: Bounds):
-    if kind == "snc":
-        fam = SncVFamily(obj, bounds.dt)
-        return fam.kernel_gens(alpha, l, k)
-    if kind == "whom":
-        fam = WhomVFamily(obj, bounds.dt)
-        return fam.kernel_gens(alpha, l, k)
-    raise ValueError(f"unknown source {kind!r}")
-
-
-def _closed_form(kind: str, obj, alpha: Fraction, k: int, l: int):
-    if kind == "snc":
-        return snc_hodge_weight(obj, alpha, k, l)
-    return whom_hodge_weight(obj, alpha, k, l)
+# kind -> (candidate family, closed form, the polynomial of the source)
+_SOURCES = {
+    "snc": (SncVFamily, snc_hodge_weight, SncDivisor.polynomial),
+    "whom": (WhomVFamily, whom_hodge_weight, lambda germ: germ.f),
+}
 
 
 def crosscheck_hodge_weight(kind: str, obj, alpha, k: int, l: int,
@@ -950,10 +937,13 @@ def crosscheck_hodge_weight(kind: str, obj, alpha, k: int, l: int,
     kernel-filtration candidates must coincide, within the window, with the
     closed-form Hodge/weight presentation.  Certifies containment both ways.
     """
+    if kind not in _SOURCES:
+        raise ValueError(f"unknown source {kind!r}")
+    family, closed_form, polynomial = _SOURCES[kind]
     alpha = Fraction(alpha)
-    f = obj.polynomial() if kind == "snc" else obj.f
-    pres = _closed_form(kind, obj, alpha, k, l)
-    gens = _kernel_candidates(kind, obj, alpha, k, l, bounds)
+    f = polynomial(obj)
+    pres = closed_form(obj, alpha, k, l)
+    gens = family(obj, bounds.dt).kernel_gens(alpha, l, k)
 
     pole_target = max(pres.max_pole(),
                       max((g.max_layer() + b for g, b in gens), default=0))
@@ -962,8 +952,6 @@ def crosscheck_hodge_weight(kind: str, obj, alpha, k: int, l: int,
     oracle_span = WindowSpan(f, pole_target, bounds.xdeg)
     for gi, (gen, budget) in enumerate(gens):
         budget = min(budget, bounds.order)
-        if budget < 0:
-            continue
         images = d_part_images(oracle_span.shifts(budget)[0], gen,
                                lambda u, i: act(f"d{i + 1}", u, f))
         for gamma, img in sorted(images.items(), key=lambda kv: grlex_key(kv[0])):
@@ -971,11 +959,6 @@ def crosscheck_hodge_weight(kind: str, obj, alpha, k: int, l: int,
                 oracle_span.add(psi_map(img, alpha), (gi, gamma))
 
     closed_span = presentation_span(pres, f, alpha, pole_target, bounds.xdeg)
-    (ok_oc, d_oc), (ok_co, d_co) = _mutual_containment(
+    return _certificate(bounds, _mutual_containment(
         ("oracle-in-closed-form", oracle_span, bool(gens)),
-        ("closed-form-in-oracle", closed_span, bool(pres.summands)))
-    if ok_oc and ok_co:
-        return SpanCertificate("member", bounds.to_json(), witness=[d_oc, d_co])
-    return SpanCertificate("not-found-at-bound", bounds.to_json(),
-                           detail=str([d for ok, d in ((ok_oc, d_oc),
-                                                       (ok_co, d_co)) if not ok]))
+        ("closed-form-in-oracle", closed_span, bool(pres.summands))))

@@ -257,10 +257,6 @@ class TwistedSection:
                 out[j] = out[j] + q if j in out else q
         return TwistedSection(self.dim, self.shift, pole, out)
 
-    def scale(self, c) -> "TwistedSection":
-        return TwistedSection(self.dim, self.shift, self.pole,
-                              {j: p.scale(c) for j, p in self.coeffs.items()})
-
     def normalized(self, f: Polynomial) -> "TwistedSection":
         """Cancel common f-factors so the pole order is minimal."""
         if not self.coeffs:

@@ -4,17 +4,21 @@ three independent computational routes must agree exactly."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hwkit.bsdata import (bfunction_snc, bfunction_whom_isolated,
-                          genlevel_bound, hodge_pole_full, reduce)
+                          genlevel_bound, hodge_pole_full, reduce,
+                          weight_bounds)
 from hwkit.exactalg import Polynomial, WeightVector, poly_parse
 from hwkit.ppd import (AnnihilatorInput, hodge_on_weight, w0_span,
                        weight_module_generators, weight_step_presentation)
-from hwkit.snc import HodgePresentation, SncDivisor, snc_hodge_weight
+from hwkit.snc import (HodgePresentation, SncDivisor, snc_hodge_weight,
+                       snc_weight_top)
 from hwkit.vforacle import (Bounds, crosscheck_hodge_weight, dspans_equal,
                             presentations_equal, verify_bfunction)
 from hwkit.weyl import WeylOperator
-from hwkit.whom import QuasiHomogeneousGerm, whom_hodge_weight
+from hwkit.whom import (QuasiHomogeneousGerm, whom_hodge_weight,
+                        whom_weight_top)
 
 F = Fraction
 
@@ -123,29 +127,139 @@ def test_snc_pole_predicate_consistency():
 def test_generating_level_bound_in_the_window():
     """From the generating level on, k >= genlevel_bound(b, alpha, l, n), the
     D-module that F_k W_{n+l} generates is the one F_{k+1} W_{n+l}
-    generates: dspans_equal of the closed forms at steps k and k + 1.  The
-    level is l = 0, except at alpha = 1, where the whom closed forms start
-    at stratum l = 1; the weight-step bound (graded=False) does not depend
-    on l.  A verdict short of member (a generator outside the window, say)
-    is inconclusive, never a refutation, but most checks must be members."""
+    generates: dspans_equal of the closed forms at steps k and k + 1.  In
+    two variables the level is l = 0, except at alpha = 1, where the whom
+    closed forms start at stratum l = 1; the weight-step bound
+    (graded=False) does not depend on l.  The three-variable germ
+    x1^2+x2^2+x3^2, whose bound reaches 2, is checked at l = 0 and 1 and at
+    k = bound only, in a window of its own.  A verdict short of member (a
+    generator outside the window, say) is inconclusive, never a
+    refutation, but most checks must be members."""
     B = Bounds(4, 16, 6)
-    cases = []
+    cases = []  # (f, bred, alpha, l, step k -> closed form, bounds, k - bound)
     for text, w in (("x1^2+x2^3", "1/2,1/3"), ("x1^3+x2^4", "1/3,1/4")):
         germ = QuasiHomogeneousGerm(poly_parse(text, 2), WeightVector.parse(w))
         bred = reduce(bfunction_whom_isolated(germ.f, germ.w, germ.milnor))
         for alpha in (F(1, 2), F(5, 6), F(1)):
             l = 1 if alpha == 1 else 0
             cases.append((germ.f, bred, alpha, l, lambda k, g=germ, a=alpha,
-                          l=l: whom_hodge_weight(g, a, k, l)))
+                          l=l: whom_hodge_weight(g, a, k, l), B, (0, 1)))
     d = SncDivisor((1, 1, 1))
     cases.append((d.polynomial(), reduce(bfunction_snc(d.a)), F(1, 2), 0,
-                  lambda k: snc_hodge_weight(d, F(1, 2), k, 0)))
+                  lambda k: snc_hodge_weight(d, F(1, 2), k, 0), B, (0, 1)))
+    sphere = QuasiHomogeneousGerm(poly_parse("x1^2+x2^2+x3^2", 3),
+                                  WeightVector.parse("1/2,1/2,1/2"))
+    bred = reduce(bfunction_whom_isolated(sphere.f, sphere.w, sphere.milnor))
+    for alpha in (F(1, 2), F(5, 6)):
+        for l in (0, 1):
+            cases.append((sphere.f, bred, alpha, l, lambda k, a=alpha, l=l:
+                          whom_hodge_weight(sphere, a, k, l), Bounds(4, 8, 6),
+                          (0,)))
     levels, members = [], 0
-    for f, bred, alpha, l, closed in cases:
+    for f, bred, alpha, l, closed, bounds, steps in cases:
         level = genlevel_bound(bred, alpha, l, f.dim, graded=False)
         levels.append(level)
-        for k in (level, level + 1):
+        for k in (level + step for step in steps):
             members += dspans_equal(closed(k), closed(k + 1), f,
-                                    B).is_member()
-    assert levels == [1, 1, 0, 1, 1, 0, 2]
-    assert members >= 12  # of 14
+                                    bounds).is_member()
+    assert levels == [1, 1, 0, 1, 1, 0, 2, 2, 2, 1, 1]
+    assert members >= 16  # of 18
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       st.integers(1, 12))
+def test_snc_highest_weight_is_bracketed_exactly(a, j):
+    """Level convention: weight_bounds indexes weights from n, and its
+    levels are n + floor(alpha) + a multiplicity of the reduced b-function
+    at some -alpha - i.  The SNC closed form puts the highest weight of
+    M(f^-alpha) at n + snc_weight_top(d, alpha), n plus the number of
+    indices with alpha * a_i integral; at alpha = 1 the floor(alpha) term
+    restores the (s+1) that reduce removed.  For a monomial divisor both
+    bounds meet at that level.  alpha = j/12 runs over (0, 1]."""
+    d, alpha = SncDivisor(tuple(a)), F(j, 12)
+    n = d.dim
+    assert weight_bounds(reduce(bfunction_snc(d.a)), alpha, n) == (
+        n + snc_weight_top(d, alpha),) * 2
+
+
+def test_whom_highest_weight_exhausts_the_weight_filtration():
+    """Level convention: whom_hodge_weight(g, alpha, k, l) presents
+    F_k W_{n+l} M(f^-alpha), and weight_bounds bounds the highest weight in
+    the same indexing.  The lowest stratum with a closed form is s0 = 0 for
+    alpha < 1 and s0 = 1 (= floor(alpha)) at alpha = 1; the top one is
+    whom_weight_top(g, alpha).  When the upper bound is n + s0, the weight
+    filtration is exhausted at n + s0, so the two strata present the same
+    module and presentations_equal must certify member at k = 0 and 1.
+    Otherwise the bound leaves room above n + s0, and the window tells the
+    strata apart at some k in {0, 1}: a verdict short of member only shows
+    that the check is not vacuous, it refutes nothing."""
+    germs = [(text, w, Bounds(4, 12, 6)) for text, w in (
+        ("x1^2+x2^3", "1/2,1/3"), ("x1^2+x2^2", "1/2,1/2"),
+        ("x1^3+x2^4", "1/3,1/4"), ("x1^2+x2^5", "1/2,1/5"))]
+    germs.append(("x1^2+x2^2+x3^2", "1/2,1/2,1/2", Bounds(3, 8, 4)))
+    exhausted = []
+    for text, w, B in germs:
+        weights = WeightVector.parse(w)
+        germ = QuasiHomogeneousGerm(poly_parse(text, len(weights.weights)),
+                                    weights)
+        n = germ.dim
+        bred = reduce(bfunction_whom_isolated(germ.f, germ.w, germ.milnor))
+        for alpha in (F(1, 2), F(5, 6), F(1)):
+            s0 = 1 if alpha == 1 else 0
+            top = whom_weight_top(germ, alpha)
+            members = [presentations_equal(
+                whom_hodge_weight(germ, alpha, k, s0),
+                whom_hodge_weight(germ, alpha, k, top),
+                germ.f, B).is_member() for k in (0, 1)]
+            if weight_bounds(bred, alpha, n)[1] == n + s0:
+                assert all(members), (text, alpha)
+                exhausted.append((text, alpha))
+            else:
+                assert not all(members), (text, alpha)
+    assert len(exhausted) == 11  # of 15 (germ, alpha) pairs
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=2, max_size=3).flatmap(
+    lambda a: st.tuples(st.just(tuple(a)), st.permutations(range(len(a))))))
+@example(((2, 1, 3), (2, 0, 1)))
+@example(((2, 3), (1, 0)))
+def test_snc_crosscheck_is_invariant_under_variable_permutation(case):
+    """Metamorphic relation (ROADMAP item 5): the window bounds total
+    degrees and orders, so permuting the variables permutes every span, and
+    no crosscheck_hodge_weight verdict or witness (the vector count of each
+    direction) may change.  At alpha = 1/2, k <= 2 and every valid l."""
+    a, perm = case
+    d, permuted = SncDivisor(a), SncDivisor(tuple(a[i] for i in perm))
+    B = Bounds(3, 12, 4)
+    for k in range(3):
+        for l in range(d.m_alpha(F(1, 2)) + 1):
+            ref, got = (crosscheck_hodge_weight("snc", x, F(1, 2), k, l, B)
+                        for x in (d, permuted))
+            assert (got.verdict, got.witness) == (ref.verdict, ref.witness), \
+                (a, perm, k, l)
+
+
+def test_whom_checks_are_invariant_under_variable_permutation():
+    """The same relation on the cusp written both ways round: every
+    crosscheck_hodge_weight verdict and witness at alpha = 5/6, and the
+    verify_bfunction verdict, divisors and minimality at the bound."""
+    cusp = QuasiHomogeneousGerm(poly_parse("x1^2+x2^3", 2),
+                                WeightVector.parse("1/2,1/3"))
+    swapped = QuasiHomogeneousGerm(poly_parse("x2^2+x1^3", 2),
+                                   WeightVector.parse("1/3,1/2"))
+    B = Bounds(4, 12, 6)
+    for k in range(3):
+        for l in (0, 1):
+            ref, got = (crosscheck_hodge_weight("whom", g, F(5, 6), k, l, B)
+                        for g in (cusp, swapped))
+            assert ref.is_member()
+            assert (got.verdict, got.witness) == (ref.verdict, ref.witness)
+    ref, got = (verify_bfunction(g.f, bfunction_whom_isolated(g.f, g.w,
+                                                              g.milnor), 3, 6)
+                for g in (cusp, swapped))
+    assert ref.is_member() and ref.witness["minimal_at_bound"]
+    assert got.verdict == ref.verdict
+    for key in ("divisors", "minimal_at_bound"):
+        assert got.witness[key] == ref.witness[key]
