@@ -131,7 +131,7 @@ class BFunction(RootMultiset):
     confirms the functional equation and refutes every maximal proper
     divisor."""
 
-    __slots__ = ("provenance", "verified", "dim")
+    __slots__ = ("provenance", "verified")
 
     def __init__(self, roots, provenance: str = "user-supplied",
                  verified: bool = False, dim=None):
@@ -145,14 +145,13 @@ class BFunction(RootMultiset):
                 raise ValueError(f"root {r} out of range (-{dim + 1},0)")
         self.provenance = provenance
         self.verified = verified
-        self.dim = dim
 
     @classmethod
     def parse(cls, text: str, provenance: str = "user-supplied") -> "BFunction":
         return cls(parse_root_product(text), provenance=provenance)
 
     def with_verification(self) -> "BFunction":
-        return BFunction(self.roots, self.provenance, True, self.dim)
+        return BFunction(self.roots, self.provenance, True)
 
     def to_json(self):
         return {"roots": super().to_json(), "provenance": self.provenance,
@@ -165,7 +164,7 @@ class ReducedBFunction(RootMultiset):
     __slots__ = ()
 
 
-def bfunction_snc(a, dim=None) -> BFunction:
+def bfunction_snc(a) -> BFunction:
     """Closed-form root data for a monomial x1^a1 ... xn^an.
 
     Roots are -j/a_i for 1 <= j <= a_i, and the multiplicity of a value -g
@@ -184,8 +183,7 @@ def bfunction_snc(a, dim=None) -> BFunction:
     for g in values:
         mult = sum(1 for ai in a if ai and (g * ai).denominator == 1 and g * ai >= 1)
         roots[-g] = mult
-    return BFunction(roots, provenance="closed-form-snc",
-                     dim=dim if dim is not None else len(a))
+    return BFunction(roots, provenance="closed-form-snc", dim=len(a))
 
 
 def bfunction_whom_isolated(f: Polynomial, w: WeightVector,

@@ -37,7 +37,7 @@ from .errors import (DimensionMismatch, HwkitError, InconclusiveAtBound,
 from .exactalg import (Polynomial, WeightVector, fmt_rational, infer_dim,
                        mono_str, parse_rational, poly_parse)
 from .ppd import (gamma_ideal, hodge_on_weight, hodge_weight_interval21,
-                  parse_annihilator_file, weight_module_generators,
+                  parse_annihilator_file, w0_span, weight_module_generators,
                   weight_step_presentation)
 from .snc import SncDivisor, snc_f0_ideal
 from .vforacle import (Bounds, certify_bfunction, crosscheck_hodge_weight,
@@ -333,8 +333,6 @@ def cmd_bfun(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.what != "bfun":
-        raise PreconditionError(f"unknown verification target {args.what!r}")
     dim = args.dim or infer_dim(args.poly)
     f = poly_parse(args.poly, dim)
     b = BFunction.parse(args.b)
@@ -433,14 +431,14 @@ def cmd_ppd(args) -> int:
         outputs = {"weight_presentation": wpres.to_json(),
                    "meta": meta,
                    "gamma": gamma_ideal(inp).to_json(),
-                   "gamma_w0": gamma_ideal(inp, 0).to_json()}
+                   "gamma_w0": gamma_ideal(inp, weighted=True).to_json()}
         provenance = ["conditional: primality asserted, not verified"] \
             if inp.pp_asserted else []
         if not args.weight_only:
             if args.interval21:
                 pres = hodge_weight_interval21(inp, gens, args.k, bounds)
             else:
-                pres = hodge_on_weight(inp, args.l, args.k, bounds)
+                pres = hodge_on_weight(w0_span(inp, args.l, bounds), args.k)
             pres = reduce_presentation(pres, inp.f, bounds)
             outputs["hodge_presentation"] = pres.to_json()
         return envelope("ppd", payload, outputs, bounds=bounds.to_json(),

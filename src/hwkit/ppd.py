@@ -134,24 +134,19 @@ class GammaPresentation:
         return out
 
 
-def gamma_ideal(inp: AnnihilatorInput, l: int | None = None) -> GammaPresentation:
-    """The generator list of the ideal; for l=0 the beta factor is recomputed
-    at alpha + epsilon (the sub-ideal all higher weighted levels test
-    against).  beta(-s) appears sign-normalized monic; the empty beta factor
-    contributes the unit generator."""
+def gamma_ideal(inp: AnnihilatorInput,
+                weighted: bool = False) -> GammaPresentation:
+    """The generator list of the ideal; weighted recomputes the beta factor
+    at alpha + epsilon, giving the level-0 sub-ideal all higher weighted
+    levels test against.  beta(-s) appears sign-normalized monic; the empty
+    beta factor contributes the unit generator."""
     dim = inp.dim
     alpha = inp.alpha
     eps = None
-    if l is not None:
-        if l != 0:
-            raise PreconditionError("only the level-0 sub-ideal has its own "
-                                    "generator list")
+    if weighted:
         eps = inp.epsilon()
         alpha = alpha + eps
-    # beta(-s): the factor's roots c give (s + c + 1) in s; substituting -s
-    # and normalizing signs yields roots at c+1 shifted... concretely the
-    # factor list of beta(-s) is prod (s - (r+1)) over b-roots r in the
-    # open window.
+    # beta(-s), made monic: prod (s - r - 1) over b-roots r in (-alpha-1, -alpha)
     window = beta_factor(inp.b, alpha)
     beta_op = _roots_to_operator(dim, RootMultiset(
         {-c: m for c, m in window.roots.items()}))
@@ -159,7 +154,7 @@ def gamma_ideal(inp: AnnihilatorInput, l: int | None = None) -> GammaPresentatio
     gens.extend(inp.zetas)
     euler_gen = inp.euler - WeylOperator.s(dim) + WeylOperator.one(dim)
     gens.append(euler_gen)
-    return GammaPresentation(tuple(gens), l, eps)
+    return GammaPresentation(tuple(gens), 0 if weighted else None, eps)
 
 
 def weight_module_generators(inp: AnnihilatorInput, l: int,
@@ -290,7 +285,7 @@ def _order_bounded_elements(gens, sbasis, k: int, packing, residual=None):
 class W0Span:
     """What w0_span(inp, l, bounds) builds: the span, the key packing it is
     keyed by, the gamma generators that packing also covers, and the
-    (inp, l, bounds) it was built for, which hodge_on_weight checks."""
+    (inp, l, bounds) it was built for."""
 
     inp: AnnihilatorInput
     l: int
@@ -306,9 +301,12 @@ def w0_span(inp: AnnihilatorInput, l: int,
     of the level-0 weighted sub-ideal's generators.  Its packing also covers
     the products of the gamma generators over the same window, whose
     s-powers the residual map (s + alpha)^l raises by at most l; it does not
-    depend on the Hodge step k, so one span serves
-    hodge_on_weight(inp, l, k, bounds, w0) for every k."""
-    gens, gens0 = gamma_ideal(inp).generators, gamma_ideal(inp, 0).generators
+    depend on the Hodge step k, so one span serves hodge_on_weight(w0, k)
+    for every k."""
+    if l < 0:
+        raise PreconditionError("l must be non-negative")
+    gens = gamma_ideal(inp).generators
+    gens0 = gamma_ideal(inp, weighted=True).generators
     packing = window_packing(gens + gens0, bounds.order, bounds.xdeg, l + 2,
                              s_extra=l)
     basis = bounded_operator_basis(inp.dim, bounds.order, bounds.xdeg, l + 2)
@@ -320,29 +318,23 @@ def w0_span(inp: AnnihilatorInput, l: int,
     return W0Span(inp, l, bounds, gens, packing, span)
 
 
-def hodge_on_weight(inp: AnnihilatorInput, l: int, k: int,
-                    bounds: Bounds = DEFAULT_BOUNDS,
-                    w0: W0Span | None = None) -> HodgePresentation:
-    """Hodge step k of the weight-(n+l) piece: elements of the weighted
-    sub-ideal with total order <= k, evaluated at s = -alpha on f^(-1-alpha).
-    w0 is w0_span(inp, l, bounds), built here when not given; a span built
-    for another input, level or bounds raises InternalCheckFailed.
+def hodge_on_weight(w0: W0Span, k: int) -> HodgePresentation:
+    """Hodge step k of the weight-(n+l) piece, for the input, level l and
+    bounds the span w0 = w0_span(inp, l, bounds) was built for: elements of
+    the weighted sub-ideal with total order <= k, evaluated at s = -alpha on
+    f^(-1-alpha).
 
     k = 0 is unconditional; k >= 1 requires the asserted primality flag and
     the output then carries conditional provenance.
     """
-    if k < 0 or l < 0:
-        raise PreconditionError("k, l must be non-negative")
+    inp, l, bounds = w0.inp, w0.l, w0.bounds
+    if k < 0:
+        raise PreconditionError("k must be non-negative")
     if k >= 1 and not inp.pp_asserted:
         raise PreconditionError(
             "higher Hodge steps need the asserted primality flag",
             hypothesis="symbol ideal of the annihilator is prime (asserted)")
     dim = inp.dim
-    if w0 is None:
-        w0 = w0_span(inp, l, bounds)
-    elif (w0.inp, w0.l, w0.bounds) != (inp, l, bounds):
-        raise InternalCheckFailed(
-            "the w0 span was built for another input, level or bounds")
     gens, packing = w0.gens, w0.packing
     # (s + alpha)^l = sum_j C(l, j) alpha^(l-j) s^j; s is central, so
     # multiplying by s^j adds the packed key of s^j
@@ -421,10 +413,8 @@ def parse_annihilator_file(text: str,
     alpha = Fraction(0)
     pp = False
     zeta_lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    lines = [raw.split("#", 1)[0].strip() for raw in text.splitlines()]
+    for line in filter(None, lines):
         lowered = line.lower()
         if lowered.startswith("f:"):
             f_text = line[2:].strip()
@@ -441,7 +431,7 @@ def parse_annihilator_file(text: str,
     if f_text is None or e_text is None or b_text is None:
         raise ParseError("annihilator file needs f:, E: and b: headers", 0)
     if dim is None:
-        dim = infer_dim(text)
+        dim = infer_dim("\n".join(lines))
     f = Polynomial.parse(f_text, dim)
     euler = WeylOperator.parse(e_text, dim)
     b = BFunction.parse(b_text)

@@ -218,7 +218,7 @@ def criterion_7(bounds: Bounds = Bounds(4, 10, 6)) -> dict:
         rows.append({"check": f"weight step l={l}", "verdict": cert.verdict})
         w0 = w0_span(inp, l, bounds)
         for k in (0, 1):
-            hp = hodge_on_weight(inp, l, k, bounds, w0)
+            hp = hodge_on_weight(w0, k)
             cert2 = presentations_equal(hp, snc_hodge_weight(d, 1, k, l), f,
                                         bounds)
             ok = ok and cert2.is_member()

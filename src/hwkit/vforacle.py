@@ -71,6 +71,11 @@ class SpanCertificate:
 # elements of the graph-embedding module
 
 
+def _accumulate(layers: dict, j: int, p: Polynomial):
+    if not p.is_zero():
+        layers[j] = layers[j] + p if j in layers else p
+
+
 class BfElement:
     """Finitely many layers g_j * dt^j applied to the module generator; the
     twist tag records which twisted module the element lives in (0 for the
@@ -116,6 +121,35 @@ class BfElement:
                          {j: p.scale(c) for j, p in self.layers.items()},
                          self.twist)
 
+    def t(self, f: Polynomial) -> "BfElement":
+        """t: g dt^j -> f g dt^j - j g dt^(j-1)."""
+        out = {}
+        for j, p in self.layers.items():
+            _accumulate(out, j, p * f)
+            if j >= 1:
+                _accumulate(out, j - 1, p.scale(-j))
+        return BfElement(self.dim, out, self.twist)
+
+    def dt(self) -> "BfElement":
+        """dt: g dt^j -> g dt^(j+1)."""
+        return BfElement(self.dim, {j + 1: p for j, p in self.layers.items()},
+                         self.twist)
+
+    def d(self, i: int, f: Polynomial) -> "BfElement":
+        """d_i (0-based i): g dt^j -> (d_i g) dt^j - (d_i f) g dt^(j+1);
+        untwisted elements only."""
+        if self.twist != 0:
+            raise PreconditionError(
+                "partial-derivative action on a twisted element would leave "
+                "the polynomial window; shift to twist 0 first",
+                hypothesis="twist = 0 for d_i action")
+        df = f.partial(i)
+        out = {}
+        for j, p in self.layers.items():
+            _accumulate(out, j, p.partial(i))
+            _accumulate(out, j + 1, (p * df).scale(-1))
+        return BfElement(self.dim, out, self.twist)
+
     def vector(self) -> dict:
         """Coordinates keyed by (layer, monomial)."""
         out = {}
@@ -140,55 +174,9 @@ class BfElement:
     __repr__ = __str__
 
 
-def act(sym: str, u: BfElement, f: Polynomial) -> BfElement:
-    """Exact action on the graph-embedding module:
-      t:  g dt^j -> f g dt^j - j g dt^(j-1)
-      dt: g dt^j -> g dt^(j+1)
-      s = -dt t
-      x<i>: multiply by the variable
-      d<i>: g dt^j -> (d_i g) dt^j - (d_i f) g dt^(j+1)  (untwisted only)
-    """
-    out = {}
-
-    def acc(j, p):
-        if not p.is_zero():
-            out[j] = out[j] + p if j in out else p
-
-    if sym == "t":
-        for j, p in u.layers.items():
-            acc(j, p * f)
-            if j >= 1:
-                acc(j - 1, p.scale(-j))
-        return BfElement(u.dim, out, u.twist)
-    if sym == "dt":
-        return BfElement(u.dim, {j + 1: p for j, p in u.layers.items()}, u.twist)
-    if sym == "s":
-        return act("dt", act("t", u, f), f).scale(-1)
-    if sym.startswith("x"):
-        i = int(sym[1:]) - 1
-        e = [0] * u.dim
-        e[i] = 1
-        return BfElement(u.dim,
-                         {j: p.mul_mono(tuple(e)) for j, p in u.layers.items()},
-                         u.twist)
-    if sym.startswith("d"):
-        i = int(sym[1:]) - 1
-        if u.twist != 0:
-            raise PreconditionError(
-                "partial-derivative action on a twisted element would leave "
-                "the polynomial window; shift to twist 0 first",
-                hypothesis="twist = 0 for d_i action")
-        df = f.partial(i)
-        for j, p in u.layers.items():
-            acc(j, p.partial(i))
-            acc(j + 1, (p * df).scale(-1))
-        return BfElement(u.dim, out, u.twist)
-    raise ValueError(f"unknown symbol {sym!r}")
-
-
 def apply_s_shifted(u: BfElement, f: Polynomial, shift: Fraction) -> BfElement:
-    """(s + shift) * u."""
-    return act("s", u, f) + u.scale(shift)
+    """(s + shift) * u, with s = -dt t."""
+    return u.t(f).dt().scale(-1) + u.scale(shift)
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +198,8 @@ def bf_span(gens, f: Polynomial, bounds: Bounds,
         if gen.is_zero():
             continue
         images = d_part_images(monomials_upto_degree(dim, bounds.order), gen,
-                               lambda u, i: act(f"d{i + 1}", u, f))
-        for gamma, img in sorted(images.items(), key=lambda kv: grlex_key(kv[0])):
+                               lambda u, i: u.d(i, f))
+        for gamma, img in images.items():
             emax = (bounds.order - sum(gamma)) if with_dt else 0
             for e in range(emax + 1):
                 base = img if e == 0 else BfElement(
@@ -457,7 +445,7 @@ class WhomVFamily:
         lam = Fraction(lam)
         if lam > 1:
             inner = self._graded_gens(lam - 1, strict)
-            return [act("t", u, self.germ.f) for u in inner]
+            return [u.t(self.germ.f) for u in inner]
         return [u for _, u in
                 _graded_slices(self.germ, lam, strict, self.jmax)]
 
@@ -503,8 +491,8 @@ def verify_v_axioms(family, f: Polynomial, grid,
         n = family.nilpotency(gam)
         for gi, gen in enumerate(family.gens(gam)):
             entries = [
-                ("t", act("t", gen, f), span_up),
-                ("dt", act("dt", gen, f), span_down),
+                ("t", gen.t(f), span_up),
+                ("dt", gen.dt(), span_down),
             ]
             u = gen
             for _ in range(n):
@@ -531,13 +519,11 @@ def kernel_filtration_check(f: Polynomial, lam, l: int, kernel_gens,
                             strict_gens,
                             bounds: Bounds = DEFAULT_BOUNDS) -> SpanCertificate:
     """Certify (s+lam)^l * g lies in the strict span for every kernel
-    generator g."""
+    generator g, a BfElement."""
     lam = Fraction(lam)
     span = bf_span(strict_gens, f, bounds)
     witnesses = []
-    for gi, gen in enumerate(kernel_gens):
-        g = gen[0] if isinstance(gen, tuple) else gen
-        u = g
+    for gi, u in enumerate(kernel_gens):
         for _ in range(l):
             u = apply_s_shifted(u, f, lam)
         if u.is_zero():
@@ -953,8 +939,8 @@ def crosscheck_hodge_weight(kind: str, obj, alpha, k: int, l: int,
     for gi, (gen, budget) in enumerate(gens):
         budget = min(budget, bounds.order)
         images = d_part_images(oracle_span.shifts(budget)[0], gen,
-                               lambda u, i: act(f"d{i + 1}", u, f))
-        for gamma, img in sorted(images.items(), key=lambda kv: grlex_key(kv[0])):
+                               lambda u, i: u.d(i, f))
+        for gamma, img in images.items():
             if img.max_layer() <= bounds.dt:
                 oracle_span.add(psi_map(img, alpha), (gi, gamma))
 

@@ -8,6 +8,7 @@ import pytest
 
 from hwkit import cli, vforacle
 from hwkit.cli import _cache_key, build_parser, main
+from hwkit.ppd import parse_annihilator_file
 from hwkit.weyl import TwistedSection
 
 NODE_ANN = """# ordinary double point, untwisted
@@ -149,6 +150,26 @@ def test_ppd(capsys, tmp_path):
     gens = sorted(s["generator"] for s in hp["summands"])
     assert gens == ["1", "x1", "x2"]
     assert env["provenance"] == ["conditional: primality asserted, not verified"]
+
+
+def test_ppd_dimension_ignores_comments(capsys, tmp_path):
+    # a variable named only in a comment is not a variable of the input
+    plain = tmp_path / "node.ann"
+    plain.write_text(NODE_ANN)
+    commented = tmp_path / "commented.ann"
+    commented.write_text(
+        NODE_ANN.replace("untwisted", "untwisted; compare with the x3 "
+                         "direction").replace("x2*d2\n", "x2*d2  # not d4\n"))
+    assert [parse_annihilator_file(p.read_text()).dim
+            for p in (plain, commented)] == [2, 2]
+    outputs = []
+    for path in (plain, commented):
+        code, env = run_json(capsys, "ppd", "--input", str(path), "--l", "0",
+                             "--k", "0", "--xdeg", "6")
+        assert code == 0
+        outputs.append(env["outputs"])
+    assert outputs[0] == outputs[1]
+    assert outputs[0]["meta"]["tuples"] == 75
 
 
 def test_precondition_exit_code(capsys):

@@ -14,8 +14,10 @@ from hwkit.ppd import (AnnihilatorInput, hodge_on_weight, w0_span,
                        weight_module_generators, weight_step_presentation)
 from hwkit.snc import (HodgePresentation, SncDivisor, snc_hodge_weight,
                        snc_weight_top)
-from hwkit.vforacle import (Bounds, crosscheck_hodge_weight, dspans_equal,
-                            presentations_equal, verify_bfunction)
+from hwkit.vforacle import (BfElement, Bounds, SncVFamily,
+                            crosscheck_hodge_weight, dspans_equal,
+                            kernel_filtration_check, presentations_equal,
+                            verify_bfunction)
 from hwkit.weyl import WeylOperator
 from hwkit.whom import (QuasiHomogeneousGerm, whom_hodge_weight,
                         whom_weight_top)
@@ -74,7 +76,7 @@ def test_triple_point_hodge_pieces_agree(triple):
     B = Bounds(4, 12, 6)
     w0 = w0_span(inp, 1, B)
     for k in (0, 1):
-        hp = hodge_on_weight(inp, 1, k, B, w0)
+        hp = hodge_on_weight(w0, k)
         wh = whom_hodge_weight(germ, 1, k, 1)
         assert presentations_equal(hp, wh, germ.f, B).is_member(), k
 
@@ -263,3 +265,74 @@ def test_whom_checks_are_invariant_under_variable_permutation():
     assert got.verdict == ref.verdict
     for key in ("divisors", "minimal_at_bound"):
         assert got.witness[key] == ref.witness[key]
+
+
+SCALED_GERMS = [("x1^2+x2^3", "1/2,1/3", F(5, 6), (0, 1)),
+                ("x1^2+x2^2", "1/2,1/2", F(1), (1, 2)),
+                ("x1^3+x2^4", "1/3,1/4", F(7, 12), (0, 1))]
+
+
+@pytest.mark.parametrize("c", [F(2), F(-1, 3), F(5, 7)])
+def test_checks_are_invariant_under_scaling_f(c):
+    """Metamorphic relation (ROADMAP item 5): c*f^s differs from f^s by the
+    constant c^s, which commutes with every operator, so the b-function and
+    every filtration step of c*f are those of f.  No crosscheck_hodge_weight
+    certificate (k <= 2) and no verify_bfunction verdict, divisor list or
+    minimality flag may change when f is scaled by c."""
+    B = Bounds(4, 12, 6)
+    for text, w, alpha, levels in SCALED_GERMS:
+        weights = WeightVector.parse(w)
+        germ = QuasiHomogeneousGerm(poly_parse(text, 2), weights)
+        scaled = QuasiHomogeneousGerm(germ.f.scale(c), weights)
+        for k in range(3):
+            for l in levels:
+                ref, got = (crosscheck_hodge_weight("whom", g, alpha, k, l, B)
+                            for g in (germ, scaled))
+                assert ref.is_member(), (text, k, l)
+                assert got.to_json() == ref.to_json(), (text, c, k, l)
+        b = bfunction_whom_isolated(germ.f, germ.w, germ.milnor)
+        for order, xdeg in ((3, 4), (3, 6)):
+            ref, got = (verify_bfunction(f, b, order, xdeg)
+                        for f in (germ.f, scaled.f))
+            assert got.verdict == ref.verdict, (text, c, order, xdeg)
+            if ref.is_member():
+                for key in ("divisors", "minimal_at_bound"):
+                    assert got.witness[key] == ref.witness[key]
+
+
+def test_member_verdicts_survive_window_growth():
+    """Metamorphic relation (ROADMAP item 5): Bounds.doubled() only adds
+    columns, so a member of verify_bfunction or kernel_filtration_check
+    stays a member in the doubled window, where the true b-function is
+    still minimal.  The relation is one-way: not-found-at-bound may turn
+    into member."""
+    whom = [QuasiHomogeneousGerm(poly_parse(text, 2), WeightVector.parse(w))
+            for text, w in (("x1^2+x2^3", "1/2,1/3"),
+                            ("x1^2+x2^2", "1/2,1/2"))]
+    cases = [(SncDivisor(a).polynomial(), bfunction_snc(a), window)
+             for a in ((2,), (1, 1), (2, 3), (1, 1, 1))
+             for window in (Bounds(2, 2, 0), Bounds(3, 4, 0))]
+    cases += [(g.f, bfunction_whom_isolated(g.f, g.w, g.milnor),
+               Bounds(3, 4, 0)) for g in whom]
+    members = 0
+    for f, b, window in cases:
+        if not verify_bfunction(f, b, window.order, window.xdeg).is_member():
+            continue
+        members += 1
+        big = window.doubled()
+        cert = verify_bfunction(f, b, big.order, big.xdeg)
+        assert cert.is_member(), (str(f), window)
+        assert cert.witness["minimal_at_bound"], (str(f), window)
+    assert members == 7  # of 10: x1^2*x2^3 twice and x1*x2*x3 at (2, 2)
+
+    xy, f23 = poly_parse("x1*x2", 2), poly_parse("x1^2*x2^3", 2)
+    for f, lam, kernel, fam, window in (
+            (xy, 1, ["x1", "x2"], SncVFamily(SncDivisor((1, 1)), 4),
+             Bounds(3, 8, 5)),
+            (f23, F(1, 2), ["x2"], SncVFamily(SncDivisor((2, 3)), 4),
+             Bounds(4, 10, 5))):
+        gens = [BfElement.from_poly(poly_parse(g, 2)) for g in kernel]
+        for bounds in (window, window.doubled()):
+            cert = kernel_filtration_check(f, lam, 1, gens,
+                                           fam.strict_gens(lam), bounds)
+            assert cert.is_member(), (str(f), bounds)

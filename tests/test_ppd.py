@@ -69,7 +69,7 @@ def test_gamma_ideal_node():
     # empty window: the unit generator is present, so the ideal is everything
     assert texts == ["x1*x2", "1", "x1*d1 - x2*d2",
                      "1/2*x1*d1 + 1/2*x2*d2 - s + 1"]
-    g0 = gamma_ideal(inp, 0)
+    g0 = gamma_ideal(inp, weighted=True)
     assert g0.epsilon == F(1, 2)
     assert "s^2" in [str(x) for x in g0.generators]
 
@@ -115,31 +115,19 @@ def test_hodge_on_weight_matches_snc():
     for l in (0, 1):
         w0 = w0_span(inp, l, B)
         for k in (0, 1):
-            hp = hodge_on_weight(inp, l, k, B, w0)
+            hp = hodge_on_weight(w0, k)
             cert = presentations_equal(hp, snc_hodge_weight(d, 1, k, l), XY, B)
             assert cert.is_member(), (l, k, cert.detail)
-    # a span passed in gives what the span built inside gives
-    assert hp == hodge_on_weight(inp, 1, 1, B)
-
-
-def test_hodge_on_weight_refuses_a_span_built_elsewhere():
-    # a span keyed by the packing of other bounds, another level or another
-    # input would decode to other monomials: it raises instead
-    inp = xy_input()
-    w0 = w0_span(inp, 1, B)
-    for l, bounds in ((1, Bounds(B.order, B.xdeg + 1, B.dt)),
-                      (1, Bounds(B.order - 1, B.xdeg, B.dt)), (0, B)):
-        with pytest.raises(InternalCheckFailed):
-            hodge_on_weight(inp, l, 0, bounds, w0)
-    with pytest.raises(InternalCheckFailed):
-        hodge_on_weight(xy_input(pp=False), 1, 0, B, w0)
+    # a span built afresh gives what the reused span gives
+    assert hp == hodge_on_weight(w0_span(inp, 1, B), 1)
 
 
 def test_hodge_on_weight_requires_flag_for_higher_k():
     inp = xy_input(pp=False)
-    hodge_on_weight(inp, 0, 0, B)  # k = 0 unconditional
+    w0 = w0_span(inp, 0, B)
+    hodge_on_weight(w0, 0)  # k = 0 unconditional
     with pytest.raises(PreconditionError):
-        hodge_on_weight(inp, 0, 1, B)
+        hodge_on_weight(w0, 1)
 
 
 def test_cusp_weight_and_hodge():
@@ -148,7 +136,7 @@ def test_cusp_weight_and_hodge():
     wp = weight_step_presentation(inp, weight_module_generators(inp, 0, B)[0],
                                   B)
     assert dspans_equal(wp, unit0, inp.f, B).is_member()
-    hp = hodge_on_weight(inp, 0, 0, B)
+    hp = hodge_on_weight(w0_span(inp, 0, B), 0)
     assert presentations_equal(hp, unit0, inp.f, B).is_member()
 
 
@@ -235,7 +223,7 @@ def test_one_pole_apply_per_presentation(monkeypatch):
     gens = weight_module_generators(inp, 0, bounds)[0]
     counts = []
     for build in (lambda: weight_step_presentation(inp, gens, bounds),
-                  lambda: hodge_on_weight(inp, 0, 1, bounds),
+                  lambda: hodge_on_weight(w0_span(inp, 0, bounds), 1),
                   lambda: hodge_weight_interval21(inp, gens, 1, bounds)):
         calls.clear()
         build()
@@ -336,7 +324,7 @@ def test_syzygies_and_dependencies_are_w_homogeneous(name, monkeypatch):
     monkeypatch.setattr(ppd, "_order_bounded_elements", elements_spy)
     for l in range(inp.b.multiplicity(-inp.alpha - 1)):
         weight_module_generators(inp, l, B)
-    hodge_on_weight(inp, 0, 0, B)
+    hodge_on_weight(w0_span(inp, 0, B), 0)
     if name == "node":
         hodge_weight_interval21(
             inp, weight_module_generators(inp, 0, B)[0], 0, B)

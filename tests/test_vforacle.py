@@ -16,7 +16,7 @@ from hwkit.linalg import Echelon
 from hwkit.snc import HodgePresentation, SncDivisor
 from hwkit.vforacle import (BfElement, Bounds, SncVFamily, WhomVFamily,
                             WindowSpan, _cross_containment,
-                            _mutual_containment, act, bf_span,
+                            _mutual_containment, apply_s_shifted, bf_span,
                             candidate_v_snc, crosscheck_hodge_weight,
                             dspans_equal, kernel_filtration_check, membership,
                             phi_shift, presentation_contained,
@@ -49,11 +49,11 @@ def cusp_germ():
 
 def test_act_rules():
     u = BfElement.unit(2)
-    assert act("t", u, XY).layers == {0: XY}
-    assert act("dt", u, XY).layers == {1: Polynomial.one(2)}
-    assert act("s", u, XY).layers == {1: -XY}
+    assert u.t(XY).layers == {0: XY}
+    assert u.dt().layers == {1: Polynomial.one(2)}
+    assert apply_s_shifted(u, XY, 0).layers == {1: -XY}
     v = BfElement.from_poly(poly_parse("x1", 2), layer=2)
-    tv = act("t", v, XY)
+    tv = v.t(XY)
     assert tv.layers[2] == XY * poly_parse("x1", 2)
     assert tv.layers[1] == poly_parse("-2*x1", 2)
 
@@ -63,19 +63,18 @@ def test_act_commutator():
     for _ in range(50):
         u = BfElement(2, {0: rand_poly(rng), 1: rand_poly(rng),
                           2: rand_poly(rng)})
-        lhs = act("dt", act("t", u, XY), XY)
-        rhs = act("t", act("dt", u, XY), XY)
+        lhs = u.t(XY).dt()
+        rhs = u.dt().t(XY)
         assert lhs + rhs.scale(-1) == u
 
 
 def test_act_twisted_partial_rejected():
     u = BfElement.unit(2, twist=F(1, 2))
     with pytest.raises(PreconditionError):
-        act("d1", u, XY)
-    # t, dt, s, x actions stay polynomial on twisted elements
-    act("t", u, XY)
-    act("s", u, XY)
-    act("x1", u, XY)
+        u.d(0, XY)
+    # t, dt and s actions stay polynomial on twisted elements
+    u.t(XY)
+    apply_s_shifted(u, XY, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +194,9 @@ def test_member_witness_reevaluates():
         u = gen
         for i, e in enumerate(step["dgamma"]):
             for _ in range(e):
-                u = act(f"d{i + 1}", u, f)
+                u = u.d(i, f)
         for _ in range(step["dt"]):
-            u = act("dt", u, f)
+            u = u.dt()
         beta = tuple(step["xbeta"])
         u = BfElement(1, {j: p.mul_mono(beta) for j, p in u.layers.items()})
         total = total + u.scale(F(step["coeff"]))
@@ -415,12 +414,12 @@ def test_d_gamma_images_match_step_chains(dim):
 
         gen = BfElement(dim, {0: rand_poly(rng, dim), 1: rand_poly(rng, dim)})
         images = d_part_images(gammas, gen,
-                               lambda u, i: act(f"d{i + 1}", u, f))
+                               lambda u, i: u.d(i, f))
         chain = {gammas[0]: gen}  # grlex order: each gamma after gamma - e_i
         for gamma in gammas[1:]:
             i = next(k for k, e in enumerate(gamma) if e)
             prev = gamma[:i] + (gamma[i] - 1,) + gamma[i + 1:]
-            chain[gamma] = act(f"d{i + 1}", chain[prev], f)
+            chain[gamma] = chain[prev].d(i, f)
         assert images == chain
 
 
@@ -524,8 +523,8 @@ def test_phi_shift_s_equivariance():
     for _ in range(20):
         u = BfElement(2, {0: rand_poly(rng) * XY, 1: rand_poly(rng) * XY * XY},
                       twist=alpha)
-        lhs = phi_shift(act("s", u, XY), XY)
-        rhs = act("s", phi_shift(u, XY), XY) + phi_shift(u, XY).scale(alpha)
+        lhs = phi_shift(apply_s_shifted(u, XY, 0), XY)
+        rhs = apply_s_shifted(phi_shift(u, XY), XY, alpha)
         assert lhs == rhs
 
 
