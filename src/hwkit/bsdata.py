@@ -147,8 +147,8 @@ class BFunction(RootMultiset):
         self.verified = verified
 
     @classmethod
-    def parse(cls, text: str, provenance: str = "user-supplied") -> "BFunction":
-        return cls(parse_root_product(text), provenance=provenance)
+    def parse(cls, text: str) -> "BFunction":
+        return cls(parse_root_product(text))
 
     def with_verification(self) -> "BFunction":
         return BFunction(self.roots, self.provenance, True)

@@ -36,9 +36,9 @@ from .errors import (DimensionMismatch, HwkitError, InconclusiveAtBound,
                      InternalCheckFailed, ParseError, PreconditionError)
 from .exactalg import (Polynomial, WeightVector, fmt_rational, infer_dim,
                        mono_str, parse_rational, poly_parse)
-from .ppd import (gamma_ideal, hodge_on_weight, hodge_weight_interval21,
-                  parse_annihilator_file, w0_span, weight_module_generators,
-                  weight_step_presentation)
+from .ppd import (_require_pp, gamma_ideal, hodge_on_weight,
+                  hodge_weight_interval21, parse_annihilator_file, w0_span,
+                  weight_module_generators, weight_step_presentation)
 from .snc import SncDivisor, snc_f0_ideal
 from .vforacle import (Bounds, certify_bfunction, crosscheck_hodge_weight,
                        reduce_presentation, verify_bfunction)
@@ -438,6 +438,8 @@ def cmd_ppd(args) -> int:
             if args.interval21:
                 pres = hodge_weight_interval21(inp, gens, args.k, bounds)
             else:
+                if args.k >= 1:  # before the w0 span is built
+                    _require_pp(inp)
                 pres = hodge_on_weight(w0_span(inp, args.l, bounds), args.k)
             pres = reduce_presentation(pres, inp.f, bounds)
             outputs["hodge_presentation"] = pres.to_json()

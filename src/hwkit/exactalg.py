@@ -310,12 +310,6 @@ class Polynomial(SparseTerms):
         return cls(len(m), {tuple(m): Fraction(coeff)})
 
     @classmethod
-    def variable(cls, i: int, dim: int) -> "Polynomial":
-        e = [0] * dim
-        e[i] = 1
-        return cls(dim, {tuple(e): Fraction(1)})
-
-    @classmethod
     def parse(cls, text: str, dim: int) -> "Polynomial":
         terms = {}
         for coeff, factors in parse_terms(text, allow="x"):
@@ -524,9 +518,6 @@ class MonomialIdeal:
         if self.dim != other.dim:
             raise DimensionMismatch(f"{self.dim} vs {other.dim}")
 
-    def is_unit(self) -> bool:
-        return self.gens == ((0,) * self.dim,)
-
     def is_zero(self) -> bool:
         return not self.gens
 
@@ -542,9 +533,6 @@ class MonomialIdeal:
         return MonomialIdeal(
             self.dim,
             [mono_mul(a, b) for a in self.gens for b in other.gens])
-
-    def scale_by_monomial(self, m: Mono) -> "MonomialIdeal":
-        return MonomialIdeal(self.dim, [mono_mul(g, m) for g in self.gens])
 
     def __le__(self, other: "MonomialIdeal") -> bool:
         self._check(other)

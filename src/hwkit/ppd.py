@@ -10,7 +10,6 @@ conditional provenance tag.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -104,18 +103,6 @@ class AnnihilatorInput:
         return min(dists) / 2
 
 
-def _roots_to_operator(dim: int, factor: RootMultiset) -> WeylOperator:
-    """The operator prod (s - c)^m for the factor's roots c, sign-normalized
-    to be monic in s (units do not change the generated ideal)."""
-    out = WeylOperator.one(dim)
-    s = WeylOperator.s(dim)
-    for c, m in sorted(factor.roots.items()):
-        fac = s - WeylOperator.constant(dim, c)
-        for _ in range(m):
-            out = out * fac
-    return out
-
-
 @dataclass(frozen=True)
 class GammaPresentation:
     """Generators {f, beta(-s), zetas..., E - s + 1} of the ideal carrying
@@ -148,8 +135,9 @@ def gamma_ideal(inp: AnnihilatorInput,
         alpha = alpha + eps
     # beta(-s), made monic: prod (s - r - 1) over b-roots r in (-alpha-1, -alpha)
     window = beta_factor(inp.b, alpha)
-    beta_op = _roots_to_operator(dim, RootMultiset(
-        {-c: m for c, m in window.roots.items()}))
+    z = (0,) * dim
+    beta_op = WeylOperator(dim, {(z, z, j): c for j, c in RootMultiset(
+        {-c: m for c, m in window.roots.items()}).coefficients().items()})
     gens = [WeylOperator.from_polynomial(inp.f), beta_op]
     gens.extend(inp.zetas)
     euler_gen = inp.euler - WeylOperator.s(dim) + WeylOperator.one(dim)
@@ -295,6 +283,15 @@ class W0Span:
     span: Echelon
 
 
+def _require_pp(inp: AnnihilatorInput):
+    """Hodge steps k >= 1 of the syzygy route, and every step of the (-2,-1]
+    formula, rest on the asserted primality of the symbol ideal."""
+    if not inp.pp_asserted:
+        raise PreconditionError(
+            "this Hodge step needs the asserted primality flag",
+            hypothesis="symbol ideal of the annihilator is prime (asserted)")
+
+
 def w0_span(inp: AnnihilatorInput, l: int,
             bounds: Bounds = DEFAULT_BOUNDS) -> W0Span:
     """The bounded span, at bounds with s-powers up to l + 2, of the products
@@ -330,17 +327,14 @@ def hodge_on_weight(w0: W0Span, k: int) -> HodgePresentation:
     inp, l, bounds = w0.inp, w0.l, w0.bounds
     if k < 0:
         raise PreconditionError("k must be non-negative")
-    if k >= 1 and not inp.pp_asserted:
-        raise PreconditionError(
-            "higher Hodge steps need the asserted primality flag",
-            hypothesis="symbol ideal of the annihilator is prime (asserted)")
+    if k >= 1:
+        _require_pp(inp)
     dim = inp.dim
     gens, packing = w0.gens, w0.packing
-    # (s + alpha)^l = sum_j C(l, j) alpha^(l-j) s^j; s is central, so
-    # multiplying by s^j adds the packed key of s^j
-    spoly, _ = integer_terms({j: math.comb(l, j) * inp.alpha ** (l - j)
-                              for j in range(l, -1, -1)})
-    spoly = {packing.shift((0,) * dim, j): c for j, c in spoly.items() if c}
+    # (s + alpha)^l; s is central, so multiplying by s^j adds the packed key
+    # of s^j
+    spoly, _ = integer_terms(RootMultiset({-inp.alpha: l}).coefficients())
+    spoly = {packing.shift((0,) * dim, j): c for j, c in spoly.items()}
     so, sx = min(bounds.order, k + 2), min(bounds.xdeg, 6)
     sbasis = bounded_operator_basis(dim, so, sx, l + 2)
 
@@ -372,7 +366,7 @@ def hodge_weight_interval21(inp: AnnihilatorInput, gens, k: int,
     b-function roots lie in (-2,-1]: the bounded intersection of the syzygy
     first components gens (of weight_module_generators at the weight level)
     extended by the ideal of E+1 with the order-<=k operators, applied to
-    f^(-1).  gens = None gives the full-filtration fallback F_k D f^(-1)."""
+    f^(-1)."""
     if inp.alpha != 0:
         raise PreconditionError("this formula is for the untwisted module",
                                 hypothesis="alpha = 0")
@@ -380,13 +374,8 @@ def hodge_weight_interval21(inp: AnnihilatorInput, gens, k: int,
         raise PreconditionError(
             "b-function roots not contained in (-2,-1]",
             hypothesis="roots of b lie in (-2,-1]")
-    if not inp.pp_asserted:
-        raise PreconditionError(
-            "this formula needs the asserted primality flag",
-            hypothesis="symbol ideal of the annihilator is prime (asserted)")
+    _require_pp(inp)
     dim = inp.dim
-    if gens is None:
-        return HodgePresentation.unit(Fraction(0), dim, k, 1)
     gens = list(gens) + [inp.euler + WeylOperator.one(dim)]
     so, sx = min(bounds.order, k + 2), min(bounds.xdeg, 6)
     sbasis = bounded_operator_basis(dim, so, sx)

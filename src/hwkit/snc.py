@@ -77,11 +77,6 @@ class HodgePresentation:
         packed.sort(key=lambda t: (t[2], -t[0], grlex_key(t[1].leading_monomial())))
         return cls(Fraction(alpha), dim, tuple(packed))
 
-    @classmethod
-    def unit(cls, alpha, dim, k: int, pole_step: int) -> "HodgePresentation":
-        """The module F_k D * f^(-pole_step-alpha) on the unit generator."""
-        return cls.build(alpha, dim, [(k, Polynomial.one(dim), pole_step)])
-
     def max_pole(self) -> int:
         return max((step + budget for budget, _, step in self.summands), default=0)
 

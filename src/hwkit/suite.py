@@ -100,9 +100,10 @@ def criterion_2() -> dict:
             "checks": checks}
 
 
-def criterion_3(bounds: Bounds = Bounds(4, 12, 6)) -> dict:
+def criterion_3() -> dict:
     """Master cross-check on the three acceptance divisors, all k <= 2 and
     all valid l, both containments."""
+    bounds = Bounds(4, 12, 6)
     results = []
     ok = True
     cusp = _cusp_germ()
@@ -199,9 +200,10 @@ def _xy_annihilator() -> AnnihilatorInput:
         Fraction(0), bfunction_snc((1, 1)), pp_asserted=True)
 
 
-def criterion_7(bounds: Bounds = Bounds(4, 10, 6)) -> dict:
+def criterion_7() -> dict:
     """Cross-module agreement between the syzygy route and the monomial
     closed forms on x1*x2."""
+    bounds = Bounds(4, 10, 6)
     inp = _xy_annihilator()
     d = SncDivisor((1, 1))
     f = inp.f
@@ -228,9 +230,10 @@ def criterion_7(bounds: Bounds = Bounds(4, 10, 6)) -> dict:
             "passed": ok, "rows": rows, "bounds": bounds.to_json()}
 
 
-def criterion_8(bounds: Bounds = Bounds(4, 12, 6)) -> dict:
+def criterion_8() -> dict:
     """Pole-order predicate agrees with unit-ideal-ness of the closed forms
     wherever both are defined."""
+    bounds = Bounds(4, 12, 6)
     rows = []
     ok = True
     for germ in (_cusp_germ(), _node_germ()):
@@ -270,7 +273,8 @@ def _random_root_multiset(rng: random.Random) -> ReducedBFunction:
     return ReducedBFunction(roots)
 
 
-def _random_operator(rng: random.Random, dim: int = 2) -> WeylOperator:
+def _random_operator(rng: random.Random) -> WeylOperator:
+    dim = 2
     terms = {}
     for _ in range(rng.randint(1, 4)):
         xe = tuple(rng.randint(0, 2) for _ in range(dim))
@@ -291,11 +295,11 @@ def _operator_x_derivative(op: WeylOperator, i: int) -> WeylOperator:
     return WeylOperator(op.dim, out)
 
 
-def criterion_9(seed: int = 20240801) -> dict:
+def criterion_9() -> dict:
     """Property suites: filtration monotonicity, pole-predicate
     monotonicity, the class-implication chain, syzygy re-multiplication,
     the commutator identity, and verdict flips under corruption."""
-    rng = random.Random(seed)
+    rng = random.Random(20240801)
     checks = []
 
     # monotonicity of the closed-form ideals
@@ -373,9 +377,10 @@ def criterion_9(seed: int = 20240801) -> dict:
             "checks": checks}
 
 
-def roundtrip_check(count: int = 500, seed: int = 991) -> dict:
+def roundtrip_check() -> dict:
     """Parse/print round trips on random polynomials and operators."""
-    rng = random.Random(seed)
+    count = 500
+    rng = random.Random(991)
     ok = True
     for _ in range(count):
         dim = rng.randint(1, 3)
@@ -385,7 +390,7 @@ def roundtrip_check(count: int = 500, seed: int = 991) -> dict:
                 terms[m] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         p = Polynomial(dim, terms)
         ok = ok and poly_parse(str(p), dim) == p
-        op = _random_operator(rng, 2)
+        op = _random_operator(rng)
         ok = ok and WeylOperator.parse(str(op), 2) == op
     return {"criterion": 10, "name": f"parse/print round trips ({count})",
             "passed": ok}

@@ -77,27 +77,24 @@ def _accumulate(layers: dict, j: int, p: Polynomial):
 
 
 class BfElement:
-    """Finitely many layers g_j * dt^j applied to the module generator; the
-    twist tag records which twisted module the element lives in (0 for the
-    untwisted one)."""
+    """Finitely many layers g_j * dt^j applied to the module generator."""
 
-    __slots__ = ("dim", "layers", "twist")
+    __slots__ = ("dim", "layers")
 
-    def __init__(self, dim: int, layers=None, twist=Fraction(0)):
+    def __init__(self, dim: int, layers=None):
         self.dim = dim
         self.layers = {int(j): p for j, p in (layers or {}).items()
                        if not p.is_zero()}
         if any(j < 0 for j in self.layers):
             raise ValueError("negative dt layer")
-        self.twist = Fraction(twist)
 
     @classmethod
-    def from_poly(cls, p: Polynomial, layer: int = 0, twist=Fraction(0)):
-        return cls(p.dim, {layer: p}, twist)
+    def from_poly(cls, p: Polynomial, layer: int = 0):
+        return cls(p.dim, {layer: p})
 
     @classmethod
-    def unit(cls, dim: int, twist=Fraction(0)):
-        return cls(dim, {0: Polynomial.one(dim)}, twist)
+    def unit(cls, dim: int):
+        return cls(dim, {0: Polynomial.one(dim)})
 
     def is_zero(self) -> bool:
         return not self.layers
@@ -109,17 +106,16 @@ class BfElement:
         return max((p.total_degree() for p in self.layers.values()), default=0)
 
     def __add__(self, other: "BfElement") -> "BfElement":
-        if self.dim != other.dim or self.twist != other.twist:
+        if self.dim != other.dim:
             raise DimensionMismatch("incompatible elements")
         out = dict(self.layers)
         for j, p in other.layers.items():
             out[j] = out[j] + p if j in out else p
-        return BfElement(self.dim, out, self.twist)
+        return BfElement(self.dim, out)
 
     def scale(self, c) -> "BfElement":
         return BfElement(self.dim,
-                         {j: p.scale(c) for j, p in self.layers.items()},
-                         self.twist)
+                         {j: p.scale(c) for j, p in self.layers.items()})
 
     def t(self, f: Polynomial) -> "BfElement":
         """t: g dt^j -> f g dt^j - j g dt^(j-1)."""
@@ -128,27 +124,20 @@ class BfElement:
             _accumulate(out, j, p * f)
             if j >= 1:
                 _accumulate(out, j - 1, p.scale(-j))
-        return BfElement(self.dim, out, self.twist)
+        return BfElement(self.dim, out)
 
     def dt(self) -> "BfElement":
         """dt: g dt^j -> g dt^(j+1)."""
-        return BfElement(self.dim, {j + 1: p for j, p in self.layers.items()},
-                         self.twist)
+        return BfElement(self.dim, {j + 1: p for j, p in self.layers.items()})
 
     def d(self, i: int, f: Polynomial) -> "BfElement":
-        """d_i (0-based i): g dt^j -> (d_i g) dt^j - (d_i f) g dt^(j+1);
-        untwisted elements only."""
-        if self.twist != 0:
-            raise PreconditionError(
-                "partial-derivative action on a twisted element would leave "
-                "the polynomial window; shift to twist 0 first",
-                hypothesis="twist = 0 for d_i action")
+        """d_i (0-based i): g dt^j -> (d_i g) dt^j - (d_i f) g dt^(j+1)."""
         df = f.partial(i)
         out = {}
         for j, p in self.layers.items():
             _accumulate(out, j, p.partial(i))
             _accumulate(out, j + 1, (p * df).scale(-1))
-        return BfElement(self.dim, out, self.twist)
+        return BfElement(self.dim, out)
 
     def vector(self) -> dict:
         """Coordinates keyed by (layer, monomial)."""
@@ -160,7 +149,7 @@ class BfElement:
 
     def __eq__(self, other):
         return (isinstance(other, BfElement) and self.dim == other.dim
-                and self.twist == other.twist and self.layers == other.layers)
+                and self.layers == other.layers)
 
     def __str__(self):
         if not self.layers:
@@ -183,14 +172,12 @@ def apply_s_shifted(u: BfElement, f: Polynomial, shift: Fraction) -> BfElement:
 # bounded spans in the graph-embedding module
 
 
-def bf_span(gens, f: Polynomial, bounds: Bounds,
-            with_dt: bool = False) -> Echelon:
-    """Span of {x^b d^g (dt^e) * gen} over the BfElements gens, with
-    |g| (+ e) at most bounds.order; with_dt adjoins the dt-powers (the
-    t-order direction).  Images that leave the (xdeg, dt) window are skipped,
-    so membership verdicts are only ever bound-relative.  Reductions against
+def bf_span(gens, f: Polynomial, bounds: Bounds) -> Echelon:
+    """Span of {x^b d^g * gen} over the BfElements gens, with |g| at most
+    bounds.order.  Images that leave the (xdeg, dt) window are skipped, so
+    membership verdicts are only ever bound-relative.  Reductions against
     the span carry their witness combination keyed by (generator, gamma,
-    dt power, beta).
+    beta).
     """
     dim = f.dim
     span = Echelon()
@@ -200,38 +187,25 @@ def bf_span(gens, f: Polynomial, bounds: Bounds,
         images = d_part_images(monomials_upto_degree(dim, bounds.order), gen,
                                lambda u, i: u.d(i, f))
         for gamma, img in images.items():
-            emax = (bounds.order - sum(gamma)) if with_dt else 0
-            for e in range(emax + 1):
-                base = img if e == 0 else BfElement(
-                    dim, {j + e: p for j, p in img.layers.items()}, img.twist)
-                if base.is_zero():
-                    continue
-                deg = base.max_degree()
-                if base.max_layer() > bounds.dt or deg > bounds.xdeg:
-                    continue
-                vec0, den = integer_terms(base.vector())
-                for beta in monomials_upto_degree(dim, bounds.xdeg - deg):
-                    vec = {(j, mono_mul(m, beta)): c
-                           for (j, m), c in vec0.items()}
-                    span.insert(vec, den, {(gi, gamma, e, beta): den})
+            if img.is_zero():
+                continue
+            deg = img.max_degree()
+            if img.max_layer() > bounds.dt or deg > bounds.xdeg:
+                continue
+            vec0, den = integer_terms(img.vector())
+            for beta in monomials_upto_degree(dim, bounds.xdeg - deg):
+                vec = {(j, mono_mul(m, beta)): c for (j, m), c in vec0.items()}
+                span.insert(vec, den, {(gi, gamma, beta): den})
     return span
 
 
 def _witness_json(combo) -> list:
     out = []
     for tag, c in sorted(combo.items(), key=lambda kv: repr(kv[0])):
-        gi, gamma, e, beta = tag
-        out.append({"generator": gi, "dgamma": list(gamma), "dt": e,
+        gi, gamma, beta = tag
+        out.append({"generator": gi, "dgamma": list(gamma),
                     "xbeta": list(beta), "coeff": fmt_rational(c)})
     return out
-
-
-def membership(u: BfElement, gens, f: Polynomial,
-               bounds: Bounds = DEFAULT_BOUNDS) -> SpanCertificate:
-    """Bounded membership of u in the truncated span of the generators."""
-    if u.max_layer() > bounds.dt or u.max_degree() > bounds.xdeg:
-        raise WindowExceeded("element exceeds the truncation window")
-    return bf_membership(u, bf_span(gens, f, bounds, with_dt=True), bounds)
 
 
 def bf_membership(u: BfElement, span: Echelon,
@@ -566,11 +540,11 @@ def psi_map(u: BfElement, beta):
     return out
 
 
-def phi_shift(u: BfElement, f: Polynomial) -> BfElement:
-    """Shift a twist-alpha element to the untwisted module:
+def phi_shift(u: BfElement, alpha, f: Polynomial) -> BfElement:
+    """Shift an element of the module twisted by alpha to the untwisted one:
     sum_i sum_{j>=i} g_j f^(i-j) C(j,i) Q_{j-i}(-alpha) dt^i.
     Fails when a required exact division by f does not hold."""
-    alpha = u.twist
+    alpha = Fraction(alpha)
     k = u.max_layer()
     out = {}
     for i in range(k + 1):
@@ -594,7 +568,7 @@ def phi_shift(u: BfElement, f: Polynomial) -> BfElement:
             total = total + g
         if not total.is_zero():
             out[i] = total
-    return BfElement(u.dim, out, Fraction(0))
+    return BfElement(u.dim, out)
 
 
 # ---------------------------------------------------------------------------

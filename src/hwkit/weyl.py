@@ -68,10 +68,6 @@ class WeylOperator(SparseTerms):
         return cls(dim, {(z, z, 1): Fraction(1)})
 
     @classmethod
-    def mono(cls, xe, de, sp, coeff=1) -> "WeylOperator":
-        return cls(len(xe), {(tuple(xe), tuple(de), sp): Fraction(coeff)})
-
-    @classmethod
     def from_polynomial(cls, p: Polynomial) -> "WeylOperator":
         z = (0,) * p.dim
         return cls(p.dim, {(m, z, 0): c for m, c in p.terms.items()})
@@ -108,9 +104,6 @@ class WeylOperator(SparseTerms):
         return NotImplemented
 
     # -- queries
-
-    def is_polynomial(self) -> bool:
-        return all(sum(de) == 0 and sp == 0 for (_, de, sp) in self.terms)
 
     def is_s_free(self) -> bool:
         return all(sp == 0 for (_, _, sp) in self.terms)

@@ -172,6 +172,23 @@ def test_ppd_dimension_ignores_comments(capsys, tmp_path):
     assert outputs[0]["meta"]["tuples"] == 75
 
 
+def test_ppd_refuses_higher_k_without_flag_before_the_w0_span(
+        capsys, monkeypatch, tmp_path):
+    # k >= 1 without pp: true exits 2 before any w0 span is built
+    def unexpected(*args):
+        raise AssertionError("w0_span called")
+
+    monkeypatch.setattr(cli, "w0_span", unexpected)
+    path = tmp_path / "node.ann"
+    path.write_text(NODE_ANN.replace("pp: true", "pp: false"))
+    code = main(["ppd", "--input", str(path), "--l", "1", "--k", "1",
+                 "--xdeg", "10"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "hypothesis violated: symbol ideal of the annihilator is prime "
+        "(asserted)\n")
+
+
 def test_precondition_exit_code(capsys):
     code = main(["classify", "--poly", "x1^2+x2^3", "--alpha", "1/2"])
     assert code == 2

@@ -58,11 +58,11 @@ def test_weighted_degree():
 def test_graded_ideal_goldens():
     w = WeightVector.parse("1/2,1/3")
     assert graded_ideal(w, 0, True) == MonomialIdeal(2, [(1, 0), (0, 1)])
-    assert graded_ideal(w, Fraction(-1, 3), True).is_unit()
+    assert graded_ideal(w, Fraction(-1, 3), True) == MonomialIdeal.unit(2)
     assert graded_ideal(w, Fraction(2, 3), True) == MonomialIdeal(
         2, [(2, 0), (1, 1), (0, 3)])
     # non-strict at 0 includes the constant
-    assert graded_ideal(w, 0, False).is_unit()
+    assert graded_ideal(w, 0, False) == MonomialIdeal.unit(2)
 
 
 def test_graded_ideal_strict_vs_nonstrict():
@@ -90,7 +90,7 @@ def test_ideal_operations():
     xy = MonomialIdeal(2, [(1, 1)])
     assert x + y == MonomialIdeal(2, [(1, 0), (0, 1)])
     assert xy <= x + y
-    assert (x + y).scale_by_monomial((1, 1)) == MonomialIdeal(
+    assert (x + y) * xy == MonomialIdeal(
         2, [(2, 1), (1, 2)])
 
 

@@ -233,9 +233,6 @@ def test_one_pole_apply_per_presentation(monkeypatch):
 
 def test_interval21():
     inp = xy_input()
-    # full-filtration fallback
-    pres = hodge_weight_interval21(inp, None, 2, B)
-    assert pres.summands == ((2, Polynomial.one(2), 1),)
     d = SncDivisor((1, 1))
     got = hodge_weight_interval21(
         inp, weight_module_generators(inp, 1, B)[0], 0, B)

@@ -41,11 +41,11 @@ def test_f0_ideal_goldens():
     d = SncDivisor((1, 1))
     assert snc_f0_ideal(d, 1, 0) == MonomialIdeal(2, [(1, 1)])
     assert snc_f0_ideal(d, 1, 1) == MonomialIdeal(2, [(1, 0), (0, 1)])
-    assert snc_f0_ideal(d, 1, 2).is_unit()
+    assert snc_f0_ideal(d, 1, 2) == MonomialIdeal.unit(2)
     d23 = SncDivisor((2, 3))
     assert snc_f0_ideal(d23, F(1, 2), 0) == MonomialIdeal(2, [(1, 1)])
     assert snc_f0_ideal(d23, F(1, 2), 1) == MonomialIdeal(2, [(0, 1)])
-    assert snc_f0_ideal(d23, F(1, 5), 0).is_unit()
+    assert snc_f0_ideal(d23, F(1, 5), 0) == MonomialIdeal.unit(2)
     with pytest.raises(PreconditionError):
         snc_f0_ideal(d23, F(1, 5), 1)
 
@@ -64,7 +64,7 @@ def test_multiplier_ideal():
         2, [(1, 1)])
     assert snc_multiplier_ideal(SncDivisor((1, 1)), 1) == MonomialIdeal(
         2, [(1, 1)])
-    assert snc_multiplier_ideal(SncDivisor((1,)), F(1, 3)).is_unit()
+    assert snc_multiplier_ideal(SncDivisor((1,)), F(1, 3)) == MonomialIdeal.unit(1)
     for a in ((1, 1), (2, 3), (1, 1, 1)):
         d = SncDivisor(a)
         for alpha in (F(1, 5), F(1, 2), F(1)):
@@ -109,7 +109,7 @@ def test_klt_agrees_with_unit_multiplier_ideal():
         for n in range(1, 6):
             alpha = F(n, 5)
             klt = classify_pair(bred, alpha).klt
-            trivial = snc_f0_ideal(d, alpha, 0).is_unit()
+            trivial = snc_f0_ideal(d, alpha, 0) == MonomialIdeal.unit(d.dim)
             assert klt == trivial
 
 
@@ -224,5 +224,6 @@ def test_snc_full_module_matches_pole_predicate():
             a0 = F(10 ** 6)
         for n in range(1, 13):
             alpha = F(n, 6)
-            unit = snc_f0_ideal(d, alpha, d.m_alpha(alpha)).is_unit()
+            unit = (snc_f0_ideal(d, alpha, d.m_alpha(alpha))
+                    == MonomialIdeal.unit(d.dim))
             assert unit == (alpha <= a0), (a, alpha)

@@ -16,12 +16,12 @@ from hwkit.linalg import Echelon
 from hwkit.snc import HodgePresentation, SncDivisor
 from hwkit.vforacle import (BfElement, Bounds, SncVFamily, WhomVFamily,
                             WindowSpan, _cross_containment,
-                            _mutual_containment, apply_s_shifted, bf_span,
-                            candidate_v_snc, crosscheck_hodge_weight,
-                            dspans_equal, kernel_filtration_check, membership,
-                            phi_shift, presentation_contained,
-                            presentations_equal, psi_map, q_poch,
-                            reduce_presentation,
+                            _mutual_containment, apply_s_shifted,
+                            bf_membership, bf_span, candidate_v_snc,
+                            crosscheck_hodge_weight, dspans_equal,
+                            kernel_filtration_check, phi_shift,
+                            presentation_contained, presentations_equal,
+                            psi_map, q_poch, reduce_presentation,
                             verify_bfunction, verify_v_axioms)
 from hwkit.weyl import (TwistedSection, WeylOperator, apply_to_twisted,
                         bounded_operator_basis, d_part_images,
@@ -68,22 +68,13 @@ def test_act_commutator():
         assert lhs + rhs.scale(-1) == u
 
 
-def test_act_twisted_partial_rejected():
-    u = BfElement.unit(2, twist=F(1, 2))
-    with pytest.raises(PreconditionError):
-        u.d(0, XY)
-    # t, dt and s actions stay polynomial on twisted elements
-    u.t(XY)
-    apply_s_shifted(u, XY, 0)
-
-
 # ---------------------------------------------------------------------------
 # spans and membership
 
 
 def test_truncated_span_o_module():
     f = poly_parse("x1", 1)
-    span = bf_span([BfElement.unit(1)], f, Bounds(0, 2, 2), with_dt=True)
+    span = bf_span([BfElement.unit(1)], f, Bounds(0, 2, 2))
     one = BfElement.from_poly(Polynomial.one(1))
     xsq = BfElement.from_poly(poly_parse("x1^2", 1))
     assert not span.reduce(*integer_terms(one.vector()))[0]
@@ -154,9 +145,8 @@ def test_span_producers_stay_in_the_window(seed, inserted):
         assert inserted
         assert all(vec and all(map(inside, vec)) for vec in inserted)
 
-    for with_dt in (False, True):
-        check(lambda: bf_span(gens, f, B, with_dt=with_dt),
-              lambda key: key[0] <= B.dt and sum(key[1]) <= B.xdeg)
+    check(lambda: bf_span(gens, f, B),
+          lambda key: key[0] <= B.dt and sum(key[1]) <= B.xdeg)
     check(lambda: vforacle.presentation_span(pres, f, pres.alpha,
                                              pres.max_pole(), B.xdeg),
           lambda m: sum(m) <= B.xdeg)
@@ -165,42 +155,35 @@ def test_span_producers_stay_in_the_window(seed, inserted):
               lambda m: sum(m) <= B.xdeg)
 
 
-def test_membership_with_dt_direction():
-    # 1 lies in the dt-extended span of x1 for f = x1 at order 1
-    f = poly_parse("x1", 1)
-    cert = membership(BfElement.unit(1), [BfElement.from_poly(poly_parse("x1", 1))],
-                      f, Bounds(1, 1, 2))
-    assert cert.is_member()
-    # but not at order 0 over f = x1*x2 with generator x1
-    cert2 = membership(BfElement.unit(2), [BfElement.from_poly(poly_parse("x1", 2))],
-                       XY, Bounds(0, 2, 2))
-    assert cert2.verdict == "not-found-at-bound"
-
-
 def test_membership_window_guard():
     big = BfElement.from_poly(poly_parse("x1^9", 1))
+    B = Bounds(1, 3, 2)
+    span = bf_span([BfElement.unit(1)], poly_parse("x1", 1), B)
     with pytest.raises(WindowExceeded):
-        membership(big, [BfElement.unit(1)], poly_parse("x1", 1),
-                   Bounds(1, 3, 2))
+        bf_membership(big, span, B)
 
 
 def test_member_witness_reevaluates():
+    # for f = x1, d1 x1 = 1 - x1 dt, so 1 + x1^2 - x1 dt lies in the span
+    # of x1 at order 1 through two witness steps
     f = poly_parse("x1", 1)
     gen = BfElement.from_poly(poly_parse("x1", 1))
-    cert = membership(BfElement.unit(1), [gen], f, Bounds(1, 1, 2))
+    B = Bounds(1, 2, 2)
+    target = BfElement(1, {0: poly_parse("1 + x1^2", 1),
+                           1: poly_parse("-x1", 1)})
+    cert = bf_membership(target, bf_span([gen], f, B), B)
     assert cert.is_member()
-    total = BfElement(1, {}, F(0))
+    assert len(cert.witness) == 2
+    total = BfElement(1, {})
     for step in cert.witness:
         u = gen
         for i, e in enumerate(step["dgamma"]):
             for _ in range(e):
                 u = u.d(i, f)
-        for _ in range(step["dt"]):
-            u = u.dt()
         beta = tuple(step["xbeta"])
         u = BfElement(1, {j: p.mul_mono(beta) for j, p in u.layers.items()})
         total = total + u.scale(F(step["coeff"]))
-    assert total == BfElement.unit(1)
+    assert total == target
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +258,13 @@ def test_verify_bfunction_columns_match_apply_to_twisted(
     if len(f.terms) == 1:  # a monomial has no exponent differences
         assert inserted[:dim] == [{}] * dim
     sec0 = TwistedSection.power(dim, 1)
-    pole_target = max([apply_to_twisted(WeylOperator.mono((0,) * dim, g, 0),
-                                        f, sec0).pole
-                       for g in monomials_upto_degree(dim, order)] + [1])
+    pole_target = max(
+        [apply_to_twisted(WeylOperator(dim, {((0,) * dim, g, 0): 1}), f,
+                          sec0).pole
+         for g in monomials_upto_degree(dim, order)] + [1])
     keys = graded_operator_basis(f, order, xdeg, bf.degree())
     want = [vforacle._section_vector(
-                apply_to_twisted(WeylOperator.mono(*key), f, sec0), f,
+                apply_to_twisted(WeylOperator(dim, {key: 1}), f, sec0), f,
                 pole_target)
             for key in keys]
     assert columns == want
@@ -298,7 +282,7 @@ def full_basis_certificate(f, b, order, xdeg):
         return not_found
     keys = bounded_operator_basis(f.dim, order, xdeg, b.degree())
     sec0 = TwistedSection.power(f.dim, 1)
-    sections = [apply_to_twisted(WeylOperator.mono(*key), f, sec0)
+    sections = [apply_to_twisted(WeylOperator(f.dim, {key: 1}), f, sec0)
                 for key in keys]
     pole_target = max([sec.pole for sec in sections] + [1])
     ech = Echelon()
@@ -501,30 +485,29 @@ def test_psi_map():
 
 def test_phi_shift():
     g = poly_parse("x1", 2)
-    u = BfElement(2, {1: XY * g}, twist=F(1, 2))
-    out = phi_shift(u, XY)
-    assert out.twist == 0
+    u = BfElement(2, {1: XY * g})
+    out = phi_shift(u, F(1, 2), XY)
+    assert set(out.layers) == {0, 1}
     assert out.layers[1] == XY * g
     assert out.layers[0] == g.scale(F(-1, 2))
     # pole clearing failure
     with pytest.raises(PreconditionError):
-        phi_shift(BfElement(2, {1: g}, twist=F(1, 2)), XY)
+        phi_shift(BfElement(2, {1: g}), F(1, 2), XY)
 
 
 def test_phi_shift_single_layer_identity():
     g = poly_parse("x1+x2", 2)
-    u = BfElement.from_poly(g, 0, twist=F(1, 3))
-    assert phi_shift(u, XY).layers == {0: g}
+    u = BfElement.from_poly(g, 0)
+    assert phi_shift(u, F(1, 3), XY).layers == {0: g}
 
 
 def test_phi_shift_s_equivariance():
     rng = random.Random(67)
     alpha = F(1, 2)
     for _ in range(20):
-        u = BfElement(2, {0: rand_poly(rng) * XY, 1: rand_poly(rng) * XY * XY},
-                      twist=alpha)
-        lhs = phi_shift(apply_s_shifted(u, XY, 0), XY)
-        rhs = apply_s_shifted(phi_shift(u, XY), XY, alpha)
+        u = BfElement(2, {0: rand_poly(rng) * XY, 1: rand_poly(rng) * XY * XY})
+        lhs = phi_shift(apply_s_shifted(u, XY, 0), alpha, XY)
+        rhs = apply_s_shifted(phi_shift(u, alpha, XY), XY, alpha)
         assert lhs == rhs
 
 

@@ -88,7 +88,7 @@ def test_apply_to_twisted_examples():
 
     # (1/4) d1^2 on f^{s+1}, f=x1^2 -> (s+1)(s+1/2) f^s
     f2 = poly_parse("x1^2", 1)
-    quarter = WeylOperator.mono((0,), (2,), 0, Fraction(1, 4))
+    quarter = WeylOperator(1, {((0,), (2,), 0): Fraction(1, 4)})
     res2 = apply_to_twisted(quarter, f2, TwistedSection.power(1, 1))
     want = {2: Polynomial.one(1),
             1: Polynomial.constant(1, Fraction(3, 2)),
@@ -112,7 +112,7 @@ def test_apply_composition_property():
 
 
 def basis_strings(keys):
-    return [str(WeylOperator.mono(*key)) for key in keys]
+    return [str(WeylOperator(len(key[0]), {key: 1})) for key in keys]
 
 
 def test_bounded_basis():
@@ -196,7 +196,7 @@ def test_syzygy_d_and_one():
     # contains (1, -d1): P_0 = c, P_1 = -c*d1
     found = False
     for p0, p1 in ker:
-        if not p0.is_zero() and p0.is_polynomial() and p0.total_order() == 0:
+        if not p0.is_zero() and p0.total_order() == 0:
             if p1 == weyl_mul(p0, WeylOperator.d(0, 1)).scale(-1):
                 found = True
     assert found
@@ -234,7 +234,7 @@ def test_basis_products_equal_weyl_mul(dim, with_s):
     for _ in range(6):
         t = rand_operator(rng, dim, with_s)
         packing = window_packing([t], order, xdeg, s_bound)
-        want = [weyl_mul(WeylOperator.mono(*key), t).terms for key in keys]
+        want = [weyl_mul(WeylOperator(dim, {key: 1}), t).terms for key in keys]
         assert decoded_products(keys, t, packing) == want
         shuffled = list(range(len(keys)))
         rng.shuffle(shuffled)
@@ -245,7 +245,7 @@ def test_basis_products_equal_weyl_mul(dim, with_s):
     packing = window_packing([t], order, xdeg, s_bound)
     assert basis_products(keys, t, packing)[1] == 12
     assert decoded_products(keys, t, packing) == [
-        weyl_mul(WeylOperator.mono(*key), t).terms for key in keys]
+        weyl_mul(WeylOperator(dim, {key: 1}), t).terms for key in keys]
 
 
 def test_d_part_images_one_step_per_d_part():
@@ -320,7 +320,7 @@ def test_packing_is_exact_inside_the_window(case):
     reached = set()
     for t in gens:
         for g in {g for _, g, _ in basis}:
-            image = weyl_mul(WeylOperator.mono((0,) * dim, g, 0), t)
+            image = weyl_mul(WeylOperator(dim, {((0,) * dim, g, 0): 1}), t)
             for (xe, de, sp) in image.terms:
                 code = packing.pack((xe, de, sp))
                 assert packing.order(code) == sum(de) + sp
