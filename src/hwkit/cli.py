@@ -8,17 +8,18 @@ stderr).  Envelopes are
 deterministic JSON (no timings, no environment data) so identical inputs
 yield byte-identical output; with HWKIT_CACHE set, envelopes are cached
 content-addressed and written with atomic replace.  The cache key covers the
-verb and every parsed option except --json (an --input file is keyed by the
-SHA-256 of its text, not its path), so no two runs that could produce
-different envelopes share a key.  An unreadable or corrupt cache entry counts
-as a miss and is rewritten; a cache root that cannot be created or written
-counts as a miss that stores nothing.  Every verb computes its outputs only
-on a miss.
+verb, every parsed option except --json (an --input file is keyed by the
+SHA-256 of its text, not its path) and the bytes of the package's modules,
+so no two runs that could produce different envelopes share a key.  An
+unreadable or corrupt cache entry counts as a miss and is rewritten; a cache
+root that cannot be created or written counts as a miss that stores nothing.
+Every verb computes its outputs only on a miss.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -63,11 +64,12 @@ def envelope(command: str, inputs: dict, outputs: dict,
     return env
 
 
-def _cache_lookup(key: str):
+def _cache_lookup(args, payload: dict):
     """(envelope, path) of a valid cache entry, (None, path) on a miss and
     (None, None) with caching off or a root that cannot be created.  An
     entry that cannot be read or decoded, or is not the canonical text of a
-    JSON object (a truncated write), is a miss."""
+    JSON object (a truncated write), is a miss.  The key is computed only
+    with caching on."""
     root = os.environ.get("HWKIT_CACHE")
     if not root:
         return None, None
@@ -75,7 +77,7 @@ def _cache_lookup(key: str):
         os.makedirs(root, exist_ok=True)
     except OSError:
         return None, None
-    path = os.path.join(root, key + ".json")
+    path = os.path.join(root, _cache_key(args, payload) + ".json")
     if not os.path.exists(path):
         return None, path
     try:
@@ -106,7 +108,7 @@ def _cache_store(path: str, text: str):
 def cached_run(args, payload: dict, compute) -> dict:
     """Serve the envelope from the content-addressed cache when possible;
     otherwise compute, store atomically, and emit."""
-    env, path = _cache_lookup(_cache_key(args, payload))
+    env, path = _cache_lookup(args, payload)
     if env is None:
         env = compute()
         if path:
@@ -121,13 +123,29 @@ def _pretty(env: dict):
         print(f"  {k}: {json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else v}")
 
 
+@functools.cache
+def _source_digest() -> str:
+    """SHA-256 over the sorted names and bytes of the package's modules,
+    read once per process: an envelope cached by other code is a miss."""
+    digest = hashlib.sha256()
+    package = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(n for n in os.listdir(package) if n.endswith(".py")):
+        with open(os.path.join(package, name), "rb") as fh:
+            data = fh.read()
+        digest.update(f"{name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def _cache_key(args, payload: dict) -> str:
-    """Hash of the verb and every parsed option but --json; --input is
-    replaced by the SHA-256 of the file text that the payload records."""
+    """Hash of the verb, every parsed option but --json and the package
+    source; --input is replaced by the SHA-256 of the file text that the
+    payload records."""
     options = {k: v for k, v in vars(args).items() if k not in ("func", "json")}
     if "input" in options:
         options["input"] = payload["input_sha"]
-    blob = _canonical_json({"options": options, "version": __version__})
+    blob = _canonical_json({"options": options, "source": _source_digest(),
+                            "version": __version__})
     return hashlib.sha256(blob.encode()).hexdigest()
 
 

@@ -3,7 +3,11 @@
 Vectors are dicts mapping hashable, mutually comparable coordinate labels to
 nonzero integer numerators, handed over together with one positive int
 denominator: the vector `vec` with denominator `den` stands for
-{c: v/den}.  A producer scales each family of vectors once (for example with
+{c: v/den}.  The package's producers key every coordinate by an int: an
+operator key or a monomial x^m at layer j packed by `weyl.KeyPacking` (the
+latter as `j * top + shift(m, 0)`, so int order is (j, m) tuple order), or a
+plain index where coordinates have no monomial (`weyl.homogeneity_grading`).
+A producer scales each family of vectors once (`KeyPacking.pack_layers`,
 `exactalg.integer_terms`) and passes the numerators on, so the elimination
 never rescales a `Fraction` column.  `Echelon` is the one elimination
 primitive: every span, membership test, kernel and projection in the package

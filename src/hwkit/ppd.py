@@ -177,13 +177,14 @@ def weight_module_generators(inp: AnnihilatorInput, l: int,
         raise InternalCheckFailed(
             "Euler witness tuple failed re-multiplication")
 
+    firsts = [tup[0] for tup in [*kernel, witness] if not tup[0].is_zero()]
+    # the packing of the first components themselves: radix one above their
+    # largest exponent
+    packing = window_packing(firsts, 0, 0)
     seen = Echelon()
     gens = []
-    for tup in list(kernel) + [tuple(witness)]:
-        p0 = tup[0]
-        if p0.is_zero():
-            continue
-        if seen.insert(*integer_terms(p0.terms)) is None:
+    for p0 in firsts:
+        if seen.insert(*integer_terms(packing.pack_image(p0.terms))) is None:
             gens.append(p0)
     meta = {"complete_at_bounds": {"order": so, "xdeg": sx},
             "tuples": len(kernel)}

@@ -18,7 +18,6 @@ from itertools import combinations
 from .errors import (DimensionMismatch, InternalCheckFailed,
                      PreconditionError, WindowExceeded)
 from .exactalg import (Polynomial, fmt_rational, graded_ideal, grlex_key,
-                       integer_terms, mono_mul,
                        monomials_upto_degree)
 from .bsdata import BFunction, RootMultiset
 from .linalg import Echelon
@@ -92,10 +91,6 @@ class BfElement:
     def from_poly(cls, p: Polynomial, layer: int = 0):
         return cls(p.dim, {layer: p})
 
-    @classmethod
-    def unit(cls, dim: int):
-        return cls(dim, {0: Polynomial.one(dim)})
-
     def is_zero(self) -> bool:
         return not self.layers
 
@@ -139,14 +134,6 @@ class BfElement:
             _accumulate(out, j + 1, (p * df).scale(-1))
         return BfElement(self.dim, out)
 
-    def vector(self) -> dict:
-        """Coordinates keyed by (layer, monomial)."""
-        out = {}
-        for j, p in self.layers.items():
-            for m, c in p.terms.items():
-                out[(j, m)] = c
-        return out
-
     def __eq__(self, other):
         return (isinstance(other, BfElement) and self.dim == other.dim
                 and self.layers == other.layers)
@@ -178,24 +165,33 @@ def bf_span(gens, f: Polynomial, bounds: Bounds) -> Echelon:
     membership verdicts are only ever bound-relative.  Reductions against
     the span carry their witness combination keyed by (generator, gamma,
     beta).
+
+    x^m at dt layer j is the coordinate `j * top + shift(m, 0)` of a
+    KeyPacking at radix bounds.xdeg + 1 (no window exponent exceeds xdeg).
+    The shift set is built and packed once per span.
     """
     dim = f.dim
+    packing = KeyPacking(dim, bounds.xdeg + 1, 0)
+    gammas = tuple(monomials_upto_degree(dim, bounds.order))
+    betas, codes = packing.shifts(bounds.xdeg)
     span = Echelon()
     for gi, gen in enumerate(gens):
         if gen.is_zero():
             continue
-        images = d_part_images(monomials_upto_degree(dim, bounds.order), gen,
-                               lambda u, i: u.d(i, f))
+        images = d_part_images(gammas, gen, lambda u, i: u.d(i, f))
         for gamma, img in images.items():
             if img.is_zero():
                 continue
             deg = img.max_degree()
             if img.max_layer() > bounds.dt or deg > bounds.xdeg:
                 continue
-            vec0, den = integer_terms(img.vector())
-            for beta in monomials_upto_degree(dim, bounds.xdeg - deg):
-                vec = {(j, mono_mul(m, beta)): c for (j, m), c in vec0.items()}
-                span.insert(vec, den, {(gi, gamma, beta): den})
+            vec, den = packing.pack_layers(img.layers)
+            # grlex order lists the C(dim + b, dim) shifts of degree <= b
+            # first
+            n = math.comb(dim + bounds.xdeg - deg, dim)
+            for beta, shift in zip(betas[:n], codes[:n]):
+                span.insert({k + shift: c for k, c in vec.items()}, den,
+                            {(gi, gamma, beta): den})
     return span
 
 
@@ -210,10 +206,12 @@ def _witness_json(combo) -> list:
 
 def bf_membership(u: BfElement, span: Echelon,
                   bounds: Bounds) -> SpanCertificate:
-    """Membership of u in a bf_span built at bounds."""
+    """Membership of u in a bf_span built at bounds, keyed as bf_span keys
+    its coordinates."""
     if u.max_layer() > bounds.dt or u.max_degree() > bounds.xdeg:
         raise WindowExceeded("element exceeds the truncation window")
-    residual, combo = span.reduce(*integer_terms(u.vector()))
+    packing = KeyPacking(u.dim, bounds.xdeg + 1, 0)
+    residual, combo = span.reduce(*packing.pack_layers(u.layers))
     if residual:
         return SpanCertificate("not-found-at-bound", bounds.to_json())
     return SpanCertificate("member", bounds.to_json(),
@@ -224,12 +222,11 @@ def bf_membership(u: BfElement, span: Echelon,
 # b-function certification
 
 
-def _section_vector(sec: TwistedSection, f: Polynomial, pole_target: int) -> dict:
-    """{(s-power, monomial): coefficient} of sec written over the pole
-    pole_target; keys of distinct s-powers never collide."""
+def _section_layers(sec: TwistedSection, f: Polynomial,
+                    pole_target: int) -> dict:
+    """{s-power: numerator} of sec written over the pole pole_target."""
     mult = f ** (pole_target - sec.pole)
-    return {(j, m): c for j, p in sec.coeffs.items()
-            for m, c in (p * mult).terms.items()}
+    return {j: p * mult for j, p in sec.coeffs.items()}
 
 
 def _roots_section(dim: int, roots: RootMultiset) -> TwistedSection:
@@ -276,20 +273,27 @@ def verify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
     images = d_part_images(monomials_upto_degree(dim, order_bound), sec0,
                            lambda sec, i: sec.apply_d(i, f).normalized(f))
     pole_target = max([sec.pole for sec in images.values()] + [1])
-    vectors = {g: integer_terms(_section_vector(images[g], f, pole_target))
+    columns = {g: _section_layers(images[g], f, pole_target)
                for g in {g for _, g, _ in keys}}
+
+    def rhs_layers(roots: RootMultiset):
+        """{s-power: numerator} of the section roots(s) * f^s."""
+        return _section_layers(_roots_section(dim, roots), f, pole_target)
+
+    rhs = rhs_layers(b)
+    # x^b adds at most xdeg_bound to an exponent of a column numerator; a
+    # divisor's numerator has the degree of b's, that of f^(pole_target - 1)
+    largest = max((p.total_degree() for layers in [*columns.values(), rhs]
+                   for p in layers.values()), default=0)
+    packing = KeyPacking(dim, 1 + largest + xdeg_bound, xdeg_bound)
+    vectors = {g: packing.pack_layers(layers) for g, layers in columns.items()}
     ech = Echelon()
     for idx, (xb, g, j) in enumerate(keys):
         vec, den = vectors[g]
-        ech.insert({(k + j, mono_mul(m, xb)): c for (k, m), c in vec.items()},
-                   den, {idx: den})
+        shift = j * packing.top + packing.shift(xb, 0)
+        ech.insert({k + shift: c for k, c in vec.items()}, den, {idx: den})
 
-    def rhs_vector(roots: RootMultiset):
-        """(numerators, den) of the section roots(s) * f^s."""
-        return integer_terms(
-            _section_vector(_roots_section(dim, roots), f, pole_target))
-
-    residual, carried = ech.reduce(*rhs_vector(b))
+    residual, carried = ech.reduce(*packing.pack_layers(rhs))
     if residual:
         return not_found
     # distinct basis keys: one term per index
@@ -302,7 +306,7 @@ def verify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
     divisors = []
     for r in b.sorted_roots():
         div = RootMultiset({q: m - (q == r) for q, m in b.roots.items()})
-        res_d, _ = ech.reduce(*rhs_vector(div))
+        res_d, _ = ech.reduce(*packing.pack_layers(rhs_layers(div)))
         divisors.append({"divisor": div.product_string(),
                          "verdict": "not-found-at-bound" if res_d else "member"})
     minimal = all(d["verdict"] != "member" for d in divisors)
@@ -615,11 +619,11 @@ class WindowSpan:
     vectors x^beta * N of its elements, N an element's numerator cleared to
     the common pole pole_target, for every beta with deg N + |beta| <= xdeg.
 
-    A coordinate x^m is packed into one int, the key of the operator x^m at
-    radix xdeg + 1 (`packing.shift(m, 0)`): no window exponent exceeds xdeg,
-    so int order is tuple order and the pivots, rows and tags are those of
-    tuple keys, and a shift x^beta adds the packed beta.  Spans compared with
-    each other share xdeg.
+    A coordinate x^m is packed into one int, x^m at layer 0 of a KeyPacking
+    at radix xdeg + 1 (`packing.shift(m, 0)`): no window exponent exceeds
+    xdeg, so int order is tuple order and the pivots, rows and tags are those
+    of tuple keys, and a shift x^beta adds the packed beta.  Spans compared
+    with each other share xdeg.
     N factors uniquely as c * x^mu * S: mu is the componentwise-minimum
     exponent, and S is primitive with a positive coefficient at its largest
     key.  x^beta * N and x^beta' * N' are scalar multiples exactly when
@@ -647,9 +651,7 @@ class WindowSpan:
         """(the exponent vectors of total degree <= bound, in grlex order,
         and their packed keys)."""
         if bound not in self._shifts:
-            betas = tuple(monomials_upto_degree(self.f.dim, bound))
-            codes = tuple(self.packing.shift(b, 0) for b in betas)
-            self._shifts[bound] = betas, codes
+            self._shifts[bound] = self.packing.shifts(bound)
         return self._shifts[bound]
 
     def contains(self, num: Polynomial) -> bool:
@@ -657,9 +659,7 @@ class WindowSpan:
         InternalCheckFailed above xdeg, where a packed key could alias."""
         if num.total_degree() > self.xdeg:
             raise InternalCheckFailed("a numerator exceeds the window degree")
-        terms, den = integer_terms(num.terms)
-        vec = {self.packing.shift(m, 0): c for m, c in terms.items()}
-        return not self.echelon.reduce(vec, den)[0]
+        return not self.echelon.reduce(*self.packing.pack_layers({0: num}))[0]
 
     def insert(self, vec: dict, den: int, tag):
         """Insert the vector vec/den (integer numerators), recording its tag
@@ -678,10 +678,9 @@ class WindowSpan:
         if num.is_zero() or num.total_degree() > self.xdeg:
             return
         deg = num.total_degree()
-        terms, den = integer_terms(num.terms)
         # mu <= m componentwise, so m - mu subtracts digit by digit
-        mu = self.packing.shift(tuple(map(min, zip(*terms))), 0)
-        terms = {self.packing.shift(m, 0): c for m, c in terms.items()}
+        mu = self.packing.shift(tuple(map(min, zip(*num.terms))), 0)
+        terms, den = self.packing.pack_layers({0: num})
         content = math.gcd(*terms.values())
         if terms[max(terms)] < 0:
             content = -content

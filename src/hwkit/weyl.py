@@ -5,9 +5,10 @@ as sparse dicts keyed by (x exponents, d exponents, s power).  The module
 also provides the symbolic calculus of operators acting on sections
 g(x,s) * f^(s+m), bounded operator bases and their images (one d-step per
 d-part, see `d_part_images`), and bounded-degree syzygy kernels computed by
-exact linear algebra and certified by re-multiplication.  Inside the bounded
-spans an operator key is packed into one int (`KeyPacking`), with a radix
-computed from the window before anything is built (`window_packing`).
+exact linear algebra and certified by re-multiplication.  Every elimination
+coordinate of the package, an operator key or a monomial at a layer, is
+packed into one int by `KeyPacking`, with a radix computed from the window
+before anything is built (`window_packing` for operator keys).
 """
 
 from __future__ import annotations
@@ -418,6 +419,14 @@ class KeyPacking:
     the most a window may still add to an x or s exponent of an image
     d^g * t (`pack_image` checks it); `top` exceeds every packed key, so
     `code + top` stacks a second block of coordinates above the first.
+
+    Every monomial coordinate an `Echelon` of the package gets is such an
+    int.  A monomial x^m at layer j (a dt layer or an s power) is
+    `j * top + shift(m, 0)`: the layer is the most significant digit, so int
+    order is (j, m) tuple order, and multiplying by x^b and raising the layer
+    by i is adding `i * top + shift(b, 0)`.  The x-monomials of a
+    twisted-module window are layer 0.  Callers size the radix so that no
+    shifted exponent reaches it.
     """
 
     __slots__ = ("dim", "radix", "reach", "top")
@@ -455,6 +464,19 @@ class KeyPacking:
     def shift(self, b, j: int) -> int:
         """The packed key of x^b s^j: adding it multiplies by x^b s^j."""
         return self.pack((b, (0,) * self.dim, j))
+
+    def pack_layers(self, layers: dict) -> tuple:
+        """(integer numerators, den) of the layers {j: Polynomial}, x^m at
+        layer j keyed `j * top + shift(m, 0)`, over one denominator."""
+        return integer_terms({j * self.top + self.shift(m, 0): c
+                              for j, p in layers.items()
+                              for m, c in p.terms.items()})
+
+    def shifts(self, bound: int) -> tuple:
+        """(the exponent vectors of total degree <= bound, in grlex order,
+        and the packed keys of their x-monomials)."""
+        betas = tuple(monomials_upto_degree(self.dim, bound))
+        return betas, tuple(self.shift(b, 0) for b in betas)
 
     def pack_image(self, terms: dict) -> dict:
         """terms with packed keys, for an image d^g * t whose x and s

@@ -10,10 +10,11 @@ from fractions import Fraction
 from .errors import (NotIsolatedSingularity, NotQuasiHomogeneous,
                      PreconditionError)
 from .exactalg import (Polynomial, WeightVector, graded_ideal, grlex_key,
-                       integer_terms, mono_mul, monomials_upto_degree,
-                       monomials_weighted_upto, weighted_degree)
+                       monomials_upto_degree, monomials_weighted_upto,
+                       weighted_degree)
 from .linalg import Echelon
 from .snc import HodgePresentation
+from .weyl import KeyPacking
 
 
 def check_weight_one(f: Polynomial, w: WeightVector) -> None:
@@ -45,7 +46,6 @@ def milnor_basis(f: Polynomial, w: WeightVector):
     if any(p.constant_term() for p in partials):
         raise NotIsolatedSingularity("f is smooth at the origin")
 
-    integral_partials = [integer_terms(p.terms) for p in partials]
     socle = sum((1 - 2 * wi for wi in w.weights), Fraction(0))
     maxw = max(w.weights)
     # the monomials up to socle + max w, enumerated once, by weighted degree
@@ -54,17 +54,23 @@ def milnor_basis(f: Polynomial, w: WeightVector):
     by_degree = {}
     for m in monomials_weighted_upto(w, socle + maxw):
         by_degree.setdefault(weighted_degree(m, w), []).append(m)
+    # a product x^m * (a term of a partial) has no exponent above the
+    # largest of the bucketed monomials plus the largest of f
+    largest = max(e for ms in by_degree.values() for m in ms for e in m)
+    packing = KeyPacking(f.dim, 1 + largest + max(map(max, f.terms)), 0)
+    packed_partials = [packing.pack_layers({0: p}) for p in partials]
 
     def standard_at(gamma: Fraction):
         """(standard monomials, full_rank) at weighted degree gamma."""
         ech = Echelon()
-        for i, (num, den) in enumerate(integral_partials):
+        for i, (num, den) in enumerate(packed_partials):
             if not num:
                 continue
             mult_deg = gamma - (1 - w.weights[i])
             for m in by_degree.get(mult_deg, ()):
-                ech.insert({mono_mul(m, mm): c for mm, c in num.items()}, den)
-        pivots = ech.pivots()
+                shift = packing.shift(m, 0)
+                ech.insert({k + shift: c for k, c in num.items()}, den)
+        pivots = {packing.unpack(code)[0] for code in ech.pivots()}
         standard = [m for m in by_degree[gamma] if m not in pivots]
         return standard, not standard
 

@@ -411,6 +411,40 @@ def test_cache_hit_does_no_work(capsys, tmp_path, monkeypatch, argv, owner,
     assert not calls
 
 
+@pytest.mark.parametrize("argv, owner, name", CACHED_WORK,
+                         ids=[argv[0] for argv, _, _ in CACHED_WORK])
+def test_cache_warmed_by_other_source_recomputes(capsys, tmp_path,
+                                                 monkeypatch, argv, owner,
+                                                 name):
+    # an entry stored by other package source is a miss: the run computes
+    # again, prints the cold run's bytes and stores a second entry
+    monkeypatch.setenv("HWKIT_CACHE", str(tmp_path))
+    work, calls = getattr(owner, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return work(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    cold = run(capsys, *argv, "--json")
+    assert cold[0] == 0 and calls
+    calls.clear()
+    monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
+    assert run(capsys, *argv, "--json") == cold
+    assert calls
+    assert len(os.listdir(tmp_path)) == 2
+
+
+def test_source_digest_is_read_only_with_caching_on(capsys, monkeypatch):
+    def unread():
+        raise AssertionError("source digest read with caching off")
+
+    monkeypatch.delenv("HWKIT_CACHE", raising=False)
+    monkeypatch.setattr(cli, "_source_digest", unread)
+    assert run(capsys, "classify", "--exponents", "1,1", "--alpha", "1",
+               "--json")[0] == 0
+
+
 def test_unusable_cache_is_a_miss(capsys, tmp_path, monkeypatch):
     # a root that names a file, an entry that cannot be read and a root
     # that cannot be written all give the uncached envelope

@@ -1,9 +1,21 @@
 """Only hwkit.linalg may touch Echelon's stored rows, so that the row
 representation can change without touching any caller: everything else reads
-pivots(), basis(), rank and n_vectors."""
+pivots(), basis(), rank and n_vectors.  And every coordinate the package
+hands to an Echelon is an int (a KeyPacking key or an index), so the
+coordinate format is decided in one place."""
 
 import pathlib
 import re
+from fractions import Fraction as F
+
+from hwkit.bsdata import BFunction
+from hwkit.cli import main
+from hwkit.exactalg import Polynomial, WeightVector, poly_parse
+from hwkit.linalg import Echelon
+from hwkit.ppd import parse_annihilator_file, weight_module_generators
+from hwkit.vforacle import (BfElement, Bounds, bf_membership, bf_span,
+                            verify_bfunction)
+from hwkit.whom import milnor_basis
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 LINALG = ROOT / "src" / "hwkit" / "linalg.py"
@@ -23,3 +35,43 @@ def test_only_linalg_touches_echelon_rows():
                       for n, line in enumerate(lines, 1)
                       if PRIVATE.search(line)]
     assert not offenders, offenders
+
+
+def test_package_hands_echelons_int_coordinates(monkeypatch, capsys):
+    # nullspace inserts through Echelon.insert, so noting insert and reduce
+    # sees every coordinate; each run must hand over some
+    kinds = set()
+    insert, reduce = Echelon.insert, Echelon.reduce
+
+    def noted_insert(self, vec, den, companion=None):
+        kinds.update(map(type, vec))
+        return insert(self, vec, den, companion)
+
+    def noted_reduce(self, vec, den):
+        kinds.update(map(type, vec))
+        return reduce(self, vec, den)
+
+    monkeypatch.setattr(Echelon, "insert", noted_insert)
+    monkeypatch.setattr(Echelon, "reduce", noted_reduce)
+    monkeypatch.delenv("HWKIT_CACHE", raising=False)
+    cusp = poly_parse("x1^2+x2^3", 2)
+    x1 = poly_parse("x1", 1)
+    B = Bounds(1, 2, 2)
+    ann = (ROOT / "tests" / "data" / "cusp.ann").read_text(encoding="utf-8")
+    runs = {
+        "suite": lambda: main(["suite", "--profile", "default", "--json"]),
+        "verify_bfunction": lambda: verify_bfunction(
+            cusp, BFunction({F(-1): 1, F(-5, 6): 1, F(-7, 6): 1}), 3, 3),
+        "bf_membership": lambda: bf_membership(
+            BfElement.from_poly(x1), bf_span(
+                [BfElement.from_poly(Polynomial.one(1))], x1, B), B),
+        "milnor_basis": lambda: milnor_basis(
+            cusp, WeightVector.parse("1/2,1/3")),
+        "weight_module_generators": lambda: weight_module_generators(
+            parse_annihilator_file(ann), 0),
+    }
+    for name, run in runs.items():
+        kinds.clear()
+        run()
+        assert kinds == {int}, name
+    capsys.readouterr()

@@ -23,9 +23,10 @@ from hwkit.vforacle import (BfElement, Bounds, SncVFamily, WhomVFamily,
                             presentation_contained, presentations_equal,
                             psi_map, q_poch, reduce_presentation,
                             verify_bfunction, verify_v_axioms)
-from hwkit.weyl import (TwistedSection, WeylOperator, apply_to_twisted,
-                        bounded_operator_basis, d_part_images,
-                        graded_operator_basis, homogeneity_grading)
+from hwkit.weyl import (KeyPacking, TwistedSection, WeylOperator,
+                        apply_to_twisted, bounded_operator_basis,
+                        d_part_images, graded_operator_basis,
+                        homogeneity_grading)
 from hwkit.whom import QuasiHomogeneousGerm
 
 F = Fraction
@@ -48,7 +49,7 @@ def cusp_germ():
 
 
 def test_act_rules():
-    u = BfElement.unit(2)
+    u = BfElement.from_poly(Polynomial.one(2))
     assert u.t(XY).layers == {0: XY}
     assert u.dt().layers == {1: Polynomial.one(2)}
     assert apply_s_shifted(u, XY, 0).layers == {1: -XY}
@@ -74,11 +75,12 @@ def test_act_commutator():
 
 def test_truncated_span_o_module():
     f = poly_parse("x1", 1)
-    span = bf_span([BfElement.unit(1)], f, Bounds(0, 2, 2))
+    B = Bounds(0, 2, 2)
     one = BfElement.from_poly(Polynomial.one(1))
+    span = bf_span([one], f, B)
     xsq = BfElement.from_poly(poly_parse("x1^2", 1))
-    assert not span.reduce(*integer_terms(one.vector()))[0]
-    assert not span.reduce(*integer_terms(xsq.vector()))[0]
+    assert bf_membership(one, span, B).is_member()
+    assert bf_membership(xsq, span, B).is_member()
     assert span.rank == 3  # {1, x, x^2}
 
 
@@ -96,23 +98,43 @@ def _unpacked(span, vec):
     return {_monomial(span, code): v for code, v in vec.items()}
 
 
+def _layered(packing, code):
+    """(layer j, exponent vector m) of the packed key j * top + shift(m, 0),
+    or code itself when it is no such key of packing (a coordinate no
+    packing produced, such as a nullspace column's row index)."""
+    j, rest = divmod(code, packing.top)
+    m = packing.unpack(rest)[0]
+    return (j, m) if packing.shift(m, 0) == rest else code
+
+
 @pytest.fixture
 def inserted(monkeypatch):
     """Every vector inserted into an Echelon while the test runs, as the
-    Fractions its numerators over den stand for; a window span's vectors
-    come with their packed keys read back as exponent vectors."""
+    Fractions its numerators over den stand for.  Its keys are read back as
+    (layer, exponent vector) through the KeyPacking that last packed layers
+    (kept as they are before any did); a window span's vectors come with
+    their packed keys read back as exponent vectors."""
     out = []
+    packing = [None]  # the KeyPacking that last packed layers
+    pack_layers = KeyPacking.pack_layers
     insert = Echelon.insert
     span_insert = WindowSpan.insert
 
+    def noting(self, layers):
+        packing[0] = self
+        return pack_layers(self, layers)
+
     def recording(self, vec, den, companion=None):
-        out.append({c: F(v, den) for c, v in vec.items()})
+        out.append({_layered(packing[0], c) if packing[0] else c: F(v, den)
+                    for c, v in vec.items()})
         return insert(self, vec, den, companion)
 
     def unpacking(self, vec, den, tag):
+        packing[0] = None
         span_insert(self, vec, den, tag)
         out[-1] = _unpacked(self, out[-1])
 
+    monkeypatch.setattr(KeyPacking, "pack_layers", noting)
     monkeypatch.setattr(Echelon, "insert", recording)
     monkeypatch.setattr(WindowSpan, "insert", unpacking)
     return out
@@ -126,7 +148,7 @@ def test_span_producers_stay_in_the_window(seed, inserted):
     f = poly_parse(rng.choice(["x1*x2", "x1^2+x2^3", "x1^2*x2"]), 2)
     B = Bounds(2, rng.randint(3, 5), rng.randint(1, 2))
     # the unit generator and summand keep each span nonempty
-    gens = [BfElement.unit(2)] + [
+    gens = [BfElement.from_poly(Polynomial.one(2))] + [
         BfElement(2, {j: rand_poly(rng, 2, 4) for j in range(3)})
         for _ in range(rng.randint(1, 3))]
     pres = HodgePresentation.build(
@@ -158,7 +180,8 @@ def test_span_producers_stay_in_the_window(seed, inserted):
 def test_membership_window_guard():
     big = BfElement.from_poly(poly_parse("x1^9", 1))
     B = Bounds(1, 3, 2)
-    span = bf_span([BfElement.unit(1)], poly_parse("x1", 1), B)
+    span = bf_span([BfElement.from_poly(Polynomial.one(1))],
+                   poly_parse("x1", 1), B)
     with pytest.raises(WindowExceeded):
         bf_membership(big, span, B)
 
@@ -263,11 +286,20 @@ def test_verify_bfunction_columns_match_apply_to_twisted(
                           sec0).pole
          for g in monomials_upto_degree(dim, order)] + [1])
     keys = graded_operator_basis(f, order, xdeg, bf.degree())
-    want = [vforacle._section_vector(
+    want = [_section_vector(
                 apply_to_twisted(WeylOperator(dim, {key: 1}), f, sec0), f,
                 pole_target)
             for key in keys]
     assert columns == want
+
+
+def _section_vector(sec, f, pole_target):
+    """{(s-power, monomial): coefficient} of sec written over the pole
+    pole_target: the tuple-keyed reference for verify_bfunction's packed
+    columns."""
+    mult = f ** (pole_target - sec.pole)
+    return {(j, m): c for j, p in sec.coeffs.items()
+            for m, c in (p * mult).terms.items()}
 
 
 def full_basis_certificate(f, b, order, xdeg):
@@ -287,14 +319,13 @@ def full_basis_certificate(f, b, order, xdeg):
     pole_target = max([sec.pole for sec in sections] + [1])
     ech = Echelon()
     for idx, sec in enumerate(sections):
-        vec, den = integer_terms(vforacle._section_vector(sec, f,
-                                                          pole_target))
+        vec, den = integer_terms(_section_vector(sec, f, pole_target))
         ech.insert(vec, den, {idx: den})
 
     def residual(roots):
         rhs = vforacle._roots_section(f.dim, roots)
         return ech.reduce(*integer_terms(
-            vforacle._section_vector(rhs, f, pole_target)))
+            _section_vector(rhs, f, pole_target)))
 
     res, carried = residual(b)
     if res:
