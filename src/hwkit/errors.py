@@ -42,10 +42,6 @@ class NotIsolatedSingularity(PreconditionError):
     pass
 
 
-class WindowExceeded(HwkitError):
-    """An element does not fit inside the requested truncation window."""
-
-
 class InconclusiveAtBound(HwkitError):
     """A bounded search ended without a verdict; never a refutation."""
 

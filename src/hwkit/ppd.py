@@ -163,21 +163,20 @@ def weight_module_generators(inp: AnnihilatorInput, l: int,
     dim = inp.dim
     so, sx = min(bounds.order, l + 2), min(bounds.xdeg, 4)
     shifted = (inp.euler + WeylOperator.constant(dim, inp.alpha + 1)) ** l
-    targets = [shifted] + list(inp.zetas) + [WeylOperator.from_polynomial(inp.f)]
+    fop = WeylOperator.from_polynomial(inp.f)
+    targets = [shifted] + list(inp.zetas) + [fop]
     kernel = syzygy_kernel(targets, so, sx)
 
-    # the always-present witness tuple (f, 0, ..., 0, -(E+alpha)^l)
-    fop = WeylOperator.from_polynomial(inp.f)
-    witness = [fop] + [WeylOperator.zero(dim)] * len(inp.zetas) \
-        + [-((inp.euler + WeylOperator.constant(dim, inp.alpha)) ** l)]
-    total = WeylOperator.zero(dim)
-    for p, t in zip(witness, targets):
-        total = total + weyl_mul(p, t)
-    if not total.is_zero():
+    # the always-present witness tuple (f, 0, ..., 0, -(E+alpha)^l); its
+    # zero entries drop out of the re-multiplication, which leaves
+    # f (E+alpha+1)^l = (E+alpha)^l f
+    euler_l = (inp.euler + WeylOperator.constant(dim, inp.alpha)) ** l
+    if weyl_mul(fop, shifted) != weyl_mul(euler_l, fop):
         raise InternalCheckFailed(
             "Euler witness tuple failed re-multiplication")
 
-    firsts = [tup[0] for tup in [*kernel, witness] if not tup[0].is_zero()]
+    firsts = [p0 for p0 in [*(tup[0] for tup in kernel), fop]
+              if not p0.is_zero()]
     # the packing of the first components themselves: radix one above their
     # largest exponent
     packing = window_packing(firsts, 0, 0)

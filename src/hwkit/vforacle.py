@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import (DimensionMismatch, InternalCheckFailed,
-                     PreconditionError, WindowExceeded)
+from .errors import DimensionMismatch, InternalCheckFailed, PreconditionError
 from .exactalg import (Polynomial, fmt_rational, graded_ideal, grlex_key,
                        monomials_upto_degree)
 from .bsdata import BFunction, RootMultiset
@@ -205,11 +204,12 @@ def _witness_json(combo) -> list:
 
 
 def bf_membership(u: BfElement, span: Echelon,
-                  bounds: Bounds) -> SpanCertificate:
+                  bounds: Bounds) -> SpanCertificate | None:
     """Membership of u in a bf_span built at bounds, keyed as bf_span keys
-    its coordinates."""
+    its coordinates; None when u leaves the (xdeg, dt) window, where the
+    span cannot tell."""
     if u.max_layer() > bounds.dt or u.max_degree() > bounds.xdeg:
-        raise WindowExceeded("element exceeds the truncation window")
+        return None
     packing = KeyPacking(u.dim, bounds.xdeg + 1, 0)
     residual, combo = span.reduce(*packing.pack_layers(u.layers))
     if residual:
@@ -479,10 +479,9 @@ def verify_v_axioms(family, f: Polynomial, grid,
             for name, elt, span in entries:
                 verdict = "member"
                 if not elt.is_zero():
-                    try:
-                        verdict = bf_membership(elt, span, bounds).verdict
-                    except WindowExceeded:
-                        verdict = "window-exceeded"
+                    cert = bf_membership(elt, span, bounds)
+                    verdict = "window-exceeded" if cert is None \
+                        else cert.verdict
                 report["checks"].append({
                     "level": fmt_rational(gam), "generator": gi,
                     "axiom": name, "verdict": verdict})
@@ -507,14 +506,11 @@ def kernel_filtration_check(f: Polynomial, lam, l: int, kernel_gens,
         if u.is_zero():
             witnesses.append({"generator": gi, "witness": []})
             continue
-        try:
-            cert = bf_membership(u, span, bounds)
-        except WindowExceeded:
+        cert = bf_membership(u, span, bounds)
+        if cert is None or not cert.is_member():
+            why = "exceeds the window" if cert is None else "not reduced"
             return SpanCertificate("not-found-at-bound", bounds.to_json(),
-                                   detail=f"generator {gi} exceeds the window")
-        if not cert.is_member():
-            return SpanCertificate("not-found-at-bound", bounds.to_json(),
-                                   detail=f"generator {gi} not reduced")
+                                   detail=f"generator {gi} {why}")
         witnesses.append({"generator": gi, "witness": cert.witness})
     return SpanCertificate("member", bounds.to_json(), witness=witnesses)
 
@@ -618,6 +614,9 @@ class WindowSpan:
     """A bounded span inside the twisted localization module: the window
     vectors x^beta * N of its elements, N an element's numerator cleared to
     the common pole pole_target, for every beta with deg N + |beta| <= xdeg.
+    The span owns its window: add_summand builds no image above
+    pole_target, add skips an element whose N has degree above xdeg, and
+    contains answers None for such an element.
 
     A coordinate x^m is packed into one int, x^m at layer 0 of a KeyPacking
     at radix xdeg + 1 (`packing.shift(m, 0)`): no window exponent exceeds
@@ -654,11 +653,13 @@ class WindowSpan:
             self._shifts[bound] = self.packing.shifts(bound)
         return self._shifts[bound]
 
-    def contains(self, num: Polynomial) -> bool:
-        """Whether num, a numerator over pole_target, lies in the span; raises
-        InternalCheckFailed above xdeg, where a packed key could alias."""
+    def contains(self, parts) -> bool | None:
+        """Whether the element given by its (numerator, pole) parts lies in
+        the span; None when its numerator cleared to pole_target exceeds
+        xdeg, outside the window (where a packed key could also alias)."""
+        num = clear_to_pole(parts, self.f, self.pole_target)
         if num.total_degree() > self.xdeg:
-            raise InternalCheckFailed("a numerator exceeds the window degree")
+            return None
         return not self.echelon.reduce(*self.packing.pack_layers({0: num}))[0]
 
     def insert(self, vec: dict, den: int, tag):
@@ -670,14 +671,12 @@ class WindowSpan:
     def add(self, parts, tag):
         """Add the window vectors of one element given by its (numerator,
         pole) parts, tagged tag + (beta,); N is scaled to integers and packed
-        once, and every shift shares its den.  Adds nothing when a pole
-        exceeds pole_target, N is zero or deg N exceeds xdeg."""
-        if any(p > self.pole_target for _, p in parts):
-            return
+        once, and every shift shares its den.  Adds nothing when N is zero or
+        deg N exceeds xdeg; a part above pole_target raises ValueError."""
         num = clear_to_pole(parts, self.f, self.pole_target)
-        if num.is_zero() or num.total_degree() > self.xdeg:
-            return
         deg = num.total_degree()
+        if num.is_zero() or deg > self.xdeg:
+            return
         # mu <= m componentwise, so m - mu subtracts digit by digit
         mu = self.packing.shift(tuple(map(min, zip(*num.terms))), 0)
         terms, den = self.packing.pack_layers({0: num})
@@ -697,9 +696,12 @@ class WindowSpan:
 
     def add_summand(self, si: int, summand, alpha: Fraction):
         """Add the vectors x^beta d^gamma (g f^(-j-alpha)) of the summand
-        (budget, g, j), tagged (si, gamma, beta)."""
+        (budget, g, j), tagged (si, gamma, beta).  d^gamma lands on the pole
+        j + |gamma|, so only the d-parts with |gamma| <= pole_target - j are
+        built: a grlex prefix, in the order and with the tags of the full
+        list."""
         budget, g, j = summand
-        gammas, _ = self.shifts(budget)
+        gammas, _ = self.shifts(min(budget, self.pole_target - j))
         images = pole_apply(gammas, g, j, alpha, self.f)
         for gamma in gammas:
             self.add([images[gamma]], (si, gamma))
@@ -739,7 +741,7 @@ def _verdict(name: str, count: int, expect_nonempty: bool):
 
 
 def _cross_containment(name: str, source: WindowSpan, target: WindowSpan,
-                       expect_nonempty: bool = False):
+                       expect_nonempty: bool):
     """Report the tag of the first source vector outside the target span,
     or the vector count.  Only the source rows are reduced: a row is its
     vector minus earlier rows, which span the earlier vectors, so the first
@@ -807,8 +809,7 @@ def reduce_presentation(pres: HodgePresentation, f: Polynomial,
                    key=lambda t: (t[2], t[1].total_degree(),
                                   grlex_key(t[1].leading_monomial())))
     for budget, g, j in order:
-        vec = g * f ** (pole_target - j)
-        if vec.total_degree() <= bounds.xdeg and kept and span.contains(vec):
+        if kept and span.contains([(g, j)]):
             continue
         span.add_summand(len(kept), (budget, g, j), pres.alpha)
         kept.append((budget, g, j))
@@ -857,21 +858,15 @@ def dspans_equal(p1: HodgePresentation, p2: HodgePresentation, f: Polynomial,
                    + [j for _, _, j in tgt.summands] + [0])
         spans = {}
         for gi, (g, j) in enumerate(src):
-            found = False
-            windowed = False
             for depth in range(base, max(tgt.max_pole(), base) + 1):
-                vec = g * f ** (depth - j)
-                if vec.total_degree() > bounds.xdeg:
-                    windowed = True
-                    break
                 if depth not in spans:
                     spans[depth] = presentation_span(
                         tgt, f, alpha_base, depth, bounds.xdeg)
-                if spans[depth].contains(vec):
-                    found = True
+                inside = spans[depth].contains([(g, j)])
+                if inside is None or inside:
                     break
-            if not found:
-                why = "exceeds the window" if windowed else "not reduced"
+            if not inside:
+                why = "exceeds the window" if inside is None else "not reduced"
                 return SpanCertificate(
                     "not-found-at-bound", bounds.to_json(),
                     detail=f"{name}: generator {gi} {why}")

@@ -1,12 +1,13 @@
-"""Every def and method of the package is read by some other line of the
-package: a function that only tests call, or that nothing calls, is an entry
-point kept for no product caller.  Dunder methods are exempt, and so is the
-allowlist below.
+"""Every def, method and class of the package is read by some other line
+of the package: a function that only tests call, or that nothing calls, is
+an entry point kept for no product caller, and a class that nothing names
+(an exception nothing raises or catches) is left behind.  Dunder methods
+are exempt, and so is the allowlist below.
 
-The scan is by name: a def counts as read when its name is read (as a Name
-or as an attribute) anywhere in the package outside its own body.  So a name
-shared by two defs hides a dead one behind a live one, e.g.
-`BfElement.unit` behind `MonomialIdeal.unit`."""
+The scan is by name: a def or class counts as read when its name is read
+(as a Name or as an attribute) anywhere in the package outside its own
+body.  So a name shared by two defs hides a dead one behind a live one,
+e.g. `BfElement.unit` behind `MonomialIdeal.unit`."""
 
 import ast
 import pathlib
@@ -44,22 +45,21 @@ def read_names(tree) -> Counter:
 
 
 def definitions(node, prefix=""):
-    """(qualified name, def node) of every def below node, methods and
-    nested defs included."""
+    """(qualified name, node) of every def and class below node, methods,
+    nested defs and nested classes included."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
             yield prefix + child.name, child
-            yield from definitions(child, prefix + child.name + ".")
-        elif isinstance(child, ast.ClassDef):
             yield from definitions(child, prefix + child.name + ".")
         else:
             yield from definitions(child, prefix)
 
 
 def unread_definitions(sources: dict) -> list:
-    """(module, qualified name) of every non-dunder def of the sources
-    (module name -> source text) whose name no line outside its own body
-    reads."""
+    """(module, qualified name) of every non-dunder def and every class of
+    the sources (module name -> source text) whose name no line outside its
+    own body reads."""
     trees = {mod: ast.parse(text) for mod, text in sources.items()}
     read = sum(map(read_names, trees.values()), Counter())
     return sorted((mod, qualname) for mod, tree in trees.items()
@@ -82,6 +82,15 @@ def test_guard_flags_an_unread_def():
     assert unread_definitions(
         {"c": "def g():\n    def h():\n        return 1\n    return h\n"}
     ) == [("c", "g")]
+    # a class is read by a subclass, a raise or an except; one that only
+    # names itself is not
+    assert unread_definitions({
+        "d": "class E(Exception):\n    pass\n\n\n"
+             "class Left(E):\n    def again(self):\n"
+             "        return Left()\n\n\n"
+             "class Used(E):\n    pass\n\n\n"
+             "try:\n    raise Used()\nexcept E:\n    pass\n",
+    }) == [("d", "Left"), ("d", "Left.again")]
 
 
 def test_every_def_is_read():

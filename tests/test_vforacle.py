@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hwkit.bsdata import BFunction, RootMultiset, bfunction_snc
-from hwkit.errors import InternalCheckFailed, PreconditionError, WindowExceeded
+from hwkit.errors import PreconditionError
 from hwkit.cli import main
 from hwkit.exactalg import (Polynomial, WeightVector, grlex_key,
                             integer_terms, mono_div, mono_divides, mono_mul,
@@ -182,8 +182,7 @@ def test_membership_window_guard():
     B = Bounds(1, 3, 2)
     span = bf_span([BfElement.from_poly(Polynomial.one(1))],
                    poly_parse("x1", 1), B)
-    with pytest.raises(WindowExceeded):
-        bf_membership(big, span, B)
+    assert bf_membership(big, span, B) is None
 
 
 def test_member_witness_reevaluates():
@@ -583,6 +582,106 @@ def test_dspans_equal_depth_search():
     assert dspans_equal(unit, deep, XY, Bounds(2, 8, 4)).is_member()
 
 
+def test_dspans_equal_window_details():
+    # a generator whose cleared numerator leaves the window is reported as
+    # such, at the first depth (x1^9) or after a depth search (x1^5 * f is
+    # inside the window at depth 1 but not reduced, x1^5 * f^2 is outside
+    # it at depth 2); with no deeper depth to try, it is not reduced
+    unit = HodgePresentation.build(F(0), 2, [(0, Polynomial.one(2), 0)])
+    wide = HodgePresentation.build(
+        F(0), 2, [(0, poly_parse("x1", 2), 0), (0, poly_parse("x1^9", 2), 0)])
+    high = HodgePresentation.build(F(0), 2, [(0, poly_parse("x1^5", 2), 0)])
+    deep = HodgePresentation.build(
+        F(0), 2, [(0, poly_parse("x1*x2^2", 2), 1)])
+    for p1, p2, order, detail in (
+            (wide, unit, 2, "first-in-second: generator 1 exceeds the window"),
+            (high, deep, 1, "first-in-second: generator 0 exceeds the window"),
+            (high, deep, 0, "first-in-second: generator 0 not reduced")):
+        cert = dspans_equal(p1, p2, XY, Bounds(order, 8, 4))
+        assert cert.verdict == "not-found-at-bound"
+        assert cert.detail == detail
+
+
+def test_kernel_filtration_window_details():
+    # (s+1) * x1^9 has degree 11 at dt layer 1, outside xdeg 8; (s+1) * 1
+    # is inside the window but not in the strict span
+    fam = SncVFamily(SncDivisor((1, 1)), 4)
+    for second, detail in (("x1^9", "generator 1 exceeds the window"),
+                           ("1", "generator 1 not reduced")):
+        gens = [BfElement.from_poly(poly_parse(g, 2)) for g in ("x1", second)]
+        cert = kernel_filtration_check(XY, 1, 1, gens, fam.strict_gens(1),
+                                       Bounds(3, 8, 5))
+        assert cert.verdict == "not-found-at-bound"
+        assert cert.detail == detail
+
+
+def test_v_axioms_window_exceeded_is_skipped():
+    # the images that leave the window are reported and counted, and do
+    # not fail the report
+    rep = verify_v_axioms(SncVFamily(SncDivisor((1, 1)), 2), XY, [F(1, 2)],
+                          Bounds(2, 3, 2))
+    assert [(c["generator"], c["axiom"])
+            for c in rep["checks"] if c["verdict"] == "window-exceeded"] == [
+        (1, "t"), (2, "t"), (2, "dt"), (2, "(s+1/2)^0")]
+    assert {c["verdict"] for c in rep["checks"]} == {"member",
+                                                     "window-exceeded"}
+    assert rep["skipped"] == 4
+    assert rep["all_member"]
+
+
+def test_reduce_presentation_keeps_out_of_window_summands():
+    # x1^9 lies in the D-span of x1 but leaves the degree window, so it is
+    # kept; x1^8 is inside it and dropped
+    pres = HodgePresentation.build(
+        F(1), 2, [(2, poly_parse(g, 2), 0) for g in ("x1", "x1^8", "x1^9")])
+    red = reduce_presentation(pres, XY, Bounds(2, 8, 4))
+    assert [str(g) for _, g, _ in red.summands] == ["x1", "x1^9"]
+    # x1^2 has degree 2, but cleared to the pole 1 of x1*x2 it is
+    # x1^3*x2, of degree 4: kept at xdeg 3, dropped at xdeg 4
+    pres = HodgePresentation.build(
+        F(1), 2, [(0, poly_parse("x1", 2), 0), (0, poly_parse("x1^2", 2), 0),
+                  (0, XY, 1)])
+    for xdeg, kept in ((3, ["x1", "x1^2", "x1*x2"]), (4, ["x1", "x1*x2"])):
+        red = reduce_presentation(pres, XY, Bounds(2, xdeg, 4))
+        assert [str(g) for _, g, _ in red.summands] == kept
+
+
+def test_spans_build_no_image_above_their_pole(monkeypatch):
+    # a window span hands pole_apply only the d-parts that land at or below
+    # its pole, in presentation_span, reduce_presentation and the shallow
+    # depths of dspans_equal
+    requests, poles = [], []
+    real_apply, real_summand = vforacle.pole_apply, WindowSpan.add_summand
+
+    def apply(gammas, g, pole, alpha, f):
+        requests.append((poles[-1], pole, list(gammas)))
+        return real_apply(gammas, g, pole, alpha, f)
+
+    def add_summand(self, *args):
+        poles.append(self.pole_target)
+        real_summand(self, *args)
+
+    monkeypatch.setattr(vforacle, "pole_apply", apply)
+    monkeypatch.setattr(WindowSpan, "add_summand", add_summand)
+    x1, x2 = poly_parse("x1", 2), poly_parse("x2", 2)
+    pres = HodgePresentation.build(F(1), 2, [(4, x1, 0), (4, x2, 1)])
+    vforacle.presentation_span(pres, XY, F(1), 2, 8)
+    reduce_presentation(pres, XY, Bounds(4, 8, 4))
+    unit = HodgePresentation.build(F(0), 2, [(0, Polynomial.one(2), 0)])
+    deep = HodgePresentation.build(F(0), 2, [(0, XY, 1)])
+    assert dspans_equal(unit, deep, XY, Bounds(2, 8, 4)).is_member()
+    assert {target for target, _, _ in requests} == {1, 2}
+    for target, pole, gammas in requests:
+        assert gammas and all(pole + sum(g) <= target for g in gammas)
+
+
+def test_window_span_add_refuses_a_part_above_its_pole():
+    span = WindowSpan(XY, 1, 4)
+    with pytest.raises(ValueError):
+        span.add([(poly_parse("x1", 2), 2)], (0,))
+    assert span.echelon.n_vectors == 0
+
+
 def test_crosscheck_goldens():
     B = Bounds(4, 12, 6)
     assert crosscheck_hodge_weight("snc", SncDivisor((1, 1)), 1, 0, 1,
@@ -963,7 +1062,7 @@ def window_monomials(draw):
 def test_window_packing_is_exact(case):
     # a window span packs a monomial into one int at radix xdeg + 1: tuple
     # order is kept, shifts and shape offsets are int additions and
-    # subtractions, and its packing reduce refuses a degree above xdeg
+    # subtractions, and its packing reduce answers None above xdeg
     dim, xdeg, monos = case
     span = WindowSpan(poly_parse("x1", dim), 0, xdeg)
     assert span.packing.radix == xdeg + 1
@@ -983,9 +1082,10 @@ def test_window_packing_is_exact(case):
     mu = monos[0]
     span.add([(Polynomial.monomial(mu), 0)], ())
     for m in monomials_upto_degree(dim, xdeg):
-        assert span.contains(Polynomial.monomial(m)) == mono_divides(mu, m)
-    with pytest.raises(InternalCheckFailed):
-        span.contains(Polynomial.monomial((xdeg + 1,) + (0,) * (dim - 1)))
+        assert span.contains([(Polynomial.monomial(m), 0)]) == \
+            mono_divides(mu, m)
+    assert span.contains(
+        [(Polynomial.monomial((xdeg + 1,) + (0,) * (dim - 1)), 0)]) is None
 
 
 CROSS_111 = ("crosscheck", "--source", "snc", "--exponents", "1,1,1",
