@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import PreconditionError
 from .exactalg import (Polynomial, WeightVector, fmt_rational, parse_rational,
-                       weighted_degree)
+                       positive_alpha, unit_interval_alpha, weighted_degree)
 
 PROVENANCES = ("closed-form-snc", "closed-form-whom", "user-supplied")
 
@@ -267,10 +267,7 @@ def classify_pair(bred: ReducedBFunction, alpha) -> PairClass:
     where a0, a1 are the 0th and 1st weighted minimal exponents (an absent
     a1 counts as different from a0).  For alpha > 1 all three are false.
     """
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise PreconditionError("alpha must be positive",
-                                hypothesis="alpha > 0")
+    alpha = positive_alpha(alpha)
     if alpha > 1:
         return PairClass(False, False, False,
                          note="alpha > 1 forces all classes to fail")
@@ -301,9 +298,7 @@ def weight_bounds(bred: ReducedBFunction, alpha, n: int):
       n + max_i mult(-alpha-i) + floor(alpha) <= w_max
                 <= n + sum_{i>=0} mult(-alpha-i) + floor(alpha),
     with the unconditional floor w_max >= n + floor(alpha)."""
-    alpha = Fraction(alpha)
-    if not (0 < alpha <= 1):
-        raise PreconditionError("alpha outside (0,1]", hypothesis="alpha in (0,1]")
+    alpha = unit_interval_alpha(alpha)
     shifts = _integer_shift_mults(bred, alpha)
     fl = math.floor(alpha)
     lower = n + max(shifts.values(), default=0) + fl
@@ -322,9 +317,7 @@ def genlevel_bound(bred: ReducedBFunction, alpha, l: int, n: int,
         min(n - 1, n - ceil(alpha + a0) + 1 - floor(alpha)).
     a0 is the minimal exponent; requires alpha in (0,1].
     """
-    alpha = Fraction(alpha)
-    if not (0 < alpha <= 1):
-        raise PreconditionError("alpha outside (0,1]", hypothesis="alpha in (0,1]")
+    alpha = unit_interval_alpha(alpha)
     a0 = weighted_minimal_exponent(bred, 0)
     if a0 is None:
         raise PreconditionError("reduced b-function is 1 (smooth point)",
@@ -339,9 +332,7 @@ def hodge_pole_full(bred: ReducedBFunction, alpha, k: int, l: int) -> bool:
     the full cyclic module generated by f^(-k-alpha) at the point:
     k + alpha < a0, or k + alpha = a0 with a0 != a_l (absent a_l counts as
     holding)."""
-    alpha = Fraction(alpha)
-    if not (0 < alpha <= 1):
-        raise PreconditionError("alpha outside (0,1]", hypothesis="alpha in (0,1]")
+    alpha = unit_interval_alpha(alpha)
     if k < 0 or l < 0:
         raise PreconditionError("k, l must be non-negative")
     a0 = weighted_minimal_exponent(bred, 0)

@@ -42,6 +42,24 @@ def fmt_rational(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def unit_interval_alpha(alpha) -> Fraction:
+    """alpha as a Fraction; PreconditionError unless 0 < alpha <= 1."""
+    alpha = Fraction(alpha)
+    if not 0 < alpha <= 1:
+        raise PreconditionError("alpha outside (0,1]",
+                                hypothesis="alpha in (0,1]")
+    return alpha
+
+
+def positive_alpha(alpha) -> Fraction:
+    """alpha as a Fraction; PreconditionError unless alpha > 0."""
+    alpha = Fraction(alpha)
+    if alpha <= 0:
+        raise PreconditionError("alpha must be positive",
+                                hypothesis="alpha > 0")
+    return alpha
+
+
 def integer_terms(terms: dict):
     """(numerators, den) for a dict of Fractions: den is the lcm of the
     denominators (1 for an empty dict), and numerators maps each key to the
@@ -122,7 +140,7 @@ def tokenize(text: str):
     return tokens
 
 
-def parse_terms(text: str, allow: str = "x"):
+def parse_terms(text: str, allow: str):
     """Parse a sum of products into [(coefficient, [(name, exponent), ...])].
 
     `allow` is a string of permitted factor kinds: 'x' for variables,
@@ -345,7 +363,7 @@ class Polynomial(SparseTerms):
 
     __rmul__ = __mul__
 
-    def mul_mono(self, m: Mono, coeff=1) -> "Polynomial":
+    def mul_mono(self, m: Mono, coeff) -> "Polynomial":
         coeff = Fraction(coeff)
         return Polynomial(
             self.dim, {mono_mul(k, m): v * coeff for k, v in self.terms.items()})

@@ -20,8 +20,7 @@ from .exactalg import (Polynomial, fmt_rational, infer_dim, integer_terms,
                        parse_rational)
 from .linalg import Echelon, nullspace
 from .snc import HodgePresentation
-from .vforacle import (Bounds, DEFAULT_BOUNDS, clear_to_pole, pole_apply,
-                       reduce_presentation)
+from .vforacle import Bounds, clear_to_pole, pole_apply, reduce_presentation
 from .weyl import (KeyPacking, WeylOperator, annihilates_power,
                    basis_products, bounded_operator_basis, syzygy_kernel,
                    weyl_mul, window_packing)
@@ -145,8 +144,7 @@ def gamma_ideal(inp: AnnihilatorInput,
     return GammaPresentation(tuple(gens), 0 if weighted else None, eps)
 
 
-def weight_module_generators(inp: AnnihilatorInput, l: int,
-                             bounds: Bounds = DEFAULT_BOUNDS):
+def weight_module_generators(inp: AnnihilatorInput, l: int, bounds: Bounds):
     """First components of the bounded syzygy kernel of
     (P_0,...,P_{m+1}) -> P_0 (E+alpha+1)^l + sum P_i zeta_i + P_{m+1} f.
 
@@ -219,7 +217,7 @@ def operators_on_pole(ops, f: Polynomial, step: int, alpha: Fraction) -> list:
 
 
 def weight_step_presentation(inp: AnnihilatorInput, gens,
-                             bounds: Bounds = DEFAULT_BOUNDS) -> HodgePresentation:
+                             bounds: Bounds) -> HodgePresentation:
     """The weight-(n+l) step as a presentation, from the generators of
     weight_module_generators(inp, l, bounds): each syzygy first component
     evaluated on f^(-1-alpha), carrying the full operator budget bounds.order
@@ -292,8 +290,7 @@ def _require_pp(inp: AnnihilatorInput):
             hypothesis="symbol ideal of the annihilator is prime (asserted)")
 
 
-def w0_span(inp: AnnihilatorInput, l: int,
-            bounds: Bounds = DEFAULT_BOUNDS) -> W0Span:
+def w0_span(inp: AnnihilatorInput, l: int, bounds: Bounds) -> W0Span:
     """The bounded span, at bounds with s-powers up to l + 2, of the products
     of the level-0 weighted sub-ideal's generators.  Its packing also covers
     the products of the gamma generators over the same window, whose
@@ -361,7 +358,7 @@ def hodge_on_weight(w0: W0Span, k: int) -> HodgePresentation:
 
 
 def hodge_weight_interval21(inp: AnnihilatorInput, gens, k: int,
-                            bounds: Bounds = DEFAULT_BOUNDS) -> HodgePresentation:
+                            bounds: Bounds) -> HodgePresentation:
     """Untwisted (alpha = 0) Hodge pieces under the hypothesis that all
     b-function roots lie in (-2,-1]: the bounded intersection of the syzygy
     first components gens (of weight_module_generators at the weight level)
@@ -394,8 +391,7 @@ def hodge_weight_interval21(inp: AnnihilatorInput, gens, k: int,
 # annihilator input files
 
 
-def parse_annihilator_file(text: str,
-                           dim: int | None = None) -> AnnihilatorInput:
+def parse_annihilator_file(text: str, dim: int | None) -> AnnihilatorInput:
     """Header lines `f:`, `E:`, `alpha:`, `b:`, `pp:`; every other non-empty
     line is one annihilator generator in the operator grammar."""
     f_text = e_text = b_text = None

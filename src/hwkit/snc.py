@@ -12,7 +12,7 @@ from itertools import combinations
 
 from .errors import PreconditionError
 from .exactalg import (MonomialIdeal, Polynomial, fmt_rational, grlex_key,
-                       mono_str)
+                       mono_str, positive_alpha)
 
 
 class SncDivisor:
@@ -100,9 +100,7 @@ class HodgePresentation:
 def snc_weight_top(d: SncDivisor, alpha) -> int:
     """Number of support indices i with alpha*a_i integral; the weight
     filtration is exhausted at level n plus this count."""
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise PreconditionError("alpha must be positive", hypothesis="alpha > 0")
+    alpha = positive_alpha(alpha)
     return d.m_alpha(alpha)
 
 
@@ -111,9 +109,7 @@ def snc_f0_ideal(d: SncDivisor, alpha, l: int) -> MonomialIdeal:
     weight-(n+l) step: the sum over subsets J of the integral index set of
     size l of prod_{I_a \\ J} x^ceil(alpha a) * prod_{(I \\ I_a) u J}
     x^(ceil(alpha a) - 1)."""
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise PreconditionError("alpha must be positive", hypothesis="alpha > 0")
+    alpha = positive_alpha(alpha)
     ia = d.integral_indices(alpha)
     if not (0 <= l <= len(ia)):
         raise PreconditionError(f"l={l} outside 0..{len(ia)}",
@@ -142,9 +138,7 @@ def snc_hodge_weight(d: SncDivisor, alpha, k: int, l: int) -> HodgePresentation:
 
 def snc_multiplier_ideal(d: SncDivisor, alpha) -> MonomialIdeal:
     """prod x_i^floor(alpha a_i); agrees with snc_f0_ideal(d, alpha, 0)."""
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise PreconditionError("alpha must be positive", hypothesis="alpha > 0")
+    alpha = positive_alpha(alpha)
     e = tuple(math.floor(alpha * ai) for ai in d.a)
     return MonomialIdeal(d.dim, [e])
 

@@ -463,7 +463,7 @@ DEFAULT_CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4,
                     criterion_9, roundtrip_check)
 
 
-def run_suite(profile: str = "default") -> dict:
+def run_suite(profile: str) -> dict:
     if profile == "default":
         results = [fn() for fn in DEFAULT_CRITERIA]
         return {"profile": profile,

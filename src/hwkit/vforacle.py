@@ -30,18 +30,15 @@ from .whom import QuasiHomogeneousGerm, whom_hodge_weight
 class Bounds:
     """Truncation window: operator order, x-degree, dt-layer order."""
 
-    order: int = 4
-    xdeg: int = 12
-    dt: int = 6
+    order: int
+    xdeg: int
+    dt: int
 
     def to_json(self):
         return {"order": self.order, "xdeg": self.xdeg, "dt": self.dt}
 
     def doubled(self) -> "Bounds":
         return Bounds(self.order * 2, self.xdeg * 2, self.dt * 2)
-
-
-DEFAULT_BOUNDS = Bounds()
 
 
 @dataclass
@@ -133,6 +130,13 @@ class BfElement:
             _accumulate(out, j + 1, (p * df).scale(-1))
         return BfElement(self.dim, out)
 
+    def d_images(self, gammas, f: Polynomial, dt: int) -> list:
+        """(gamma, d^gamma self) for the d-parts gamma of gammas (see
+        d_part_images) whose image is nonzero and has no layer above dt."""
+        images = d_part_images(gammas, self, lambda u, i: u.d(i, f))
+        return [(gamma, img) for gamma, img in images.items()
+                if not img.is_zero() and img.max_layer() <= dt]
+
     def __eq__(self, other):
         return (isinstance(other, BfElement) and self.dim == other.dim
                 and self.layers == other.layers)
@@ -158,64 +162,58 @@ def apply_s_shifted(u: BfElement, f: Polynomial, shift: Fraction) -> BfElement:
 # bounded spans in the graph-embedding module
 
 
-def bf_span(gens, f: Polynomial, bounds: Bounds) -> Echelon:
+class BfSpan:
     """Span of {x^b d^g * gen} over the BfElements gens, with |g| at most
-    bounds.order.  Images that leave the (xdeg, dt) window are skipped, so
-    membership verdicts are only ever bound-relative.  Reductions against
-    the span carry their witness combination keyed by (generator, gamma,
-    beta).
+    bounds.order, inside the (xdeg, dt) window of bounds.  The span owns its
+    window: the images that leave it are skipped before a vector is built
+    (the dt skip of BfElement.d_images, the xdeg skip here), and membership
+    answers None for an element outside it, so verdicts are only ever
+    bound-relative.  Reductions against the span carry their witness
+    combination keyed by (generator, gamma, beta).
 
-    x^m at dt layer j is the coordinate `j * top + shift(m, 0)` of a
-    KeyPacking at radix bounds.xdeg + 1 (no window exponent exceeds xdeg).
-    The shift set is built and packed once per span.
+    x^m at dt layer j is the coordinate `j * top + shift(m, 0)` of the
+    span's KeyPacking at radix bounds.xdeg + 1 (no window exponent exceeds
+    xdeg); membership packs with the same one.  The shift set is built and
+    packed once per span.
     """
-    dim = f.dim
-    packing = KeyPacking(dim, bounds.xdeg + 1, 0)
-    gammas = tuple(monomials_upto_degree(dim, bounds.order))
-    betas, codes = packing.shifts(bounds.xdeg)
-    span = Echelon()
-    for gi, gen in enumerate(gens):
-        if gen.is_zero():
-            continue
-        images = d_part_images(gammas, gen, lambda u, i: u.d(i, f))
-        for gamma, img in images.items():
-            if img.is_zero():
-                continue
-            deg = img.max_degree()
-            if img.max_layer() > bounds.dt or deg > bounds.xdeg:
-                continue
-            vec, den = packing.pack_layers(img.layers)
-            # grlex order lists the C(dim + b, dim) shifts of degree <= b
-            # first
-            n = math.comb(dim + bounds.xdeg - deg, dim)
-            for beta, shift in zip(betas[:n], codes[:n]):
-                span.insert({k + shift: c for k, c in vec.items()}, den,
-                            {(gi, gamma, beta): den})
-    return span
 
+    __slots__ = ("bounds", "packing", "echelon")
 
-def _witness_json(combo) -> list:
-    out = []
-    for tag, c in sorted(combo.items(), key=lambda kv: repr(kv[0])):
-        gi, gamma, beta = tag
-        out.append({"generator": gi, "dgamma": list(gamma),
-                    "xbeta": list(beta), "coeff": fmt_rational(c)})
-    return out
+    def __init__(self, gens, f: Polynomial, bounds: Bounds):
+        dim = f.dim
+        self.bounds = bounds
+        self.packing = KeyPacking(dim, bounds.xdeg + 1, 0)
+        self.echelon = Echelon()
+        gammas = tuple(monomials_upto_degree(dim, bounds.order))
+        betas, codes = self.packing.shifts(bounds.xdeg)
+        for gi, gen in enumerate(gens):
+            for gamma, img in gen.d_images(gammas, f, bounds.dt):
+                deg = img.max_degree()
+                if deg > bounds.xdeg:
+                    continue
+                vec, den = self.packing.pack_layers(img.layers)
+                # grlex order lists the C(dim + b, dim) shifts of degree <= b
+                # first
+                n = math.comb(dim + bounds.xdeg - deg, dim)
+                for beta, shift in zip(betas[:n], codes[:n]):
+                    self.echelon.insert({k + shift: c for k, c in vec.items()},
+                                        den, {(gi, gamma, beta): den})
 
-
-def bf_membership(u: BfElement, span: Echelon,
-                  bounds: Bounds) -> SpanCertificate | None:
-    """Membership of u in a bf_span built at bounds, keyed as bf_span keys
-    its coordinates; None when u leaves the (xdeg, dt) window, where the
-    span cannot tell."""
-    if u.max_layer() > bounds.dt or u.max_degree() > bounds.xdeg:
-        return None
-    packing = KeyPacking(u.dim, bounds.xdeg + 1, 0)
-    residual, combo = span.reduce(*packing.pack_layers(u.layers))
-    if residual:
-        return SpanCertificate("not-found-at-bound", bounds.to_json())
-    return SpanCertificate("member", bounds.to_json(),
-                           witness=_witness_json(combo))
+    def membership(self, u: BfElement) -> SpanCertificate | None:
+        """Membership of u in the span; None when u leaves the (xdeg, dt)
+        window, where the span cannot tell."""
+        bounds = self.bounds
+        if u.max_layer() > bounds.dt or u.max_degree() > bounds.xdeg:
+            return None
+        residual, combo = self.echelon.reduce(
+            *self.packing.pack_layers(u.layers))
+        if residual:
+            return SpanCertificate("not-found-at-bound", bounds.to_json())
+        witness = [{"generator": gi, "dgamma": list(gamma),
+                    "xbeta": list(beta), "coeff": fmt_rational(c)}
+                   for (gi, gamma, beta), c in sorted(
+                       combo.items(), key=lambda kv: repr(kv[0]))]
+        return SpanCertificate("member", bounds.to_json(), witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +448,7 @@ class WhomVFamily:
                 for j, u in _graded_slices(self.germ, lam, l < top, budget)]
 
 
-def verify_v_axioms(family, f: Polynomial, grid,
-                    bounds: Bounds = DEFAULT_BOUNDS) -> dict:
+def verify_v_axioms(family, f: Polynomial, grid, bounds: Bounds) -> dict:
     """Generator-wise bounded checks of the filtration axioms on a grid of
     levels: t maps level gam into gam+1, dt into gam-1, and (s+gam)^N kills
     generators into the strict part, N the claimed nilpotency order.
@@ -463,9 +460,9 @@ def verify_v_axioms(family, f: Polynomial, grid,
     report = {"checks": [], "all_member": True, "skipped": 0}
     for gam in grid:
         gam = Fraction(gam)
-        span_up = bf_span(family.gens(gam + 1), f, bounds)
-        span_down = bf_span(family.gens(gam - 1), f, bounds)
-        span_strict = bf_span(family.strict_gens(gam), f, bounds)
+        span_up = BfSpan(family.gens(gam + 1), f, bounds)
+        span_down = BfSpan(family.gens(gam - 1), f, bounds)
+        span_strict = BfSpan(family.strict_gens(gam), f, bounds)
         n = family.nilpotency(gam)
         for gi, gen in enumerate(family.gens(gam)):
             entries = [
@@ -479,7 +476,7 @@ def verify_v_axioms(family, f: Polynomial, grid,
             for name, elt, span in entries:
                 verdict = "member"
                 if not elt.is_zero():
-                    cert = bf_membership(elt, span, bounds)
+                    cert = span.membership(elt)
                     verdict = "window-exceeded" if cert is None \
                         else cert.verdict
                 report["checks"].append({
@@ -493,12 +490,11 @@ def verify_v_axioms(family, f: Polynomial, grid,
 
 
 def kernel_filtration_check(f: Polynomial, lam, l: int, kernel_gens,
-                            strict_gens,
-                            bounds: Bounds = DEFAULT_BOUNDS) -> SpanCertificate:
+                            strict_gens, bounds: Bounds) -> SpanCertificate:
     """Certify (s+lam)^l * g lies in the strict span for every kernel
     generator g, a BfElement."""
     lam = Fraction(lam)
-    span = bf_span(strict_gens, f, bounds)
+    span = BfSpan(strict_gens, f, bounds)
     witnesses = []
     for gi, u in enumerate(kernel_gens):
         for _ in range(l):
@@ -506,7 +502,7 @@ def kernel_filtration_check(f: Polynomial, lam, l: int, kernel_gens,
         if u.is_zero():
             witnesses.append({"generator": gi, "witness": []})
             continue
-        cert = bf_membership(u, span, bounds)
+        cert = span.membership(u)
         if cert is None or not cert.is_member():
             why = "exceeds the window" if cert is None else "not reduced"
             return SpanCertificate("not-found-at-bound", bounds.to_json(),
@@ -786,8 +782,7 @@ def _common_pole_spans(p1: HodgePresentation, p2: HodgePresentation,
 
 
 def presentations_equal(p1: HodgePresentation, p2: HodgePresentation,
-                        f: Polynomial,
-                        bounds: Bounds = DEFAULT_BOUNDS) -> SpanCertificate:
+                        f: Polynomial, bounds: Bounds) -> SpanCertificate:
     """Two-sided bounded containment between the spans the presentations
     denote, after aligning twists (which must differ by an integer)."""
     span1, span2 = _common_pole_spans(p1, p2, f, bounds.xdeg)
@@ -798,7 +793,7 @@ def presentations_equal(p1: HodgePresentation, p2: HodgePresentation,
 
 
 def reduce_presentation(pres: HodgePresentation, f: Polynomial,
-                        bounds: Bounds = DEFAULT_BOUNDS) -> HodgePresentation:
+                        bounds: Bounds) -> HodgePresentation:
     """Greedy minimalization at bounds: drop any summand whose generator
     already lies in the bounded span of the summands kept so far (low pole
     steps and low degrees first).  Never changes the denoted span."""
@@ -817,8 +812,7 @@ def reduce_presentation(pres: HodgePresentation, f: Polynomial,
 
 
 def presentation_contained(p1: HodgePresentation, p2: HodgePresentation,
-                           f: Polynomial,
-                           bounds: Bounds = DEFAULT_BOUNDS) -> SpanCertificate:
+                           f: Polynomial, bounds: Bounds) -> SpanCertificate:
     """One-sided bounded containment: every vector of the first presentation
     reduces inside the span of the second."""
     ok, d = _cross_containment(
@@ -831,7 +825,7 @@ def presentation_contained(p1: HodgePresentation, p2: HodgePresentation,
 
 
 def dspans_equal(p1: HodgePresentation, p2: HodgePresentation, f: Polynomial,
-                 bounds: Bounds = DEFAULT_BOUNDS) -> SpanCertificate:
+                 bounds: Bounds) -> SpanCertificate:
     """Generator-wise bounded equality of the D-module spans the two
     presentations generate: every generator of each side must lie in the
     bounded operator span of the other side (budgets taken from the bounds,
@@ -886,7 +880,7 @@ _SOURCES = {
 
 
 def crosscheck_hodge_weight(kind: str, obj, alpha, k: int, l: int,
-                            bounds: Bounds = DEFAULT_BOUNDS) -> SpanCertificate:
+                            bounds: Bounds) -> SpanCertificate:
     """Master cross-check: the layer-collapse image of the bounded
     kernel-filtration candidates must coincide, within the window, with the
     closed-form Hodge/weight presentation.  Certifies containment both ways.
@@ -905,12 +899,9 @@ def crosscheck_hodge_weight(kind: str, obj, alpha, k: int, l: int,
     # oracle side: bounded operators in the graph module, collapsed
     oracle_span = WindowSpan(f, pole_target, bounds.xdeg)
     for gi, (gen, budget) in enumerate(gens):
-        budget = min(budget, bounds.order)
-        images = d_part_images(oracle_span.shifts(budget)[0], gen,
-                               lambda u, i: u.d(i, f))
-        for gamma, img in images.items():
-            if img.max_layer() <= bounds.dt:
-                oracle_span.add(psi_map(img, alpha), (gi, gamma))
+        gammas, _ = oracle_span.shifts(min(budget, bounds.order))
+        for gamma, img in gen.d_images(gammas, f, bounds.dt):
+            oracle_span.add(psi_map(img, alpha), (gi, gamma))
 
     closed_span = presentation_span(pres, f, alpha, pole_target, bounds.xdeg)
     return _certificate(bounds, _mutual_containment(

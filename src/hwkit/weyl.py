@@ -340,7 +340,7 @@ def homogeneity_grading(f: Polynomial) -> list:
 
 
 def graded_operator_basis(f: Polynomial, order_bound: int, xdeg_bound: int,
-                          s_bound: int = 0) -> list:
+                          s_bound: int) -> list:
     """The keys of bounded_operator_basis(f.dim, ...) with w.(b - g) =
     -deg_w f for every (w, deg_w f) of homogeneity_grading(f), in the same
     order: the operators that carry f^(s+1) into the w-degree of f^s."""

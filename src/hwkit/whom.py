@@ -11,7 +11,7 @@ from .errors import (NotIsolatedSingularity, NotQuasiHomogeneous,
                      PreconditionError)
 from .exactalg import (Polynomial, WeightVector, graded_ideal, grlex_key,
                        monomials_upto_degree, monomials_weighted_upto,
-                       weighted_degree)
+                       unit_interval_alpha, weighted_degree)
 from .linalg import Echelon
 from .snc import HodgePresentation
 from .weyl import KeyPacking
@@ -115,9 +115,7 @@ class QuasiHomogeneousGerm:
 
 def whom_weight_top(germ: QuasiHomogeneousGerm, alpha) -> int:
     """Top weight offset: 1 for alpha in (0,1), 2 for alpha = 1."""
-    alpha = Fraction(alpha)
-    if not (0 < alpha <= 1):
-        raise PreconditionError("alpha outside (0,1]", hypothesis="alpha in (0,1]")
+    alpha = unit_interval_alpha(alpha)
     if germ.dim < 2:
         raise PreconditionError("ambient dimension must be at least 2",
                                 hypothesis="n >= 2")
@@ -165,9 +163,7 @@ def whom_micromult_ideal(germ: QuasiHomogeneousGerm, alpha, k: int):
     power sum of the partials of f with the monomials of weighted degree
     > alpha + j - |w|.  Emitted unminimalized: minimalization of non-monomial
     generator lists is out of scope."""
-    alpha = Fraction(alpha)
-    if not (0 < alpha <= 1):
-        raise PreconditionError("alpha outside (0,1]", hypothesis="alpha in (0,1]")
+    alpha = unit_interval_alpha(alpha)
     if k < 0:
         raise PreconditionError("k must be non-negative")
     partials = [germ.f.partial(i) for i in range(germ.dim)]

@@ -160,7 +160,7 @@ def test_ppd_dimension_ignores_comments(capsys, tmp_path):
     commented.write_text(
         NODE_ANN.replace("untwisted", "untwisted; compare with the x3 "
                          "direction").replace("x2*d2\n", "x2*d2  # not d4\n"))
-    assert [parse_annihilator_file(p.read_text()).dim
+    assert [parse_annihilator_file(p.read_text(), None).dim
             for p in (plain, commented)] == [2, 2]
     outputs = []
     for path in (plain, commented):

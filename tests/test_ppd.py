@@ -258,12 +258,12 @@ b: (s+1)^2
 pp: true
 x1*d1 - x2*d2
 """
-    inp = parse_annihilator_file(text)
+    inp = parse_annihilator_file(text, None)
     assert inp.f == XY
     assert inp.pp_asserted
     assert len(inp.zetas) == 1
     with pytest.raises(ParseError):
-        parse_annihilator_file("f: x1*x2\n")
+        parse_annihilator_file("f: x1*x2\n", None)
 
 
 def test_weight_step_monotone_in_l():
@@ -300,7 +300,7 @@ def test_syzygies_and_dependencies_are_w_homogeneous(name, monkeypatch):
     # that makes f homogeneous, so every syzygy tuple and every order-bounded
     # dependency must be too; a packing alias or a wrong Leibniz factor
     # would mix degrees
-    inp = parse_annihilator_file(GRADED_ANN[name])
+    inp = parse_annihilator_file(GRADED_ANN[name], None)
     grading = homogeneity_grading(inp.f)
     assert grading
     kernels, elements = [], []

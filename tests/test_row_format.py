@@ -13,8 +13,7 @@ from hwkit.cli import main
 from hwkit.exactalg import Polynomial, WeightVector, poly_parse
 from hwkit.linalg import Echelon
 from hwkit.ppd import parse_annihilator_file, weight_module_generators
-from hwkit.vforacle import (BfElement, Bounds, bf_membership, bf_span,
-                            verify_bfunction)
+from hwkit.vforacle import BfElement, BfSpan, Bounds, verify_bfunction
 from hwkit.whom import milnor_basis
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -62,13 +61,13 @@ def test_package_hands_echelons_int_coordinates(monkeypatch, capsys):
         "suite": lambda: main(["suite", "--profile", "default", "--json"]),
         "verify_bfunction": lambda: verify_bfunction(
             cusp, BFunction({F(-1): 1, F(-5, 6): 1, F(-7, 6): 1}), 3, 3),
-        "bf_membership": lambda: bf_membership(
-            BfElement.from_poly(x1), bf_span(
-                [BfElement.from_poly(Polynomial.one(1))], x1, B), B),
+        "BfSpan.membership": lambda: BfSpan(
+            [BfElement.from_poly(Polynomial.one(1))], x1, B).membership(
+                BfElement.from_poly(x1)),
         "milnor_basis": lambda: milnor_basis(
             cusp, WeightVector.parse("1/2,1/3")),
         "weight_module_generators": lambda: weight_module_generators(
-            parse_annihilator_file(ann), 0),
+            parse_annihilator_file(ann, None), 0, Bounds(4, 12, 6)),
     }
     for name, run in runs.items():
         kinds.clear()

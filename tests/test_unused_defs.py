@@ -2,12 +2,15 @@
 of the package: a function that only tests call, or that nothing calls, is
 an entry point kept for no product caller, and a class that nothing names
 (an exception nothing raises or catches) is left behind.  Dunder methods
-are exempt, and so is the allowlist below.
+are exempt, and so is the allowlist below.  Likewise every parameter
+default is read: some call in the package leaves that parameter unset, so
+the default is no second value that only tests rely on.
 
 The scan is by name: a def or class counts as read when its name is read
 (as a Name or as an attribute) anywhere in the package outside its own
-body.  So a name shared by two defs hides a dead one behind a live one,
-e.g. `BfElement.unit` behind `MonomialIdeal.unit`."""
+body, and a call counts as a call of every def of its name.  So a name
+shared by two defs hides a dead one behind a live one, e.g.
+`BfElement.unit` behind `MonomialIdeal.unit`."""
 
 import ast
 import pathlib
@@ -30,6 +33,10 @@ ALLOWED = {
     # the measure of the principal-symbol property test
     ("weyl", "WeylOperator.total_order"),
 }
+
+# (module, qualified def name, parameter) of defaults no call of the
+# package uses
+ALLOWED_DEFAULTS = set()
 
 
 def _is_dunder(name: str) -> bool:
@@ -97,3 +104,88 @@ def test_every_def_is_read():
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in sorted(PACKAGE.glob("*.py"))}
     assert set(unread_definitions(sources)) <= ALLOWED
+
+
+def _defaults(node, method: bool):
+    """(position, name) of each parameter of the def node with a default;
+    position None for a keyword-only parameter.  The first parameter of a
+    method (not a staticmethod) takes no position of a call."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    skip = int(method and not any(
+        isinstance(d, ast.Name) and d.id == "staticmethod"
+        for d in node.decorator_list))
+    first = len(positional) - len(args.defaults)
+    out = [(i - skip, a.arg) for i, a in enumerate(positional) if i >= first]
+    out += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+            if d is not None]
+    return out
+
+
+def _leaves_unset(call, position, name) -> bool:
+    if any(k.arg is None or k.arg == name for k in call.keywords):
+        return False
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return False
+    return position is None or len(call.args) <= position
+
+
+def _called_name(call):
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def unused_defaults(sources: dict) -> list:
+    """(module, qualified def name, parameter) of every parameter default of
+    a non-dunder def of the sources that no call of a def of that name
+    leaves unset."""
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    calls, methods = {}, set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_called_name(node), []).append(node)
+            elif isinstance(node, ast.ClassDef):
+                methods.update(map(id, node.body))
+    return sorted(
+        (mod, qualname, name) for mod, tree in trees.items()
+        for qualname, node in definitions(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not _is_dunder(node.name)
+        for position, name in _defaults(node, id(node) in methods)
+        if not any(_leaves_unset(call, position, name)
+                   for call in calls.get(node.name, [])))
+
+
+def test_guard_flags_an_unused_default():
+    sources = {
+        "a": "def f(x, y=1, *, z=2):\n    return x\n\n"
+             "class C:\n    def m(self, p=0):\n        return p\n\n"
+             "    @staticmethod\n    def s(q=0):\n        return q\n\n"
+             "    def __eq__(self, other=None):\n        return True\n",
+        "b": "from . import a\n\n"
+             "a.f(1, 2, z=3)\n"
+             "a.C().m()\n"
+             "a.C.s(5)\n",
+    }
+    # every call passes y, z and q; a.C().m() leaves p to its default, and
+    # a dunder is exempt
+    assert unused_defaults(sources) == [
+        ("a", "C.s", "q"), ("a", "f", "y"), ("a", "f", "z")]
+    # g(1, z=2) leaves y to its default and g(0, 1) leaves z; a starred
+    # call counts as one that may set every parameter
+    assert unused_defaults({
+        "c": "def g(x, y=1, z=2):\n    return x\n\n"
+             "def h(x, y=1):\n    return x\n\n"
+             "g(1, z=2)\ng(0, 1)\nh(*[1])\n",
+    }) == [("c", "h", "y")]
+
+
+def test_every_default_is_used():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert set(unused_defaults(sources)) <= ALLOWED_DEFAULTS

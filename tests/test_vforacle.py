@@ -14,10 +14,10 @@ from hwkit.exactalg import (Polynomial, WeightVector, grlex_key,
 from hwkit import vforacle
 from hwkit.linalg import Echelon
 from hwkit.snc import HodgePresentation, SncDivisor
-from hwkit.vforacle import (BfElement, Bounds, SncVFamily, WhomVFamily,
-                            WindowSpan, _cross_containment,
+from hwkit.vforacle import (BfElement, BfSpan, Bounds, SncVFamily,
+                            WhomVFamily, WindowSpan, _cross_containment,
                             _mutual_containment, apply_s_shifted,
-                            bf_membership, bf_span, candidate_v_snc,
+                            candidate_v_snc,
                             crosscheck_hodge_weight, dspans_equal,
                             kernel_filtration_check, phi_shift,
                             presentation_contained, presentations_equal,
@@ -77,11 +77,11 @@ def test_truncated_span_o_module():
     f = poly_parse("x1", 1)
     B = Bounds(0, 2, 2)
     one = BfElement.from_poly(Polynomial.one(1))
-    span = bf_span([one], f, B)
+    span = BfSpan([one], f, B)
     xsq = BfElement.from_poly(poly_parse("x1^2", 1))
-    assert bf_membership(one, span, B).is_member()
-    assert bf_membership(xsq, span, B).is_member()
-    assert span.rank == 3  # {1, x, x^2}
+    assert span.membership(one).is_member()
+    assert span.membership(xsq).is_member()
+    assert span.echelon.rank == 3  # {1, x, x^2}
 
 
 def _monomial(span, code):
@@ -167,7 +167,7 @@ def test_span_producers_stay_in_the_window(seed, inserted):
         assert inserted
         assert all(vec and all(map(inside, vec)) for vec in inserted)
 
-    check(lambda: bf_span(gens, f, B),
+    check(lambda: BfSpan(gens, f, B),
           lambda key: key[0] <= B.dt and sum(key[1]) <= B.xdeg)
     check(lambda: vforacle.presentation_span(pres, f, pres.alpha,
                                              pres.max_pole(), B.xdeg),
@@ -180,9 +180,9 @@ def test_span_producers_stay_in_the_window(seed, inserted):
 def test_membership_window_guard():
     big = BfElement.from_poly(poly_parse("x1^9", 1))
     B = Bounds(1, 3, 2)
-    span = bf_span([BfElement.from_poly(Polynomial.one(1))],
-                   poly_parse("x1", 1), B)
-    assert bf_membership(big, span, B) is None
+    span = BfSpan([BfElement.from_poly(Polynomial.one(1))],
+                  poly_parse("x1", 1), B)
+    assert span.membership(big) is None
 
 
 def test_member_witness_reevaluates():
@@ -193,7 +193,7 @@ def test_member_witness_reevaluates():
     B = Bounds(1, 2, 2)
     target = BfElement(1, {0: poly_parse("1 + x1^2", 1),
                            1: poly_parse("-x1", 1)})
-    cert = bf_membership(target, bf_span([gen], f, B), B)
+    cert = BfSpan([gen], f, B).membership(target)
     assert cert.is_member()
     assert len(cert.witness) == 2
     total = BfElement(1, {})
@@ -203,9 +203,39 @@ def test_member_witness_reevaluates():
             for _ in range(e):
                 u = u.d(i, f)
         beta = tuple(step["xbeta"])
-        u = BfElement(1, {j: p.mul_mono(beta) for j, p in u.layers.items()})
+        u = BfElement(1, {j: p.mul_mono(beta, 1)
+                          for j, p in u.layers.items()})
         total = total + u.scale(F(step["coeff"]))
     assert total == target
+
+
+def test_graph_module_span_window_edges():
+    f = poly_parse("x1^2", 1)
+    B = Bounds(1, 3, 1)
+
+    def x(e):
+        return poly_parse(f"x1^{e}", 1)
+
+    gens = [BfElement.from_poly(x(3)),
+            BfElement.from_poly(Polynomial.one(1), 1)]
+    span = BfSpan(gens, f, B)
+    # deg == xdeg at layer dt gets a verdict; one step past either edge
+    # gets None
+    assert span.membership(BfElement(1, {B.dt: x(B.xdeg)})) is not None
+    assert span.membership(BfElement(1, {B.dt: x(B.xdeg + 1)})) is None
+    assert span.membership(BfElement(1, {B.dt + 1: x(B.xdeg)})) is None
+    # d1 x1^3 = 3 x1^2 - 2 x1^4 dt leaves the x-degree window and
+    # d1 dt = -2 x1 dt^2 the dt window: the span skips both images and
+    # holds only the shifts of x1^3 (one) and of dt (x1^0..x1^3), and
+    # membership answers None for the skipped images
+    assert span.echelon.n_vectors == 1 + 4
+    assert all(span.membership(gen.d(0, f)) is None for gen in gens)
+    # the span keys an element with its own packing: dt^3 is no multiple
+    # of x1, whatever window a caller has in mind
+    x1 = poly_parse("x1", 1)
+    span = BfSpan([BfElement.from_poly(x1)], x1, Bounds(0, 8, 3))
+    cert = span.membership(BfElement.from_poly(Polynomial.one(1), 3))
+    assert cert.verdict == "not-found-at-bound"
 
 
 # ---------------------------------------------------------------------------
@@ -906,7 +936,7 @@ def window_families(draw):
                           max_size=2, unique=True))
     element = st.builds(
         lambda base, shift, c, pole: [(
-            poly_parse(base, dim).mul_mono(shift).scale(c), pole)],
+            poly_parse(base, dim).mul_mono(shift, 1).scale(c), pole)],
         st.sampled_from(bases), st.sampled_from(SHIFTS[dim]),
         st.sampled_from([F(1), F(-1), F(2), F(-3, 2), F(1, 3)]),
         st.sampled_from([0, 1]))
@@ -1022,7 +1052,7 @@ def shared_presentations(draw):
                           max_size=2, unique=True))
     summand = st.builds(
         lambda budget, base, shift, c, pole: (
-            budget, poly_parse(base, 2).mul_mono(shift).scale(c), pole),
+            budget, poly_parse(base, 2).mul_mono(shift, 1).scale(c), pole),
         st.integers(0, 2), st.sampled_from(bases),
         st.sampled_from(SHIFTS[2]),
         st.sampled_from([F(1), F(-1), F(2), F(1, 3)]),
