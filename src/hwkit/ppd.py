@@ -17,7 +17,7 @@ from .bsdata import BFunction, RootMultiset, beta_factor, roots_in_interval
 from .errors import (InconclusiveAtBound, InternalCheckFailed, ParseError,
                      PreconditionError)
 from .exactalg import (Polynomial, fmt_rational, infer_dim, integer_terms,
-                       parse_rational)
+                       mono_mul, parse_rational)
 from .linalg import Echelon, nullspace
 from .snc import HodgePresentation
 from .vforacle import Bounds, clear_to_pole, pole_apply, reduce_presentation
@@ -195,17 +195,35 @@ def operators_on_pole(ops, f: Polynomial, step: int, alpha: Fraction) -> list:
     """Evaluate each s-free operator of ops applied to f^(-step-alpha) as
     (numerator, pole), with the pole kept minimal.  One pole_apply call over
     the d-parts of all the ops gives the images d^gamma f^(-step-alpha) that
-    their terms share."""
+    their terms share; their numerators are brought to ints over one
+    denominator once.  Each op's terms x^a * c * image are summed per pole
+    as ints, each pole's sum becomes one Polynomial, and the parts are
+    cleared to the largest pole of a term (a pole whose sum is zero
+    included) and divided down to the minimal one."""
     if not all(op.is_s_free() for op in ops):
         raise InternalCheckFailed(
             "an operator evaluated on a pole still carries s")
     images = pole_apply({de for op in ops for _, de, _ in op.terms},
                         Polynomial.one(f.dim), step, alpha, f)
+    flat, den = integer_terms({(de, m): c for de, (num, _) in images.items()
+                               for m, c in num.terms.items()})
+    image_nums = {de: [] for de in images}
+    for (de, m), c in flat.items():
+        image_nums[de].append((m, c))
     out = []
     for op in ops:
-        parts = [(images[de][0].mul_mono(xe, c), images[de][1])
-                 for (xe, de, _), c in op.terms.items()]
-        pole = max((p for _, p in parts), default=step)
+        op_num, op_den = integer_terms(op.terms)
+        sums = {}  # pole -> {monomial: int numerator}
+        for (xe, de, _), c in op_num.items():
+            acc = sums.setdefault(images[de][1], {})
+            for m, v in image_nums[de]:
+                key = mono_mul(xe, m)
+                acc[key] = acc.get(key, 0) + c * v
+        scale = op_den * den
+        parts = [(Polynomial(f.dim, {m: Fraction(v, scale)
+                                     for m, v in acc.items()}), p)
+                 for p, acc in sums.items()]
+        pole = max(sums, default=step)
         total = clear_to_pole(parts, f, pole)
         while pole > 0 and not total.is_zero():
             q = total.div_exact(f)

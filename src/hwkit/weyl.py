@@ -138,17 +138,25 @@ class WeylOperator(SparseTerms):
 
 
 def weyl_mul(a: WeylOperator, b: WeylOperator) -> WeylOperator:
-    """Normal-ordered product.  Per variable, d^c x^b expands by Leibniz:
-    d^c x^b = sum_k C(c,k) * b!/(b-k)! * x^(b-k) d^(c-k).
-
-    Both operands are brought to integer numerators over the lcm of their
-    denominators; the products accumulate as ints, and each coefficient
-    becomes one Fraction over the product of the two denominators."""
+    """Normal-ordered product.  Both operands are brought to integer
+    numerators over the lcm of their denominators, `_mul_into` accumulates
+    their product as ints, and each coefficient becomes one Fraction over
+    the product of the two denominators."""
     a._check(b)
-    dim = a.dim
     num_a, den_a = integer_terms(a.terms)
     num_b, den_b = integer_terms(b.terms)
     out = {}
+    _mul_into(out, num_a, num_b, a.dim)
+    den = den_a * den_b
+    # the constructor drops the sums that cancelled
+    return WeylOperator(a.dim, {key: Fraction(c, den)
+                                for key, c in out.items()})
+
+
+def _mul_into(out: dict, num_a: dict, num_b: dict, dim: int):
+    """Add the normal-ordered product of the integer terms num_a and num_b
+    into the int dict out.  Per variable, d^c x^b expands by Leibniz:
+    d^c x^b = sum_k C(c,k) * b!/(b-k)! * x^(b-k) d^(c-k)."""
     for (xa, da, sa), ca in num_a.items():
         for (xb, db, sb), cb in num_b.items():
             base = ca * cb
@@ -175,10 +183,6 @@ def weyl_mul(a: WeylOperator, b: WeylOperator) -> WeylOperator:
                     dk[i] -= k
                 key = (tuple(xk), tuple(dk), sp)
                 out[key] = out.get(key, 0) + coeff
-    den = den_a * den_b
-    for key, c in out.items():
-        out[key] = Fraction(c, den)
-    return WeylOperator(dim, out)  # drops the sums that cancelled
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +545,10 @@ def syzygy_kernel(targets, order_bound: int, xdeg_bound: int):
     """Spanning set, within the stated bounds, of tuples (P_0,...,P_r) with
     sum_i P_i * targets_i == 0, each P_i a combination of the s-free
     bounded_operator_basis monomials.  Every returned tuple is re-multiplied
-    and checked against zero before being returned.
+    and checked against zero before being returned: the targets are scaled
+    once to one common denominator, and sum_i P_i * targets_i is accumulated
+    from the tuple's integer numerators over one denominator by the Leibniz
+    kernel of `weyl_mul`, independently of `basis_products`.
     """
     targets = list(targets)
     if not targets:
@@ -560,18 +567,25 @@ def syzygy_kernel(targets, order_bound: int, xdeg_bound: int):
         dens.extend([den] * n)
         # the tag of column (ti, oi) is ti * n + oi, one int
         companions.extend({ti * n + oi: den} for oi in range(n))
+    # the targets as integer numerators over one common denominator
+    scaled = [integer_terms(t.terms) for t in targets]
+    common = lcm(*(den for _, den in scaled))
+    scaled = [{key: c * (common // den) for key, c in num.items()}
+              for num, den in scaled]
     out = []
     for dep in nullspace(columns, dens, companions):
-        # distinct basis keys: one term per entry
+        # distinct basis keys: one term per entry, Fractions for the tuple
+        # and their numerators over one denominator for the check
         parts = [{} for _ in targets]
-        for tag, c in dep.items():
+        nums = [{} for _ in targets]
+        for tag, c in integer_terms(dep)[0].items():
             ti, oi = divmod(tag, n)
-            parts[ti][keys[oi]] = c
-        tup = [WeylOperator(dim, p) for p in parts]
-        total = WeylOperator.zero(dim)
-        for p, t in zip(tup, targets):
-            total = total + weyl_mul(p, t)
-        if not total.is_zero():
+            parts[ti][keys[oi]] = dep[tag]
+            nums[ti][keys[oi]] = c
+        total = {}
+        for num, t in zip(nums, scaled):
+            _mul_into(total, num, t, dim)
+        if any(total.values()):
             raise InternalCheckFailed("syzygy failed re-multiplication check")
-        out.append(tuple(tup))
+        out.append(tuple(WeylOperator(dim, p) for p in parts))
     return out

@@ -41,6 +41,16 @@ CUSP_TWISTED_ANN = (
     "pp: true\n"
     "3*x2^2*d1 - 2*x1*d2\n")
 
+# the cusp with rational coefficients in f and in the generator
+CUSP_RATIONAL_ANN = (
+    "# cuspidal cubic with rational coefficients, twisted by alpha = 1/6\n"
+    "f: 1/3*x1^2 - 2/5*x2^3\n"
+    "E: 1/2*x1*d1 + 1/3*x2*d2\n"
+    "alpha: 1/6\n"
+    "b: (s+1)(s+5/6)(s+7/6)\n"
+    "pp: true\n"
+    "-6/5*x2^2*d1 - 2/3*x1*d2\n")
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -341,6 +351,10 @@ PINNED = [
     # (p + alpha) factor of the pole images; the k = 0 one does not
     (("ppd", "--input", "{}/cusp_twisted.ann", "--l", "0", "--k", "1"),
      0, "6c483ea49824b47be2a3e465df7f9027e17fbcb894887ad64d7b5bf0ac5914d7"),
+    (("ppd", "--input", "{}/cusp_rational.ann", "--l", "0", "--weight-only"),
+     0, "ad08c4f95abb8f496205ce3cc32293b1a42b09db91f73bf9cbfb5b03e76d4a31"),
+    (("ppd", "--input", "{}/cusp_rational.ann", "--l", "0", "--k", "1"),
+     0, "e9407d1ffa8916e013901629574b6fe5d962f3014132174a50b749201e44ecb5"),
 ]
 
 
@@ -352,6 +366,7 @@ def test_envelope_pinned(capsys, tmp_path, monkeypatch, argv, code, sha):
     (tmp_path / "node.ann").write_text(NODE_ANN)
     (tmp_path / "triple.ann").write_text(TRIPLE_ANN)
     (tmp_path / "cusp_twisted.ann").write_text(CUSP_TWISTED_ANN)
+    (tmp_path / "cusp_rational.ann").write_text(CUSP_RATIONAL_ANN)
     argv = [a.replace("{}", str(tmp_path)) for a in argv]
     got, out = run(capsys, *argv, "--json")
     assert got == code

@@ -183,7 +183,10 @@ def hamiltonian(f):
     return WeylOperator(2, terms)
 
 
-POLES = [poly_parse(t, 2) for t in ("x1*x2", "x1^2+x2^3", "x1^2*x2+x1*x2^2")]
+# the last pole's rational coefficients give the shared images a
+# denominator other than 1
+POLES = [poly_parse(t, 2) for t in ("x1*x2", "x1^2+x2^3", "x1^2*x2+x1*x2^2",
+                                    "1/3*x1^2 - 2/5*x2^3")]
 XMONOS = list(monomials_upto_degree(2, 2))
 DPARTS = list(monomials_upto_degree(2, 3))
 TERMS = st.dictionaries(

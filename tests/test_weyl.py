@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hwkit import weyl
+from hwkit.cli import main
 from hwkit.errors import DimensionMismatch, InternalCheckFailed
 from hwkit.exactalg import Polynomial, mono_mul, poly_parse
-from hwkit.linalg import Echelon
+from hwkit.linalg import Echelon, nullspace
 from hwkit.weyl import (KeyPacking, TwistedSection, WeylOperator,
                         annihilates_power, apply_to_twisted, basis_products,
                         bounded_operator_basis, d_part_images,
@@ -214,6 +216,70 @@ def test_syzygy_random_remultiplication():
         targets = [rand_operator(rng) for _ in range(rng.randint(2, 3))]
         total += len(syzygy_kernel(targets, 1, 1))
     assert total > 0
+
+
+# rational targets, so that the check's common denominator is not 1
+SYZYGY_TARGETS = ("1/2*x1*d1 + 1/2*x2*d2 + 1", "x1*d1 - x2*d2", "1/3*x1*x2")
+
+NODE_ANN = """# ordinary double point, untwisted
+f: x1*x2
+E: 1/2*x1*d1 + 1/2*x2*d2
+alpha: 0
+b: (s+1)^2
+pp: true
+x1*d1 - x2*d2
+"""
+
+
+def scale_entry(dep, tag):
+    dep[tag] *= 2
+
+
+def drop_entry(dep, tag):
+    del dep[tag]
+
+
+@pytest.mark.parametrize("corrupt", [scale_entry, drop_entry])
+def test_syzygy_check_fires_on_a_corrupted_dependency(monkeypatch, capsys,
+                                                      tmp_path, corrupt):
+    tags = []
+
+    def corrupted(columns, dens, companions):
+        # the largest tag is an entry of the last target's part
+        deps = nullspace(columns, dens, companions)
+        tags.append(max(max(dep) for dep in deps))
+        corrupt(next(dep for dep in deps if tags[-1] in dep), tags[-1])
+        return deps
+
+    targets = [op(t, 2) for t in SYZYGY_TARGETS]
+    monkeypatch.setattr(weyl, "nullspace", corrupted)
+    with pytest.raises(InternalCheckFailed):
+        syzygy_kernel(targets, 2, 2)
+    assert tags[0] // len(bounded_operator_basis(2, 2, 2)) == len(targets) - 1
+    monkeypatch.delenv("HWKIT_CACHE", raising=False)
+    (tmp_path / "node.ann").write_text(NODE_ANN)
+    code = main(["ppd", "--input", str(tmp_path / "node.ann"), "--l", "0",
+                 "--weight-only"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.strip().splitlines() == [
+        "internal check failed: syzygy failed re-multiplication check"]
+
+
+def test_syzygy_check_makes_no_weyl_mul_call(monkeypatch):
+    # the check accumulates integer numerators through weyl_mul's kernel,
+    # with no Fraction product per tuple entry
+    calls = []
+    real = weyl.weyl_mul
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    targets = [op(t, 2) for t in SYZYGY_TARGETS]
+    monkeypatch.setattr(weyl, "weyl_mul", counted)
+    assert syzygy_kernel(targets, 2, 2)
+    assert calls == []
 
 
 def decoded_products(keys, t, packing):
