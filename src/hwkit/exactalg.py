@@ -100,17 +100,15 @@ def mono_str(m: Mono) -> str:
 
 
 def monomials_upto_degree(dim: int, bound: int) -> Iterator[Mono]:
-    """All exponent vectors of total degree <= bound, in grlex order."""
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            yield prefix
-            return
-        for e in range(remaining + 1):
-            yield from rec(prefix + (e,), remaining - e, slots - 1)
-
-    out = [m for m in rec((), bound, dim)]
-    out.sort(key=grlex_key)
-    return iter(out)
+    """All exponent vectors of total degree <= bound, in grlex order: degree
+    by degree, each degree in lex order."""
+    # exact[d]: the vectors of total degree d over the exponents built so
+    # far, in lex order; each pass puts one more exponent in front
+    exact = [[()] if d == 0 else [] for d in range(bound + 1)]
+    for _ in range(dim):
+        exact = [[(e,) + rest for e in range(d + 1) for rest in exact[d - e]]
+                 for d in range(bound + 1)]
+    return (m for level in exact for m in level)
 
 
 # ---------------------------------------------------------------------------

@@ -54,9 +54,7 @@ class Echelon:
     matching the combination of inserted vectors the row equals.  A vector
     inserted without a companion contributes zero.  The row format is
     private to this module; callers read `pivots()`, `basis()`, `rank` and
-    `n_vectors` (the number of inserts, dependent ones included; a caller
-    that knows a vector to be a multiple of an inserted one may count it
-    there instead of inserting it).
+    `n_vectors` (the number of inserts, dependent ones included).
     """
 
     __slots__ = ("_rows", "n_vectors")

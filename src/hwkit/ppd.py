@@ -255,8 +255,9 @@ def _order_bounded_elements(gens, sbasis, k: int, packing, residual=None):
 
     The order > k part and the residual are stacked into one column per
     product op * g, the residual block shifted by packing.top above the
-    first; every nullspace dependency, carried with the products as
-    companions, is an element of the answer.
+    first, and the order <= k part is its companion.  A nullspace
+    dependency cancels the order > k parts, so its companion combination is
+    an element of the answer.
     """
     dim = gens[0].dim
     above_k = functools.cache(lambda code: packing.order(code) > k)
@@ -264,18 +265,16 @@ def _order_bounded_elements(gens, sbasis, k: int, packing, residual=None):
     for g in gens:
         products, den = basis_products(sbasis, g, packing)
         for u in products:
-            stacked = {code: c for code, c in u.items() if above_k(code)}
-            scale = 1
-            if residual is not None:
-                res, scale = integer_terms(residual(u))
-                if scale != 1:
-                    stacked = {code: c * scale for code, c in stacked.items()}
-                    u = {code: c * scale for code, c in u.items()}
-                for code, c in res.items():
-                    stacked[code + packing.top] = c
+            res, scale = ({}, 1) if residual is None \
+                else integer_terms(residual(u))
+            stacked, below = {}, {}
+            for code, c in u.items():
+                (stacked if above_k(code) else below)[code] = c * scale
+            for code, c in res.items():
+                stacked[code + packing.top] = c
             cols.append(stacked)
             dens.append(den * scale)
-            comps.append(u)
+            comps.append(below)
     found = Echelon()
     out = []
     for dep in nullspace(cols, dens, comps):

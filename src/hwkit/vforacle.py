@@ -606,6 +606,17 @@ def clear_to_pole(parts, f: Polynomial, pole: int) -> Polynomial:
     return total
 
 
+def _direction(terms: dict) -> tuple:
+    """(S, k) of a nonzero integer vector: k is its largest key and S its
+    entries keyed relative to k, over their content signed positive at k.
+    Vectors are multiples exactly when their (S, k) agree."""
+    top = max(terms)
+    content = math.gcd(*terms.values())
+    if terms[top] < 0:
+        content = -content
+    return frozenset((m - top, c // content) for m, c in terms.items()), top
+
+
 class WindowSpan:
     """A bounded span inside the twisted localization module: the window
     vectors x^beta * N of its elements, N an element's numerator cleared to
@@ -618,29 +629,26 @@ class WindowSpan:
     at radix xdeg + 1 (`packing.shift(m, 0)`): no window exponent exceeds
     xdeg, so int order is tuple order and the pivots, rows and tags are those
     of tuple keys, and a shift x^beta adds the packed beta.  Spans compared
-    with each other share xdeg.
-    N factors uniquely as c * x^mu * S: mu is the componentwise-minimum
-    exponent, and S is primitive with a positive coefficient at its largest
-    key.  x^beta * N and x^beta' * N' are scalar multiples exactly when
-    S = S' and mu + beta = mu' + beta', so the span keeps, for each shape S,
-    the positions mu + beta it has taken.  A vector whose position is taken
-    is a multiple of an earlier vector of the span: it counts in n_vectors,
-    as the dependent insert it would be, but is not inserted.  The shift
-    sets are built and packed once per span.  tags holds the tag of the
-    vector behind each row, in the order the rows gained rank."""
+    with each other share xdeg.  Each N is packed and queued once, with its
+    shifts; the echelon is built on first use, in queue order.  The record
+    maps each S of _direction to the positions k of the vectors queued (a
+    shift moves only k), and insert queues no vector whose position is
+    taken.  The rows, tags (the tag of the vector behind each row, in the
+    order the rows gained rank) and n_vectors are those of inserting every
+    vector."""
 
-    __slots__ = ("f", "pole_target", "xdeg", "packing", "echelon", "tags",
-                 "_shifts", "_taken")
+    __slots__ = ("f", "pole_target", "xdeg", "packing", "n_vectors",
+                 "_echelon", "_tags", "_queue", "_shifts", "_taken")
 
     def __init__(self, f: Polynomial, pole_target: int, xdeg: int):
         self.f = f
         self.pole_target = pole_target
         self.xdeg = xdeg
         self.packing = KeyPacking(f.dim, xdeg + 1, 0)
-        self.echelon = Echelon()
-        self.tags = []
+        self.n_vectors = 0
+        self._echelon, self._tags, self._queue = Echelon(), [], []
         self._shifts = {}  # bound -> (monomials of degree <= bound, codes)
-        self._taken = {}   # shape S -> packed positions mu + beta taken
+        self._taken = {}   # the record: S -> positions k taken
 
     def shifts(self, bound: int) -> tuple:
         """(the exponent vectors of total degree <= bound, in grlex order,
@@ -648,6 +656,30 @@ class WindowSpan:
         if bound not in self._shifts:
             self._shifts[bound] = self.packing.shifts(bound)
         return self._shifts[bound]
+
+    def _build(self):
+        for terms, den, tag, shifts in self._queue:
+            for beta, code in shifts:
+                if self._echelon.insert({m + code: c for m, c in terms.items()},
+                                        den) is None:
+                    self._tags.append(tag + (beta,))
+        self._queue.clear()
+
+    @property
+    def echelon(self) -> Echelon:
+        self._build()
+        return self._echelon
+
+    @property
+    def tags(self) -> list:
+        self._build()
+        return self._tags
+
+    def within(self, other: "WindowSpan") -> bool:
+        """Whether other's record holds this span's, so that each vector of
+        this span is a multiple of one of other's."""
+        return all(ks <= other._taken.get(shape, set())
+                   for shape, ks in self._taken.items())
 
     def contains(self, parts) -> bool | None:
         """Whether the element given by its (numerator, pole) parts lies in
@@ -658,11 +690,20 @@ class WindowSpan:
             return None
         return not self.echelon.reduce(*self.packing.pack_layers({0: num}))[0]
 
-    def insert(self, vec: dict, den: int, tag):
-        """Insert the vector vec/den (integer numerators), recording its tag
-        if it gains rank."""
-        if self.echelon.insert(vec, den) is None:
-            self.tags.append(tag)
+    def insert(self, terms: dict, den: int, tag, betas, codes):
+        """Queue the vectors x^beta * terms/den (integer numerators, packed
+        keys), tagged tag + (beta,), for the betas (packed: codes) whose
+        position the record lacks, and record them.  Each counts in
+        n_vectors; a skipped one is a multiple of an earlier vector and counts
+        as the dependent insert it would be."""
+        shape, top = _direction(terms)
+        taken = self._taken.setdefault(shape, set())
+        fresh = [(beta, code) for beta, code in zip(betas, codes)
+                 if top + code not in taken]
+        taken.update(top + code for _, code in fresh)
+        self.n_vectors += len(codes)
+        if fresh:
+            self._queue.append((terms, den, tag, fresh))
 
     def add(self, parts, tag):
         """Add the window vectors of one element given by its (numerator,
@@ -673,22 +714,8 @@ class WindowSpan:
         deg = num.total_degree()
         if num.is_zero() or deg > self.xdeg:
             return
-        # mu <= m componentwise, so m - mu subtracts digit by digit
-        mu = self.packing.shift(tuple(map(min, zip(*num.terms))), 0)
-        terms, den = self.packing.pack_layers({0: num})
-        content = math.gcd(*terms.values())
-        if terms[max(terms)] < 0:
-            content = -content
-        shape = frozenset((m - mu, c // content) for m, c in terms.items())
-        taken = self._taken.setdefault(shape, set())
-        for beta, shift in zip(*self.shifts(self.xdeg - deg)):
-            position = mu + shift
-            if position in taken:
-                self.echelon.n_vectors += 1
-                continue
-            taken.add(position)
-            self.insert({m + shift: c for m, c in terms.items()}, den,
-                        tag + (beta,))
+        self.insert(*self.packing.pack_layers({0: num}), tag,
+                    *self.shifts(self.xdeg - deg))
 
     def add_summand(self, si: int, summand, alpha: Fraction):
         """Add the vectors x^beta d^gamma (g f^(-j-alpha)) of the summand
@@ -739,25 +766,29 @@ def _verdict(name: str, count: int, expect_nonempty: bool):
 def _cross_containment(name: str, source: WindowSpan, target: WindowSpan,
                        expect_nonempty: bool):
     """Report the tag of the first source vector outside the target span,
-    or the vector count.  Only the source rows are reduced: a row is its
-    vector minus earlier rows, which span the earlier vectors, so the first
-    row outside the target is that of the first vector outside it."""
-    for (row, p), tag in zip(source.echelon.basis(), source.tags):
-        if target.echelon.reduce(row, p)[0]:
-            return False, {"direction": name, "failed_at": repr(tag)}
-    return _verdict(name, source.echelon.n_vectors, expect_nonempty)
+    or the vector count.  When the target's record holds the source's, every
+    source vector is a multiple of a target vector, and nothing is reduced.
+    Otherwise only the source rows are reduced: a row is its vector minus
+    earlier rows, which span the earlier vectors, so the first row outside
+    the target is that of the first vector outside it."""
+    if not source.within(target):
+        for (row, p), tag in zip(source.echelon.basis(), source.tags):
+            if target.echelon.reduce(row, p)[0]:
+                return False, {"direction": name, "failed_at": repr(tag)}
+    return _verdict(name, source.n_vectors, expect_nonempty)
 
 
 def _mutual_containment(first, second):
     """Two-sided containment of the sides (name, span, expect_nonempty):
     the results of "first in second" and "second in first".  Once the first
-    holds, equal ranks make the spans equal, so the second needs no
-    reduction."""
+    holds, the second needs no reduction when the first's record holds the
+    second's (as equal records do) or the ranks are equal."""
     name1, span1, nonempty1 = first
     name2, span2, nonempty2 = second
     d1 = _cross_containment(name1, span1, span2, nonempty1)
-    if d1[0] and span1.echelon.rank == span2.echelon.rank:
-        return d1, _verdict(name2, span2.echelon.n_vectors, nonempty2)
+    if d1[0] and (span2.within(span1)
+                  or span1.echelon.rank == span2.echelon.rank):
+        return d1, _verdict(name2, span2.n_vectors, nonempty2)
     return d1, _cross_containment(name2, span2, span1, nonempty2)
 
 

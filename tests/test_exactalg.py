@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hwkit.errors import DimensionMismatch, ParseError
 from hwkit.exactalg import (MonomialIdeal, Polynomial, WeightVector,
-                            fmt_rational, graded_ideal, monomials_upto_degree,
+                            fmt_rational, graded_ideal, grlex_key,
+                            monomials_upto_degree,
                             parse_rational, poly_parse, weighted_degree)
 
 
@@ -147,6 +149,16 @@ def test_constructor_canonicalizes_coefficients():
     for bad in ((1,), (1, 0, 0)):
         with pytest.raises(DimensionMismatch):
             Polynomial(2, {bad: Fraction(1)})
+
+
+@pytest.mark.parametrize("dim", range(4))
+def test_monomials_upto_degree_is_sorted_grlex(dim):
+    # every exponent vector of total degree <= bound, once, in grlex order
+    # (none for a negative bound)
+    for bound in range(-1, 22 if dim < 3 else 12):
+        box = product(range(max(bound, 0) + 1), repeat=dim)
+        assert list(monomials_upto_degree(dim, bound)) == sorted(
+            (m for m in box if sum(m) <= bound), key=grlex_key)
 
 
 def test_mul_mono_shifts_terms():

@@ -13,7 +13,7 @@ from hwkit.exactalg import (Polynomial, WeightVector, grlex_key,
                             monomials_upto_degree, poly_parse)
 from hwkit import vforacle
 from hwkit.linalg import Echelon
-from hwkit.snc import HodgePresentation, SncDivisor
+from hwkit.snc import HodgePresentation, SncDivisor, snc_hodge_weight
 from hwkit.vforacle import (BfElement, BfSpan, Bounds, SncVFamily,
                             WhomVFamily, WindowSpan, _cross_containment,
                             _mutual_containment, apply_s_shifted,
@@ -107,43 +107,65 @@ def _layered(packing, code):
     return (j, m) if packing.shift(m, 0) == rest else code
 
 
+def _queued(span, insert, *args):
+    """The vectors insert(span, *args) queues in the window span, as
+    (vector with its keys read back as exponent vectors, den, tag)."""
+    start = len(span._queue)
+    insert(span, *args)
+    return [(_unpacked(span, {m + code: c for m, c in terms.items()}), den,
+             tag + (beta,))
+            for terms, den, tag, shifts in span._queue[start:]
+            for beta, code in shifts]
+
+
 @pytest.fixture
 def inserted(monkeypatch):
-    """Every vector inserted into an Echelon while the test runs, as the
-    Fractions its numerators over den stand for.  Its keys are read back as
-    (layer, exponent vector) through the KeyPacking that last packed layers
-    (kept as they are before any did); a window span's vectors come with
-    their packed keys read back as exponent vectors."""
+    """Every vector put into a span while the test runs, as the Fractions
+    its numerators over den stand for: each vector a window span queues,
+    its packed keys read back as exponent vectors, and each vector inserted
+    into any other Echelon, its keys read back as (layer, exponent vector)
+    through the KeyPacking that last packed layers (kept as they are before
+    any did).  A window span's echelon inserts only vectors it queued."""
     out = []
     packing = [None]  # the KeyPacking that last packed layers
+    building = [False]  # whether a window span is building its echelon
     pack_layers = KeyPacking.pack_layers
     insert = Echelon.insert
-    span_insert = WindowSpan.insert
+    span_insert, span_build = WindowSpan.insert, WindowSpan._build
 
     def noting(self, layers):
         packing[0] = self
         return pack_layers(self, layers)
 
     def recording(self, vec, den, companion=None):
-        out.append({_layered(packing[0], c) if packing[0] else c: F(v, den)
-                    for c, v in vec.items()})
+        if not building[0]:
+            out.append({_layered(packing[0], c) if packing[0] else c:
+                        F(v, den) for c, v in vec.items()})
         return insert(self, vec, den, companion)
 
-    def unpacking(self, vec, den, tag):
+    def queueing(self, *args):
         packing[0] = None
-        span_insert(self, vec, den, tag)
-        out[-1] = _unpacked(self, out[-1])
+        out.extend({m: F(c, den) for m, c in vec.items()}
+                   for vec, den, _ in _queued(self, span_insert, *args))
+
+    def building_echelon(self):
+        building[0] = True
+        try:
+            span_build(self)
+        finally:
+            building[0] = False
 
     monkeypatch.setattr(KeyPacking, "pack_layers", noting)
     monkeypatch.setattr(Echelon, "insert", recording)
-    monkeypatch.setattr(WindowSpan, "insert", unpacking)
+    monkeypatch.setattr(WindowSpan, "insert", queueing)
+    monkeypatch.setattr(WindowSpan, "_build", building_echelon)
     return out
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_span_producers_stay_in_the_window(seed, inserted):
     # no producer leans on the span to drop an out-of-window vector: every
-    # vector it inserts is nonzero and inside (dt, xdeg)
+    # vector it inserts or queues is nonzero and inside (dt, xdeg)
     rng = random.Random(700 + seed)
     f = poly_parse(rng.choice(["x1*x2", "x1^2+x2^3", "x1^2*x2"]), 2)
     B = Bounds(2, rng.randint(3, 5), rng.randint(1, 2))
@@ -709,7 +731,7 @@ def test_window_span_add_refuses_a_part_above_its_pole():
     span = WindowSpan(XY, 1, 4)
     with pytest.raises(ValueError):
         span.add([(poly_parse("x1", 2), 2)], (0,))
-    assert span.echelon.n_vectors == 0
+    assert span.n_vectors == 0
 
 
 def test_crosscheck_goldens():
@@ -827,10 +849,12 @@ def _family(rng, label, base=(), xdeg=3):
 
 def _raw_span(family):
     """A window span holding the tagged vectors of family, each inserted
-    as it is."""
+    as it is (the last entry of its tag as beta, with shift 0); a multiple
+    of an earlier vector is skipped."""
     span = WindowSpan(XY, 0, 3)
     for vec, den, tag in family:
-        span.insert(vec, den, tag)
+        span.insert({span.packing.shift(m, 0): c for m, c in vec.items()},
+                    den, tag[:-1], tag[-1:], (0,))
     return span
 
 
@@ -951,16 +975,15 @@ def _window_stream(produce, elements, f, xdeg):
 
 
 class _RecordingSpan(WindowSpan):
-    """A window span that records every vector it inserts, with its keys
+    """A window span that records every vector it queues, with its keys
     read back as exponent vectors."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.inserted = []
 
-    def insert(self, vec, den, tag):
-        self.inserted.append((_unpacked(self, vec), den, tag))
-        super().insert(vec, den, tag)
+    def insert(self, *args):
+        self.inserted += _queued(self, WindowSpan.insert, *args)
 
 
 def _window_span(elements, f, xdeg, cls=WindowSpan):
@@ -1009,7 +1032,7 @@ def test_window_family_inserts_each_vector_once(case):
             for code in span.echelon.pivots()} == full.pivots()
     assert [(_unpacked(span, row), p)
             for row, p in span.echelon.basis()] == full.basis()
-    assert span.echelon.n_vectors == full.n_vectors == len(every)
+    assert span.n_vectors == full.n_vectors == len(every)
     assert span.tags == full_tags
     # a target family that may miss some of the vectors, so that the rows
     # name the first failing vector of the scan over every vector
@@ -1019,6 +1042,110 @@ def test_window_family_inserts_each_vector_once(case):
         assert _cross_containment("a-in-b", span, target_span,
                                   expect_nonempty) == _scan_containment(
             "a-in-b", every, target_every, expect_nonempty)
+
+
+def _record(span) -> set:
+    """The (direction, position) pairs of a window span's record."""
+    return {(shape, k) for shape, ks in span._taken.items() for k in ks}
+
+
+def _record_case(rng, case):
+    """(f, xdeg, elements a, elements b) in dimension 2, b drawn so that
+    the window spans' records are equal, b's a proper subset of a's,
+    disjoint, shifted (b is x1 times a: the same directions S at other
+    positions) or empty (a too on odd draws): c * x^a * base elements at
+    pole 0 or 1, with the bases of b's extra element and of the disjoint
+    side apart from a's, and those elements and the shifted ones inside
+    the window."""
+    f = poly_parse(rng.choice(POLES[2]), 2)
+    near, far = BASES[2][:3], BASES[2][3:]
+
+    def element(bases, inside=False):
+        base = poly_parse(rng.choice(bases), 2)
+        c = rng.choice([F(1), F(-1), F(2), F(-3, 2), F(1, 3)])
+        # pole 1 is the spans' own: degree at most 2 + 2 <= xdeg
+        return [(base.mul_mono(rng.choice(SHIFTS[2]), c),
+                 1 if inside else rng.randint(0, 1))]
+
+    a = [element(near, case == "shifted") for _ in range(rng.randint(1, 4))]
+    if case == "equal":
+        b = [[(num.scale(rng.choice([F(-1), F(5, 2)])), pole)]
+             for [(num, pole)] in rng.sample(a, len(a))]
+    elif case == "subset":
+        a, b = a + [element(far, True)], a
+    elif case == "shifted":
+        b = [[(num.mul_mono((1, 0), 1), pole)] for [(num, pole)] in a]
+    elif case == "disjoint":
+        b = [element(far, True) for _ in range(rng.randint(1, 4))]
+    else:
+        a, b = (a if rng.random() < 0.5 else []), []
+    return f, rng.randint(4, 5), a, b
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("case", ["equal", "subset", "disjoint", "shifted",
+                                  "empty"])
+def test_record_certificate_matches_elimination(seed, case, monkeypatch):
+    # containment certified from the records returns what the row scan
+    # returns, failed_at tags included, on both expect_nonempty settings;
+    # equal records settle both directions with no Echelon insert
+    f, xdeg, a, b = _record_case(random.Random(seed), case)
+    records = (_record(_window_span(a, f, xdeg)),
+               _record(_window_span(b, f, xdeg)))
+    assert {"equal": records[0] == records[1],
+            "subset": records[1] < records[0],
+            "disjoint": not records[0] & records[1] and records[1],
+            "shifted": records[0] != records[1] and {
+                shape for shape, _ in records[0]} == {
+                shape for shape, _ in records[1]},
+            "empty": not records[1]}[case]
+    echelon_insert, inserts = Echelon.insert, []
+
+    def counted(self, *args):
+        inserts.append(args)
+        return echelon_insert(self, *args)
+
+    monkeypatch.setattr(Echelon, "insert", counted)
+
+    def results(by_record):
+        """Each containment of the two families, on fresh spans."""
+        out = []
+        for ne_a, ne_b in ((False, False), (False, True), (True, False),
+                           (True, True)):
+            sides = (("a-in-b", a, ne_a), ("b-in-a", b, ne_b))
+            for (name, source, ne), (_, target, _) in (sides, sides[::-1]):
+                out.append(_cross_containment(
+                    name, _window_span(source, f, xdeg),
+                    _window_span(target, f, xdeg), ne))
+            for first, second in (sides, sides[::-1]):
+                inserts.clear()
+                out.append(_mutual_containment(
+                    *[(name, _window_span(elements, f, xdeg), ne)
+                      for name, elements, ne in (first, second)]))
+                if by_record and records[0] == records[1]:
+                    assert inserts == []
+        return out
+
+    by_record = results(True)
+    with monkeypatch.context() as m:
+        m.setattr(WindowSpan, "within", lambda self, other: False)
+        eliminated = results(False)
+        assert inserts or not (records[0] or records[1])
+    assert by_record == eliminated
+
+
+def test_dropped_generator_names_its_tag_on_both_paths(monkeypatch):
+    # the suite's negative control: a presentation missing a generator
+    # names the same first failing vector with or without the records
+    wrong = HodgePresentation.build(F(1), 2, [(0, poly_parse("x1", 2), 0)])
+    right = snc_hodge_weight(SncDivisor((1, 1)), 1, 0, 1)
+    detail = ("[{'direction': 'second-in-first', "
+              "'failed_at': '(0, (0, 0), (0, 0))'}]")
+    assert presentations_equal(wrong, right, XY,
+                               Bounds(4, 10, 6)).detail == detail
+    monkeypatch.setattr(WindowSpan, "within", lambda self, other: False)
+    assert presentations_equal(wrong, right, XY,
+                               Bounds(4, 10, 6)).detail == detail
 
 
 def _reference_reduce(pres, f, xdeg):
@@ -1071,12 +1198,10 @@ def test_reduce_presentation_matches_every_vector_reference(case):
     assert got.to_json() == _reference_reduce(pres, f, xdeg).to_json()
 
 
-def _add_every_vector(span, parts, tag):
-    """WindowSpan.add with no window vector skipped."""
-    for vec, den, t in every_window_vector(parts, span.f, span.pole_target,
-                                           span.xdeg, tag):
-        span.insert({span.packing.shift(m, 0): c for m, c in vec.items()},
-                    den, t)
+def _unshared_direction(terms):
+    """A direction that no other vector has: with it, a window span skips
+    no window vector."""
+    return object(), 0
 
 
 @st.composite
@@ -1126,22 +1251,31 @@ CROSS_111_SHA = (
 
 def test_crosscheck_inserts_each_window_vector_once(inserted, monkeypatch,
                                                     capsys):
-    # the pinned crosscheck inserts as many vectors into each module span as
-    # its window vectors have distinct directions, with an unchanged envelope
+    # the pinned crosscheck queues as many vectors in each module span as its
+    # window vectors have distinct directions, with an unchanged envelope,
+    # and certifies both directions from the spans' records: it inserts no
+    # vector into any Echelon.  With no direction shared, every window
+    # vector is queued and the elimination gives the same envelope.
     monkeypatch.delenv("HWKIT_CACHE", raising=False)
-    init = WindowSpan.__init__
-    marks = []
+    init, echelon_insert = WindowSpan.__init__, Echelon.insert
+    marks, echelon_inserts = [], []
 
     def marked(self, *args):
         marks.append(len(inserted))
         init(self, *args)
 
+    def counted(self, *args):
+        echelon_inserts.append(args)
+        return echelon_insert(self, *args)
+
     monkeypatch.setattr(WindowSpan, "__init__", marked)
+    monkeypatch.setattr(Echelon, "insert", counted)
 
     def spans():
-        """The vectors inserted into each module span, in order."""
+        """The vectors queued in each module span, in order."""
         inserted.clear()
         marks.clear()
+        echelon_inserts.clear()
         assert main(list(CROSS_111)) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == CROSS_111_SHA
@@ -1149,9 +1283,11 @@ def test_crosscheck_inserts_each_window_vector_once(inserted, monkeypatch,
         return [inserted[a:b] for a, b in zip(marks, ends)]
 
     kept = spans()
+    assert echelon_inserts == []
     with monkeypatch.context() as m:
-        m.setattr(WindowSpan, "add", _add_every_vector)
+        m.setattr(vforacle, "_direction", _unshared_direction)
         every = spans()
+    assert echelon_inserts
     assert len(kept) == len(every) == 2  # the oracle and closed-form spans
     assert sum(map(len, kept)) < sum(map(len, every))
     for got, ref in zip(kept, every):
