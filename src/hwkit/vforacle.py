@@ -629,13 +629,11 @@ class WindowSpan:
     at radix xdeg + 1 (`packing.shift(m, 0)`): no window exponent exceeds
     xdeg, so int order is tuple order and the pivots, rows and tags are those
     of tuple keys, and a shift x^beta adds the packed beta.  Spans compared
-    with each other share xdeg.  Each N is packed and queued once, with its
-    shifts; the echelon is built on first use, in queue order.  The record
-    maps each S of _direction to the positions k of the vectors queued (a
-    shift moves only k), and insert queues no vector whose position is
-    taken.  The rows, tags (the tag of the vector behind each row, in the
-    order the rows gained rank) and n_vectors are those of inserting every
-    vector."""
+    with each other share xdeg.  Each N is packed and queued once with its
+    shifts, and the echelon is built from the queue when it is read.  The
+    record maps each S of _direction to the positions k queued (a shift
+    moves only k).  Rows, tags (the tag of the vector behind each row, in
+    rank-gain order) and n_vectors are those of inserting every vector."""
 
     __slots__ = ("f", "pole_target", "xdeg", "packing", "n_vectors",
                  "_echelon", "_tags", "_queue", "_shifts", "_taken")
@@ -657,27 +655,24 @@ class WindowSpan:
             self._shifts[bound] = self.packing.shifts(bound)
         return self._shifts[bound]
 
-    def _build(self):
+    @property
+    def echelon(self) -> Echelon:
         for terms, den, tag, shifts in self._queue:
             for beta, code in shifts:
                 if self._echelon.insert({m + code: c for m, c in terms.items()},
                                         den) is None:
                     self._tags.append(tag + (beta,))
         self._queue.clear()
-
-    @property
-    def echelon(self) -> Echelon:
-        self._build()
         return self._echelon
 
     @property
     def tags(self) -> list:
-        self._build()
+        self.echelon  # built first
         return self._tags
 
     def within(self, other: "WindowSpan") -> bool:
-        """Whether other's record holds this span's, so that each vector of
-        this span is a multiple of one of other's."""
+        """Whether other's record holds this span's: then each vector of this
+        span is a multiple of one of other's."""
         return all(ks <= other._taken.get(shape, set())
                    for shape, ks in self._taken.items())
 
@@ -691,11 +686,10 @@ class WindowSpan:
         return not self.echelon.reduce(*self.packing.pack_layers({0: num}))[0]
 
     def insert(self, terms: dict, den: int, tag, betas, codes):
-        """Queue the vectors x^beta * terms/den (integer numerators, packed
-        keys), tagged tag + (beta,), for the betas (packed: codes) whose
-        position the record lacks, and record them.  Each counts in
-        n_vectors; a skipped one is a multiple of an earlier vector and counts
-        as the dependent insert it would be."""
+        """Queue and record the vectors x^beta * terms/den (integer
+        numerators, packed keys), tagged tag + (beta,), for the betas (packed:
+        codes) whose position the record lacks.  Each counts in n_vectors,
+        a skipped one as the dependent insert it would be."""
         shape, top = _direction(terms)
         taken = self._taken.setdefault(shape, set())
         fresh = [(beta, code) for beta, code in zip(betas, codes)

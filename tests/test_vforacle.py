@@ -131,7 +131,7 @@ def inserted(monkeypatch):
     building = [False]  # whether a window span is building its echelon
     pack_layers = KeyPacking.pack_layers
     insert = Echelon.insert
-    span_insert, span_build = WindowSpan.insert, WindowSpan._build
+    span_insert, span_echelon = WindowSpan.insert, WindowSpan.echelon
 
     def noting(self, layers):
         packing[0] = self
@@ -151,14 +151,14 @@ def inserted(monkeypatch):
     def building_echelon(self):
         building[0] = True
         try:
-            span_build(self)
+            return span_echelon.fget(self)
         finally:
             building[0] = False
 
     monkeypatch.setattr(KeyPacking, "pack_layers", noting)
     monkeypatch.setattr(Echelon, "insert", recording)
     monkeypatch.setattr(WindowSpan, "insert", queueing)
-    monkeypatch.setattr(WindowSpan, "_build", building_echelon)
+    monkeypatch.setattr(WindowSpan, "echelon", property(building_echelon))
     return out
 
 
@@ -1204,6 +1204,15 @@ def _unshared_direction(terms):
     return object(), 0
 
 
+def _add_every_vector(span, parts, tag):
+    """WindowSpan.add with no window vector skipped: each vector of
+    every_window_vector inserted as it is, with shift 0."""
+    for vec, den, t in every_window_vector(parts, span.f, span.pole_target,
+                                           span.xdeg, tag):
+        span.insert({span.packing.shift(m, 0): c for m, c in vec.items()},
+                    den, t[:-1], t[-1:], (0,))
+
+
 @st.composite
 def window_monomials(draw):
     """(dim, xdeg, monomials of total degree <= xdeg) in 1 to 3 variables."""
@@ -1254,8 +1263,9 @@ def test_crosscheck_inserts_each_window_vector_once(inserted, monkeypatch,
     # the pinned crosscheck queues as many vectors in each module span as its
     # window vectors have distinct directions, with an unchanged envelope,
     # and certifies both directions from the spans' records: it inserts no
-    # vector into any Echelon.  With no direction shared, every window
-    # vector is queued and the elimination gives the same envelope.
+    # vector into any Echelon.  With every window vector of
+    # every_window_vector inserted and no direction shared, every one is
+    # queued and the elimination gives the same envelope.
     monkeypatch.delenv("HWKIT_CACHE", raising=False)
     init, echelon_insert = WindowSpan.__init__, Echelon.insert
     marks, echelon_inserts = [], []
@@ -1285,6 +1295,7 @@ def test_crosscheck_inserts_each_window_vector_once(inserted, monkeypatch,
     kept = spans()
     assert echelon_inserts == []
     with monkeypatch.context() as m:
+        m.setattr(WindowSpan, "add", _add_every_vector)
         m.setattr(vforacle, "_direction", _unshared_direction)
         every = spans()
     assert echelon_inserts
