@@ -93,9 +93,6 @@ class BfElement:
     def max_layer(self) -> int:
         return max(self.layers, default=0)
 
-    def max_degree(self) -> int:
-        return max((p.total_degree() for p in self.layers.values()), default=0)
-
     def __add__(self, other: "BfElement") -> "BfElement":
         if self.dim != other.dim:
             raise DimensionMismatch("incompatible elements")
@@ -156,64 +153,6 @@ class BfElement:
 def apply_s_shifted(u: BfElement, f: Polynomial, shift: Fraction) -> BfElement:
     """(s + shift) * u, with s = -dt t."""
     return u.t(f).dt().scale(-1) + u.scale(shift)
-
-
-# ---------------------------------------------------------------------------
-# bounded spans in the graph-embedding module
-
-
-class BfSpan:
-    """Span of {x^b d^g * gen} over the BfElements gens, with |g| at most
-    bounds.order, inside the (xdeg, dt) window of bounds.  The span owns its
-    window: the images that leave it are skipped before a vector is built
-    (the dt skip of BfElement.d_images, the xdeg skip here), and membership
-    answers None for an element outside it, so verdicts are only ever
-    bound-relative.  Reductions against the span carry their witness
-    combination keyed by (generator, gamma, beta).
-
-    x^m at dt layer j is the coordinate `j * top + shift(m, 0)` of the
-    span's KeyPacking at radix bounds.xdeg + 1 (no window exponent exceeds
-    xdeg); membership packs with the same one.  The shift set is built and
-    packed once per span.
-    """
-
-    __slots__ = ("bounds", "packing", "echelon")
-
-    def __init__(self, gens, f: Polynomial, bounds: Bounds):
-        dim = f.dim
-        self.bounds = bounds
-        self.packing = KeyPacking(dim, bounds.xdeg + 1, 0)
-        self.echelon = Echelon()
-        gammas = tuple(monomials_upto_degree(dim, bounds.order))
-        betas, codes = self.packing.shifts(bounds.xdeg)
-        for gi, gen in enumerate(gens):
-            for gamma, img in gen.d_images(gammas, f, bounds.dt):
-                deg = img.max_degree()
-                if deg > bounds.xdeg:
-                    continue
-                vec, den = self.packing.pack_layers(img.layers)
-                # grlex order lists the C(dim + b, dim) shifts of degree <= b
-                # first
-                n = math.comb(dim + bounds.xdeg - deg, dim)
-                for beta, shift in zip(betas[:n], codes[:n]):
-                    self.echelon.insert({k + shift: c for k, c in vec.items()},
-                                        den, {(gi, gamma, beta): den})
-
-    def membership(self, u: BfElement) -> SpanCertificate | None:
-        """Membership of u in the span; None when u leaves the (xdeg, dt)
-        window, where the span cannot tell."""
-        bounds = self.bounds
-        if u.max_layer() > bounds.dt or u.max_degree() > bounds.xdeg:
-            return None
-        residual, combo = self.echelon.reduce(
-            *self.packing.pack_layers(u.layers))
-        if residual:
-            return SpanCertificate("not-found-at-bound", bounds.to_json())
-        witness = [{"generator": gi, "dgamma": list(gamma),
-                    "xbeta": list(beta), "coeff": fmt_rational(c)}
-                   for (gi, gamma, beta), c in sorted(
-                       combo.items(), key=lambda kv: repr(kv[0]))]
-        return SpanCertificate("member", bounds.to_json(), witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +387,18 @@ class WhomVFamily:
                 for j, u in _graded_slices(self.germ, lam, l < top, budget)]
 
 
+def bf_span(gens, f: Polynomial, bounds: Bounds) -> WindowSpan:
+    """The span of {x^beta d^gamma gen} over the BfElements gens, with
+    |gamma| at most bounds.order, inside the (xdeg, dt) window of bounds,
+    tagged (generator, gamma, beta)."""
+    span = WindowSpan(f, 0, bounds.xdeg, bounds.dt)
+    gammas, _ = span.shifts(bounds.order)
+    for gi, gen in enumerate(gens):
+        for gamma, img in gen.d_images(gammas, f, bounds.dt):
+            span.add_layers(img.layers, (gi, gamma))
+    return span
+
+
 def verify_v_axioms(family, f: Polynomial, grid, bounds: Bounds) -> dict:
     """Generator-wise bounded checks of the filtration axioms on a grid of
     levels: t maps level gam into gam+1, dt into gam-1, and (s+gam)^N kills
@@ -460,9 +411,9 @@ def verify_v_axioms(family, f: Polynomial, grid, bounds: Bounds) -> dict:
     report = {"checks": [], "all_member": True, "skipped": 0}
     for gam in grid:
         gam = Fraction(gam)
-        span_up = BfSpan(family.gens(gam + 1), f, bounds)
-        span_down = BfSpan(family.gens(gam - 1), f, bounds)
-        span_strict = BfSpan(family.strict_gens(gam), f, bounds)
+        span_up = bf_span(family.gens(gam + 1), f, bounds)
+        span_down = bf_span(family.gens(gam - 1), f, bounds)
+        span_strict = bf_span(family.strict_gens(gam), f, bounds)
         n = family.nilpotency(gam)
         for gi, gen in enumerate(family.gens(gam)):
             entries = [
@@ -474,11 +425,10 @@ def verify_v_axioms(family, f: Polynomial, grid, bounds: Bounds) -> dict:
                 u = apply_s_shifted(u, f, gam)
             entries.append((f"(s+{fmt_rational(gam)})^{n}", u, span_strict))
             for name, elt, span in entries:
-                verdict = "member"
-                if not elt.is_zero():
-                    cert = span.membership(elt)
-                    verdict = "window-exceeded" if cert is None \
-                        else cert.verdict
+                reduced = span.reduce(elt.layers)
+                verdict = ("window-exceeded" if reduced is None
+                           else "not-found-at-bound" if reduced[0]
+                           else "member")
                 report["checks"].append({
                     "level": fmt_rational(gam), "generator": gi,
                     "axiom": name, "verdict": verdict})
@@ -492,22 +442,25 @@ def verify_v_axioms(family, f: Polynomial, grid, bounds: Bounds) -> dict:
 def kernel_filtration_check(f: Polynomial, lam, l: int, kernel_gens,
                             strict_gens, bounds: Bounds) -> SpanCertificate:
     """Certify (s+lam)^l * g lies in the strict span for every kernel
-    generator g, a BfElement."""
+    generator g, a BfElement.  Each member carries its witness: the
+    combination of strict-span vectors x^beta d^gamma gens[generator] that
+    gives it."""
     lam = Fraction(lam)
-    span = BfSpan(strict_gens, f, bounds)
+    span = bf_span(strict_gens, f, bounds)
     witnesses = []
     for gi, u in enumerate(kernel_gens):
         for _ in range(l):
             u = apply_s_shifted(u, f, lam)
-        if u.is_zero():
-            witnesses.append({"generator": gi, "witness": []})
-            continue
-        cert = span.membership(u)
-        if cert is None or not cert.is_member():
-            why = "exceeds the window" if cert is None else "not reduced"
+        reduced = span.reduce(u.layers)
+        if reduced is None or reduced[0]:
+            why = "exceeds the window" if reduced is None else "not reduced"
             return SpanCertificate("not-found-at-bound", bounds.to_json(),
                                    detail=f"generator {gi} {why}")
-        witnesses.append({"generator": gi, "witness": cert.witness})
+        combo = span.witness(u.layers)
+        witnesses.append({"generator": gi, "witness": [
+            {"generator": g, "dgamma": list(gamma), "xbeta": list(beta),
+             "coeff": fmt_rational(combo[g, gamma, beta])}
+            for g, gamma, beta in sorted(combo, key=repr)]})
     return SpanCertificate("member", bounds.to_json(), witness=witnesses)
 
 
@@ -568,7 +521,7 @@ def phi_shift(u: BfElement, alpha, f: Polynomial) -> BfElement:
 
 
 # ---------------------------------------------------------------------------
-# spans inside the twisted localization module
+# window spans of the graph-embedding and twisted localization modules
 
 
 def pole_apply(gammas, g: Polynomial, pole: int, alpha: Fraction,
@@ -618,33 +571,38 @@ def _direction(terms: dict) -> tuple:
 
 
 class WindowSpan:
-    """A bounded span inside the twisted localization module: the window
-    vectors x^beta * N of its elements, N an element's numerator cleared to
-    the common pole pole_target, for every beta with deg N + |beta| <= xdeg.
-    The span owns its window: add_summand builds no image above
-    pole_target, add skips an element whose N has degree above xdeg, and
-    contains answers None for such an element.
+    """A bounded span: the window vectors x^beta * v of its elements, v an
+    element's layers {j: numerator}, for every beta with deg v + |beta| <=
+    xdeg.  Graph-module spans (bf_span) have dt layers up to dt;
+    twisted-module spans have dt 0 and clear each element to the pole
+    pole_target.  The span owns its (xdeg, dt) window: add_layers skips an
+    element outside it, add_summand builds no image above pole_target, and
+    reduce and contains answer None outside it.
 
-    A coordinate x^m is packed into one int, x^m at layer 0 of a KeyPacking
-    at radix xdeg + 1 (`packing.shift(m, 0)`): no window exponent exceeds
-    xdeg, so int order is tuple order and the pivots, rows and tags are those
-    of tuple keys, and a shift x^beta adds the packed beta.  Spans compared
-    with each other share xdeg.  Each N is packed and queued once with its
-    shifts, and the echelon is built from the queue when it is read.  The
-    record maps each S of _direction to the positions k queued (a shift
-    moves only k).  Rows, tags (the tag of the vector behind each row, in
-    rank-gain order) and n_vectors are those of inserting every vector."""
+    x^m at layer j is the int `j * top + shift(m, 0)` of a KeyPacking at
+    radix xdeg + 1, so int order is (j, m) tuple order and x^beta adds the
+    packed beta to every key.  Spans compared with each other share xdeg.
+    Each element is packed and queued once with its shifts.  The record maps
+    each S of _direction to the positions k queued (a shift moves only k);
+    a vector it already holds is a multiple of a queued one and is not
+    queued.  The echelon is built from the queue when read; its rows, tags
+    (the tag of each row's vector, in rank-gain order) and n_vectors are
+    those of inserting every vector.  It carries no companions: witness
+    builds them on demand."""
 
-    __slots__ = ("f", "pole_target", "xdeg", "packing", "n_vectors",
-                 "_echelon", "_tags", "_queue", "_shifts", "_taken")
+    __slots__ = ("f", "pole_target", "xdeg", "dt", "packing", "n_vectors",
+                 "_echelon", "_tags", "_queue", "_built", "_shifts",
+                 "_taken")
 
-    def __init__(self, f: Polynomial, pole_target: int, xdeg: int):
+    def __init__(self, f: Polynomial, pole_target: int, xdeg: int, dt: int):
         self.f = f
         self.pole_target = pole_target
         self.xdeg = xdeg
+        self.dt = dt
         self.packing = KeyPacking(f.dim, xdeg + 1, 0)
         self.n_vectors = 0
         self._echelon, self._tags, self._queue = Echelon(), [], []
+        self._built = 0  # queue entries inserted into _echelon
         self._shifts = {}  # bound -> (monomials of degree <= bound, codes)
         self._taken = {}   # the record: S -> positions k taken
 
@@ -657,12 +615,12 @@ class WindowSpan:
 
     @property
     def echelon(self) -> Echelon:
-        for terms, den, tag, shifts in self._queue:
+        for terms, den, tag, shifts in self._queue[self._built:]:
             for beta, code in shifts:
                 if self._echelon.insert({m + code: c for m, c in terms.items()},
                                         den) is None:
                     self._tags.append(tag + (beta,))
-        self._queue.clear()
+        self._built = len(self._queue)
         return self._echelon
 
     @property
@@ -676,14 +634,47 @@ class WindowSpan:
         return all(ks <= other._taken.get(shape, set())
                    for shape, ks in self._taken.items())
 
+    def _degree(self, layers: dict) -> int | None:
+        """The largest degree of a term of the layers {j: Polynomial}, -1
+        when they have none; None when they leave the (xdeg, dt) window,
+        where a packed key could alias."""
+        deg = -1
+        for j, p in layers.items():
+            if j > self.dt:
+                return None
+            for m in p.terms:
+                if sum(m) > deg:
+                    deg = sum(m)
+        return deg if deg <= self.xdeg else None
+
+    def reduce(self, layers: dict):
+        """Echelon.reduce of the element given by its layers; None when it
+        leaves the window."""
+        if self._degree(layers) is None:
+            return None
+        return self.echelon.reduce(*self.packing.pack_layers(layers))
+
+    def witness(self, layers: dict) -> dict:
+        """The combination {tag + (beta,): coefficient} of window vectors
+        that gives a member given by its layers, from an echelon of the
+        queued vectors, each carrying its tag as its companion, built on
+        each call.  The record skipped only dependent inserts, which change
+        no row and no companion, so the combination is that of inserting
+        every vector."""
+        ech = Echelon()
+        for terms, den, tag, shifts in self._queue:
+            for beta, code in shifts:
+                ech.insert({m + code: c for m, c in terms.items()}, den,
+                           {tag + (beta,): den})
+        return ech.reduce(*self.packing.pack_layers(layers))[1]
+
     def contains(self, parts) -> bool | None:
         """Whether the element given by its (numerator, pole) parts lies in
-        the span; None when its numerator cleared to pole_target exceeds
-        xdeg, outside the window (where a packed key could also alias)."""
-        num = clear_to_pole(parts, self.f, self.pole_target)
-        if num.total_degree() > self.xdeg:
-            return None
-        return not self.echelon.reduce(*self.packing.pack_layers({0: num}))[0]
+        the span, its numerator cleared to pole_target; None outside the
+        window."""
+        reduced = self.reduce({0: clear_to_pole(parts, self.f,
+                                                self.pole_target)})
+        return None if reduced is None else not reduced[0]
 
     def insert(self, terms: dict, den: int, tag, betas, codes):
         """Queue and record the vectors x^beta * terms/den (integer
@@ -699,17 +690,22 @@ class WindowSpan:
         if fresh:
             self._queue.append((terms, den, tag, fresh))
 
+    def add_layers(self, layers: dict, tag):
+        """Add the window vectors of one element given by its layers
+        {j: Polynomial}, tagged tag + (beta,); the element is scaled to
+        integers and packed once, and every shift shares its den.  Adds
+        nothing when the element is zero or leaves the window."""
+        deg = self._degree(layers)
+        if deg is not None and deg >= 0:
+            self.insert(*self.packing.pack_layers(layers), tag,
+                        *self.shifts(self.xdeg - deg))
+
     def add(self, parts, tag):
-        """Add the window vectors of one element given by its (numerator,
-        pole) parts, tagged tag + (beta,); N is scaled to integers and packed
-        once, and every shift shares its den.  Adds nothing when N is zero or
-        deg N exceeds xdeg; a part above pole_target raises ValueError."""
-        num = clear_to_pole(parts, self.f, self.pole_target)
-        deg = num.total_degree()
-        if num.is_zero() or deg > self.xdeg:
-            return
-        self.insert(*self.packing.pack_layers({0: num}), tag,
-                    *self.shifts(self.xdeg - deg))
+        """add_layers of the element given by its (numerator, pole) parts,
+        cleared to pole_target at layer 0; a part above pole_target raises
+        ValueError."""
+        self.add_layers({0: clear_to_pole(parts, self.f, self.pole_target)},
+                        tag)
 
     def add_summand(self, si: int, summand, alpha: Fraction):
         """Add the vectors x^beta d^gamma (g f^(-j-alpha)) of the summand
@@ -741,7 +737,7 @@ def presentation_span(pres: HodgePresentation, f: Polynomial,
     presentation, cleared to the common pole (relative to alpha_base);
     elements whose clearing leaves the degree window are skipped."""
     shift = _twist_shift(alpha_base, pres.alpha)
-    span = WindowSpan(f, pole_target, xdeg)
+    span = WindowSpan(f, pole_target, xdeg, 0)
     for si, (budget, g, j) in enumerate(pres.summands):
         span.add_summand(si, (budget, g, j + shift), alpha_base)
     return span
@@ -823,7 +819,7 @@ def reduce_presentation(pres: HodgePresentation, f: Polynomial,
     already lies in the bounded span of the summands kept so far (low pole
     steps and low degrees first).  Never changes the denoted span."""
     pole_target = max((j for _, _, j in pres.summands), default=0)
-    span = WindowSpan(f, pole_target, bounds.xdeg)
+    span = WindowSpan(f, pole_target, bounds.xdeg, 0)
     kept = []
     order = sorted(pres.summands,
                    key=lambda t: (t[2], t[1].total_degree(),
@@ -922,7 +918,7 @@ def crosscheck_hodge_weight(kind: str, obj, alpha, k: int, l: int,
                       max((g.max_layer() + b for g, b in gens), default=0))
 
     # oracle side: bounded operators in the graph module, collapsed
-    oracle_span = WindowSpan(f, pole_target, bounds.xdeg)
+    oracle_span = WindowSpan(f, pole_target, bounds.xdeg, 0)
     for gi, (gen, budget) in enumerate(gens):
         gammas, _ = oracle_span.shifts(min(budget, bounds.order))
         for gamma, img in gen.d_images(gammas, f, bounds.dt):

@@ -13,7 +13,7 @@ from hwkit.cli import main
 from hwkit.exactalg import Polynomial, WeightVector, poly_parse
 from hwkit.linalg import Echelon
 from hwkit.ppd import parse_annihilator_file, weight_module_generators
-from hwkit.vforacle import BfElement, BfSpan, Bounds, verify_bfunction
+from hwkit.vforacle import BfElement, Bounds, bf_span, verify_bfunction
 from hwkit.whom import milnor_basis
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -34,6 +34,13 @@ def test_only_linalg_touches_echelon_rows():
                       for n, line in enumerate(lines, 1)
                       if PRIVATE.search(line)]
     assert not offenders, offenders
+
+
+def _graph_member(span, layers):
+    """Reduce a member of a graph-module span and build its witness, so
+    that both the span's echelon and the witness echelon are built."""
+    assert not span.reduce(layers)[0]
+    assert span.witness(layers)
 
 
 def test_package_hands_echelons_int_coordinates(monkeypatch, capsys):
@@ -61,9 +68,9 @@ def test_package_hands_echelons_int_coordinates(monkeypatch, capsys):
         "suite": lambda: main(["suite", "--profile", "default", "--json"]),
         "verify_bfunction": lambda: verify_bfunction(
             cusp, BFunction({F(-1): 1, F(-5, 6): 1, F(-7, 6): 1}), 3, 3),
-        "BfSpan.membership": lambda: BfSpan(
-            [BfElement.from_poly(Polynomial.one(1))], x1, B).membership(
-                BfElement.from_poly(x1)),
+        "bf_span reduce and witness": lambda: _graph_member(
+            bf_span([BfElement.from_poly(Polynomial.one(1))], x1, B),
+            {0: x1}),
         "milnor_basis": lambda: milnor_basis(
             cusp, WeightVector.parse("1/2,1/3")),
         "weight_module_generators": lambda: weight_module_generators(

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -14,10 +15,10 @@ from hwkit.exactalg import (Polynomial, WeightVector, grlex_key,
 from hwkit import vforacle
 from hwkit.linalg import Echelon
 from hwkit.snc import HodgePresentation, SncDivisor, snc_hodge_weight
-from hwkit.vforacle import (BfElement, BfSpan, Bounds, SncVFamily,
+from hwkit.vforacle import (BfElement, Bounds, SncVFamily,
                             WhomVFamily, WindowSpan, _cross_containment,
                             _mutual_containment, apply_s_shifted,
-                            candidate_v_snc,
+                            bf_span, candidate_v_snc,
                             crosscheck_hodge_weight, dspans_equal,
                             kernel_filtration_check, phi_shift,
                             presentation_contained, presentations_equal,
@@ -77,10 +78,10 @@ def test_truncated_span_o_module():
     f = poly_parse("x1", 1)
     B = Bounds(0, 2, 2)
     one = BfElement.from_poly(Polynomial.one(1))
-    span = BfSpan([one], f, B)
+    span = bf_span([one], f, B)
     xsq = BfElement.from_poly(poly_parse("x1^2", 1))
-    assert span.membership(one).is_member()
-    assert span.membership(xsq).is_member()
+    assert not span.reduce(one.layers)[0]
+    assert not span.reduce(xsq.layers)[0]
     assert span.echelon.rank == 3  # {1, x, x^2}
 
 
@@ -109,11 +110,12 @@ def _layered(packing, code):
 
 def _queued(span, insert, *args):
     """The vectors insert(span, *args) queues in the window span, as
-    (vector with its keys read back as exponent vectors, den, tag)."""
+    (vector with its keys read back as (layer, exponent vector), den,
+    tag)."""
     start = len(span._queue)
     insert(span, *args)
-    return [(_unpacked(span, {m + code: c for m, c in terms.items()}), den,
-             tag + (beta,))
+    return [({_layered(span.packing, m + code): c
+              for m, c in terms.items()}, den, tag + (beta,))
             for terms, den, tag, shifts in span._queue[start:]
             for beta, code in shifts]
 
@@ -122,10 +124,11 @@ def _queued(span, insert, *args):
 def inserted(monkeypatch):
     """Every vector put into a span while the test runs, as the Fractions
     its numerators over den stand for: each vector a window span queues,
-    its packed keys read back as exponent vectors, and each vector inserted
-    into any other Echelon, its keys read back as (layer, exponent vector)
-    through the KeyPacking that last packed layers (kept as they are before
-    any did).  A window span's echelon inserts only vectors it queued."""
+    its packed keys read back as (layer, exponent vector), and each vector
+    inserted into any other Echelon, its keys read back as (layer, exponent
+    vector) through the KeyPacking that last packed layers (kept as they
+    are before any did).  A window span's echelon inserts only vectors it
+    queued."""
     out = []
     packing = [None]  # the KeyPacking that last packed layers
     building = [False]  # whether a window span is building its echelon
@@ -189,22 +192,22 @@ def test_span_producers_stay_in_the_window(seed, inserted):
         assert inserted
         assert all(vec and all(map(inside, vec)) for vec in inserted)
 
-    check(lambda: BfSpan(gens, f, B),
+    check(lambda: bf_span(gens, f, B),
           lambda key: key[0] <= B.dt and sum(key[1]) <= B.xdeg)
     check(lambda: vforacle.presentation_span(pres, f, pres.alpha,
                                              pres.max_pole(), B.xdeg),
-          lambda m: sum(m) <= B.xdeg)
+          lambda key: key[0] == 0 and sum(key[1]) <= B.xdeg)
     for case in crosschecks:
         check(lambda: crosscheck_hodge_weight(*case, B),
-              lambda m: sum(m) <= B.xdeg)
+              lambda key: key[0] == 0 and sum(key[1]) <= B.xdeg)
 
 
 def test_membership_window_guard():
     big = BfElement.from_poly(poly_parse("x1^9", 1))
     B = Bounds(1, 3, 2)
-    span = BfSpan([BfElement.from_poly(Polynomial.one(1))],
-                  poly_parse("x1", 1), B)
-    assert span.membership(big) is None
+    span = bf_span([BfElement.from_poly(Polynomial.one(1))],
+                   poly_parse("x1", 1), B)
+    assert span.reduce(big.layers) is None
 
 
 def test_member_witness_reevaluates():
@@ -215,20 +218,13 @@ def test_member_witness_reevaluates():
     B = Bounds(1, 2, 2)
     target = BfElement(1, {0: poly_parse("1 + x1^2", 1),
                            1: poly_parse("-x1", 1)})
-    cert = BfSpan([gen], f, B).membership(target)
-    assert cert.is_member()
-    assert len(cert.witness) == 2
-    total = BfElement(1, {})
-    for step in cert.witness:
-        u = gen
-        for i, e in enumerate(step["dgamma"]):
-            for _ in range(e):
-                u = u.d(i, f)
-        beta = tuple(step["xbeta"])
-        u = BfElement(1, {j: p.mul_mono(beta, 1)
-                          for j, p in u.layers.items()})
-        total = total + u.scale(F(step["coeff"]))
-    assert total == target
+    span = bf_span([gen], f, B)
+    assert not span.reduce(target.layers)[0]
+    witness = span.witness(target.layers)
+    assert len(witness) == 2
+    steps = [{"generator": gi, "dgamma": gamma, "xbeta": beta, "coeff": c}
+             for (gi, gamma, beta), c in witness.items()]
+    assert _reevaluated(steps, [gen], f) == target
 
 
 def test_graph_module_span_window_edges():
@@ -240,24 +236,118 @@ def test_graph_module_span_window_edges():
 
     gens = [BfElement.from_poly(x(3)),
             BfElement.from_poly(Polynomial.one(1), 1)]
-    span = BfSpan(gens, f, B)
+    span = bf_span(gens, f, B)
     # deg == xdeg at layer dt gets a verdict; one step past either edge
     # gets None
-    assert span.membership(BfElement(1, {B.dt: x(B.xdeg)})) is not None
-    assert span.membership(BfElement(1, {B.dt: x(B.xdeg + 1)})) is None
-    assert span.membership(BfElement(1, {B.dt + 1: x(B.xdeg)})) is None
+    assert span.reduce({B.dt: x(B.xdeg)}) is not None
+    assert span.reduce({B.dt: x(B.xdeg + 1)}) is None
+    assert span.reduce({B.dt + 1: x(B.xdeg)}) is None
     # d1 x1^3 = 3 x1^2 - 2 x1^4 dt leaves the x-degree window and
     # d1 dt = -2 x1 dt^2 the dt window: the span skips both images and
     # holds only the shifts of x1^3 (one) and of dt (x1^0..x1^3), and
-    # membership answers None for the skipped images
-    assert span.echelon.n_vectors == 1 + 4
-    assert all(span.membership(gen.d(0, f)) is None for gen in gens)
+    # reduce answers None for the skipped images
+    assert span.n_vectors == span.echelon.n_vectors == 1 + 4
+    assert all(span.reduce(gen.d(0, f).layers) is None for gen in gens)
     # the span keys an element with its own packing: dt^3 is no multiple
     # of x1, whatever window a caller has in mind
     x1 = poly_parse("x1", 1)
-    span = BfSpan([BfElement.from_poly(x1)], x1, Bounds(0, 8, 3))
-    cert = span.membership(BfElement.from_poly(Polynomial.one(1), 3))
-    assert cert.verdict == "not-found-at-bound"
+    span = bf_span([BfElement.from_poly(x1)], x1, Bounds(0, 8, 3))
+    residual, _ = span.reduce({3: Polynomial.one(1)})
+    assert residual
+
+
+def _every_graph_vector(gens, f, bounds):
+    """(vector, den, (generator, gamma, beta)) of every x^beta d^gamma gen
+    inside the window, none skipped, in generator, grlex gamma and grlex
+    beta order: d^gamma by BfElement.d steps, x^beta by exponent addition,
+    each vector keyed by (layer, exponent vector)."""
+    for gi, gen in enumerate(gens):
+        for gamma in monomials_upto_degree(f.dim, bounds.order):
+            u = gen
+            for i, e in enumerate(gamma):
+                for _ in range(e):
+                    u = u.d(i, f)
+            if u.is_zero() or _outside(u.layers, bounds):
+                continue
+            deg = max(p.total_degree() for p in u.layers.values())
+            terms, den = integer_terms({(j, m): c
+                                        for j, p in u.layers.items()
+                                        for m, c in p.terms.items()})
+            for beta in monomials_upto_degree(f.dim, bounds.xdeg - deg):
+                yield ({(j, mono_mul(m, beta)): c
+                        for (j, m), c in terms.items()}, den,
+                       (gi, gamma, beta))
+
+
+def _outside(layers, bounds) -> bool:
+    return any(j > bounds.dt or p.total_degree() > bounds.xdeg
+               for j, p in layers.items())
+
+
+def _as_layers(dim, vec) -> dict:
+    """{layer: Polynomial} of a vector keyed by (layer, exponent vector)."""
+    layers = {}
+    for (j, m), c in vec.items():
+        layers.setdefault(j, {})[m] = c
+    return {j: Polynomial(dim, terms) for j, terms in layers.items()}
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_graph_span_matches_every_vector_reference(seed):
+    # a graph-module span, which queues each direction once, against a plain
+    # Echelon of every window vector x^beta d^gamma gen: rank, n_vectors,
+    # the None answers, residuals, and the witness of random members
+    rng = random.Random(900 + seed)
+    dim = rng.randint(1, 2)
+    f = poly_parse(rng.choice(["x1", "x1^2"] if dim == 1
+                              else ["x1*x2", "x1^2+x2^3", "x1^2*x2"]), dim)
+    B = Bounds(rng.randint(0, 2), rng.randint(2, 4), rng.randint(1, 2))
+    x1 = (1,) + (0,) * (dim - 1)
+    # a nonzero gens[0] of degree 1 at layer 0, inside every window
+    gens = [BfElement(dim, {0: Polynomial.monomial(x1)
+                            + rand_poly(rng, dim, 0)})]
+    gens += [BfElement(dim, {j: rand_poly(rng, dim, 2) for j in range(2)})
+             for _ in range(rng.randint(0, 2))]
+    multiples = seed % 2 == 0
+    if multiples:
+        # a scaled copy and an x-multiple share directions with gens[0]
+        gens += [gens[0].scale(F(-3, 2)),
+                 BfElement(dim, {j: p.mul_mono(x1, 2)
+                                 for j, p in gens[0].layers.items()})]
+    span = bf_span(gens, f, B)
+    every = list(_every_graph_vector(gens, f, B))
+    ref = Echelon()
+    for vec, den, tag in every:
+        ref.insert(vec, den, {tag: den})
+    assert span.echelon.rank == ref.rank
+    assert span.n_vectors == ref.n_vectors == len(every)
+    if multiples:
+        assert span.echelon.n_vectors < span.n_vectors
+    for _ in range(6):
+        picked = rng.sample(every, min(len(every), rng.randint(1, 4)))
+        member = {}
+        for vec, den, _ in picked:
+            k = F(rng.choice([-2, -1, 1, 3]), den)
+            for key, c in vec.items():
+                member[key] = member.get(key, 0) + k * c
+        member = {key: c for key, c in member.items() if c}
+        layers = _as_layers(dim, member)
+        residual, carried = ref.reduce(*integer_terms(member))
+        assert not residual
+        assert not span.reduce(layers)[0]
+        assert span.witness(layers) == carried
+        # an element off the family: the same residual verdict
+        other = BfElement(dim, {rng.randint(0, B.dt):
+                                rand_poly(rng, dim, B.xdeg)})
+        residual, _ = ref.reduce(*integer_terms(
+            {(j, m): c for j, p in other.layers.items()
+             for m, c in p.terms.items()}))
+        assert bool(span.reduce(other.layers)[0]) == bool(residual)
+        # one step past either edge of the window: None
+        for layers in ({B.dt + 1: Polynomial.one(dim)},
+                       {0: Polynomial.monomial(
+                           tuple(e * (B.xdeg + 1) for e in x1))}):
+            assert _outside(layers, B) and span.reduce(layers) is None
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +638,67 @@ def test_kernel_filtration_checks():
     assert cert3.is_member()
 
 
+def _witness_cases():
+    """(f, family, level lam, kernel level l, axiom grid) on SNC (1,1),
+    (2,3) and (1,1,1) and on the cusp at two levels."""
+    cases = []
+    for a, lam, l in (((1, 1), F(1), 1), ((2, 3), F(1, 2), 1),
+                      ((1, 1, 1), F(1), 2)):
+        d = SncDivisor(a)
+        cases.append((d.polynomial(), SncVFamily(d, 4), lam, l,
+                      [lam - F(1, 2), lam, lam + F(1, 2)]))
+    germ = cusp_germ()
+    for lam, l in ((F(5, 6), 0), (F(1), 1)):
+        cases.append((germ.f, WhomVFamily(germ, 3), lam, l,
+                      [F(5, 6), 1, F(7, 6)]))
+    return cases
+
+
+WITNESS_BOUNDS = (Bounds(2, 6, 3), Bounds(3, 8, 4))
+WITNESS_SHA = (
+    "73971a186e76e5d2f5a7eda9544c08e484052a8dbd42894631a190930a3b10e9")
+
+
+def _reevaluated(witness, gens, f):
+    """The sum of coeff * x^xbeta d^dgamma gens[generator] over the steps
+    of a membership witness, each d step through BfElement.d."""
+    total = BfElement(f.dim, {})
+    for step in witness:
+        u = gens[step["generator"]]
+        for i, e in enumerate(step["dgamma"]):
+            for _ in range(e):
+                u = u.d(i, f)
+        beta = tuple(step["xbeta"])
+        u = BfElement(f.dim, {j: p.mul_mono(beta, 1)
+                              for j, p in u.layers.items()})
+        total = total + u.scale(F(step["coeff"]))
+    return total
+
+
+def test_graph_module_witnesses_pinned():
+    # the kernel_filtration_check certificates, witnesses included, and the
+    # verify_v_axioms reports, byte for byte; every member witness
+    # re-evaluates to (s+lam)^l g
+    out, members = [], 0
+    for f, fam, lam, l, grid in _witness_cases():
+        kernel = [u for u, _ in fam.kernel_gens(lam, l, 1)]
+        strict = fam.strict_gens(lam)
+        for bounds in WITNESS_BOUNDS:
+            cert = kernel_filtration_check(f, lam, l, kernel, strict, bounds)
+            out.append((cert.to_json(), verify_v_axioms(fam, f, grid, bounds)))
+            if not cert.is_member():
+                continue
+            members += 1
+            for entry in cert.witness:
+                u = kernel[entry["generator"]]
+                for _ in range(l):
+                    u = apply_s_shifted(u, f, lam)
+                assert _reevaluated(entry["witness"], strict, f) == u
+    assert members == 8
+    blob = json.dumps(out, sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == WITNESS_SHA
+
+
 # ---------------------------------------------------------------------------
 # the comparison maps
 
@@ -728,7 +879,7 @@ def test_spans_build_no_image_above_their_pole(monkeypatch):
 
 
 def test_window_span_add_refuses_a_part_above_its_pole():
-    span = WindowSpan(XY, 1, 4)
+    span = WindowSpan(XY, 1, 4, 0)
     with pytest.raises(ValueError):
         span.add([(poly_parse("x1", 2), 2)], (0,))
     assert span.n_vectors == 0
@@ -851,7 +1002,7 @@ def _raw_span(family):
     """A window span holding the tagged vectors of family, each inserted
     as it is (the last entry of its tag as beta, with shift 0); a multiple
     of an earlier vector is skipped."""
-    span = WindowSpan(XY, 0, 3)
+    span = WindowSpan(XY, 0, 3, 0)
     for vec, den, tag in family:
         span.insert({span.packing.shift(m, 0): c for m, c in vec.items()},
                     den, tag[:-1], tag[-1:], (0,))
@@ -976,7 +1127,7 @@ def _window_stream(produce, elements, f, xdeg):
 
 class _RecordingSpan(WindowSpan):
     """A window span that records every vector it queues, with its keys
-    read back as exponent vectors."""
+    read back as (layer, exponent vector)."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -987,7 +1138,7 @@ class _RecordingSpan(WindowSpan):
 
 
 def _window_span(elements, f, xdeg, cls=WindowSpan):
-    span = cls(f, 1, xdeg)
+    span = cls(f, 1, xdeg, 0)
     for i, parts in enumerate(elements):
         span.add(parts, (i,))
     return span
@@ -1014,8 +1165,10 @@ def test_window_family_inserts_each_vector_once(case):
     f, xdeg, elements, target = case
     span = _window_span(elements, f, xdeg, _RecordingSpan)
     every = _window_stream(every_window_vector, elements, f, xdeg)
-    # the inserted vectors are window vectors, in the order of the stream
-    reference = {tag: (vec, den) for vec, den, tag in every}
+    # the inserted vectors are window vectors at layer 0, in the order of
+    # the stream
+    reference = {tag: ({(0, m): c for m, c in vec.items()}, den)
+                 for vec, den, tag in every}
     tags = [tag for *_, tag in span.inserted]
     assert tags == [tag for *_, tag in every if tag in set(tags)]
     for vec, den, tag in span.inserted:
@@ -1228,7 +1381,7 @@ def test_window_packing_is_exact(case):
     # order is kept, shifts and shape offsets are int additions and
     # subtractions, and its packing reduce answers None above xdeg
     dim, xdeg, monos = case
-    span = WindowSpan(poly_parse("x1", dim), 0, xdeg)
+    span = WindowSpan(poly_parse("x1", dim), 0, xdeg, 0)
     assert span.packing.radix == xdeg + 1
 
     def pack(m):
