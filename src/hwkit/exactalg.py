@@ -476,22 +476,31 @@ def weighted_degree(m: Mono, w: WeightVector) -> Fraction:
     return sum((e * wi for e, wi in zip(m, w.weights)), Fraction(0))
 
 
-def monomials_weighted_upto(w: WeightVector, bound: Fraction):
-    """All monomials of weighted degree <= bound (bound may be negative)."""
+def _scaled(w: WeightVector, bound) -> tuple:
+    """(weights, numerator, denominator) of w and bound times the lcm of
+    the weights' denominators; the weights come out as ints."""
+    den = lcm(*(wi.denominator for wi in w.weights))
     bound = Fraction(bound)
+    return ([wi.numerator * (den // wi.denominator) for wi in w.weights],
+            bound.numerator * den, bound.denominator)
+
+
+def monomials_weighted_upto(w: WeightVector, bound: Fraction):
+    """All monomials of weighted degree <= bound (bound may be negative), in
+    grlex order.  The weights and bound are scaled to integers once, so the
+    enumeration adds and compares ints."""
+    ws, num, den = _scaled(w, bound)
     out = []
 
-    def rec(prefix, remaining, i):
+    def rec(prefix, i, rest):
         if i == w.dim:
-            out.append(tuple(prefix))
+            out.append(prefix)
             return
-        e = 0
-        while e * w.weights[i] <= remaining:
-            rec(prefix + [e], remaining - e * w.weights[i], i + 1)
-            e += 1
+        for e in range(rest // ws[i] + 1):
+            rec(prefix + (e,), i + 1, rest - e * ws[i])
 
-    if bound >= 0:
-        rec([], bound, 0)
+    if num >= 0:
+        rec((), 0, num // den)
     out.sort(key=grlex_key)
     return out
 
@@ -576,15 +585,30 @@ def graded_ideal(w: WeightVector, gamma, strict: bool) -> MonomialIdeal:
     """Minimal generators of the ideal of monomials of weighted degree
     > gamma (strict) or >= gamma.
 
-    Every minimal generator has weighted degree <= gamma + max(w), so a
-    finite enumeration is complete; positivity of the weights guarantees
-    termination.
+    With the weights and gamma scaled to integers once, a monomial
+    qualifies when its degree reaches need.  The walk visits only the
+    staircase: each prefix exponent runs up to the least one with which the
+    prefix alone qualifies (the rest then zero), and the last exponent is
+    the least that qualifies.  A monomial is kept when no exponent can drop
+    by one: its excess over need is below each weight of its support.
     """
-    gamma = Fraction(gamma)
-    maxw = max(w.weights)
-    qualifies = (lambda d: d > gamma) if strict else (lambda d: d >= gamma)
-    if qualifies(Fraction(0)):
+    ws, num, den = _scaled(w, gamma)
+    need = num // den + 1 if strict else -(-num // den)
+    if need <= 0:
         return MonomialIdeal.unit(w.dim)
-    gens = [m for m in monomials_weighted_upto(w, gamma + maxw)
-            if qualifies(weighted_degree(m, w))]
+    last = w.dim - 1
+    gens = []
+
+    def walk(prefix, i, rest):
+        wi = ws[i]
+        top = -(-rest // wi)
+        if i < last:
+            for e in range(top):
+                walk(prefix + (e,), i + 1, rest - e * wi)
+        m = prefix + (top,) + (0,) * (last - i)
+        excess = top * wi - rest
+        if all(wj > excess for wj, e in zip(ws, m) if e):
+            gens.append(m)
+
+    walk((), 0, need)
     return MonomialIdeal(w.dim, gens)

@@ -447,7 +447,7 @@ def kernel_filtration_check(f: Polynomial, lam, l: int, kernel_gens,
     gives it."""
     lam = Fraction(lam)
     span = bf_span(strict_gens, f, bounds)
-    witnesses = []
+    members = []
     for gi, u in enumerate(kernel_gens):
         for _ in range(l):
             u = apply_s_shifted(u, f, lam)
@@ -456,11 +456,12 @@ def kernel_filtration_check(f: Polynomial, lam, l: int, kernel_gens,
             why = "exceeds the window" if reduced is None else "not reduced"
             return SpanCertificate("not-found-at-bound", bounds.to_json(),
                                    detail=f"generator {gi} {why}")
-        combo = span.witness(u.layers)
-        witnesses.append({"generator": gi, "witness": [
-            {"generator": g, "dgamma": list(gamma), "xbeta": list(beta),
-             "coeff": fmt_rational(combo[g, gamma, beta])}
-            for g, gamma, beta in sorted(combo, key=repr)]})
+        members.append(u.layers)
+    witnesses = [{"generator": gi, "witness": [
+        {"generator": g, "dgamma": list(gamma), "xbeta": list(beta),
+         "coeff": fmt_rational(combo[g, gamma, beta])}
+        for g, gamma, beta in sorted(combo, key=repr)]}
+        for gi, combo in enumerate(span.witness(members))]
     return SpanCertificate("member", bounds.to_json(), witness=witnesses)
 
 
@@ -654,19 +655,20 @@ class WindowSpan:
             return None
         return self.echelon.reduce(*self.packing.pack_layers(layers))
 
-    def witness(self, layers: dict) -> dict:
-        """The combination {tag + (beta,): coefficient} of window vectors
-        that gives a member given by its layers, from an echelon of the
-        queued vectors, each carrying its tag as its companion, built on
-        each call.  The record skipped only dependent inserts, which change
-        no row and no companion, so the combination is that of inserting
-        every vector."""
+    def witness(self, members: list) -> list:
+        """For each member given by its layers, the combination
+        {tag + (beta,): coefficient} of window vectors that gives it, from
+        one echelon of the queued vectors, each carrying its tag as its
+        companion, built on each call.  The record skipped only dependent
+        inserts, which change no row and no companion, so each combination
+        is that of inserting every vector."""
         ech = Echelon()
         for terms, den, tag, shifts in self._queue:
             for beta, code in shifts:
                 ech.insert({m + code: c for m, c in terms.items()}, den,
                            {tag + (beta,): den})
-        return ech.reduce(*self.packing.pack_layers(layers))[1]
+        return [ech.reduce(*self.packing.pack_layers(layers))[1]
+                for layers in members]
 
     def contains(self, parts) -> bool | None:
         """Whether the element given by its (numerator, pole) parts lies in

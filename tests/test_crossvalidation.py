@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from hwkit.bsdata import (bfunction_snc, bfunction_whom_isolated,
                           genlevel_bound, hodge_pole_full, reduce,
                           weight_bounds)
-from hwkit.exactalg import Polynomial, WeightVector, poly_parse
+from hwkit import whom
+from hwkit.exactalg import MonomialIdeal, Polynomial, WeightVector, poly_parse
 from hwkit.ppd import (AnnihilatorInput, hodge_on_weight, w0_span,
                        weight_module_generators, weight_step_presentation)
 from hwkit.snc import (HodgePresentation, SncDivisor, snc_hodge_weight,
@@ -104,6 +105,31 @@ def test_three_variable_crosschecks():
     for l in range(d2.m_alpha(F(1, 2)) + 1):
         assert crosscheck_hodge_weight("snc", d2, F(1, 2), 1, l,
                                        Bounds(3, 12, 4)).is_member()
+
+
+def test_whom_crosscheck_sees_a_dropped_closed_form_generator(monkeypatch):
+    # the closed form and the candidates each build their graded slices;
+    # a closed form that loses the grlex-first generator of every slice
+    # with more than one must fail the cross-check, so the two sides
+    # cannot share one computation unnoticed
+    germ = QuasiHomogeneousGerm(poly_parse("x1^2+x2^3", 2),
+                                WeightVector.parse("1/2,1/3"))
+
+    def check():
+        return crosscheck_hodge_weight("whom", germ, F(5, 6), 1, 0,
+                                       Bounds(4, 12, 6))
+
+    assert check().verdict == "member"
+    graded_ideal = whom.graded_ideal
+
+    def dropped(w, gamma, strict):
+        gens = graded_ideal(w, gamma, strict).gens
+        return MonomialIdeal(w.dim, gens[1:] if len(gens) > 1 else gens)
+
+    monkeypatch.setattr(whom, "graded_ideal", dropped)
+    cert = check()
+    assert cert.verdict == "not-found-at-bound"
+    assert "oracle-in-closed-form" in cert.detail
 
 
 def test_snc_pole_predicate_consistency():

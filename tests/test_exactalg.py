@@ -1,14 +1,15 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hwkit.errors import DimensionMismatch, ParseError
 from hwkit.exactalg import (MonomialIdeal, Polynomial, WeightVector,
                             fmt_rational, graded_ideal, grlex_key,
-                            monomials_upto_degree,
+                            monomials_upto_degree, monomials_weighted_upto,
                             parse_rational, poly_parse, weighted_degree)
 
 
@@ -84,6 +85,92 @@ def test_graded_ideal_products():
         for b in (Fraction(1, 6), Fraction(2, 3)):
             prod = graded_ideal(w, a, False) * graded_ideal(w, b, False)
             assert prod <= graded_ideal(w, a + b, False)
+
+
+def _wdeg(m, ws):
+    return sum((e * w for e, w in zip(m, ws)), Fraction(0))
+
+
+def _box(ws, top):
+    """The ranges 0..ceil(top / w_i) (0 alone when that is negative) whose
+    product is the brute-force box."""
+    return [range(max(-(-top // w), 0) + 1) for w in ws]
+
+
+def _reference_graded_gens(ws, gamma, strict):
+    """The minimal generators of the monomials of weighted degree > gamma
+    (strict) or >= gamma, by brute force: every exponent box up to
+    ceil((gamma + max w) / w_i), filtered in Fractions, minimalized by
+    divisibility in grlex order."""
+    ok = [m for m in product(*_box(ws, gamma + max(ws)))
+          if (_wdeg(m, ws) > gamma if strict else _wdeg(m, ws) >= gamma)]
+    gens = []
+    for m in sorted(ok, key=lambda m: (sum(m), m)):
+        if not any(all(a <= b for a, b in zip(g, m)) for g in gens):
+            gens.append(m)
+    return tuple(gens)
+
+
+@st.composite
+def graded_cases(draw):
+    """(weights, gamma, strict): dims 1..3, weights n/d with d in 1..12 (some
+    above 1); gamma negative, zero, an integer, the weighted degree of a
+    monomial, or a positive rational.  The brute-force box stays small."""
+    dim = draw(st.sampled_from([3, 2, 1]))
+    dens = [draw(st.integers(1, 12)) for _ in range(dim)]
+    ws = tuple(Fraction(draw(st.integers(1, 2 * d)), d) for d in dens)
+    kind = draw(st.sampled_from(
+        ["degree", "rational", "integer", "zero", "negative"]))
+    if kind == "negative":
+        gamma = -Fraction(draw(st.integers(1, 24)), draw(st.integers(1, 12)))
+    elif kind == "zero":
+        gamma = Fraction(0)
+    elif kind == "integer":
+        gamma = Fraction(draw(st.integers(1, 4)))
+    elif kind == "degree":
+        gamma = _wdeg(draw(st.tuples(*[st.integers(0, 3)] * dim)), ws)
+    else:
+        gamma = Fraction(draw(st.integers(1, 48)), draw(st.integers(1, 12)))
+    assume(prod(map(len, _box(ws, gamma + max(ws)))) <= 3000)
+    return ws, gamma, draw(st.booleans())
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@example(((Fraction(5, 3),), Fraction(10, 3), True))
+@example(((Fraction(1, 2), Fraction(1, 3)), Fraction(5, 6), False))
+@example(((Fraction(3, 2), Fraction(7, 4), Fraction(1, 12)), Fraction(2), True))
+@example(((Fraction(1, 12),) * 3, Fraction(-1, 12), False))
+@given(graded_cases())
+def test_graded_ideal_matches_brute_force(case):
+    ws, gamma, strict = case
+    w = WeightVector(ws)
+    gens = graded_ideal(w, gamma, strict).gens
+    assert gens == _reference_graded_gens(ws, gamma, strict)
+
+    def qualifies(m):
+        return _wdeg(m, ws) > gamma if strict else _wdeg(m, ws) >= gamma
+
+    for g in gens:
+        assert qualifies(g)
+        for i, e in enumerate(g):
+            if e:
+                assert not qualifies(g[:i] + (e - 1,) + g[i + 1:])
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@example(((Fraction(5, 3),), Fraction(-1, 12), True))
+@example(((Fraction(1, 2), Fraction(1, 3)), Fraction(7, 6), True))
+@given(graded_cases())
+def test_monomials_weighted_upto_matches_brute_force(case):
+    # the case's gamma serves as the bound; strict is unused
+    ws, bound, _ = case
+    got = monomials_weighted_upto(WeightVector(ws), bound)
+    ref = [m for m in product(*_box(ws, bound)) if _wdeg(m, ws) <= bound]
+    assert got == sorted(ref, key=lambda m: (sum(m), m))
+    assert len(set(got)) == len(got)
+    assert all(_wdeg(m, ws) <= bound for m in got)
+    if bound < 0:
+        assert got == []
 
 
 def test_ideal_operations():

@@ -11,7 +11,7 @@ from hwkit.exactalg import (MonomialIdeal, WeightVector, poly_parse,
 from hwkit.snc import (SncDivisor, snc_adjoint_specialization, snc_f0_ideal,
                        snc_hodge_weight, snc_multiplier_ideal, snc_weight_top)
 from hwkit.whom import (QuasiHomogeneousGerm, micromult_contains_one,
-                        whom_hodge_weight, whom_micromult_ideal,
+                        milnor_basis, whom_hodge_weight, whom_micromult_ideal,
                         whom_weight_top)
 
 F = Fraction
@@ -133,6 +133,23 @@ def test_milnor_basis_goldens():
     assert triple.mu == 4
     degrees = sorted(weighted_degree(m, triple.w) for m in triple.milnor)
     assert degrees == [0, F(1, 3), F(1, 3), F(2, 3)]
+
+
+@pytest.mark.parametrize("poly, weights, basis", [
+    ("x1^2+x2^3", "1/2,1/3", [(0, 0), (0, 1)]),
+    ("x1^2+x2^2", "1/2,1/2", [(0, 0)]),
+    ("x1^2*x2+x1*x2^2", "1/3,1/3", [(0, 0), (0, 1), (1, 0), (0, 2)]),
+    ("x1^2+x2^5", "1/2,1/5", [(0, 0), (0, 1), (0, 2), (0, 3)]),
+    ("x1^3+x2^4", "1/3,1/4",
+     [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (1, 2)]),
+    ("x1^2+x2^2+x3^2", "1/2,1/2,1/2", [(0, 0, 0)]),
+])
+def test_milnor_basis_pinned(poly, weights, basis):
+    # the whom germs of the benchmark pool, basis in order and mu
+    w = WeightVector.parse(weights)
+    germ = QuasiHomogeneousGerm(poly_parse(poly, w.dim), w)
+    assert list(milnor_basis(germ.f, w)) == basis
+    assert germ.mu == len(basis)
 
 
 def test_milnor_number_formula():

@@ -220,7 +220,7 @@ def test_member_witness_reevaluates():
                            1: poly_parse("-x1", 1)})
     span = bf_span([gen], f, B)
     assert not span.reduce(target.layers)[0]
-    witness = span.witness(target.layers)
+    witness, = span.witness([target.layers])
     assert len(witness) == 2
     steps = [{"generator": gi, "dgamma": gamma, "xbeta": beta, "coeff": c}
              for (gi, gamma, beta), c in witness.items()]
@@ -335,7 +335,7 @@ def test_graph_span_matches_every_vector_reference(seed):
         residual, carried = ref.reduce(*integer_terms(member))
         assert not residual
         assert not span.reduce(layers)[0]
-        assert span.witness(layers) == carried
+        assert span.witness([layers]) == [carried]
         # an element off the family: the same residual verdict
         other = BfElement(dim, {rng.randint(0, B.dt):
                                 rand_poly(rng, dim, B.xdeg)})
