@@ -1,19 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 precondition violation (the violated mathematical
-hypothesis is named) or malformed input (one line on stderr), 3 inconclusive
-at the given bounds, 4 a failed internal check (a witness that does not
-re-evaluate or a syzygy that does not re-multiply to zero; one line on
-stderr).  Envelopes are
-deterministic JSON (no timings, no environment data) so identical inputs
-yield byte-identical output; with HWKIT_CACHE set, envelopes are cached
-content-addressed and written with atomic replace.  The cache key covers the
-verb, every parsed option except --json (an --input file is keyed by the
-SHA-256 of its text, not its path) and the bytes of the package's modules,
-so no two runs that could produce different envelopes share a key.  An
-unreadable or corrupt cache entry counts as a miss and is rewritten; a cache
-root that cannot be created or written counts as a miss that stores nothing.
-Every verb computes its outputs only on a miss.
+The exit codes, the deterministic `--json` envelope (no timings, no
+environment data) and the `HWKIT_CACHE` envelope cache are specified in
+README.md (Command line).  Every verb computes its outputs only on a cache
+miss, and no two runs that could produce different envelopes share a key.
 """
 
 from __future__ import annotations
@@ -92,8 +82,6 @@ def _cache_lookup(args, payload: dict):
 
 
 def _cache_store(path: str, text: str):
-    if not path:
-        return
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
@@ -209,6 +197,12 @@ def _parse_stratum(text: str, dim: int) -> tuple:
     return tuple(sorted(coords))
 
 
+def _poly(args) -> Polynomial:
+    """The --poly option, in --dim variables or, without --dim, in as many
+    as it names."""
+    return poly_parse(args.poly, args.dim or infer_dim(args.poly))
+
+
 def _bfunction_source(args):
     """Route to the closed-form b-function: a monomial (--exponents, or a
     one-term --poly) goes through the monomial table, otherwise weights are
@@ -222,7 +216,7 @@ def _bfunction_source(args):
             raise DimensionMismatch(f"--dim {args.dim} is below the {f.dim} "
                                     "variables of --exponents")
     elif args.poly:
-        f = poly_parse(args.poly, args.dim or infer_dim(args.poly))
+        f = _poly(args)
     else:
         raise PreconditionError("need --exponents or --poly")
     if len(f.terms) == 1:
@@ -312,8 +306,7 @@ def cmd_snc(args) -> int:
 
 
 def cmd_whom(args) -> int:
-    dim = args.dim or infer_dim(args.poly)
-    f = poly_parse(args.poly, dim)
+    f = _poly(args)
     w = WeightVector.parse(args.weights)
     alpha = parse_rational(args.alpha)
     payload = {"poly": str(f), "weights": str(w),
@@ -351,8 +344,7 @@ def cmd_bfun(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    dim = args.dim or infer_dim(args.poly)
-    f = poly_parse(args.poly, dim)
+    f = _poly(args)
     b = BFunction.parse(args.b)
     payload = {"poly": str(f), "b": b.product_string(),
                "order": args.order, "xdeg": args.xdeg,
@@ -413,8 +405,7 @@ def cmd_crosscheck(args) -> int:
     else:
         if not (args.poly and args.weights):
             raise PreconditionError("--source whom needs --poly and --weights")
-        dim = args.dim or infer_dim(args.poly)
-        obj = QuasiHomogeneousGerm(poly_parse(args.poly, dim),
+        obj = QuasiHomogeneousGerm(_poly(args),
                                    WeightVector.parse(args.weights))
         name = str(obj.f)
     payload = {"source": args.source, "f": name,

@@ -1,32 +1,22 @@
 """Sparse exact linear algebra over Q.
 
-Vectors are dicts mapping hashable, mutually comparable coordinate labels to
-nonzero integer numerators, handed over together with one positive int
-denominator: the vector `vec` with denominator `den` stands for
-{c: v/den}.  The package's producers key every coordinate by an int: an
-operator key or a monomial x^m at layer j packed by `weyl.KeyPacking` (the
-latter as `j * top + shift(m, 0)`, so int order is (j, m) tuple order), or a
-plain index where coordinates have no monomial (`weyl.homogeneity_grading`).
-A producer scales each family of vectors once (`KeyPacking.pack_layers`,
-`exactalg.integer_terms`) and passes the numerators on, so the elimination
-never rescales a `Fraction` column.  `Echelon` is the one elimination
-primitive: every span, membership test, kernel and projection in the package
-goes through it.  Each inserted vector may bring a companion vector over the
-same denominator; every stored row carries the same exact combination of the
-inserted companions that it is of the inserted vectors, so a dependency or a
-witness comes out of the echelon already built in whatever terms the caller
-chose.  Companions never take part in pivoting.  A dependent insert returns
-its dependency directly, as its companion minus the carried combination, and
-`nullspace` only collects those.  `Echelon` copies what it is handed and
+`Echelon` is the one elimination primitive: every span, membership test,
+kernel and projection in the package goes through it.  A vector is a dict of
+nonzero integer numerators over one positive int denominator: `vec` with
+`den` stands for {c: v/den}.  Its coordinates are mutually comparable; the
+package keys each by an int, a `weyl.KeyPacking` key or a plain index where
+a coordinate has no monomial (`weyl.homogeneity_grading`).  Producers scale
+each family of vectors to integers once, so the elimination never rescales a
+`Fraction` column.  An inserted vector may bring a companion over the same
+denominator: every row carries the combination of inserted companions that
+it is of inserted vectors, so a dependency or a witness comes out in the
+caller's terms.  Companions never take part in pivoting, and `Echelon`
 never mutates a caller's dict.
 
-Inside `Echelon` every row, together with its companion, is a primitive
-integer vector, reduced fraction-free (Bareiss, Math. Comp. 1968, with the
-content divided out after each step that multiplies), its scale travelling
-as one integer denominator.  `Fraction` appears only at the boundary: every
-value `reduce`, `insert` and `nullspace` return is a `Fraction`.  `basis()`
-returns each row in the input format, integer numerators with their
-(positive) pivot coefficient as denominator.
+Rows are primitive integer vectors, reduced fraction-free (Bareiss, Math.
+Comp. 1968, with the content divided out after each step that multiplies).
+`Fraction` appears only at the boundary: every value `reduce`, `insert` and
+`nullspace` return is one.
 """
 
 from __future__ import annotations
@@ -53,8 +43,9 @@ class Echelon:
     companion, scaled alike: the combination of the inserted companions
     matching the combination of inserted vectors the row equals.  A vector
     inserted without a companion contributes zero.  The row format is
-    private to this module; callers read `pivots()`, `basis()`, `rank` and
-    `n_vectors` (the number of inserts, dependent ones included).
+    private to this module (tests/test_row_format.py guards it); callers
+    read `pivots()`, `basis()`, `rank` and `n_vectors` (the number of
+    inserts, dependent ones included).
     """
 
     __slots__ = ("_rows", "n_vectors")
@@ -74,7 +65,8 @@ class Echelon:
 
     def basis(self) -> list:
         """The stored rows as (integer numerators, pivot coefficient p), in
-        the order they gained rank: row/p has pivot coefficient 1."""
+        the order they gained rank: row/p has pivot coefficient 1, and the
+        pair goes to `reduce` as it is."""
         return [(dict(row), p) for row, p, _ in self._rows.values()]
 
     def _eliminate(self, vec: dict, comb: dict, den: int):

@@ -4,7 +4,8 @@ the beta factor and the annihilator, its weighted sub-ideals, and the
 syzygy-based formulas for weight steps and their Hodge pieces.
 
 Results computed under the asserted (never verified) primality flag carry a
-conditional provenance tag.
+conditional provenance tag.  The s-polynomials beta(-s) and (s+alpha)^l are
+expansions of a root multiset (`RootMultiset.coefficients`).
 """
 
 from __future__ import annotations
@@ -124,8 +125,9 @@ def gamma_ideal(inp: AnnihilatorInput,
                 weighted: bool = False) -> GammaPresentation:
     """The generator list of the ideal; weighted recomputes the beta factor
     at alpha + epsilon, giving the level-0 sub-ideal all higher weighted
-    levels test against.  beta(-s) appears sign-normalized monic; the empty
-    beta factor contributes the unit generator."""
+    levels test against ("weighted_level": 0 in its JSON).  beta(-s)
+    appears sign-normalized monic; the empty beta factor contributes the
+    unit generator."""
     dim = inp.dim
     alpha = inp.alpha
     eps = None
@@ -151,7 +153,8 @@ def weight_module_generators(inp: AnnihilatorInput, l: int, bounds: Bounds):
     Returns (generators, meta); the span of the generators applied to
     f^(-1-alpha) presents the weight-(n+l) step.  Completeness holds only at
     the stated search bounds and is recorded in meta.  f itself is always a
-    first component, via the tuple (f, 0, ..., 0, -(E+alpha)^l).
+    first component, via the tuple (f, 0, ..., 0, -(E+alpha)^l), so the
+    generators are never empty.
     """
     mult = inp.b.multiplicity(-inp.alpha - 1)
     if not l < mult:
@@ -185,9 +188,6 @@ def weight_module_generators(inp: AnnihilatorInput, l: int, bounds: Bounds):
             gens.append(p0)
     meta = {"complete_at_bounds": {"order": so, "xdeg": sx},
             "tuples": len(kernel)}
-    if not gens:
-        raise InconclusiveAtBound("no kernel elements at these bounds",
-                                  bounds={"order": so, "xdeg": sx})
     return gens, meta
 
 
@@ -199,7 +199,8 @@ def operators_on_pole(ops, f: Polynomial, step: int, alpha: Fraction) -> list:
     denominator once.  Each op's terms x^a * c * image are summed per pole
     as ints, each pole's sum becomes one Polynomial, and the parts are
     cleared to the largest pole of a term (a pole whose sum is zero
-    included) and divided down to the minimal one."""
+    included) and divided down to the minimal one.  An operator that still
+    carries s raises InternalCheckFailed."""
     if not all(op.is_s_free() for op in ops):
         raise InternalCheckFailed(
             "an operator evaluated on a pole still carries s")
@@ -333,7 +334,8 @@ def hodge_on_weight(w0: W0Span, k: int) -> HodgePresentation:
     """Hodge step k of the weight-(n+l) piece, for the input, level l and
     bounds the span w0 = w0_span(inp, l, bounds) was built for: elements of
     the weighted sub-ideal with total order <= k, evaluated at s = -alpha on
-    f^(-1-alpha).
+    f^(-1-alpha).  It reads the input, level and bounds from w0 alone, so it
+    cannot be handed a span of another input, level or bounds.
 
     k = 0 is unconditional; k >= 1 requires the asserted primality flag and
     the output then carries conditional provenance.
@@ -410,7 +412,8 @@ def hodge_weight_interval21(inp: AnnihilatorInput, gens, k: int,
 
 def parse_annihilator_file(text: str, dim: int | None) -> AnnihilatorInput:
     """Header lines `f:`, `E:`, `alpha:`, `b:`, `pp:`; every other non-empty
-    line is one annihilator generator in the operator grammar."""
+    line is one annihilator generator in the operator grammar.  Without dim,
+    the dimension is inferred from the comment-stripped lines."""
     f_text = e_text = b_text = None
     alpha = Fraction(0)
     pp = False

@@ -28,7 +28,8 @@ from .whom import QuasiHomogeneousGerm, whom_hodge_weight
 
 @dataclass(frozen=True)
 class Bounds:
-    """Truncation window: operator order, x-degree, dt-layer order."""
+    """Truncation window: operator order, x-degree, dt-layer order.  No
+    field has a default: the CLI or the caller sets all three."""
 
     order: int
     xdeg: int
@@ -129,7 +130,9 @@ class BfElement:
 
     def d_images(self, gammas, f: Polynomial, dt: int) -> list:
         """(gamma, d^gamma self) for the d-parts gamma of gammas (see
-        d_part_images) whose image is nonzero and has no layer above dt."""
+        d_part_images) whose image is nonzero and has no layer above dt.
+        bf_span and the cross-check's oracle take their graph-module images
+        from it, so the dt skip is made in one place."""
         images = d_part_images(gammas, self, lambda u, i: u.d(i, f))
         return [(gamma, img) for gamma, img in images.items()
                 if not img.is_zero() and img.max_layer() <= dt]
@@ -185,6 +188,10 @@ def verify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
     divisors lie in the kept block w.(b - g) = -deg_w f, whose rows,
     residuals and witness are those of the full system.  The kept-block part
     of a solution is itself one: not-found-at-bound covers the whole window.
+    On the cusp, 5 of 300 columns are built at order 3, xdeg 4.  A basis
+    operator x^b d^g s^j has j <= order_bound - |g|, and d^g adds at most
+    |g| to the s-degree; so when deg b exceeds order_bound, not-found-at-bound
+    comes before any build.
 
     member  => the equation holds with the returned operator witness, and
                the certificate records whether b is minimal at these bounds.
@@ -197,9 +204,6 @@ def verify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
     not_found = SpanCertificate("not-found-at-bound", bounds_json,
                                 detail="no operator at these bounds satisfies "
                                        "the functional equation")
-    # a basis operator x^b d^g s^j has j <= order_bound - |g|, and d^g adds
-    # at most |g| to the s-degree, so P(s) f^(s+1) has s-degree at most
-    # order_bound, while b(s) f^s has s-degree deg b
     if b.degree() > order_bound:
         return not_found
     dim = f.dim
@@ -329,7 +333,9 @@ class SncVFamily:
 def _graded_slices(germ: QuasiHomogeneousGerm, lam: Fraction, strict: bool,
                    jmax: int):
     """(j, x^g at layer j) for j = 0..jmax and the minimal monomials x^g of
-    weighted degree >= lam + j - |w| (> when strict)."""
+    weighted degree >= lam + j - |w| (> when strict).  Kept apart from the
+    closed form's slices (whom) so that the closed forms stay independent of
+    the oracle's candidates."""
     for j in range(jmax + 1):
         for g in graded_ideal(germ.w, lam + j - germ.w.total, strict).gens:
             yield j, BfElement.from_poly(Polynomial.monomial(g), j)
@@ -444,7 +450,8 @@ def kernel_filtration_check(f: Polynomial, lam, l: int, kernel_gens,
     """Certify (s+lam)^l * g lies in the strict span for every kernel
     generator g, a BfElement.  Each member carries its witness: the
     combination of strict-span vectors x^beta d^gamma gens[generator] that
-    gives it."""
+    gives it.  Otherwise the detail names the first generator that exceeds
+    the window or is not reduced."""
     lam = Fraction(lam)
     span = bf_span(strict_gens, f, bounds)
     members = []
@@ -580,16 +587,16 @@ class WindowSpan:
     element outside it, add_summand builds no image above pole_target, and
     reduce and contains answer None outside it.
 
-    x^m at layer j is the int `j * top + shift(m, 0)` of a KeyPacking at
-    radix xdeg + 1, so int order is (j, m) tuple order and x^beta adds the
-    packed beta to every key.  Spans compared with each other share xdeg.
-    Each element is packed and queued once with its shifts.  The record maps
-    each S of _direction to the positions k queued (a shift moves only k);
-    a vector it already holds is a multiple of a queued one and is not
-    queued.  The echelon is built from the queue when read; its rows, tags
-    (the tag of each row's vector, in rank-gain order) and n_vectors are
-    those of inserting every vector.  It carries no companions: witness
-    builds them on demand."""
+    Its coordinates are the layered keys of a KeyPacking at radix xdeg + 1,
+    so x^beta adds the packed beta to every key.  Spans compared with each
+    other share xdeg.  Each element is packed and queued once with its
+    shifts.  The record maps each S of _direction to the positions k queued
+    (a shift moves only k); a vector it already holds is a multiple of a
+    queued one and is not queued.  The echelon is built from the queue, in
+    queue order, when a query reads it; its rows, tags (the tag of each
+    row's vector, in rank-gain order) and n_vectors are those of inserting
+    every vector.  It carries no companions: witness builds them on demand.
+    """
 
     __slots__ = ("f", "pole_target", "xdeg", "dt", "packing", "n_vectors",
                  "_echelon", "_tags", "_queue", "_built", "_shifts",
@@ -608,8 +615,7 @@ class WindowSpan:
         self._taken = {}   # the record: S -> positions k taken
 
     def shifts(self, bound: int) -> tuple:
-        """(the exponent vectors of total degree <= bound, in grlex order,
-        and their packed keys)."""
+        """KeyPacking.shifts(bound), built once per bound."""
         if bound not in self._shifts:
             self._shifts[bound] = self.packing.shifts(bound)
         return self._shifts[bound]
@@ -760,9 +766,11 @@ def _cross_containment(name: str, source: WindowSpan, target: WindowSpan,
     """Report the tag of the first source vector outside the target span,
     or the vector count.  When the target's record holds the source's, every
     source vector is a multiple of a target vector, and nothing is reduced.
-    Otherwise only the source rows are reduced: a row is its vector minus
-    earlier rows, which span the earlier vectors, so the first row outside
-    the target is that of the first vector outside it."""
+    That is a certifying check (McConnell, Mehlhorn, Naher and Schweitzer,
+    Computer Science Review 5(2), 2011).  Otherwise only the source rows are
+    reduced: a row is its vector minus earlier rows, which span the earlier
+    vectors, so the first row outside the target is that of the first vector
+    outside it.  Only this path names failed_at."""
     if not source.within(target):
         for (row, p), tag in zip(source.echelon.basis(), source.tags):
             if target.echelon.reduce(row, p)[0]:
@@ -819,7 +827,8 @@ def reduce_presentation(pres: HodgePresentation, f: Polynomial,
                         bounds: Bounds) -> HodgePresentation:
     """Greedy minimalization at bounds: drop any summand whose generator
     already lies in the bounded span of the summands kept so far (low pole
-    steps and low degrees first).  Never changes the denoted span."""
+    steps and low degrees first); a generator outside the window is kept.
+    Never changes the denoted span."""
     pole_target = max((j for _, _, j in pres.summands), default=0)
     span = WindowSpan(f, pole_target, bounds.xdeg, 0)
     kept = []
@@ -837,7 +846,8 @@ def reduce_presentation(pres: HodgePresentation, f: Polynomial,
 def presentation_contained(p1: HodgePresentation, p2: HodgePresentation,
                            f: Polynomial, bounds: Bounds) -> SpanCertificate:
     """One-sided bounded containment: every vector of the first presentation
-    reduces inside the span of the second."""
+    reduces inside the span of the second.  A failure's detail is that one
+    direction's, not a list."""
     ok, d = _cross_containment(
         "first-in-second", *_common_pole_spans(p1, p2, f, bounds.xdeg),
         expect_nonempty=bool(p1.summands))

@@ -5,10 +5,8 @@ as sparse dicts keyed by (x exponents, d exponents, s power).  The module
 also provides the symbolic calculus of operators acting on sections
 g(x,s) * f^(s+m), bounded operator bases and their images (one d-step per
 d-part, see `d_part_images`), and bounded-degree syzygy kernels computed by
-exact linear algebra and certified by re-multiplication.  Every elimination
-coordinate of the package, an operator key or a monomial at a layer, is
-packed into one int by `KeyPacking`, with a radix computed from the window
-before anything is built (`window_packing` for operator keys).
+exact linear algebra and certified by re-multiplication.  `KeyPacking`
+decides every elimination coordinate of the package.
 """
 
 from __future__ import annotations
@@ -331,7 +329,8 @@ def bounded_operator_basis(dim: int, order_bound: int, xdeg_bound: int,
 def homogeneity_grading(f: Polynomial) -> list:
     """[(w, deg_w f)]: an integer basis of the weights w that make f
     w-homogeneous, from one `nullspace` call over the differences of f's
-    exponent vectors (all of Q^n for a monomial, none for a generic f)."""
+    exponent vectors: all of Q^n for a monomial, a line for a
+    quasi-homogeneous germ, none for a generic f."""
     base = next(iter(f.terms), (0,) * f.dim)
     columns = [{r: a[i] - base[i] for r, a in enumerate(f.terms)
                 if a[i] != base[i]} for i in range(f.dim)]
@@ -379,7 +378,8 @@ def d_part_images(d_parts, start, step) -> dict:
     d^g applied to start.  Each image is made from the image of g - e_i, i
     the last index with g_i > 0, by one call step(image, i), which must
     return d_i applied to image; so a basis of monomials x^b d^g s^j costs
-    one step per distinct d-part, however many (b, j) share it."""
+    one step per distinct d-part, however many (b, j) share it.  Over a
+    grlex, downward-closed d_parts the dict comes out in grlex order."""
     images = {}
 
     def image(g):
@@ -470,8 +470,8 @@ class KeyPacking:
         return self.pack((b, (0,) * self.dim, j))
 
     def pack_layers(self, layers: dict) -> tuple:
-        """(integer numerators, den) of the layers {j: Polynomial}, x^m at
-        layer j keyed `j * top + shift(m, 0)`, over one denominator."""
+        """(integer numerators, den) of the layers {j: Polynomial}, each x^m
+        keyed at its layer as above, over one denominator."""
         return integer_terms({j * self.top + self.shift(m, 0): c
                               for j, p in layers.items()
                               for m, c in p.terms.items()})

@@ -38,6 +38,11 @@ def milnor_basis(f: Polynomial, w: WeightVector):
     degree in (socle, socle + max w] reduces to zero modulo the Jacobian
     ideal; stripping one variable at a time pushes any higher-degree monomial
     into that window, so the certificate covers all degrees above the socle.
+    The monomials up to weighted degree socle + max w, the largest queried,
+    are enumerated once and bucketed by weighted degree (each bucket in
+    grlex order).  The partials are packed once, at a radix above every
+    product exponent, so each product x^m * d_i f is a shift, and the
+    pivots are unpacked back.
     """
     check_weight_one(f, w)
     if f.constant_term():
@@ -48,9 +53,6 @@ def milnor_basis(f: Polynomial, w: WeightVector):
 
     socle = sum((1 - 2 * wi for wi in w.weights), Fraction(0))
     maxw = max(w.weights)
-    # the monomials up to socle + max w, enumerated once, by weighted degree
-    # (each bucket in grlex order); every degree queried below is at most
-    # that bound
     by_degree = {}
     for m in monomials_weighted_upto(w, socle + maxw):
         by_degree.setdefault(weighted_degree(m, w), []).append(m)
@@ -91,13 +93,12 @@ class QuasiHomogeneousGerm:
     """f quasi-homogeneous of weight 1 with an isolated singularity at the
     origin; construction certifies both properties exactly."""
 
-    __slots__ = ("f", "w", "milnor", "socle_degree")
+    __slots__ = ("f", "w", "milnor")
 
     def __init__(self, f: Polynomial, w: WeightVector):
         self.f = f
         self.w = w
         self.milnor = tuple(milnor_basis(f, w))
-        self.socle_degree = sum((1 - 2 * wi for wi in w.weights), Fraction(0))
 
     @property
     def dim(self) -> int:
@@ -106,11 +107,6 @@ class QuasiHomogeneousGerm:
     @property
     def mu(self) -> int:
         return len(self.milnor)
-
-    def exponents(self):
-        """Deduplicated values wdeg(m) + |w| over the Milnor basis."""
-        return sorted({weighted_degree(m, self.w) + self.w.total
-                       for m in self.milnor})
 
 
 def whom_weight_top(germ: QuasiHomogeneousGerm, alpha) -> int:

@@ -199,6 +199,25 @@ def test_ppd_refuses_higher_k_without_flag_before_the_w0_span(
         "(asserted)\n")
 
 
+def test_ppd_inconclusive_exits_3_and_caches_nothing(capsys, tmp_path,
+                                                     monkeypatch):
+    # the order-0 basis of the w0 span holds no s, so (s+alpha)*f leaves
+    # the span and hodge_on_weight finds no element
+    path = tmp_path / "node.ann"
+    path.write_text(NODE_ANN)
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("HWKIT_CACHE", str(cache))
+    code = main(["ppd", "--input", str(path), "--l", "1", "--k", "0",
+                 "--order", "0", "--xdeg", "0", "--json"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err == ("inconclusive at bounds {'order': 0, 'xdeg': 0}: "
+                   "no elements found at these bounds\n")
+    assert "Traceback" not in err
+    assert list(cache.glob("*")) == []
+
+
 def test_precondition_exit_code(capsys):
     code = main(["classify", "--poly", "x1^2+x2^3", "--alpha", "1/2"])
     assert code == 2

@@ -4,7 +4,11 @@ attribute by attribute, and a chain led by a CamelCase class name resolves
 from some hwkit module that holds the class, or from builtins.  Call
 arguments after a name, as in `WindowSpan.contains(parts)`, are not part of
 the chain.  So a README row cannot keep naming a class or function a change
-deleted or renamed."""
+deleted or renamed.
+
+The README states module contracts; mechanism lives in the docstrings.  So
+no backticked name it cites has a private part (a leading underscore,
+dunders exempt)."""
 
 import builtins
 import importlib
@@ -21,21 +25,35 @@ CHAIN = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 CLASS = re.compile(r"[A-Z]\w*[a-z]\w*")
 
 
+def leading_chains(text: str):
+    """The leading dotted name of each backticked span of text."""
+    for span in re.findall(r"`([^`\n]+)`", text):
+        chain = CHAIN.match(span)
+        if chain:
+            yield chain.group()
+
+
 def cited_chains(text: str):
     """(qualified chains, class-led chains) of the backticked spans of
     text: the leading dotted name of each span, kept when it starts with
     hwkit or one of its submodules, or with a CamelCase name."""
     qualified, classes = set(), set()
-    for span in re.findall(r"`([^`\n]+)`", text):
-        chain = CHAIN.match(span)
-        if not chain:
-            continue
-        parts = chain.group().split(".")
+    for chain in leading_chains(text):
+        parts = chain.split(".")
         if parts[0] == "hwkit" or parts[0] in MODULES and len(parts) > 1:
-            qualified.add(chain.group())
+            qualified.add(chain)
         elif CLASS.fullmatch(parts[0]):
-            classes.add(chain.group())
+            classes.add(chain)
     return qualified, classes
+
+
+def cited_private_names(text: str) -> set:
+    """The leading dotted names of the backticked spans of text that have a
+    private part: one starting with an underscore that is not a dunder."""
+    return {chain for chain in leading_chains(text)
+            if any(part.startswith("_") and not (
+                part.startswith("__") and part.endswith("__"))
+                for part in chain.split("."))}
 
 
 def resolves(obj, attrs) -> bool:
@@ -74,3 +92,17 @@ def test_readme_check_flags_a_missing_name():
     assert classes == {"NoSuchClass.method"}
     assert resolves(hwkit, ["weyl", "KeyPacking", "shift"])
     assert not resolves(hwkit, ["vforacle", "NoSuchSpan"])
+
+
+def test_readme_cites_no_private_name():
+    cited = cited_private_names(
+        (ROOT / "README.md").read_text(encoding="utf-8"))
+    assert not cited, sorted(cited)
+
+
+def test_private_name_check_flags_a_private_part():
+    assert cited_private_names(
+        "`_helper(x)`, `cli._add_bounds`, `WindowSpan._queue`, "
+        "`weyl.KeyPacking`, `__version__`, `Echelon.__init__`, "
+        "`x_1 + 1`, `HWKIT_CACHE`") == {
+        "_helper", "cli._add_bounds", "WindowSpan._queue"}

@@ -10,7 +10,11 @@ The scan is by name: a def or class counts as read when its name is read
 (as a Name or as an attribute) anywhere in the package outside its own
 body, and a call counts as a call of every def of its name.  So a name
 shared by two defs hides a dead one behind a live one, e.g.
-`BfElement.unit` behind `MonomialIdeal.unit`."""
+`BfElement.unit` behind `MonomialIdeal.unit`.
+
+Every name of a `__slots__` is read as an attribute (`x.name`, loaded)
+somewhere in the package: a slot only ever written holds a value nothing
+uses."""
 
 import ast
 import pathlib
@@ -189,3 +193,51 @@ def test_every_default_is_used():
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in sorted(PACKAGE.glob("*.py"))}
     assert set(unused_defaults(sources)) <= ALLOWED_DEFAULTS
+
+
+def slots(tree):
+    """(class name, slot) of every string of a class's `__slots__`."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for stmt in cls.body:
+            if (isinstance(stmt, ast.Assign)
+                    and any(isinstance(target, ast.Name)
+                            and target.id == "__slots__"
+                            for target in stmt.targets)
+                    and isinstance(stmt.value, (ast.Tuple, ast.List))):
+                yield from ((cls.name, elt.value) for elt in stmt.value.elts
+                            if isinstance(elt, ast.Constant))
+
+
+def unread_slots(sources: dict) -> list:
+    """(module, class.slot) of every name of a class's `__slots__` in the
+    sources that no attribute load of the package reads."""
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    loaded = {node.attr for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)}
+    return sorted((mod, f"{cls}.{slot}") for mod, tree in trees.items()
+                  for cls, slot in slots(tree) if slot not in loaded)
+
+
+def test_guard_flags_an_unread_slot():
+    sources = {
+        "a": "class C:\n    __slots__ = (\"x\", \"y\", \"z\")\n\n"
+             "    def __init__(self):\n        self.x = self.y = 0\n"
+             "        self.z = 1\n\n"
+             "    def get(self):\n        return self.x\n",
+        "b": "from . import a\n\nprint(a.C().y)\n",
+    }
+    # x is read in its own class and y in another module; z is only stored
+    assert unread_slots(sources) == [("a", "C.z")]
+    # a bare name is no attribute read
+    assert unread_slots({
+        "c": "class D:\n    __slots__ = [\"w\"]\n\n\nw = 1\nprint(w)\n",
+    }) == [("c", "D.w")]
+
+
+def test_every_slot_is_read():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_slots(sources) == []
