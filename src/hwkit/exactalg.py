@@ -2,11 +2,11 @@
 ideals, weight vectors and the weighted-graded slices of the polynomial ring.
 
 Everything here is immutable and pure.  No floating point is used anywhere
-in this package; products accumulate integer numerators, and every returned
-scalar is a `fractions.Fraction`.  The closed forms' twist ranges are checked
-here, once each (`unit_interval_alpha`, `positive_alpha`), so that the
-benchmark's tracer, which times the functions defined in bsdata, snc and
-whom, gains no spans.
+in this package; products accumulate integer numerators (`mul_terms`), and
+every scalar a `Polynomial` returns is a `fractions.Fraction`.  The closed
+forms' twist ranges are checked here, once each (`unit_interval_alpha`,
+`positive_alpha`), so that the benchmark's tracer, which times the functions
+defined in bsdata, snc and whom, gains no spans.
 """
 
 from __future__ import annotations
@@ -86,6 +86,31 @@ def mono_divides(a: Mono, b: Mono) -> bool:
 
 def mono_div(a: Mono, b: Mono) -> Mono:
     return tuple(map(sub, a, b))
+
+
+def mul_terms(a: dict, b: dict) -> dict:
+    """The product of two {monomial: number} dicts: the term products summed
+    per monomial; a sum that cancels stays, as 0."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = mono_mul(m1, m2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return out
+
+
+def combine_terms(a: dict, ca, b: dict, cb) -> dict:
+    """ca * a + cb * b of two {monomial: number} dicts, zero sums dropped."""
+    out = {m: ca * c for m, c in a.items()}
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + cb * c
+    return {m: c for m, c in out.items() if c}
+
+
+def partial_terms(terms: dict, i: int) -> dict:
+    """d/dx_i of a {monomial: number} dict; m -> m - e_i is one to one."""
+    return {m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i]
+            for m, c in terms.items() if m[i]}
 
 
 def grlex_key(m: Mono):
@@ -355,15 +380,10 @@ class Polynomial(SparseTerms):
             return Polynomial.zero(self.dim)
         num_a, den_a = integer_terms(self.terms)
         num_b, den_b = integer_terms(other.terms)
-        out = {}
-        for m1, c1 in num_a.items():
-            for m2, c2 in num_b.items():
-                m = mono_mul(m1, m2)
-                out[m] = out.get(m, 0) + c1 * c2
         den = den_a * den_b
-        for m, c in out.items():
-            out[m] = Fraction(c, den)
-        return Polynomial(self.dim, out)  # drops the sums that cancelled
+        # drops the sums that cancelled
+        return Polynomial(self.dim, {m: Fraction(c, den) for m, c
+                                     in mul_terms(num_a, num_b).items()})
 
     __rmul__ = __mul__
 
@@ -373,14 +393,7 @@ class Polynomial(SparseTerms):
             self.dim, {mono_mul(k, m): v * coeff for k, v in self.terms.items()})
 
     def partial(self, i: int) -> "Polynomial":
-        out = {}
-        for m, c in self.terms.items():
-            if m[i] == 0:
-                continue
-            m2 = list(m)
-            m2[i] -= 1
-            out[tuple(m2)] = out.get(tuple(m2), Fraction(0)) + c * m[i]
-        return Polynomial(self.dim, out)
+        return Polynomial(self.dim, partial_terms(self.terms, i))
 
     # -- queries
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .bsdata import BFunction, RootMultiset, beta_factor, roots_in_interval
 from .errors import (InconclusiveAtBound, InternalCheckFailed, ParseError,
@@ -195,37 +196,34 @@ def operators_on_pole(ops, f: Polynomial, step: int, alpha: Fraction) -> list:
     """Evaluate each s-free operator of ops applied to f^(-step-alpha) as
     (numerator, pole), with the pole kept minimal.  One pole_apply call over
     the d-parts of all the ops gives the images d^gamma f^(-step-alpha) that
-    their terms share; their numerators are brought to ints over one
-    denominator once.  Each op's terms x^a * c * image are summed per pole
-    as ints, each pole's sum becomes one Polynomial, and the parts are
-    cleared to the largest pole of a term (a pole whose sum is zero
-    included) and divided down to the minimal one.  An operator that still
-    carries s raises InternalCheckFailed."""
+    their terms share, in integer numerators, brought over one denominator
+    once.  Each op's terms x^a * c * image are summed per pole as ints and
+    cleared in ints (clear_to_pole) to the largest pole of a term (a pole
+    whose sum is zero included); the one Polynomial this gives is divided
+    down to the minimal pole.  An operator that still carries s raises
+    InternalCheckFailed."""
     if not all(op.is_s_free() for op in ops):
         raise InternalCheckFailed(
             "an operator evaluated on a pole still carries s")
     images = pole_apply({de for op in ops for _, de, _ in op.terms},
                         Polynomial.one(f.dim), step, alpha, f)
-    flat, den = integer_terms({(de, m): c for de, (num, _) in images.items()
-                               for m, c in num.terms.items()})
-    image_nums = {de: [] for de in images}
-    for (de, m), c in flat.items():
-        image_nums[de].append((m, c))
+    den = lcm(*(d for _, d, _ in images.values()))
+    image_nums = {de: [(m, c * (den // d)) for m, c in num.items()]
+                  for de, (num, d, _) in images.items()}
+    f_int = integer_terms(f.terms)
     out = []
     for op in ops:
         op_num, op_den = integer_terms(op.terms)
         sums = {}  # pole -> {monomial: int numerator}
         for (xe, de, _), c in op_num.items():
-            acc = sums.setdefault(images[de][1], {})
+            acc = sums.setdefault(images[de][2], {})
             for m, v in image_nums[de]:
                 key = mono_mul(xe, m)
                 acc[key] = acc.get(key, 0) + c * v
-        scale = op_den * den
-        parts = [(Polynomial(f.dim, {m: Fraction(v, scale)
-                                     for m, v in acc.items()}), p)
-                 for p, acc in sums.items()]
         pole = max(sums, default=step)
-        total = clear_to_pole(parts, f, pole)
+        num, scale = clear_to_pole(sums, op_den * den, f_int, pole)
+        total = Polynomial(f.dim, {m: Fraction(v, scale)
+                                   for m, v in num.items()})
         while pole > 0 and not total.is_zero():
             q = total.div_exact(f)
             if q is None:

@@ -6,6 +6,9 @@ dt-layer) or of the twisted localization module (polynomial numerators over
 a fixed pole order), using exact linear algebra only.  Verdicts are
 three-valued: "member" always carries a witness that re-evaluates exactly;
 "not-found-at-bound" is never treated as a refutation.
+
+Window vectors are built in integer form: numerators {m: int}, or layers
+{j: {m: int}}, over an int den > 0; f = F/df and alpha = a/q in integers.
 """
 
 from __future__ import annotations
@@ -13,11 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from .errors import DimensionMismatch, InternalCheckFailed, PreconditionError
-from .exactalg import (Polynomial, fmt_rational, graded_ideal, grlex_key,
-                       monomials_upto_degree)
+from .exactalg import (Polynomial, combine_terms, fmt_rational,
+                       graded_ideal, grlex_key, integer_terms,
+                       monomials_upto_degree, mul_terms, partial_terms)
 from .bsdata import BFunction, RootMultiset
 from .linalg import Echelon
 from .snc import HodgePresentation, SncDivisor, snc_hodge_weight
@@ -67,11 +71,6 @@ class SpanCertificate:
 # elements of the graph-embedding module
 
 
-def _accumulate(layers: dict, j: int, p: Polynomial):
-    if not p.is_zero():
-        layers[j] = layers[j] + p if j in layers else p
-
-
 class BfElement:
     """Finitely many layers g_j * dt^j applied to the module generator."""
 
@@ -87,9 +86,6 @@ class BfElement:
     @classmethod
     def from_poly(cls, p: Polynomial, layer: int = 0):
         return cls(p.dim, {layer: p})
-
-    def is_zero(self) -> bool:
-        return not self.layers
 
     def max_layer(self) -> int:
         return max(self.layers, default=0)
@@ -108,34 +104,38 @@ class BfElement:
 
     def t(self, f: Polynomial) -> "BfElement":
         """t: g dt^j -> f g dt^j - j g dt^(j-1)."""
-        out = {}
-        for j, p in self.layers.items():
-            _accumulate(out, j, p * f)
-            if j >= 1:
-                _accumulate(out, j - 1, p.scale(-j))
-        return BfElement(self.dim, out)
+        layers = self.layers.items()
+        return BfElement(self.dim, {j: p * f for j, p in layers}) + \
+            BfElement(self.dim, {j - 1: p.scale(-j) for j, p in layers if j})
 
     def dt(self) -> "BfElement":
         """dt: g dt^j -> g dt^(j+1)."""
         return BfElement(self.dim, {j + 1: p for j, p in self.layers.items()})
 
-    def d(self, i: int, f: Polynomial) -> "BfElement":
-        """d_i (0-based i): g dt^j -> (d_i g) dt^j - (d_i f) g dt^(j+1)."""
-        df = f.partial(i)
-        out = {}
-        for j, p in self.layers.items():
-            _accumulate(out, j, p.partial(i))
-            _accumulate(out, j + 1, (p * df).scale(-1))
-        return BfElement(self.dim, out)
-
     def d_images(self, gammas, f: Polynomial, dt: int) -> list:
-        """(gamma, d^gamma self) for the d-parts gamma of gammas (see
-        d_part_images) whose image is nonzero and has no layer above dt.
-        bf_span and the cross-check's oracle take their graph-module images
-        from it, so the dt skip is made in one place."""
-        images = d_part_images(gammas, self, lambda u, i: u.d(i, f))
-        return [(gamma, img) for gamma, img in images.items()
-                if not img.is_zero() and img.max_layer() <= dt]
+        """(gamma, layers, den) for the d-parts gamma of gammas (see
+        d_part_images) whose image d^gamma self, in integer form, is nonzero
+        and has no layer above dt; d_i: g dt^j -> (df d_i(g) dt^j -
+        d_i(F) g dt^(j+1)) / df.  bf_span and the cross-check's oracle take
+        their graph-module images from it: one place makes the dt skip."""
+        fnum, df = integer_terms(f.terms)
+        dfs = [partial_terms(fnum, i) for i in range(self.dim)]
+        flat, den = integer_terms({(j, m): c for j, p in self.layers.items()
+                                   for m, c in p.terms.items()})
+        start = {j: {m: c for (i, m), c in flat.items() if i == j}
+                 for j in self.layers}
+
+        def step(image, i):
+            layers, den = image
+            out = {j: combine_terms(
+                partial_terms(layers.get(j, {}), i), df,
+                mul_terms(layers.get(j - 1, {}), dfs[i]), -1)
+                for j in {*layers, *(j + 1 for j in layers)}}
+            return {j: terms for j, terms in out.items() if terms}, den * df
+
+        images = d_part_images(gammas, (start, den), step)
+        return [(gamma, layers, den) for gamma, (layers, den) in images.items()
+                if layers and max(layers) <= dt]
 
     def __eq__(self, other):
         return (isinstance(other, BfElement) and self.dim == other.dim
@@ -282,7 +282,6 @@ def candidate_v_snc(a, lam, jmax: int):
     the layer-j monomials for j = 0..jmax."""
     lam = Fraction(lam)
     a = tuple(int(e) for e in a)
-    dim = len(a)
     out = []
     for j in range(jmax + 1):
         exps = snc_v_generator_exponents(a, lam + j)
@@ -400,8 +399,8 @@ def bf_span(gens, f: Polynomial, bounds: Bounds) -> WindowSpan:
     span = WindowSpan(f, 0, bounds.xdeg, bounds.dt)
     gammas, _ = span.shifts(bounds.order)
     for gi, gen in enumerate(gens):
-        for gamma, img in gen.d_images(gammas, f, bounds.dt):
-            span.add_layers(img.layers, (gi, gamma))
+        for gamma, layers, den in gen.d_images(gammas, f, bounds.dt):
+            span.add_layers(layers, den, (gi, gamma))
     return span
 
 
@@ -484,17 +483,16 @@ def q_poch(j: int, beta: Fraction) -> Fraction:
     return out
 
 
-def psi_map(u: BfElement, beta):
-    """Image of sum g_j dt^j under the layer-collapse into the module twisted
-    by beta more: the list of (g_j * Q_j(beta), pole step j)."""
+def psi_map(layers: dict, den: int, beta) -> tuple:
+    """Image of sum g_j dt^j, its layers over den in integer form, under the
+    layer-collapse into the module twisted by beta more: (parts, den'), the
+    nonzero parts {pole step j: g_j * Q_j(beta)} over den' = den * q^top, q
+    the denominator of beta and top the highest layer."""
     beta = Fraction(beta)
-    out = []
-    for j in sorted(u.layers):
-        q = q_poch(j, beta)
-        p = u.layers[j].scale(q)
-        if not p.is_zero():
-            out.append((p, j))
-    return out
+    scale = beta.denominator ** max(layers, default=0)
+    factors = {j: (q_poch(j, beta) * scale).numerator for j in sorted(layers)}
+    return {j: {m: v * c for m, v in layers[j].items()}
+            for j, c in factors.items() if c}, den * scale
 
 
 def phi_shift(u: BfElement, alpha, f: Polynomial) -> BfElement:
@@ -534,37 +532,40 @@ def phi_shift(u: BfElement, alpha, f: Polynomial) -> BfElement:
 
 def pole_apply(gammas, g: Polynomial, pole: int, alpha: Fraction,
                f: Polynomial) -> dict:
-    """Map each gamma of gammas to d^gamma applied to g * f^(-pole-alpha), as
-    (numerator, pole + |gamma|), one step per gamma (see d_part_images):
-    d_i (num f^(-p-alpha)) = (d_i(num) f - (p+alpha) num d_i(f)) f^(-p-1-alpha).
-    """
-    dfs = [f.partial(i) for i in range(f.dim)]
+    """Map each gamma of gammas to d^gamma (g f^(-pole-alpha)) in integer
+    form, (num, den, pole + |gamma|), one step per gamma (d_part_images):
+    d_i (num/den f^(-p-alpha))
+    = (q d_i(num) F - (pq+a) num d_i(F)) / (den q df) f^(-p-1-alpha)."""
+    fnum, df = integer_terms(f.terms)
+    dfs = [partial_terms(fnum, i) for i in range(f.dim)]
+    a, q = alpha.numerator, alpha.denominator
 
     def step(image, i):
-        num, p = image
-        return num.partial(i) * f - (num * dfs[i]).scale(p + alpha), p + 1
+        num, den, p = image
+        return (combine_terms(mul_terms(partial_terms(num, i), fnum), q,
+                              mul_terms(num, dfs[i]), -(p * q + a)),
+                den * q * df, p + 1)
 
-    return d_part_images(gammas, (g, pole), step)
+    return d_part_images(gammas, (*integer_terms(g.terms), pole), step)
 
 
-def clear_to_pole(parts, f: Polynomial, pole: int) -> Polynomial:
-    """The parts (num, p), each standing for num * f^(-p), written over one
-    pole: the numerator sum of num * f^(pole - p), zero numerators skipped.
-    The numerators are summed per p and cleared by Horner's rule, one
-    product by f per pole step."""
-    by_pole = {}
-    for num, p in parts:
-        if not num.is_zero():
-            by_pole[p] = by_pole[p] + num if p in by_pole else num
+def clear_to_pole(parts, den: int, f_int: tuple, pole: int) -> tuple:
+    """The parts {p: num} over den, each num/den f^(-p), written over one
+    pole in integer form (numerator, den'), zero numerators skipped: cleared
+    by Horner's rule on F of f_int = (F, df), one product by F per pole
+    step, over den' = den df^(pole - lo), lo the lowest pole of a part."""
+    by_pole = {p: num for p, num in parts.items() if num}
     if max(by_pole, default=pole) > pole:
         raise ValueError("a part lies above the pole")
-    total = Polynomial.zero(f.dim)
-    for p in range(min(by_pole, default=pole), pole + 1):
-        if not total.is_zero():
-            total = total * f
+    fnum, df = f_int
+    lo = min(by_pole, default=pole)
+    total = {}
+    for p in range(lo, pole + 1):
+        if total:
+            total = mul_terms(total, fnum)
         if p in by_pole:
-            total = total + by_pole[p]
-    return total
+            total = combine_terms(total, 1, by_pole[p], df ** (p - lo))
+    return {m: c for m, c in total.items() if c}, den * df ** (pole - lo)
 
 
 def _direction(terms: dict) -> tuple:
@@ -599,11 +600,12 @@ class WindowSpan:
     """
 
     __slots__ = ("f", "pole_target", "xdeg", "dt", "packing", "n_vectors",
-                 "_echelon", "_tags", "_queue", "_built", "_shifts",
-                 "_taken")
+                 "_f_int", "_echelon", "_tags", "_queue", "_built",
+                 "_shifts", "_taken")
 
     def __init__(self, f: Polynomial, pole_target: int, xdeg: int, dt: int):
         self.f = f
+        self._f_int = integer_terms(f.terms)
         self.pole_target = pole_target
         self.xdeg = xdeg
         self.dt = dt
@@ -641,25 +643,19 @@ class WindowSpan:
         return all(ks <= other._taken.get(shape, set())
                    for shape, ks in self._taken.items())
 
-    def _degree(self, layers: dict) -> int | None:
-        """The largest degree of a term of the layers {j: Polynomial}, -1
-        when they have none; None when they leave the (xdeg, dt) window,
-        where a packed key could alias."""
-        deg = -1
-        for j, p in layers.items():
-            if j > self.dt:
-                return None
-            for m in p.terms:
-                if sum(m) > deg:
-                    deg = sum(m)
-        return deg if deg <= self.xdeg else None
+    def _packed(self, layers: dict):
+        """(packed terms, largest term degree or -1) of the layers
+        {j: {m: c}}; None outside the (xdeg, dt) window, where keys alias."""
+        deg = max(map(sum, chain.from_iterable(layers.values())), default=-1)
+        if deg > self.xdeg or any(j > self.dt for j in layers):
+            return None
+        return self.packing.pack_terms(layers), deg
 
     def reduce(self, layers: dict):
-        """Echelon.reduce of the element given by its layers; None when it
-        leaves the window."""
-        if self._degree(layers) is None:
-            return None
-        return self.echelon.reduce(*self.packing.pack_layers(layers))
+        """Echelon.reduce of the element given by its layers
+        {j: Polynomial}; None when it leaves the window."""
+        packed = self._packed({j: p.terms for j, p in layers.items()})
+        return packed and self.echelon.reduce(*integer_terms(packed[0]))
 
     def witness(self, members: list) -> list:
         """For each member given by its layers, the combination
@@ -676,13 +672,13 @@ class WindowSpan:
         return [ech.reduce(*self.packing.pack_layers(layers))[1]
                 for layers in members]
 
-    def contains(self, parts) -> bool | None:
-        """Whether the element given by its (numerator, pole) parts lies in
-        the span, its numerator cleared to pole_target; None outside the
-        window."""
-        reduced = self.reduce({0: clear_to_pole(parts, self.f,
-                                                self.pole_target)})
-        return None if reduced is None else not reduced[0]
+    def contains(self, g: Polynomial, pole: int) -> bool | None:
+        """Whether g * f^(-pole), cleared to pole_target, lies in the span
+        (None outside the window); no scalar changes that, so dens drop."""
+        packed = self._packed({0: clear_to_pole(
+            {pole: integer_terms(g.terms)[0]}, 1, self._f_int,
+            self.pole_target)[0]})
+        return packed and not self.echelon.reduce(packed[0], 1)[0]
 
     def insert(self, terms: dict, den: int, tag, betas, codes):
         """Queue and record the vectors x^beta * terms/den (integer
@@ -698,22 +694,24 @@ class WindowSpan:
         if fresh:
             self._queue.append((terms, den, tag, fresh))
 
-    def add_layers(self, layers: dict, tag):
-        """Add the window vectors of one element given by its layers
-        {j: Polynomial}, tagged tag + (beta,); the element is scaled to
-        integers and packed once, and every shift shares its den.  Adds
-        nothing when the element is zero or leaves the window."""
-        deg = self._degree(layers)
-        if deg is not None and deg >= 0:
-            self.insert(*self.packing.pack_layers(layers), tag,
-                        *self.shifts(self.xdeg - deg))
+    def add_layers(self, layers: dict, den: int, tag):
+        """Add the window vectors of an element given by its layers over den
+        (integer form), tagged tag + (beta,); none when it is zero or leaves
+        the window.  Keys are packed once, and the pair divided by
+        gcd(den, content) is its integer_terms pair, shared by every shift."""
+        packed = self._packed(layers)
+        if packed is not None and packed[1] >= 0:
+            terms, deg = packed
+            g = math.gcd(den, *terms.values())
+            if g != 1:
+                terms = {k: c // g for k, c in terms.items()}
+            self.insert(terms, den // g, tag, *self.shifts(self.xdeg - deg))
 
-    def add(self, parts, tag):
-        """add_layers of the element given by its (numerator, pole) parts,
-        cleared to pole_target at layer 0; a part above pole_target raises
-        ValueError."""
-        self.add_layers({0: clear_to_pole(parts, self.f, self.pole_target)},
-                        tag)
+    def add(self, parts, den: int, tag):
+        """add_layers of the element given by its parts {p: num} over den,
+        cleared to pole_target at layer 0; a part above it raises ValueError."""
+        num, den = clear_to_pole(parts, den, self._f_int, self.pole_target)
+        self.add_layers({0: num}, den, tag)
 
     def add_summand(self, si: int, summand, alpha: Fraction):
         """Add the vectors x^beta d^gamma (g f^(-j-alpha)) of the summand
@@ -725,7 +723,8 @@ class WindowSpan:
         gammas, _ = self.shifts(min(budget, self.pole_target - j))
         images = pole_apply(gammas, g, j, alpha, self.f)
         for gamma in gammas:
-            self.add([images[gamma]], (si, gamma))
+            num, den, pole = images[gamma]
+            self.add({pole: num}, den, (si, gamma))
 
 
 def _twist_shift(alpha_base: Fraction, alpha: Fraction) -> int:
@@ -836,7 +835,7 @@ def reduce_presentation(pres: HodgePresentation, f: Polynomial,
                    key=lambda t: (t[2], t[1].total_degree(),
                                   grlex_key(t[1].leading_monomial())))
     for budget, g, j in order:
-        if kept and span.contains([(g, j)]):
+        if kept and span.contains(g, j):
             continue
         span.add_summand(len(kept), (budget, g, j), pres.alpha)
         kept.append((budget, g, j))
@@ -889,7 +888,7 @@ def dspans_equal(p1: HodgePresentation, p2: HodgePresentation, f: Polynomial,
                 if depth not in spans:
                     spans[depth] = presentation_span(
                         tgt, f, alpha_base, depth, bounds.xdeg)
-                inside = spans[depth].contains([(g, j)])
+                inside = spans[depth].contains(g, j)
                 if inside is None or inside:
                     break
             if not inside:
@@ -933,8 +932,8 @@ def crosscheck_hodge_weight(kind: str, obj, alpha, k: int, l: int,
     oracle_span = WindowSpan(f, pole_target, bounds.xdeg, 0)
     for gi, (gen, budget) in enumerate(gens):
         gammas, _ = oracle_span.shifts(min(budget, bounds.order))
-        for gamma, img in gen.d_images(gammas, f, bounds.dt):
-            oracle_span.add(psi_map(img, alpha), (gi, gamma))
+        for gamma, layers, den in gen.d_images(gammas, f, bounds.dt):
+            oracle_span.add(*psi_map(layers, den, alpha), (gi, gamma))
 
     closed_span = presentation_span(pres, f, alpha, pole_target, bounds.xdeg)
     return _certificate(bounds, _mutual_containment(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, lcm, perm
+from operator import mul
 
 from .errors import DimensionMismatch, InternalCheckFailed, ParseError
 from .exactalg import (Polynomial, SparseTerms, integer_terms, mono_mul,
@@ -433,13 +434,14 @@ class KeyPacking:
     shifted exponent reaches it.
     """
 
-    __slots__ = ("dim", "radix", "reach", "top")
+    __slots__ = ("dim", "radix", "reach", "top", "_xplaces")
 
     def __init__(self, dim: int, radix: int, reach: int):
         self.dim = dim
         self.radix = radix
         self.reach = reach
         self.top = radix ** (2 * dim + 1)
+        self._xplaces = tuple(radix ** (2 * dim - i) for i in range(dim))
 
     def pack(self, key: Key) -> int:
         xe, de, sp = key
@@ -467,20 +469,27 @@ class KeyPacking:
 
     def shift(self, b, j: int) -> int:
         """The packed key of x^b s^j: adding it multiplies by x^b s^j."""
-        return self.pack((b, (0,) * self.dim, j))
+        return sum(map(mul, b, self._xplaces)) + j
+
+    def pack_terms(self, layers: dict) -> dict:
+        """The layers {j: {m: c}} as {j * top + shift(m, 0): c}, each
+        exponent vector packed once."""
+        places, top = self._xplaces, self.top
+        return {j * top + sum(map(mul, m, places)): c
+                for j, terms in layers.items() for m, c in terms.items()}
 
     def pack_layers(self, layers: dict) -> tuple:
         """(integer numerators, den) of the layers {j: Polynomial}, each x^m
         keyed at its layer as above, over one denominator."""
-        return integer_terms({j * self.top + self.shift(m, 0): c
-                              for j, p in layers.items()
-                              for m, c in p.terms.items()})
+        return integer_terms(self.pack_terms(
+            {j: p.terms for j, p in layers.items()}))
 
     def shifts(self, bound: int) -> tuple:
         """(the exponent vectors of total degree <= bound, in grlex order,
-        and the packed keys of their x-monomials)."""
+        and the packed keys of their x-monomials).  Each key is the dot
+        product of the vector with the place values of the x digits."""
         betas = tuple(monomials_upto_degree(self.dim, bound))
-        return betas, tuple(self.shift(b, 0) for b in betas)
+        return betas, tuple(sum(map(mul, b, self._xplaces)) for b in betas)
 
     def pack_image(self, terms: dict) -> dict:
         """terms with packed keys, for an image d^g * t whose x and s

@@ -374,6 +374,15 @@ PINNED = [
      0, "ad08c4f95abb8f496205ce3cc32293b1a42b09db91f73bf9cbfb5b03e76d4a31"),
     (("ppd", "--input", "{}/cusp_rational.ann", "--l", "0", "--k", "1"),
      0, "e9407d1ffa8916e013901629574b6fe5d962f3014132174a50b749201e44ecb5"),
+    # d-part bounds above xdeg: for f = x1 an image d^gamma with
+    # |gamma| > xdeg stays in the window, so a d-part set sliced from the
+    # xdeg one changes both envelopes (the first to exit 3)
+    (("crosscheck", "--source", "snc", "--exponents", "1", "--alpha", "1",
+      "--k", "1", "--l", "1", "--order", "5", "--xdeg", "0", "--dtord", "5"),
+     0, "dd535af698a48adb8a7e0658638cdfbc932238e57d6cee2cfabef381afb44741"),
+    (("crosscheck", "--source", "snc", "--exponents", "1", "--alpha", "1",
+      "--k", "2", "--l", "1", "--order", "3", "--xdeg", "1", "--dtord", "3"),
+     0, "a39307948ee10573f45678e7883d8964198fdea41470f829bd934a82c58afc33"),
 ]
 
 

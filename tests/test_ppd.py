@@ -15,8 +15,7 @@ from hwkit.ppd import (AnnihilatorInput, check_annihilator, gamma_ideal,
                        weight_module_generators, weight_step_presentation)
 from hwkit.snc import (HodgePresentation, SncDivisor, snc_f0_ideal,
                        snc_hodge_weight)
-from hwkit.vforacle import (Bounds, dspans_equal, pole_apply,
-                            presentations_equal)
+from hwkit.vforacle import Bounds, dspans_equal, presentations_equal
 from hwkit.weyl import WeylOperator, homogeneity_grading
 from hwkit.whom import QuasiHomogeneousGerm
 
@@ -155,13 +154,27 @@ def test_operators_on_pole_rejects_s():
                           XY, 1, F(0))
 
 
+def d_gamma_on_pole(gamma, g, pole, alpha, f):
+    """d^gamma (g f^(-pole-alpha)) as (numerator, pole), one partial at a
+    time in Polynomial arithmetic:
+    d_i (num f^(-p-alpha)) = (d_i(num) f - (p+alpha) num d_i(f)) f^(-p-1-alpha).
+    """
+    num, p = g, pole
+    for i, e in enumerate(gamma):
+        for _ in range(e):
+            num = num.partial(i) * f - (num * f.partial(i)).scale(p + alpha)
+            p += 1
+    return num, p
+
+
 def operator_on_pole_reference(op, f, step, alpha):
-    """One operator on f^(-step-alpha) on its own: its own d-part images,
-    each term cleared with f ** (pole - p), then divided down."""
-    images = pole_apply([de for _, de, _ in op.terms], Polynomial.one(f.dim),
-                        step, alpha, f)
-    parts = [(images[de][0].mul_mono(xe, c), images[de][1])
-             for (xe, de, _), c in op.terms.items()]
+    """One operator on f^(-step-alpha) on its own: each term's d-part image
+    built by partials in Polynomial arithmetic, cleared with
+    f ** (pole - p), then divided down."""
+    parts = []
+    for (xe, de, _), c in op.terms.items():
+        num, p = d_gamma_on_pole(de, Polynomial.one(f.dim), step, alpha, f)
+        parts.append((num.mul_mono(xe, c), p))
     if not parts:
         return Polynomial.zero(f.dim), step
     pole = max(p for _, p in parts)

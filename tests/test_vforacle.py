@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -28,10 +29,51 @@ from hwkit.weyl import (KeyPacking, TwistedSection, WeylOperator,
                         apply_to_twisted, bounded_operator_basis,
                         d_part_images, graded_operator_basis,
                         homogeneity_grading)
-from hwkit.whom import QuasiHomogeneousGerm
+from hwkit.whom import QuasiHomogeneousGerm, whom_hodge_weight
 
 F = Fraction
 XY = poly_parse("x1*x2", 2)
+
+
+def poly_parts(parts, den, dim):
+    """The integer parts {p: num} over den as (Polynomial, p) parts."""
+    return [(Polynomial(dim, {m: F(c, den) for m, c in num.items()}), p)
+            for p, num in parts.items()]
+
+
+def int_parts(parts):
+    """(integer parts {p: num}, den) of the Polynomial parts (num, p),
+    summed per pole, over one denominator."""
+    by_pole = {}
+    for num, p in parts:
+        by_pole[p] = by_pole.get(p, Polynomial.zero(num.dim)) + num
+    flat, den = integer_terms({(p, m): c for p, num in by_pole.items()
+                               for m, c in num.terms.items()})
+    out = {p: {} for p in by_pole}
+    for (p, m), c in flat.items():
+        out[p][m] = c
+    return out, den
+
+
+def d_gamma_on_pole(gamma, g, pole, alpha, f):
+    """d^gamma (g f^(-pole-alpha)) as (numerator, pole), one partial at a
+    time in Polynomial arithmetic:
+    d_i (num f^(-p-alpha)) = (d_i(num) f - (p+alpha) num d_i(f)) f^(-p-1-alpha).
+    """
+    num, p = g, pole
+    for i, e in enumerate(gamma):
+        for _ in range(e):
+            num = num.partial(i) * f - (num * f.partial(i)).scale(p + alpha)
+            p += 1
+    return num, p
+
+
+def graph_d(u, i, f):
+    """d_i (0-based i) on the graph module, in Polynomial arithmetic:
+    g dt^j -> (d_i g) dt^j - (d_i f) g dt^(j+1)."""
+    out = BfElement(u.dim, {j: p.partial(i) for j, p in u.layers.items()})
+    return out + BfElement(u.dim, {j + 1: -(p * f.partial(i))
+                                   for j, p in u.layers.items()})
 
 
 def rand_poly(rng, dim=2, deg=2):
@@ -247,7 +289,7 @@ def test_graph_module_span_window_edges():
     # holds only the shifts of x1^3 (one) and of dt (x1^0..x1^3), and
     # reduce answers None for the skipped images
     assert span.n_vectors == span.echelon.n_vectors == 1 + 4
-    assert all(span.reduce(gen.d(0, f).layers) is None for gen in gens)
+    assert all(span.reduce(graph_d(gen, 0, f).layers) is None for gen in gens)
     # the span keys an element with its own packing: dt^3 is no multiple
     # of x1, whatever window a caller has in mind
     x1 = poly_parse("x1", 1)
@@ -259,15 +301,15 @@ def test_graph_module_span_window_edges():
 def _every_graph_vector(gens, f, bounds):
     """(vector, den, (generator, gamma, beta)) of every x^beta d^gamma gen
     inside the window, none skipped, in generator, grlex gamma and grlex
-    beta order: d^gamma by BfElement.d steps, x^beta by exponent addition,
+    beta order: d^gamma by graph_d steps, x^beta by exponent addition,
     each vector keyed by (layer, exponent vector)."""
     for gi, gen in enumerate(gens):
         for gamma in monomials_upto_degree(f.dim, bounds.order):
             u = gen
             for i, e in enumerate(gamma):
                 for _ in range(e):
-                    u = u.d(i, f)
-            if u.is_zero() or _outside(u.layers, bounds):
+                    u = graph_d(u, i, f)
+            if not u.layers or _outside(u.layers, bounds):
                 continue
             deg = max(p.total_degree() for p in u.layers.values())
             terms, den = integer_terms({(j, m): c
@@ -549,34 +591,38 @@ def test_verify_bfunction_witness_is_w_homogeneous(
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_d_gamma_images_match_step_chains(dim):
-    # pole_apply against the per-exponent loop, and the d_part_images
-    # BfElement images against chains that step the first index instead
+    # pole_apply's integer images against the per-exponent loop, and the
+    # d_part_images BfElement images against chains that step the first
+    # index instead, and d_images against those chains; f has rational
+    # coefficients on odd draws, so that df is not 1
     rng = random.Random(300 + dim)
     gammas = list(monomials_upto_degree(dim, 3))
-    for _ in range(3):
+    for draw in range(4):
         f = rand_poly(rng, dim) + Polynomial.monomial((1,) + (0,) * (dim - 1))
+        f = f.scale(F(2, 3)) if draw % 2 else f
         g = rand_poly(rng, dim)
         pole, alpha = rng.randint(0, 2), F(rng.randint(0, 5), 6)
         images = vforacle.pole_apply(gammas, g, pole, alpha, f)
         assert set(images) == set(gammas)
         for gamma in gammas:
-            num, p = g, pole
-            for i, e in enumerate(gamma):
-                for _ in range(e):
-                    num = (num.partial(i) * f
-                           - (num * f.partial(i)).scale(p + alpha))
-                    p += 1
-            assert images[gamma] == (num, p), gamma
+            num, den, p = images[gamma]
+            assert poly_parts({p: num}, den, dim) == [
+                d_gamma_on_pole(gamma, g, pole, alpha, f)], gamma
 
         gen = BfElement(dim, {0: rand_poly(rng, dim), 1: rand_poly(rng, dim)})
         images = d_part_images(gammas, gen,
-                               lambda u, i: u.d(i, f))
+                               lambda u, i: graph_d(u, i, f))
         chain = {gammas[0]: gen}  # grlex order: each gamma after gamma - e_i
         for gamma in gammas[1:]:
             i = next(k for k, e in enumerate(gamma) if e)
             prev = gamma[:i] + (gamma[i] - 1,) + gamma[i + 1:]
-            chain[gamma] = chain[prev].d(i, f)
+            chain[gamma] = graph_d(chain[prev], i, f)
         assert images == chain
+        for dt in (1, 9):
+            assert [(gamma, {j: p for p, j in poly_parts(layers, den, dim)})
+                    for gamma, layers, den in gen.d_images(gammas, f, dt)] \
+                == [(gamma, u.layers) for gamma, u in chain.items()
+                    if u.layers and u.max_layer() <= dt]
 
 
 def test_candidate_v_snc_exponents():
@@ -661,13 +707,13 @@ WITNESS_SHA = (
 
 def _reevaluated(witness, gens, f):
     """The sum of coeff * x^xbeta d^dgamma gens[generator] over the steps
-    of a membership witness, each d step through BfElement.d."""
+    of a membership witness, each d step through graph_d."""
     total = BfElement(f.dim, {})
     for step in witness:
         u = gens[step["generator"]]
         for i, e in enumerate(step["dgamma"]):
             for _ in range(e):
-                u = u.d(i, f)
+                u = graph_d(u, i, f)
         beta = tuple(step["xbeta"])
         u = BfElement(f.dim, {j: p.mul_mono(beta, 1)
                               for j, p in u.layers.items()})
@@ -710,10 +756,18 @@ def test_q_poch():
 
 
 def test_psi_map():
-    g = poly_parse("x1", 2)
-    assert psi_map(BfElement.from_poly(g, 0), 0) == [(g, 0)]
-    assert psi_map(BfElement.from_poly(g, 1), 0) == []
-    assert psi_map(BfElement.from_poly(g, 2), 1) == [(g.scale(2), 2)]
+    x1 = {(1, 0): 1}
+    assert psi_map({0: x1}, 1, 0) == ({0: x1}, 1)
+    assert psi_map({1: x1}, 1, 0) == ({}, 1)
+    assert psi_map({2: x1}, 1, 1) == ({2: {(1, 0): 2}}, 1)
+    # over the returned den, the parts are g_j * Q_j(beta), a zero one
+    # dropped
+    layers = {0: {(1, 0): 2}, 2: {(0, 1): -3, (2, 0): 1}, 3: {(0, 0): 5}}
+    for beta in (F(1, 2), F(-2, 3), F(5, 6), F(-1), F(0)):
+        parts, den = psi_map(layers, 7, beta)
+        assert poly_parts(parts, den, 2) == [
+            (Polynomial(2, layers[j]).scale(q_poch(j, beta) / 7), j)
+            for j in sorted(layers) if q_poch(j, beta)]
 
 
 def test_phi_shift():
@@ -878,10 +932,30 @@ def test_spans_build_no_image_above_their_pole(monkeypatch):
         assert gammas and all(pole + sum(g) <= target for g in gammas)
 
 
+def test_d_part_sets_reach_above_xdeg(monkeypatch):
+    # a d-part bound may exceed xdeg: for f = x1, d1 takes 1 to -dt, of
+    # degree 0, so every image d^gamma 1 stays in the window, and a span
+    # builds all C(n + order, n) d-parts, not a slice of its xdeg set
+    sizes, real = [], vforacle.d_part_images
+
+    def noting(gammas, start, step):
+        sizes.append(len(gammas))
+        return real(gammas, start, step)
+
+    monkeypatch.setattr(vforacle, "d_part_images", noting)
+    for dim, order, xdeg in ((1, 5, 0), (2, 3, 1), (3, 2, 0)):
+        f = Polynomial.monomial((1,) + (0,) * (dim - 1))
+        sizes.clear()
+        span = bf_span([BfElement.from_poly(Polynomial.one(dim))], f,
+                       Bounds(order, xdeg, order))
+        assert sizes == [math.comb(dim + order, dim)]
+        assert max(sum(gamma) for _, gamma, _ in span.tags) == order
+
+
 def test_window_span_add_refuses_a_part_above_its_pole():
     span = WindowSpan(XY, 1, 4, 0)
     with pytest.raises(ValueError):
-        span.add([(poly_parse("x1", 2), 2)], (0,))
+        span.add({2: {(1, 0): 1}}, 1, (0,))
     assert span.n_vectors == 0
 
 
@@ -1056,18 +1130,22 @@ def cleared_by_powers(parts, f, pole):
 ])
 def test_clear_to_pole_matches_powers(poles, pole):
     rng = random.Random(10 * len(poles) + pole)
-    for f in (XY, poly_parse("x1^2+x2^3", 2)):
-        parts = [(rand_poly(rng), p) for p in poles]
+    for f in (XY, poly_parse("x1^2+x2^3", 2), poly_parse("x2^2 - 1/2", 2)):
+        parts = [(rand_poly(rng).scale(F(1, rng.randint(1, 6))), p)
+                 for p in poles]
         # zero numerators, one of them above the pole, are skipped; a part
         # and its negative at one pole cancel
         parts += [(Polynomial.zero(2), pole), (Polynomial.zero(2), pole + 1)]
         if poles:
             g = rand_poly(rng) + XY
             parts += [(g, poles[0]), (-g, poles[0])]
-        assert vforacle.clear_to_pole(parts, f, pole) == \
-            cleared_by_powers(parts, f, pole), (poles, pole, str(f))
+        num, den = vforacle.clear_to_pole(*int_parts(parts),
+                                          integer_terms(f.terms), pole)
+        assert poly_parts({pole: num}, den, 2) == [
+            (cleared_by_powers(parts, f, pole), pole)], (poles, pole, str(f))
     with pytest.raises(ValueError):
-        vforacle.clear_to_pole([(XY, pole + 1)], XY, pole)
+        vforacle.clear_to_pole(*int_parts([(XY, pole + 1)]),
+                               integer_terms(XY.terms), pole)
 
 
 def every_window_vector(parts, f, pole_target, xdeg, tag):
@@ -1075,7 +1153,7 @@ def every_window_vector(parts, f, pole_target, xdeg, tag):
     its cleared numerator, the reference a window family must match."""
     if any(p > pole_target for _, p in parts):
         return
-    num = vforacle.clear_to_pole(parts, f, pole_target)
+    num = cleared_by_powers(parts, f, pole_target)
     if num.is_zero() or num.total_degree() > xdeg:
         return
     terms, den = integer_terms(num.terms)
@@ -1140,7 +1218,7 @@ class _RecordingSpan(WindowSpan):
 def _window_span(elements, f, xdeg, cls=WindowSpan):
     span = cls(f, 1, xdeg, 0)
     for i, parts in enumerate(elements):
-        span.add(parts, (i,))
+        span.add(*int_parts(parts), (i,))
     return span
 
 
@@ -1313,11 +1391,10 @@ def _reference_reduce(pres, f, xdeg):
                 and not span.reduce(*integer_terms(vec.terms))[0]):
             continue
         kept.append((budget, g, j))
-        gammas = list(monomials_upto_degree(f.dim, budget))
-        images = vforacle.pole_apply(gammas, g, j, pres.alpha, f)
-        for gamma in gammas:
-            for v, den, _ in every_window_vector([images[gamma]], f,
-                                                 pole_target, xdeg, ()):
+        for gamma in monomials_upto_degree(f.dim, budget):
+            image = d_gamma_on_pole(gamma, g, j, pres.alpha, f)
+            for v, den, _ in every_window_vector([image], f, pole_target,
+                                                 xdeg, ()):
                 span.insert(v, den)
     return HodgePresentation.build(pres.alpha, pres.dim, kept)
 
@@ -1351,17 +1428,113 @@ def test_reduce_presentation_matches_every_vector_reference(case):
     assert got.to_json() == _reference_reduce(pres, f, xdeg).to_json()
 
 
+# every alpha in (0, 1] with a denominator 1 to 6, and germs whose rational
+# coefficients make df differ from 1
+ALPHAS = sorted({F(a, q) for q in range(1, 7) for a in range(1, q + 1)})
+RATIONAL_GERMS = [("1/2*x1^2 + 1/3*x2^3", "1/2,1/3"),
+                  ("x1^2 - 1/2*x2^2", "1/2,1/2"),
+                  ("1/2*x1^2 + 1/3*x2^3 + 2/5*x3^2", "1/2,1/3,1/2")]
+
+
+def _assert_queue_canonical(span, vector_of):
+    """Every queued (terms, den) of the span is the integer_terms pair of
+    vector_of(tag), its vector built in Fraction polynomials, at the span's
+    packed keys."""
+    for terms, den, tag, _ in span._queue:
+        vec = vector_of(tag)
+        assert (terms, den) == integer_terms(
+            {span.packing.shift(m, 0): c for m, c in vec.terms.items()}), tag
+
+
+def _twisted_vector(summands, alpha, f, pole_target):
+    """The Fraction-built vector of the tag (si, gamma) of a twisted span:
+    d^gamma (g f^(-j-alpha)) of summand si by partials, cleared with
+    f ** (pole_target - p)."""
+    def vector_of(tag):
+        _, g, j = summands[tag[0]]
+        num, p = d_gamma_on_pole(tag[1], g, j, alpha, f)
+        return num * f ** (pole_target - p)
+    return vector_of
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_twisted_span_queues_canonical_pairs(data):
+    # f among the poles and the rational bases (df != 1), alpha of any
+    # sign with a denominator 1 to 6; the unit summand keeps the queue
+    # nonempty
+    dim = data.draw(st.sampled_from([2, 3]))
+    f = poly_parse(data.draw(st.sampled_from(POLES[dim] + [BASES[dim][4]])),
+                   dim)
+    alpha = F(data.draw(st.integers(-6, 6)), data.draw(st.integers(1, 6)))
+    summand = st.builds(
+        lambda budget, base, shift, c, j: (
+            budget, poly_parse(base, dim).mul_mono(shift, 1).scale(c), j),
+        st.integers(0, 2), st.sampled_from(BASES[dim]),
+        st.sampled_from(SHIFTS[dim]),
+        st.sampled_from([F(1), F(-2), F(1, 3), F(-5, 4)]), st.integers(0, 2))
+    summands = [(0, Polynomial.one(dim), 2)] + data.draw(
+        st.lists(summand, min_size=1, max_size=3))
+    span = WindowSpan(f, 2, 6, 0)
+    for si, s in enumerate(summands):
+        span.add_summand(si, s, alpha)
+    _assert_queue_canonical(span, _twisted_vector(summands, alpha, f, 2))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.sampled_from(RATIONAL_GERMS), st.sampled_from(ALPHAS),
+       st.integers(0, 2), st.integers(0, 1))
+def test_crosscheck_spans_queue_canonical_pairs(germ, alpha, k, l):
+    # both spans of a cross-check over a germ with rational coefficients:
+    # the oracle's d_images -> psi_map -> add chain and the closed form's
+    # pole images queue the pairs of their Fraction-built vectors
+    poly, weights = germ
+    w = WeightVector.parse(weights)
+    germ = QuasiHomogeneousGerm(poly_parse(poly, w.dim), w)
+    l = 1 if alpha == 1 else l
+    bounds, spans = Bounds(2, 4, 2), []
+
+    class Recording(WindowSpan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            spans.append(self)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(vforacle, "WindowSpan", Recording)
+        crosscheck_hodge_weight("whom", germ, alpha, k, l, bounds)
+    oracle, closed = spans
+    f = germ.f
+    gens = WhomVFamily(germ, bounds.dt).kernel_gens(alpha, l, k)
+
+    def oracle_vector(tag):
+        u = gens[tag[0]][0]
+        for i, e in enumerate(tag[1]):
+            for _ in range(e):
+                u = graph_d(u, i, f)
+        total = Polynomial.zero(f.dim)
+        for j, p in u.layers.items():
+            total += p.scale(q_poch(j, alpha)) * f ** (oracle.pole_target - j)
+        return total
+
+    assert oracle._queue and closed._queue
+    _assert_queue_canonical(oracle, oracle_vector)
+    _assert_queue_canonical(closed, _twisted_vector(
+        whom_hodge_weight(germ, alpha, k, l).summands, alpha, f,
+        closed.pole_target))
+
+
 def _unshared_direction(terms):
     """A direction that no other vector has: with it, a window span skips
     no window vector."""
     return object(), 0
 
 
-def _add_every_vector(span, parts, tag):
+def _add_every_vector(span, parts, den, tag):
     """WindowSpan.add with no window vector skipped: each vector of
     every_window_vector inserted as it is, with shift 0."""
-    for vec, den, t in every_window_vector(parts, span.f, span.pole_target,
-                                           span.xdeg, tag):
+    for vec, den, t in every_window_vector(
+            poly_parts(parts, den, span.f.dim), span.f, span.pole_target,
+            span.xdeg, tag):
         span.insert({span.packing.shift(m, 0): c for m, c in vec.items()},
                     den, t[:-1], t[-1:], (0,))
 
@@ -1397,12 +1570,12 @@ def test_window_packing_is_exact(case):
                 assert pack(a) - pack(b) == pack(mono_div(a, b))
     # the packing reduce agrees with add's packing inside the window
     mu = monos[0]
-    span.add([(Polynomial.monomial(mu), 0)], ())
+    span.add({0: {mu: 1}}, 1, ())
     for m in monomials_upto_degree(dim, xdeg):
-        assert span.contains([(Polynomial.monomial(m), 0)]) == \
+        assert span.contains(Polynomial.monomial(m), 0) == \
             mono_divides(mu, m)
     assert span.contains(
-        [(Polynomial.monomial((xdeg + 1,) + (0,) * (dim - 1)), 0)]) is None
+        Polynomial.monomial((xdeg + 1,) + (0,) * (dim - 1)), 0) is None
 
 
 CROSS_111 = ("crosscheck", "--source", "snc", "--exponents", "1,1,1",
