@@ -7,8 +7,9 @@ a fixed pole order), using exact linear algebra only.  Verdicts are
 three-valued: "member" always carries a witness that re-evaluates exactly;
 "not-found-at-bound" is never treated as a refutation.
 
-Window vectors are built in integer form: numerators {m: int}, or layers
-{j: {m: int}}, over an int den > 0; f = F/df and alpha = a/q in integers.
+Window vectors and b-function columns are built in integer form: numerators
+{m: int}, or layers {j: {m: int}} (dt layers or s-powers), over an int
+den > 0; f = F/df and alpha = a/q in integers.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 
 from .errors import DimensionMismatch, InternalCheckFailed, PreconditionError
-from .exactalg import (Polynomial, combine_terms, fmt_rational,
+from .exactalg import (Polynomial, combine_terms, div_terms, fmt_rational,
                        graded_ideal, grlex_key, integer_terms,
                        monomials_upto_degree, mul_terms, partial_terms)
 from .bsdata import BFunction, RootMultiset
@@ -162,13 +163,6 @@ def apply_s_shifted(u: BfElement, f: Polynomial, shift: Fraction) -> BfElement:
 # b-function certification
 
 
-def _section_layers(sec: TwistedSection, f: Polynomial,
-                    pole_target: int) -> dict:
-    """{s-power: numerator} of sec written over the pole pole_target."""
-    mult = f ** (pole_target - sec.pole)
-    return {j: p * mult for j, p in sec.coeffs.items()}
-
-
 def _roots_section(dim: int, roots: RootMultiset) -> TwistedSection:
     """The section roots(s) * f^s, kept as roots(s) * f^(s+1) / f."""
     return TwistedSection(dim, 1, 1, {j: Polynomial.constant(dim, c)
@@ -193,6 +187,17 @@ def verify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
     |g| to the s-degree; so when deg b exceeds order_bound, not-found-at-bound
     comes before any build.
 
+    An image d^g f^(s+1) is (layers, den, pole): sum_j s^j N_j/den times
+    f^(s+1-pole).  Each step d_i gives layer j = F d_i(N_j) + e N_j d_i(F)
+    + N_(j-1) d_i(F) over den df at pole + 1, e = 1 - pole, then divides
+    every layer by f while it can (the pole is kept minimal).  pole_target is
+    the largest of these normalized poles over the full d-part set: a higher
+    one multiplies every column by a power of f, and the fully reduced rows,
+    so a dependent system's witness, could change.  Dividing by f is dividing
+    by the primitive part of F over Z: by Gauss's lemma that is exact over Q
+    exactly when it is over Z, and long division then meets only exact
+    leading-coefficient quotients (div_terms).
+
     member  => the equation holds with the returned operator witness, and
                the certificate records whether b is minimal at these bounds.
     """
@@ -208,46 +213,88 @@ def verify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
         return not_found
     dim = f.dim
     keys = graded_operator_basis(f, order_bound, xdeg_bound, b.degree())
-    sec0 = TwistedSection.power(dim, 1)
+    fnum, df = integer_terms(f.terms)
+    dfs = [partial_terms(fnum, i) for i in range(dim)]
+    content = math.gcd(*fnum.values())
+    prim = {m: c // content for m, c in fnum.items()}
+
+    def step(image, i):
+        """d_i of the image, normalized: N/den over f is N/prim times df over
+        den content."""
+        layers, den, pole = image
+        nd = {j: mul_terms(num, dfs[i]) for j, num in layers.items()}
+        out = {j: combine_terms(mul_terms(partial_terms(num, i), fnum), 1,
+                                nd[j], 1 - pole) for j, num in layers.items()}
+        for j, terms in nd.items():  # s * N_j * d_i(F)
+            out[j + 1] = combine_terms(out.get(j + 1, {}), 1, terms, 1)
+        layers = {j: t for j, t in out.items() if t}
+        den, pole = den * df, (pole + 1 if layers else 0)
+        while layers:
+            divided = {}
+            for j, num in layers.items():
+                divided[j] = div_terms(num, prim)
+                if divided[j] is None:
+                    return layers, den, pole
+            layers = {j: {m: c * df for m, c in q.items()}
+                      for j, q in divided.items()}
+            den, pole = den * content, pole - 1
+        return layers, den, pole
+
     # d^g f^(s+1), normalized, for every d-part g of the full basis; x^b and
     # s^j only multiply the numerator, so this fixes the full basis' pole
-    images = d_part_images(monomials_upto_degree(dim, order_bound), sec0,
-                           lambda sec, i: sec.apply_d(i, f).normalized(f))
-    pole_target = max([sec.pole for sec in images.values()] + [1])
-    columns = {g: _section_layers(images[g], f, pole_target)
-               for g in {g for _, g, _ in keys}}
+    images = d_part_images(monomials_upto_degree(dim, order_bound),
+                           ({0: {(0,) * dim: 1}}, 1, 0), step)
+    pole_target = max([pole for _, _, pole in images.values()] + [1])
+    powers = [{(0,) * dim: 1}]  # F^k for k = 0 .. pole_target
+    for _ in range(pole_target):
+        powers.append({m: c for m, c in mul_terms(powers[-1], fnum).items()
+                       if c})
+
+    def cleared(layers, den, pole):
+        """The layers over den written over the pole pole_target."""
+        k = pole_target - pole
+        return ({j: {m: c for m, c in mul_terms(num, powers[k]).items() if c}
+                 for j, num in layers.items()}, den * df ** k)
 
     def rhs_layers(roots: RootMultiset):
-        """{s-power: numerator} of the section roots(s) * f^s."""
-        return _section_layers(_roots_section(dim, roots), f, pole_target)
+        """The section roots(s) * f^s = roots(s) * f^(s+1) / f, cleared."""
+        nums, den = integer_terms(roots.coefficients())
+        return cleared({j: {(0,) * dim: c} for j, c in nums.items() if c},
+                       den, 1)
 
+    columns = {g: cleared(*images[g]) for g in {g for _, g, _ in keys}}
     rhs = rhs_layers(b)
     # x^b adds at most xdeg_bound to an exponent of a column numerator; a
     # divisor's numerator has the degree of b's, that of f^(pole_target - 1)
-    largest = max((p.total_degree() for layers in [*columns.values(), rhs]
-                   for p in layers.values()), default=0)
+    largest = max((sum(m) for layers, _ in [*columns.values(), rhs]
+                   for terms in layers.values() for m in terms), default=0)
     packing = KeyPacking(dim, 1 + largest + xdeg_bound, xdeg_bound)
-    vectors = {g: packing.pack_layers(layers) for g, layers in columns.items()}
+
+    def packed(layers, den):
+        """The integer_terms pair of the layers over den, keys packed."""
+        return _lowest_terms(packing.pack_terms(layers), den)
+
+    vectors = {g: packed(*column) for g, column in columns.items()}
     ech = Echelon()
     for idx, (xb, g, j) in enumerate(keys):
         vec, den = vectors[g]
         shift = j * packing.top + packing.shift(xb, 0)
         ech.insert({k + shift: c for k, c in vec.items()}, den, {idx: den})
 
-    residual, carried = ech.reduce(*packing.pack_layers(rhs))
+    residual, carried = ech.reduce(*packed(*rhs))
     if residual:
         return not_found
     # distinct basis keys: one term per index
     operator = WeylOperator(dim, {keys[idx]: c for idx, c in carried.items()})
     # re-evaluate the witness exactly
-    check = apply_to_twisted(operator, f, sec0)
+    check = apply_to_twisted(operator, f, TwistedSection.power(dim, 1))
     if not check.same_element(_roots_section(dim, b), f):
         raise InternalCheckFailed("witness failed re-evaluation")
 
     divisors = []
     for r in b.sorted_roots():
         div = RootMultiset({q: m - (q == r) for q, m in b.roots.items()})
-        res_d, _ = ech.reduce(*packing.pack_layers(rhs_layers(div)))
+        res_d, _ = ech.reduce(*packed(*rhs_layers(div)))
         divisors.append({"divisor": div.product_string(),
                          "verdict": "not-found-at-bound" if res_d else "member"})
     minimal = all(d["verdict"] != "member" for d in divisors)
@@ -568,6 +615,15 @@ def clear_to_pole(parts, den: int, f_int: tuple, pole: int) -> tuple:
     return {m: c for m, c in total.items() if c}, den * df ** (pole - lo)
 
 
+def _lowest_terms(terms: dict, den: int) -> tuple:
+    """The integer numerators terms over den > 0, divided by gcd(den,
+    content): exactly the integer_terms pair of the values they stand for."""
+    g = math.gcd(den, *terms.values())
+    if g == 1:
+        return terms, den
+    return {k: c // g for k, c in terms.items()}, den // g
+
+
 def _direction(terms: dict) -> tuple:
     """(S, k) of a nonzero integer vector: k is its largest key and S its
     entries keyed relative to k, over their content signed positive at k.
@@ -702,10 +758,8 @@ class WindowSpan:
         packed = self._packed(layers)
         if packed is not None and packed[1] >= 0:
             terms, deg = packed
-            g = math.gcd(den, *terms.values())
-            if g != 1:
-                terms = {k: c // g for k, c in terms.items()}
-            self.insert(terms, den // g, tag, *self.shifts(self.xdeg - deg))
+            self.insert(*_lowest_terms(terms, den), tag,
+                        *self.shifts(self.xdeg - deg))
 
     def add(self, parts, den: int, tag):
         """add_layers of the element given by its parts {p: num} over den,

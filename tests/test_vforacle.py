@@ -168,19 +168,20 @@ def inserted(monkeypatch):
     its numerators over den stand for: each vector a window span queues,
     its packed keys read back as (layer, exponent vector), and each vector
     inserted into any other Echelon, its keys read back as (layer, exponent
-    vector) through the KeyPacking that last packed layers (kept as they
-    are before any did).  A window span's echelon inserts only vectors it
-    queued."""
+    vector) through the KeyPacking that last packed layers, by pack_layers
+    or pack_terms (kept as they are before any did).  A window span's
+    echelon inserts only vectors it queued."""
     out = []
     packing = [None]  # the KeyPacking that last packed layers
     building = [False]  # whether a window span is building its echelon
-    pack_layers = KeyPacking.pack_layers
     insert = Echelon.insert
     span_insert, span_echelon = WindowSpan.insert, WindowSpan.echelon
 
-    def noting(self, layers):
-        packing[0] = self
-        return pack_layers(self, layers)
+    def noting(pack):
+        def packing_noted(self, layers):
+            packing[0] = self
+            return pack(self, layers)
+        return packing_noted
 
     def recording(self, vec, den, companion=None):
         if not building[0]:
@@ -200,7 +201,9 @@ def inserted(monkeypatch):
         finally:
             building[0] = False
 
-    monkeypatch.setattr(KeyPacking, "pack_layers", noting)
+    for name in ("pack_layers", "pack_terms"):
+        monkeypatch.setattr(KeyPacking, name,
+                            noting(getattr(KeyPacking, name)))
     monkeypatch.setattr(Echelon, "insert", recording)
     monkeypatch.setattr(WindowSpan, "insert", queueing)
     monkeypatch.setattr(WindowSpan, "echelon", property(building_echelon))
@@ -450,6 +453,9 @@ def test_verify_bfunction_degree_above_order_builds_nothing(inserted):
     ("1/2*x1^2", 1, {F(-1): 1, F(-1, 2): 1}, 2, 2),  # columns over den 2
     ("x1*x2*x3", 3, {F(-1): 3}, 3, 1),
     ("x1^2+x2^3+x1*x2", 2, {F(-1): 1}, 2, 2),  # no grading: every column
+    ("2*x1*x2", 2, {F(-1): 2}, 3, 4),  # F not primitive
+    ("1/2*x1^2+1/3*x2^3", 2,  # df = 6
+     {F(-1): 1, F(-5, 6): 1, F(-7, 6): 1}, 3, 3),
 ])
 def test_verify_bfunction_columns_match_apply_to_twisted(
         inserted, poly, dim, b, order, xdeg):
@@ -583,6 +589,115 @@ def test_verify_bfunction_witness_is_w_homogeneous(
         for w, deg in homogeneity_grading(f):
             assert sum(wi * (bi - gi)
                        for wi, bi, gi in zip(w, xe, de)) == -deg
+
+
+def fraction_bfunction_system(f, bf, order, xdeg):
+    """verify_bfunction's linear system built in Fraction polynomials:
+    d-part images by apply_d -> normalized, pole_target the largest
+    normalized pole over the full d-part set, each column and right-hand
+    side times f ** (pole_target - pole) and packed by pack_layers.  Returns
+    (pole_target, packing, the (vec, den) inserts in basis order, the
+    right-hand side (vec, den) of a RootMultiset)."""
+    dim = f.dim
+    keys = graded_operator_basis(f, order, xdeg, bf.degree())
+    images = d_part_images(monomials_upto_degree(dim, order),
+                           TwistedSection.power(dim, 1),
+                           lambda sec, i: sec.apply_d(i, f).normalized(f))
+    pole_target = max([sec.pole for sec in images.values()] + [1])
+
+    def layers(sec):
+        mult = f ** (pole_target - sec.pole)
+        return {j: p * mult for j, p in sec.coeffs.items()}
+
+    def rhs(roots):
+        return layers(vforacle._roots_section(dim, roots))
+
+    columns = {g: layers(images[g]) for _, g, _ in keys}
+    largest = max((p.total_degree() for ls in [*columns.values(), rhs(bf)]
+                   for p in ls.values()), default=0)
+    packing = KeyPacking(dim, 1 + largest + xdeg, xdeg)
+    inserts = []
+    for xb, g, j in keys:
+        vec, den = packing.pack_layers(columns[g])
+        shift = j * packing.top + packing.shift(xb, 0)
+        inserts.append(({k + shift: c for k, c in vec.items()}, den))
+    return (pole_target, packing, inserts,
+            lambda roots: packing.pack_layers(rhs(roots)))
+
+
+# (f, dim, b, order, xdeg, pole_target): x1^2 and x1^2*x2 are not
+# reduced, so normalization lowers poles of their images (the largest one
+# for x1^2); in dimension 2, d_2 (x1^2)^(s+1) = 0, an image at pole 0
+BFUN_GERMS = [
+    ("x1^2", 1, "(s+1)*(s+1/2)", 3, 3, 2),
+    ("x1^2", 2, "(s+1)*(s+1/2)", 2, 2, 1),
+    ("x1^2*x2", 2, "(s+1)^2*(s+1/2)", 3, 2, 3),
+    ("x1*x2", 2, "(s+1)^2", 2, 3, 2),
+    ("x1^2+x2^3", 2, "(s+1)*(s+5/6)*(s+7/6)", 3, 3, 3),
+    ("x1^2+x2^3+x1*x2", 2, "(s+1)^2", 2, 2, 2),
+]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(BFUN_GERMS), st.sampled_from([1, 2, 6]), st.data())
+def test_verify_bfunction_inserts_canonical_pairs(germ, common, data):
+    # f's terms scaled by rationals over denominators 1..6 with a common
+    # numerator factor, so that F = df * f is often not primitive: every
+    # inserted column and every reduced right-hand side is the integer_terms
+    # pair of the Fraction-built one, over the largest normalized pole
+    poly, dim, b, order, xdeg, pole = germ
+    f = Polynomial(dim, {m: c * F(common * data.draw(st.sampled_from(
+        [1, -1, 2, 3])), data.draw(st.integers(1, 6)))
+        for m, c in poly_parse(poly, dim).terms.items()})
+    bf = BFunction.parse(b)
+    pole_target, packing, inserts, rhs = fraction_bfunction_system(
+        f, bf, order, xdeg)
+    calls = {"insert": [], "reduce": []}
+
+    class Recording(Echelon):
+        def insert(self, vec, den, companion=None):
+            calls["insert"].append((vec, den))
+            return super().insert(vec, den, companion)
+
+        def reduce(self, vec, den):
+            calls["reduce"].append((vec, den))
+            return super().reduce(vec, den)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(vforacle, "Echelon", Recording)
+        cert = verify_bfunction(f, bf, order, xdeg)
+    assert calls["insert"] == inserts
+    divisors = [RootMultiset({q: k - (q == r) for q, k in bf.roots.items()})
+                for r in bf.sorted_roots()] if cert.is_member() else []
+    assert calls["reduce"] == [rhs(bf)] + [rhs(div) for div in divisors]
+    # b(s) f^s is b(s) F^(pole_target - 1) over the pole pole_target
+    assert pole_target == pole
+    assert max(sum(_layered(packing, k)[1]) for k in calls["reduce"][0][0]) \
+        == f.total_degree() * (pole_target - 1)
+
+
+def test_verify_bfunction_applies_d_only_to_reevaluate(monkeypatch):
+    # the columns are built in integer form: TwistedSection.apply_d runs
+    # only in the witness re-evaluation through apply_to_twisted
+    calls = []
+    apply_d = TwistedSection.apply_d
+
+    def counted(self, i, f):
+        calls.append(i)
+        return apply_d(self, i, f)
+
+    class Agreeing:
+        def same_element(self, other, f):
+            return True
+
+    monkeypatch.setattr(TwistedSection, "apply_d", counted)
+    f, b = poly_parse("x1^2+x2^3", 2), BFunction.parse("(s+1)*(s+5/6)*(s+7/6)")
+    cert = verify_bfunction(f, b, 3, 3)
+    assert cert.is_member() and calls
+    calls.clear()
+    monkeypatch.setattr(vforacle, "apply_to_twisted", lambda *args: Agreeing())
+    assert verify_bfunction(f, b, 3, 3).to_json() == cert.to_json()
+    assert not calls
 
 
 # ---------------------------------------------------------------------------
