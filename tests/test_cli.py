@@ -343,17 +343,6 @@ PINNED = [
     (("verify", "bfun", "--poly", "x1^2+x2^3", "--b", "(s+1)(s+5/6)(s+7/6)",
       "--order", "1", "--xdeg", "2", "--escalate", "2"),
      0, "b29c438c71c17f06b6d364cf5621e3f3a463c037bd52b079f6ffd2491d7c0676"),
-    # b-function columns of a rational or non-primitive f: normalization
-    # halves the pole of x1^2's images, 2*x1*x2 has content 2, and the
-    # rational cusp has df = 6
-    (("bfun", "--exponents", "2", "--verify", "--order", "5", "--xdeg", "6"),
-     0, "479015acbd78c039f5cda90392dd4d3313b646ca470c299e461ee60c7a177f42"),
-    (("verify", "bfun", "--poly", "2*x1*x2", "--b", "(s+1)^2", "--order", "3",
-      "--xdeg", "4"),
-     0, "66f3f4ad293f8b190ad8bd2d9e07a0d56438d7063446af9ccf7ddb6b2e86a92b"),
-    (("verify", "bfun", "--poly", "1/2*x1^2+1/3*x2^3", "--b",
-      "(s+1)(s+5/6)(s+7/6)", "--order", "3", "--xdeg", "6"),
-     0, "5b8917475776a4830209ec924444cc8d4a0bba3542a53272c112ecc28dcc81eb"),
     (("ppd", "--input", CUSP_ANN, "--weight-only"),
      0, "5bab4be062bf5a3a642552660eb3f3438e5f4606325ed7c7505e7a7d6364e364"),
     (("ppd", "--input", "{}/node.ann", "--l", "0", "--k", "0"),
@@ -394,6 +383,17 @@ PINNED = [
     (("crosscheck", "--source", "snc", "--exponents", "1", "--alpha", "1",
       "--k", "2", "--l", "1", "--order", "3", "--xdeg", "1", "--dtord", "3"),
      0, "a39307948ee10573f45678e7883d8964198fdea41470f829bd934a82c58afc33"),
+    # b-function columns of a rational or non-primitive f: normalization
+    # halves the pole of x1^2's images, 2*x1*x2 has content 2, and the
+    # rational cusp has df = 6
+    (("bfun", "--exponents", "2", "--verify", "--order", "5", "--xdeg", "6"),
+     0, "479015acbd78c039f5cda90392dd4d3313b646ca470c299e461ee60c7a177f42"),
+    (("verify", "bfun", "--poly", "2*x1*x2", "--b", "(s+1)^2", "--order", "3",
+      "--xdeg", "4"),
+     0, "66f3f4ad293f8b190ad8bd2d9e07a0d56438d7063446af9ccf7ddb6b2e86a92b"),
+    (("verify", "bfun", "--poly", "1/2*x1^2+1/3*x2^3", "--b",
+      "(s+1)(s+5/6)(s+7/6)", "--order", "3", "--xdeg", "6"),
+     0, "5b8917475776a4830209ec924444cc8d4a0bba3542a53272c112ecc28dcc81eb"),
 ]
 
 
