@@ -476,9 +476,9 @@ def poly_parse(text: str, dim: int) -> Polynomial:
 
 
 def infer_dim(text: str) -> int:
-    """The largest variable index x<i> or d<i> named in the text, or 1."""
-    idx = [int(m[1:]) for m in re.findall(r"[xd]\d+", text)]
-    return max(idx) if idx else 1
+    """The largest variable index x<i> or d<i> named in the text, and at
+    least 1 (the text may name only x0 or d0, which no dimension has)."""
+    return max([1] + [int(m[1:]) for m in re.findall(r"[xd]\d+", text)])
 
 
 # ---------------------------------------------------------------------------

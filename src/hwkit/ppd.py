@@ -23,16 +23,17 @@ from .exactalg import (Polynomial, fmt_rational, infer_dim, integer_terms,
 from .linalg import Echelon, nullspace
 from .snc import HodgePresentation
 from .vforacle import Bounds, clear_to_pole, pole_apply, reduce_presentation
-from .weyl import (KeyPacking, WeylOperator, annihilates_power,
+from .weyl import (KeyPacking, WeylOperator, apply_to_twisted,
                    basis_products, bounded_operator_basis, syzygy_kernel,
                    weyl_mul, window_packing)
 
 
 def check_annihilator(zeta: WeylOperator, f: Polynomial) -> bool:
-    """True iff zeta kills f^(s-1) exactly."""
+    """True iff zeta kills f^(s-1) exactly: zeta F^(s-1) = H F^(s-1-G)
+    with H = 0 (apply_to_twisted)."""
     if not zeta.is_s_free():
         return False
-    return annihilates_power(zeta, f, -1)
+    return not apply_to_twisted(zeta, f, -1)[0]
 
 
 def _is_derivation(op: WeylOperator) -> bool:

@@ -26,8 +26,8 @@ from .exactalg import (Polynomial, combine_terms, div_terms, fmt_rational,
 from .bsdata import BFunction, RootMultiset
 from .linalg import Echelon
 from .snc import HodgePresentation, SncDivisor, snc_hodge_weight
-from .weyl import (KeyPacking, TwistedSection, WeylOperator,
-                   apply_to_twisted, d_part_images, graded_operator_basis)
+from .weyl import (KeyPacking, WeylOperator, apply_to_twisted, d_part_images,
+                   graded_operator_basis)
 from .whom import QuasiHomogeneousGerm, whom_hodge_weight
 
 
@@ -163,12 +163,6 @@ def apply_s_shifted(u: BfElement, f: Polynomial, shift: Fraction) -> BfElement:
 # b-function certification
 
 
-def _roots_section(dim: int, roots: RootMultiset) -> TwistedSection:
-    """The section roots(s) * f^s, kept as roots(s) * f^(s+1) / f."""
-    return TwistedSection(dim, 1, 1, {j: Polynomial.constant(dim, c)
-                                      for j, c in roots.coefficients().items()})
-
-
 def verify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
                      xdeg_bound: int) -> SpanCertificate:
     """Certify the functional equation P(s) f^(s+1) = b(s) f^s by solving the
@@ -197,6 +191,16 @@ def verify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
     by the primitive part of F over Z: by Gauss's lemma that is exact over Q
     exactly when it is over Z, and long division then meets only exact
     leading-coefficient quotients (div_terms).
+
+    The witness P is re-evaluated by apply_to_twisted, which shares only
+    exactalg's term kernels with the columns: P F^(s+1) = H/aden F^(s+1-G)
+    with f = F/df, and b(s) = bnum(s)/rden, so the equation, times
+    df^(s+1) aden rden, reads H rden F^(s+1-G) = df bnum(s) aden F^s.  The
+    power F^(s+1-G) or F^s, whichever is lower, is cancelled, and
+    H rden F^max(0, 1-G) == df bnum(s) aden F^max(0, G-1) is checked in
+    Z[x, s].  The cancelling is exact: s is an indeterminate, so F^s is a
+    free generator over Q[x, s][1/F], and multiplying by a power of F is
+    one to one there, Q[x, s] being a domain.
 
     member  => the equation holds with the returned operator witness, and
                the certificate records whether b is minimal at these bounds.
@@ -286,9 +290,21 @@ def verify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
         return not_found
     # distinct basis keys: one term per index
     operator = WeylOperator(dim, {keys[idx]: c for idx, c in carried.items()})
-    # re-evaluate the witness exactly
-    check = apply_to_twisted(operator, f, TwistedSection.power(dim, 1))
-    if not check.same_element(_roots_section(dim, b), f):
+    # re-evaluate the witness exactly, as an identity in Z[x, s] (docstring)
+    h, aden, top = apply_to_twisted(operator, f, 1)
+    bnum, rden = integer_terms(b.coefficients())
+    got = {j: {m: rden * c for m, c in t.items()} for j, t in h.items()}
+    want = {j: {(0,) * dim: df * aden * c} for j, c in bnum.items()}
+
+    def times_f(layers):
+        return {j: {m: c for m, c in mul_terms(t, fnum).items() if c}
+                for j, t in layers.items()}
+
+    if not top:
+        got = times_f(got)
+    for _ in range(top - 1):
+        want = times_f(want)
+    if got != want:
         raise InternalCheckFailed("witness failed re-evaluation")
 
     divisors = []

@@ -2,11 +2,12 @@
 
 Operators are kept in normal order (x-factors left of d-factors, s central)
 as sparse dicts keyed by (x exponents, d exponents, s power).  The module
-also provides the symbolic calculus of operators acting on sections
-g(x,s) * f^(s+m), bounded operator bases and their images (one d-step per
-d-part, see `d_part_images`), and bounded-degree syzygy kernels computed by
-exact linear algebra and certified by re-multiplication.  `KeyPacking`
-decides every elimination coordinate of the package.
+also provides the action of operators on the powers f^(s+m), in integer
+layers over the integer numerator of f (`apply_to_twisted`), bounded
+operator bases and their images (one d-step per d-part, see
+`d_part_images`), and bounded-degree syzygy kernels computed by exact
+linear algebra and certified by re-multiplication.  `KeyPacking` decides
+every elimination coordinate of the package.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from math import comb, lcm, perm
 from operator import mul
 
 from .errors import DimensionMismatch, InternalCheckFailed, ParseError
-from .exactalg import (Polynomial, SparseTerms, integer_terms, mono_mul,
-                       monomials_upto_degree, parse_terms, power_factors)
+from .exactalg import (Polynomial, SparseTerms, combine_terms, integer_terms,
+                       mono_mul, monomials_upto_degree, mul_terms,
+                       parse_terms, partial_terms, power_factors)
 from .linalg import nullspace
 
 Key = tuple  # (xExponents, dExponents, sPower)
@@ -185,134 +187,62 @@ def _mul_into(out: dict, num_a: dict, num_b: dict, dim: int):
 
 
 # ---------------------------------------------------------------------------
-# sections g(x,s) * f^(s+m)
+# the action on powers of f
 
 
-class TwistedSection:
-    """numerator(x,s) * f^(s + shift - pole), with f fixed by context.
+def apply_to_twisted(a: WeylOperator, f: Polynomial, shift: int) -> tuple:
+    """(H, den, G) with a * F^(s+shift) = H(x, s)/den * F^(s+shift-G),
+    where f = F/df in integers, G is the largest |g| over the terms
+    x^b d^g s^j of a (0 for the zero operator), and H is zero-free integer
+    layers {s-power: {m: int}}.  F^(s+shift) is df^(s+shift) f^(s+shift), so
+    a kills f^(s+shift) exactly when H is empty.
 
-    coeffs maps s-powers to x-polynomials.  Normalization cancels f from the
-    numerator exactly as polynomials, keeping the pole order minimal.
-    """
+    Each d^g F^(s+shift) = N_g F^(s+shift-|g|) is built once per call, from
+    N_(g-e_i) by the chain rule d_i (N F^(s+e)) = (F d_i N + (s+e) N d_i F)
+    F^(s+e-1).  Nothing is divided out: the terms of each order k are summed
+    and brought to the pole G by one product with F per order."""
+    if a.dim != f.dim:
+        raise DimensionMismatch("operator/polynomial dimension mismatch")
+    fnum, _ = integer_terms(f.terms)
+    dfs = [partial_terms(fnum, i) for i in range(f.dim)]
+    one = (0,) * f.dim
+    chains = {one: {0: {one: 1}}}
 
-    __slots__ = ("dim", "shift", "pole", "coeffs")
+    def chain(g):
+        out = chains.get(g)
+        if out is None:
+            i = max(k for k, e in enumerate(g) if e)
+            e = shift - sum(g) + 1
+            out = {}
+            for j, n in chain(g[:i] + (g[i] - 1,) + g[i + 1:]).items():
+                nd = mul_terms(n, dfs[i])
+                _add_into(out.setdefault(j, {}), combine_terms(
+                    mul_terms(partial_terms(n, i), fnum), 1, nd, e))
+                _add_into(out.setdefault(j + 1, {}), nd)
+            chains[g] = out
+        return out
 
-    def __init__(self, dim: int, shift: int, pole: int, coeffs=None):
-        self.dim = dim
-        self.shift = shift
-        self.pole = pole
-        self.coeffs = {j: p for j, p in (coeffs or {}).items() if not p.is_zero()}
-
-    @classmethod
-    def power(cls, dim: int, shift: int) -> "TwistedSection":
-        """The section f^(s+shift)."""
-        return cls(dim, shift, 0, {0: Polynomial.one(dim)})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def exponent_offset(self) -> int:
-        return self.shift - self.pole
-
-    def mul_s_power(self, j: int) -> "TwistedSection":
-        return TwistedSection(self.dim, self.shift, self.pole,
-                              {k + j: p for k, p in self.coeffs.items()})
-
-    def mul_poly(self, g: Polynomial) -> "TwistedSection":
-        return TwistedSection(self.dim, self.shift, self.pole,
-                              {k: p * g for k, p in self.coeffs.items()})
-
-    def apply_d(self, i: int, f: Polynomial) -> "TwistedSection":
-        """d_i (N * f^(s+e)) = (d_i N) f^(s+e) + (s+e) * N * d_i(f) * f^(s+e-1)."""
-        e = self.exponent_offset()
-        df = f.partial(i)
-        out = {}
-
-        def acc(j, p):
-            if p.is_zero():
-                return
-            out[j] = out[j] + p if j in out else p
-
-        for j, p in self.coeffs.items():
-            acc(j, p.partial(i) * f)
-            q = p * df
-            acc(j + 1, q)           # s * N * d_i f
-            acc(j, q.scale(e))      # e * N * d_i f
-        return TwistedSection(self.dim, self.shift, self.pole + 1, out)
-
-    def add_with(self, other: "TwistedSection", f: Polynomial) -> "TwistedSection":
-        """Addition after aligning pole orders by multiplying through by f."""
-        if self.dim != other.dim or self.shift != other.shift:
-            raise DimensionMismatch("incompatible sections")
-        a, b = self, other
-        pole = max(a.pole, b.pole)
-        out = {}
-        for sec in (a, b):
-            mult = f ** (pole - sec.pole)
-            for j, p in sec.coeffs.items():
-                q = p * mult
-                out[j] = out[j] + q if j in out else q
-        return TwistedSection(self.dim, self.shift, pole, out)
-
-    def normalized(self, f: Polynomial) -> "TwistedSection":
-        """Cancel common f-factors so the pole order is minimal."""
-        if not self.coeffs:
-            return TwistedSection(self.dim, self.shift, 0, {})
-        coeffs = self.coeffs
-        pole = self.pole
-        while True:
-            divided = {}
-            for j, p in coeffs.items():
-                q = p.div_exact(f)
-                if q is None:
-                    return TwistedSection(self.dim, self.shift, pole, coeffs)
-                divided[j] = q
-            coeffs = divided
-            pole -= 1
-
-    def same_element(self, other: "TwistedSection", f: Polynomial) -> bool:
-        a = self.normalized(f)
-        b = other.normalized(f)
-        return (a.exponent_offset() == b.exponent_offset()
-                and a.coeffs == b.coeffs)
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for j in sorted(self.coeffs, reverse=True):
-            head = f"s^{j}*" if j > 1 else ("s*" if j == 1 else "")
-            parts.append(f"{head}({self.coeffs[j]})")
-        e = self.exponent_offset()
-        off = f"s{e:+d}" if e else "s"
-        return " + ".join(parts) + f" * f^({off})"
-
-    __repr__ = __str__
+    num, den = integer_terms(a.terms)
+    by_order = {}  # k -> the layers of the terms x^b d^g s^j with |g| = k
+    for (xe, de, sp), c in num.items():
+        layers = by_order.setdefault(sum(de), {})
+        for j, n in chain(de).items():
+            _add_into(layers.setdefault(j + sp, {}), mul_terms(n, {xe: c}))
+    top = max(by_order, default=0)
+    h = {}
+    for k in range(top + 1):
+        h = {j: mul_terms(t, fnum) for j, t in h.items()}
+        for j, t in by_order.get(k, {}).items():
+            _add_into(h.setdefault(j, {}), t)
+    h = {j: {m: c for m, c in t.items() if c} for j, t in h.items()}
+    return {j: t for j, t in h.items() if t}, den, top
 
 
-def apply_to_twisted(a: WeylOperator, f: Polynomial,
-                     sec: TwistedSection) -> TwistedSection:
-    """Exact action of a normal-ordered operator on a twisted section.
-
-    s acts as multiplication by the central parameter; d_i by the chain rule.
-    The result is normalized so the pole order is minimal.
-    """
-    if a.dim != f.dim or a.dim != sec.dim:
-        raise DimensionMismatch("operator/section dimension mismatch")
-    total = TwistedSection(a.dim, sec.shift, 0, {})
-    for (xe, de, sp), c in a.terms.items():
-        cur = sec.mul_s_power(sp)
-        for i, e in enumerate(de):
-            for _ in range(e):
-                cur = cur.apply_d(i, f)
-        cur = cur.mul_poly(Polynomial.monomial(xe, c))
-        total = total.add_with(cur, f)
-    return total.normalized(f)
-
-
-def annihilates_power(a: WeylOperator, f: Polynomial, shift: int) -> bool:
-    """True iff a kills the section f^(s+shift) exactly."""
-    return apply_to_twisted(a, f, TwistedSection.power(f.dim, shift)).is_zero()
+def _add_into(acc: dict, terms: dict):
+    """Add the {monomial: int} terms into acc in place; sums that cancel
+    stay, as 0."""
+    for m, c in terms.items():
+        acc[m] = acc.get(m, 0) + c
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,9 @@ import pathlib
 
 import pytest
 
-from hwkit import cli, vforacle
+from hwkit import cli, vforacle, weyl
 from hwkit.cli import _cache_key, build_parser, main
 from hwkit.ppd import parse_annihilator_file
-from hwkit.weyl import TwistedSection
 
 NODE_ANN = """# ordinary double point, untwisted
 f: x1*x2
@@ -319,9 +318,24 @@ def test_malformed_input_exits_2(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
+def test_only_index_zero_names_dimension_one(capsys):
+    # a polynomial that names only x0 has dimension 1, so the message gives
+    # the range 1..1, not an empty one
+    code = main(["verify", "bfun", "--poly", "x0", "--b", "(s+1)",
+                 "--order", "1", "--xdeg", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.strip().splitlines() == [
+        "parse error: variable x0 out of range 1..1 (at position 0)"]
+
+
 def test_internal_check_failure_exits_4(capsys, monkeypatch):
-    monkeypatch.setattr(TwistedSection, "same_element",
-                        lambda self, other, f: False)
+    # the witness evaluates to half its true value
+    def halved(a, f, shift):
+        h, den, top = weyl.apply_to_twisted(a, f, shift)
+        return h, 2 * den, top
+
+    monkeypatch.setattr(vforacle, "apply_to_twisted", halved)
     code = main(["verify", "bfun", "--poly", "x1^2", "--b", "(s+1)(s+1/2)",
                  "--order", "2", "--xdeg", "2"])
     err = capsys.readouterr().err

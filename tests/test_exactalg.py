@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hwkit.errors import DimensionMismatch, ParseError
 from hwkit.exactalg import (MonomialIdeal, Polynomial, WeightVector,
                             div_terms, fmt_rational, graded_ideal, grlex_key,
-                            monomials_upto_degree, monomials_weighted_upto,
+                            infer_dim, monomials_upto_degree, monomials_weighted_upto,
                             mul_terms, parse_rational, poly_parse,
                             weighted_degree)
 
@@ -250,6 +250,12 @@ def test_div_terms_matches_div_exact(case):
     else:
         assert got is not None and Polynomial(dim, got) == ref
         assert {m: c for m, c in mul_terms(got, g).items() if c} == a
+
+
+def test_infer_dim():
+    assert infer_dim("x3*d2 + x1") == 3
+    assert infer_dim("s + 1") == 1
+    assert infer_dim("x0") == infer_dim("d0^2") == 1
 
 
 def test_partial_derivative():

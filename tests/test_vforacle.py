@@ -13,7 +13,7 @@ from hwkit.cli import main
 from hwkit.exactalg import (Polynomial, WeightVector, grlex_key,
                             integer_terms, mono_div, mono_divides, mono_mul,
                             monomials_upto_degree, poly_parse)
-from hwkit import vforacle
+from hwkit import vforacle, weyl
 from hwkit.linalg import Echelon
 from hwkit.snc import HodgePresentation, SncDivisor, snc_hodge_weight
 from hwkit.vforacle import (BfElement, Bounds, SncVFamily,
@@ -25,11 +25,11 @@ from hwkit.vforacle import (BfElement, Bounds, SncVFamily,
                             presentation_contained, presentations_equal,
                             psi_map, q_poch, reduce_presentation,
                             verify_bfunction, verify_v_axioms)
-from hwkit.weyl import (KeyPacking, TwistedSection, WeylOperator,
-                        apply_to_twisted, bounded_operator_basis,
+from hwkit.weyl import (KeyPacking, WeylOperator, bounded_operator_basis,
                         d_part_images, graded_operator_basis,
                         homogeneity_grading)
 from hwkit.whom import QuasiHomogeneousGerm, whom_hodge_weight
+from twisted_reference import TwistedSection, apply_section, roots_section
 
 F = Fraction
 XY = poly_parse("x1*x2", 2)
@@ -460,9 +460,9 @@ def test_verify_bfunction_degree_above_order_builds_nothing(inserted):
 def test_verify_bfunction_columns_match_apply_to_twisted(
         inserted, poly, dim, b, order, xdeg):
     # the columns built from one image per d-part equal every graded basis
-    # operator applied to f^(s+1) on its own, over the common pole of the
-    # full d-part set; the dim columns of homogeneity_grading's nullspace
-    # come first
+    # operator applied to f^(s+1) on its own by the Fraction reference walk,
+    # over the common pole of the full d-part set; the dim columns of
+    # homogeneity_grading's nullspace come first
     f = poly_parse(poly, dim)
     bf = BFunction(b)
     verify_bfunction(f, bf, order, xdeg)
@@ -471,12 +471,12 @@ def test_verify_bfunction_columns_match_apply_to_twisted(
         assert inserted[:dim] == [{}] * dim
     sec0 = TwistedSection.power(dim, 1)
     pole_target = max(
-        [apply_to_twisted(WeylOperator(dim, {((0,) * dim, g, 0): 1}), f,
-                          sec0).pole
+        [apply_section(WeylOperator(dim, {((0,) * dim, g, 0): 1}), f,
+                       sec0).pole
          for g in monomials_upto_degree(dim, order)] + [1])
     keys = graded_operator_basis(f, order, xdeg, bf.degree())
     want = [_section_vector(
-                apply_to_twisted(WeylOperator(dim, {key: 1}), f, sec0), f,
+                apply_section(WeylOperator(dim, {key: 1}), f, sec0), f,
                 pole_target)
             for key in keys]
     assert columns == want
@@ -503,7 +503,7 @@ def full_basis_certificate(f, b, order, xdeg):
         return not_found
     keys = bounded_operator_basis(f.dim, order, xdeg, b.degree())
     sec0 = TwistedSection.power(f.dim, 1)
-    sections = [apply_to_twisted(WeylOperator(f.dim, {key: 1}), f, sec0)
+    sections = [apply_section(WeylOperator(f.dim, {key: 1}), f, sec0)
                 for key in keys]
     pole_target = max([sec.pole for sec in sections] + [1])
     ech = Echelon()
@@ -512,7 +512,7 @@ def full_basis_certificate(f, b, order, xdeg):
         ech.insert(vec, den, {idx: den})
 
     def residual(roots):
-        rhs = vforacle._roots_section(f.dim, roots)
+        rhs = roots_section(f.dim, roots)
         return ech.reduce(*integer_terms(
             _section_vector(rhs, f, pole_target)))
 
@@ -610,7 +610,7 @@ def fraction_bfunction_system(f, bf, order, xdeg):
         return {j: p * mult for j, p in sec.coeffs.items()}
 
     def rhs(roots):
-        return layers(vforacle._roots_section(dim, roots))
+        return layers(roots_section(dim, roots))
 
     columns = {g: layers(images[g]) for _, g, _ in keys}
     largest = max((p.total_degree() for ls in [*columns.values(), rhs(bf)]
@@ -677,26 +677,25 @@ def test_verify_bfunction_inserts_canonical_pairs(germ, common, data):
 
 
 def test_verify_bfunction_applies_d_only_to_reevaluate(monkeypatch):
-    # the columns are built in integer form: TwistedSection.apply_d runs
-    # only in the witness re-evaluation through apply_to_twisted
+    # the columns are built in integer form: apply_to_twisted runs only in
+    # the witness re-evaluation, once per member solve, on the witness
     calls = []
-    apply_d = TwistedSection.apply_d
+    kernel = weyl.apply_to_twisted
 
-    def counted(self, i, f):
-        calls.append(i)
-        return apply_d(self, i, f)
+    def counted(a, f, shift):
+        calls.append((str(a), shift))
+        return kernel(a, f, shift)
 
-    class Agreeing:
-        def same_element(self, other, f):
-            return True
-
-    monkeypatch.setattr(TwistedSection, "apply_d", counted)
+    monkeypatch.setattr(weyl, "apply_to_twisted", counted)
+    monkeypatch.setattr(vforacle, "apply_to_twisted", counted)
     f, b = poly_parse("x1^2+x2^3", 2), BFunction.parse("(s+1)*(s+5/6)*(s+7/6)")
     cert = verify_bfunction(f, b, 3, 3)
-    assert cert.is_member() and calls
+    assert cert.is_member()
+    assert calls == [(cert.witness["operator"], 1)]
     calls.clear()
-    monkeypatch.setattr(vforacle, "apply_to_twisted", lambda *args: Agreeing())
-    assert verify_bfunction(f, b, 3, 3).to_json() == cert.to_json()
+    # no witness, nothing to re-evaluate
+    smaller = BFunction.parse("(s+1)*(s+5/6)")
+    assert not verify_bfunction(f, smaller, 3, 6).is_member()
     assert not calls
 
 

@@ -10,11 +10,12 @@ from hwkit.cli import main
 from hwkit.errors import DimensionMismatch, InternalCheckFailed
 from hwkit.exactalg import Polynomial, mono_mul, poly_parse
 from hwkit.linalg import Echelon, nullspace
-from hwkit.weyl import (KeyPacking, TwistedSection, WeylOperator,
-                        annihilates_power, apply_to_twisted, basis_products,
-                        bounded_operator_basis, d_part_images,
-                        graded_operator_basis, homogeneity_grading,
-                        syzygy_kernel, weyl_mul, window_packing)
+from hwkit.weyl import (KeyPacking, WeylOperator, apply_to_twisted,
+                        basis_products, bounded_operator_basis,
+                        d_part_images, graded_operator_basis,
+                        homogeneity_grading, syzygy_kernel, weyl_mul,
+                        window_packing)
+from twisted_reference import TwistedSection, apply_section
 
 
 def op(text, dim):
@@ -82,24 +83,28 @@ def test_total_order_submultiplicative():
 
 
 def test_apply_to_twisted_examples():
-    # d1 on f^{s+1}, f=x1 -> (s+1) f^s
+    # the Fraction reference walk: d1 on f^{s+1}, f=x1 -> (s+1) f^s
     f = poly_parse("x1", 1)
-    res = apply_to_twisted(WeylOperator.d(0, 1), f, TwistedSection.power(1, 1))
+    res = apply_section(WeylOperator.d(0, 1), f, TwistedSection.power(1, 1))
     assert res.coeffs == {1: Polynomial.one(1), 0: Polynomial.one(1)}
     assert res.exponent_offset() == 0
 
     # (1/4) d1^2 on f^{s+1}, f=x1^2 -> (s+1)(s+1/2) f^s
     f2 = poly_parse("x1^2", 1)
     quarter = WeylOperator(1, {((0,), (2,), 0): Fraction(1, 4)})
-    res2 = apply_to_twisted(quarter, f2, TwistedSection.power(1, 1))
+    res2 = apply_section(quarter, f2, TwistedSection.power(1, 1))
     want = {2: Polynomial.one(1),
             1: Polynomial.constant(1, Fraction(3, 2)),
             0: Polynomial.constant(1, Fraction(1, 2))}
     assert res2.coeffs == want and res2.exponent_offset() == 0
+    # the kernel keeps the pole G = 2: (s+1)(4s+2) F over 4, times F^(s-1)
+    assert apply_to_twisted(quarter, f2, 1) == (
+        {2: {(2,): 4}, 1: {(2,): 6}, 0: {(2,): 2}}, 4, 2)
 
     # (x1 d1 - (s-1)) kills f^{s-1} for f = x1 x2
     f3 = poly_parse("x1*x2", 2)
-    assert annihilates_power(op("x1*d1 - s + 1", 2), f3, -1)
+    assert apply_section(op("x1*d1 - s + 1", 2), f3,
+                         TwistedSection.power(2, -1)).is_zero()
 
 
 def test_apply_composition_property():
@@ -108,9 +113,113 @@ def test_apply_composition_property():
     sec = TwistedSection.power(2, 1)
     for _ in range(25):
         a, b = rand_operator(rng, with_s=True), rand_operator(rng, with_s=True)
-        lhs = apply_to_twisted(weyl_mul(a, b), f, sec)
-        rhs = apply_to_twisted(a, f, apply_to_twisted(b, f, sec))
+        lhs = apply_section(weyl_mul(a, b), f, sec)
+        rhs = apply_section(a, f, apply_section(b, f, sec))
         assert lhs.same_element(rhs, f)
+
+
+def kernel_matches_reference(a, f, shift):
+    """Assert that apply_to_twisted(a, f, shift) is the reference section
+    a f^(s+shift) = N f^(s+shift-pole): with f = F/df, the kernel's
+    a F^(s+shift) = H/den F^(s+shift-G) is a f^(s+shift) =
+    H/(den df^G) f^(s+shift-G), so H/(den df^G) == N f^(G-pole)."""
+    h, den, top = apply_to_twisted(a, f, shift)
+    assert top == max((sum(de) for _, de, _ in a.terms), default=0)
+    assert all(t and all(t.values()) for t in h.values())
+    ref = apply_section(a, f, TwistedSection.power(f.dim, shift))
+    assert ref.pole <= top
+    scale = Fraction(1, den * math.lcm(
+        *(c.denominator for c in f.terms.values())) ** top)
+    mult = f ** (top - ref.pole)
+    assert {j: Polynomial(f.dim, {m: c * scale for m, c in t.items()})
+            for j, t in h.items()} == {j: p * mult
+                                       for j, p in ref.coeffs.items()}
+
+
+def kernel_identity(a, f, shift, r):
+    """a f^(s+shift) == r(s) f^(s+shift), read from the kernel alone:
+    H/den F^(s+shift-G) == r(s) F^(s+shift), that is H/den == r(s) F^G."""
+    h, den, top = apply_to_twisted(a, f, shift)
+    big_f = f.scale(math.lcm(*(c.denominator for c in f.terms.values())))
+    want = {j: Polynomial.constant(f.dim, c) * big_f ** top
+            for j, c in r.items() if c}
+    return {j: Polynomial(f.dim, {m: Fraction(c, den) for m, c in t.items()})
+            for j, t in h.items()} == want
+
+
+def reference_identity(a, f, shift, r):
+    """The same identity, read from the reference walk."""
+    got = apply_section(a, f, TwistedSection.power(f.dim, shift))
+    return got.same_element(TwistedSection(f.dim, shift, 0, {
+        j: Polynomial.constant(f.dim, c) for j, c in r.items()}), f)
+
+
+@st.composite
+def twisted_cases(draw):
+    """(a, f, shift, r): f of dimension 1..3 with coefficients c*k/q, q in
+    1..6 and a common factor k, so that F = df*f is often not primitive;
+    a nonzero, with s-powers and d-parts up to 2, G = 0 among them (the
+    zero operator is an explicit example).  On half the draws in dimension
+    >= 2, a is instead the true identity A*(f_j d_i - f_i d_j) + r(s),
+    whose Hamiltonian part kills every power of f; else r is None."""
+    dim = draw(st.integers(1, 3))
+    monos = st.tuples(*[st.integers(0, 2)] * dim)
+    nonzero = st.integers(-4, 4).filter(bool)
+    common = draw(st.sampled_from([1, 2, 3, 6]))
+    f = Polynomial(dim, {
+        m: Fraction(common * c, draw(st.integers(1, 6)))
+        for m, c in draw(st.dictionaries(monos.filter(any), nonzero,
+                                         min_size=1, max_size=3)).items()})
+    a = WeylOperator(dim, {
+        key: Fraction(c, draw(st.integers(1, 6)))
+        for key, c in draw(st.dictionaries(
+            st.tuples(monos, monos, st.integers(0, 2)), nonzero,
+            min_size=1, max_size=4)).items()})
+    shift = draw(st.sampled_from([-1, 0, 1, 2]))
+    if dim == 1 or draw(st.booleans()):
+        return a, f, shift, None
+    i, j = sorted(draw(st.permutations(range(dim)))[:2])
+    hamiltonian = (WeylOperator.from_polynomial(f.partial(j))
+                   * WeylOperator.d(i, dim)
+                   - WeylOperator.from_polynomial(f.partial(i))
+                   * WeylOperator.d(j, dim))
+    r = {k: Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 6)))
+         for k in range(draw(st.integers(0, 2)) + 1)}
+    return (a * hamiltonian + WeylOperator(dim, {
+        ((0,) * dim, (0,) * dim, k): c for k, c in r.items()}), f, shift, r)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@example((WeylOperator.zero(2), poly_parse("x1*x2", 2), 0, None))
+@example((op("s - 1/2", 2), poly_parse("x1*x2", 2), -1,  # A = 0
+          {1: Fraction(1), 0: Fraction(-1, 2)}))
+@example((op("2/3*x1^2*s^2 - 1/5", 1), poly_parse("2*x1^2", 1), 1, None))
+@given(twisted_cases())
+def test_apply_to_twisted_matches_reference(case):
+    # the integer kernel against the Fraction walk; a true identity holds
+    # in both, and fails in both once r(s) is perturbed
+    a, f, shift, r = case
+    kernel_matches_reference(a, f, shift)
+    if r is not None:
+        assert kernel_identity(a, f, shift, r)
+        assert reference_identity(a, f, shift, r)
+        wrong = dict(r)
+        wrong[0] += 1
+        assert not kernel_identity(a, f, shift, wrong)
+        assert not reference_identity(a, f, shift, wrong)
+
+
+def test_apply_to_twisted_shift_off_by_one():
+    # for f = x1*x2, E - s + 1 with the Euler field E kills f^(s-1) and
+    # leaves f^s = F * F^(s-1)
+    f = poly_parse("x1*x2", 2)
+    a = op("1/2*x1*d1 + 1/2*x2*d2 - s + 1", 2)
+    assert apply_to_twisted(a, f, -1) == ({}, 2, 1)
+    assert apply_to_twisted(a, f, 0) == ({0: {(1, 1): 2}}, 2, 1)
+    assert apply_section(a, f, TwistedSection.power(2, -1)).is_zero()
+    assert not apply_section(a, f, TwistedSection.power(2, 0)).is_zero()
+    for shift in (-1, 0, 1, 2):
+        kernel_matches_reference(a, f, shift)
 
 
 def basis_strings(keys):
