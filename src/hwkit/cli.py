@@ -141,10 +141,6 @@ def _cache_key(args, payload: dict) -> str:
 # shared option handling
 
 
-def _bounds(args) -> Bounds:
-    return Bounds(order=args.order, xdeg=args.xdeg, dt=args.dtord)
-
-
 def _int_at_least(text: str, least: int) -> int:
     try:
         n = int(text)
@@ -169,12 +165,6 @@ def _positive(text: str) -> int:
 def _lmax(text: str):
     """argparse type of --lmax: "auto" or an integer >= 0."""
     return text if text == "auto" else _nonnegative(text)
-
-
-def _add_bounds(p, order=4, xdeg=12, dtord=6):
-    p.add_argument("--order", type=_nonnegative, default=order)
-    p.add_argument("--xdeg", type=_nonnegative, default=xdeg)
-    p.add_argument("--dtord", type=_nonnegative, default=dtord)
 
 
 def _parse_naturals(option: str, text: str) -> tuple:
@@ -210,7 +200,9 @@ def _bfunction_source(args):
     f, weights or None for the monomial route).  A --dim below the number of
     variables of the input is rejected; a larger one is an ambient
     dimension."""
-    if getattr(args, "exponents", None):
+    if args.exponents and args.poly:
+        raise PreconditionError("give --exponents or --poly, not both")
+    if args.exponents:
         f = Polynomial.monomial(_parse_naturals("--exponents", args.exponents))
         if args.dim is not None and args.dim < f.dim:
             raise DimensionMismatch(f"--dim {args.dim} is below the {f.dim} "
@@ -396,7 +388,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_crosscheck(args) -> int:
     alpha = parse_rational(args.alpha)
-    bounds = _bounds(args)
+    bounds = Bounds(order=args.order, xdeg=args.xdeg, dt=args.dtord)
     if args.source == "snc":
         if not args.exponents:
             raise PreconditionError("--source snc needs --exponents")
@@ -426,15 +418,14 @@ def cmd_ppd(args) -> int:
         raise HwkitError(f"cannot read {args.input}: {exc.strerror}") from None
     except UnicodeDecodeError:
         raise HwkitError(f"cannot read {args.input}: not UTF-8 text") from None
+    # no ppd computation reads dt; 6 is the value its envelopes record
+    bounds = Bounds(order=args.order, xdeg=args.xdeg, dt=6)
     payload = {"input_sha": hashlib.sha256(text.encode()).hexdigest(),
-               "l": args.l, "k": args.k,
-               "bounds": {"order": args.order, "xdeg": args.xdeg,
-                          "dt": args.dtord},
+               "l": args.l, "k": args.k, "bounds": bounds.to_json(),
                "weight_only": args.weight_only, "interval21": args.interval21}
 
     def compute():
         inp = parse_annihilator_file(text, dim=args.dim)
-        bounds = _bounds(args)
         gens, meta = weight_module_generators(inp, args.l, bounds)
         wpres = weight_step_presentation(inp, gens, bounds)
         outputs = {"weight_presentation": wpres.to_json(),
@@ -480,111 +471,138 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = _Parser(prog="hwkit")
-    ap.add_argument("--version", action="version", version=__version__)
-    sub = ap.add_subparsers(dest="verb", required=True)
+def _common(p, dim=True):
+    p.add_argument("--json", action="store_true")
+    if dim:
+        p.add_argument("--dim", type=_positive, default=None)
 
-    def common(p, dim=True):
-        p.add_argument("--json", action="store_true")
-        if dim:
-            p.add_argument("--dim", type=_positive, default=None)
 
-    p = sub.add_parser("snc", help="closed-form tables for monomial divisors")
-    common(p, dim=False)
+def _source_options(p):
+    p.add_argument("--exponents")
+    p.add_argument("--poly")
+    p.add_argument("--weights")
+
+
+def _escalate_option(p):
+    p.add_argument("--escalate", type=_nonnegative, default=0,
+                   help="doublings to offer on an inconclusive verdict")
+
+
+def _snc_options(p):
+    _common(p, dim=False)
     p.add_argument("--exponents", required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--lmax", type=_lmax, default="auto")
     p.add_argument("--kmax", type=_nonnegative, default=2)
     p.add_argument("--stratum", default=None)
-    p.set_defaults(func=cmd_snc)
 
-    p = sub.add_parser("whom", help="weighted-homogeneous isolated "
-                                    "singularity tables")
-    common(p)
+
+def _whom_options(p):
+    _common(p)
     p.add_argument("--poly", required=True)
     p.add_argument("--weights", required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--k", type=_nonnegative, required=True)
     p.add_argument("--l", type=_nonnegative, required=True)
-    p.set_defaults(func=cmd_whom)
 
-    p = sub.add_parser("bfun", help="closed-form b-function data")
-    common(p)
-    p.add_argument("--exponents")
-    p.add_argument("--poly")
-    p.add_argument("--weights")
+
+def _bfun_options(p):
+    _common(p)
+    _source_options(p)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--order", type=_nonnegative, default=4)
     p.add_argument("--xdeg", type=_nonnegative, default=8)
-    p.set_defaults(func=cmd_bfun)
 
-    p = sub.add_parser("verify", help="oracle verification")
-    common(p)
+
+def _verify_options(p):
+    _common(p)
     p.add_argument("what", choices=["bfun"])
     p.add_argument("--poly", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--order", type=_nonnegative, default=4)
     p.add_argument("--xdeg", type=_nonnegative, default=8)
-    p.add_argument("--escalate", type=_nonnegative, default=0,
-                   help="doublings to offer on an inconclusive verdict")
-    p.set_defaults(func=cmd_verify)
+    _escalate_option(p)
 
-    p = sub.add_parser("classify", help="singularity class of the pair")
-    common(p)
-    p.add_argument("--exponents")
-    p.add_argument("--poly")
-    p.add_argument("--weights")
-    p.add_argument("--alpha", required=True)
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("bounds", help="highest-weight and generating-level "
-                                      "bounds")
-    common(p)
-    p.add_argument("--exponents")
-    p.add_argument("--poly")
-    p.add_argument("--weights")
+def _classify_options(p):
+    _common(p)
+    _source_options(p)
     p.add_argument("--alpha", required=True)
+
+
+def _bounds_options(p):
+    _classify_options(p)
     p.add_argument("--l", type=_nonnegative, default=0)
-    p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("crosscheck", help="master cross-check of a closed "
-                                          "form against the oracle")
-    common(p)
+
+def _crosscheck_options(p):
+    _common(p)
     p.add_argument("--source", choices=["snc", "whom"], required=True)
-    p.add_argument("--exponents")
-    p.add_argument("--poly")
-    p.add_argument("--weights")
+    _source_options(p)
     p.add_argument("--alpha", required=True)
     p.add_argument("--k", type=_nonnegative, required=True)
     p.add_argument("--l", type=_nonnegative, required=True)
-    p.add_argument("--escalate", type=_nonnegative, default=0,
-                   help="doublings to offer on an inconclusive verdict")
-    _add_bounds(p)
-    p.set_defaults(func=cmd_crosscheck)
+    _escalate_option(p)
+    p.add_argument("--order", type=_nonnegative, default=4)
+    p.add_argument("--xdeg", type=_nonnegative, default=12)
+    p.add_argument("--dtord", type=_nonnegative, default=6)
 
-    p = sub.add_parser("ppd", help="annihilator-presentation route")
-    common(p)
+
+def _ppd_options(p):
+    _common(p)
     p.add_argument("--input", required=True)
     p.add_argument("--l", type=_nonnegative, default=0)
     p.add_argument("--k", type=_nonnegative, default=0)
     p.add_argument("--weight-only", action="store_true")
     p.add_argument("--interval21", action="store_true")
-    _add_bounds(p, xdeg=10)
-    p.set_defaults(func=cmd_ppd)
+    p.add_argument("--order", type=_nonnegative, default=4)
+    p.add_argument("--xdeg", type=_nonnegative, default=10)
 
-    p = sub.add_parser("suite", help="acceptance battery")
-    common(p, dim=False)
+
+def _suite_options(p):
+    _common(p, dim=False)
     p.add_argument("--profile", default="default",
                    choices=["default", "corrupted", "starved"])
-    p.set_defaults(func=cmd_suite)
 
+
+# verb: (help, the function adding its options, its handler)
+VERBS = {
+    "snc": ("closed-form tables for monomial divisors", _snc_options,
+            cmd_snc),
+    "whom": ("weighted-homogeneous isolated singularity tables",
+             _whom_options, cmd_whom),
+    "bfun": ("closed-form b-function data", _bfun_options, cmd_bfun),
+    "verify": ("oracle verification", _verify_options, cmd_verify),
+    "classify": ("singularity class of the pair", _classify_options,
+                 cmd_classify),
+    "bounds": ("highest-weight and generating-level bounds", _bounds_options,
+               cmd_bounds),
+    "crosscheck": ("master cross-check of a closed form against the oracle",
+                   _crosscheck_options, cmd_crosscheck),
+    "ppd": ("annihilator-presentation route", _ppd_options, cmd_ppd),
+    "suite": ("acceptance battery", _suite_options, cmd_suite),
+}
+
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser of argv.  The subparser of the verb argv[0] names takes
+    the rest of argv, so only that verb is built; without one (no argv, a
+    top-level option, an invalid verb) every verb is, and --help and the
+    usage errors list them all."""
+    ap = _Parser(prog="hwkit")
+    ap.add_argument("--version", action="version", version=__version__)
+    sub = ap.add_subparsers(dest="verb", required=True)
+    for verb in [argv[0]] if argv and argv[0] in VERBS else VERBS:
+        help_text, add_options, handler = VERBS[verb]
+        p = sub.add_parser(verb, help=help_text)
+        add_options(p)
+        p.set_defaults(func=handler)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import pathlib
+import sys
 
 import pytest
 
@@ -297,6 +298,12 @@ MALFORMED = [
     ("bfun", "--poly", "x1^2+x2^3", "--weights", "1/2,0"),
     ("bounds", "--poly", "x1^2+x2^3", "--weights", "0,1/3", "--alpha", "1"),
     CROSS + ("--source", "whom", "--poly", "x1^2+x2^3", "--weights=-1/2,1/3"),
+    # both b-function sources
+    ("bfun", "--exponents", "2", "--poly", "x1^3", "--weights", "1/3"),
+    ("classify", "--exponents", "2", "--poly", "x1^3", "--alpha", "1"),
+    ("bounds", "--exponents", "2,3", "--poly", "x1*x2", "--alpha", "1"),
+    # an option of another verb
+    ("ppd", "--input", "{}/node.ann", "--dtord", "6"),
 ]
 
 
@@ -634,7 +641,7 @@ def _spellings(action):
 
 
 def test_cache_key_changes_with_every_option():
-    sub = next(a for a in build_parser()._actions
+    sub = next(a for a in build_parser([])._actions
                if isinstance(a, argparse._SubParsersAction))
     payload = {"input_sha": "0" * 64}
     for verb, parser in sub.choices.items():
@@ -649,7 +656,7 @@ def test_cache_key_changes_with_every_option():
             argv = [verb] + positional + list(extra)
             for a in options:
                 argv += _spellings(a)[1] if a is changed else base[a.dest]
-            return _cache_key(build_parser().parse_args(argv), payload)
+            return _cache_key(build_parser(argv).parse_args(argv), payload)
 
         ref = key()
         assert key(extra=["--json"]) == ref, verb
@@ -657,10 +664,68 @@ def test_cache_key_changes_with_every_option():
             if a.dest != "input":
                 assert key(changed=a) != ref, (verb, a.dest)
     # an input file is keyed by its content, not its path
-    args = build_parser().parse_args(["ppd", "--input", "a.ann"])
-    moved = build_parser().parse_args(["ppd", "--input", "b.ann"])
+    ppd = build_parser(["ppd"])
+    args = ppd.parse_args(["ppd", "--input", "a.ann"])
+    moved = ppd.parse_args(["ppd", "--input", "b.ann"])
     assert _cache_key(args, payload) == _cache_key(moved, payload)
     assert _cache_key(args, payload) != _cache_key(args, {"input_sha": "1" * 64})
+
+
+VERB_NAMES = ["snc", "whom", "bfun", "verify", "classify", "bounds",
+              "crosscheck", "ppd", "suite"]
+# one valid argv per verb, in the order of VERB_NAMES
+ONE_VERB = [
+    SNC + ("--kmax", "1", "--stratum", "2"),
+    ("whom", "--poly", "x1^2+x2^3", "--weights", "1/2,1/3", "--alpha", "5/6",
+     "--k", "1", "--l", "0", "--dim", "3"),
+    ("bfun", "--exponents", "2,3", "--verify", "--xdeg", "6"),
+    VERIFY + ("--escalate", "1"),
+    ("classify", "--poly", "x1^2+x2^3", "--weights", "1/2,1/3", "--alpha",
+     "5/6"),
+    ("bounds", "--poly", "x1*x2", "--alpha", "1", "--l", "1"),
+    CROSS + ("--source", "snc", "--exponents", "1,1", "--dtord", "2"),
+    ("ppd", "--input", "node.ann", "--k", "1", "--weight-only"),
+    ("suite", "--profile", "starved"),
+]
+
+
+def _subparsers(parser) -> dict:
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("argv", ONE_VERB, ids=lambda argv: argv[0])
+def test_one_verb_parser_matches_the_full_parser(argv):
+    argv = list(argv) + ["--json"]
+    verb, one, full = argv[0], build_parser(argv), build_parser([])
+    assert list(_subparsers(one)) == [verb]
+    args = one.parse_args(argv)
+    assert vars(args) == vars(full.parse_args(argv))
+    payload = {"input_sha": "0" * 64}
+    assert _cache_key(args, payload) == _cache_key(full.parse_args(argv),
+                                                   payload)
+    assert (_subparsers(one)[verb].format_help()
+            == _subparsers(full)[verb].format_help())
+
+
+def test_every_verb_is_built_without_a_named_verb(capsys):
+    assert [argv[0] for argv in ONE_VERB] == VERB_NAMES == list(cli.VERBS)
+    for argv in ([], ["nope"], ["--help"], ["--version"], ["--json", "snc"]):
+        assert list(_subparsers(build_parser(argv))) == VERB_NAMES, argv
+    with pytest.raises(SystemExit) as exc:
+        main(["nope"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "hwkit: error: argument verb: invalid choice: 'nope' (choose from "
+        "'snc', 'whom', 'bfun', 'verify', 'classify', 'bounds', "
+        "'crosscheck', 'ppd', 'suite')\n")
+
+
+def test_console_script_reads_sys_argv(capsys, monkeypatch):
+    argv = ["classify", "--exponents", "1,1", "--alpha", "1", "--json"]
+    expected = run(capsys, *argv)
+    monkeypatch.setattr(sys, "argv", ["hwkit"] + argv)
+    assert (main(), capsys.readouterr().out) == expected
 
 
 def test_corrupt_cache_entry_is_a_miss(capsys, tmp_path, monkeypatch):
