@@ -237,15 +237,16 @@ def _escalated_run(args, payload: dict, start: Bounds, attempt,
                    **extra) -> int:
     """Emit the envelope of a bounded certification: attempt(start), then
     up to --escalate more attempts at doubled bounds while the verdict is
-    not member.  Outputs hold the last certificate and every attempt; extra
-    goes to the envelope.  Exit 0 on member, 3 otherwise."""
+    not member and doubling moves the bounds (all-zero bounds stay put).
+    Outputs hold the last certificate and every attempt; extra goes to the
+    envelope.  Exit 0 on member, 3 otherwise."""
 
     def compute():
         bd, attempts = start, []
         for _ in range(args.escalate + 1):
             cert = attempt(bd)
             attempts.append(cert.to_json())
-            if cert.is_member():
+            if cert.is_member() or bd.doubled() == bd:
                 break
             bd = bd.doubled()
         return envelope(args.verb, payload,

@@ -113,32 +113,6 @@ def partial_terms(terms: dict, i: int) -> dict:
             for m, c in terms.items() if m[i]}
 
 
-def div_terms(a: dict, g: dict):
-    """q with a == q * g for {monomial: int} dicts, g nonzero, or None when
-    g does not divide a over the integers: grlex long division, stopped at
-    the first leading term of the remainder that g's leading term does not
-    divide, by monomial or by coefficient."""
-    lead = max(g, key=grlex_key)
-    lc = g[lead]
-    rem = {m: c for m, c in a.items() if c}
-    quo = {}
-    while rem:
-        m = max(rem, key=grlex_key)
-        c, r = divmod(rem[m], lc)
-        if r or not mono_divides(lead, m):
-            return None
-        q = mono_div(m, lead)
-        quo[q] = c
-        for gm, gc in g.items():
-            key = mono_mul(q, gm)
-            v = rem.get(key, 0) - c * gc
-            if v:
-                rem[key] = v
-            else:
-                rem.pop(key, None)
-    return quo
-
-
 def grlex_key(m: Mono):
     return (sum(m), m)
 

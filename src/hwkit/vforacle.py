@@ -20,9 +20,9 @@ from fractions import Fraction
 from itertools import chain, combinations
 
 from .errors import DimensionMismatch, InternalCheckFailed, PreconditionError
-from .exactalg import (Polynomial, combine_terms, div_terms, fmt_rational,
-                       graded_ideal, grlex_key, integer_terms,
-                       monomials_upto_degree, mul_terms, partial_terms)
+from .exactalg import (Polynomial, combine_terms, fmt_rational,
+                       graded_ideal, grlex_key, integer_terms, mul_terms,
+                       partial_terms)
 from .bsdata import BFunction, RootMultiset
 from .linalg import Echelon
 from .snc import HodgePresentation, SncDivisor, snc_hodge_weight
@@ -170,8 +170,8 @@ def verify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
     then refute every maximal proper divisor of b at the same bounds.
 
     Only the columns of graded_operator_basis are built.  For each weight w
-    making f homogeneous, the column of x^b d^g s^j, cleared to the pole the
-    full d-part set fixes, is w-homogeneous of degree w.(b - g) plus a shared
+    making f homogeneous, the column of x^b d^g s^j, cleared to a common
+    pole, is w-homogeneous of degree w.(b - g) plus a shared
     constant.  So the elimination is block-diagonal, and b(s) f^s and its
     divisors lie in the kept block w.(b - g) = -deg_w f, whose rows,
     residuals and witness are those of the full system.  The kept-block part
@@ -182,15 +182,17 @@ def verify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
     comes before any build.
 
     An image d^g f^(s+1) is (layers, den, pole): sum_j s^j N_j/den times
-    f^(s+1-pole).  Each step d_i gives layer j = F d_i(N_j) + e N_j d_i(F)
-    + N_(j-1) d_i(F) over den df at pole + 1, e = 1 - pole, then divides
-    every layer by f while it can (the pole is kept minimal).  pole_target is
-    the largest of these normalized poles over the full d-part set: a higher
-    one multiplies every column by a power of f, and the fully reduced rows,
-    so a dependent system's witness, could change.  Dividing by f is dividing
-    by the primitive part of F over Z: by Gauss's lemma that is exact over Q
-    exactly when it is over Z, and long division then meets only exact
-    leading-coefficient quotients (div_terms).
+    f^(s+1-pole), at its natural pole |g|.  Each step d_i gives layer j =
+    F d_i(N_j) + e N_j d_i(F) + N_(j-1) d_i(F) over den df at pole + 1,
+    e = 1 - pole; nothing is divided out.  Images are built for the kept
+    d-parts only, and every column and right-hand side is cleared to
+    pole_target, the largest kept |g| (at least 1, the pole of b(s) f^s).
+    Any common pole gives the same solve: another one multiplies every
+    column and every right-hand side by one power of f, a linear and one to
+    one map, and no window truncates a column (the radix is sized from the
+    built columns).  So the same columns gain rank, hence every divisor's
+    verdict is the same, and b(s) f^s has the same unique coordinates in
+    them, hence the same witness.
 
     The witness P is re-evaluated by apply_to_twisted, which shares only
     exactalg's term kernels with the columns: P F^(s+1) = H/aden F^(s+1-G)
@@ -219,36 +221,22 @@ def verify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
     keys = graded_operator_basis(f, order_bound, xdeg_bound, b.degree())
     fnum, df = integer_terms(f.terms)
     dfs = [partial_terms(fnum, i) for i in range(dim)]
-    content = math.gcd(*fnum.values())
-    prim = {m: c // content for m, c in fnum.items()}
 
     def step(image, i):
-        """d_i of the image, normalized: N/den over f is N/prim times df over
-        den content."""
+        """d_i of the image, one pole up."""
         layers, den, pole = image
         nd = {j: mul_terms(num, dfs[i]) for j, num in layers.items()}
         out = {j: combine_terms(mul_terms(partial_terms(num, i), fnum), 1,
                                 nd[j], 1 - pole) for j, num in layers.items()}
         for j, terms in nd.items():  # s * N_j * d_i(F)
             out[j + 1] = combine_terms(out.get(j + 1, {}), 1, terms, 1)
-        layers = {j: t for j, t in out.items() if t}
-        den, pole = den * df, (pole + 1 if layers else 0)
-        while layers:
-            divided = {}
-            for j, num in layers.items():
-                divided[j] = div_terms(num, prim)
-                if divided[j] is None:
-                    return layers, den, pole
-            layers = {j: {m: c * df for m, c in q.items()}
-                      for j, q in divided.items()}
-            den, pole = den * content, pole - 1
-        return layers, den, pole
+        return {j: t for j, t in out.items() if t}, den * df, pole + 1
 
-    # d^g f^(s+1), normalized, for every d-part g of the full basis; x^b and
-    # s^j only multiply the numerator, so this fixes the full basis' pole
-    images = d_part_images(monomials_upto_degree(dim, order_bound),
-                           ({0: {(0,) * dim: 1}}, 1, 0), step)
-    pole_target = max([pole for _, _, pole in images.values()] + [1])
+    # d^g f^(s+1) for the kept d-parts g; x^b and s^j only multiply the
+    # numerator
+    d_parts = {g for _, g, _ in keys}
+    images = d_part_images(d_parts, ({0: {(0,) * dim: 1}}, 1, 0), step)
+    pole_target = max([sum(g) for g in d_parts] + [1])
     powers = [{(0,) * dim: 1}]  # F^k for k = 0 .. pole_target
     for _ in range(pole_target):
         powers.append({m: c for m, c in mul_terms(powers[-1], fnum).items()
@@ -266,7 +254,7 @@ def verify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
         return cleared({j: {(0,) * dim: c} for j, c in nums.items() if c},
                        den, 1)
 
-    columns = {g: cleared(*images[g]) for g in {g for _, g, _ in keys}}
+    columns = {g: cleared(*images[g]) for g in d_parts}
     rhs = rhs_layers(b)
     # x^b adds at most xdeg_bound to an exponent of a column numerator; a
     # divisor's numerator has the degree of b's, that of f^(pole_target - 1)

@@ -110,13 +110,6 @@ class WeylOperator(SparseTerms):
     def is_s_free(self) -> bool:
         return all(sp == 0 for (_, _, sp) in self.terms)
 
-    def total_order(self):
-        """Max of |dExponents| + sPower; None for the zero operator
-        (the distinguished minus-infinity marker)."""
-        if not self.terms:
-            return None
-        return max(sum(de) + sp for (_, de, sp) in self.terms)
-
     def substitute_s(self, value) -> "WeylOperator":
         value = Fraction(value)
         out = {}
@@ -209,12 +202,16 @@ def apply_to_twisted(a: WeylOperator, f: Polynomial, shift: int) -> tuple:
     chains = {one: {0: {one: 1}}}
 
     def chain(g):
-        out = chains.get(g)
-        if out is None:
+        down = []  # (d-part, i) from g down to the nearest one built
+        while g not in chains:
             i = max(k for k, e in enumerate(g) if e)
+            down.append((g, i))
+            g = g[:i] + (g[i] - 1,) + g[i + 1:]
+        out = chains[g]
+        for g, i in reversed(down):
             e = shift - sum(g) + 1
-            out = {}
-            for j, n in chain(g[:i] + (g[i] - 1,) + g[i + 1:]).items():
+            prev, out = out, {}
+            for j, n in prev.items():
                 nd = mul_terms(n, dfs[i])
                 _add_into(out.setdefault(j, {}), combine_terms(
                     mul_terms(partial_terms(n, i), fnum), 1, nd, e))
@@ -309,23 +306,20 @@ def d_part_images(d_parts, start, step) -> dict:
     d^g applied to start.  Each image is made from the image of g - e_i, i
     the last index with g_i > 0, by one call step(image, i), which must
     return d_i applied to image; so a basis of monomials x^b d^g s^j costs
-    one step per distinct d-part, however many (b, j) share it.  Over a
-    grlex, downward-closed d_parts the dict comes out in grlex order."""
+    one step per distinct d-part, however many (b, j) share it.  The walk
+    goes down to the nearest image built, then up in a loop, so no d-part
+    is too deep for the stack.  Over a grlex, downward-closed d_parts the
+    dict comes out in grlex order."""
     images = {}
-
-    def image(g):
-        out = images.get(g)
-        if out is None:
-            i = max((k for k, e in enumerate(g) if e), default=None)
-            if i is None:
-                out = start
-            else:
-                out = step(image(g[:i] + (g[i] - 1,) + g[i + 1:]), i)
-            images[g] = out
-        return out
-
     for g in d_parts:
-        image(g)
+        down = []  # (d-part, i) from g down to the nearest image built
+        while g not in images and any(g):
+            i = max(k for k, e in enumerate(g) if e)
+            down.append((g, i))
+            g = g[:i] + (g[i] - 1,) + g[i + 1:]
+        image = images.setdefault(g, start)
+        for g, i in reversed(down):
+            image = images[g] = step(image, i)
     return images
 
 

@@ -606,6 +606,46 @@ def test_escalation_schedule(capsys):
     assert code2 == 3
 
 
+@pytest.mark.parametrize("argv,attempts", [
+    (VERIFY + ("--order", "0", "--xdeg", "0", "--escalate", "3"), 1),
+    (CROSS + ("--source", "snc", "--exponents", "1,1", "--order", "0",
+              "--xdeg", "0", "--dtord", "0", "--escalate", "2"), 1),
+    # one nonzero bound still moves when doubled
+    (VERIFY + ("--order", "0", "--xdeg", "1", "--escalate", "2"), 3),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
+def test_escalation_stops_when_doubling_moves_no_bound(capsys, argv,
+                                                       attempts):
+    # doubling all-zero bounds gives the same bounds, so a further attempt
+    # could only repeat the first
+    code, env = run_json(capsys, *argv)
+    assert code == 3
+    got = env["outputs"]["attempts"]
+    assert len(got) == attempts
+    assert len({json.dumps(a["bounds"], sort_keys=True) for a in got}) \
+        == attempts
+
+
+def test_deep_d_chain_exits_2(capsys, tmp_path):
+    # the annihilator check builds d1^150 f^(s-1) in a loop, so an
+    # annihilator deeper than the recursion limit gets its exit code
+    depth, frame = 0, sys._getframe()
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+    path = tmp_path / "deep.ann"
+    path.write_text(NODE_ANN.replace("x1*d1 - x2*d2", "d1^150"))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        code = main(["ppd", "--input", str(path), "--l", "0", "--k", "0"])
+    finally:
+        sys.setrecursionlimit(limit)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.strip().splitlines() == [
+        "hypothesis violated: zetas annihilate f^(s-1)"]
+    assert "Traceback" not in err
+
+
 def test_ppd_cusp_file(capsys):
     import pathlib
     path = pathlib.Path(__file__).parent / "data" / "cusp.ann"

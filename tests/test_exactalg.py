@@ -1,16 +1,16 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import gcd, prod
+from math import prod
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from hwkit.errors import DimensionMismatch, ParseError
 from hwkit.exactalg import (MonomialIdeal, Polynomial, WeightVector,
-                            div_terms, fmt_rational, graded_ideal, grlex_key,
+                            fmt_rational, graded_ideal, grlex_key,
                             infer_dim, monomials_upto_degree, monomials_weighted_upto,
-                            mul_terms, parse_rational, poly_parse,
+                            parse_rational, poly_parse,
                             weighted_degree)
 
 
@@ -211,45 +211,6 @@ def test_div_exact():
     g = poly_parse("x1 - x2", 2)
     assert (f * g).div_exact(f) == g
     assert f.div_exact(g) is None
-
-
-@st.composite
-def division_cases(draw):
-    """(a, g) as {monomial: int} dicts of one dimension 1..3: g nonzero and
-    primitive, and a = q*g for a drawn q, with one term changed on half the
-    draws so that g need not divide it."""
-    dim = draw(st.integers(1, 3))
-    monos = st.tuples(*[st.integers(0, 2)] * dim)
-    coeffs = st.integers(-6, 6).filter(bool)
-    g = draw(st.dictionaries(monos, coeffs, min_size=1, max_size=4))
-    content = gcd(*g.values())
-    g = {m: c // content for m, c in g.items()}
-    a = mul_terms(draw(st.dictionaries(monos, coeffs, max_size=4)), g)
-    if draw(st.booleans()):
-        m = draw(monos)
-        a[m] = a.get(m, 0) + draw(coeffs)
-    return {m: c for m, c in a.items() if c}, g
-
-
-@settings(derandomize=True, max_examples=300, deadline=None)
-@example(({(2,): 6, (1,): 5, (0,): -6}, {(1,): 2, (0,): 3}))  # (3x - 2) g
-@example(({(2,): 1}, {(1,): 2, (0,): 3}))  # stops at the coefficient 1/2
-@example(({(2, 1): 9, (1, 2): -3, (0, 3): -2},  # (3*x1*x2 + x2^2) g
-          {(1, 0): 3, (0, 1): -2}))
-@example(({}, {(0, 1): 5}))
-@given(division_cases())
-def test_div_terms_matches_div_exact(case):
-    # over a primitive divisor, integer long division (every leading
-    # coefficient quotient exact) divides exactly when division over Q does
-    a, g = case
-    dim = len(next(iter(g)))
-    ref = Polynomial(dim, a).div_exact(Polynomial(dim, g))
-    got = div_terms(a, g)
-    if ref is None:
-        assert got is None
-    else:
-        assert got is not None and Polynomial(dim, got) == ref
-        assert {m: c for m, c in mul_terms(got, g).items() if c} == a
 
 
 def test_infer_dim():

@@ -34,8 +34,6 @@ ALLOWED = {
     ("whom", "micromult_contains_one"),
     # an argparse override, called by argparse itself
     ("cli", "_Parser.error"),
-    # the measure of the principal-symbol property test
-    ("weyl", "WeylOperator.total_order"),
 }
 
 # (module, qualified def name, parameter) of defaults no call of the

@@ -461,7 +461,7 @@ def test_verify_bfunction_columns_match_apply_to_twisted(
         inserted, poly, dim, b, order, xdeg):
     # the columns built from one image per d-part equal every graded basis
     # operator applied to f^(s+1) on its own by the Fraction reference walk,
-    # over the common pole of the full d-part set; the dim columns of
+    # over the pole of the largest kept d-part; the dim columns of
     # homogeneity_grading's nullspace come first
     f = poly_parse(poly, dim)
     bf = BFunction(b)
@@ -470,11 +470,8 @@ def test_verify_bfunction_columns_match_apply_to_twisted(
     if len(f.terms) == 1:  # a monomial has no exponent differences
         assert inserted[:dim] == [{}] * dim
     sec0 = TwistedSection.power(dim, 1)
-    pole_target = max(
-        [apply_section(WeylOperator(dim, {((0,) * dim, g, 0): 1}), f,
-                       sec0).pole
-         for g in monomials_upto_degree(dim, order)] + [1])
     keys = graded_operator_basis(f, order, xdeg, bf.degree())
+    pole_target = max([sum(g) for _, g, _ in keys] + [1])
     want = [_section_vector(
                 apply_section(WeylOperator(dim, {key: 1}), f, sec0), f,
                 pole_target)
@@ -593,17 +590,17 @@ def test_verify_bfunction_witness_is_w_homogeneous(
 
 def fraction_bfunction_system(f, bf, order, xdeg):
     """verify_bfunction's linear system built in Fraction polynomials:
-    d-part images by apply_d -> normalized, pole_target the largest
-    normalized pole over the full d-part set, each column and right-hand
-    side times f ** (pole_target - pole) and packed by pack_layers.  Returns
+    d-part images by apply_d for the kept d-parts, pole_target the largest
+    of their poles, each column and right-hand side times
+    f ** (pole_target - pole) and packed by pack_layers.  Returns
     (pole_target, packing, the (vec, den) inserts in basis order, the
     right-hand side (vec, den) of a RootMultiset)."""
     dim = f.dim
     keys = graded_operator_basis(f, order, xdeg, bf.degree())
-    images = d_part_images(monomials_upto_degree(dim, order),
-                           TwistedSection.power(dim, 1),
-                           lambda sec, i: sec.apply_d(i, f).normalized(f))
-    pole_target = max([sec.pole for sec in images.values()] + [1])
+    d_parts = {g for _, g, _ in keys}
+    images = d_part_images(d_parts, TwistedSection.power(dim, 1),
+                           lambda sec, i: sec.apply_d(i, f))
+    pole_target = max([images[g].pole for g in d_parts] + [1])
 
     def layers(sec):
         mult = f ** (pole_target - sec.pole)
@@ -612,7 +609,7 @@ def fraction_bfunction_system(f, bf, order, xdeg):
     def rhs(roots):
         return layers(roots_section(dim, roots))
 
-    columns = {g: layers(images[g]) for _, g, _ in keys}
+    columns = {g: layers(images[g]) for g in d_parts}
     largest = max((p.total_degree() for ls in [*columns.values(), rhs(bf)]
                    for p in ls.values()), default=0)
     packing = KeyPacking(dim, 1 + largest + xdeg, xdeg)
@@ -625,12 +622,13 @@ def fraction_bfunction_system(f, bf, order, xdeg):
             lambda roots: packing.pack_layers(rhs(roots)))
 
 
-# (f, dim, b, order, xdeg, pole_target): x1^2 and x1^2*x2 are not
-# reduced, so normalization lowers poles of their images (the largest one
-# for x1^2); in dimension 2, d_2 (x1^2)^(s+1) = 0, an image at pole 0
+# (f, dim, b, order, xdeg, pole_target): pole_target is the largest |g|
+# over the kept d-parts g, whose images are not divided by f; x1^2 and
+# x1^2*x2 are not reduced, so their columns carry extra factors of F, and
+# the kept d-parts of x1^2 in dimension 1, (2) and (3), skip (1)
 BFUN_GERMS = [
-    ("x1^2", 1, "(s+1)*(s+1/2)", 3, 3, 2),
-    ("x1^2", 2, "(s+1)*(s+1/2)", 2, 2, 1),
+    ("x1^2", 1, "(s+1)*(s+1/2)", 3, 3, 3),
+    ("x1^2", 2, "(s+1)*(s+1/2)", 2, 2, 2),
     ("x1^2*x2", 2, "(s+1)^2*(s+1/2)", 3, 2, 3),
     ("x1*x2", 2, "(s+1)^2", 2, 3, 2),
     ("x1^2+x2^3", 2, "(s+1)*(s+5/6)*(s+7/6)", 3, 3, 3),
@@ -644,7 +642,7 @@ def test_verify_bfunction_inserts_canonical_pairs(germ, common, data):
     # f's terms scaled by rationals over denominators 1..6 with a common
     # numerator factor, so that F = df * f is often not primitive: every
     # inserted column and every reduced right-hand side is the integer_terms
-    # pair of the Fraction-built one, over the largest normalized pole
+    # pair of the Fraction-built one, over the largest kept |g|
     poly, dim, b, order, xdeg, pole = germ
     f = Polynomial(dim, {m: c * F(common * data.draw(st.sampled_from(
         [1, -1, 2, 3])), data.draw(st.integers(1, 6)))
@@ -697,6 +695,46 @@ def test_verify_bfunction_applies_d_only_to_reevaluate(monkeypatch):
     smaller = BFunction.parse("(s+1)*(s+5/6)")
     assert not verify_bfunction(f, smaller, 3, 6).is_member()
     assert not calls
+
+
+# (f, dim, the b-function of f, a wrong b): monomial, non-reduced,
+# non-primitive and rational germs, among them the non-reduced, non-monomial
+# (x1+x2)^2 and (x1+x2)^3; a wrong b is a proper divisor of the right one,
+# another b, or a multiple of the right one (member, but not minimal)
+PINNED_BFUN_GERMS = [
+    ("x1^2", 1, "(s+1)*(s+1/2)", "(s+1)"),
+    ("x1^2", 2, "(s+1)*(s+1/2)", "(s+1/2)"),
+    ("x1*x2", 2, "(s+1)^2", "(s+1)^3"),
+    ("2*x1*x2", 2, "(s+1)^2", "(s+1)*(s+1/2)"),
+    ("x1^2*x2", 2, "(s+1)^2*(s+1/2)", "(s+1)*(s+1/2)"),
+    ("x1^2*x2^3", 2, "(s+1)^2*(s+1/2)*(s+1/3)*(s+2/3)",
+     "(s+1)*(s+1/2)*(s+1/3)*(s+2/3)"),
+    ("x1^3", 1, "(s+1)*(s+1/3)*(s+2/3)", "(s+1)*(s+2/3)"),
+    ("x1^2+2*x1*x2+x2^2", 2, "(s+1)*(s+1/2)", "(s+1)"),
+    ("x1^3+3*x1^2*x2+3*x1*x2^2+x2^3", 2, "(s+1)*(s+1/3)*(s+2/3)",
+     "(s+1)*(s+1/3)"),
+    ("x1", 2, "(s+1)", "(s+1)*(s+2)"),
+    ("1/2*x1^2+1/3*x2^3", 2, "(s+1)*(s+5/6)*(s+7/6)", "(s+1)*(s+5/6)"),
+]
+PINNED_BFUN_WINDOWS = [(k, k) for k in range(6)] + [(2, 5), (5, 2)]
+BFUN_GRID_SHA = (
+    "96442e75af4793103130e0adbb8c3aff498c101c43989530fd032f7f5af74c37")
+
+
+def test_verify_bfunction_certificates_pinned():
+    # the certificates do not depend on the common pole the columns are
+    # cleared to: this SHA was taken with every image divided by f as far
+    # as it goes; 176 certificates, 65 members, 10 of them not minimal
+    certs = [verify_bfunction(poly_parse(poly, dim), BFunction.parse(b),
+                              order, xdeg).to_json()
+             for poly, dim, right, wrong in PINNED_BFUN_GERMS
+             for b in (right, wrong)
+             for order, xdeg in PINNED_BFUN_WINDOWS]
+    assert sum(c["verdict"] == "member" for c in certs) == 65
+    assert sum(c.get("witness", {}).get("minimal_at_bound", False)
+               for c in certs) == 55
+    blob = json.dumps(certs, sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == BFUN_GRID_SHA
 
 
 # ---------------------------------------------------------------------------
