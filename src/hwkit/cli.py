@@ -193,6 +193,15 @@ def _poly(args) -> Polynomial:
     return poly_parse(args.poly, args.dim or infer_dim(args.poly))
 
 
+def _exponents(args) -> tuple:
+    """The --exponents option; a --dim below their number is rejected."""
+    exps = _parse_naturals("--exponents", args.exponents)
+    if args.dim is not None and args.dim < len(exps):
+        raise DimensionMismatch(f"--dim {args.dim} is below the {len(exps)} "
+                                "variables of --exponents")
+    return exps
+
+
 def _bfunction_source(args):
     """Route to the closed-form b-function: a monomial (--exponents, or a
     one-term --poly) goes through the monomial table, otherwise weights are
@@ -203,10 +212,7 @@ def _bfunction_source(args):
     if args.exponents and args.poly:
         raise PreconditionError("give --exponents or --poly, not both")
     if args.exponents:
-        f = Polynomial.monomial(_parse_naturals("--exponents", args.exponents))
-        if args.dim is not None and args.dim < f.dim:
-            raise DimensionMismatch(f"--dim {args.dim} is below the {f.dim} "
-                                    "variables of --exponents")
+        f = Polynomial.monomial(_exponents(args))
     elif args.poly:
         f = _poly(args)
     else:
@@ -391,13 +397,15 @@ def cmd_crosscheck(args) -> int:
     alpha = parse_rational(args.alpha)
     bounds = Bounds(order=args.order, xdeg=args.xdeg, dt=args.dtord)
     if args.source == "snc":
-        if not args.exponents:
-            raise PreconditionError("--source snc needs --exponents")
-        obj = SncDivisor(_parse_naturals("--exponents", args.exponents))
+        if not args.exponents or args.poly or args.weights:
+            raise PreconditionError("--source snc needs --exponents, and no "
+                                    "--poly or --weights")
+        obj = SncDivisor(_exponents(args))
         name = str(obj)
     else:
-        if not (args.poly and args.weights):
-            raise PreconditionError("--source whom needs --poly and --weights")
+        if args.exponents or not (args.poly and args.weights):
+            raise PreconditionError("--source whom needs --poly and "
+                                    "--weights, and no --exponents")
         obj = QuasiHomogeneousGerm(_poly(args),
                                    WeightVector.parse(args.weights))
         name = str(obj.f)

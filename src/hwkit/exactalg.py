@@ -182,11 +182,11 @@ def parse_terms(text: str, allow: str):
     def peek():
         return tokens[i]
 
-    def take(kind=None, value=None):
+    def take(kind=None):
         nonlocal i
         tok = tokens[i]
-        if kind and tok[0] != kind or (value is not None and tok[1] != value):
-            raise ParseError(f"expected {value or kind}, got {tok[1]!r}", tok[2])
+        if kind and tok[0] != kind:
+            raise ParseError(f"expected {kind}, got {tok[1]!r}", tok[2])
         i += 1
         return tok
 
@@ -249,7 +249,7 @@ class SparseTerms:
     canonicalisation), `constant`, product, `sorted_keys` (printing order)
     and `_factors(key)` (the key printed as a product, "" for a constant)."""
 
-    __slots__ = ("dim", "terms", "_hash")
+    __slots__ = ("dim", "terms")
 
     @classmethod
     def zero(cls, dim: int):
@@ -281,8 +281,6 @@ class SparseTerms:
 
     def scale(self, c):
         c = Fraction(c)
-        if not c:
-            return self.zero(self.dim)
         return type(self)(self.dim, {k: v * c for k, v in self.terms.items()})
 
     def __pow__(self, n: int):
@@ -302,9 +300,7 @@ class SparseTerms:
                 and self.terms == other.terms)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.dim, frozenset(self.terms.items())))
-        return self._hash
+        return hash((self.dim, frozenset(self.terms.items())))
 
     def __str__(self):
         """Signed sum in `sorted_keys` order: "-3/4*x1^2 + x2 - 1"."""
@@ -341,7 +337,6 @@ class Polynomial(SparseTerms):
                             f"monomial {m} in dimension-{dim} polynomial")
                     clean[tuple(m)] = c
         self.terms = clean
-        self._hash = None
 
     # -- constructors
 
@@ -350,8 +345,8 @@ class Polynomial(SparseTerms):
         return cls(dim, {(0,) * dim: Fraction(c)})
 
     @classmethod
-    def monomial(cls, m: Mono, coeff=1) -> "Polynomial":
-        return cls(len(m), {tuple(m): Fraction(coeff)})
+    def monomial(cls, m: Mono) -> "Polynomial":
+        return cls(len(m), {tuple(m): Fraction(1)})
 
     @classmethod
     def parse(cls, text: str, dim: int) -> "Polynomial":
@@ -370,14 +365,11 @@ class Polynomial(SparseTerms):
     # -- arithmetic
 
     def __mul__(self, other):
-        """Zero at once when an operand has no terms; otherwise the products
-        of the operands' integer numerators (integer_terms) are summed per
-        monomial, over the product of their denominators."""
+        """The products of the operands' integer numerators (integer_terms)
+        summed per monomial, over the product of their denominators."""
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        if not (self.terms and other.terms):
-            return Polynomial.zero(self.dim)
         num_a, den_a = integer_terms(self.terms)
         num_b, den_b = integer_terms(other.terms)
         den = den_a * den_b

@@ -44,20 +44,14 @@ class Echelon:
     matching the combination of inserted vectors the row equals.  A vector
     inserted without a companion contributes zero.  The row format is
     private to this module (tests/test_row_format.py guards it); callers
-    read `pivots()`, `basis()`, `rank` and `n_vectors` (the number of
-    inserts, dependent ones included).
+    read `pivots()` and `basis()`.
     """
 
-    __slots__ = ("_rows", "n_vectors")
+    __slots__ = ("_rows",)
 
     def __init__(self):
         # pivot coordinate -> (integer row, its pivot coefficient, companion)
         self._rows = {}
-        self.n_vectors = 0
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
 
     def pivots(self) -> frozenset:
         """The leading coordinates of the span."""
@@ -136,7 +130,6 @@ class Echelon:
         inserted vectors, and the dependency is the companion minus that
         combination of their companions (a vector with no nonzero entry
         comes back as its companion)."""
-        self.n_vectors += 1
         vec, comb, den = self._eliminate(dict(vec), dict(companion or {}),
                                          den)
         if not vec:

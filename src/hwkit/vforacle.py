@@ -820,33 +820,20 @@ def _verdict(name: str, count: int, expect_nonempty: bool):
 
 def _cross_containment(name: str, source: WindowSpan, target: WindowSpan,
                        expect_nonempty: bool):
-    """Report the tag of the first source vector outside the target span,
-    or the vector count.  When the target's record holds the source's, every
-    source vector is a multiple of a target vector, and nothing is reduced.
-    That is a certifying check (McConnell, Mehlhorn, Naher and Schweitzer,
-    Computer Science Review 5(2), 2011).  Otherwise only the source rows are
-    reduced: a row is its vector minus earlier rows, which span the earlier
-    vectors, so the first row outside the target is that of the first vector
-    outside it.  Only this path names failed_at."""
+    """One direction of a containment, settled by the record or by the rows
+    and by nothing else: the tag of the first source vector outside the
+    target span, or the vector count.  When the target's record holds the
+    source's, every source vector is a multiple of a target vector, and
+    nothing is reduced: a certifying check (McConnell, Mehlhorn, Naher and
+    Schweitzer, Computer Science Review 5(2), 2011).  Otherwise every source
+    row is reduced: a row is its vector minus earlier rows, which span the
+    earlier vectors, so the first row outside the target is that of the
+    first vector outside it.  Only this path names failed_at."""
     if not source.within(target):
         for (row, p), tag in zip(source.echelon.basis(), source.tags):
             if target.echelon.reduce(row, p)[0]:
                 return False, {"direction": name, "failed_at": repr(tag)}
     return _verdict(name, source.n_vectors, expect_nonempty)
-
-
-def _mutual_containment(first, second):
-    """Two-sided containment of the sides (name, span, expect_nonempty):
-    the results of "first in second" and "second in first".  Once the first
-    holds, the second needs no reduction when the first's record holds the
-    second's (as equal records do) or the ranks are equal."""
-    name1, span1, nonempty1 = first
-    name2, span2, nonempty2 = second
-    d1 = _cross_containment(name1, span1, span2, nonempty1)
-    if d1[0] and (span2.within(span1)
-                  or span1.echelon.rank == span2.echelon.rank):
-        return d1, _verdict(name2, span2.n_vectors, nonempty2)
-    return d1, _cross_containment(name2, span2, span1, nonempty2)
 
 
 def _certificate(bounds: Bounds, directions) -> SpanCertificate:
@@ -874,9 +861,10 @@ def presentations_equal(p1: HodgePresentation, p2: HodgePresentation,
     """Two-sided bounded containment between the spans the presentations
     denote, after aligning twists (which must differ by an integer)."""
     span1, span2 = _common_pole_spans(p1, p2, f, bounds.xdeg)
-    d21, d12 = _mutual_containment(
-        ("second-in-first", span2, bool(p2.summands)),
-        ("first-in-second", span1, bool(p1.summands)))
+    d21 = _cross_containment("second-in-first", span2, span1,
+                             bool(p2.summands))
+    d12 = _cross_containment("first-in-second", span1, span2,
+                             bool(p1.summands))
     return _certificate(bounds, [d12, d21])
 
 
@@ -994,6 +982,8 @@ def crosscheck_hodge_weight(kind: str, obj, alpha, k: int, l: int,
             oracle_span.add(*psi_map(layers, den, alpha), (gi, gamma))
 
     closed_span = presentation_span(pres, f, alpha, pole_target, bounds.xdeg)
-    return _certificate(bounds, _mutual_containment(
-        ("oracle-in-closed-form", oracle_span, bool(gens)),
-        ("closed-form-in-oracle", closed_span, bool(pres.summands))))
+    return _certificate(bounds, [
+        _cross_containment("oracle-in-closed-form", oracle_span, closed_span,
+                           bool(gens)),
+        _cross_containment("closed-form-in-oracle", closed_span, oracle_span,
+                           bool(pres.summands))])

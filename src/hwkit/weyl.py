@@ -43,7 +43,6 @@ class WeylOperator(SparseTerms):
                     raise DimensionMismatch(f"key ({xe},{de}) in dimension {dim}")
                 clean[(tuple(xe), tuple(de), sp)] = c
         self.terms = clean
-        self._hash = None
 
     # -- constructors
 

@@ -302,6 +302,16 @@ MALFORMED = [
     ("bfun", "--exponents", "2", "--poly", "x1^3", "--weights", "1/3"),
     ("classify", "--exponents", "2", "--poly", "x1^3", "--alpha", "1"),
     ("bounds", "--exponents", "2,3", "--poly", "x1*x2", "--alpha", "1"),
+    # a crosscheck option of the other source, and a --dim below the
+    # number of --exponents
+    ("crosscheck", "--source", "snc", "--exponents", "1,1", "--poly",
+     "x1^2+x2^3", "--weights", "1/2,1/3", "--alpha", "1", "--k", "0",
+     "--l", "1"),
+    ("crosscheck", "--source", "snc", "--exponents", "1,1", "--weights",
+     "1/2,1/3", "--alpha", "1", "--k", "0", "--l", "1"),
+    CROSS + ("--source", "whom", "--poly", "x1^2+x2^3", "--weights",
+             "1/2,1/3", "--exponents", "1,1"),
+    CROSS + ("--source", "snc", "--exponents", "1,1", "--dim", "1"),
     # an option of another verb
     ("ppd", "--input", "{}/node.ann", "--dtord", "6"),
 ]

@@ -1,8 +1,8 @@
 """Only hwkit.linalg may touch Echelon's stored rows, so that the row
 representation can change without touching any caller: everything else reads
-pivots(), basis(), rank and n_vectors.  And every coordinate the package
-hands to an Echelon is an int (a KeyPacking key or an index), so the
-coordinate format is decided in one place."""
+pivots() and basis().  And every coordinate the package hands to an Echelon
+is an int (a KeyPacking key or an index), so the coordinate format is
+decided in one place."""
 
 import pathlib
 import re

@@ -4,7 +4,10 @@ an entry point kept for no product caller, and a class that nothing names
 (an exception nothing raises or catches) is left behind.  Dunder methods
 are exempt, and so is the allowlist below.  Likewise every parameter
 default is read: some call in the package leaves that parameter unset, so
-the default is no second value that only tests rely on.
+the default is no second value that only tests rely on.  And every
+parameter default is overridden: some call in the package sets that
+parameter (a class's `__init__` counts the calls of the class name), so
+the parameter is no second value that only tests pass.
 
 The scan is by name: a def or class counts as read when its name is read
 (as a Name or as an attribute) anywhere in the package outside its own
@@ -39,6 +42,13 @@ ALLOWED = {
 # (module, qualified def name, parameter) of defaults no call of the
 # package uses
 ALLOWED_DEFAULTS = set()
+
+# (module, qualified def name, parameter) of defaults no call of the
+# package overrides
+ALLOWED_OVERRIDES = {
+    # the in-process entry point the bench and the tests call with argv
+    ("cli", "main", "argv"),
+}
 
 
 def _is_dunder(name: str) -> bool:
@@ -141,10 +151,11 @@ def _called_name(call):
     return None
 
 
-def unused_defaults(sources: dict) -> list:
-    """(module, qualified def name, parameter) of every parameter default of
-    a non-dunder def of the sources that no call of a def of that name
-    leaves unset."""
+def _default_calls(sources: dict, constructors: bool):
+    """(module, qualified def name, parameter, position, calls of a def of
+    that name) of every parameter default of a non-dunder def of the
+    sources; with constructors, also of each `__init__`, whose calls are
+    those of its class's name."""
     trees = {mod: ast.parse(text) for mod, text in sources.items()}
     calls, methods = {}, set()
     for tree in trees.values():
@@ -153,14 +164,37 @@ def unused_defaults(sources: dict) -> list:
                 calls.setdefault(_called_name(node), []).append(node)
             elif isinstance(node, ast.ClassDef):
                 methods.update(map(id, node.body))
+    for mod, tree in trees.items():
+        for qualname, node in definitions(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            called = node.name
+            if constructors and called == "__init__" and "." in qualname:
+                called = qualname.split(".")[-2]
+            elif _is_dunder(called):
+                continue
+            for position, name in _defaults(node, id(node) in methods):
+                yield mod, qualname, name, position, calls.get(called, [])
+
+
+def unused_defaults(sources: dict) -> list:
+    """(module, qualified def name, parameter) of every parameter default of
+    a non-dunder def of the sources that no call of a def of that name
+    leaves unset."""
     return sorted(
-        (mod, qualname, name) for mod, tree in trees.items()
-        for qualname, node in definitions(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and not _is_dunder(node.name)
-        for position, name in _defaults(node, id(node) in methods)
-        if not any(_leaves_unset(call, position, name)
-                   for call in calls.get(node.name, [])))
+        (mod, qualname, name) for mod, qualname, name, position, calls
+        in _default_calls(sources, constructors=False)
+        if not any(_leaves_unset(call, position, name) for call in calls))
+
+
+def unoverridden_defaults(sources: dict) -> list:
+    """(module, qualified def name, parameter) of every parameter default of
+    a non-dunder def or an `__init__` of the sources that every call of a
+    def of that name (of its class, for an `__init__`) leaves unset."""
+    return sorted(
+        (mod, qualname, name) for mod, qualname, name, position, calls
+        in _default_calls(sources, constructors=True)
+        if all(_leaves_unset(call, position, name) for call in calls))
 
 
 def test_guard_flags_an_unused_default():
@@ -191,6 +225,37 @@ def test_every_default_is_used():
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in sorted(PACKAGE.glob("*.py"))}
     assert set(unused_defaults(sources)) <= ALLOWED_DEFAULTS
+
+
+def test_guard_flags_a_default_no_call_overrides():
+    sources = {
+        "a": "def f(x, y=1, *, z=2):\n    return x\n\n"
+             "class C:\n    def __init__(self, p=0, q=0):\n"
+             "        self.p = p\n\n"
+             "    def m(self, r=0):\n        return r\n\n"
+             "    def __eq__(self, other=None):\n        return True\n",
+        "b": "from . import a\n\n"
+             "a.f(1, z=3)\n"
+             "a.C(1).m()\n",
+    }
+    # f's z is set by keyword and C's p by position through the class
+    # name; y, q and r are never passed, and a dunder other than __init__
+    # is exempt
+    assert unoverridden_defaults(sources) == [
+        ("a", "C.__init__", "q"), ("a", "C.m", "r"), ("a", "f", "y")]
+    # a starred call counts as one that may set every parameter, and a
+    # def nobody calls overrides nothing
+    assert unoverridden_defaults({
+        "c": "def g(x, y=1):\n    return x\n\n"
+             "def h(x=0):\n    return x\n\n"
+             "g(*[1, 2])\n",
+    }) == [("c", "h", "x")]
+
+
+def test_every_default_is_overridden():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert set(unoverridden_defaults(sources)) <= ALLOWED_OVERRIDES
 
 
 def slots(tree):

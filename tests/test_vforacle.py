@@ -17,8 +17,8 @@ from hwkit import vforacle, weyl
 from hwkit.linalg import Echelon
 from hwkit.snc import HodgePresentation, SncDivisor, snc_hodge_weight
 from hwkit.vforacle import (BfElement, Bounds, SncVFamily,
-                            WhomVFamily, WindowSpan, _cross_containment,
-                            _mutual_containment, apply_s_shifted,
+                            WhomVFamily, WindowSpan, _common_pole_spans,
+                            _cross_containment, apply_s_shifted,
                             bf_span, candidate_v_snc,
                             crosscheck_hodge_weight, dspans_equal,
                             kernel_filtration_check, phi_shift,
@@ -124,7 +124,7 @@ def test_truncated_span_o_module():
     xsq = BfElement.from_poly(poly_parse("x1^2", 1))
     assert not span.reduce(one.layers)[0]
     assert not span.reduce(xsq.layers)[0]
-    assert span.echelon.rank == 3  # {1, x, x^2}
+    assert len(span.echelon.pivots()) == 3  # {1, x, x^2}
 
 
 def _monomial(span, code):
@@ -291,7 +291,8 @@ def test_graph_module_span_window_edges():
     # d1 dt = -2 x1 dt^2 the dt window: the span skips both images and
     # holds only the shifts of x1^3 (one) and of dt (x1^0..x1^3), and
     # reduce answers None for the skipped images
-    assert span.n_vectors == span.echelon.n_vectors == 1 + 4
+    queued = sum(len(fresh) for *_, fresh in span._queue)
+    assert span.n_vectors == queued == 1 + 4
     assert all(span.reduce(graph_d(gen, 0, f).layers) is None for gen in gens)
     # the span keys an element with its own packing: dt^3 is no multiple
     # of x1, whatever window a caller has in mind
@@ -364,10 +365,10 @@ def test_graph_span_matches_every_vector_reference(seed):
     ref = Echelon()
     for vec, den, tag in every:
         ref.insert(vec, den, {tag: den})
-    assert span.echelon.rank == ref.rank
-    assert span.n_vectors == ref.n_vectors == len(every)
+    assert len(span.echelon.pivots()) == len(ref.pivots())
+    assert span.n_vectors == len(every)
     if multiples:
-        assert span.echelon.n_vectors < span.n_vectors
+        assert sum(len(fresh) for *_, fresh in span._queue) < span.n_vectors
     for _ in range(6):
         picked = rng.sample(every, min(len(every), rng.randint(1, 4)))
         member = {}
@@ -1249,17 +1250,14 @@ def test_row_containment_matches_vector_scan(seed):
             ("b-in-a", b, span_b, ne_b, a, span_a)):
         ref = _reference_containment(name, src, tgt, ne)
         assert _cross_containment(name, src_span, tgt_span, ne) == ref
-    assert _mutual_containment(("a-in-b", span_a, ne_a),
-                               ("b-in-a", span_b, ne_b)) == (
-        _reference_containment("a-in-b", a, b, ne_a),
-        _reference_containment("b-in-a", b, a, ne_b))
 
 
 def test_mutual_containment_keeps_expect_nonempty():
-    # the rank shortcut still reports an empty family as inconclusive
+    # a direction settled by the record still reports an empty family as
+    # inconclusive
     empty = _raw_span([])
-    assert _mutual_containment(("a-in-b", empty, False),
-                               ("b-in-a", empty, True)) == (
+    assert (_cross_containment("a-in-b", empty, empty, False),
+            _cross_containment("b-in-a", empty, empty, True)) == (
         (True, {"direction": "a-in-b", "vectors": 0}),
         (False, {"direction": "b-in-a",
                  "failed_at": "window too small to represent anything"}))
@@ -1410,12 +1408,12 @@ def test_window_family_inserts_each_vector_once(case):
     for vec, den, tag in every:
         if full.insert(vec, den) is None:
             full_tags.append(tag)
-    assert span.echelon.rank == full.rank
+    assert len(span.echelon.pivots()) == len(full.pivots())
     assert {_monomial(span, code)
             for code in span.echelon.pivots()} == full.pivots()
     assert [(_unpacked(span, row), p)
             for row, p in span.echelon.basis()] == full.basis()
-    assert span.n_vectors == full.n_vectors == len(every)
+    assert span.n_vectors == len(every)
     assert span.tags == full_tags
     # a target family that may miss some of the vectors, so that the rows
     # name the first failing vector of the scan over every vector
@@ -1501,10 +1499,14 @@ def test_record_certificate_matches_elimination(seed, case, monkeypatch):
                     name, _window_span(source, f, xdeg),
                     _window_span(target, f, xdeg), ne))
             for first, second in (sides, sides[::-1]):
+                # both directions over one pair of spans
                 inserts.clear()
-                out.append(_mutual_containment(
-                    *[(name, _window_span(elements, f, xdeg), ne)
-                      for name, elements, ne in (first, second)]))
+                spans = [_window_span(elements, f, xdeg)
+                         for _, elements, _ in (first, second)]
+                out.append(tuple(
+                    _cross_containment(name, source, target, ne)
+                    for (name, _, ne), source, target
+                    in zip((first, second), spans, spans[::-1])))
                 if by_record and records[0] == records[1]:
                     assert inserts == []
         return out
@@ -1529,6 +1531,22 @@ def test_dropped_generator_names_its_tag_on_both_paths(monkeypatch):
     monkeypatch.setattr(WindowSpan, "within", lambda self, other: False)
     assert presentations_equal(wrong, right, XY,
                                Bounds(4, 10, 6)).detail == detail
+
+
+def test_equal_spans_neither_record_holds_are_reduced_both_ways():
+    # {x1 + x2, x1 - x2} and {x1, x2} span the same window, with equal
+    # ranks, but neither record holds the other's: each direction reduces
+    # its source rows
+    p1, p2 = (HodgePresentation.build(F(1), 2, [
+        (0, poly_parse(g, 2), 0) for g in gens])
+        for gens in (["x1+x2", "x1-x2"], ["x1", "x2"]))
+    span1, span2 = _common_pole_spans(p1, p2, XY, 4)
+    assert not span1.within(span2) and not span2.within(span1)
+    assert len(span1.echelon.pivots()) == len(span2.echelon.pivots()) == 14
+    assert presentations_equal(p1, p2, XY, Bounds(2, 4, 0)).to_json() == {
+        "bounds": {"order": 2, "xdeg": 4, "dt": 0}, "verdict": "member",
+        "witness": [{"direction": "first-in-second", "vectors": 20},
+                    {"direction": "second-in-first", "vectors": 20}]}
 
 
 def _reference_reduce(pres, f, xdeg):

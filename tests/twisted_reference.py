@@ -115,7 +115,7 @@ def apply_section(a, f: Polynomial, sec: TwistedSection) -> TwistedSection:
         for i, e in enumerate(de):
             for _ in range(e):
                 cur = cur.apply_d(i, f)
-        cur = cur.mul_poly(Polynomial.monomial(xe, c))
+        cur = cur.mul_poly(Polynomial.monomial(xe).scale(c))
         total = total.add_with(cur, f)
     return total.normalized(f)
 
