@@ -400,7 +400,12 @@ def cmd_crosscheck(args) -> int:
         if not args.exponents or args.poly or args.weights:
             raise PreconditionError("--source snc needs --exponents, and no "
                                     "--poly or --weights")
-        obj = SncDivisor(_exponents(args))
+        exps = _exponents(args)
+        if args.dim is not None and args.dim > len(exps):
+            raise DimensionMismatch(f"--dim {args.dim} is above the "
+                                    f"{len(exps)} variables of --exponents: "
+                                    "--source snc takes no ambient dimension")
+        obj = SncDivisor(exps)
         name = str(obj)
     else:
         if args.exponents or not (args.poly and args.weights):

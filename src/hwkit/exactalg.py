@@ -127,16 +127,32 @@ def mono_str(m: Mono) -> str:
     return "*".join(power_factors("x", m)) or "1"
 
 
+def monomials_of_degree(dim: int, degree: int) -> list:
+    """All exponent vectors of total degree `degree`, in lex order: the first
+    exponent e ascending, each followed by the vectors of degree
+    `degree` - e over the other exponents; none for a negative degree."""
+    if not dim or degree < 0:
+        return [] if degree else [()]
+    # below[d]: the vectors of total degree d over the last exponents, in lex
+    # order, from the last exponent alone; each pass puts one more exponent
+    # in front, and the last pass builds the one degree asked for
+    below = [[(d,)] for d in range(degree + 1)]
+    for _ in range(dim - 2):
+        below = [_put_in_front(below, d) for d in range(degree + 1)]
+    return _put_in_front(below, degree) if dim > 1 else below[degree]
+
+
+def _put_in_front(below: list, degree: int) -> list:
+    """The vectors e + rest of total degree `degree`, rest from below (by
+    degree, in lex order), e ascending: in lex order."""
+    return [(e,) + rest for e in range(degree + 1)
+            for rest in below[degree - e]]
+
+
 def monomials_upto_degree(dim: int, bound: int) -> Iterator[Mono]:
     """All exponent vectors of total degree <= bound, in grlex order: degree
-    by degree, each degree in lex order."""
-    # exact[d]: the vectors of total degree d over the exponents built so
-    # far, in lex order; each pass puts one more exponent in front
-    exact = [[()] if d == 0 else [] for d in range(bound + 1)]
-    for _ in range(dim):
-        exact = [[(e,) + rest for e in range(d + 1) for rest in exact[d - e]]
-                 for d in range(bound + 1)]
-    return (m for level in exact for m in level)
+    by degree (monomials_of_degree), each degree in lex order."""
+    return (m for d in range(bound + 1) for m in monomials_of_degree(dim, d))
 
 
 # ---------------------------------------------------------------------------
@@ -521,10 +537,15 @@ def monomials_weighted_upto(w: WeightVector, bound: Fraction):
 
 
 def minimalize(monos: Iterable[Mono]) -> tuple:
+    """The minimal elements of monos under division, in grlex order.  A
+    proper divisor has lower total degree, so each monomial is tested only
+    against the kept ones of lower degree, a prefix of the kept list."""
     ms = sorted(set(tuple(m) for m in monos), key=grlex_key)
-    out = []
+    out, lower, deg = [], (), None
     for m in ms:
-        if not any(mono_divides(g, m) for g in out):
+        if sum(m) != deg:
+            deg, lower = sum(m), tuple(out)
+        if not any(mono_divides(g, m) for g in lower):
             out.append(m)
     return tuple(out)
 

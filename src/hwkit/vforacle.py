@@ -26,8 +26,8 @@ from .exactalg import (Polynomial, combine_terms, fmt_rational,
 from .bsdata import BFunction, RootMultiset
 from .linalg import Echelon
 from .snc import HodgePresentation, SncDivisor, snc_hodge_weight
-from .weyl import (KeyPacking, WeylOperator, apply_to_twisted, d_part_images,
-                   graded_operator_basis)
+from .weyl import (KeyPacking, ShiftTable, WeylOperator, apply_to_twisted,
+                   d_part_images, graded_operator_basis)
 from .whom import QuasiHomogeneousGerm, whom_hodge_weight
 
 
@@ -443,11 +443,12 @@ class WhomVFamily:
                 for j, u in _graded_slices(self.germ, lam, l < top, budget)]
 
 
-def bf_span(gens, f: Polynomial, bounds: Bounds) -> WindowSpan:
+def bf_span(gens, f: Polynomial, bounds: Bounds,
+            table: ShiftTable) -> WindowSpan:
     """The span of {x^beta d^gamma gen} over the BfElements gens, with
     |gamma| at most bounds.order, inside the (xdeg, dt) window of bounds,
-    tagged (generator, gamma, beta)."""
-    span = WindowSpan(f, 0, bounds.xdeg, bounds.dt)
+    tagged (generator, gamma, beta); its shift sets come from table."""
+    span = WindowSpan(f, 0, bounds.xdeg, bounds.dt, table)
     gammas, _ = span.shifts(bounds.order)
     for gi, gen in enumerate(gens):
         for gamma, layers, den in gen.d_images(gammas, f, bounds.dt):
@@ -465,11 +466,12 @@ def verify_v_axioms(family, f: Polynomial, grid, bounds: Bounds) -> dict:
     checks that ran.  A failed check is always "not-found-at-bound".
     """
     report = {"checks": [], "all_member": True, "skipped": 0}
+    table = ShiftTable(f.dim, bounds.xdeg)  # one for every span of the grid
     for gam in grid:
         gam = Fraction(gam)
-        span_up = bf_span(family.gens(gam + 1), f, bounds)
-        span_down = bf_span(family.gens(gam - 1), f, bounds)
-        span_strict = bf_span(family.strict_gens(gam), f, bounds)
+        span_up = bf_span(family.gens(gam + 1), f, bounds, table)
+        span_down = bf_span(family.gens(gam - 1), f, bounds, table)
+        span_strict = bf_span(family.strict_gens(gam), f, bounds, table)
         n = family.nilpotency(gam)
         for gi, gen in enumerate(family.gens(gam)):
             entries = [
@@ -503,7 +505,7 @@ def kernel_filtration_check(f: Polynomial, lam, l: int, kernel_gens,
     gives it.  Otherwise the detail names the first generator that exceeds
     the window or is not reduced."""
     lam = Fraction(lam)
-    span = bf_span(strict_gens, f, bounds)
+    span = bf_span(strict_gens, f, bounds, ShiftTable(f.dim, bounds.xdeg))
     members = []
     for gi, u in enumerate(kernel_gens):
         for _ in range(l):
@@ -650,37 +652,42 @@ class WindowSpan:
 
     Its coordinates are the layered keys of a KeyPacking at radix xdeg + 1,
     so x^beta adds the packed beta to every key.  Spans compared with each
-    other share xdeg.  Each element is packed and queued once with its
-    shifts.  The record maps each S of _direction to the positions k queued
-    (a shift moves only k); a vector it already holds is a multiple of a
-    queued one and is not queued.  The echelon is built from the queue, in
-    queue order, when a query reads it; its rows, tags (the tag of each
-    row's vector, in rank-gain order) and n_vectors are those of inserting
-    every vector.  It carries no companions: witness builds them on demand.
+    other share xdeg.  The shifts x^beta and d-parts gamma come from the
+    caller's ShiftTable of that packing, which the spans of a job share:
+    built once per job, not once per bound per span.  Each element is
+    packed and queued once with its shifts.  The record maps each S of
+    _direction to the positions k queued (a shift moves only k); a vector
+    it already holds is a multiple of a queued one and is not queued.  The
+    echelon is built from the queue, in queue order, when a query reads it;
+    its rows, tags (the tag of each row's vector, in rank-gain order) and
+    n_vectors are those of inserting every vector.  It carries no
+    companions: witness builds them on demand.
     """
 
     __slots__ = ("f", "pole_target", "xdeg", "dt", "packing", "n_vectors",
                  "_f_int", "_echelon", "_tags", "_queue", "_built",
-                 "_shifts", "_taken")
+                 "_table", "_taken")
 
-    def __init__(self, f: Polynomial, pole_target: int, xdeg: int, dt: int):
+    def __init__(self, f: Polynomial, pole_target: int, xdeg: int, dt: int,
+                 table: ShiftTable):
+        if (table.packing.dim, table.packing.radix) != (f.dim, xdeg + 1):
+            raise InternalCheckFailed("shift table of another packing")
         self.f = f
         self._f_int = integer_terms(f.terms)
         self.pole_target = pole_target
         self.xdeg = xdeg
         self.dt = dt
-        self.packing = KeyPacking(f.dim, xdeg + 1, 0)
+        self.packing = table.packing
         self.n_vectors = 0
         self._echelon, self._tags, self._queue = Echelon(), [], []
         self._built = 0  # queue entries inserted into _echelon
-        self._shifts = {}  # bound -> (monomials of degree <= bound, codes)
+        self._table = table
         self._taken = {}   # the record: S -> positions k taken
 
     def shifts(self, bound: int) -> tuple:
-        """KeyPacking.shifts(bound), built once per bound."""
-        if bound not in self._shifts:
-            self._shifts[bound] = self.packing.shifts(bound)
-        return self._shifts[bound]
+        """ShiftTable.shifts(bound) of the job's table: built once per job,
+        not once per bound per span."""
+        return self._table.shifts(bound)
 
     @property
     def echelon(self) -> Echelon:
@@ -796,13 +803,14 @@ def _twist_shift(alpha_base: Fraction, alpha: Fraction) -> int:
 
 
 def presentation_span(pres: HodgePresentation, f: Polynomial,
-                      alpha_base: Fraction, pole_target: int,
-                      xdeg: int) -> WindowSpan:
+                      alpha_base: Fraction, pole_target: int, xdeg: int,
+                      table: ShiftTable) -> WindowSpan:
     """The span of all vectors x^beta d^gamma (g f^(-j-alpha)) of a
     presentation, cleared to the common pole (relative to alpha_base);
-    elements whose clearing leaves the degree window are skipped."""
+    elements whose clearing leaves the degree window are skipped.  Its
+    shift sets come from table."""
     shift = _twist_shift(alpha_base, pres.alpha)
-    span = WindowSpan(f, pole_target, xdeg, 0)
+    span = WindowSpan(f, pole_target, xdeg, 0, table)
     for si, (budget, g, j) in enumerate(pres.summands):
         span.add_summand(si, (budget, g, j + shift), alpha_base)
     return span
@@ -849,10 +857,11 @@ def _certificate(bounds: Bounds, directions) -> SpanCertificate:
 def _common_pole_spans(p1: HodgePresentation, p2: HodgePresentation,
                        f: Polynomial, xdeg: int) -> tuple:
     """The spans of the two presentations at the twist of the first,
-    cleared to the pole both reach."""
+    cleared to the pole both reach, from one shift table."""
     pole_target = max(p1.max_pole(),
                       p2.max_pole() + _twist_shift(p1.alpha, p2.alpha), 0)
-    return tuple(presentation_span(p, f, p1.alpha, pole_target, xdeg)
+    table = ShiftTable(f.dim, xdeg)
+    return tuple(presentation_span(p, f, p1.alpha, pole_target, xdeg, table)
                  for p in (p1, p2))
 
 
@@ -875,7 +884,8 @@ def reduce_presentation(pres: HodgePresentation, f: Polynomial,
     steps and low degrees first); a generator outside the window is kept.
     Never changes the denoted span."""
     pole_target = max((j for _, _, j in pres.summands), default=0)
-    span = WindowSpan(f, pole_target, bounds.xdeg, 0)
+    span = WindowSpan(f, pole_target, bounds.xdeg, 0,
+                      ShiftTable(f.dim, bounds.xdeg))
     kept = []
     order = sorted(pres.summands,
                    key=lambda t: (t[2], t[1].total_degree(),
@@ -920,6 +930,7 @@ def dspans_equal(p1: HodgePresentation, p2: HodgePresentation, f: Polynomial,
         return [(g, j + extra_shift) for _, g, j in pres.summands]
 
     directions = []
+    table = ShiftTable(f.dim, bounds.xdeg)  # one for the spans of any depth
     for name, src, tgt in (
             ("first-in-second", gen_steps(p1, 0), full(p2, shift)),
             ("second-in-first", gen_steps(p2, shift), full(p1, 0))):
@@ -933,7 +944,7 @@ def dspans_equal(p1: HodgePresentation, p2: HodgePresentation, f: Polynomial,
             for depth in range(base, max(tgt.max_pole(), base) + 1):
                 if depth not in spans:
                     spans[depth] = presentation_span(
-                        tgt, f, alpha_base, depth, bounds.xdeg)
+                        tgt, f, alpha_base, depth, bounds.xdeg, table)
                 inside = spans[depth].contains(g, j)
                 if inside is None or inside:
                     break
@@ -974,14 +985,17 @@ def crosscheck_hodge_weight(kind: str, obj, alpha, k: int, l: int,
     pole_target = max(pres.max_pole(),
                       max((g.max_layer() + b for g, b in gens), default=0))
 
-    # oracle side: bounded operators in the graph module, collapsed
-    oracle_span = WindowSpan(f, pole_target, bounds.xdeg, 0)
+    # oracle side: bounded operators in the graph module, collapsed; both
+    # spans take their shift sets from one table
+    table = ShiftTable(f.dim, bounds.xdeg)
+    oracle_span = WindowSpan(f, pole_target, bounds.xdeg, 0, table)
     for gi, (gen, budget) in enumerate(gens):
         gammas, _ = oracle_span.shifts(min(budget, bounds.order))
         for gamma, layers, den in gen.d_images(gammas, f, bounds.dt):
             oracle_span.add(*psi_map(layers, den, alpha), (gi, gamma))
 
-    closed_span = presentation_span(pres, f, alpha, pole_target, bounds.xdeg)
+    closed_span = presentation_span(pres, f, alpha, pole_target, bounds.xdeg,
+                                    table)
     return _certificate(bounds, [
         _cross_containment("oracle-in-closed-form", oracle_span, closed_span,
                            bool(gens)),

@@ -7,7 +7,8 @@ layers over the integer numerator of f (`apply_to_twisted`), bounded
 operator bases and their images (one d-step per d-part, see
 `d_part_images`), and bounded-degree syzygy kernels computed by exact
 linear algebra and certified by re-multiplication.  `KeyPacking` decides
-every elimination coordinate of the package.
+every elimination coordinate of the package, and a `ShiftTable` serves the
+window spans of a job their shift sets.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from operator import mul
 
 from .errors import DimensionMismatch, InternalCheckFailed, ParseError
 from .exactalg import (Polynomial, SparseTerms, combine_terms, integer_terms,
-                       mono_mul, monomials_upto_degree, mul_terms,
-                       parse_terms, partial_terms, power_factors)
+                       mono_mul, monomials_of_degree, monomials_upto_degree,
+                       mul_terms, parse_terms, partial_terms, power_factors)
 from .linalg import nullspace
 
 Key = tuple  # (xExponents, dExponents, sPower)
@@ -407,13 +408,6 @@ class KeyPacking:
         return integer_terms(self.pack_terms(
             {j: p.terms for j, p in layers.items()}))
 
-    def shifts(self, bound: int) -> tuple:
-        """(the exponent vectors of total degree <= bound, in grlex order,
-        and the packed keys of their x-monomials).  Each key is the dot
-        product of the vector with the place values of the x digits."""
-        betas = tuple(monomials_upto_degree(self.dim, bound))
-        return betas, tuple(sum(map(mul, b, self._xplaces)) for b in betas)
-
     def pack_image(self, terms: dict) -> dict:
         """terms with packed keys, for an image d^g * t whose x and s
         exponents may still grow by `reach`; raises InternalCheckFailed when
@@ -424,6 +418,35 @@ class KeyPacking:
             raise InternalCheckFailed(
                 f"operator exponents reach the packing radix {self.radix}")
         return {self.pack(key): c for key, c in terms.items()}
+
+
+class ShiftTable:
+    """The shift sets of a job's window spans at one packing (radix xdeg +
+    1): a grlex prefix of exponent vectors beta and the packed keys
+    shift(beta, 0), grown a whole degree at a time by monomials_of_degree.
+    The vectors of degree <= b are the first C(n + b, n), so every bound's
+    set is a prefix; a bound above those built (a d-part bound may exceed
+    xdeg) extends it.  A job makes one and hands it to each span it builds,
+    so each vector is built once per job and lives no longer than it."""
+
+    __slots__ = ("packing", "_betas", "_codes", "_ends")
+
+    def __init__(self, dim: int, xdeg: int):
+        self.packing = KeyPacking(dim, xdeg + 1, 0)
+        self._betas, self._codes = [], []
+        self._ends = []  # _ends[d]: the number of vectors of degree <= d
+
+    def shifts(self, bound: int) -> tuple:
+        """(the exponent vectors of total degree <= bound, in grlex order,
+        and the packed keys of their x-monomials); both empty below 0."""
+        packing = self.packing
+        while len(self._ends) <= bound:
+            betas = monomials_of_degree(packing.dim, len(self._ends))
+            self._betas += betas
+            self._codes += [packing.shift(beta, 0) for beta in betas]
+            self._ends.append(len(self._betas))
+        n = self._ends[bound] if bound >= 0 else 0
+        return self._betas[:n], self._codes[:n]
 
 
 def window_packing(generators, order_bound: int, xdeg_bound: int,

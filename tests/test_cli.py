@@ -302,7 +302,7 @@ MALFORMED = [
     ("bfun", "--exponents", "2", "--poly", "x1^3", "--weights", "1/3"),
     ("classify", "--exponents", "2", "--poly", "x1^3", "--alpha", "1"),
     ("bounds", "--exponents", "2,3", "--poly", "x1*x2", "--alpha", "1"),
-    # a crosscheck option of the other source, and a --dim below the
+    # a crosscheck option of the other source, and a --dim other than the
     # number of --exponents
     ("crosscheck", "--source", "snc", "--exponents", "1,1", "--poly",
      "x1^2+x2^3", "--weights", "1/2,1/3", "--alpha", "1", "--k", "0",
@@ -312,6 +312,7 @@ MALFORMED = [
     CROSS + ("--source", "whom", "--poly", "x1^2+x2^3", "--weights",
              "1/2,1/3", "--exponents", "1,1"),
     CROSS + ("--source", "snc", "--exponents", "1,1", "--dim", "1"),
+    CROSS + ("--source", "snc", "--exponents", "1,1", "--dim", "3"),
     # an option of another verb
     ("ppd", "--input", "{}/node.ann", "--dtord", "6"),
 ]

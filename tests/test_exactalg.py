@@ -9,7 +9,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hwkit.errors import DimensionMismatch, ParseError
 from hwkit.exactalg import (MonomialIdeal, Polynomial, WeightVector,
                             fmt_rational, graded_ideal, grlex_key,
-                            infer_dim, monomials_upto_degree, monomials_weighted_upto,
+                            infer_dim, minimalize, mono_divides,
+                            monomials_of_degree, monomials_upto_degree,
+                            monomials_weighted_upto,
                             parse_rational, poly_parse,
                             weighted_degree)
 
@@ -251,8 +253,38 @@ def test_monomials_upto_degree_is_sorted_grlex(dim):
     # (none for a negative bound)
     for bound in range(-1, 22 if dim < 3 else 12):
         box = product(range(max(bound, 0) + 1), repeat=dim)
-        assert list(monomials_upto_degree(dim, bound)) == sorted(
-            (m for m in box if sum(m) <= bound), key=grlex_key)
+        ref = sorted((m for m in box if sum(m) <= bound), key=grlex_key)
+        assert list(monomials_upto_degree(dim, bound)) == ref
+        # the degree-exact set of the bound is its last degree block
+        assert monomials_of_degree(dim, bound) == [
+            m for m in ref if sum(m) == bound]
+
+
+def _minimalize_quadratic(monos) -> tuple:
+    """The minimal elements under division, each monomial tested against
+    every one kept before it in grlex order."""
+    out = []
+    for m in sorted(set(monos), key=grlex_key):
+        if not any(mono_divides(g, m) for g in out):
+            out.append(m)
+    return tuple(out)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda dim: st.tuples(
+    st.lists(st.tuples(*[st.integers(0, 3)] * dim), max_size=25),
+    st.integers(0, 6))))
+def test_minimalize_matches_the_quadratic_rule(case):
+    # random monomial sets, with duplicates, and an equal-degree antichain
+    # (every vector of one degree) mixed in: minimalize, which tests each
+    # monomial only against the kept ones of lower degree, keeps what the
+    # rule testing every kept one keeps
+    monos, degree = case
+    dim = len(monos[0]) if monos else 2
+    antichain = monomials_of_degree(dim, degree)
+    for family in (monos, monos + monos[::2], antichain, monos + antichain):
+        assert minimalize(family) == _minimalize_quadratic(family)
+    assert minimalize(antichain) == tuple(antichain)
 
 
 def test_mul_mono_shifts_terms():

@@ -14,6 +14,7 @@ from hwkit.exactalg import Polynomial, WeightVector, poly_parse
 from hwkit.linalg import Echelon
 from hwkit.ppd import parse_annihilator_file, weight_module_generators
 from hwkit.vforacle import BfElement, Bounds, bf_span, verify_bfunction
+from hwkit.weyl import ShiftTable
 from hwkit.whom import milnor_basis
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -69,7 +70,8 @@ def test_package_hands_echelons_int_coordinates(monkeypatch, capsys):
         "verify_bfunction": lambda: verify_bfunction(
             cusp, BFunction({F(-1): 1, F(-5, 6): 1, F(-7, 6): 1}), 3, 3),
         "bf_span reduce and witness": lambda: _graph_member(
-            bf_span([BfElement.from_poly(Polynomial.one(1))], x1, B),
+            bf_span([BfElement.from_poly(Polynomial.one(1))], x1, B,
+                    ShiftTable(1, B.xdeg)),
             {0: x1}),
         "milnor_basis": lambda: milnor_basis(
             cusp, WeightVector.parse("1/2,1/3")),

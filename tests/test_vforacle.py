@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hwkit.bsdata import BFunction, RootMultiset, bfunction_snc
-from hwkit.errors import PreconditionError
+from hwkit.errors import InternalCheckFailed, PreconditionError
 from hwkit.cli import main
 from hwkit.exactalg import (Polynomial, WeightVector, grlex_key,
                             integer_terms, mono_div, mono_divides, mono_mul,
@@ -25,7 +25,8 @@ from hwkit.vforacle import (BfElement, Bounds, SncVFamily,
                             presentation_contained, presentations_equal,
                             psi_map, q_poch, reduce_presentation,
                             verify_bfunction, verify_v_axioms)
-from hwkit.weyl import (KeyPacking, WeylOperator, bounded_operator_basis,
+from hwkit.weyl import (KeyPacking, ShiftTable, WeylOperator,
+                        bounded_operator_basis,
                         d_part_images, graded_operator_basis,
                         homogeneity_grading)
 from hwkit.whom import QuasiHomogeneousGerm, whom_hodge_weight
@@ -120,7 +121,7 @@ def test_truncated_span_o_module():
     f = poly_parse("x1", 1)
     B = Bounds(0, 2, 2)
     one = BfElement.from_poly(Polynomial.one(1))
-    span = bf_span([one], f, B)
+    span = bf_span([one], f, B, ShiftTable(1, B.xdeg))
     xsq = BfElement.from_poly(poly_parse("x1^2", 1))
     assert not span.reduce(one.layers)[0]
     assert not span.reduce(xsq.layers)[0]
@@ -237,10 +238,11 @@ def test_span_producers_stay_in_the_window(seed, inserted):
         assert inserted
         assert all(vec and all(map(inside, vec)) for vec in inserted)
 
-    check(lambda: bf_span(gens, f, B),
+    check(lambda: bf_span(gens, f, B, ShiftTable(2, B.xdeg)),
           lambda key: key[0] <= B.dt and sum(key[1]) <= B.xdeg)
     check(lambda: vforacle.presentation_span(pres, f, pres.alpha,
-                                             pres.max_pole(), B.xdeg),
+                                             pres.max_pole(), B.xdeg,
+                                             ShiftTable(2, B.xdeg)),
           lambda key: key[0] == 0 and sum(key[1]) <= B.xdeg)
     for case in crosschecks:
         check(lambda: crosscheck_hodge_weight(*case, B),
@@ -251,7 +253,7 @@ def test_membership_window_guard():
     big = BfElement.from_poly(poly_parse("x1^9", 1))
     B = Bounds(1, 3, 2)
     span = bf_span([BfElement.from_poly(Polynomial.one(1))],
-                   poly_parse("x1", 1), B)
+                   poly_parse("x1", 1), B, ShiftTable(1, B.xdeg))
     assert span.reduce(big.layers) is None
 
 
@@ -263,7 +265,7 @@ def test_member_witness_reevaluates():
     B = Bounds(1, 2, 2)
     target = BfElement(1, {0: poly_parse("1 + x1^2", 1),
                            1: poly_parse("-x1", 1)})
-    span = bf_span([gen], f, B)
+    span = bf_span([gen], f, B, ShiftTable(1, B.xdeg))
     assert not span.reduce(target.layers)[0]
     witness, = span.witness([target.layers])
     assert len(witness) == 2
@@ -281,7 +283,7 @@ def test_graph_module_span_window_edges():
 
     gens = [BfElement.from_poly(x(3)),
             BfElement.from_poly(Polynomial.one(1), 1)]
-    span = bf_span(gens, f, B)
+    span = bf_span(gens, f, B, ShiftTable(f.dim, B.xdeg))
     # deg == xdeg at layer dt gets a verdict; one step past either edge
     # gets None
     assert span.reduce({B.dt: x(B.xdeg)}) is not None
@@ -297,7 +299,8 @@ def test_graph_module_span_window_edges():
     # the span keys an element with its own packing: dt^3 is no multiple
     # of x1, whatever window a caller has in mind
     x1 = poly_parse("x1", 1)
-    span = bf_span([BfElement.from_poly(x1)], x1, Bounds(0, 8, 3))
+    span = bf_span([BfElement.from_poly(x1)], x1, Bounds(0, 8, 3),
+                   ShiftTable(1, 8))
     residual, _ = span.reduce({3: Polynomial.one(1)})
     assert residual
 
@@ -360,7 +363,7 @@ def test_graph_span_matches_every_vector_reference(seed):
         gens += [gens[0].scale(F(-3, 2)),
                  BfElement(dim, {j: p.mul_mono(x1, 2)
                                  for j, p in gens[0].layers.items()})]
-    span = bf_span(gens, f, B)
+    span = bf_span(gens, f, B, ShiftTable(f.dim, B.xdeg))
     every = list(_every_graph_vector(gens, f, B))
     ref = Echelon()
     for vec, den, tag in every:
@@ -1075,7 +1078,7 @@ def test_spans_build_no_image_above_their_pole(monkeypatch):
     monkeypatch.setattr(WindowSpan, "add_summand", add_summand)
     x1, x2 = poly_parse("x1", 2), poly_parse("x2", 2)
     pres = HodgePresentation.build(F(1), 2, [(4, x1, 0), (4, x2, 1)])
-    vforacle.presentation_span(pres, XY, F(1), 2, 8)
+    vforacle.presentation_span(pres, XY, F(1), 2, 8, ShiftTable(2, 8))
     reduce_presentation(pres, XY, Bounds(4, 8, 4))
     unit = HodgePresentation.build(F(0), 2, [(0, Polynomial.one(2), 0)])
     deep = HodgePresentation.build(F(0), 2, [(0, XY, 1)])
@@ -1100,13 +1103,13 @@ def test_d_part_sets_reach_above_xdeg(monkeypatch):
         f = Polynomial.monomial((1,) + (0,) * (dim - 1))
         sizes.clear()
         span = bf_span([BfElement.from_poly(Polynomial.one(dim))], f,
-                       Bounds(order, xdeg, order))
+                       Bounds(order, xdeg, order), ShiftTable(dim, xdeg))
         assert sizes == [math.comb(dim + order, dim)]
         assert max(sum(gamma) for _, gamma, _ in span.tags) == order
 
 
 def test_window_span_add_refuses_a_part_above_its_pole():
-    span = WindowSpan(XY, 1, 4, 0)
+    span = WindowSpan(XY, 1, 4, 0, ShiftTable(2, 4))
     with pytest.raises(ValueError):
         span.add({2: {(1, 0): 1}}, 1, (0,))
     assert span.n_vectors == 0
@@ -1229,7 +1232,7 @@ def _raw_span(family):
     """A window span holding the tagged vectors of family, each inserted
     as it is (the last entry of its tag as beta, with shift 0); a multiple
     of an earlier vector is skipped."""
-    span = WindowSpan(XY, 0, 3, 0)
+    span = WindowSpan(XY, 0, 3, 0, ShiftTable(2, 3))
     for vec, den, tag in family:
         span.insert({span.packing.shift(m, 0): c for m, c in vec.items()},
                     den, tag[:-1], tag[-1:], (0,))
@@ -1366,7 +1369,7 @@ class _RecordingSpan(WindowSpan):
 
 
 def _window_span(elements, f, xdeg, cls=WindowSpan):
-    span = cls(f, 1, xdeg, 0)
+    span = cls(f, 1, xdeg, 0, ShiftTable(f.dim, xdeg))
     for i, parts in enumerate(elements):
         span.add(*int_parts(parts), (i,))
     return span
@@ -1645,7 +1648,7 @@ def test_twisted_span_queues_canonical_pairs(data):
         st.sampled_from([F(1), F(-2), F(1, 3), F(-5, 4)]), st.integers(0, 2))
     summands = [(0, Polynomial.one(dim), 2)] + data.draw(
         st.lists(summand, min_size=1, max_size=3))
-    span = WindowSpan(f, 2, 6, 0)
+    span = WindowSpan(f, 2, 6, 0, ShiftTable(f.dim, 6))
     for si, s in enumerate(summands):
         span.add_summand(si, s, alpha)
     _assert_queue_canonical(span, _twisted_vector(summands, alpha, f, 2))
@@ -1724,7 +1727,8 @@ def test_window_packing_is_exact(case):
     # order is kept, shifts and shape offsets are int additions and
     # subtractions, and its packing reduce answers None above xdeg
     dim, xdeg, monos = case
-    span = WindowSpan(poly_parse("x1", dim), 0, xdeg, 0)
+    span = WindowSpan(poly_parse("x1", dim), 0, xdeg, 0,
+                      ShiftTable(dim, xdeg))
     assert span.packing.radix == xdeg + 1
 
     def pack(m):
@@ -1834,3 +1838,94 @@ def test_whom_presentation_monotone():
         low = whom_hodge_weight(g, a, k, 0)
         top = whom_hodge_weight(g, a, k, 1)
         assert presentation_contained(low, top, g.f, B).is_member()
+
+
+# ---------------------------------------------------------------------------
+# the shift table of a job
+
+
+@pytest.mark.parametrize("dim, xdeg", [(1, 0), (1, 3), (2, 2), (2, 5),
+                                       (3, 1), (3, 3)])
+def test_shift_table_serves_bounds_in_any_order(dim, xdeg):
+    # bounds asked in random order, twice each, above xdeg and below 0
+    # included: every set is the grlex enumeration up to its bound, each
+    # vector with the packed key of its x-monomial
+    rng = random.Random(1200 + 10 * dim + xdeg)
+    table = ShiftTable(dim, xdeg)
+    packing = KeyPacking(dim, xdeg + 1, 0)
+    bounds = list(range(-1, xdeg + 4)) * 2
+    rng.shuffle(bounds)
+    for bound in bounds:
+        betas, codes = table.shifts(bound)
+        assert tuple(betas) == tuple(monomials_upto_degree(dim, bound))
+        assert codes == [table.packing.shift(beta, 0) for beta in betas]
+        assert codes == [packing.pack((beta, (0,) * dim, 0))
+                         for beta in betas]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_spans_sharing_a_table_match_spans_alone(seed):
+    # graph-module and twisted-module spans built in a random order from one
+    # table, d-part bounds above xdeg included, against the same spans each
+    # with a table of its own: the same queue, record, tags and rows
+    rng = random.Random(1250 + seed)
+    f = poly_parse(rng.choice(["x1*x2", "x1^2+x2^3", "x1^2*x2"]), 2)
+    B = Bounds(rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 2))
+    gens = [BfElement.from_poly(Polynomial.one(2))] + [
+        BfElement(2, {j: rand_poly(rng, 2, 2) for j in range(2)})
+        for _ in range(2)]
+    pres = HodgePresentation.build(
+        F(1, 2), 2, [(rng.randint(0, 3), Polynomial.one(2) + rand_poly(rng),
+                      rng.randint(0, 2)) for _ in range(3)])
+    builds = [lambda table: bf_span(gens, f, B, table)] + [
+        lambda table, pole=pole: vforacle.presentation_span(
+            pres, f, pres.alpha, pole, B.xdeg, table)
+        for pole in (pres.max_pole(), pres.max_pole() + 2)]
+    rng.shuffle(builds)
+    table = ShiftTable(2, B.xdeg)
+    for build in builds:
+        alone, shared = build(ShiftTable(2, B.xdeg)), build(table)
+        assert shared._queue == alone._queue
+        assert shared._taken == alone._taken
+        assert shared.tags == alone.tags
+        assert shared.echelon.basis() == alone.echelon.basis()
+
+
+def test_window_span_refuses_a_table_of_another_packing():
+    for table in (ShiftTable(3, 4), ShiftTable(1, 4), ShiftTable(2, 5),
+                  ShiftTable(2, 3)):
+        with pytest.raises(InternalCheckFailed):
+            WindowSpan(XY, 1, 4, 0, table)
+    with pytest.raises(InternalCheckFailed):
+        bf_span([BfElement.from_poly(Polynomial.one(2))], XY,
+                Bounds(1, 4, 1), ShiftTable(2, 3))
+    assert WindowSpan(XY, 1, 4, 0, ShiftTable(2, 4)).packing.radix == 5
+
+
+@pytest.mark.parametrize("case, bounds, top", [
+    (("snc", SncDivisor((1, 1)), 1, 2, 1), Bounds(2, 4, 2), 2),
+    (("snc", SncDivisor((2, 3)), F(1, 2), 2, 0), Bounds(3, 1, 3), 2),
+    (("whom", cusp_germ(), F(5, 6), 2, 1), Bounds(2, 4, 2), 2),
+])
+def test_crosscheck_builds_each_shift_vector_once(monkeypatch, case, bounds,
+                                                  top):
+    # one cross-check makes one table and grows it a degree at a time: each
+    # exponent vector up to the largest bound its two spans ask for, top, is
+    # built once (in the second case top is a d-part bound above xdeg)
+    built, tables = [], []
+    build, init = weyl.monomials_of_degree, ShiftTable.__init__
+
+    def building(dim, degree):
+        out = build(dim, degree)
+        built.extend(out)
+        return out
+
+    def noted(self, *args):
+        tables.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(weyl, "monomials_of_degree", building)
+    monkeypatch.setattr(ShiftTable, "__init__", noted)
+    crosscheck_hodge_weight(*case, bounds)
+    assert tables == [(2, bounds.xdeg)]
+    assert built == list(monomials_upto_degree(2, top))
