@@ -468,9 +468,10 @@ def infer_dim(text: str) -> int:
 
 
 class WeightVector:
-    """Strictly positive rational weights; `total` is their sum."""
+    """Strictly positive rational weights; `total` is their sum, and the
+    weights are nums[i]/den over their common denominator den, in ints."""
 
-    __slots__ = ("weights", "total")
+    __slots__ = ("weights", "total", "nums", "den")
 
     def __init__(self, weights: Iterable):
         ws = tuple(Fraction(w) for w in weights)
@@ -478,6 +479,9 @@ class WeightVector:
             raise PreconditionError("weights must be strictly positive")
         self.weights = ws
         self.total = sum(ws, Fraction(0))
+        self.den = lcm(*(w.denominator for w in ws))
+        self.nums = tuple(w.numerator * (self.den // w.denominator)
+                          for w in ws)
 
     @classmethod
     def parse(cls, text: str) -> "WeightVector":
@@ -498,18 +502,17 @@ class WeightVector:
 
 
 def weighted_degree(m: Mono, w: WeightVector) -> Fraction:
+    """One int dot product over w.nums, over w.den."""
     if len(m) != w.dim:
         raise DimensionMismatch(f"monomial length {len(m)} vs weights {w.dim}")
-    return sum((e * wi for e, wi in zip(m, w.weights)), Fraction(0))
+    return Fraction(sum(e * n for e, n in zip(m, w.nums)), w.den)
 
 
 def _scaled(w: WeightVector, bound) -> tuple:
-    """(weights, numerator, denominator) of w and bound times the lcm of
-    the weights' denominators; the weights come out as ints."""
-    den = lcm(*(wi.denominator for wi in w.weights))
+    """(weights, numerator, denominator) of w and bound times w.den; the
+    weights come out as ints."""
     bound = Fraction(bound)
-    return ([wi.numerator * (den // wi.denominator) for wi in w.weights],
-            bound.numerator * den, bound.denominator)
+    return w.nums, bound.numerator * w.den, bound.denominator
 
 
 def monomials_weighted_upto(w: WeightVector, bound: Fraction):

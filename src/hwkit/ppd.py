@@ -206,12 +206,13 @@ def operators_on_pole(ops, f: Polynomial, step: int, alpha: Fraction) -> list:
     if not all(op.is_s_free() for op in ops):
         raise InternalCheckFailed(
             "an operator evaluated on a pole still carries s")
-    images = pole_apply({de for op in ops for _, de, _ in op.terms},
-                        Polynomial.one(f.dim), step, alpha, f)
-    den = lcm(*(d for _, d, _ in images.values()))
-    image_nums = {de: [(m, c * (den // d)) for m, c in num.items()]
-                  for de, (num, d, _) in images.items()}
     f_int = integer_terms(f.terms)
+    images = pole_apply({de for op in ops for _, de, _ in op.terms},
+                        ({0: {(0,) * f.dim: 1}}, 1), step, (alpha, 0), f_int)
+    den = lcm(*(d for _, d, _ in images.values()))
+    image_nums = {de: [(m, c * (den // d))
+                       for m, c in layers.get(0, {}).items()]
+                  for de, (layers, d, _) in images.items()}
     out = []
     for op in ops:
         op_num, op_den = integer_terms(op.terms)
@@ -410,34 +411,33 @@ def hodge_weight_interval21(inp: AnnihilatorInput, gens, k: int,
 
 
 def parse_annihilator_file(text: str, dim: int | None) -> AnnihilatorInput:
-    """Header lines `f:`, `E:`, `alpha:`, `b:`, `pp:`; every other non-empty
-    line is one annihilator generator in the operator grammar.  Without dim,
-    the dimension is inferred from the comment-stripped lines."""
-    f_text = e_text = b_text = None
-    alpha = Fraction(0)
-    pp = False
-    zeta_lines = []
+    """Header lines `f:`, `E:`, `alpha:`, `b:`, `pp:` (true/false, 1/0 or
+    yes/no), each at most once, in any case; every other non-empty line is
+    one annihilator generator in the operator grammar.  Another pp: value or
+    a repeated header raises ParseError.  Without dim, the dimension is
+    inferred from the comment-stripped lines."""
+    headers, zeta_lines = {}, []
     lines = [raw.split("#", 1)[0].strip() for raw in text.splitlines()]
     for line in filter(None, lines):
-        lowered = line.lower()
-        if lowered.startswith("f:"):
-            f_text = line[2:].strip()
-        elif lowered.startswith("e:"):
-            e_text = line[2:].strip()
-        elif lowered.startswith("alpha:"):
-            alpha = parse_rational(line[6:].strip())
-        elif lowered.startswith("b:"):
-            b_text = line[2:].strip()
-        elif lowered.startswith("pp:"):
-            pp = line[3:].strip().lower() in ("true", "1", "yes")
-        else:
+        name, colon, value = line.partition(":")
+        key = name.lower()
+        if not colon or key not in ("f", "e", "alpha", "b", "pp"):
             zeta_lines.append(line)
-    if f_text is None or e_text is None or b_text is None:
+        elif key in headers:
+            raise ParseError(f"repeated header {name}:", 0)
+        else:
+            headers[key] = value.strip()
+    if not {"f", "e", "b"} <= headers.keys():
         raise ParseError("annihilator file needs f:, E: and b: headers", 0)
+    pp = headers.get("pp", "false")
+    if pp.lower() not in ("true", "1", "yes", "false", "0", "no"):
+        raise ParseError(f"pp: takes true/false, 1/0 or yes/no, not {pp!r}", 0)
     if dim is None:
         dim = infer_dim("\n".join(lines))
-    f = Polynomial.parse(f_text, dim)
-    euler = WeylOperator.parse(e_text, dim)
-    b = BFunction.parse(b_text)
+    f = Polynomial.parse(headers["f"], dim)
+    euler = WeylOperator.parse(headers["e"], dim)
+    alpha = parse_rational(headers.get("alpha", "0"))
+    b = BFunction.parse(headers["b"])
     zetas = [WeylOperator.parse(z, dim) for z in zeta_lines]
-    return AnnihilatorInput(f, euler, zetas, alpha, b, pp)
+    return AnnihilatorInput(f, euler, zetas, alpha, b,
+                            pp.lower() in ("true", "1", "yes"))

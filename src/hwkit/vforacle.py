@@ -181,12 +181,12 @@ def verify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
     |g| to the s-degree; so when deg b exceeds order_bound, not-found-at-bound
     comes before any build.
 
-    An image d^g f^(s+1) is (layers, den, pole): sum_j s^j N_j/den times
-    f^(s+1-pole), at its natural pole |g|.  Each step d_i gives layer j =
-    F d_i(N_j) + e N_j d_i(F) + N_(j-1) d_i(F) over den df at pole + 1,
-    e = 1 - pole; nothing is divided out.  Images are built for the kept
-    d-parts only, and every column and right-hand side is cleared to
-    pole_target, the largest kept |g| (at least 1, the pole of b(s) f^s).
+    An image d^g f^(s+1) is pole_apply's (layers, den, pole) at the twist
+    -1 - s: sum_j s^j N_j/den times f^(s+1-pole), at its natural pole |g|,
+    one pole_apply step per d-part; nothing is divided out.  Images are
+    built for the kept d-parts only, and each s-layer of every column and
+    right-hand side is cleared (clear_to_pole) to pole_target, the largest
+    kept |g| (at least 1, the pole of b(s) f^s).
     Any common pole gives the same solve: another one multiplies every
     column and every right-hand side by one power of f, a linear and one to
     one map, and no window truncates a column (the radix is sized from the
@@ -219,34 +219,19 @@ def verify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
         return not_found
     dim = f.dim
     keys = graded_operator_basis(f, order_bound, xdeg_bound, b.degree())
-    fnum, df = integer_terms(f.terms)
-    dfs = [partial_terms(fnum, i) for i in range(dim)]
-
-    def step(image, i):
-        """d_i of the image, one pole up."""
-        layers, den, pole = image
-        nd = {j: mul_terms(num, dfs[i]) for j, num in layers.items()}
-        out = {j: combine_terms(mul_terms(partial_terms(num, i), fnum), 1,
-                                nd[j], 1 - pole) for j, num in layers.items()}
-        for j, terms in nd.items():  # s * N_j * d_i(F)
-            out[j + 1] = combine_terms(out.get(j + 1, {}), 1, terms, 1)
-        return {j: t for j, t in out.items() if t}, den * df, pole + 1
-
-    # d^g f^(s+1) for the kept d-parts g; x^b and s^j only multiply the
-    # numerator
+    fnum, df = f_int = integer_terms(f.terms)
+    # d^g f^(s+1) for the kept d-parts g, f^(s+1) being the pole 0 of the
+    # twist -1 - s; x^b and s^j only multiply the numerator
     d_parts = {g for _, g, _ in keys}
-    images = d_part_images(d_parts, ({0: {(0,) * dim: 1}}, 1, 0), step)
+    images = pole_apply(d_parts, ({0: {(0,) * dim: 1}}, 1), 0, (-1, -1),
+                        f_int)
     pole_target = max([sum(g) for g in d_parts] + [1])
-    powers = [{(0,) * dim: 1}]  # F^k for k = 0 .. pole_target
-    for _ in range(pole_target):
-        powers.append({m: c for m, c in mul_terms(powers[-1], fnum).items()
-                       if c})
 
     def cleared(layers, den, pole):
-        """The layers over den written over the pole pole_target."""
-        k = pole_target - pole
-        return ({j: {m: c for m, c in mul_terms(num, powers[k]).items() if c}
-                 for j, num in layers.items()}, den * df ** k)
+        """The layers over den, each written over the pole pole_target."""
+        return ({j: clear_to_pole({pole: num}, den, f_int, pole_target)[0]
+                 for j, num in layers.items()},
+                den * df ** (pole_target - pole))
 
     def rhs_layers(roots: RootMultiset):
         """The section roots(s) * f^s = roots(s) * f^(s+1) / f, cleared."""
@@ -583,23 +568,33 @@ def phi_shift(u: BfElement, alpha, f: Polynomial) -> BfElement:
 # window spans of the graph-embedding and twisted localization modules
 
 
-def pole_apply(gammas, g: Polynomial, pole: int, alpha: Fraction,
-               f: Polynomial) -> dict:
-    """Map each gamma of gammas to d^gamma (g f^(-pole-alpha)) in integer
-    form, (num, den, pole + |gamma|), one step per gamma (d_part_images):
-    d_i (num/den f^(-p-alpha))
-    = (q d_i(num) F - (pq+a) num d_i(F)) / (den q df) f^(-p-1-alpha)."""
-    fnum, df = integer_terms(f.terms)
-    dfs = [partial_terms(fnum, i) for i in range(f.dim)]
-    a, q = alpha.numerator, alpha.denominator
+def pole_apply(gammas, start: tuple, pole: int, alpha: tuple,
+               f_int: tuple) -> dict:
+    """Map each gamma of gammas to d^gamma of sum_j s^j N_j/den
+    f^(-pole-alpha0-alpha1 s), start = ({j: N_j}, den) and alpha =
+    (alpha0, alpha1), in integer form (layers, den', pole + |gamma|), zero
+    layers dropped, one step per gamma (d_part_images).  With f_int = (F,
+    df) and the twist (a0 + a1 s)/q, d_i gives layer j = q F d_i(N_j) -
+    (pq+a0) N_j d_i(F) - a1 N_(j-1) d_i(F) over den q df at pole p + 1.
+    The spans and ppd pass alpha1 = 0, so no layer above the start's is
+    built; verify_bfunction passes -1 - s, f^(s+1) at the pole 0."""
+    fnum, df = f_int
+    dfs = [partial_terms(fnum, i) for i in range(len(next(iter(fnum))))]
+    q = math.lcm(*(Fraction(a).denominator for a in alpha))
+    a0, a1 = (int(a * q) for a in alpha)
 
     def step(image, i):
-        num, den, p = image
-        return (combine_terms(mul_terms(partial_terms(num, i), fnum), q,
-                              mul_terms(num, dfs[i]), -(p * q + a)),
-                den * q * df, p + 1)
+        layers, den, p = image
+        nds = {j: mul_terms(num, dfs[i]) for j, num in layers.items()}
+        out = {j: combine_terms(mul_terms(partial_terms(num, i), fnum), q,
+                                nds[j], -(p * q + a0))
+               for j, num in layers.items()}
+        if a1:
+            for j, nd in nds.items():
+                out[j + 1] = combine_terms(out.get(j + 1, {}), 1, nd, -a1)
+        return {j: t for j, t in out.items() if t}, den * q * df, p + 1
 
-    return d_part_images(gammas, (*integer_terms(g.terms), pole), step)
+    return d_part_images(gammas, (*start, pole), step)
 
 
 def clear_to_pole(parts, den: int, f_int: tuple, pole: int) -> tuple:
@@ -664,7 +659,7 @@ class WindowSpan:
     companions: witness builds them on demand.
     """
 
-    __slots__ = ("f", "pole_target", "xdeg", "dt", "packing", "n_vectors",
+    __slots__ = ("pole_target", "xdeg", "dt", "packing", "n_vectors",
                  "_f_int", "_echelon", "_tags", "_queue", "_built",
                  "_table", "_taken")
 
@@ -672,7 +667,6 @@ class WindowSpan:
                  table: ShiftTable):
         if (table.packing.dim, table.packing.radix) != (f.dim, xdeg + 1):
             raise InternalCheckFailed("shift table of another packing")
-        self.f = f
         self._f_int = integer_terms(f.terms)
         self.pole_target = pole_target
         self.xdeg = xdeg
@@ -786,10 +780,12 @@ class WindowSpan:
         list."""
         budget, g, j = summand
         gammas, _ = self.shifts(min(budget, self.pole_target - j))
-        images = pole_apply(gammas, g, j, alpha, self.f)
+        num, den = integer_terms(g.terms)
+        images = pole_apply(gammas, ({0: num}, den), j, (alpha, 0),
+                            self._f_int)
         for gamma in gammas:
-            num, den, pole = images[gamma]
-            self.add({pole: num}, den, (si, gamma))
+            layers, den, pole = images[gamma]
+            self.add({pole: layers.get(0, {})}, den, (si, gamma))
 
 
 def _twist_shift(alpha_base: Fraction, alpha: Fraction) -> int:

@@ -199,6 +199,34 @@ def test_ppd_refuses_higher_k_without_flag_before_the_w0_span(
         "(asserted)\n")
 
 
+def test_ppd_header_contract_exits_2_before_any_work(capsys, monkeypatch,
+                                                    tmp_path):
+    # pp: ture was read as false, so --weight-only exited 0 without the
+    # conditional provenance and --k 1 exited 2 naming the primality
+    # hypothesis; a repeated header kept its last line.  Each is now a
+    # parse error, one stderr line, before any w0 span is built
+    def unexpected(*args):
+        raise AssertionError("w0_span called")
+
+    monkeypatch.setattr(cli, "w0_span", unexpected)
+    cases = [("pp: ture", "--weight-only",
+              "parse error: pp: takes true/false, 1/0 or yes/no, not 'ture' "
+              "(at position 0)\n"),
+             ("pp: ture", "--k=1",
+              "parse error: pp: takes true/false, 1/0 or yes/no, not 'ture' "
+              "(at position 0)\n"),
+             ("pp: true\nPP: true", "--weight-only",
+              "parse error: repeated header PP: (at position 0)\n"),
+             ("pp: true\nf: x1^2*x2", "--weight-only",
+              "parse error: repeated header f: (at position 0)\n")]
+    for i, (pp, option, err) in enumerate(cases):
+        path = tmp_path / f"case{i}.ann"
+        path.write_text(NODE_ANN.replace("pp: true", pp))
+        assert main(["ppd", "--input", str(path), "--l", "1", option,
+                     "--json"]) == 2
+        assert capsys.readouterr() == ("", err)
+
+
 def test_ppd_inconclusive_exits_3_and_caches_nothing(capsys, tmp_path,
                                                      monkeypatch):
     # the order-0 basis of the w0 span holds no s, so (s+alpha)*f leaves
@@ -315,6 +343,11 @@ MALFORMED = [
     CROSS + ("--source", "snc", "--exponents", "1,1", "--dim", "3"),
     # an option of another verb
     ("ppd", "--input", "{}/node.ann", "--dtord", "6"),
+    # a pp: value that is not true/false, 1/0 or yes/no, and a repeated
+    # header
+    ("ppd", "--input", "{}/ture.ann", "--weight-only"),
+    ("ppd", "--input", "{}/ture.ann", "--l", "1", "--k", "1"),
+    ("ppd", "--input", "{}/twice.ann", "--weight-only"),
 ]
 
 
@@ -325,6 +358,9 @@ def test_malformed_input_exits_2(capsys, tmp_path, argv):
     (tmp_path / "node.ann").write_text(NODE_ANN)
     (tmp_path / "zero.ann").write_text(NODE_ANN.replace("f: x1*x2", "f: 0"))
     (tmp_path / "root0.ann").write_text(NODE_ANN.replace("b: ", "b: s*"))
+    (tmp_path / "ture.ann").write_text(NODE_ANN.replace("pp: true",
+                                                        "pp: ture"))
+    (tmp_path / "twice.ann").write_text(NODE_ANN + "f: x1*x2\n")
     argv = [a.replace("{}", str(tmp_path)) for a in argv]
     try:
         code = main(argv)

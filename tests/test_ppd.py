@@ -282,6 +282,35 @@ x1*d1 - x2*d2
         parse_annihilator_file("f: x1*x2\n", None)
 
 
+@pytest.mark.parametrize("value,asserted", [
+    ("true", True), ("TRUE", True), ("1", True), ("Yes", True),
+    ("false", False), ("False", False), ("0", False), ("NO", False),
+    ("ture", None), ("?", None), ("", None), ("2", None), ("y", None)])
+def test_pp_header_takes_six_values(value, asserted):
+    # any other pp: value is a parse error, not a silent false; no pp:
+    # line at all is false
+    text = "f: x1*x2\nE: 1/2*x1*d1 + 1/2*x2*d2\nb: (s+1)^2\nx1*d1 - x2*d2\n"
+    assert not parse_annihilator_file(text, None).pp_asserted
+    text += f"pp: {value}\n"
+    if asserted is None:
+        with pytest.raises(ParseError):
+            parse_annihilator_file(text, None)
+    else:
+        assert parse_annihilator_file(text, None).pp_asserted is asserted
+
+
+@pytest.mark.parametrize("header", ["f: x1^2*x2", "E: x1*d1", "e: x1*d1",
+                                    "alpha: 1", "alpha: 0", "b: (s+1)",
+                                    "pp: true", "PP: false"])
+def test_repeated_header_is_a_parse_error(header):
+    # the last line of a repeated header was kept without a word
+    text = ("f: x1*x2\nE: 1/2*x1*d1 + 1/2*x2*d2\nalpha: 0\nb: (s+1)^2\n"
+            "pp: true\nx1*d1 - x2*d2\n")
+    assert parse_annihilator_file(text, None).f == XY
+    with pytest.raises(ParseError, match="repeated header"):
+        parse_annihilator_file(text + header + "\n", None)
+
+
 def test_weight_step_monotone_in_l():
     from hwkit.vforacle import presentation_contained
     inp = xy_input()

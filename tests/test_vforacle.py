@@ -690,15 +690,28 @@ def test_verify_bfunction_applies_d_only_to_reevaluate(monkeypatch):
 
     monkeypatch.setattr(weyl, "apply_to_twisted", counted)
     monkeypatch.setattr(vforacle, "apply_to_twisted", counted)
+    # and every column comes from one pole_apply call per solve, at the
+    # twist -1 - s that puts f^(s+1) at the pole 0
+    applies = []
+    real_apply = vforacle.pole_apply
+
+    def applied(gammas, start, pole, alpha, f_int):
+        applies.append((start, pole, alpha))
+        return real_apply(gammas, start, pole, alpha, f_int)
+
+    monkeypatch.setattr(vforacle, "pole_apply", applied)
     f, b = poly_parse("x1^2+x2^3", 2), BFunction.parse("(s+1)*(s+5/6)*(s+7/6)")
     cert = verify_bfunction(f, b, 3, 3)
     assert cert.is_member()
     assert calls == [(cert.witness["operator"], 1)]
+    assert applies == [(({0: {(0, 0): 1}}, 1), 0, (-1, -1))]
     calls.clear()
+    applies.clear()
     # no witness, nothing to re-evaluate
     smaller = BFunction.parse("(s+1)*(s+5/6)")
     assert not verify_bfunction(f, smaller, 3, 6).is_member()
     assert not calls
+    assert len(applies) == 1
 
 
 # (f, dim, the b-function of f, a wrong b): monomial, non-reduced,
@@ -758,11 +771,14 @@ def test_d_gamma_images_match_step_chains(dim):
         f = f.scale(F(2, 3)) if draw % 2 else f
         g = rand_poly(rng, dim)
         pole, alpha = rng.randint(0, 2), F(rng.randint(0, 5), 6)
-        images = vforacle.pole_apply(gammas, g, pole, alpha, f)
+        num, den = integer_terms(g.terms)
+        images = vforacle.pole_apply(gammas, ({0: num}, den), pole,
+                                     (alpha, 0), integer_terms(f.terms))
         assert set(images) == set(gammas)
         for gamma in gammas:
-            num, den, p = images[gamma]
-            assert poly_parts({p: num}, den, dim) == [
+            layers, den, p = images[gamma]
+            assert set(layers) <= {0}, gamma  # no s-layer without alpha1
+            assert poly_parts({p: layers.get(0, {})}, den, dim) == [
                 d_gamma_on_pole(gamma, g, pole, alpha, f)], gamma
 
         gen = BfElement(dim, {0: rand_poly(rng, dim), 1: rand_poly(rng, dim)})
@@ -779,6 +795,46 @@ def test_d_gamma_images_match_step_chains(dim):
                     for gamma, layers, den in gen.d_images(gammas, f, dt)] \
                 == [(gamma, u.layers) for gamma, u in chain.items()
                     if u.layers and u.max_layer() <= dt]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2),
+       st.sampled_from([F(0), F(1, 2), F(-5, 6), F(2)]),
+       st.sampled_from([F(-1), F(1), F(1, 2), F(-2, 3), F(3)]),
+       st.integers(2, 3), st.integers(0, 10 ** 6))
+def test_s_twisted_pole_apply_matches_apply_d_chains(dim, pole, alpha0,
+                                                     alpha1, n_layers, seed):
+    # d^gamma of sum_j s^j N_j f^(-pole-alpha0-alpha1 s) against chains of
+    # TwistedSection.apply_d: with s = -s'/alpha1 the section is
+    # sum_j s'^j N_j (-alpha1)^(-j) f^(s'-pole-alpha0), a section of the
+    # reference whose offset e = shift - pole is rational; f is scaled by
+    # 2/3 so that df is not 1, and x1^(j+2) keeps start layer j nonzero
+    rng = random.Random(seed)
+    x1 = Polynomial.monomial((1,) + (0,) * (dim - 1))
+    f = (rand_poly(rng, dim) + x1).scale(F(2, 3))
+    assert integer_terms(f.terms)[1] != 1
+    start = {j: rand_poly(rng, dim) + x1 ** (j + 2) for j in range(n_layers)}
+    flat, den = integer_terms({(j, m): c for j, p in start.items()
+                               for m, c in p.terms.items()})
+    layers = {j: {m: c for (i, m), c in flat.items() if i == j}
+              for j in start}
+    gammas = list(monomials_upto_degree(dim, 3))
+    images = vforacle.pole_apply(gammas, (layers, den), pole,
+                                 (alpha0, alpha1), integer_terms(f.terms))
+    assert set(images) == set(gammas)
+    chain = {gammas[0]: TwistedSection(
+        dim, -pole - alpha0, 0,
+        {j: p.scale((-alpha1) ** -j) for j, p in start.items()})}
+    for gamma in gammas[1:]:  # grlex: each gamma after gamma - e_i
+        i = next(k for k, e in enumerate(gamma) if e)
+        prev = gamma[:i] + (gamma[i] - 1,) + gamma[i + 1:]
+        chain[gamma] = chain[prev].apply_d(i, f)
+    for gamma in gammas:
+        got, den, p = images[gamma]
+        assert p == pole + chain[gamma].pole == pole + sum(gamma)
+        assert {j: poly for poly, j in poly_parts(got, den, dim)} == {
+            j: q.scale((-alpha1) ** j)
+            for j, q in chain[gamma].coeffs.items()}, gamma
 
 
 def test_candidate_v_snc_exponents():
@@ -1066,9 +1122,10 @@ def test_spans_build_no_image_above_their_pole(monkeypatch):
     requests, poles = [], []
     real_apply, real_summand = vforacle.pole_apply, WindowSpan.add_summand
 
-    def apply(gammas, g, pole, alpha, f):
+    def apply(gammas, start, pole, alpha, f_int):
         requests.append((poles[-1], pole, list(gammas)))
-        return real_apply(gammas, g, pole, alpha, f)
+        assert alpha[1] == 0  # a span's twist carries no s
+        return real_apply(gammas, start, pole, alpha, f_int)
 
     def add_summand(self, *args):
         poles.append(self.pole_target)
@@ -1702,14 +1759,16 @@ def _unshared_direction(terms):
     return object(), 0
 
 
-def _add_every_vector(span, parts, den, tag):
-    """WindowSpan.add with no window vector skipped: each vector of
-    every_window_vector inserted as it is, with shift 0."""
-    for vec, den, t in every_window_vector(
-            poly_parts(parts, den, span.f.dim), span.f, span.pole_target,
-            span.xdeg, tag):
-        span.insert({span.packing.shift(m, 0): c for m, c in vec.items()},
-                    den, t[:-1], t[-1:], (0,))
+def _every_vector_adder(f):
+    """WindowSpan.add for spans over f with no window vector skipped: each
+    vector of every_window_vector inserted as it is, with shift 0."""
+    def add(span, parts, den, tag):
+        for vec, den, t in every_window_vector(
+                poly_parts(parts, den, f.dim), f, span.pole_target,
+                span.xdeg, tag):
+            span.insert({span.packing.shift(m, 0): c for m, c in vec.items()},
+                        den, t[:-1], t[-1:], (0,))
+    return add
 
 
 @st.composite
@@ -1795,7 +1854,8 @@ def test_crosscheck_inserts_each_window_vector_once(inserted, monkeypatch,
     kept = spans()
     assert echelon_inserts == []
     with monkeypatch.context() as m:
-        m.setattr(WindowSpan, "add", _add_every_vector)
+        m.setattr(WindowSpan, "add",
+                  _every_vector_adder(SncDivisor((1, 1, 1)).polynomial()))
         m.setattr(vforacle, "_direction", _unshared_direction)
         every = spans()
     assert echelon_inserts
