@@ -15,6 +15,7 @@ import json
 import math
 import os
 import re
+import shutil
 import sys
 import tempfile
 from fractions import Fraction
@@ -598,25 +599,50 @@ VERBS = {
 }
 
 
-def build_parser(argv) -> argparse.ArgumentParser:
-    """The parser of argv.  The subparser of the verb argv[0] names takes
-    the rest of argv, so only that verb is built; without one (no argv, a
-    top-level option, an invalid verb) every verb is, and --help and the
-    usage errors list them all."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb, for an argv that names none (no argv, a
+    top-level option, an invalid verb): --help and the usage errors list
+    them all."""
     ap = _Parser(prog="hwkit")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="verb", required=True)
-    for verb in [argv[0]] if argv and argv[0] in VERBS else VERBS:
-        help_text, add_options, handler = VERBS[verb]
+    for verb, (help_text, add_options, handler) in VERBS.items():
         p = sub.add_parser(verb, help=help_text)
         add_options(p)
         p.set_defaults(func=handler)
     return ap
 
 
+def verb_parser(verb: str) -> argparse.ArgumentParser:
+    """The parser of the options of verb alone, with the prog, help and
+    namespace of its subparser in build_parser.  The help width argparse
+    reads from the terminal is probed once, not once per option."""
+    width = shutil.get_terminal_size().columns - 2
+    p = _Parser(prog=f"hwkit {verb}", formatter_class=functools.partial(
+        argparse.HelpFormatter, width=width))
+    _, add_options, handler = VERBS[verb]
+    add_options(p)
+    p.set_defaults(func=handler, verb=verb)
+    return p
+
+
+def parse_argv(argv) -> argparse.Namespace:
+    """The options of argv.  When argv[0] names a verb, its verb_parser
+    alone parses the rest, and an option it does not know is the usage
+    error of build_parser; otherwise build_parser parses argv."""
+    if not (argv and argv[0] in VERBS):
+        return build_parser().parse_args(argv)
+    p = verb_parser(argv[0])
+    args, extras = p.parse_known_args(argv[1:])
+    if extras:
+        p.exit(2, "hwkit: error: unrecognized arguments: "
+               f"{' '.join(extras)}\n")
+    return args
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    args = parse_argv(argv)
     try:
         return args.func(args)
     except ParseError as exc:

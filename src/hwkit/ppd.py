@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 
 from .bsdata import BFunction, RootMultiset, beta_factor, roots_in_interval
@@ -414,24 +415,30 @@ def parse_annihilator_file(text: str, dim: int | None) -> AnnihilatorInput:
     """Header lines `f:`, `E:`, `alpha:`, `b:`, `pp:` (true/false, 1/0 or
     yes/no), each at most once, in any case; every other non-empty line is
     one annihilator generator in the operator grammar.  Another pp: value or
-    a repeated header raises ParseError.  Without dim, the dimension is
+    a repeated header raises ParseError at the offset of its line, a
+    missing header at the end of the text.  Without dim, the dimension is
     inferred from the comment-stripped lines."""
-    headers, zeta_lines = {}, []
+    headers, starts, zeta_lines = {}, {}, []
     lines = [raw.split("#", 1)[0].strip() for raw in text.splitlines()]
-    for line in filter(None, lines):
+    offsets = accumulate(map(len, text.splitlines(keepends=True)), initial=0)
+    for start, line in zip(offsets, lines):
+        if not line:
+            continue
         name, colon, value = line.partition(":")
         key = name.lower()
         if not colon or key not in ("f", "e", "alpha", "b", "pp"):
             zeta_lines.append(line)
         elif key in headers:
-            raise ParseError(f"repeated header {name}:", 0)
+            raise ParseError(f"repeated header {name}:", start)
         else:
-            headers[key] = value.strip()
+            headers[key], starts[key] = value.strip(), start
     if not {"f", "e", "b"} <= headers.keys():
-        raise ParseError("annihilator file needs f:, E: and b: headers", 0)
+        raise ParseError("annihilator file needs f:, E: and b: headers",
+                         len(text))
     pp = headers.get("pp", "false")
     if pp.lower() not in ("true", "1", "yes", "false", "0", "no"):
-        raise ParseError(f"pp: takes true/false, 1/0 or yes/no, not {pp!r}", 0)
+        raise ParseError(f"pp: takes true/false, 1/0 or yes/no, not {pp!r}",
+                         starts["pp"])
     if dim is None:
         dim = infer_dim("\n".join(lines))
     f = Polynomial.parse(headers["f"], dim)

@@ -525,12 +525,21 @@ def psi_map(layers: dict, den: int, beta) -> tuple:
     """Image of sum g_j dt^j, its layers over den in integer form, under the
     layer-collapse into the module twisted by beta more: (parts, den'), the
     nonzero parts {pole step j: g_j * Q_j(beta)} over den' = den * q^top, q
-    the denominator of beta and top the highest layer."""
+    the denominator of beta and top the highest layer.  With beta = a/q,
+    Q_j(beta) * q^top is the integer (a)(a+q)...(a+(j-1)q) * q^(top-j),
+    one running product over the layers."""
     beta = Fraction(beta)
-    scale = beta.denominator ** max(layers, default=0)
-    factors = {j: (q_poch(j, beta) * scale).numerator for j in sorted(layers)}
-    return {j: {m: v * c for m, v in layers[j].items()}
-            for j, c in factors.items() if c}, den * scale
+    a, q = beta.numerator, beta.denominator
+    top = max(layers, default=0)
+    parts, poch, done = {}, 1, 0
+    for j in sorted(layers):
+        for i in range(done, j):
+            poch *= a + i * q
+        done = j
+        c = poch * q ** (top - j)
+        if c:
+            parts[j] = {m: v * c for m, v in layers[j].items()}
+    return parts, den * q ** top
 
 
 def phi_shift(u: BfElement, alpha, f: Polynomial) -> BfElement:
@@ -747,10 +756,14 @@ class WindowSpan:
         codes) whose position the record lacks.  Each counts in n_vectors,
         a skipped one as the dependent insert it would be."""
         shape, top = _direction(terms)
-        taken = self._taken.setdefault(shape, set())
-        fresh = [(beta, code) for beta, code in zip(betas, codes)
-                 if top + code not in taken]
-        taken.update(top + code for _, code in fresh)
+        taken = self._taken.get(shape)
+        if taken is None:  # no position recorded: every shift is fresh
+            self._taken[shape] = {top + code for code in codes}
+            fresh = list(zip(betas, codes))
+        else:
+            fresh = [(beta, code) for beta, code in zip(betas, codes)
+                     if top + code not in taken]
+            taken.update(top + code for _, code in fresh)
         self.n_vectors += len(codes)
         if fresh:
             self._queue.append((terms, den, tag, fresh))

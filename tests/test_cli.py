@@ -3,12 +3,14 @@ import hashlib
 import json
 import os
 import pathlib
+import shutil
 import sys
 
 import pytest
 
 from hwkit import cli, vforacle, weyl
-from hwkit.cli import _cache_key, build_parser, main
+from hwkit.cli import (_cache_key, build_parser, main, parse_argv,
+                       verb_parser)
 from hwkit.ppd import parse_annihilator_file
 
 NODE_ANN = """# ordinary double point, untwisted
@@ -204,21 +206,22 @@ def test_ppd_header_contract_exits_2_before_any_work(capsys, monkeypatch,
     # pp: ture was read as false, so --weight-only exited 0 without the
     # conditional provenance and --k 1 exited 2 naming the primality
     # hypothesis; a repeated header kept its last line.  Each is now a
-    # parse error, one stderr line, before any w0 span is built
+    # parse error, one stderr line, before any w0 span is built, at the
+    # offset of its line: pp: is at 89, the line after it at 98
     def unexpected(*args):
         raise AssertionError("w0_span called")
 
     monkeypatch.setattr(cli, "w0_span", unexpected)
     cases = [("pp: ture", "--weight-only",
               "parse error: pp: takes true/false, 1/0 or yes/no, not 'ture' "
-              "(at position 0)\n"),
+              "(at position 89)\n"),
              ("pp: ture", "--k=1",
               "parse error: pp: takes true/false, 1/0 or yes/no, not 'ture' "
-              "(at position 0)\n"),
+              "(at position 89)\n"),
              ("pp: true\nPP: true", "--weight-only",
-              "parse error: repeated header PP: (at position 0)\n"),
+              "parse error: repeated header PP: (at position 98)\n"),
              ("pp: true\nf: x1^2*x2", "--weight-only",
-              "parse error: repeated header f: (at position 0)\n")]
+              "parse error: repeated header f: (at position 98)\n")]
     for i, (pp, option, err) in enumerate(cases):
         path = tmp_path / f"case{i}.ann"
         path.write_text(NODE_ANN.replace("pp: true", pp))
@@ -351,8 +354,9 @@ MALFORMED = [
 ]
 
 
-@pytest.mark.parametrize("argv", MALFORMED, ids=" ".join)
-def test_malformed_input_exits_2(capsys, tmp_path, argv):
+def _with_ann_files(tmp_path, argv) -> list:
+    """argv with {} replaced by tmp_path, where the .ann files of MALFORMED
+    and ONE_VERB are written."""
     (tmp_path / "latin1.ann").write_bytes("f: x1*x2 # caf\xe9\n".encode(
         "latin-1"))
     (tmp_path / "node.ann").write_text(NODE_ANN)
@@ -361,7 +365,12 @@ def test_malformed_input_exits_2(capsys, tmp_path, argv):
     (tmp_path / "ture.ann").write_text(NODE_ANN.replace("pp: true",
                                                         "pp: ture"))
     (tmp_path / "twice.ann").write_text(NODE_ANN + "f: x1*x2\n")
-    argv = [a.replace("{}", str(tmp_path)) for a in argv]
+    return [a.replace("{}", str(tmp_path)) for a in argv]
+
+
+@pytest.mark.parametrize("argv", MALFORMED, ids=" ".join)
+def test_malformed_input_exits_2(capsys, tmp_path, argv):
+    argv = _with_ann_files(tmp_path, argv)
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse rejects the option
@@ -728,10 +737,8 @@ def _spellings(action):
 
 
 def test_cache_key_changes_with_every_option():
-    sub = next(a for a in build_parser([])._actions
-               if isinstance(a, argparse._SubParsersAction))
     payload = {"input_sha": "0" * 64}
-    for verb, parser in sub.choices.items():
+    for verb, parser in _subparsers(build_parser()).items():
         positional = [a.choices[0] for a in parser._actions
                       if not a.option_strings]
         options = [a for a in parser._actions
@@ -743,7 +750,7 @@ def test_cache_key_changes_with_every_option():
             argv = [verb] + positional + list(extra)
             for a in options:
                 argv += _spellings(a)[1] if a is changed else base[a.dest]
-            return _cache_key(build_parser(argv).parse_args(argv), payload)
+            return _cache_key(parse_argv(argv), payload)
 
         ref = key()
         assert key(extra=["--json"]) == ref, verb
@@ -751,9 +758,8 @@ def test_cache_key_changes_with_every_option():
             if a.dest != "input":
                 assert key(changed=a) != ref, (verb, a.dest)
     # an input file is keyed by its content, not its path
-    ppd = build_parser(["ppd"])
-    args = ppd.parse_args(["ppd", "--input", "a.ann"])
-    moved = ppd.parse_args(["ppd", "--input", "b.ann"])
+    args = parse_argv(["ppd", "--input", "a.ann"])
+    moved = parse_argv(["ppd", "--input", "b.ann"])
     assert _cache_key(args, payload) == _cache_key(moved, payload)
     assert _cache_key(args, payload) != _cache_key(args, {"input_sha": "1" * 64})
 
@@ -782,23 +788,41 @@ def _subparsers(parser) -> dict:
 
 
 @pytest.mark.parametrize("argv", ONE_VERB, ids=lambda argv: argv[0])
-def test_one_verb_parser_matches_the_full_parser(argv):
+def test_one_verb_parser_matches_the_full_parser(argv, monkeypatch):
     argv = list(argv) + ["--json"]
-    verb, one, full = argv[0], build_parser(argv), build_parser([])
-    assert list(_subparsers(one)) == [verb]
-    args = one.parse_args(argv)
+    verb, one, full = argv[0], verb_parser(argv[0]), build_parser()
+    assert one.prog == f"hwkit {verb}"
+    assert not any(isinstance(a, argparse._SubParsersAction)
+                   for a in one._actions)
+    args = parse_argv(argv)
+    assert vars(args) == vars(one.parse_args(argv[1:]))
     assert vars(args) == vars(full.parse_args(argv))
     payload = {"input_sha": "0" * 64}
     assert _cache_key(args, payload) == _cache_key(full.parse_args(argv),
                                                    payload)
-    assert (_subparsers(one)[verb].format_help()
-            == _subparsers(full)[verb].format_help())
+    # the width verb_parser probes once is the one each formatter of the
+    # subparser probes, on a wide terminal and on a narrow one
+    for columns in ("200", "52"):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert (verb_parser(verb).format_help()
+                == _subparsers(build_parser())[verb].format_help())
 
 
-def test_every_verb_is_built_without_a_named_verb(capsys):
+def test_every_verb_is_built_without_a_named_verb(capsys, monkeypatch):
     assert [argv[0] for argv in ONE_VERB] == VERB_NAMES == list(cli.VERBS)
+    built = []
+
+    def recorded():
+        built.append(build_parser())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", recorded)
     for argv in ([], ["nope"], ["--help"], ["--version"], ["--json", "snc"]):
-        assert list(_subparsers(build_parser(argv))) == VERB_NAMES, argv
+        built.clear()
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert [list(_subparsers(p)) for p in built] == [VERB_NAMES], argv
+    capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         main(["nope"])
     assert exc.value.code == 2
@@ -806,6 +830,71 @@ def test_every_verb_is_built_without_a_named_verb(capsys):
         "hwkit: error: argument verb: invalid choice: 'nope' (choose from "
         "'snc', 'whom', 'bfun', 'verify', 'classify', 'bounds', "
         "'crosscheck', 'ppd', 'suite')\n")
+
+
+def _outcome(capsys, argv) -> tuple:
+    """(exit code, stdout, stderr) of main(argv)."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+# argv naming a verb: valid, malformed, with an unknown option (after a
+# valid argv and alone), and with a top-level option or -h after the verb
+PARITY = ([argv + ("--json",) for argv in ONE_VERB] + MALFORMED
+          + [argv + ("--json", "--bogus", "x") for argv in ONE_VERB]
+          + [(verb,) + tail for verb in VERB_NAMES
+             for tail in (("--bogus", "x"), ("--version",), ("-h",))])
+
+
+@pytest.mark.parametrize("argv", PARITY, ids=" ".join)
+def test_named_verb_parse_matches_the_all_verbs_parser(capsys, monkeypatch,
+                                                       tmp_path, argv):
+    # exit code, stdout and stderr of main are those of parsing argv with
+    # build_parser, whether a handler runs or argparse ends the call
+    monkeypatch.delenv("HWKIT_CACHE", raising=False)
+    monkeypatch.chdir(tmp_path)  # ONE_VERB's ppd reads node.ann
+    argv = _with_ann_files(tmp_path, argv)
+    flat = _outcome(capsys, argv)
+    monkeypatch.setattr(cli, "parse_argv",
+                        lambda argv: build_parser().parse_args(argv))
+    assert flat == _outcome(capsys, argv)
+
+
+def test_named_verb_builds_one_parser(capsys, monkeypatch):
+    # one ArgumentParser, no subparsers action and one terminal-size probe
+    # per call: nothing is carried from one call to the next
+    built, probes = [], []
+    parser_init = argparse.ArgumentParser.__init__
+    sub_init = argparse._SubParsersAction.__init__
+    terminal_size = shutil.get_terminal_size
+
+    def parser(self, *args, **kwargs):
+        built.append(type(self))
+        parser_init(self, *args, **kwargs)
+
+    def sub(self, *args, **kwargs):
+        built.append(type(self))
+        sub_init(self, *args, **kwargs)
+
+    def probed(*args):
+        probes.append(args)
+        return terminal_size(*args)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", parser)
+    monkeypatch.setattr(argparse._SubParsersAction, "__init__", sub)
+    monkeypatch.setattr(shutil, "get_terminal_size", probed)
+    monkeypatch.delenv("HWKIT_CACHE", raising=False)
+    argv = ["classify", "--exponents", "1,1", "--alpha", "1", "--json"]
+    for _ in range(2):
+        built.clear()
+        probes.clear()
+        assert main(argv) == 0
+        assert built == [cli._Parser]
+        assert len(probes) == 1
+    assert capsys.readouterr().err == ""
 
 
 def test_console_script_reads_sys_argv(capsys, monkeypatch):

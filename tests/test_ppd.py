@@ -307,8 +307,26 @@ def test_repeated_header_is_a_parse_error(header):
     text = ("f: x1*x2\nE: 1/2*x1*d1 + 1/2*x2*d2\nalpha: 0\nb: (s+1)^2\n"
             "pp: true\nx1*d1 - x2*d2\n")
     assert parse_annihilator_file(text, None).f == XY
-    with pytest.raises(ParseError, match="repeated header"):
+    with pytest.raises(ParseError, match="repeated header") as exc:
         parse_annihilator_file(text + header + "\n", None)
+    assert exc.value.position == len(text)
+
+
+def test_header_errors_name_their_line():
+    # the position of a header error is the offset of its line, whatever
+    # the line ends and comments before it; a missing header is at the end
+    head = "# a comment\r\nf: x1*x2  # the node\r\n\nE: x1*d1\x0cb: (s+1)\n"
+    cases = [(head + "pp: ture\n", "pp: ture"),
+             (head + "x1*d1\nPP: yes\npp: no\n", "pp: no"),
+             (head + "F: x1\n", "F: x1")]
+    for text, line in cases:
+        with pytest.raises(ParseError) as exc:
+            parse_annihilator_file(text, None)
+        assert exc.value.position == text.index(line), text
+    for text in ("", "f: x1\n# E: x1*d1\nb: (s+1)"):
+        with pytest.raises(ParseError, match="needs f:, E: and b:") as exc:
+            parse_annihilator_file(text, None)
+        assert exc.value.position == len(text)
 
 
 def test_weight_step_monotone_in_l():

@@ -982,6 +982,28 @@ def test_psi_map():
             for j in sorted(layers) if q_poch(j, beta)]
 
 
+def test_psi_map_matches_its_q_poch_form():
+    # the integer running product over (a + i*q), times q^(top-j), is the
+    # numerator of Q_j(beta) * q^top: same parts, in the same order, and
+    # the same den, for beta of either sign and integer beta <= 0, where
+    # every layer from -beta + 1 on vanishes
+    rng = random.Random(38)
+    for _ in range(300):
+        layers = {j: {(rng.randint(0, 3), rng.randint(0, 3)):
+                      rng.choice([-3, -1, 1, 2, 5])}
+                  for j in rng.sample(range(7), rng.randint(0, 4))}
+        beta = F(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 6]))
+        den = rng.randint(1, 12)
+        scale = beta.denominator ** max(layers, default=0)
+        factors = {j: (q_poch(j, beta) * scale).numerator
+                   for j in sorted(layers)}
+        expected = {j: {m: v * c for m, v in layers[j].items()}
+                    for j, c in factors.items() if c}
+        parts, out_den = psi_map(layers, den, beta)
+        assert (parts, out_den) == (expected, den * scale), (layers, beta)
+        assert list(parts) == list(expected)
+
+
 def test_phi_shift():
     g = poly_parse("x1", 2)
     u = BfElement(2, {1: XY * g})
