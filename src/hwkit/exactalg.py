@@ -395,11 +395,6 @@ class Polynomial(SparseTerms):
 
     __rmul__ = __mul__
 
-    def mul_mono(self, m: Mono, coeff) -> "Polynomial":
-        coeff = Fraction(coeff)
-        return Polynomial(
-            self.dim, {mono_mul(k, m): v * coeff for k, v in self.terms.items()})
-
     def partial(self, i: int) -> "Polynomial":
         return Polynomial(self.dim, partial_terms(self.terms, i))
 

@@ -41,14 +41,6 @@ def _is_derivation(op: WeylOperator) -> bool:
     return all(sum(de) == 1 and sp == 0 for (_, de, sp) in op.terms)
 
 
-def _apply_derivation(op: WeylOperator, f: Polynomial) -> Polynomial:
-    out = Polynomial.zero(f.dim)
-    for (xe, de, _), c in op.terms.items():
-        i = next(k for k, e in enumerate(de) if e)
-        out = out + f.partial(i).mul_mono(xe, c)
-    return out
-
-
 @dataclass
 class AnnihilatorInput:
     """f with an Euler field, s-free annihilator generators of f^(s-1), a
@@ -74,7 +66,9 @@ class AnnihilatorInput:
         if not _is_derivation(self.euler):
             raise PreconditionError("Euler field must be a pure derivation",
                                     hypothesis="E is an order-1 vector field")
-        if _apply_derivation(self.euler, self.f) != self.f:
+        # a derivation E has (E - s) f^s = s f^(s-1) (E(f) - f)
+        if apply_to_twisted(self.euler - WeylOperator.s(self.dim), self.f,
+                            0)[0]:
             raise PreconditionError("E(f) != f",
                                     hypothesis="f is Euler homogeneous")
         for i, z in enumerate(self.zetas):

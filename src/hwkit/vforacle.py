@@ -51,7 +51,7 @@ class Bounds:
 class SpanCertificate:
     """Outcome of a bounded membership/equality test."""
 
-    verdict: str  # "member" | "not-found-at-bound" | "refuted"
+    verdict: str  # "member" | "not-found-at-bound"
     bounds: dict
     witness: object = None
     detail: str | None = None
@@ -434,7 +434,7 @@ def bf_span(gens, f: Polynomial, bounds: Bounds,
     |gamma| at most bounds.order, inside the (xdeg, dt) window of bounds,
     tagged (generator, gamma, beta); its shift sets come from table."""
     span = WindowSpan(f, 0, bounds.xdeg, bounds.dt, table)
-    gammas, _ = span.shifts(bounds.order)
+    gammas, _ = table.shifts(bounds.order)
     for gi, gen in enumerate(gens):
         for gamma, layers, den in gen.d_images(gammas, f, bounds.dt):
             span.add_layers(layers, den, (gi, gamma))
@@ -652,7 +652,7 @@ class WindowSpan:
     twisted-module spans have dt 0 and clear each element to the pole
     pole_target.  The span owns its (xdeg, dt) window: add_layers skips an
     element outside it, add_summand builds no image above pole_target, and
-    reduce and contains answer None outside it.
+    reduce, contains and witness answer None outside it.
 
     Its coordinates are the layered keys of a KeyPacking at radix xdeg + 1,
     so x^beta adds the packed beta to every key.  Spans compared with each
@@ -686,11 +686,6 @@ class WindowSpan:
         self._built = 0  # queue entries inserted into _echelon
         self._table = table
         self._taken = {}   # the record: S -> positions k taken
-
-    def shifts(self, bound: int) -> tuple:
-        """ShiftTable.shifts(bound) of the job's table: built once per job,
-        not once per bound per span."""
-        return self._table.shifts(bound)
 
     @property
     def echelon(self) -> Echelon:
@@ -728,10 +723,11 @@ class WindowSpan:
         return packed and self.echelon.reduce(*integer_terms(packed[0]))
 
     def witness(self, members: list) -> list:
-        """For each member given by its layers, the combination
-        {tag + (beta,): coefficient} of window vectors that gives it, from
-        one echelon of the queued vectors, each carrying its tag as its
-        companion, built on each call.  The record skipped only dependent
+        """For each element given by its layers {j: Polynomial}, the
+        combination {tag + (beta,): coefficient} of window vectors that
+        gives it, from one echelon of the queued vectors, each carrying its
+        tag as its companion, built on each call; None when it leaves the
+        window or is not in the span.  The record skipped only dependent
         inserts, which change no row and no companion, so each combination
         is that of inserting every vector."""
         ech = Echelon()
@@ -739,8 +735,12 @@ class WindowSpan:
             for beta, code in shifts:
                 ech.insert({m + code: c for m, c in terms.items()}, den,
                            {tag + (beta,): den})
-        return [ech.reduce(*self.packing.pack_layers(layers))[1]
-                for layers in members]
+        out = []
+        for layers in members:
+            packed = self._packed({j: p.terms for j, p in layers.items()})
+            reduced = packed and ech.reduce(*integer_terms(packed[0]))
+            out.append(None if reduced is None or reduced[0] else reduced[1])
+        return out
 
     def contains(self, g: Polynomial, pole: int) -> bool | None:
         """Whether g * f^(-pole), cleared to pole_target, lies in the span
@@ -777,7 +777,7 @@ class WindowSpan:
         if packed is not None and packed[1] >= 0:
             terms, deg = packed
             self.insert(*_lowest_terms(terms, den), tag,
-                        *self.shifts(self.xdeg - deg))
+                        *self._table.shifts(self.xdeg - deg))
 
     def add(self, parts, den: int, tag):
         """add_layers of the element given by its parts {p: num} over den,
@@ -792,7 +792,7 @@ class WindowSpan:
         built: a grlex prefix, in the order and with the tags of the full
         list."""
         budget, g, j = summand
-        gammas, _ = self.shifts(min(budget, self.pole_target - j))
+        gammas, _ = self._table.shifts(min(budget, self.pole_target - j))
         num, den = integer_terms(g.terms)
         images = pole_apply(gammas, ({0: num}, den), j, (alpha, 0),
                             self._f_int)
@@ -999,7 +999,7 @@ def crosscheck_hodge_weight(kind: str, obj, alpha, k: int, l: int,
     table = ShiftTable(f.dim, bounds.xdeg)
     oracle_span = WindowSpan(f, pole_target, bounds.xdeg, 0, table)
     for gi, (gen, budget) in enumerate(gens):
-        gammas, _ = oracle_span.shifts(min(budget, bounds.order))
+        gammas, _ = table.shifts(min(budget, bounds.order))
         for gamma, layers, den in gen.d_images(gammas, f, bounds.dt):
             oracle_span.add(*psi_map(layers, den, alpha), (gi, gamma))
 

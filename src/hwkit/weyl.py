@@ -402,12 +402,6 @@ class KeyPacking:
         return {j * top + sum(map(mul, m, places)): c
                 for j, terms in layers.items() for m, c in terms.items()}
 
-    def pack_layers(self, layers: dict) -> tuple:
-        """(integer numerators, den) of the layers {j: Polynomial}, each x^m
-        keyed at its layer as above, over one denominator."""
-        return integer_terms(self.pack_terms(
-            {j: p.terms for j, p in layers.items()}))
-
     def pack_image(self, terms: dict) -> dict:
         """terms with packed keys, for an image d^g * t whose x and s
         exponents may still grow by `reach`; raises InternalCheckFailed when

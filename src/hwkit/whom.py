@@ -10,8 +10,9 @@ from fractions import Fraction
 from .errors import (NotIsolatedSingularity, NotQuasiHomogeneous,
                      PreconditionError)
 from .exactalg import (Polynomial, WeightVector, graded_ideal, grlex_key,
-                       monomials_upto_degree, monomials_weighted_upto,
-                       unit_interval_alpha, weighted_degree)
+                       integer_terms, monomials_of_degree,
+                       monomials_weighted_upto, unit_interval_alpha,
+                       weighted_degree)
 from .linalg import Echelon
 from .snc import HodgePresentation
 from .weyl import KeyPacking
@@ -60,7 +61,8 @@ def milnor_basis(f: Polynomial, w: WeightVector):
     # largest of the bucketed monomials plus the largest of f
     largest = max(e for ms in by_degree.values() for m in ms for e in m)
     packing = KeyPacking(f.dim, 1 + largest + max(map(max, f.terms)), 0)
-    packed_partials = [packing.pack_layers({0: p}) for p in partials]
+    packed_partials = [integer_terms(packing.pack_terms({0: p.terms}))
+                       for p in partials]
 
     def standard_at(gamma: Fraction):
         """(standard monomials, full_rank) at weighted degree gamma."""
@@ -166,9 +168,7 @@ def whom_micromult_ideal(germ: QuasiHomogeneousGerm, alpha, k: int):
     gens = []
     for j in range(k + 1):
         power_sum = Polynomial.zero(germ.dim)
-        for gamma in monomials_upto_degree(germ.dim, k - j):
-            if sum(gamma) != k - j:
-                continue
+        for gamma in monomials_of_degree(germ.dim, k - j):
             prod = Polynomial.one(germ.dim)
             for i, e in enumerate(gamma):
                 prod = prod * partials[i] ** e

@@ -201,6 +201,16 @@ def test_ppd_refuses_higher_k_without_flag_before_the_w0_span(
         "(asserted)\n")
 
 
+def test_ppd_refuses_a_field_that_does_not_fix_f(capsys, tmp_path):
+    # x1*d1 + x2*d2 sends x1*x2 to 2*x1*x2: one stderr line, exit 2
+    path = tmp_path / "node.ann"
+    path.write_text(NODE_ANN.replace("E: 1/2*x1*d1 + 1/2*x2*d2",
+                                     "E: x1*d1 + x2*d2"))
+    assert main(["ppd", "--input", str(path), "--weight-only"]) == 2
+    assert capsys.readouterr() == (
+        "", "hypothesis violated: f is Euler homogeneous\n")
+
+
 def test_ppd_header_contract_exits_2_before_any_work(capsys, monkeypatch,
                                                     tmp_path):
     # pp: ture was read as false, so --weight-only exited 0 without the

@@ -287,25 +287,6 @@ def test_minimalize_matches_the_quadratic_rule(case):
     assert minimalize(antichain) == tuple(antichain)
 
 
-def test_mul_mono_shifts_terms():
-    rng = random.Random(11)
-    for _ in range(25):
-        p = Polynomial(2, {m: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-                           for m in monomials_upto_degree(2, 3)
-                           if rng.random() < 0.4})
-        m = (rng.randint(0, 3), rng.randint(0, 3))
-        shifted = Polynomial(2, {(a + m[0], b + m[1]): c
-                                 for (a, b), c in p.terms.items()})
-        assert p.mul_mono(m, 1) == shifted
-        assert p.mul_mono(m, 1).terms == shifted.terms
-        c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        assert p.mul_mono(m, c) == shifted.scale(c)
-    assert poly_parse("x1 - x2", 2).mul_mono((1, 0), 2) == poly_parse(
-        "2*x1^2 - 2*x1*x2", 2)
-    with pytest.raises(DimensionMismatch):
-        poly_parse("x1", 2).mul_mono((1,), 1)
-
-
 # integers, and Fractions with large or pairwise coprime denominators
 RATIONALS = st.one_of(
     st.integers(-9, 9),

@@ -1,4 +1,5 @@
 import pathlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from hwkit import ppd
 from hwkit.bsdata import bfunction_snc, bfunction_whom_isolated
-from hwkit.errors import InternalCheckFailed, ParseError, PreconditionError
+from hwkit.errors import (DimensionMismatch, InternalCheckFailed, ParseError,
+                          PreconditionError)
 from hwkit.exactalg import (Polynomial, WeightVector, integer_terms,
-                            monomials_upto_degree, poly_parse)
+                            mono_mul, monomials_upto_degree, poly_parse)
 from hwkit.ppd import (AnnihilatorInput, check_annihilator, gamma_ideal,
                        hodge_on_weight, hodge_weight_interval21,
                        operators_on_pole, parse_annihilator_file, w0_span,
@@ -59,6 +61,9 @@ def test_input_validation():
     with pytest.raises(PreconditionError):  # roots outside (-2-a, -a)
         AnnihilatorInput(XY, WeylOperator.parse("1/2*x1*d1 + 1/2*x2*d2", 2),
                          [], F(3, 2), bfunction_snc((1, 1)))
+    with pytest.raises(DimensionMismatch):  # a field in three variables
+        AnnihilatorInput(XY, WeylOperator.parse("1/2*x1*d1 + 1/2*x2*d2", 3),
+                         [], F(0), bfunction_snc((1, 1)))
 
 
 def test_gamma_ideal_node():
@@ -174,7 +179,8 @@ def operator_on_pole_reference(op, f, step, alpha):
     parts = []
     for (xe, de, _), c in op.terms.items():
         num, p = d_gamma_on_pole(de, Polynomial.one(f.dim), step, alpha, f)
-        parts.append((num.mul_mono(xe, c), p))
+        parts.append((Polynomial(f.dim, {mono_mul(k, xe): v * c
+                                         for k, v in num.terms.items()}), p))
     if not parts:
         return Polynomial.zero(f.dim), step
     pole = max(p for _, p in parts)
@@ -223,6 +229,58 @@ def test_operators_on_pole_matches_one_at_a_time(f, step, alpha, makers):
     ops = [make(f) for make in makers]
     assert operators_on_pole(ops, f, step, alpha) == [
         operator_on_pole_reference(op, f, step, alpha) for op in ops]
+
+
+# f with an Euler field E, E(f) = f; rational coefficients in the last two
+EULER_PAIRS = [(poly_parse(f, 2), WeylOperator.parse(e, 2)) for f, e in (
+    ("x1*x2", "1/2*x1*d1 + 1/2*x2*d2"),
+    ("x1^2+x2^3", "1/2*x1*d1 + 1/3*x2*d2"),
+    ("x1^2*x2 + x1*x2^2", "1/3*x1*d1 + 1/3*x2*d2"),
+    ("1/3*x1^2 - 2/5*x2^3", "1/2*x1*d1 + 1/3*x2*d2"),
+    ("x1 - 3/4*x2^2", "x1*d1 + 1/2*x2*d2"))]
+
+
+def derivation_on(op, f):
+    """E(f) for an order-1 derivation E: each term c x^b d_i as c x^b
+    times Polynomial.partial(i) of f."""
+    out = Polynomial.zero(f.dim)
+    for (xe, de, _), c in op.terms.items():
+        out = out + Polynomial.monomial(xe).scale(c) * f.partial(de.index(1))
+    return out
+
+
+def test_euler_hypothesis_is_e_of_f_equal_f():
+    # derandomized: an Euler pair, or a random f with no field, plus a
+    # multiple of the Hamiltonian field (which kills f) and random order-1
+    # terms; the input is refused exactly when E(f) != f
+    rng = random.Random(39)
+    coeffs = [F(1), F(-1), F(2), F(1, 2), F(-3, 2), F(1, 3)]
+    seen = set()
+    for _ in range(300):
+        if rng.random() < 0.6:
+            f, euler = rng.choice(EULER_PAIRS)
+        else:
+            f = Polynomial(2, {m: rng.choice(coeffs) for m in
+                               rng.sample(XMONOS[1:], rng.randint(1, 3))})
+            euler = WeylOperator.zero(2)
+        euler = euler + hamiltonian(f).scale(rng.choice([0, 1, F(-2, 3)]))
+        if rng.random() < 0.5:
+            euler = euler + WeylOperator(2, {
+                (rng.choice(XMONOS), rng.choice([(1, 0), (0, 1)]), 0):
+                rng.choice(coeffs) for _ in range(rng.randint(1, 3))})
+        if rng.random() < 0.1:
+            euler = euler + euler  # 2 E: E(f) = 2 f
+        homogeneous = derivation_on(euler, f) == f
+        seen.add(homogeneous)
+        try:
+            AnnihilatorInput(f, euler, [], F(0), bfunction_snc((1, 1)))
+        except PreconditionError as exc:
+            assert not homogeneous, (f, euler)
+            assert (str(exc), exc.hypothesis) == (
+                "E(f) != f", "f is Euler homogeneous")
+        else:
+            assert homogeneous, (f, euler)
+    assert seen == {True, False}
 
 
 def test_one_pole_apply_per_presentation(monkeypatch):

@@ -6,12 +6,23 @@ arguments after a name, as in `WindowSpan.contains(parts)`, are not part of
 the chain.  So a README row cannot keep naming a class or function a change
 deleted or renamed.
 
+A cited call whose arguments are all identifiers, as in
+`WindowSpan(f, pole_target, xdeg, dt, table)`, names the leading
+parameters of what it calls (inspect.signature, a method's `self`
+dropped).  A qualified chain resolves from hwkit; a bare one, as in
+`bf_span(gens, f, bounds, table)`, from the module its Layout row names,
+and is not checked outside a row or where that module does not hold it
+(`reduce(vec, den)` in the `linalg` row is `Echelon.reduce`, not
+`bsdata.reduce`).
+
 The README states module contracts; mechanism lives in the docstrings.  So
 no backticked name it cites has a private part (a leading underscore,
 dunders exempt)."""
 
 import builtins
+import functools
 import importlib
+import inspect
 import pathlib
 import pkgutil
 import re
@@ -23,6 +34,8 @@ MODULES = {info.name: importlib.import_module(f"hwkit.{info.name}")
            for info in pkgutil.iter_modules(hwkit.__path__)}
 CHAIN = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 CLASS = re.compile(r"[A-Z]\w*[a-z]\w*")
+CALL = re.compile(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)"
+                  r"\(\s*(\w+(?:\s*,\s*\w+)*)?\s*\)")
 
 
 def leading_chains(text: str):
@@ -64,6 +77,46 @@ def resolves(obj, attrs) -> bool:
     return True
 
 
+def cited_calls(text: str):
+    """(chain, argument names, homes) of each backticked span of text that
+    is a call whose arguments are all identifiers; homes are the modules
+    the first cell of its Layout row names, none outside a row."""
+    for line in text.splitlines():
+        homes = []
+        if line.startswith("| `hwkit."):
+            homes = [MODULES[name] for name in
+                     re.findall(r"`hwkit\.(\w+)`", line.split("|")[1])]
+        for span in re.findall(r"`([^`\n]+)`", line):
+            call = CALL.fullmatch(span)
+            if call:
+                yield (call.group(1), re.findall(r"\w+", call.group(2) or ""),
+                       homes)
+
+
+def call_mismatches(text: str) -> tuple:
+    """(the cited calls checked, those whose argument names are not the
+    leading parameter names of what they call)."""
+    checked, wrong = [], []
+    for chain, args, homes in cited_calls(text):
+        parts = chain.split(".")
+        if parts[0] == "hwkit":
+            parts, homes = parts[1:], [hwkit]
+        elif parts[0] in MODULES and len(parts) > 1:
+            homes = [hwkit]
+        home = next((h for h in homes if resolves(h, parts)), None)
+        if home is None:
+            continue
+        params = list(inspect.signature(
+            functools.reduce(getattr, parts, home)).parameters)
+        if params[:1] == ["self"]:
+            params = params[1:]
+        call = f"{chain}({', '.join(args)})"
+        checked.append(call)
+        if params[:len(args)] != args:
+            wrong.append(call)
+    return checked, wrong
+
+
 def test_readme_names_resolve():
     qualified, classes = cited_chains(
         (ROOT / "README.md").read_text(encoding="utf-8"))
@@ -92,6 +145,29 @@ def test_readme_check_flags_a_missing_name():
     assert classes == {"NoSuchClass.method"}
     assert resolves(hwkit, ["weyl", "KeyPacking", "shift"])
     assert not resolves(hwkit, ["vforacle", "NoSuchSpan"])
+
+
+def test_readme_calls_name_their_parameters():
+    checked, wrong = call_mismatches(
+        (ROOT / "README.md").read_text(encoding="utf-8"))
+    assert checked
+    assert not wrong, wrong
+
+
+def test_readme_call_check_flags_a_signature_mismatch():
+    checked, wrong = call_mismatches(
+        "| `hwkit.vforacle` | `WindowSpan(f, pole_target, xdeg, dt, table)`, "
+        "`bf_span(gens, f, table)`, `weyl.ShiftTable(xdeg)`, "
+        "`reduce(vec, den)`, `WindowSpan(f, g + 1)`, "
+        "`linalg.Echelon.insert(vec, den, companion)` |\n"
+        "| `hwkit.cli` / `hwkit.suite` | `run_suite(profile)` |\n"
+        "`bf_span(gens)` and `hwkit.linalg.nullspace(columns, dens)`\n")
+    assert checked == ["WindowSpan(f, pole_target, xdeg, dt, table)",
+                       "bf_span(gens, f, table)", "weyl.ShiftTable(xdeg)",
+                       "linalg.Echelon.insert(vec, den, companion)",
+                       "run_suite(profile)",
+                       "hwkit.linalg.nullspace(columns, dens)"]
+    assert wrong == ["bf_span(gens, f, table)", "weyl.ShiftTable(xdeg)"]
 
 
 def test_readme_cites_no_private_name():

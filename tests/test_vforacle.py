@@ -36,6 +36,19 @@ F = Fraction
 XY = poly_parse("x1*x2", 2)
 
 
+def shifted(p, m, c=1):
+    """c * x^m * p, built term by term."""
+    return Polynomial(p.dim, {mono_mul(k, m): v * c
+                              for k, v in p.terms.items()})
+
+
+def packed_layers(packing, layers):
+    """(integer numerators, den) of the layers {j: Polynomial}, each x^m
+    at packed key j * top + shift(m, 0), over one denominator."""
+    return integer_terms(packing.pack_terms(
+        {j: p.terms for j, p in layers.items()}))
+
+
 def poly_parts(parts, den, dim):
     """The integer parts {p: num} over den as (Polynomial, p) parts."""
     return [(Polynomial(dim, {m: F(c, den) for m, c in num.items()}), p)
@@ -169,20 +182,20 @@ def inserted(monkeypatch):
     its numerators over den stand for: each vector a window span queues,
     its packed keys read back as (layer, exponent vector), and each vector
     inserted into any other Echelon, its keys read back as (layer, exponent
-    vector) through the KeyPacking that last packed layers, by pack_layers
-    or pack_terms (kept as they are before any did).  A window span's
-    echelon inserts only vectors it queued."""
+    vector) through the KeyPacking that last packed layers, by pack_terms
+    (kept as they are before any did).  A window span's echelon inserts
+    only vectors it queued."""
     out = []
     packing = [None]  # the KeyPacking that last packed layers
     building = [False]  # whether a window span is building its echelon
     insert = Echelon.insert
     span_insert, span_echelon = WindowSpan.insert, WindowSpan.echelon
 
-    def noting(pack):
-        def packing_noted(self, layers):
-            packing[0] = self
-            return pack(self, layers)
-        return packing_noted
+    pack_terms = KeyPacking.pack_terms
+
+    def packing_noted(self, layers):
+        packing[0] = self
+        return pack_terms(self, layers)
 
     def recording(self, vec, den, companion=None):
         if not building[0]:
@@ -202,9 +215,7 @@ def inserted(monkeypatch):
         finally:
             building[0] = False
 
-    for name in ("pack_layers", "pack_terms"):
-        monkeypatch.setattr(KeyPacking, name,
-                            noting(getattr(KeyPacking, name)))
+    monkeypatch.setattr(KeyPacking, "pack_terms", packing_noted)
     monkeypatch.setattr(Echelon, "insert", recording)
     monkeypatch.setattr(WindowSpan, "insert", queueing)
     monkeypatch.setattr(WindowSpan, "echelon", property(building_echelon))
@@ -272,6 +283,21 @@ def test_member_witness_reevaluates():
     steps = [{"generator": gi, "dgamma": gamma, "xbeta": beta, "coeff": c}
              for (gi, gamma, beta), c in witness.items()]
     assert _reevaluated(steps, [gen], f) == target
+
+
+def test_witness_answers_only_for_members():
+    # x1^4 leaves the (3, 1) window and dt * 1 is not in the span of 1 at
+    # order 2: neither has a combination; the in-window members keep theirs
+    span = bf_span([BfElement.from_poly(Polynomial.one(2))], XY,
+                   Bounds(2, 3, 1), ShiftTable(2, 3))
+    outside = {0: poly_parse("x1^4", 2)}
+    off = {1: Polynomial.one(2)}
+    members = [{0: poly_parse("x1^2", 2)}, {1: poly_parse("x2", 2)}, {}]
+    assert span.reduce(outside) is None
+    assert span.reduce(off)[0]
+    assert span.witness([members[0], outside, members[1], off, members[2]]
+                        ) == [{(0, (0, 0), (2, 0)): 1}, None,
+                              {(0, (1, 0), (0, 0)): -1}, None, {}]
 
 
 def test_graph_module_span_window_edges():
@@ -361,7 +387,7 @@ def test_graph_span_matches_every_vector_reference(seed):
     if multiples:
         # a scaled copy and an x-multiple share directions with gens[0]
         gens += [gens[0].scale(F(-3, 2)),
-                 BfElement(dim, {j: p.mul_mono(x1, 2)
+                 BfElement(dim, {j: shifted(p, x1, 2)
                                  for j, p in gens[0].layers.items()})]
     span = bf_span(gens, f, B, ShiftTable(f.dim, B.xdeg))
     every = list(_every_graph_vector(gens, f, B))
@@ -596,7 +622,7 @@ def fraction_bfunction_system(f, bf, order, xdeg):
     """verify_bfunction's linear system built in Fraction polynomials:
     d-part images by apply_d for the kept d-parts, pole_target the largest
     of their poles, each column and right-hand side times
-    f ** (pole_target - pole) and packed by pack_layers.  Returns
+    f ** (pole_target - pole) and packed by packed_layers.  Returns
     (pole_target, packing, the (vec, den) inserts in basis order, the
     right-hand side (vec, den) of a RootMultiset)."""
     dim = f.dim
@@ -619,11 +645,11 @@ def fraction_bfunction_system(f, bf, order, xdeg):
     packing = KeyPacking(dim, 1 + largest + xdeg, xdeg)
     inserts = []
     for xb, g, j in keys:
-        vec, den = packing.pack_layers(columns[g])
+        vec, den = packed_layers(packing, columns[g])
         shift = j * packing.top + packing.shift(xb, 0)
         inserts.append(({k + shift: c for k, c in vec.items()}, den))
     return (pole_target, packing, inserts,
-            lambda roots: packing.pack_layers(rhs(roots)))
+            lambda roots: packed_layers(packing, rhs(roots)))
 
 
 # (f, dim, b, order, xdeg, pole_target): pole_target is the largest |g|
@@ -927,7 +953,7 @@ def _reevaluated(witness, gens, f):
             for _ in range(e):
                 u = graph_d(u, i, f)
         beta = tuple(step["xbeta"])
-        u = BfElement(f.dim, {j: p.mul_mono(beta, 1)
+        u = BfElement(f.dim, {j: shifted(p, beta)
                               for j, p in u.layers.items()})
         total = total + u.scale(F(step["coeff"]))
     return total
@@ -1421,7 +1447,7 @@ def window_families(draw):
                           max_size=2, unique=True))
     element = st.builds(
         lambda base, shift, c, pole: [(
-            poly_parse(base, dim).mul_mono(shift, 1).scale(c), pole)],
+            shifted(poly_parse(base, dim), shift, c), pole)],
         st.sampled_from(bases), st.sampled_from(SHIFTS[dim]),
         st.sampled_from([F(1), F(-1), F(2), F(-3, 2), F(1, 3)]),
         st.sampled_from([0, 1]))
@@ -1527,7 +1553,7 @@ def _record_case(rng, case):
         base = poly_parse(rng.choice(bases), 2)
         c = rng.choice([F(1), F(-1), F(2), F(-3, 2), F(1, 3)])
         # pole 1 is the spans' own: degree at most 2 + 2 <= xdeg
-        return [(base.mul_mono(rng.choice(SHIFTS[2]), c),
+        return [(shifted(base, rng.choice(SHIFTS[2]), c),
                  1 if inside else rng.randint(0, 1))]
 
     a = [element(near, case == "shifted") for _ in range(rng.randint(1, 4))]
@@ -1537,7 +1563,7 @@ def _record_case(rng, case):
     elif case == "subset":
         a, b = a + [element(far, True)], a
     elif case == "shifted":
-        b = [[(num.mul_mono((1, 0), 1), pole)] for [(num, pole)] in a]
+        b = [[(shifted(num, (1, 0)), pole)] for [(num, pole)] in a]
     elif case == "disjoint":
         b = [element(far, True) for _ in range(rng.randint(1, 4))]
     else:
@@ -1661,7 +1687,7 @@ def shared_presentations(draw):
                           max_size=2, unique=True))
     summand = st.builds(
         lambda budget, base, shift, c, pole: (
-            budget, poly_parse(base, 2).mul_mono(shift, 1).scale(c), pole),
+            budget, shifted(poly_parse(base, 2), shift, c), pole),
         st.integers(0, 2), st.sampled_from(bases),
         st.sampled_from(SHIFTS[2]),
         st.sampled_from([F(1), F(-1), F(2), F(1, 3)]),
@@ -1721,7 +1747,7 @@ def test_twisted_span_queues_canonical_pairs(data):
     alpha = F(data.draw(st.integers(-6, 6)), data.draw(st.integers(1, 6)))
     summand = st.builds(
         lambda budget, base, shift, c, j: (
-            budget, poly_parse(base, dim).mul_mono(shift, 1).scale(c), j),
+            budget, shifted(poly_parse(base, dim), shift, c), j),
         st.integers(0, 2), st.sampled_from(BASES[dim]),
         st.sampled_from(SHIFTS[dim]),
         st.sampled_from([F(1), F(-2), F(1, 3), F(-5, 4)]), st.integers(0, 2))
