@@ -15,7 +15,6 @@ import json
 import math
 import os
 import re
-import shutil
 import sys
 import tempfile
 from fractions import Fraction
@@ -278,7 +277,7 @@ def cmd_snc(args) -> int:
     a = _parse_naturals("--exponents", args.exponents)
     d = SncDivisor(a)
     alpha = parse_rational(args.alpha)
-    if args.stratum:
+    if args.stratum is not None:
         stratum = _parse_stratum(args.stratum, d.dim)
         # one payload and one cache key per stratum, whatever the order
         args.stratum = ",".join(map(str, stratum))
@@ -486,158 +485,170 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _common(p, dim=True):
-    p.add_argument("--json", action="store_true")
-    if dim:
-        p.add_argument("--dim", type=_positive, default=None)
+# Option tables: each verb's options in help order, a flag (or positional
+# name) -> the keyword arguments of its add_argument call.  build_parser
+# feeds them to argparse and _table_parse reads them.
+_JSON = {"--json": {"action": "store_true"}}
+_COMMON = {**_JSON, "--dim": {"type": _positive, "default": None}}
+_SOURCE = {"--exponents": {}, "--poly": {}, "--weights": {}}
+_ESCALATE = {"--escalate": {
+    "type": _nonnegative, "default": 0,
+    "help": "doublings to offer on an inconclusive verdict"}}
 
+_SNC_OPTIONS = {
+    **_JSON,
+    "--exponents": {"required": True},
+    "--alpha": {"required": True},
+    "--lmax": {"type": _lmax, "default": "auto"},
+    "--kmax": {"type": _nonnegative, "default": 2},
+    "--stratum": {"default": None}}
+_WHOM_OPTIONS = {
+    **_COMMON,
+    "--poly": {"required": True},
+    "--weights": {"required": True},
+    "--alpha": {"required": True},
+    "--k": {"type": _nonnegative, "required": True},
+    "--l": {"type": _nonnegative, "required": True}}
+_BFUN_OPTIONS = {
+    **_COMMON, **_SOURCE,
+    "--verify": {"action": "store_true"},
+    "--order": {"type": _nonnegative, "default": 4},
+    "--xdeg": {"type": _nonnegative, "default": 8}}
+_VERIFY_OPTIONS = {
+    **_COMMON,
+    "what": {"choices": ["bfun"]},
+    "--poly": {"required": True},
+    "--b": {"required": True},
+    "--order": {"type": _nonnegative, "default": 4},
+    "--xdeg": {"type": _nonnegative, "default": 8},
+    **_ESCALATE}
+_CLASSIFY_OPTIONS = {**_COMMON, **_SOURCE, "--alpha": {"required": True}}
+_BOUNDS_OPTIONS = {**_CLASSIFY_OPTIONS,
+                   "--l": {"type": _nonnegative, "default": 0}}
+_CROSSCHECK_OPTIONS = {
+    **_COMMON,
+    "--source": {"choices": ["snc", "whom"], "required": True},
+    **_SOURCE,
+    "--alpha": {"required": True},
+    "--k": {"type": _nonnegative, "required": True},
+    "--l": {"type": _nonnegative, "required": True},
+    **_ESCALATE,
+    "--order": {"type": _nonnegative, "default": 4},
+    "--xdeg": {"type": _nonnegative, "default": 12},
+    "--dtord": {"type": _nonnegative, "default": 6}}
+_PPD_OPTIONS = {
+    **_COMMON,
+    "--input": {"required": True},
+    "--l": {"type": _nonnegative, "default": 0},
+    "--k": {"type": _nonnegative, "default": 0},
+    "--weight-only": {"action": "store_true"},
+    "--interval21": {"action": "store_true"},
+    "--order": {"type": _nonnegative, "default": 4},
+    "--xdeg": {"type": _nonnegative, "default": 10}}
+_SUITE_OPTIONS = {
+    **_JSON,
+    "--profile": {"default": "default",
+                  "choices": ["default", "corrupted", "starved"]}}
 
-def _source_options(p):
-    p.add_argument("--exponents")
-    p.add_argument("--poly")
-    p.add_argument("--weights")
-
-
-def _escalate_option(p):
-    p.add_argument("--escalate", type=_nonnegative, default=0,
-                   help="doublings to offer on an inconclusive verdict")
-
-
-def _snc_options(p):
-    _common(p, dim=False)
-    p.add_argument("--exponents", required=True)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--lmax", type=_lmax, default="auto")
-    p.add_argument("--kmax", type=_nonnegative, default=2)
-    p.add_argument("--stratum", default=None)
-
-
-def _whom_options(p):
-    _common(p)
-    p.add_argument("--poly", required=True)
-    p.add_argument("--weights", required=True)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--k", type=_nonnegative, required=True)
-    p.add_argument("--l", type=_nonnegative, required=True)
-
-
-def _bfun_options(p):
-    _common(p)
-    _source_options(p)
-    p.add_argument("--verify", action="store_true")
-    p.add_argument("--order", type=_nonnegative, default=4)
-    p.add_argument("--xdeg", type=_nonnegative, default=8)
-
-
-def _verify_options(p):
-    _common(p)
-    p.add_argument("what", choices=["bfun"])
-    p.add_argument("--poly", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--order", type=_nonnegative, default=4)
-    p.add_argument("--xdeg", type=_nonnegative, default=8)
-    _escalate_option(p)
-
-
-def _classify_options(p):
-    _common(p)
-    _source_options(p)
-    p.add_argument("--alpha", required=True)
-
-
-def _bounds_options(p):
-    _classify_options(p)
-    p.add_argument("--l", type=_nonnegative, default=0)
-
-
-def _crosscheck_options(p):
-    _common(p)
-    p.add_argument("--source", choices=["snc", "whom"], required=True)
-    _source_options(p)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--k", type=_nonnegative, required=True)
-    p.add_argument("--l", type=_nonnegative, required=True)
-    _escalate_option(p)
-    p.add_argument("--order", type=_nonnegative, default=4)
-    p.add_argument("--xdeg", type=_nonnegative, default=12)
-    p.add_argument("--dtord", type=_nonnegative, default=6)
-
-
-def _ppd_options(p):
-    _common(p)
-    p.add_argument("--input", required=True)
-    p.add_argument("--l", type=_nonnegative, default=0)
-    p.add_argument("--k", type=_nonnegative, default=0)
-    p.add_argument("--weight-only", action="store_true")
-    p.add_argument("--interval21", action="store_true")
-    p.add_argument("--order", type=_nonnegative, default=4)
-    p.add_argument("--xdeg", type=_nonnegative, default=10)
-
-
-def _suite_options(p):
-    _common(p, dim=False)
-    p.add_argument("--profile", default="default",
-                   choices=["default", "corrupted", "starved"])
-
-
-# verb: (help, the function adding its options, its handler)
+# verb: (help, its option table, its handler)
 VERBS = {
-    "snc": ("closed-form tables for monomial divisors", _snc_options,
+    "snc": ("closed-form tables for monomial divisors", _SNC_OPTIONS,
             cmd_snc),
     "whom": ("weighted-homogeneous isolated singularity tables",
-             _whom_options, cmd_whom),
-    "bfun": ("closed-form b-function data", _bfun_options, cmd_bfun),
-    "verify": ("oracle verification", _verify_options, cmd_verify),
-    "classify": ("singularity class of the pair", _classify_options,
+             _WHOM_OPTIONS, cmd_whom),
+    "bfun": ("closed-form b-function data", _BFUN_OPTIONS, cmd_bfun),
+    "verify": ("oracle verification", _VERIFY_OPTIONS, cmd_verify),
+    "classify": ("singularity class of the pair", _CLASSIFY_OPTIONS,
                  cmd_classify),
-    "bounds": ("highest-weight and generating-level bounds", _bounds_options,
+    "bounds": ("highest-weight and generating-level bounds", _BOUNDS_OPTIONS,
                cmd_bounds),
     "crosscheck": ("master cross-check of a closed form against the oracle",
-                   _crosscheck_options, cmd_crosscheck),
-    "ppd": ("annihilator-presentation route", _ppd_options, cmd_ppd),
-    "suite": ("acceptance battery", _suite_options, cmd_suite),
+                   _CROSSCHECK_OPTIONS, cmd_crosscheck),
+    "ppd": ("annihilator-presentation route", _PPD_OPTIONS, cmd_ppd),
+    "suite": ("acceptance battery", _SUITE_OPTIONS, cmd_suite),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every verb, for an argv that names none (no argv, a
-    top-level option, an invalid verb): --help and the usage errors list
-    them all."""
+    """The parser of every verb, for each argv _table_parse declines: its
+    --help, -h and usage errors are argparse's."""
     ap = _Parser(prog="hwkit")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="verb", required=True)
-    for verb, (help_text, add_options, handler) in VERBS.items():
+    for verb, (help_text, options, handler) in VERBS.items():
         p = sub.add_parser(verb, help=help_text)
-        add_options(p)
+        for name, kwargs in options.items():
+            p.add_argument(name, **kwargs)
         p.set_defaults(func=handler)
     return ap
 
 
-def verb_parser(verb: str) -> argparse.ArgumentParser:
-    """The parser of the options of verb alone, with the prog, help and
-    namespace of its subparser in build_parser.  The help width argparse
-    reads from the terminal is probed once, not once per option."""
-    width = shutil.get_terminal_size().columns - 2
-    p = _Parser(prog=f"hwkit {verb}", formatter_class=functools.partial(
-        argparse.HelpFormatter, width=width))
-    _, add_options, handler = VERBS[verb]
-    add_options(p)
-    p.set_defaults(func=handler, verb=verb)
-    return p
+def _table_parse(argv):
+    """The namespace build_parser gives argv, read from the option table of
+    the verb argv[0] names with no parser built; None where argv names no
+    verb or another token is not well formed.  An option is its full name,
+    as --name value (a value not starting with -) or --name=value, and a
+    flag has no value.  An abbreviation, -h, --, a type or choice error, a
+    stray or missing positional and a missing required option decline, as
+    does anything argparse might read otherwise."""
+    if not (argv and argv[0] in VERBS):
+        return None
+    _, options, handler = VERBS[argv[0]]
+    positionals = [name for name in options if not name.startswith("-")]
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            name, eq, text = token.partition("=")
+            spec = options.get(name)
+            if spec is None:
+                return None
+            if spec.get("action") == "store_true":
+                if eq:
+                    return None
+                given[name] = True
+                continue
+            if not eq:
+                # the next token; argparse reads one starting with - (or
+                # none) its own way
+                text = next(tokens, "-")
+                if text.startswith("-"):
+                    return None
+        elif positionals:
+            name, text = positionals.pop(0), token
+            spec = options[name]
+        else:
+            return None
+        try:
+            value = spec.get("type", str)(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        given[name] = value
+    if positionals:
+        return None
+    values = {}
+    for name, spec in options.items():
+        if name in given:
+            value = given[name]
+        elif spec.get("required"):
+            return None
+        else:
+            flag = spec.get("action") == "store_true"
+            value = spec.get("default", False if flag else None)
+            if isinstance(value, str):  # argparse types a string default
+                value = spec.get("type", str)(value)
+        values[name.lstrip("-").replace("-", "_")] = value
+    return argparse.Namespace(verb=argv[0], func=handler, **values)
 
 
 def parse_argv(argv) -> argparse.Namespace:
-    """The options of argv.  When argv[0] names a verb, its verb_parser
-    alone parses the rest, and an option it does not know is the usage
-    error of build_parser; otherwise build_parser parses argv."""
-    if not (argv and argv[0] in VERBS):
-        return build_parser().parse_args(argv)
-    p = verb_parser(argv[0])
-    args, extras = p.parse_known_args(argv[1:])
-    if extras:
-        p.exit(2, "hwkit: error: unrecognized arguments: "
-               f"{' '.join(extras)}\n")
-    return args
+    """The options of argv: from the named verb's option table when argv
+    is well formed, otherwise from build_parser, which also gives help and
+    usage errors."""
+    args = _table_parse(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

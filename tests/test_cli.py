@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -7,10 +9,10 @@ import shutil
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hwkit import cli, vforacle, weyl
-from hwkit.cli import (_cache_key, build_parser, main, parse_argv,
-                       verb_parser)
+from hwkit.cli import _cache_key, build_parser, main, parse_argv
 from hwkit.ppd import parse_annihilator_file
 
 NODE_ANN = """# ordinary double point, untwisted
@@ -305,6 +307,7 @@ MALFORMED = [
     SNC + ("--stratum", "0"),
     SNC + ("--stratum", "3"),
     SNC + ("--stratum", "1,1"),
+    SNC + ("--stratum", ""),
     ("whom", "--poly", "x1^2+x2^3", "--weights", "1/2,1/3", "--alpha", "5/6",
      "--k", "0", "--l", "-1"),
     ("bounds", "--exponents", "2,3", "--alpha", "1/2", "--l", "-1"),
@@ -798,24 +801,17 @@ def _subparsers(parser) -> dict:
 
 
 @pytest.mark.parametrize("argv", ONE_VERB, ids=lambda argv: argv[0])
-def test_one_verb_parser_matches_the_full_parser(argv, monkeypatch):
+def test_one_verb_parser_matches_the_full_parser(argv):
     argv = list(argv) + ["--json"]
-    verb, one, full = argv[0], verb_parser(argv[0]), build_parser()
-    assert one.prog == f"hwkit {verb}"
-    assert not any(isinstance(a, argparse._SubParsersAction)
-                   for a in one._actions)
+    full = build_parser()
     args = parse_argv(argv)
-    assert vars(args) == vars(one.parse_args(argv[1:]))
     assert vars(args) == vars(full.parse_args(argv))
     payload = {"input_sha": "0" * 64}
     assert _cache_key(args, payload) == _cache_key(full.parse_args(argv),
                                                    payload)
-    # the width verb_parser probes once is the one each formatter of the
-    # subparser probes, on a wide terminal and on a narrow one
-    for columns in ("200", "52"):
-        monkeypatch.setenv("COLUMNS", columns)
-        assert (verb_parser(verb).format_help()
-                == _subparsers(build_parser())[verb].format_help())
+    # the option table serves every valid argv, so no new option type can
+    # quietly send each call of its verb to argparse
+    assert cli._table_parse(argv) is not None
 
 
 def test_every_verb_is_built_without_a_named_verb(capsys, monkeypatch):
@@ -874,37 +870,94 @@ def test_named_verb_parse_matches_the_all_verbs_parser(capsys, monkeypatch,
 
 
 def test_named_verb_builds_one_parser(capsys, monkeypatch):
-    # one ArgumentParser, no subparsers action and one terminal-size probe
-    # per call: nothing is carried from one call to the next
-    built, probes = [], []
+    # a well-formed call builds no ArgumentParser and probes no terminal
+    # size, on each of two calls; -h, an abbreviation and an unknown option
+    # each build the all-verbs parser once
+    built, probes, all_verbs = [], [], []
     parser_init = argparse.ArgumentParser.__init__
-    sub_init = argparse._SubParsersAction.__init__
     terminal_size = shutil.get_terminal_size
 
     def parser(self, *args, **kwargs):
         built.append(type(self))
         parser_init(self, *args, **kwargs)
 
-    def sub(self, *args, **kwargs):
-        built.append(type(self))
-        sub_init(self, *args, **kwargs)
-
     def probed(*args):
         probes.append(args)
         return terminal_size(*args)
 
+    def recorded():
+        all_verbs.append(build_parser())
+        return all_verbs[-1]
+
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", parser)
-    monkeypatch.setattr(argparse._SubParsersAction, "__init__", sub)
     monkeypatch.setattr(shutil, "get_terminal_size", probed)
+    monkeypatch.setattr(cli, "build_parser", recorded)
     monkeypatch.delenv("HWKIT_CACHE", raising=False)
     argv = ["classify", "--exponents", "1,1", "--alpha", "1", "--json"]
     for _ in range(2):
-        built.clear()
-        probes.clear()
         assert main(argv) == 0
-        assert built == [cli._Parser]
-        assert len(probes) == 1
+        assert built == probes == all_verbs == []
     assert capsys.readouterr().err == ""
+    for tail, code in ((["-h"], 0), (["--alph", "1"], 0),
+                       (["--bogus", "x"], 2)):
+        all_verbs.clear()
+        assert _outcome(capsys, argv + tail)[0] == code
+        assert [list(_subparsers(p)) for p in all_verbs] == [VERB_NAMES]
+
+
+# tokens of the table-parse property: option spellings and values
+SPELLINGS = ["-h", "--", "--bogus", "bfun"]
+VALUES = ["1", "0", "-1", "-1/2", "", "x", "auto", "bfun", "snc", "whom"]
+
+
+@st.composite
+def verb_tokens(draw):
+    """A verb and a token list of exact names, abbreviations, = forms, -h,
+    --, repeated options and the VALUES.  About half of the lists hold the
+    verb's required options and positional, each with one of its choices or
+    a valid index about half of the time, so that many lists parse."""
+    verb = draw(st.sampled_from(VERB_NAMES))
+    options = cli.VERBS[verb][1]
+    names = [name for name in options if name.startswith("--")]
+    abbreviations = [name[:n] for name in names for n in range(3, len(name))]
+    name = st.one_of(st.sampled_from(names), st.sampled_from(abbreviations),
+                     st.sampled_from(SPELLINGS))
+    value = st.sampled_from(VALUES)
+    pair = st.tuples(st.sampled_from(names), value).map(list)
+    item = st.one_of(pair, pair, st.tuples(name, value).map(list),
+                     st.tuples(name, value).map(lambda nv: ["=".join(nv)]),
+                     name.map(lambda n: [n]), value.map(lambda v: [v]))
+    items = []
+    if draw(st.booleans()):
+        for flag, spec in options.items():
+            text = draw(st.one_of(
+                st.sampled_from(spec.get("choices", ["1", "0"])), value))
+            if not flag.startswith("-"):
+                items.append([text])
+            elif spec.get("required"):
+                items.append([flag, text])
+    items += draw(st.lists(item, max_size=3))
+    if draw(st.booleans()):
+        items = draw(st.permutations(items))
+    return verb, [token for part in items for token in part]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(verb_tokens())
+def test_table_parse_is_the_all_verbs_parse_or_declines(drawn):
+    verb, tokens = drawn
+    argv = [verb, *tokens]
+    plain = cli._table_parse(argv)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            full = vars(build_parser().parse_args(argv))
+        except SystemExit:
+            full = None
+    if full is None:
+        assert plain is None, argv
+    elif plain is not None:
+        assert vars(plain) == full, argv
 
 
 def test_console_script_reads_sys_argv(capsys, monkeypatch):
