@@ -14,13 +14,15 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
+from math import comb, lcm
+from operator import sub
+from typing import NamedTuple
 
 from .bsdata import BFunction, RootMultiset, beta_factor, roots_in_interval
 from .errors import (InconclusiveAtBound, InternalCheckFailed, ParseError,
                      PreconditionError)
 from .exactalg import (Polynomial, fmt_rational, infer_dim, integer_terms,
-                       mono_mul, parse_rational)
+                       mono_mul, monomials_upto_degree, parse_rational)
 from .linalg import Echelon, nullspace
 from .snc import HodgePresentation
 from .vforacle import Bounds, clear_to_pole, pole_apply, reduce_presentation
@@ -100,8 +102,7 @@ class AnnihilatorInput:
         return min(dists) / 2
 
 
-@dataclass(frozen=True)
-class GammaPresentation:
+class GammaPresentation(NamedTuple):
     """Generators {f, beta(-s), zetas..., E - s + 1} of the ideal carrying
     the weight data, together with the perturbation used for the weighted
     level (None for the unweighted ideal)."""
@@ -243,23 +244,122 @@ def weight_step_presentation(inp: AnnihilatorInput, gens,
     return reduce_presentation(pres, inp.f, bounds)
 
 
-def _order_bounded_elements(gens, sbasis, k: int, packing, residual=None):
+def _reach(keys) -> tuple:
+    """The largest x-degree, |d| + s and s over the operator keys (0 for
+    none)."""
+    return tuple(map(max, zip((0, 0, 0), *((sum(xe), sum(de) + sp, sp)
+                                           for xe, de, sp in keys))))
+
+
+def _kept_keys(gens, window) -> list:
+    """Per generator g_b, the keys m of bounded_operator_basis(dim, *window),
+    window = (order, xdeg, s_bound), in that (grlex) order, whose column
+    m * g_b no relation among the generators writes by columns inserted
+    before it, generator-major and then grlex.  With LT the grlex-largest
+    key of a nonzero generator (the first of sorted_keys) and a < b, two
+    relations skip columns:
+
+    - g_b = P * g_a for a monomial P (one weyl_mul confirms it): m * g_b is
+      (m * P) * g_a, columns of g_a, when m + P lies in the window;
+    - g_a * g_b - g_b * g_a = c with c = 0 or c = q * g_i for a scalar q
+      and i <= b: for m = LT(g_a) + m'', m'' g_a g_b = m'' g_b g_a + q m'' g_i
+      writes m * g_b by columns of g_a, by the column m'' * g_i and by the
+      columns n * g_b, n a grlex-smaller key of m'' * g_a, when m'' plus the
+      reach (x-degree, |d| + s, s) of g_a and of g_b lies in the window (c
+      is nonzero only for g_a not constant, so m'' comes before m).
+
+    A check costs about as many term products as columns it could skip
+    (|g_a| for P * g_a, 2 |g_a| |g_b| for c), so it is made only when it
+    would skip at least that many columns not skipped yet.  A zero generator gives no
+    relation and gets none.  Keys are compared as ints packed in radix
+    max(window) + 1, so a shift is an int addition."""
+    order, xdeg, s_bound = window
+    dim = gens[0].dim
+    keys = bounded_operator_basis(dim, order, xdeg, s_bound)
+    pack = KeyPacking(dim, max(window) + 1, 0).pack
+    one = (0,) * dim
+    # x-part -> (|x|, packed), (d, s)-part -> (|d| + s, s, packed)
+    xs = {x: (sum(x), pack((x, one, 0)))
+          for x in monomials_upto_degree(dim, xdeg)}
+    gjs = {(g, j): (sum(g) + j, j, pack((one, g, j)))
+           for g in monomials_upto_degree(dim, order)
+           for j in range(min(s_bound, order - sum(g)) + 1)}
+    lead = [g.terms and g.sorted_keys()[0] or None for g in gens]
+    reach = [_reach(g.terms) for g in gens]
+
+    def size(r):
+        """The number of keys m'' with m'' + r in the window."""
+        x, o, s = xdeg - r[0], order - r[1], s_bound - r[2]
+        return comb(x + dim, dim) * sum(comb(o - j + dim, dim) for j in
+                                        range(min(o, s) + 1)) if x >= 0 else 0
+
+    def skipped(shift, r):
+        """The packed keys shift + m'' with m'' + r in the window."""
+        x, o, s, base = xdeg - r[0], order - r[1], s_bound - r[2], pack(shift)
+        gc = [base + c for oj, j, c in gjs.values() if oj <= o and j <= s]
+        return {u + v for d, u in xs.values() if d <= x for v in gc}
+
+    codes = [xs[x][1] + gjs[g, j][2] for x, g, j in keys]
+    room = [size(r) for r in reach]  # size(r) <= room[a] for r >= reach[a]
+    out = []
+    for b, gb in enumerate(gens):
+        lb, skip = lead[b], set()
+        earlier = [a for a in range(b) if lead[a] and lb]
+        # the P of smallest reach first, since it skips the most columns
+        for rp, p, a in sorted(
+                (_reach([p]), p, a) for a in earlier
+                for p in [(tuple(map(sub, lb[0], lead[a][0])),
+                           tuple(map(sub, lb[1], lead[a][1])),
+                           lb[2] - lead[a][2])]
+                if min(*p[0], *p[1], p[2]) >= 0):
+            ga, new = gens[a], skipped((one, one, 0), rp) - skip
+            if len(new) >= len(ga.terms) and weyl_mul(WeylOperator(
+                    dim, {p: gb.terms[lb] / ga.terms[lead[a]]}), ga) == gb:
+                skip |= new
+        for a in earlier:
+            ga = gens[a]
+            cost = 2 * len(ga.terms) * len(gb.terms)
+            if min(room[a], room[b]) < cost:
+                continue
+            r = tuple(map(max, reach[a], reach[b]))
+            if size(r) < cost or len(new := skipped(lead[a], r) - skip) < cost:
+                continue
+            c = weyl_mul(ga, gb) - weyl_mul(gb, ga)
+            lc = c.terms and c.sorted_keys()[0]
+            if not lc or any(
+                    lead[i] == lc and c == gens[i].scale(
+                        c.terms[lc] / gens[i].terms[lc])
+                    for i in range(b + 1)):
+                skip |= new
+        out.append([m for m, c in zip(keys, codes) if c not in skip]
+                   if skip else keys)
+    return out
+
+
+def _order_bounded_elements(gens, window, k: int, packing, residual=None):
     """Basis of the elements u = sum A_i g_i, each A_i a combination of the
-    operators of the basis keys sbasis, with total order <= k and, when
-    residual is given, residual(u) == 0 (a linear map from integer terms
-    dicts, keyed by `packing`, into Fraction coordinate dicts).
+    operators of bounded_operator_basis(dim, *window), with total order <= k
+    and, when residual is given, residual(u) == 0 (a linear map from integer
+    terms dicts, keyed by `packing`, into Fraction coordinate dicts).
 
     The order > k part and the residual are stacked into one column per
     product op * g, the residual block shifted by packing.top above the
     first, and the order <= k part is its companion.  A nullspace
     dependency cancels the order > k parts, so its companion combination is
     an element of the answer.
+
+    The products that a relation among the gens writes by earlier ones
+    (_kept_keys) are not built.  Column and companion are both linear in the
+    product, so a dropped column's dependency would be a combination of
+    earlier dependencies, which `found` rejects; and a dependent insert
+    changes no row, so every later dependency, and the answer, stay those of
+    the whole basis.
     """
     dim = gens[0].dim
     above_k = functools.cache(lambda code: packing.order(code) > k)
     cols, dens, comps = [], [], []
-    for g in gens:
-        products, den = basis_products(sbasis, g, packing)
+    for g, keys in zip(gens, _kept_keys(gens, window)):
+        products, den = basis_products(keys, g, packing)
         for u in products:
             res, scale = ({}, 1) if residual is None \
                 else integer_terms(residual(u))
@@ -280,8 +380,7 @@ def _order_bounded_elements(gens, sbasis, k: int, packing, residual=None):
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class W0Span:
+class W0Span(NamedTuple):
     """What w0_span(inp, l, bounds) builds: the span, the key packing it is
     keyed by, the gamma generators that packing also covers, and the
     (inp, l, bounds) it was built for."""
@@ -309,17 +408,20 @@ def w0_span(inp: AnnihilatorInput, l: int, bounds: Bounds) -> W0Span:
     the products of the gamma generators over the same window, whose
     s-powers the residual map (s + alpha)^l raises by at most l; it does not
     depend on the Hodge step k, so one span serves hodge_on_weight(w0, k)
-    for every k."""
+    for every k.  The products that a relation among the generators writes
+    by earlier ones (_kept_keys) are not built: each would be a dependent
+    insert, which changes no row, so the span keeps the rows, in the same
+    order, of the whole basis."""
     if l < 0:
         raise PreconditionError("l must be non-negative")
     gens = gamma_ideal(inp).generators
     gens0 = gamma_ideal(inp, weighted=True).generators
     packing = window_packing(gens + gens0, bounds.order, bounds.xdeg, l + 2,
                              s_extra=l)
-    basis = bounded_operator_basis(inp.dim, bounds.order, bounds.xdeg, l + 2)
     span = Echelon()
-    for g in gens0:
-        products, den = basis_products(basis, g, packing)
+    for g, keys in zip(gens0, _kept_keys(gens0, (bounds.order, bounds.xdeg,
+                                                  l + 2))):
+        products, den = basis_products(keys, g, packing)
         for u in products:
             span.insert(u, den)
     return W0Span(inp, l, bounds, gens, packing, span)
@@ -347,7 +449,6 @@ def hodge_on_weight(w0: W0Span, k: int) -> HodgePresentation:
     spoly, _ = integer_terms(RootMultiset({-inp.alpha: l}).coefficients())
     spoly = {packing.shift((0,) * dim, j): c for j, c in spoly.items()}
     so, sx = min(bounds.order, k + 2), min(bounds.xdeg, 6)
-    sbasis = bounded_operator_basis(dim, so, sx, l + 2)
 
     def residual(u):
         # spoly*u must lie in the bounded span of the w0 generators; spoly
@@ -361,7 +462,8 @@ def hodge_on_weight(w0: W0Span, k: int) -> HodgePresentation:
         return w0.span.reduce({key: c for key, c in prod.items() if c},
                               1)[0]
 
-    sols = _order_bounded_elements(gens, sbasis, k, packing, residual)
+    sols = _order_bounded_elements(gens, (so, sx, l + 2), k, packing,
+                                   residual)
     if not sols:
         raise InconclusiveAtBound("no elements found at these bounds",
                                   bounds={"order": so, "xdeg": sx})
@@ -389,9 +491,8 @@ def hodge_weight_interval21(inp: AnnihilatorInput, gens, k: int,
     dim = inp.dim
     gens = list(gens) + [inp.euler + WeylOperator.one(dim)]
     so, sx = min(bounds.order, k + 2), min(bounds.xdeg, 6)
-    sbasis = bounded_operator_basis(dim, so, sx)
     packing = window_packing(gens, so, sx)
-    ops = _order_bounded_elements(gens, sbasis, k, packing)
+    ops = _order_bounded_elements(gens, (so, sx, 0), k, packing)
     summands = [(0, num, pole)
                 for num, pole in operators_on_pole(ops, inp.f, 1, Fraction(0))]
     pres = HodgePresentation.build(Fraction(0), dim, summands)

@@ -502,6 +502,48 @@ def test_envelope_pinned(capsys, tmp_path, monkeypatch, argv, code, sha):
     assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 
+# an annihilator line that parses to the zero operator, and no annihilator
+# line at all: a zero generator has no leading term, so it takes part in no
+# relation that prunes the ppd columns, and the envelopes stay those of the
+# build that prunes nothing
+ZERO_GENERATOR_ANN = (
+    "# ordinary double point, zero annihilator line\n"
+    "f: x1*x2\nE: 1/2*x1*d1 + 1/2*x2*d2\nalpha: 0\nb: (s+1)^2\npp: true\n"
+    "x1*d1 - x1*d1\n")
+NO_GENERATOR_ANN = (
+    "# ordinary double point, no annihilator line\n"
+    "f: x1*x2\nE: 1/2*x1*d1 + 1/2*x2*d2\nalpha: 0\nb: (s+1)^2\npp: true\n")
+DEGENERATE_PINNED = [
+    (ZERO_GENERATOR_ANN, ("--k", "0"),
+     "da63fb9716053dd167fe6080c235246dec55078719579930ee99d184e3455115"),
+    (ZERO_GENERATOR_ANN, ("--k", "1"),
+     "63bcb894a8cc4e6989b194f407186d57a5e916a80f912a09268b8db6d948ba9e"),
+    (ZERO_GENERATOR_ANN, ("--k", "0", "--interval21"),
+     "a51302a1b2634c5be30c271eff82ec5082fc2e38d5f9796b7bc954aa813fb256"),
+    (NO_GENERATOR_ANN, ("--k", "0"),
+     "2b93f86b312b2f4a8abfaf59616d735753c264e5a69bd2c0d50d1638e78f929c"),
+    (NO_GENERATOR_ANN, ("--k", "1"),
+     "9a08fa2224f723046d7490e7e616e4896228df8a3abe986394b80dc9f9f930aa"),
+    (NO_GENERATOR_ANN, ("--k", "0", "--interval21"),
+     "5247eb53adc75328eb2f6cf30e2f546827a1ac3eefef9ca35e0ed42744fa3132"),
+]
+
+
+@pytest.mark.parametrize("text,args,sha", DEGENERATE_PINNED,
+                         ids=[f"{'zero' if 'x1*d1 - x1*d1' in t else 'none'}"
+                              f" {' '.join(a)}"
+                              for t, a, _ in DEGENERATE_PINNED])
+def test_ppd_zero_or_no_annihilator_envelope_pinned(capsys, tmp_path,
+                                                     monkeypatch, text, args,
+                                                     sha):
+    monkeypatch.delenv("HWKIT_CACHE", raising=False)
+    path = tmp_path / "input.ann"
+    path.write_text(text)
+    code, out = run(capsys, "ppd", "--input", str(path), "--l", "0", *args,
+                    "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
+
 def test_envelope_roundtrip_and_determinism(capsys):
     _, out1 = run(capsys, "bounds", "--exponents", "2,3", "--alpha", "1/2",
                   "--json")

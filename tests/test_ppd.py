@@ -11,6 +11,7 @@ from hwkit.errors import (DimensionMismatch, InternalCheckFailed, ParseError,
                           PreconditionError)
 from hwkit.exactalg import (Polynomial, WeightVector, integer_terms,
                             mono_mul, monomials_upto_degree, poly_parse)
+from hwkit.linalg import Echelon
 from hwkit.ppd import (AnnihilatorInput, check_annihilator, gamma_ideal,
                        hodge_on_weight, hodge_weight_interval21,
                        operators_on_pole, parse_annihilator_file, w0_span,
@@ -18,8 +19,10 @@ from hwkit.ppd import (AnnihilatorInput, check_annihilator, gamma_ideal,
 from hwkit.snc import (HodgePresentation, SncDivisor, snc_f0_ideal,
                        snc_hodge_weight)
 from hwkit.vforacle import Bounds, dspans_equal, presentations_equal
-from hwkit.weyl import WeylOperator, homogeneity_grading
+from hwkit.weyl import (WeylOperator, basis_products, bounded_operator_basis,
+                        homogeneity_grading, window_packing)
 from hwkit.whom import QuasiHomogeneousGerm
+from test_cli import CUSP_RATIONAL_ANN, CUSP_TWISTED_ANN
 
 F = Fraction
 B = Bounds(order=4, xdeg=10, dt=6)
@@ -90,7 +93,6 @@ def test_weight_generators_contain_f():
     for l in (0, 1):
         gens, meta = weight_module_generators(inp, l, B)
         # f itself lies in the span of the first components
-        from hwkit.linalg import Echelon
         ech = Echelon()
         for g in gens:
             ech.insert(*integer_terms(g.terms))
@@ -455,3 +457,109 @@ def test_syzygies_and_dependencies_are_w_homogeneous(name, monkeypatch):
                 assert len({d + min(td) for p, td in zip(tup, target_degrees)
                             for d in _w_degrees(p, w)}) == 1
         assert all(len(_w_degrees(u, w)) == 1 for u in elements)
+
+
+# the syzygy-route inputs whose ppd columns the relations of _kept_keys prune:
+# the benchmark's three, the twisted and rational cusps of the CLI tests, the
+# reduced SNC x1*x2*x3 with its annihilators x_i d_i - x_j d_j, and f = x1 in
+# three variables, whose fields x2*d3, x3*d2 have the later generator
+# x2*d2 - x3*d3 as commutator and x3*d2, x2^2*d3 one that is no generator's
+# multiple; each with a window small enough to build every column
+SNC3_ANN = ("f: x1*x2*x3\nE: 1/3*x1*d1 + 1/3*x2*d2 + 1/3*x3*d3\nalpha: 0\n"
+            "b: (s+1)^3\npp: true\n"
+            + "".join(f"x{i}*d{i} - x{j}*d{j}\n"
+                      for i, j in ((1, 2), (1, 3), (2, 3))))
+SL2_ANN = ("f: x1\nE: x1*d1\nalpha: 0\nb: (s+1)\npp: true\n"
+           "x2*d3\nx3*d2\nx2*d2 - x3*d3\nx2^2*d3\n")
+PRUNED_INPUTS = {
+    **{name: (text, Bounds(order=3, xdeg=6, dt=6))
+       for name, text in GRADED_ANN.items()},
+    "cusp_twisted": (CUSP_TWISTED_ANN, Bounds(order=3, xdeg=6, dt=6)),
+    "cusp_rational": (CUSP_RATIONAL_ANN, Bounds(order=3, xdeg=6, dt=6)),
+    "snc3": (SNC3_ANN, Bounds(order=2, xdeg=3, dt=6)),
+    "sl2": (SL2_ANN, Bounds(order=2, xdeg=3, dt=6)),
+}
+
+
+def _pruned_sites(inp, bounds):
+    """(gens, window, packing) of the three column builds _kept_keys prunes:
+    the w0 span, the order-bounded elements of hodge_on_weight at k = 1
+    and, when b = (s+1)^n, those of hodge_weight_interval21 at k = 0."""
+    w0 = w0_span(inp, 0, bounds)
+    so, sx = min(bounds.order, 3), min(bounds.xdeg, 6)
+    sites = [(gamma_ideal(inp, weighted=True).generators,
+              (bounds.order, bounds.xdeg, 2), w0.packing),
+             (gamma_ideal(inp).generators, (so, sx, 2), w0.packing)]
+    if inp.b.roots.keys() <= {-1}:
+        gens = weight_module_generators(inp, 0, bounds)[0] + [
+            inp.euler + WeylOperator.one(inp.dim)]
+        so = min(bounds.order, 2)
+        sites.append((gens, (so, sx, 0), window_packing(gens, so, sx)))
+    return w0, sites
+
+
+def _unpruned_build(gens, window, packing):
+    """Every product column of gens over the whole basis, generator-major,
+    in one Echelon, as the build before the pruning made it.  Returns the
+    Echelon, the number of columns _kept_keys drops, and how many of those
+    do not reduce to zero against the columns before them."""
+    kept = ppd._kept_keys(gens, window)
+    keys = bounded_operator_basis(gens[0].dim, *window)
+    ech, dropped, independent = Echelon(), 0, 0
+    for g, gkeys in zip(gens, kept):
+        kept_set = set(gkeys)
+        assert [m for m in keys if m in kept_set] == gkeys
+        columns, den = basis_products(keys, g, packing)
+        for m, col in zip(keys, columns):
+            if m not in kept_set:
+                dropped += 1
+                independent += bool(ech.reduce(col, den)[0])
+            ech.insert(col, den)
+    return ech, dropped, independent
+
+
+@pytest.mark.parametrize("name", sorted(PRUNED_INPUTS))
+def test_dropped_columns_depend_on_earlier_ones(name):
+    # each column _kept_keys drops is a combination of the columns inserted
+    # before it, so the pruned w0 span keeps the rows of the unpruned one
+    text, bounds = PRUNED_INPUTS[name]
+    inp = parse_annihilator_file(text, None)
+    w0, sites = _pruned_sites(inp, bounds)
+    builds = [_unpruned_build(*site) for site in sites]
+    assert all(dropped for _, dropped, _ in builds)
+    assert [independent for _, _, independent in builds] == [0] * len(sites)
+    assert builds[0][0].basis() == w0.span.basis()
+
+
+def test_leading_terms_from_the_wrong_end_drop_independent_columns(
+        monkeypatch):
+    # the dependency check above fails a rule that takes LT as the
+    # grlex-smallest key of a generator
+    def smallest_first(op, sorted_keys=WeylOperator.sorted_keys):
+        return sorted_keys(op)[::-1]
+
+    monkeypatch.setattr(WeylOperator, "sorted_keys", smallest_first)
+    for name in ("node", "triple"):
+        text, bounds = PRUNED_INPUTS[name]
+        inp = parse_annihilator_file(text, None)
+        gens = gamma_ideal(inp, weighted=True).generators
+        packing = window_packing(gens, bounds.order, bounds.xdeg, 2)
+        _, _, independent = _unpruned_build(
+            gens, (bounds.order, bounds.xdeg, 2), packing)
+        assert independent
+
+
+def test_node_w0_span_inserts_only_kept_columns(monkeypatch):
+    # work guard: the relations drop 2,872 of the 8,184 columns of the node
+    # w0 span at (order 4, xdeg 10); the rank stays 5,109
+    inserts = []
+    real = Echelon.insert
+
+    def counted(self, *args):
+        inserts.append(None)
+        return real(self, *args)
+
+    monkeypatch.setattr(Echelon, "insert", counted)
+    w0 = w0_span(parse_annihilator_file(GRADED_ANN["node"], None), 0, B)
+    assert len(inserts) <= 5312
+    assert len(w0.span.basis()) == 5109
