@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PreconditionError
+from .errors import ParseError, PreconditionError
 from .exactalg import (Polynomial, WeightVector, fmt_rational, parse_rational,
                        positive_alpha, unit_interval_alpha, weighted_degree)
 
@@ -103,7 +103,8 @@ class RootMultiset:
 
 
 def parse_root_product(text: str) -> dict:
-    """Parse product strings like "(s+1)^2*(s+5/6)" into a root dict."""
+    """Parse product strings like "(s+1)^2*(s+5/6)" into a root dict; a
+    factor that does not parse raises ParseError at its offset."""
     roots = {}
     pos = 0
     pat = re.compile(
@@ -112,7 +113,8 @@ def parse_root_product(text: str) -> dict:
     while pos < len(text) and text[pos:].strip():
         m = pat.match(text, pos)
         if not m:
-            raise PreconditionError(f"cannot parse b-function factor at {text[pos:]!r}")
+            raise ParseError(
+                f"cannot parse b-function factor at {text[pos:]!r}", pos)
         mult = int(m.group("m") or 1)
         if m.group("bare"):
             root = Fraction(0)

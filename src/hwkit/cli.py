@@ -206,11 +206,13 @@ def _bfunction_source(args):
     """Route to the closed-form b-function: a monomial (--exponents, or a
     one-term --poly) goes through the monomial table, otherwise weights are
     required for the quasi-homogeneous route.  Returns (source description,
-    f, weights or None for the monomial route).  A --dim below the number of
-    variables of the input is rejected; a larger one is an ambient
-    dimension."""
+    f, weights or None for the monomial route).  --weights with --exponents
+    and a --dim below the number of variables of the input are rejected; a
+    larger --dim is an ambient dimension."""
     if args.exponents and args.poly:
         raise PreconditionError("give --exponents or --poly, not both")
+    if args.exponents and args.weights:
+        raise PreconditionError("--exponents takes no --weights")
     if args.exponents:
         f = Polynomial.monomial(_exponents(args))
     elif args.poly:

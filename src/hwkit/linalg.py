@@ -15,13 +15,13 @@ never mutates a caller's dict.
 
 Rows are primitive integer vectors, reduced fraction-free (Bareiss, Math.
 Comp. 1968, with the content divided out after each step that multiplies).
-`Fraction` appears only at the boundary: every value `reduce`, `insert` and
-`nullspace` return is one.
+Answers are integer too: `reduce`, `insert` and `nullspace` return integer
+numerators over one positive int denominator, and a caller builds a
+`Fraction` only where it makes an operator or prints a coefficient.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -115,26 +115,27 @@ class Echelon:
     def reduce(self, vec: dict, den: int):
         """Reduce the vector vec/den (integer numerators) against the rows.
 
-        Returns (residual, carried): vec/den - residual is a combination of
-        inserted vectors, and carried is the same combination of their
-        companions.
+        Returns (residual, carried, den'), integer numerators over den' > 0:
+        vec/den - residual/den' is a combination of inserted vectors, and
+        carried/den' is the same combination of their companions.
         """
         vec, comb, den = self._eliminate(dict(vec), {}, den)
-        return ({c: Fraction(v, den) for c, v in vec.items()},
-                {c: Fraction(-v, den) for c, v in comb.items()})
+        return vec, {c: -v for c, v in comb.items()}, den
 
     def insert(self, vec: dict, den: int, companion: dict | None = None):
         """Insert the vector vec/den with its companion companion/den (both
         integer numerators over den); return None if it increased the rank,
-        otherwise the dependency: the vector equals a combination of earlier
-        inserted vectors, and the dependency is the companion minus that
-        combination of their companions (a vector with no nonzero entry
-        comes back as its companion)."""
+        otherwise (dependency, den'), integer numerators over den' > 0: the
+        vector equals a combination of earlier inserted vectors, and
+        dependency/den' is the companion minus that combination of their
+        companions (a vector with no nonzero entry comes back as its
+        companion).  The tuple is truthy even when the dependency is empty,
+        so test `is None`."""
         vec, comb, den = self._eliminate(dict(vec), dict(companion or {}),
                                          den)
         if not vec:
             # comb/den is companion minus the carried combination
-            return {c: Fraction(v, den) for c, v in comb.items()}
+            return comb, den
         pivot = max(vec)
         content = _content(0, vec, comb)
         if vec[pivot] < 0:
@@ -152,8 +153,8 @@ def nullspace(columns, dens, companions):
 
     Each companion is over its column's denominator.  Each dependency is
     returned as its companion combination sum(x_i * companions_i/dens_i), as
-    `Echelon.insert` returns it; with companions {i: dens_i} that is the
-    coefficient dict itself.
+    the (numerators, den) pair `Echelon.insert` returns; with companions
+    {i: dens_i} that is the coefficient dict itself.
     """
     ech = Echelon()
     deps = (ech.insert(col, den, comp)

@@ -27,8 +27,9 @@ from .linalg import Echelon, nullspace
 from .snc import HodgePresentation
 from .vforacle import Bounds, clear_to_pole, pole_apply, reduce_presentation
 from .weyl import (KeyPacking, WeylOperator, apply_to_twisted,
-                   basis_products, bounded_operator_basis, syzygy_kernel,
-                   weyl_mul, window_packing)
+                   basis_products, bounded_operator_basis,
+                   grlex_operator_key, syzygy_kernel, weyl_mul,
+                   window_packing)
 
 
 def check_annihilator(zeta: WeylOperator, f: Polynomial) -> bool:
@@ -255,9 +256,9 @@ def _kept_keys(gens, window) -> list:
     """Per generator g_b, the keys m of bounded_operator_basis(dim, *window),
     window = (order, xdeg, s_bound), in that (grlex) order, whose column
     m * g_b no relation among the generators writes by columns inserted
-    before it, generator-major and then grlex.  With LT the grlex-largest
-    key of a nonzero generator (the first of sorted_keys) and a < b, two
-    relations skip columns:
+    before it, generator-major and then grlex.  With LT the largest key of a
+    nonzero generator under grlex_operator_key, the order of those keys,
+    and a < b, two relations skip columns:
 
     - g_b = P * g_a for a monomial P (one weyl_mul confirms it): m * g_b is
       (m * P) * g_a, columns of g_a, when m + P lies in the window;
@@ -284,7 +285,7 @@ def _kept_keys(gens, window) -> list:
     gjs = {(g, j): (sum(g) + j, j, pack((one, g, j)))
            for g in monomials_upto_degree(dim, order)
            for j in range(min(s_bound, order - sum(g)) + 1)}
-    lead = [g.terms and g.sorted_keys()[0] or None for g in gens]
+    lead = [max(g.terms, key=grlex_operator_key, default=None) for g in gens]
     reach = [_reach(g.terms) for g in gens]
 
     def size(r):
@@ -325,7 +326,7 @@ def _kept_keys(gens, window) -> list:
             if size(r) < cost or len(new := skipped(lead[a], r) - skip) < cost:
                 continue
             c = weyl_mul(ga, gb) - weyl_mul(gb, ga)
-            lc = c.terms and c.sorted_keys()[0]
+            lc = max(c.terms, key=grlex_operator_key, default=None)
             if not lc or any(
                     lead[i] == lc and c == gens[i].scale(
                         c.terms[lc] / gens[i].terms[lc])
@@ -340,7 +341,7 @@ def _order_bounded_elements(gens, window, k: int, packing, residual=None):
     """Basis of the elements u = sum A_i g_i, each A_i a combination of the
     operators of bounded_operator_basis(dim, *window), with total order <= k
     and, when residual is given, residual(u) == 0 (a linear map from integer
-    terms dicts, keyed by `packing`, into Fraction coordinate dicts).
+    terms dicts, keyed by `packing`, to an `Echelon.reduce` triple).
 
     The order > k part and the residual are stacked into one column per
     product op * g, the residual block shifted by packing.top above the
@@ -361,8 +362,7 @@ def _order_bounded_elements(gens, window, k: int, packing, residual=None):
     for g, keys in zip(gens, _kept_keys(gens, window)):
         products, den = basis_products(keys, g, packing)
         for u in products:
-            res, scale = ({}, 1) if residual is None \
-                else integer_terms(residual(u))
+            res, _, scale = residual(u) if residual else ({}, {}, 1)
             stacked, below = {}, {}
             for code, c in u.items():
                 (stacked if above_k(code) else below)[code] = c * scale
@@ -373,9 +373,10 @@ def _order_bounded_elements(gens, window, k: int, packing, residual=None):
             comps.append(below)
     found = Echelon()
     out = []
-    for dep in nullspace(cols, dens, comps):
-        if dep and found.insert(*integer_terms(dep)) is None:
-            out.append(WeylOperator(dim, {packing.unpack(code): c
+    for dep, den in nullspace(cols, dens, comps):
+        if dep and found.insert(dep, den) is None:
+            out.append(WeylOperator(dim, {packing.unpack(code):
+                                          Fraction(c, den)
                                           for code, c in dep.items()}))
     return out
 
@@ -459,8 +460,7 @@ def hodge_on_weight(w0: W0Span, k: int) -> HodgePresentation:
                 key = code + shift
                 v = cj * c
                 prod[key] = prod[key] + v if key in prod else v
-        return w0.span.reduce({key: c for key, c in prod.items() if c},
-                              1)[0]
+        return w0.span.reduce({key: c for key, c in prod.items() if c}, 1)
 
     sols = _order_bounded_elements(gens, (so, sx, l + 2), k, packing,
                                    residual)

@@ -246,23 +246,20 @@ def verify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
     largest = max((sum(m) for layers, _ in [*columns.values(), rhs]
                    for terms in layers.values() for m in terms), default=0)
     packing = KeyPacking(dim, 1 + largest + xdeg_bound, xdeg_bound)
-
-    def packed(layers, den):
-        """The integer_terms pair of the layers over den, keys packed."""
-        return _lowest_terms(packing.pack_terms(layers), den)
-
-    vectors = {g: packed(*column) for g, column in columns.items()}
+    vectors = {g: (packing.pack_terms(layers), den)
+               for g, (layers, den) in columns.items()}
     ech = Echelon()
     for idx, (xb, g, j) in enumerate(keys):
         vec, den = vectors[g]
         shift = j * packing.top + packing.shift(xb, 0)
         ech.insert({k + shift: c for k, c in vec.items()}, den, {idx: den})
 
-    residual, carried = ech.reduce(*packed(*rhs))
+    residual, carried, den = ech.reduce(packing.pack_terms(rhs[0]), rhs[1])
     if residual:
         return not_found
     # distinct basis keys: one term per index
-    operator = WeylOperator(dim, {keys[idx]: c for idx, c in carried.items()})
+    operator = WeylOperator(dim, {keys[idx]: Fraction(c, den)
+                                  for idx, c in carried.items()})
     # re-evaluate the witness exactly, as an identity in Z[x, s] (docstring)
     h, aden, top = apply_to_twisted(operator, f, 1)
     bnum, rden = integer_terms(b.coefficients())
@@ -283,7 +280,8 @@ def verify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
     divisors = []
     for r in b.sorted_roots():
         div = RootMultiset({q: m - (q == r) for q, m in b.roots.items()})
-        res_d, _ = ech.reduce(*packed(*rhs_layers(div)))
+        layers, den = rhs_layers(div)
+        res_d = ech.reduce(packing.pack_terms(layers), den)[0]
         divisors.append({"divisor": div.product_string(),
                          "verdict": "not-found-at-bound" if res_d else "member"})
     minimal = all(d["verdict"] != "member" for d in divisors)
@@ -625,15 +623,6 @@ def clear_to_pole(parts, den: int, f_int: tuple, pole: int) -> tuple:
     return {m: c for m, c in total.items() if c}, den * df ** (pole - lo)
 
 
-def _lowest_terms(terms: dict, den: int) -> tuple:
-    """The integer numerators terms over den > 0, divided by gcd(den,
-    content): exactly the integer_terms pair of the values they stand for."""
-    g = math.gcd(den, *terms.values())
-    if g == 1:
-        return terms, den
-    return {k: c // g for k, c in terms.items()}, den // g
-
-
 def _direction(terms: dict) -> tuple:
     """(S, k) of a nonzero integer vector: k is its largest key and S its
     entries keyed relative to k, over their content signed positive at k.
@@ -718,7 +707,8 @@ class WindowSpan:
 
     def reduce(self, layers: dict):
         """Echelon.reduce of the element given by its layers
-        {j: Polynomial}; None when it leaves the window."""
+        {j: Polynomial}, the (residual, carried, den) triple; None when it
+        leaves the window."""
         packed = self._packed({j: p.terms for j, p in layers.items()})
         return packed and self.echelon.reduce(*integer_terms(packed[0]))
 
@@ -739,7 +729,9 @@ class WindowSpan:
         for layers in members:
             packed = self._packed({j: p.terms for j, p in layers.items()})
             reduced = packed and ech.reduce(*integer_terms(packed[0]))
-            out.append(None if reduced is None or reduced[0] else reduced[1])
+            out.append(None if reduced is None or reduced[0] else
+                       {t: Fraction(c, reduced[2])
+                        for t, c in reduced[1].items()})
         return out
 
     def contains(self, g: Polynomial, pole: int) -> bool | None:
@@ -771,13 +763,12 @@ class WindowSpan:
     def add_layers(self, layers: dict, den: int, tag):
         """Add the window vectors of an element given by its layers over den
         (integer form), tagged tag + (beta,); none when it is zero or leaves
-        the window.  Keys are packed once, and the pair divided by
-        gcd(den, content) is its integer_terms pair, shared by every shift."""
+        the window.  Keys are packed once, and the pair is shared by every
+        shift."""
         packed = self._packed(layers)
         if packed is not None and packed[1] >= 0:
             terms, deg = packed
-            self.insert(*_lowest_terms(terms, den), tag,
-                        *self._table.shifts(self.xdeg - deg))
+            self.insert(terms, den, tag, *self._table.shifts(self.xdeg - deg))
 
     def add(self, parts, den: int, tag):
         """add_layers of the element given by its parts {p: num} over den,

@@ -26,6 +26,12 @@ from .linalg import nullspace
 Key = tuple  # (xExponents, dExponents, sPower)
 
 
+def grlex_operator_key(key: Key) -> tuple:
+    """The grlex order of operator keys (b, g, j): total degree |b| + |g| +
+    j, then the key; printing, bounded bases and ppd's rules read it."""
+    return sum(key[0]) + sum(key[1]) + key[2], key
+
+
 class WeylOperator(SparseTerms):
     """Normal-form element of the Weyl algebra over Q, with s central."""
 
@@ -119,10 +125,7 @@ class WeylOperator(SparseTerms):
         return WeylOperator(self.dim, out)
 
     def sorted_keys(self):
-        return sorted(
-            self.terms,
-            key=lambda k: (sum(k[0]) + sum(k[1]) + k[2], k),
-            reverse=True)
+        return sorted(self.terms, key=grlex_operator_key, reverse=True)
 
     def _factors(self, key: Key) -> str:
         xe, de, sp = key
@@ -256,16 +259,16 @@ def bounded_operator_basis(dim: int, order_bound: int, xdeg_bound: int,
 
 def homogeneity_grading(f: Polynomial) -> list:
     """[(w, deg_w f)]: an integer basis of the weights w that make f
-    w-homogeneous, from one `nullspace` call over the differences of f's
-    exponent vectors: all of Q^n for a monomial, a line for a
-    quasi-homogeneous germ, none for a generic f."""
+    w-homogeneous, the numerators of the dependencies of one `nullspace`
+    call over the differences of f's exponent vectors (each w at a positive
+    scale): all of Q^n for a monomial, a line for a quasi-homogeneous germ,
+    none for a generic f."""
     base = next(iter(f.terms), (0,) * f.dim)
     columns = [{r: a[i] - base[i] for r, a in enumerate(f.terms)
                 if a[i] != base[i]} for i in range(f.dim)]
     grading = []
-    for dep in nullspace(columns, [1] * f.dim, [{i: 1} for i in range(f.dim)]):
-        scale = lcm(*(c.denominator for c in dep.values()))
-        w = tuple(int(dep.get(i, 0) * scale) for i in range(f.dim))
+    for dep, _ in nullspace(columns, [1] * f.dim, [{i: 1} for i in range(f.dim)]):
+        w = tuple(dep.get(i, 0) for i in range(f.dim))
         grading.append((w, sum(wi * e for wi, e in zip(w, base))))
     return grading
 
@@ -297,7 +300,7 @@ def _graded_keys(dim, grading, order_bound, xdeg_bound, s_bound) -> list:
             for b in buckets.get(tuple(
                 d - deg for d, (_, deg) in zip(grade(g), grading)), ())
             for j in range(min(s_bound, order_bound - sum(g)) + 1)]
-    keys.sort(key=lambda k: (sum(k[0]) + sum(k[1]) + k[2], k))
+    keys.sort(key=grlex_operator_key)
     return keys
 
 
@@ -522,14 +525,14 @@ def syzygy_kernel(targets, order_bound: int, xdeg_bound: int):
     scaled = [{key: c * (common // den) for key, c in num.items()}
               for num, den in scaled]
     out = []
-    for dep in nullspace(columns, dens, companions):
+    for dep, den in nullspace(columns, dens, companions):
         # distinct basis keys: one term per entry, Fractions for the tuple
-        # and their numerators over one denominator for the check
+        # and the numerators over den for the check
         parts = [{} for _ in targets]
         nums = [{} for _ in targets]
-        for tag, c in integer_terms(dep)[0].items():
+        for tag, c in dep.items():
             ti, oi = divmod(tag, n)
-            parts[ti][keys[oi]] = dep[tag]
+            parts[ti][keys[oi]] = Fraction(c, den)
             nums[ti][keys[oi]] = c
         total = {}
         for num, t in zip(nums, scaled):

@@ -346,6 +346,10 @@ MALFORMED = [
     ("bfun", "--exponents", "2", "--poly", "x1^3", "--weights", "1/3"),
     ("classify", "--exponents", "2", "--poly", "x1^3", "--alpha", "1"),
     ("bounds", "--exponents", "2,3", "--poly", "x1*x2", "--alpha", "1"),
+    # --weights beside --exponents, which the monomial route does not read
+    ("bfun", "--exponents", "2", "--weights", "1/2"),
+    ("classify", "--exponents", "2", "--weights", "1/2", "--alpha", "1/2"),
+    ("bounds", "--exponents", "2", "--weights", "1/3", "--alpha", "1/2"),
     # a crosscheck option of the other source, and a --dim other than the
     # number of --exponents
     ("crosscheck", "--source", "snc", "--exponents", "1,1", "--poly",
@@ -403,6 +407,23 @@ def test_only_index_zero_names_dimension_one(capsys):
     assert code == 2
     assert err.strip().splitlines() == [
         "parse error: variable x0 out of range 1..1 (at position 0)"]
+
+
+def test_malformed_bfunction_is_a_parse_error(capsys, tmp_path):
+    # a b-function factor that does not parse, as an option and on the b:
+    # line of a .ann file, is a parse error at the factor's offset in the
+    # b-function text, not a violated hypothesis
+    code = main(["verify", "bfun", "--poly", "x1^2", "--b", "(s+x)"])
+    assert code == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "parse error: cannot parse b-function factor at '(s+x)' "
+        "(at position 0)"]
+    path = tmp_path / "bad_b.ann"
+    path.write_text(NODE_ANN.replace("b: (s+1)^2", "b: (s+1)^2(s+q)"))
+    assert main(["ppd", "--input", str(path), "--weight-only"]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "parse error: cannot parse b-function factor at '(s+q)' "
+        "(at position 7)"]
 
 
 def test_internal_check_failure_exits_4(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Echelon and nullspace on seeded random sparse systems over Q, handed
-over as integer numerators with one denominator per vector."""
+over as integer numerators with one denominator per vector, and answering
+in integer numerators over one positive denominator."""
 
 import random
 from fractions import Fraction as F
@@ -41,12 +42,26 @@ def integral(vec, companion=None):
             {c: int(v * den) for c, v in companion.items()})
 
 
+def all_ints(*vecs):
+    return all(type(v) is int for vec in vecs for v in vec.values())
+
+
+def rational(*answer):
+    """An integer answer (numerators, ..., den) of Echelon or nullspace as
+    Fraction dicts: each numerator dict over den, a positive int."""
+    *nums, den = answer
+    assert type(den) is int and den > 0 and all_ints(*nums)
+    out = tuple({c: F(v, den) for c, v in num.items()} for num in nums)
+    return out if len(out) > 1 else out[0]
+
+
 def insert(ech, vec, companion=None):
-    return ech.insert(*integral(vec, companion))
+    dep = ech.insert(*integral(vec, companion))
+    return None if dep is None else rational(*dep)
 
 
 def reduce(ech, vec):
-    return ech.reduce(*integral(vec)[:2])
+    return rational(*ech.reduce(*integral(vec)[:2]))
 
 
 def fraction_basis(ech):
@@ -61,7 +76,7 @@ def fraction_basis(ech):
 
 def integral_nullspace(columns, companions):
     cols, dens, comps = zip(*map(integral, columns, companions))
-    return nullspace(list(cols), dens, comps)
+    return [rational(*dep) for dep in nullspace(list(cols), dens, comps)]
 
 
 def add(acc, coeff, vec):
@@ -167,8 +182,10 @@ def test_companion_shares_the_vector_denominator():
     # the companion {"t": 3} over den 6 is t/2, as the vector is 1/2 at 0
     ech = Echelon()
     assert ech.insert({0: 3}, 6, {"t": 3}) is None
-    assert ech.insert({0: 1}, 1, {"u": 1}) == {"u": F(1), "t": F(-1)}
-    assert nullspace([{0: 1}, {0: 2}], [3, 1], [{"a": 3}, {"b": 1}]) == [
+    assert rational(*ech.insert({0: 1}, 1, {"u": 1})) == {
+        "u": F(1), "t": F(-1)}
+    assert [rational(*dep) for dep in nullspace(
+        [{0: 1}, {0: 2}], [3, 1], [{"a": 3}, {"b": 1}])] == [
         {"b": F(1), "a": F(-6)}]
 
 
@@ -234,10 +251,6 @@ def reference_nullspace(columns, companions):
     return out
 
 
-def all_fractions(*vecs):
-    return all(type(v) is F for vec in vecs for v in vec.values())
-
-
 # integers, and Fractions with denominators up to 2^61 - 1 and 3^40
 BIG_DENOMINATORS = st.sampled_from([1, 2, 3, 12, 10**9 + 7, 2**61 - 1, 3**40])
 RATIONALS = st.one_of(
@@ -277,19 +290,21 @@ def test_echelon_matches_fraction_reference(system):
     cols, comps, probes = system
     ech, ref = Echelon(), FractionEchelon()
     for col, comp in zip(cols, comps):
-        got = insert(ech, col, comp)
-        assert got == ref.insert(col, comp)
-        assert got is None or all_fractions(got)
+        got = ech.insert(*integral(col, comp))
+        assert (None if got is None else rational(*got)) == ref.insert(
+            col, comp)
+        assert got is None or all_ints(got[0])
     assert len(ech.pivots()) == len(ref.rows)
     assert ech.pivots() == set(ref.rows)
     basis = fraction_basis(ech)
     assert basis == [row for row, _ in ref.rows.values()]
-    assert all_fractions(*basis)
+    assert all(type(v) is F for row in basis for v in row.values())
     for vec in probes:
-        residual, carried = reduce(ech, vec)
-        assert (residual, carried) == ref.reduce(vec)
-        assert all_fractions(residual, carried)
+        residual, carried, den = ech.reduce(*integral(vec)[:2])
+        assert rational(residual, carried, den) == ref.reduce(vec)
+        assert all_ints(residual, carried)
     comps = [comp or {"e": i + 1} for i, comp in enumerate(comps)]
-    deps = integral_nullspace(cols, comps)
-    assert deps == reference_nullspace(cols, comps)
-    assert all_fractions(*deps)
+    int_cols, dens, int_comps = zip(*map(integral, cols, comps))
+    deps = nullspace(list(int_cols), dens, int_comps)
+    assert [rational(*dep) for dep in deps] == reference_nullspace(cols, comps)
+    assert all_ints(*(dep for dep, _ in deps))

@@ -1,3 +1,4 @@
+import functools
 import pathlib
 import random
 from fractions import Fraction
@@ -20,7 +21,8 @@ from hwkit.snc import (HodgePresentation, SncDivisor, snc_f0_ideal,
                        snc_hodge_weight)
 from hwkit.vforacle import Bounds, dspans_equal, presentations_equal
 from hwkit.weyl import (WeylOperator, basis_products, bounded_operator_basis,
-                        homogeneity_grading, window_packing)
+                        grlex_operator_key, homogeneity_grading,
+                        window_packing)
 from hwkit.whom import QuasiHomogeneousGerm
 from test_cli import CUSP_RATIONAL_ANN, CUSP_TWISTED_ANN
 
@@ -534,11 +536,14 @@ def test_dropped_columns_depend_on_earlier_ones(name):
 def test_leading_terms_from_the_wrong_end_drop_independent_columns(
         monkeypatch):
     # the dependency check above fails a rule that takes LT as the
-    # grlex-smallest key of a generator
-    def smallest_first(op, sorted_keys=WeylOperator.sorted_keys):
-        return sorted_keys(op)[::-1]
+    # grlex-smallest key of a generator: the rule's max then finds the
+    # smallest key
+    def smallest_first(a, b):
+        a, b = grlex_operator_key(a), grlex_operator_key(b)
+        return (a < b) - (a > b)
 
-    monkeypatch.setattr(WeylOperator, "sorted_keys", smallest_first)
+    monkeypatch.setattr(ppd, "grlex_operator_key",
+                        functools.cmp_to_key(smallest_first))
     for name in ("node", "triple"):
         text, bounds = PRUNED_INPUTS[name]
         inp = parse_annihilator_file(text, None)

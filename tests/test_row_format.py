@@ -2,12 +2,15 @@
 representation can change without touching any caller: everything else reads
 pivots() and basis().  And every coordinate the package hands to an Echelon
 is an int (a KeyPacking key or an index), so the coordinate format is
-decided in one place."""
+decided in one place; every value an Echelon or nullspace answers is an int
+too, so no caller converts an answer back to integers."""
 
+import ast
 import pathlib
 import re
 from fractions import Fraction as F
 
+from hwkit import ppd, weyl
 from hwkit.bsdata import BFunction
 from hwkit.cli import main
 from hwkit.exactalg import Polynomial, WeightVector, poly_parse
@@ -46,20 +49,48 @@ def _graph_member(span, layers):
 
 def test_package_hands_echelons_int_coordinates(monkeypatch, capsys):
     # nullspace inserts through Echelon.insert, so noting insert and reduce
-    # sees every coordinate; each run must hand over some
-    kinds = set()
+    # sees every coordinate; each run must hand over some.  Every answer is
+    # None or integer numerator dicts over an int den, and the runs get
+    # some of each kind
+    nodes = list(ast.walk(ast.parse(LINALG.read_text(encoding="utf-8"))))
+    imports = [n for n in nodes if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert "fractions" not in {getattr(n, "module", None) for n in imports} | {
+        alias.name for n in imports for alias in n.names}
+    assert not any(isinstance(n, ast.Name) and n.id == "Fraction"
+                   for n in nodes)
+    kinds, answered, answers = set(), set(), set()
     insert, reduce = Echelon.insert, Echelon.reduce
+
+    def note(kind, answer):
+        if answer is not None:
+            *nums, den = answer
+            answered.add(type(den))
+            for num in nums:
+                answered.update(map(type, num.values()))
+            answers.add(kind)
+        return answer
 
     def noted_insert(self, vec, den, companion=None):
         kinds.update(map(type, vec))
-        return insert(self, vec, den, companion)
+        return note("insert", insert(self, vec, den, companion))
 
     def noted_reduce(self, vec, den):
         kinds.update(map(type, vec))
-        return reduce(self, vec, den)
+        return note("reduce", reduce(self, vec, den))
+
+    def noted_nullspace(real):
+        def nullspace(columns, dens, companions):
+            deps = real(columns, dens, companions)
+            for dep in deps:
+                note("nullspace", dep)
+            return deps
+        return nullspace
 
     monkeypatch.setattr(Echelon, "insert", noted_insert)
     monkeypatch.setattr(Echelon, "reduce", noted_reduce)
+    for module in (ppd, weyl):
+        monkeypatch.setattr(module, "nullspace",
+                            noted_nullspace(module.nullspace))
     monkeypatch.delenv("HWKIT_CACHE", raising=False)
     cusp = poly_parse("x1^2+x2^3", 2)
     x1 = poly_parse("x1", 1)
@@ -82,4 +113,6 @@ def test_package_hands_echelons_int_coordinates(monkeypatch, capsys):
         kinds.clear()
         run()
         assert kinds == {int}, name
+    assert answered == {int}
+    assert answers == {"insert", "reduce", "nullspace"}
     capsys.readouterr()

@@ -327,7 +327,7 @@ def test_graph_module_span_window_edges():
     x1 = poly_parse("x1", 1)
     span = bf_span([BfElement.from_poly(x1)], x1, Bounds(0, 8, 3),
                    ShiftTable(1, 8))
-    residual, _ = span.reduce({3: Polynomial.one(1)})
+    residual, _, _ = span.reduce({3: Polynomial.one(1)})
     assert residual
 
 
@@ -407,14 +407,14 @@ def test_graph_span_matches_every_vector_reference(seed):
                 member[key] = member.get(key, 0) + k * c
         member = {key: c for key, c in member.items() if c}
         layers = _as_layers(dim, member)
-        residual, carried = ref.reduce(*integer_terms(member))
+        residual, carried, den = ref.reduce(*integer_terms(member))
         assert not residual
         assert not span.reduce(layers)[0]
-        assert span.witness([layers]) == [carried]
+        assert span.witness([layers]) == [_fractions(carried, den)]
         # an element off the family: the same residual verdict
         other = BfElement(dim, {rng.randint(0, B.dt):
                                 rand_poly(rng, dim, B.xdeg)})
-        residual, _ = ref.reduce(*integer_terms(
+        residual, _, _ = ref.reduce(*integer_terms(
             {(j, m): c for j, p in other.layers.items()
              for m, c in p.terms.items()}))
         assert bool(span.reduce(other.layers)[0]) == bool(residual)
@@ -543,7 +543,7 @@ def full_basis_certificate(f, b, order, xdeg):
         return ech.reduce(*integer_terms(
             _section_vector(rhs, f, pole_target)))
 
-    res, carried = residual(b)
+    res, carried, den = residual(b)
     if res:
         return not_found
     divisors = []
@@ -554,7 +554,8 @@ def full_basis_certificate(f, b, order, xdeg):
         divisors.append({"divisor": div.product_string(),
                          "verdict": "not-found-at-bound" if residual(div)[0]
                          else "member"})
-    operator = WeylOperator(f.dim, {keys[i]: c for i, c in carried.items()})
+    operator = WeylOperator(f.dim, {keys[i]: F(c, den)
+                                    for i, c in carried.items()})
     return {"verdict": "member", "bounds": bounds,
             "witness": {"operator": str(operator), "divisors": divisors,
                         "minimal_at_bound": all(
@@ -671,8 +672,8 @@ BFUN_GERMS = [
 def test_verify_bfunction_inserts_canonical_pairs(germ, common, data):
     # f's terms scaled by rationals over denominators 1..6 with a common
     # numerator factor, so that F = df * f is often not primitive: every
-    # inserted column and every reduced right-hand side is the integer_terms
-    # pair of the Fraction-built one, over the largest kept |g|
+    # inserted column and every reduced right-hand side stands for the
+    # Fraction-built one, over the largest kept |g|
     poly, dim, b, order, xdeg, pole = germ
     f = Polynomial(dim, {m: c * F(common * data.draw(st.sampled_from(
         [1, -1, 2, 3])), data.draw(st.integers(1, 6)))
@@ -694,10 +695,15 @@ def test_verify_bfunction_inserts_canonical_pairs(germ, common, data):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(vforacle, "Echelon", Recording)
         cert = verify_bfunction(f, bf, order, xdeg)
-    assert calls["insert"] == inserts
+
+    def rationals(pairs):
+        return [_int_pair(vec, den) for vec, den in pairs]
+
+    assert rationals(calls["insert"]) == rationals(inserts)
     divisors = [RootMultiset({q: k - (q == r) for q, k in bf.roots.items()})
                 for r in bf.sorted_roots()] if cert.is_member() else []
-    assert calls["reduce"] == [rhs(bf)] + [rhs(div) for div in divisors]
+    assert rationals(calls["reduce"]) == rationals(
+        [rhs(bf)] + [rhs(div) for div in divisors])
     # b(s) f^s is b(s) F^(pole_target - 1) over the pole pole_target
     assert pole_target == pole
     assert max(sum(_layered(packing, k)[1]) for k in calls["reduce"][0][0]) \
@@ -1276,6 +1282,13 @@ def _fractions(vec, den):
     return {c: F(v, den) for c, v in vec.items()}
 
 
+def _int_pair(vec, den):
+    """_fractions of a pair of int numerators over a positive int den."""
+    assert type(den) is int and den > 0
+    assert all(type(v) is int for v in vec.values())
+    return _fractions(vec, den)
+
+
 def _dense_rank(vectors) -> int:
     cols = sorted({c for v in vectors for c in v})
     rows = [[v.get(c, F(0)) for c in cols] for v in vectors]
@@ -1715,13 +1728,13 @@ RATIONAL_GERMS = [("1/2*x1^2 + 1/3*x2^3", "1/2,1/3"),
 
 
 def _assert_queue_canonical(span, vector_of):
-    """Every queued (terms, den) of the span is the integer_terms pair of
-    vector_of(tag), its vector built in Fraction polynomials, at the span's
-    packed keys."""
+    """Every queued (terms, den) of the span, integer numerators over a
+    positive int den, stands for vector_of(tag), its vector built in
+    Fraction polynomials, at the span's packed keys."""
     for terms, den, tag, _ in span._queue:
         vec = vector_of(tag)
-        assert (terms, den) == integer_terms(
-            {span.packing.shift(m, 0): c for m, c in vec.terms.items()}), tag
+        assert _int_pair(terms, den) == {
+            span.packing.shift(m, 0): c for m, c in vec.terms.items()}, tag
 
 
 def _twisted_vector(summands, alpha, f, pole_target):

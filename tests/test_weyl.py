@@ -366,8 +366,8 @@ def test_syzygy_check_fires_on_a_corrupted_dependency(monkeypatch, capsys,
     def corrupted(columns, dens, companions):
         # the largest tag is an entry of the last target's part
         deps = nullspace(columns, dens, companions)
-        tags.append(max(max(dep) for dep in deps))
-        corrupt(next(dep for dep in deps if tags[-1] in dep), tags[-1])
+        tags.append(max(max(dep) for dep, _ in deps))
+        corrupt(next(dep for dep, _ in deps if tags[-1] in dep), tags[-1])
         return deps
 
     targets = [op(t, 2) for t in SYZYGY_TARGETS]
