@@ -119,7 +119,10 @@ def parse_root_product(text: str) -> dict:
         if m.group("bare"):
             root = Fraction(0)
         else:
-            c = parse_rational(m.group("c"))
+            try:
+                c = parse_rational(m.group("c"))
+            except ParseError as exc:  # a zero denominator
+                raise ParseError(exc.message, pos) from exc
             root = -c if m.group("sgn") == "+" else c
         roots[root] = roots.get(root, 0) + mult
         pos = m.end()

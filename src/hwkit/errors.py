@@ -15,6 +15,7 @@ class HwkitError(Exception):
 class ParseError(HwkitError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
 
 

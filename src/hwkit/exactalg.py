@@ -202,7 +202,8 @@ def parse_terms(text: str, allow: str):
         nonlocal i
         tok = tokens[i]
         if kind and tok[0] != kind:
-            raise ParseError(f"expected {kind}, got {tok[1]!r}", tok[2])
+            got = "end of input" if tok[0] == "end" else repr(tok[1])
+            raise ParseError(f"expected {kind}, got {got}", tok[2])
         i += 1
         return tok
 

@@ -153,7 +153,10 @@ def weight_module_generators(inp: AnnihilatorInput, l: int, bounds: Bounds):
     f^(-1-alpha) presents the weight-(n+l) step.  Completeness holds only at
     the stated search bounds and is recorded in meta.  f itself is always a
     first component, via the tuple (f, 0, ..., 0, -(E+alpha)^l), so the
-    generators are never empty.
+    generators are never empty.  The kernel's tuples are integer numerators
+    over one den (`syzygy_kernel`); their first components and f go into one
+    `Echelon` as they are, and only the linearly independent ones, in
+    kernel order with f last, become WeylOperators.
     """
     mult = inp.b.multiplicity(-inp.alpha - 1)
     if not l < mult:
@@ -175,16 +178,19 @@ def weight_module_generators(inp: AnnihilatorInput, l: int, bounds: Bounds):
         raise InternalCheckFailed(
             "Euler witness tuple failed re-multiplication")
 
-    firsts = [p0 for p0 in [*(tup[0] for tup in kernel), fop]
-              if not p0.is_zero()]
+    # the nonzero first components and f, as integer numerators over den
+    firsts = [(parts[0], den) for parts, den in kernel if parts[0]]
+    firsts.append(integer_terms(fop.terms))
     # the packing of the first components themselves: radix one above their
     # largest exponent
-    packing = window_packing(firsts, 0, 0)
+    largest = max(max(*xe, *de, sp) for p0, _ in firsts for xe, de, sp in p0)
+    packing = KeyPacking(dim, largest + 1, 0)
     seen = Echelon()
     gens = []
-    for p0 in firsts:
-        if seen.insert(*integer_terms(packing.pack_image(p0.terms))) is None:
-            gens.append(p0)
+    for p0, den in firsts:
+        if seen.insert(packing.pack_image(p0), den) is None:
+            gens.append(WeylOperator(dim, {key: Fraction(c, den)
+                                           for key, c in p0.items()}))
     meta = {"complete_at_bounds": {"order": so, "xdeg": sx},
             "tuples": len(kernel)}
     return gens, meta
@@ -506,27 +512,42 @@ def hodge_weight_interval21(inp: AnnihilatorInput, gens, k: int,
 # annihilator input files
 
 
+def _parse_at(offset: int, parse, text: str, *args):
+    """parse(text, *args), with a ParseError's position moved by offset, the
+    offset of text in the file it was read from."""
+    try:
+        return parse(text, *args)
+    except ParseError as exc:
+        raise ParseError(exc.message, exc.position + offset) from exc
+
+
 def parse_annihilator_file(text: str, dim: int | None) -> AnnihilatorInput:
     """Header lines `f:`, `E:`, `alpha:`, `b:`, `pp:` (true/false, 1/0 or
     yes/no), each at most once, in any case; every other non-empty line is
     one annihilator generator in the operator grammar.  Another pp: value or
     a repeated header raises ParseError at the offset of its line, a
-    missing header at the end of the text.  Without dim, the dimension is
-    inferred from the comment-stripped lines."""
-    headers, starts, zeta_lines = {}, {}, []
-    lines = [raw.split("#", 1)[0].strip() for raw in text.splitlines()]
+    missing header at the end of the text, and an error inside a header
+    value or a generator at its offset in the text.  Without dim, the
+    dimension is inferred from the comment-stripped lines."""
+    headers, starts, at, zeta_lines = {}, {}, {}, []
+    lines = []
     offsets = accumulate(map(len, text.splitlines(keepends=True)), initial=0)
-    for start, line in zip(offsets, lines):
+    for start, raw in zip(offsets, text.splitlines()):
+        code = raw.split("#", 1)[0]
+        line = code.strip()
+        lines.append(line)
         if not line:
             continue
+        line_at = start + len(code) - len(code.lstrip())
         name, colon, value = line.partition(":")
         key = name.lower()
         if not colon or key not in ("f", "e", "alpha", "b", "pp"):
-            zeta_lines.append(line)
+            zeta_lines.append((line, line_at))
         elif key in headers:
             raise ParseError(f"repeated header {name}:", start)
         else:
             headers[key], starts[key] = value.strip(), start
+            at[key] = line_at + len(line) - len(headers[key])
     if not {"f", "e", "b"} <= headers.keys():
         raise ParseError("annihilator file needs f:, E: and b: headers",
                          len(text))
@@ -536,10 +557,12 @@ def parse_annihilator_file(text: str, dim: int | None) -> AnnihilatorInput:
                          starts["pp"])
     if dim is None:
         dim = infer_dim("\n".join(lines))
-    f = Polynomial.parse(headers["f"], dim)
-    euler = WeylOperator.parse(headers["e"], dim)
-    alpha = parse_rational(headers.get("alpha", "0"))
-    b = BFunction.parse(headers["b"])
-    zetas = [WeylOperator.parse(z, dim) for z in zeta_lines]
+    f = _parse_at(at["f"], Polynomial.parse, headers["f"], dim)
+    euler = _parse_at(at["e"], WeylOperator.parse, headers["e"], dim)
+    alpha = _parse_at(at.get("alpha", 0), parse_rational,
+                      headers.get("alpha", "0"))
+    b = _parse_at(at["b"], BFunction.parse, headers["b"])
+    zetas = [_parse_at(pos, WeylOperator.parse, z, dim)
+             for z, pos in zeta_lines]
     return AnnihilatorInput(f, euler, zetas, alpha, b,
                             pp.lower() in ("true", "1", "yes"))

@@ -6,7 +6,9 @@ also provides the action of operators on the powers f^(s+m), in integer
 layers over the integer numerator of f (`apply_to_twisted`), bounded
 operator bases and their images (one d-step per d-part, see
 `d_part_images`), and bounded-degree syzygy kernels computed by exact
-linear algebra and certified by re-multiplication.  `KeyPacking` decides
+linear algebra, returned in integer numerators and certified by
+re-multiplication through the Leibniz images d^g * t, independently of the
+d-steps of the columns.  `KeyPacking` decides
 every elimination coordinate of the package, and a `ShiftTable` serves the
 window spans of a job their shift sets.
 """
@@ -153,8 +155,15 @@ def weyl_mul(a: WeylOperator, b: WeylOperator) -> WeylOperator:
 def _mul_into(out: dict, num_a: dict, num_b: dict, dim: int):
     """Add the normal-ordered product of the integer terms num_a and num_b
     into the int dict out.  Per variable, d^c x^b expands by Leibniz:
-    d^c x^b = sum_k C(c,k) * b!/(b-k)! * x^(b-k) d^(c-k)."""
+    d^c x^b = sum_k C(c,k) * b!/(b-k)! * x^(b-k) d^(c-k).  A term of num_a
+    with no d-part times a normal-ordered term is already normal-ordered,
+    so its products only add exponents."""
     for (xa, da, sa), ca in num_a.items():
+        if not any(da):
+            for (xb, db, sb), cb in num_b.items():
+                key = (mono_mul(xa, xb), db, sa + sb)
+                out[key] = out.get(key, 0) + ca * cb
+            continue
         for (xb, db, sb), cb in num_b.items():
             base = ca * cb
             xe = mono_mul(xa, xb)
@@ -496,11 +505,17 @@ def basis_products(keys, t: WeylOperator, packing: KeyPacking):
 def syzygy_kernel(targets, order_bound: int, xdeg_bound: int):
     """Spanning set, within the stated bounds, of tuples (P_0,...,P_r) with
     sum_i P_i * targets_i == 0, each P_i a combination of the s-free
-    bounded_operator_basis monomials.  Every returned tuple is re-multiplied
-    and checked against zero before being returned: the targets are scaled
-    once to one common denominator, and sum_i P_i * targets_i is accumulated
-    from the tuple's integer numerators over one denominator by the Leibniz
-    kernel of `weyl_mul`, independently of `basis_products`.
+    bounded_operator_basis monomials.  Each tuple comes as (parts, den):
+    parts[i] is P_i as {operator key: int numerator} over the one positive
+    int den, with no zero entry.
+
+    Every returned tuple is re-multiplied and checked against zero before
+    being returned, independently of `basis_products`: the targets are
+    scaled once to one common denominator, and P_i = sum_g X_(i,g) d^g with
+    every X_(i,g) d-free (s is central), so sum_i P_i * targets_i is
+    accumulated by the Leibniz kernel of `weyl_mul` as sum X_(i,g) *
+    (d^g * targets_i).  Each image d^g * targets_i is expanded once per
+    call, when a tuple first needs it.
     """
     targets = list(targets)
     if not targets:
@@ -524,20 +539,26 @@ def syzygy_kernel(targets, order_bound: int, xdeg_bound: int):
     common = lcm(*(den for _, den in scaled))
     scaled = [{key: c * (common // den) for key, c in num.items()}
               for num, den in scaled]
+    zero = (0,) * dim
+    images = {}  # (ti, g) -> the integer terms of d^g * scaled[ti]
     out = []
     for dep, den in nullspace(columns, dens, companions):
-        # distinct basis keys: one term per entry, Fractions for the tuple
-        # and the numerators over den for the check
-        parts = [{} for _ in targets]
-        nums = [{} for _ in targets]
+        # distinct basis keys: one term per entry
+        parts = tuple({} for _ in targets)
+        d_free = {}  # (ti, g) -> X_(ti,g)
         for tag, c in dep.items():
             ti, oi = divmod(tag, n)
-            parts[ti][keys[oi]] = Fraction(c, den)
-            nums[ti][keys[oi]] = c
+            b, g, j = key = keys[oi]
+            parts[ti][key] = c
+            d_free.setdefault((ti, g), {})[(b, zero, j)] = c
         total = {}
-        for num, t in zip(nums, scaled):
-            _mul_into(total, num, t, dim)
+        for (ti, g), x in d_free.items():
+            image = images.get((ti, g))
+            if image is None:
+                image = images[ti, g] = {}
+                _mul_into(image, {(zero, g, 0): 1}, scaled[ti], dim)
+            _mul_into(total, x, image, dim)
         if any(total.values()):
             raise InternalCheckFailed("syzygy failed re-multiplication check")
-        out.append(tuple(WeylOperator(dim, p) for p in parts))
+        out.append((parts, den))
     return out

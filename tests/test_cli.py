@@ -318,6 +318,8 @@ MALFORMED = [
     ("verify", "bfun", "--poly", "x1^2+x2^3", "--b", "s", "--order", "1",
      "--xdeg", "1"),
     ("verify", "bfun", "--poly", "x1^2", "--b", "(s-1)"),
+    # a b-function constant with a zero denominator
+    ("verify", "bfun", "--poly", "x1^2", "--b", "(s+1)(s+1/0)"),
     ("ppd", "--input", "{}/root0.ann"),
     # dimensions below 1
     ("bounds", "--exponents", "1,1", "--alpha", "1", "--dim", "-3"),
@@ -410,20 +412,35 @@ def test_only_index_zero_names_dimension_one(capsys):
 
 
 def test_malformed_bfunction_is_a_parse_error(capsys, tmp_path):
-    # a b-function factor that does not parse, as an option and on the b:
-    # line of a .ann file, is a parse error at the factor's offset in the
-    # b-function text, not a violated hypothesis
+    # a b-function factor that does not parse, or whose constant has a zero
+    # denominator, is a parse error at the factor's offset in the
+    # b-function text, not a violated hypothesis; on the b: line of a .ann
+    # file the offset is in the file
     code = main(["verify", "bfun", "--poly", "x1^2", "--b", "(s+x)"])
     assert code == 2
     assert capsys.readouterr().err.strip().splitlines() == [
         "parse error: cannot parse b-function factor at '(s+x)' "
         "(at position 0)"]
+    code = main(["verify", "bfun", "--poly", "x1^2", "--b", "(s+1)(s+1/0)"])
+    assert code == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "parse error: zero denominator (at position 5)"]
     path = tmp_path / "bad_b.ann"
     path.write_text(NODE_ANN.replace("b: (s+1)^2", "b: (s+1)^2(s+q)"))
     assert main(["ppd", "--input", str(path), "--weight-only"]) == 2
     assert capsys.readouterr().err.strip().splitlines() == [
         "parse error: cannot parse b-function factor at '(s+q)' "
-        "(at position 7)"]
+        "(at position 88)"]
+
+
+def test_ann_value_error_is_at_its_file_offset(capsys, tmp_path):
+    # a sum that ends in an operator names the end of the text, at its
+    # offset in the file, not in the f: value
+    path = tmp_path / "open_sum.ann"
+    path.write_text("f: x1*x2 +\n" + NODE_ANN.split("\n", 2)[2])
+    assert main(["ppd", "--input", str(path), "--weight-only"]) == 2
+    assert capsys.readouterr() == (
+        "", "parse error: expected name, got end of input (at position 10)\n")
 
 
 def test_internal_check_failure_exits_4(capsys, monkeypatch):

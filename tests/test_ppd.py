@@ -25,6 +25,7 @@ from hwkit.weyl import (WeylOperator, basis_products, bounded_operator_basis,
                         window_packing)
 from hwkit.whom import QuasiHomogeneousGerm
 from test_cli import CUSP_RATIONAL_ANN, CUSP_TWISTED_ANN
+from test_weyl import syzygy_operators
 
 F = Fraction
 B = Bounds(order=4, xdeg=10, dt=6)
@@ -391,6 +392,23 @@ def test_header_errors_name_their_line():
         assert exc.value.position == len(text)
 
 
+@pytest.mark.parametrize("text,bad,shift", [
+    ("# the node\r\nf:  x1*x2 +\r\nE: x1*d1\nb: (s+1)\n", "x1*x2 +", 7),
+    ("f: x1*x2\nE: x1*q1\nb: (s+1)\n", "x1*q1", 3),
+    ("f: x1*x2\nE: x1*d1\x0calpha: 1/0\nb: (s+1)\n", "1/0", 0),
+    ("f: x1*x2\nE: x1*d1\nB:  (s+1)(s+1/0)\n", "(s+1)(s+1/0)", 5),
+    ("f: x1*x2\nE: x1*d1\nb: (s+1)^2 (s+q)\n", "(s+1)^2 (s+q)", 7),
+    ("f: x1*x2\nE: x1*d1\nb: (s+1)\n\n  x1*d1 - )  # no factor\n",
+     "x1*d1 - )", 8)])
+def test_value_errors_are_at_their_file_offset(text, bad, shift):
+    # an error inside a header value or a generator line was at its offset
+    # in that text; it is at its offset in the file, past comments, line
+    # ends and blanks
+    with pytest.raises(ParseError) as exc:
+        parse_annihilator_file(text, None)
+    assert exc.value.position == text.index(bad) + shift
+
+
 def test_weight_step_monotone_in_l():
     from hwkit.vforacle import presentation_contained
     inp = xy_input()
@@ -456,7 +474,8 @@ def test_syzygies_and_dependencies_are_w_homogeneous(name, monkeypatch):
             target_degrees = [_w_degrees(t, w) for t in targets]
             assert all(len(d) == 1 for d in target_degrees)
             for tup in out:
-                assert len({d + min(td) for p, td in zip(tup, target_degrees)
+                ops = syzygy_operators(tup, inp.dim)
+                assert len({d + min(td) for p, td in zip(ops, target_degrees)
                             for d in _w_degrees(p, w)}) == 1
         assert all(len(_w_degrees(u, w)) == 1 for u in elements)
 

@@ -306,9 +306,19 @@ def test_graded_basis_is_one_degree_of_the_full_basis(text, dim, bounds,
         graded_operator_basis(f, 1, -1, 0)
 
 
+def syzygy_operators(tup, dim):
+    """A syzygy_kernel tuple (parts, den) as the WeylOperators parts[i]/den,
+    after checking its integer form."""
+    parts, den = tup
+    assert type(den) is int and den > 0
+    assert all(type(c) is int and c for p in parts for c in p.values())
+    return [WeylOperator(dim, {key: Fraction(c, den) for key, c in p.items()})
+            for p in parts]
+
+
 def test_syzygy_symmetric_pair():
     x = WeylOperator.x(0, 1)
-    ker = syzygy_kernel([x, x], 0, 0)
+    ker = [syzygy_operators(t, 1) for t in syzygy_kernel([x, x], 0, 0)]
     assert any(t[0] == -t[1] and not t[0].is_zero() for t in ker)
 
 
@@ -316,7 +326,7 @@ def test_syzygy_d_and_one():
     ker = syzygy_kernel([WeylOperator.d(0, 1), WeylOperator.one(1)], 1, 1)
     # contains (1, -d1): P_0 = c, P_1 = -c*d1
     found = False
-    for p0, p1 in ker:
+    for p0, p1 in (syzygy_operators(t, 1) for t in ker):
         if not p0.is_zero() and total_order(p0) == 0:
             if p1 == weyl_mul(p0, WeylOperator.d(0, 1)).scale(-1):
                 found = True
@@ -399,6 +409,90 @@ def test_syzygy_check_makes_no_weyl_mul_call(monkeypatch):
     monkeypatch.setattr(weyl, "weyl_mul", counted)
     assert syzygy_kernel(targets, 2, 2)
     assert calls == []
+
+
+def commutative_d_step(terms, i):
+    """weyl._d_step without the a_i x^(a-e_i) term of d_i x^a: d_i
+    multiplied as if it commuted with x_i."""
+    out = {}
+    for (xe, de, sp), c in terms.items():
+        key = (xe, de[:i] + (de[i] + 1,) + de[i + 1:], sp)
+        out[key] = out.get(key, 0) + c
+    return out
+
+
+def test_syzygy_check_fires_on_a_corrupted_d_step(monkeypatch, capsys,
+                                                  tmp_path):
+    # the columns come from _d_step and the check from the Leibniz kernel,
+    # so a wrong column rule gives dependencies that the check rejects
+    monkeypatch.setattr(weyl, "_d_step", commutative_d_step)
+    targets = [op(t, 2) for t in SYZYGY_TARGETS]
+    with pytest.raises(InternalCheckFailed):
+        syzygy_kernel(targets, 2, 2)
+    monkeypatch.delenv("HWKIT_CACHE", raising=False)
+    (tmp_path / "node.ann").write_text(NODE_ANN)
+    code = main(["ppd", "--input", str(tmp_path / "node.ann"), "--l", "0",
+                 "--weight-only"])
+    assert code == 4
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "internal check failed: syzygy failed re-multiplication check"]
+
+
+def test_syzygy_check_expands_each_d_part_image_once(monkeypatch):
+    # the check multiplies each tuple through the images d^g * t, so at most
+    # one Leibniz product per (target, d-part), however many tuples use it
+    leibniz = []
+    real = weyl._mul_into
+
+    def counted(out, num_a, num_b, dim):
+        if any(any(de) for _, de, _ in num_a):
+            leibniz.append(num_a)
+        real(out, num_a, num_b, dim)
+
+    targets = [op(t, 2) for t in SYZYGY_TARGETS]
+    monkeypatch.setattr(weyl, "_mul_into", counted)
+    assert syzygy_kernel(targets, 2, 2)
+    d_parts = {g for _, g, _ in bounded_operator_basis(2, 2, 2)}
+    assert 0 < len(leibniz) <= len(targets) * len(d_parts)
+
+
+@st.composite
+def integer_operator_pairs(draw):
+    """A dimension 1..3 and two integer-term operators of it, with s-powers
+    up to 2 or none, and exponents up to 3; either may be empty."""
+    dim = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * dim)
+    keys = st.tuples(exps, exps, st.integers(0, draw(st.sampled_from([0, 2]))))
+    coeffs = st.integers(-9, 9).filter(bool)
+    return (dim, *(draw(st.dictionaries(keys, coeffs, max_size=4))
+                   for _ in range(2)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@example((3, {((1, 0, 2), (0, 2, 1), 2): 3, ((2, 1, 0), (0, 0, 0), 1): -2},
+          {((0, 3, 1), (1, 0, 0), 2): 5, ((1, 1, 1), (0, 0, 0), 0): 7}))
+@given(integer_operator_pairs())
+def test_d_part_route_equals_the_product(case):
+    # the syzygy check's route: P = sum_g X_g d^g with every X_g d-free, so
+    # P * t = sum_g X_g * (d^g * t); and a d-free left factor, which skips
+    # the Leibniz expansion, gives that expansion's product
+    dim, p, t = case
+    zero = (0,) * dim
+    d_free = {}
+    for (b, g, j), c in p.items():
+        d_free.setdefault(g, {})[(b, zero, j)] = c
+    got = {}
+    for g, x in d_free.items():
+        image = {}
+        weyl._mul_into(image, {(zero, g, 0): 1}, t, dim)
+        weyl._mul_into(got, x, image, dim)
+    assert {k: c for k, c in got.items() if c} == weyl_mul(
+        WeylOperator(dim, p), WeylOperator(dim, t)).terms
+    for x in d_free.values():
+        out = {}
+        weyl._mul_into(out, x, t, dim)
+        want = reference_weyl_mul(WeylOperator(dim, x), WeylOperator(dim, t))
+        assert {k: c for k, c in out.items() if c} == want
 
 
 def decoded_products(keys, t, packing):
