@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ParseError, PreconditionError
 from .exactalg import (Polynomial, WeightVector, fmt_rational, parse_rational,
@@ -249,8 +249,7 @@ def beta_factor(b: RootMultiset, alpha) -> RootMultiset:
     return RootMultiset(out)
 
 
-@dataclass(frozen=True)
-class PairClass:
+class PairClass(NamedTuple):
     lc: bool
     plt: bool
     klt: bool

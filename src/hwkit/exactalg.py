@@ -182,11 +182,14 @@ def tokenize(text: str):
     return tokens
 
 
-def parse_terms(text: str, allow: str):
-    """Parse a sum of products into [(coefficient, [(name, exponent), ...])].
+def parse_terms(text: str, allow: str, dim: int):
+    """Parse a sum of products into [(coefficient, [(kind, index,
+    exponent), ...])]: kind is a name's letter, index its variable's
+    0-based index (None for s).
 
     `allow` is a string of permitted factor kinds: 'x' for variables,
-    'd' for partials, 's' for the central parameter.  Grammar:
+    'd' for partials, 's' for the central parameter.  A variable index
+    outside 1..dim is a ParseError at the name.  Grammar:
       expr   := ['-'] term (('+'|'-') term)*
       term   := coeff ('*' factor)* | factor ('*' factor)*
       coeff  := int ('/' posint)?
@@ -212,11 +215,17 @@ def parse_terms(text: str, allow: str):
         name = tok[1]
         if name[0] not in allow:
             raise ParseError(f"{name!r} not allowed here", tok[2])
+        idx = None
+        if name != "s":
+            idx = int(name[1:]) - 1
+            if not 0 <= idx < dim:
+                raise ParseError(f"variable {name} out of range 1..{dim}",
+                                 tok[2])
         exp = 1
         if peek()[0] == "op" and peek()[1] == "^":
             take()
             exp = take("int")[1]
-        return (name, exp)
+        return (name[0], idx, exp)
 
     def parse_term():
         coeff = Fraction(1)
@@ -368,12 +377,9 @@ class Polynomial(SparseTerms):
     @classmethod
     def parse(cls, text: str, dim: int) -> "Polynomial":
         terms = {}
-        for coeff, factors in parse_terms(text, allow="x"):
+        for coeff, factors in parse_terms(text, "x", dim):
             exps = [0] * dim
-            for name, e in factors:
-                idx = int(name[1:]) - 1
-                if idx < 0 or idx >= dim:
-                    raise ParseError(f"variable {name} out of range 1..{dim}", 0)
+            for _, idx, e in factors:
                 exps[idx] += e
             key = tuple(exps)
             terms[key] = terms.get(key, Fraction(0)) + coeff

@@ -66,11 +66,13 @@ class Echelon:
     def _eliminate(self, vec: dict, comb: dict, den: int):
         """Reduce the integer vector vec/den fraction-free against the rows.
 
-        Each step multiplies vec, comb and den by m = pivot/g and subtracts
-        a/g times the row, and the row's companion from comb, where a is
-        vec's coefficient at the row's pivot and g = gcd(a, pivot); if m is
-        not 1 it then divides out the content the three share (without the
-        multiplication any common factor divides den, so sizes stay bounded).
+        Each step subtracts a/g times the row from vec, and the row's
+        companion from comb, where a is vec's coefficient at the row's pivot
+        p and g = gcd(a, p).  Unless g = p (always so at p = 1, where no gcd
+        is taken), it first multiplies vec, comb and den by m = p/g, and
+        after the subtraction divides out the content the three share
+        (without the multiplication any common factor divides den, so sizes
+        stay bounded).  An empty comb or companion is not walked.
         Returns the final (vec, comb, den):
         vec/den is the residual, and comb/den is the initial comb/den minus
         the carried combination of companions.
@@ -85,13 +87,16 @@ class Echelon:
                 return vec, comb, den
             row, p, companion = rows[pivot]
             a = vec[pivot]
-            g = gcd(a, p)
-            a //= g
-            m = p // g
-            if m != 1:
-                vec = {c: v * m for c, v in vec.items()}
-                comb = {c: v * m for c, v in comb.items()}
-                den *= m
+            m = 1
+            if p != 1:
+                g = gcd(a, p)
+                a //= g
+                m = p // g
+                if m != 1:
+                    vec = {c: v * m for c, v in vec.items()}
+                    if comb:
+                        comb = {c: v * m for c, v in comb.items()}
+                    den *= m
             # this loop is the package's hot path
             for c, v in row.items():
                 nv = vec.get(c, 0) - a * v
@@ -99,17 +104,19 @@ class Echelon:
                     vec[c] = nv
                 else:
                     vec.pop(c, None)
-            for c, v in companion.items():
-                nv = comb.get(c, 0) - a * v
-                if nv:
-                    comb[c] = nv
-                else:
-                    comb.pop(c, None)
+            if companion:
+                for c, v in companion.items():
+                    nv = comb.get(c, 0) - a * v
+                    if nv:
+                        comb[c] = nv
+                    else:
+                        comb.pop(c, None)
             if m != 1:
                 content = _content(den, vec, comb)
                 if content != 1:
                     vec = {c: v // content for c, v in vec.items()}
-                    comb = {c: v // content for c, v in comb.items()}
+                    if comb:
+                        comb = {c: v // content for c, v in comb.items()}
                     den //= content
 
     def reduce(self, vec: dict, den: int):
@@ -131,19 +138,23 @@ class Echelon:
         companions (a vector with no nonzero entry comes back as its
         companion).  The tuple is truthy even when the dependency is empty,
         so test `is None`."""
-        vec, comb, den = self._eliminate(dict(vec), dict(companion or {}),
-                                         den)
+        vec, comb, den = self._eliminate(
+            dict(vec), dict(companion) if companion else {}, den)
         if not vec:
             # comb/den is companion minus the carried combination
             return comb, den
         pivot = max(vec)
-        content = _content(0, vec, comb)
-        if vec[pivot] < 0:
-            content = -content
-        if content != 1:
-            vec = {c: v // content for c, v in vec.items()}
-            comb = {c: v // content for c, v in comb.items()}
-        self._rows[pivot] = (vec, vec[pivot], comb)
+        lead = vec[pivot]
+        # a leading 1 makes the content 1
+        if lead != 1:
+            content = _content(0, vec, comb)
+            if lead < 0:
+                content = -content
+            if content != 1:
+                vec = {c: v // content for c, v in vec.items()}
+                comb = {c: v // content for c, v in comb.items()}
+                lead = vec[pivot]
+        self._rows[pivot] = (vec, lead, comb)
         return None
 
 

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
+from typing import NamedTuple
 
 from .errors import DimensionMismatch, InternalCheckFailed, PreconditionError
 from .exactalg import (Polynomial, combine_terms, fmt_rational,
@@ -31,8 +32,7 @@ from .weyl import (KeyPacking, ShiftTable, WeylOperator, apply_to_twisted,
 from .whom import QuasiHomogeneousGerm, whom_hodge_weight
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(NamedTuple):
     """Truncation window: operator order, x-degree, dt-layer order.  No
     field has a default: the CLI or the caller sets all three."""
 

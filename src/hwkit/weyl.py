@@ -4,13 +4,13 @@ Operators are kept in normal order (x-factors left of d-factors, s central)
 as sparse dicts keyed by (x exponents, d exponents, s power).  The module
 also provides the action of operators on the powers f^(s+m), in integer
 layers over the integer numerator of f (`apply_to_twisted`), bounded
-operator bases and their images (one d-step per d-part, see
-`d_part_images`), and bounded-degree syzygy kernels computed by exact
-linear algebra, returned in integer numerators and certified by
+operator bases and their images (one packed `KeyPacking.d_step` per
+d-part, see `d_part_images`), and bounded-degree syzygy kernels computed by
+exact linear algebra, returned in integer numerators and certified by
 re-multiplication through the Leibniz images d^g * t, independently of the
-d-steps of the columns.  `KeyPacking` decides
-every elimination coordinate of the package, and a `ShiftTable` serves the
-window spans of a job their shift sets.
+d-steps of the columns.  `KeyPacking` decides every elimination coordinate
+of the package, and a `ShiftTable` serves the window spans of a job their
+shift sets.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import comb, lcm, perm
 from operator import mul
 
-from .errors import DimensionMismatch, InternalCheckFailed, ParseError
+from .errors import DimensionMismatch, InternalCheckFailed
 from .exactalg import (Polynomial, SparseTerms, combine_terms, integer_terms,
                        mono_mul, monomials_of_degree, monomials_upto_degree,
                        mul_terms, parse_terms, partial_terms, power_factors)
@@ -86,16 +86,13 @@ class WeylOperator(SparseTerms):
     def parse(cls, text: str, dim: int) -> "WeylOperator":
         """Parse the operator grammar and normal-order the result."""
         out = cls.zero(dim)
-        for coeff, factors in parse_terms(text, allow="xds"):
+        for coeff, factors in parse_terms(text, "xds", dim):
             term = cls.constant(dim, coeff)
-            for name, e in factors:
-                if name == "s":
+            for kind, idx, e in factors:
+                if kind == "s":
                     fac = cls.s(dim)
                 else:
-                    idx = int(name[1:]) - 1
-                    if idx < 0 or idx >= dim:
-                        raise ParseError(f"index in {name} out of range 1..{dim}", 0)
-                    fac = cls.x(idx, dim) if name[0] == "x" else cls.d(idx, dim)
+                    fac = cls.x(idx, dim) if kind == "x" else cls.d(idx, dim)
                 for _ in range(e):
                     term = term * fac
             out = out + term
@@ -335,20 +332,6 @@ def d_part_images(d_parts, start, step) -> dict:
     return images
 
 
-def _d_step(terms: dict, i: int) -> dict:
-    """Terms of d_i * t for the normal-ordered terms of t:
-    d_i x^a d^e s^k = x^a d^(e+e_i) s^k + a_i x^(a-e_i) d^e s^k."""
-    out = {}
-    for (xe, de, sp), c in terms.items():
-        key = (xe, de[:i] + (de[i] + 1,) + de[i + 1:], sp)
-        out[key] = out[key] + c if key in out else c
-        if xe[i]:
-            key = (xe[:i] + (xe[i] - 1,) + xe[i + 1:], de, sp)
-            c2 = xe[i] * c
-            out[key] = out[key] + c2 if key in out else c2
-    return {k: c for k, c in out.items() if c}
-
-
 class KeyPacking:
     """Operator keys (x exponents, d exponents, s power) packed into ints.
 
@@ -368,9 +351,13 @@ class KeyPacking:
     by i is adding `i * top + shift(b, 0)`.  The x-monomials of a
     twisted-module window are layer 0.  Callers size the radix so that no
     shifted exponent reaches it.
+
+    `d_step` applies d_i to packed terms without unpacking them: d_i x^a =
+    x^a d_i + a_i x^(a - e_i) adds the d_i place to a code, and subtracts
+    the x_i place from it with a_i, its x_i digit, as a factor.
     """
 
-    __slots__ = ("dim", "radix", "reach", "top", "_xplaces")
+    __slots__ = ("dim", "radix", "reach", "top", "_xplaces", "_dplaces")
 
     def __init__(self, dim: int, radix: int, reach: int):
         self.dim = dim
@@ -378,6 +365,7 @@ class KeyPacking:
         self.reach = reach
         self.top = radix ** (2 * dim + 1)
         self._xplaces = tuple(radix ** (2 * dim - i) for i in range(dim))
+        self._dplaces = tuple(radix ** (dim - i) for i in range(dim))
 
     def pack(self, key: Key) -> int:
         xe, de, sp = key
@@ -424,6 +412,22 @@ class KeyPacking:
             raise InternalCheckFailed(
                 f"operator exponents reach the packing radix {self.radix}")
         return {self.pack(key): c for key, c in terms.items()}
+
+    def d_step(self, terms: dict, i: int) -> dict:
+        """The packed terms of d_i * t for the packed normal-ordered terms
+        of t, none zero: d_i x^a d^e s^k = x^a d^(e+e_i) s^k + a_i
+        x^(a-e_i) d^e s^k.  The caller keeps every d_i digit of the result
+        below the radix; an x digit only falls, and only when it is not 0."""
+        dplace, xplace, radix = self._dplaces[i], self._xplaces[i], self.radix
+        out = {}
+        for code, c in terms.items():
+            key = code + dplace
+            out[key] = out[key] + c if key in out else c
+            a = code // xplace % radix
+            if a:
+                key = code - xplace
+                out[key] = out[key] + a * c if key in out else a * c
+        return {k: c for k, c in out.items() if c}
 
 
 class ShiftTable:
@@ -480,25 +484,43 @@ def basis_products(keys, t: WeylOperator, packing: KeyPacking):
     weyl_mul(x^b d^g s^j, t) as integer numerators over den, keyed by
     `packing`.  In normal order x^b and the central s^j stand left of
     d^g * t, so each product is the image d^g * t with every key shifted by
-    (b, j): t is scaled to integers once, each image is packed once, and a
-    product costs one int addition per term."""
-    if packing.dim != t.dim:
+    (b, j).  t is scaled to integers and packed once (`pack_image` checks
+    its x and s reach), and the images are built from it in packed ints,
+    one `packing.d_step` per d-part; a product costs one int addition per
+    term.  Only a key that brings a new x-part or d-part is checked in
+    full; any other key has only its s-power compared with the reach.
+    Before any image is built, each d exponent of t, raised by the largest
+    g_i, is checked against the radix."""
+    dim, reach = t.dim, packing.reach
+    if packing.dim != dim:
         raise DimensionMismatch(f"packing of dimension {packing.dim} vs "
-                                f"{t.dim}")
+                                f"{dim}")
+    shifts, d_parts = {}, {}
     for b, g, j in keys:
-        if len(b) != t.dim or len(g) != t.dim:
-            raise DimensionMismatch(f"key ({b},{g}) vs dimension {t.dim}")
-        if max(*b, j) > packing.reach:
+        top = j
+        if b not in shifts or g not in d_parts:
+            if len(b) != dim or len(g) != dim:
+                raise DimensionMismatch(f"key ({b},{g}) vs dimension {dim}")
+            shifts[b] = packing.shift(b, 0)
+            d_parts[g] = None
+            top = max(*b, j)
+        if top > reach:
             raise InternalCheckFailed(f"key ({b},{g},{j}) shifts beyond the "
-                                      f"packing's reach {packing.reach}")
+                                      f"packing's reach {reach}")
     num, den = integer_terms(t.terms)
-    d_parts = {g for _, g, _ in keys}
-    images = d_part_images(d_parts, num, _d_step)
-    packed = {g: packing.pack_image(images[g]) for g in d_parts}
+    if not d_parts:
+        return [], den
+    for i in range(dim):
+        if (max(g[i] for g in d_parts)
+                + max((de[i] for _, de, _ in num), default=0)
+                >= packing.radix):
+            raise InternalCheckFailed(
+                f"operator exponents reach the packing radix {packing.radix}")
+    images = d_part_images(d_parts, packing.pack_image(num), packing.d_step)
     columns = []
     for b, g, j in keys:
-        shift = packing.shift(b, j)
-        columns.append({code + shift: c for code, c in packed[g].items()})
+        shift = shifts[b] + j
+        columns.append({code + shift: c for code, c in images[g].items()})
     return columns, den
 
 

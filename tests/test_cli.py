@@ -411,6 +411,22 @@ def test_only_index_zero_names_dimension_one(capsys):
         "parse error: variable x0 out of range 1..1 (at position 0)"]
 
 
+def test_out_of_range_variable_is_at_its_position(capsys, tmp_path):
+    # an index outside 1..dim is reported at the variable, in one wording
+    # for polynomials and operators; in an .ann file, at its file offset
+    code = main(["verify", "bfun", "--poly", "x1^2+x3", "--dim", "2",
+                 "--b", "(s+1)"])
+    assert code == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "parse error: variable x3 out of range 1..2 (at position 5)"]
+    path = tmp_path / "node.ann"
+    path.write_text(NODE_ANN.replace("x1*d1 - x2*d2", "x1*d1 - x2*d3"))
+    code = main(["ppd", "--input", str(path), "--dim", "2", "--weight-only"])
+    assert code == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "parse error: variable d3 out of range 1..2 (at position 109)"]
+
+
 def test_malformed_bfunction_is_a_parse_error(capsys, tmp_path):
     # a b-function factor that does not parse, or whose constant has a zero
     # denominator, is a parse error at the factor's offset in the

@@ -257,27 +257,32 @@ RATIONALS = st.one_of(
     st.integers(-9, 9),
     st.builds(F, st.integers(-10**15, 10**15), BIG_DENOMINATORS),
 ).filter(bool)
-VECTORS = st.dictionaries(st.integers(0, 7), RATIONALS, max_size=5)
-COMPANIONS = st.one_of(
-    st.none(), st.dictionaries(st.sampled_from("abcd"), RATIONALS, max_size=3))
+# entries that make unit pivots, pivots that divide the entry they clear and
+# leading entries of -1 common
+UNITS = st.sampled_from([-2, -1, 1, 2, 4])
 
 
 @st.composite
 def systems(draw):
-    """Columns with companions, some columns dependent on earlier ones, and
-    probe vectors, some of them in the span."""
+    """Columns with companions (absent, empty or not), some columns
+    dependent on earlier ones, and probe vectors, some of them in the span;
+    the entries of one system are all drawn from RATIONALS or all from
+    UNITS."""
+    entries = draw(st.sampled_from([RATIONALS, UNITS]))
+    vectors = st.dictionaries(st.integers(0, 7), entries, max_size=5)
     cols = []
     for _ in range(draw(st.integers(1, 10))):
         if cols and draw(st.booleans()):
             picks = draw(st.lists(st.sampled_from(cols), min_size=1,
                                   max_size=3))
-            cols.append(combine({i: draw(RATIONALS)
+            cols.append(combine({i: draw(entries)
                                  for i in range(len(picks))}, picks))
         else:
-            cols.append(draw(VECTORS))
-    comps = [draw(COMPANIONS) for _ in cols]
-    probes = draw(st.lists(VECTORS, max_size=3))
-    probes.append(combine({i: draw(RATIONALS) for i in range(len(cols))}, cols))
+            cols.append(draw(vectors))
+    comps = [draw(st.one_of(st.none(), st.dictionaries(
+        st.sampled_from("abcd"), entries, max_size=3))) for _ in cols]
+    probes = draw(st.lists(vectors, max_size=3))
+    probes.append(combine({i: draw(entries) for i in range(len(cols))}, cols))
     return cols, comps, probes
 
 
@@ -285,6 +290,12 @@ def systems(draw):
 @example(  # a negative pivot coefficient, a big denominator, a companion
     ([{0: F(1, 2**61 - 1), 3: -2}, {3: F(-4, 3)}, {0: 5, 3: 7}],
      [{"a": F(1, 3)}, None, {"b": -1}], [{3: 1, 5: F(1, 7)}]))
+@example(  # unit pivots, a pivot 2 that divides the entry 4, leading
+    # entries -1 and -2, inserts with no, an empty and a nonempty companion
+    ([{1: 1, 0: 2}, {1: 3, 0: 1}, {2: 2, 0: 1}, {2: 4, 1: 1, 0: 3},
+      {3: -1, 0: 2}, {3: -2, 1: 4}, {3: 1, 2: 2}],
+     [None, {"a": 1}, {}, None, {"b": 2}, None, {"c": -1}],
+     [{3: 2, 2: 4, 1: 1}]))
 @given(systems())
 def test_echelon_matches_fraction_reference(system):
     cols, comps, probes = system

@@ -411,21 +411,24 @@ def test_syzygy_check_makes_no_weyl_mul_call(monkeypatch):
     assert calls == []
 
 
-def commutative_d_step(terms, i):
-    """weyl._d_step without the a_i x^(a-e_i) term of d_i x^a: d_i
-    multiplied as if it commuted with x_i."""
+def commutative_d_step(packing, terms, i):
+    """KeyPacking.d_step without the a_i x^(a-e_i) term of d_i x^a: d_i
+    multiplied as if it commuted with x_i, so each packed code only gains
+    the packed key of d_i."""
+    e_i = tuple(int(k == i) for k in range(packing.dim))
+    place = packing.pack(((0,) * packing.dim, e_i, 0))
     out = {}
-    for (xe, de, sp), c in terms.items():
-        key = (xe, de[:i] + (de[i] + 1,) + de[i + 1:], sp)
-        out[key] = out.get(key, 0) + c
+    for code, c in terms.items():
+        out[code + place] = out.get(code + place, 0) + c
     return out
 
 
 def test_syzygy_check_fires_on_a_corrupted_d_step(monkeypatch, capsys,
                                                   tmp_path):
-    # the columns come from _d_step and the check from the Leibniz kernel,
-    # so a wrong column rule gives dependencies that the check rejects
-    monkeypatch.setattr(weyl, "_d_step", commutative_d_step)
+    # the columns come from the packed KeyPacking.d_step and the check from
+    # the Leibniz kernel, so a wrong column rule gives dependencies that the
+    # check rejects
+    monkeypatch.setattr(KeyPacking, "d_step", commutative_d_step)
     targets = [op(t, 2) for t in SYZYGY_TARGETS]
     with pytest.raises(InternalCheckFailed):
         syzygy_kernel(targets, 2, 2)
@@ -525,6 +528,30 @@ def test_basis_products_equal_weyl_mul(dim, with_s):
     assert basis_products(keys, t, packing)[1] == 12
     assert decoded_products(keys, t, packing) == [
         weyl_mul(WeylOperator(dim, {key: 1}), t).terms for key in keys]
+    # at the smallest radix window_packing allows, the d digits of the
+    # deepest images reach radix - 1 and the x digits are stepped down to
+    # 0, so a carry or a borrow in the packed d-step would show; one less
+    # is refused
+    one, zero = (1,) + (0,) * (dim - 1), (0,) * dim
+    t = WeylOperator(dim, {((2,) * dim, (2,) * dim, int(with_s)): 1,
+                           (zero, (1,) * dim, 0): -3, (one, zero, 0): 5})
+    packing = window_packing([t], order, xdeg, s_bound)
+    assert packing.radix == 3 + order
+    assert max(de[0] for col in decoded_products(keys, t, packing)
+               for _, de, _ in col) == packing.radix - 1
+    assert decoded_products(keys, t, packing) == [
+        weyl_mul(WeylOperator(dim, {key: 1}), t).terms for key in keys]
+    with pytest.raises(InternalCheckFailed):
+        basis_products(keys, t, KeyPacking(dim, packing.radix - 1,
+                                           packing.reach))
+
+
+def test_basis_products_of_no_keys():
+    # _kept_keys may keep no product of a generator: there is no image to
+    # check or build, and the denominator is still t's
+    t = op("1/2*x1*d1 + 1/3*d2^4", 2)
+    assert basis_products([], t, window_packing([t], 1, 1)) == ([], 6)
+    assert basis_products([], t, KeyPacking(2, 2, 0)) == ([], 6)
 
 
 def test_d_part_images_one_step_per_d_part():
@@ -601,6 +628,23 @@ def test_basis_products_refuse_a_radix_that_aliases():
     with pytest.raises(InternalCheckFailed):
         basis_products(bounded_operator_basis(1, 3, 0), op("d1^2", 1),
                        KeyPacking(1, 5, 0))
+
+
+def test_basis_products_bound_each_d_exponent_per_variable():
+    # radix 5, reach 1: t = d2^2 packs, and every key's x-part and s-power
+    # stays within reach, but d^(0,3) * t = d2^5 would alias d1 at the
+    # next digit; the bound is per variable, so t = d1^2 under the same
+    # keys (top d-exponent 2 + 0 and 0 + 3) is built, and exactly
+    packing = KeyPacking(2, 5, 1)
+    zero = (0, 0)
+    assert packing.pack((zero, (0, 5), 0)) == packing.pack((zero, (1, 0), 0))
+    keys = [k for k in bounded_operator_basis(2, 3, 1) if not k[1][0]]
+    assert max(k[1][1] for k in keys) == 3
+    with pytest.raises(InternalCheckFailed):
+        basis_products(keys, op("d2^2", 2), packing)
+    t = op("d1^2", 2)
+    assert decoded_products(keys, t, packing) == [
+        weyl_mul(WeylOperator(2, {key: 1}), t).terms for key in keys]
 
 
 @st.composite
