@@ -427,6 +427,9 @@ def cmd_crosscheck(args) -> int:
 
 
 def cmd_ppd(args) -> int:
+    if args.weight_only and (args.k or args.interval21):
+        raise PreconditionError("--weight-only computes no Hodge step: it "
+                                "takes no --k or --interval21")
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()

@@ -15,18 +15,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, lcm
-from operator import sub
+from operator import ge, sub
 from typing import NamedTuple
 
 from .bsdata import BFunction, RootMultiset, beta_factor, roots_in_interval
 from .errors import (InconclusiveAtBound, InternalCheckFailed, ParseError,
                      PreconditionError)
-from .exactalg import (Polynomial, fmt_rational, infer_dim, integer_terms,
-                       mono_mul, monomials_upto_degree, parse_rational)
+from .exactalg import (Polynomial, combine_terms, fmt_rational, infer_dim,
+                       integer_terms, mono_mul, monomials_upto_degree,
+                       parse_rational)
 from .linalg import Echelon, nullspace
 from .snc import HodgePresentation
 from .vforacle import Bounds, clear_to_pole, pole_apply, reduce_presentation
-from .weyl import (KeyPacking, WeylOperator, apply_to_twisted,
+from .weyl import (KeyPacking, WeylOperator, _mul_into, apply_to_twisted,
                    basis_products, bounded_operator_basis,
                    grlex_operator_key, syzygy_kernel, weyl_mul,
                    window_packing)
@@ -266,8 +267,8 @@ def _kept_keys(gens, window) -> list:
     nonzero generator under grlex_operator_key, the order of those keys,
     and a < b, two relations skip columns:
 
-    - g_b = P * g_a for a monomial P (one weyl_mul confirms it): m * g_b is
-      (m * P) * g_a, columns of g_a, when m + P lies in the window;
+    - g_b = P * g_a for a monomial P: m * g_b is (m * P) * g_a, columns of
+      g_a, when m + P lies in the window;
     - g_a * g_b - g_b * g_a = c with c = 0 or c = q * g_i for a scalar q
       and i <= b: for m = LT(g_a) + m'', m'' g_a g_b = m'' g_b g_a + q m'' g_i
       writes m * g_b by columns of g_a, by the column m'' * g_i and by the
@@ -275,11 +276,14 @@ def _kept_keys(gens, window) -> list:
       reach (x-degree, |d| + s, s) of g_a and of g_b lies in the window (c
       is nonzero only for g_a not constant, so m'' comes before m).
 
-    A check costs about as many term products as columns it could skip
-    (|g_a| for P * g_a, 2 |g_a| |g_b| for c), so it is made only when it
-    would skip at least that many columns not skipped yet.  A zero generator gives no
-    relation and gets none.  Keys are compared as ints packed in radix
-    max(window) + 1, so a shift is an int addition."""
+    The checks run on the generators' integer terms, read once, through
+    weyl's product kernel `_mul_into`; a scalar multiple is found by
+    cross-multiplying at the leading key.  A check costs about as many term
+    products as columns it could skip (|g_a| for P * g_a, 2 |g_a| |g_b| for
+    c), so it is made only when it would skip at least that many columns
+    not skipped yet, and a P whose reach is >= that of a P taken skips none.
+    A zero generator gives no relation and gets none.  Keys are compared as
+    ints packed in radix max(window) + 1, so a shift is an int addition."""
     order, xdeg, s_bound = window
     dim = gens[0].dim
     keys = bounded_operator_basis(dim, order, xdeg, s_bound)
@@ -291,8 +295,10 @@ def _kept_keys(gens, window) -> list:
     gjs = {(g, j): (sum(g) + j, j, pack((one, g, j)))
            for g in monomials_upto_degree(dim, order)
            for j in range(min(s_bound, order - sum(g)) + 1)}
-    lead = [max(g.terms, key=grlex_operator_key, default=None) for g in gens]
-    reach = [_reach(g.terms) for g in gens]
+    nums = [integer_terms(g.terms)[0] for g in gens]
+    lead = [max(num, key=grlex_operator_key, default=None) for num in nums]
+    flat = [lt and (*lt[0], *lt[1], lt[2]) for lt in lead]
+    reach = [_reach(num) for num in nums]
 
     def size(r):
         """The number of keys m'' with m'' + r in the window."""
@@ -300,43 +306,50 @@ def _kept_keys(gens, window) -> list:
         return comb(x + dim, dim) * sum(comb(o - j + dim, dim) for j in
                                         range(min(o, s) + 1)) if x >= 0 else 0
 
+    @functools.cache  # lives for this call: one set per shift and reach
     def skipped(shift, r):
         """The packed keys shift + m'' with m'' + r in the window."""
         x, o, s, base = xdeg - r[0], order - r[1], s_bound - r[2], pack(shift)
         gc = [base + c for oj, j, c in gjs.values() if oj <= o and j <= s]
         return {u + v for d, u in xs.values() if d <= x for v in gc}
 
+    def multiple(u, key, cu, i):
+        """Whether u, zeros dropped, is cu / nums[i][key] times nums[i]."""
+        return ({k: v * nums[i][key] for k, v in u.items() if v}
+                == {k: v * cu for k, v in nums[i].items()})
+
     codes = [xs[x][1] + gjs[g, j][2] for x, g, j in keys]
     room = [size(r) for r in reach]  # size(r) <= room[a] for r >= reach[a]
     out = []
-    for b, gb in enumerate(gens):
-        lb, skip = lead[b], set()
+    for b, nb in enumerate(nums):
+        lb, skip, taken = lead[b], set(), []
         earlier = [a for a in range(b) if lead[a] and lb]
-        # the P of smallest reach first, since it skips the most columns
+        # the P of smallest reach first, since it skips the most columns; p
+        # is the key of P as one flat vector (x, d, then s exponents)
         for rp, p, a in sorted(
-                (_reach([p]), p, a) for a in earlier
-                for p in [(tuple(map(sub, lb[0], lead[a][0])),
-                           tuple(map(sub, lb[1], lead[a][1])),
-                           lb[2] - lead[a][2])]
-                if min(*p[0], *p[1], p[2]) >= 0):
-            ga, new = gens[a], skipped((one, one, 0), rp) - skip
-            if len(new) >= len(ga.terms) and weyl_mul(WeylOperator(
-                    dim, {p: gb.terms[lb] / ga.terms[lead[a]]}), ga) == gb:
+                ((sum(p[:dim]), sum(p[dim:]), p[-1]), p, a) for a in earlier
+                for p in [tuple(map(sub, flat[b], flat[a]))] if min(p) >= 0):
+            if any(all(map(ge, rp, rq)) for rq in taken) or len(
+                    new := skipped((one, one, 0), rp) - skip) < len(nums[a]):
+                continue
+            # P * g_a = g_b for P = LC(g_b) / LC(g_a) times the monomial p
+            if multiple(_mul_into({}, {(p[:dim], p[dim:-1], p[-1]): 1},
+                                  nums[a], dim), lb, nums[a][lead[a]], b):
                 skip |= new
+                taken.append(rp)
         for a in earlier:
-            ga = gens[a]
-            cost = 2 * len(ga.terms) * len(gb.terms)
+            na = nums[a]
+            cost = 2 * len(na) * len(nb)
             if min(room[a], room[b]) < cost:
                 continue
             r = tuple(map(max, reach[a], reach[b]))
             if size(r) < cost or len(new := skipped(lead[a], r) - skip) < cost:
                 continue
-            c = weyl_mul(ga, gb) - weyl_mul(gb, ga)
-            lc = max(c.terms, key=grlex_operator_key, default=None)
-            if not lc or any(
-                    lead[i] == lc and c == gens[i].scale(
-                        c.terms[lc] / gens[i].terms[lc])
-                    for i in range(b + 1)):
+            c = combine_terms(_mul_into({}, na, nb, dim), 1,
+                              _mul_into({}, nb, na, dim), -1)
+            lc = max(c, key=grlex_operator_key, default=None)
+            if not c or any(lead[i] == lc and multiple(c, lc, c[lc], i)
+                            for i in range(b + 1)):
                 skip |= new
         out.append([m for m, c in zip(keys, codes) if c not in skip]
                    if skip else keys)

@@ -21,8 +21,8 @@ from operator import mul
 
 from .errors import DimensionMismatch, InternalCheckFailed
 from .exactalg import (Polynomial, SparseTerms, combine_terms, integer_terms,
-                       mono_mul, monomials_of_degree, monomials_upto_degree,
-                       mul_terms, parse_terms, partial_terms, power_factors)
+                       mono_mul, monomials_of_degree, mul_terms, parse_terms,
+                       partial_terms, power_factors)
 from .linalg import nullspace
 
 Key = tuple  # (xExponents, dExponents, sPower)
@@ -30,7 +30,7 @@ Key = tuple  # (xExponents, dExponents, sPower)
 
 def grlex_operator_key(key: Key) -> tuple:
     """The grlex order of operator keys (b, g, j): total degree |b| + |g| +
-    j, then the key; printing, bounded bases and ppd's rules read it."""
+    j, then the key; printing, ppd's rules and the bounded bases follow it."""
     return sum(key[0]) + sum(key[1]) + key[2], key
 
 
@@ -151,10 +151,10 @@ def weyl_mul(a: WeylOperator, b: WeylOperator) -> WeylOperator:
 
 def _mul_into(out: dict, num_a: dict, num_b: dict, dim: int):
     """Add the normal-ordered product of the integer terms num_a and num_b
-    into the int dict out.  Per variable, d^c x^b expands by Leibniz:
-    d^c x^b = sum_k C(c,k) * b!/(b-k)! * x^(b-k) d^(c-k).  A term of num_a
-    with no d-part times a normal-ordered term is already normal-ordered,
-    so its products only add exponents."""
+    into the int dict out, and return out.  Per variable, d^c x^b expands
+    by Leibniz: d^c x^b = sum_k C(c,k) * b!/(b-k)! * x^(b-k) d^(c-k).  A
+    term of num_a with no d-part times a normal-ordered term is already
+    normal-ordered, so its products only add exponents."""
     for (xa, da, sa), ca in num_a.items():
         if not any(da):
             for (xb, db, sb), cb in num_b.items():
@@ -186,6 +186,7 @@ def _mul_into(out: dict, num_a: dict, num_b: dict, dim: int):
                     dk[i] -= k
                 key = (tuple(xk), tuple(dk), sp)
                 out[key] = out.get(key, 0) + coeff
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +258,9 @@ def _add_into(acc: dict, terms: dict):
 
 def bounded_operator_basis(dim: int, order_bound: int, xdeg_bound: int,
                            s_bound: int = 0) -> list:
-    """Keys (b, g, j) of the monomial operators x^b d^g s^j with
-    |g|+j <= order_bound, |b| <= xdeg_bound and j <= s_bound, in graded-lex
-    order.  s_bound = 0 gives the s-free basis."""
+    """Keys (b, g, j) of x^b d^g s^j with |g|+j <= order_bound, |b| <=
+    xdeg_bound and j <= s_bound, walked in grlex_operator_key order with no
+    sort (_graded_keys).  s_bound = 0 gives the s-free basis."""
     return _graded_keys(dim, [], order_bound, xdeg_bound, s_bound)
 
 
@@ -290,24 +291,26 @@ def graded_operator_basis(f: Polynomial, order_bound: int, xdeg_bound: int,
 
 def _graded_keys(dim, grading, order_bound, xdeg_bound, s_bound) -> list:
     """The bounded basis keys (b, g, j) with w.(b - g) = -deg for every
-    (w, deg) of grading: x-monomials are bucketed once by grade vector, and
-    each d-part g looks up the bucket grade(g) - deg."""
+    (w, deg) of grading, in grlex order with no sort: each b, in lex order,
+    files its (g, j) bucket, grade(g) - deg = grade(b), by |b| + |g| + j.
+    Lex walks: monomials_of_degree(dim + 1, n), last exponent dropped."""
     if min(order_bound, xdeg_bound, s_bound) < 0:
         raise ValueError("bounds must be non-negative")
 
-    def grade(m):
-        return tuple(sum(wi * e for wi, e in zip(w, m)) for w, _ in grading)
-
-    buckets = {}
-    for b in monomials_upto_degree(dim, xdeg_bound):
-        buckets.setdefault(grade(b), []).append(b)
-    keys = [(b, g, j)
-            for g in monomials_upto_degree(dim, order_bound)
-            for b in buckets.get(tuple(
-                d - deg for d, (_, deg) in zip(grade(g), grading)), ())
-            for j in range(min(s_bound, order_bound - sum(g)) + 1)]
-    keys.sort(key=grlex_operator_key)
-    return keys
+    parts = {}  # grade(g) - deg -> {|g| + j: [(g, j) in lex order]}
+    for m in monomials_of_degree(dim + 1, order_bound):
+        g, r = m[:-1], order_bound - m[-1]
+        by_r = parts.setdefault(tuple(sum(map(mul, w, g)) - deg
+                                      for w, deg in grading), {})
+        for j in range(min(s_bound, order_bound - r) + 1):
+            by_r.setdefault(r + j, []).append((g, j))
+    rows = [[] for _ in range(xdeg_bound + order_bound + 1)]
+    for m in monomials_of_degree(dim + 1, xdeg_bound):
+        b, nb = m[:-1], xdeg_bound - m[-1]
+        for r, gjs in parts.get(tuple(sum(map(mul, w, b))
+                                      for w, _ in grading), {}).items():
+            rows[nb + r].append((b, gjs))
+    return [(b, g, j) for row in rows for b, gjs in row for g, j in gjs]
 
 
 def d_part_images(d_parts, start, step) -> dict:

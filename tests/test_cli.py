@@ -213,6 +213,26 @@ def test_ppd_refuses_a_field_that_does_not_fix_f(capsys, tmp_path):
         "", "hypothesis violated: f is Euler homogeneous\n")
 
 
+def test_ppd_weight_only_refuses_hodge_options_before_the_cache(
+        capsys, monkeypatch, tmp_path):
+    # --weight-only computes no Hodge step, so a --k above 0 or
+    # --interval21 beside it changed only the payload and the cache key;
+    # such a call exits 2 before any cached envelope is looked up
+    def unexpected(*args):
+        raise AssertionError("cached_run called")
+
+    monkeypatch.setattr(cli, "cached_run", unexpected)
+    path = tmp_path / "node.ann"
+    path.write_text(NODE_ANN)
+    for options in (["--k", "2", "--interval21"], ["--k", "1"],
+                    ["--interval21"]):
+        assert main(["ppd", "--input", str(path), "--l", "0",
+                     "--weight-only", *options]) == 2
+        assert capsys.readouterr() == (
+            "", "hypothesis violated: --weight-only computes no Hodge step: "
+            "it takes no --k or --interval21\n")
+
+
 def test_ppd_header_contract_exits_2_before_any_work(capsys, monkeypatch,
                                                     tmp_path):
     # pp: ture was read as false, so --weight-only exited 0 without the
@@ -365,6 +385,9 @@ MALFORMED = [
     CROSS + ("--source", "snc", "--exponents", "1,1", "--dim", "3"),
     # an option of another verb
     ("ppd", "--input", "{}/node.ann", "--dtord", "6"),
+    # a Hodge step option beside --weight-only, which computes none
+    ("ppd", "--input", "{}/node.ann", "--l", "0", "--k", "2",
+     "--weight-only", "--interval21"),
     # a pp: value that is not true/false, 1/0 or yes/no, and a repeated
     # header
     ("ppd", "--input", "{}/ture.ann", "--weight-only"),
@@ -886,7 +909,7 @@ ONE_VERB = [
      "5/6"),
     ("bounds", "--poly", "x1*x2", "--alpha", "1", "--l", "1"),
     CROSS + ("--source", "snc", "--exponents", "1,1", "--dtord", "2"),
-    ("ppd", "--input", "node.ann", "--k", "1", "--weight-only"),
+    ("ppd", "--input", "node.ann", "--l", "1", "--weight-only"),
     ("suite", "--profile", "starved"),
 ]
 

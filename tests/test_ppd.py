@@ -1,12 +1,13 @@
 import functools
 import pathlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hwkit import ppd
+from hwkit import ppd, weyl
 from hwkit.bsdata import bfunction_snc, bfunction_whom_isolated
 from hwkit.errors import (DimensionMismatch, InternalCheckFailed, ParseError,
                           PreconditionError)
@@ -587,3 +588,113 @@ def test_node_w0_span_inserts_only_kept_columns(monkeypatch):
     w0 = w0_span(parse_annihilator_file(GRADED_ANN["node"], None), 0, B)
     assert len(inserts) <= 5312
     assert len(w0.span.basis()) == 5109
+
+
+# the number of keys _kept_keys keeps at each site of _pruned_sites, summed
+# over the generators: a rule that prunes less leaves every span and
+# envelope as it is, so only these counts show the lost saving
+KEPT_AT_SITES = {
+    "cusp": [1708, 1483],
+    "cusp_rational": [1843, 1708],
+    "cusp_twisted": [1843, 1708],
+    "node": [1553, 1240, 2440],
+    "sl2": [1338, 1297, 13846],
+    "snc3": [1591, 1392, 8060],
+    "triple": [1843, 1483],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRUNED_INPUTS))
+def test_relations_keep_the_pinned_number_of_keys(name):
+    text, bounds = PRUNED_INPUTS[name]
+    _, sites = _pruned_sites(parse_annihilator_file(text, None), bounds)
+    assert [sum(map(len, ppd._kept_keys(gens, window)))
+            for gens, window, _ in sites] == KEPT_AT_SITES[name]
+
+
+def _node_interval21_site():
+    """(gens, window) of the columns of `ppd --input node.ann --l 0 --k 0
+    --interval21 --xdeg 4`: the 57 weight generators at (order 4, xdeg 4)
+    and E + 1, over the window (order 2, xdeg 4, no s)."""
+    inp = parse_annihilator_file(GRADED_ANN["node"], None)
+    gens = weight_module_generators(inp, 0, Bounds(order=4, xdeg=4, dt=6))[0]
+    return gens + [inp.euler + WeylOperator.one(2)], (2, 4, 0)
+
+
+def test_node_interval21_keeps_1653_of_5220_keys():
+    gens, window = _node_interval21_site()
+    kept = ppd._kept_keys(gens, window)
+    assert len(gens) * len(bounded_operator_basis(2, *window)) == 5220
+    assert sum(map(len, kept)) == 1653
+
+
+def test_kept_keys_makes_no_weyl_mul_call_and_no_operator(monkeypatch):
+    # the relations are decided on the generators' integer terms, with no
+    # Fraction product and no operator built per check
+    gens, window = _node_interval21_site()
+    w0_gens = gamma_ideal(parse_annihilator_file(GRADED_ANN["node"], None),
+                          weighted=True).generators
+    calls = []
+    real_mul, real_init = weyl.weyl_mul, WeylOperator.__init__
+
+    def counted_mul(*args):
+        calls.append("weyl_mul")
+        return real_mul(*args)
+
+    def counted_init(self, *args):
+        calls.append("WeylOperator")
+        real_init(self, *args)
+
+    monkeypatch.setattr(weyl, "weyl_mul", counted_mul)
+    monkeypatch.setattr(ppd, "weyl_mul", counted_mul)
+    monkeypatch.setattr(WeylOperator, "__init__", counted_init)
+    kept = ppd._kept_keys(gens, window)
+    kept_w0 = ppd._kept_keys(w0_gens, (B.order, B.xdeg, 2))
+    assert calls == []
+    assert (sum(map(len, kept)), sum(map(len, kept_w0))) == (1653, 5312)
+
+
+def _swapped(text):
+    """The .ann text with x1, x2 and d1, d2 exchanged."""
+    return re.sub(r"([xd])([12])", lambda m: m[1] + "21"[int(m[2]) - 1],
+                  text)
+
+
+def _swapped_back(pres):
+    """The two-variable presentation with x1 and x2 exchanged."""
+    return HodgePresentation.build(pres.alpha, pres.dim, [
+        (budget, Polynomial(2, {m[::-1]: c for m, c in g.terms.items()}),
+         step) for budget, g, step in pres.summands])
+
+
+def test_exchanging_the_variables_changes_pruning_not_spans():
+    # metamorphic: x1 <-> x2 changes the grlex leading terms, and so which
+    # columns the relations prune, but no span; at xdeg 8 the weight check
+    # cannot represent a vector of the cusp's or the triple point's weight
+    # presentation, so the weight presentations are compared at xdeg 12
+    moved = False
+    for name in ("node", "cusp", "triple"):
+        inp = parse_annihilator_file(GRADED_ANN[name], None)
+        swp = parse_annihilator_file(_swapped(GRADED_ANN[name]), None)
+        (gens, meta), (sgens, smeta) = (weight_module_generators(i, 0, B)
+                                        for i in (inp, swp))
+        assert meta["tuples"] == smeta["tuples"], name
+        wide = Bounds(order=B.order, xdeg=12, dt=B.dt)
+        weight = weight_step_presentation(inp, gens, B)
+        sweight = _swapped_back(weight_step_presentation(swp, sgens, B))
+        assert presentations_equal(weight, sweight, inp.f, wide).is_member()
+        w0, sw0 = w0_span(inp, 0, B), w0_span(swp, 0, B)
+        for k in (0, 1):
+            assert presentations_equal(
+                hodge_on_weight(w0, k), _swapped_back(hodge_on_weight(sw0, k)),
+                inp.f, B).is_member(), (name, k)
+        if name == "node":
+            assert presentations_equal(
+                hodge_weight_interval21(inp, gens, 0, B),
+                _swapped_back(hodge_weight_interval21(swp, sgens, 0, B)),
+                inp.f, B).is_member()
+        kept, skept = (ppd._kept_keys(gamma_ideal(i, weighted=True).generators,
+                                      (B.order, B.xdeg, 2)) for i in (inp, swp))
+        moved |= [set(k) for k in kept] != [
+            {(b[::-1], g[::-1], j) for b, g, j in k} for k in skept]
+    assert moved
