@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, lcm
-from operator import ge, sub
+from operator import ge, mul, sub
 from typing import NamedTuple
 
 from .bsdata import BFunction, RootMultiset, beta_factor, roots_in_interval
@@ -29,8 +29,8 @@ from .snc import HodgePresentation
 from .vforacle import Bounds, clear_to_pole, pole_apply, reduce_presentation
 from .weyl import (KeyPacking, WeylOperator, _mul_into, apply_to_twisted,
                    basis_products, bounded_operator_basis,
-                   grlex_operator_key, syzygy_kernel, weyl_mul,
-                   window_packing)
+                   grlex_operator_key, homogeneity_grading, syzygy_kernel,
+                   weyl_mul, window_packing)
 
 
 def check_annihilator(zeta: WeylOperator, f: Polynomial) -> bool:
@@ -356,32 +356,33 @@ def _kept_keys(gens, window) -> list:
     return out
 
 
-def _order_bounded_elements(gens, window, k: int, packing, residual=None):
+def _order_bounded_elements(gens, kept, k: int, packing, residual=None):
     """Basis of the elements u = sum A_i g_i, each A_i a combination of the
-    operators of bounded_operator_basis(dim, *window), with total order <= k
-    and, when residual is given, residual(u) == 0 (a linear map from integer
-    terms dicts, keyed by `packing`, to an `Echelon.reduce` triple).
+    operators x^b d^g s^j of kept[i], with total order <= k and, when
+    residual is given, residual(i, m, u) == 0 for the product u = m * g_i
+    (a linear map from integer terms dicts, keyed by `packing`, to an
+    `Echelon.reduce` triple).
 
     The order > k part and the residual are stacked into one column per
-    product op * g, the residual block shifted by packing.top above the
+    product m * g_i, the residual block shifted by packing.top above the
     first, and the order <= k part is its companion.  A nullspace
     dependency cancels the order > k parts, so its companion combination is
     an element of the answer.
 
-    The products that a relation among the gens writes by earlier ones
-    (_kept_keys) are not built.  Column and companion are both linear in the
-    product, so a dropped column's dependency would be a combination of
-    earlier dependencies, which `found` rejects; and a dependent insert
-    changes no row, so every later dependency, and the answer, stay those of
-    the whole basis.
+    kept is `_kept_keys` of the caller's window: the products that a
+    relation among the gens writes by earlier ones are not built.  Column
+    and companion are both linear in the product, so a dropped column's
+    dependency would be a combination of earlier dependencies, which
+    `found` rejects; and a dependent insert changes no row, so every later
+    dependency, and the answer, stay those of the whole basis.
     """
     dim = gens[0].dim
     above_k = functools.cache(lambda code: packing.order(code) > k)
     cols, dens, comps = [], [], []
-    for g, keys in zip(gens, _kept_keys(gens, window)):
+    for i, (g, keys) in enumerate(zip(gens, kept)):
         products, den = basis_products(keys, g, packing)
-        for u in products:
-            res, _, scale = residual(u) if residual else ({}, {}, 1)
+        for m, u in zip(keys, products):
+            res, _, scale = residual(i, m, u) if residual else ({}, {}, 1)
             stacked, below = {}, {}
             for code, c in u.items():
                 (stacked if above_k(code) else below)[code] = c * scale
@@ -401,9 +402,19 @@ def _order_bounded_elements(gens, window, k: int, packing, residual=None):
 
 
 class W0Span(NamedTuple):
-    """What w0_span(inp, l, bounds) builds: the span, the key packing it is
-    keyed by, the gamma generators that packing also covers, and the
-    (inp, l, bounds) it was built for."""
+    """What w0_span(inp, l, bounds) makes: the span of the level-0 weighted
+    sub-ideal's products, the key packing it is keyed by (which also covers
+    the gamma generators' products), and the (inp, l, bounds) it was made
+    for.
+
+    The span is built one weight block at a time (`cover`).  The grading
+    makes every generator of gens and gens0 w-homogeneous, where x^b d^g s^j
+    weighs w.(b - g); its weights are folded into one int weight, so the
+    column m * g of the generator of degree e has degree e + xw[b] - dw[g]
+    (`degrees` and `degrees0` per generator, xw and dw per x-part and
+    d-part).  Columns of different degrees have disjoint supports, so a
+    block's rows, and the residual of a vector of one degree, are those of
+    the whole span; built holds the degrees inserted so far."""
 
     inp: AnnihilatorInput
     l: int
@@ -411,6 +422,28 @@ class W0Span(NamedTuple):
     gens: tuple
     packing: KeyPacking
     span: Echelon
+    gens0: tuple
+    kept: list
+    degrees: tuple
+    degrees0: tuple
+    xw: dict
+    dw: dict
+    built: set
+
+    def cover(self, degrees: set):
+        """Insert the kept w0 columns of the degrees not built yet,
+        generator-major and grlex within a generator: covering every
+        degree in one call inserts them in the order of the whole basis."""
+        new = degrees - self.built
+        if not new:
+            return
+        xw, dw = self.xw, self.dw
+        for g, keys, e in zip(self.gens0, self.kept, self.degrees0):
+            keys = [m for m in keys if e + xw[m[0]] - dw[m[1]] in new]
+            products, den = basis_products(keys, g, self.packing)
+            for u in products:
+                self.span.insert(u, den)
+        self.built.update(new)
 
 
 def _require_pp(inp: AnnihilatorInput):
@@ -424,35 +457,67 @@ def _require_pp(inp: AnnihilatorInput):
 
 def w0_span(inp: AnnihilatorInput, l: int, bounds: Bounds) -> W0Span:
     """The bounded span, at bounds with s-powers up to l + 2, of the products
-    of the level-0 weighted sub-ideal's generators.  Its packing also covers
-    the products of the gamma generators over the same window, whose
-    s-powers the residual map (s + alpha)^l raises by at most l; it does not
-    depend on the Hodge step k, so one span serves hodge_on_weight(w0, k)
-    for every k.  The products that a relation among the generators writes
-    by earlier ones (_kept_keys) are not built: each would be a dependent
+    of the level-0 weighted sub-ideal's generators, with no block built yet.
+    Its packing also covers the products of the gamma generators over the
+    same window, whose s-powers the residual map (s + alpha)^l raises by at
+    most l; it does not depend on the Hodge step k, so one span serves
+    hodge_on_weight(w0, k) for every k, each call covering only the degrees
+    it lacks.  The products that a relation among the generators writes by
+    earlier ones (_kept_keys) are not built: each would be a dependent
     insert, which changes no row, so the span keeps the rows, in the same
-    order, of the whole basis."""
+    order, of the whole basis.  The grading is one `homogeneity_grading`
+    over the exponent differences b - g of every generator's terms; with
+    none, every column has degree 0 and the span is one block."""
     if l < 0:
         raise PreconditionError("l must be non-negative")
+    dim, order, xdeg = inp.dim, bounds.order, bounds.xdeg
     gens = gamma_ideal(inp).generators
     gens0 = gamma_ideal(inp, weighted=True).generators
-    packing = window_packing(gens + gens0, bounds.order, bounds.xdeg, l + 2,
-                             s_extra=l)
-    span = Echelon()
-    for g, keys in zip(gens0, _kept_keys(gens0, (bounds.order, bounds.xdeg,
-                                                  l + 2))):
-        products, den = basis_products(keys, g, packing)
-        for u in products:
-            span.insert(u, den)
-    return W0Span(inp, l, bounds, gens, packing, span)
+    ops = gens + gens0
+    packing = window_packing(ops, order, xdeg, l + 2, s_extra=l)
+    grading = homogeneity_grading(dim, [[tuple(map(sub, b, g))
+                                         for b, g, _ in op.terms]
+                                        for op in ops])
+    # the weights as the digits of one int weight, in a balanced radix above
+    # twice any degree a column reaches, so equal ints are equal degrees
+    radix = 2 * max((max(map(abs, degs)) + sum(map(abs, w)) * (order + xdeg)
+                     for w, degs in grading), default=0) + 1
+    weight, degrees, scale = (0,) * dim, (0,) * len(ops), 1
+    for w, degs in grading:
+        weight = tuple(a + scale * b for a, b in zip(weight, w))
+        degrees = tuple(a + scale * b for a, b in zip(degrees, degs))
+        scale *= radix
+    xw, dw = ({m: sum(map(mul, weight, m))
+               for m in monomials_upto_degree(dim, bound)}
+              for bound in (xdeg, order))
+    return W0Span(inp, l, bounds, gens, packing, Echelon(), gens0,
+                  _kept_keys(gens0, (order, xdeg, l + 2)),
+                  degrees[:len(gens)], degrees[len(gens):], xw, dw, set())
+
+
+def _w0_queries(w0: W0Span, kept) -> list:
+    """Per gamma generator g_i, the set of keys m of kept[i] whose residual
+    hodge_on_weight must reduce.  The others have residual zero: g_i is also
+    w0's i-th generator, and m s^t, for the top power t = l of (s + alpha)^l
+    and so for every lower one, lies in w0's window (|g| + j + l <= order,
+    j + l <= l + 2; |b| <= xdeg holds in every hodge window), so every term
+    of (s + alpha)^l * m * g_i is a w0 basis product, a kept column or one
+    that _kept_keys dropped as dependent on earlier ones."""
+    top = w0.bounds.order - w0.l
+    return [{m for m in keys if sum(m[1]) + m[2] > top or m[2] > 2}
+            if g == g0 else set(keys)
+            for g, g0, keys in zip(w0.gens, w0.gens0, kept)]
 
 
 def hodge_on_weight(w0: W0Span, k: int) -> HodgePresentation:
     """Hodge step k of the weight-(n+l) piece, for the input, level l and
-    bounds the span w0 = w0_span(inp, l, bounds) was built for: elements of
+    bounds the span w0 = w0_span(inp, l, bounds) was made for: elements of
     the weighted sub-ideal with total order <= k, evaluated at s = -alpha on
     f^(-1-alpha).  It reads the input, level and bounds from w0 alone, so it
-    cannot be handed a span of another input, level or bounds.
+    cannot be handed a span of another input, level or bounds.  Before its
+    columns are built it covers the w0 blocks of the degrees its residual
+    queries (`_w0_queries`) reach; a column that is no query gets the
+    residual zero with no reduce.
 
     k = 0 is unconditional; k >= 1 requires the asserted primality flag and
     the output then carries conditional provenance.
@@ -469,10 +534,17 @@ def hodge_on_weight(w0: W0Span, k: int) -> HodgePresentation:
     spoly, _ = integer_terms(RootMultiset({-inp.alpha: l}).coefficients())
     spoly = {packing.shift((0,) * dim, j): c for j, c in spoly.items()}
     so, sx = min(bounds.order, k + 2), min(bounds.xdeg, 6)
+    kept = _kept_keys(gens, (so, sx, l + 2))
+    queries = _w0_queries(w0, kept)
+    xw, dw = w0.xw, w0.dw
+    w0.cover({e + xw[b] - dw[g] for e, keys in zip(w0.degrees, queries)
+              for b, g, _ in keys})
 
-    def residual(u):
+    def residual(i, m, u):
         # spoly*u must lie in the bounded span of the w0 generators; spoly
         # is scaled by one constant, which leaves the kernel unchanged
+        if m not in queries[i]:
+            return {}, {}, 1
         prod = {}
         for shift, cj in spoly.items():
             for code, c in u.items():
@@ -481,8 +553,7 @@ def hodge_on_weight(w0: W0Span, k: int) -> HodgePresentation:
                 prod[key] = prod[key] + v if key in prod else v
         return w0.span.reduce({key: c for key, c in prod.items() if c}, 1)
 
-    sols = _order_bounded_elements(gens, (so, sx, l + 2), k, packing,
-                                   residual)
+    sols = _order_bounded_elements(gens, kept, k, packing, residual)
     if not sols:
         raise InconclusiveAtBound("no elements found at these bounds",
                                   bounds={"order": so, "xdeg": sx})
@@ -511,7 +582,8 @@ def hodge_weight_interval21(inp: AnnihilatorInput, gens, k: int,
     gens = list(gens) + [inp.euler + WeylOperator.one(dim)]
     so, sx = min(bounds.order, k + 2), min(bounds.xdeg, 6)
     packing = window_packing(gens, so, sx)
-    ops = _order_bounded_elements(gens, (so, sx, 0), k, packing)
+    ops = _order_bounded_elements(gens, _kept_keys(gens, (so, sx, 0)), k,
+                                  packing)
     summands = [(0, num, pole)
                 for num, pole in operators_on_pole(ops, inp.f, 1, Fraction(0))]
     pres = HodgePresentation.build(Fraction(0), dim, summands)

@@ -264,29 +264,34 @@ def bounded_operator_basis(dim: int, order_bound: int, xdeg_bound: int,
     return _graded_keys(dim, [], order_bound, xdeg_bound, s_bound)
 
 
-def homogeneity_grading(f: Polynomial) -> list:
-    """[(w, deg_w f)]: an integer basis of the weights w that make f
-    w-homogeneous, the numerators of the dependencies of one `nullspace`
-    call over the differences of f's exponent vectors (each w at a positive
-    scale): all of Q^n for a monomial, a line for a quasi-homogeneous germ,
-    none for a generic f."""
-    base = next(iter(f.terms), (0,) * f.dim)
-    columns = [{r: a[i] - base[i] for r, a in enumerate(f.terms)
-                if a[i] != base[i]} for i in range(f.dim)]
+def homogeneity_grading(dim: int, families) -> list:
+    """[(w, degrees)]: an integer basis of the weights w in Z^dim that give
+    the exponent vectors of each family one w-degree, degrees[i] that of
+    family i (0 for an empty one).  The w are the numerators of the
+    dependencies of one `nullspace` call over the differences of each
+    family's vectors from its first (each w at a positive scale).  For the
+    one family of f's exponents: all of Q^n for a monomial, a line for a
+    quasi-homogeneous germ, none for a generic f."""
+    bases = [next(iter(fam), (0,) * dim) for fam in families]
+    rows = [(a, base) for fam, base in zip(families, bases) for a in fam]
+    columns = [{r: a[i] - base[i] for r, (a, base) in enumerate(rows)
+                if a[i] != base[i]} for i in range(dim)]
     grading = []
-    for dep, _ in nullspace(columns, [1] * f.dim, [{i: 1} for i in range(f.dim)]):
-        w = tuple(dep.get(i, 0) for i in range(f.dim))
-        grading.append((w, sum(wi * e for wi, e in zip(w, base))))
+    for dep, _ in nullspace(columns, [1] * dim, [{i: 1} for i in range(dim)]):
+        w = tuple(dep.get(i, 0) for i in range(dim))
+        grading.append((w, tuple(sum(map(mul, w, base)) for base in bases)))
     return grading
 
 
 def graded_operator_basis(f: Polynomial, order_bound: int, xdeg_bound: int,
                           s_bound: int) -> list:
     """The keys of bounded_operator_basis(f.dim, ...) with w.(b - g) =
-    -deg_w f for every (w, deg_w f) of homogeneity_grading(f), in the same
-    order: the operators that carry f^(s+1) into the w-degree of f^s."""
-    return _graded_keys(f.dim, homogeneity_grading(f), order_bound,
-                        xdeg_bound, s_bound)
+    -deg_w f for every weight w of homogeneity_grading(f.dim, [f.terms]),
+    in the same order: the operators that carry f^(s+1) into the w-degree
+    of f^s."""
+    grading = [(w, deg) for w, (deg,) in homogeneity_grading(f.dim,
+                                                               [f.terms])]
+    return _graded_keys(f.dim, grading, order_bound, xdeg_bound, s_bound)
 
 
 def _graded_keys(dim, grading, order_bound, xdeg_bound, s_bound) -> list:

@@ -3,14 +3,16 @@ import pathlib
 import random
 import re
 from fractions import Fraction
+from operator import sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hwkit import ppd, weyl
-from hwkit.bsdata import bfunction_snc, bfunction_whom_isolated
-from hwkit.errors import (DimensionMismatch, InternalCheckFailed, ParseError,
-                          PreconditionError)
+from hwkit import cli, ppd, weyl
+from hwkit.bsdata import (RootMultiset, bfunction_snc,
+                           bfunction_whom_isolated)
+from hwkit.errors import (DimensionMismatch, InconclusiveAtBound,
+                          InternalCheckFailed, ParseError, PreconditionError)
 from hwkit.exactalg import (Polynomial, WeightVector, integer_terms,
                             mono_mul, monomials_upto_degree, poly_parse)
 from hwkit.linalg import Echelon
@@ -445,7 +447,7 @@ def test_syzygies_and_dependencies_are_w_homogeneous(name, monkeypatch):
     # dependency must be too; a packing alias or a wrong Leibniz factor
     # would mix degrees
     inp = parse_annihilator_file(GRADED_ANN[name], None)
-    grading = homogeneity_grading(inp.f)
+    grading = homogeneity_grading(inp.dim, [inp.f.terms])
     assert grading
     kernels, elements = [], []
     syzygy_kernel, order_bounded = (ppd.syzygy_kernel,
@@ -540,6 +542,14 @@ def _unpruned_build(gens, window, packing):
     return ech, dropped, independent
 
 
+def _covered(w0):
+    """w0 with every degree of its kept columns covered in one call: the
+    whole span, its rows in the order of a build of every column."""
+    w0.cover({e + w0.xw[b] - w0.dw[g]
+              for e, keys in zip(w0.degrees0, w0.kept) for b, g, _ in keys})
+    return w0
+
+
 @pytest.mark.parametrize("name", sorted(PRUNED_INPUTS))
 def test_dropped_columns_depend_on_earlier_ones(name):
     # each column _kept_keys drops is a combination of the columns inserted
@@ -550,7 +560,7 @@ def test_dropped_columns_depend_on_earlier_ones(name):
     builds = [_unpruned_build(*site) for site in sites]
     assert all(dropped for _, dropped, _ in builds)
     assert [independent for _, _, independent in builds] == [0] * len(sites)
-    assert builds[0][0].basis() == w0.span.basis()
+    assert builds[0][0].basis() == _covered(w0).span.basis()
 
 
 def test_leading_terms_from_the_wrong_end_drop_independent_columns(
@@ -579,14 +589,15 @@ def test_node_w0_span_inserts_only_kept_columns(monkeypatch):
     # w0 span at (order 4, xdeg 10); the rank stays 5,109
     inserts = []
     real = Echelon.insert
+    w0 = w0_span(parse_annihilator_file(GRADED_ANN["node"], None), 0, B)
 
     def counted(self, *args):
-        inserts.append(None)
+        inserts.append(self)
         return real(self, *args)
 
     monkeypatch.setattr(Echelon, "insert", counted)
-    w0 = w0_span(parse_annihilator_file(GRADED_ANN["node"], None), 0, B)
-    assert len(inserts) <= 5312
+    _covered(w0)
+    assert len(inserts) <= 5312 and all(e is w0.span for e in inserts)
     assert len(w0.span.basis()) == 5109
 
 
@@ -698,3 +709,229 @@ def test_exchanging_the_variables_changes_pruning_not_spans():
         moved |= [set(k) for k in kept] != [
             {(b[::-1], g[::-1], j) for b, g, j in k} for k in skept]
     assert moved
+
+
+def _permuted(text, perm):
+    """The .ann text with x_i, d_i renamed x_perm[i], d_perm[i] (1-based)."""
+    return re.sub(r"([xd])(\d)", lambda m: m[1] + str(perm[int(m[2])]), text)
+
+
+def _permuted_back(pres, perm):
+    """The presentation of a _permuted(text, perm) input in the variables of
+    text: the exponent of x_i is the one of x_perm[i]."""
+    back = [perm[i] - 1 for i in range(1, pres.dim + 1)]
+    return HodgePresentation.build(pres.alpha, pres.dim, [
+        (budget, Polynomial(pres.dim, {tuple(m[v] for v in back): c
+                                       for m, c in g.terms.items()}), step)
+        for budget, g, step in pres.summands])
+
+
+def test_cycling_three_variables_changes_no_presentation():
+    # metamorphic: x1 -> x2 -> x3 -> x1 (with the d_i) permutes the reduced
+    # SNC generators x_i d_i - x_j d_j and their signs; the weight step and
+    # the Hodge steps at l = 0, moved back, span what the input's span
+    # the SNC window of PRUNED_INPUTS; the presentations are compared at
+    # xdeg 6, since at xdeg 3 the weight check represents no vector
+    perm = {1: 2, 2: 3, 3: 1}
+    bounds, wide = Bounds(order=2, xdeg=3, dt=6), Bounds(order=2, xdeg=6, dt=6)
+    inp = parse_annihilator_file(SNC3_ANN, None)
+    cyc = parse_annihilator_file(_permuted(SNC3_ANN, perm), None)
+    assert cyc.f == inp.f and cyc.zetas != inp.zetas
+    (gens, meta), (cgens, cmeta) = (weight_module_generators(i, 0, bounds)
+                                    for i in (inp, cyc))
+    assert meta["tuples"] == cmeta["tuples"]
+    assert presentations_equal(
+        weight_step_presentation(inp, gens, bounds),
+        _permuted_back(weight_step_presentation(cyc, cgens, bounds), perm),
+        inp.f, wide).is_member()
+    w0, cw0 = w0_span(inp, 0, bounds), w0_span(cyc, 0, bounds)
+    for k in (0, 1):
+        assert presentations_equal(
+            hodge_on_weight(w0, k),
+            _permuted_back(hodge_on_weight(cw0, k), perm),
+            inp.f, wide).is_member(), k
+
+
+# the eight ppd jobs of the benchmark's ppd-syzygy pool, as (input, argv)
+PPD_POOL_ARGV = [
+    ("node", "--l", "0", "--weight-only"),
+    ("node", "--l", "1", "--weight-only"),
+    ("cusp", "--l", "0", "--weight-only"),
+    ("triple", "--l", "0", "--weight-only"),
+    ("triple", "--l", "1", "--weight-only"),
+    ("node", "--l", "0", "--k", "0"),
+    ("node", "--l", "1", "--k", "1", "--xdeg", "8"),
+    ("node", "--l", "0", "--k", "0", "--interval21", "--xdeg", "4"),
+]
+
+
+def test_ppd_exit_codes_survive_exchanging_the_variables(capsys, monkeypatch,
+                                                         tmp_path):
+    monkeypatch.delenv("HWKIT_CACHE", raising=False)
+    codes = []
+    for tag, transform in (("plain", str), ("swapped", _swapped)):
+        for name, text in GRADED_ANN.items():
+            (tmp_path / f"{tag}-{name}.ann").write_text(transform(text))
+        codes.append([cli.main(["ppd", "--input",
+                                str(tmp_path / f"{tag}-{name}.ann"), *argv])
+                      for name, *argv in PPD_POOL_ARGV])
+        capsys.readouterr()
+    assert codes[1] == codes[0]
+
+
+# ---------------------------------------------------------------------------
+# the w0 span built by weight blocks
+
+
+def _levels(inp):
+    """The valid weight levels l of the input."""
+    return range(inp.b.multiplicity(-inp.alpha - 1))
+
+
+def _outcome(w0, k):
+    """hodge_on_weight(w0, k), or the InconclusiveAtBound it raises."""
+    try:
+        return hodge_on_weight(w0, k)
+    except InconclusiveAtBound as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(PRUNED_INPUTS))
+def test_hodge_on_weight_on_a_reused_span_matches_a_fresh_one(name):
+    # the blocks one call covers stay in the span, and the next call adds
+    # the degrees it lacks; either order of k gives the fresh answers.  k = 1
+    # reaches degrees k = 0 does not only where its window is the larger,
+    # at order 3
+    text, bounds = PRUNED_INPUTS[name]
+    inp = parse_annihilator_file(text, None)
+    grew = False
+    for l in _levels(inp):
+        fresh = [_outcome(w0_span(inp, l, bounds), k) for k in (0, 1)]
+        for ks in ((0, 1), (1, 0)):
+            w0 = w0_span(inp, l, bounds)
+            assert _outcome(w0, ks[0]) == fresh[ks[0]], (l, ks)
+            built = set(w0.built)
+            assert _outcome(w0, ks[1]) == fresh[ks[1]], (l, ks)
+            grew |= w0.built > built
+    assert grew == (bounds.order > 2)
+
+
+def _block_checks(inp, l, bounds):
+    """Over k in {0, 1}: hodge_on_weight(w0, k) on a fresh span, then each
+    of its residual queries (s + alpha)^l * m * g_i, kept key m of gamma
+    generator g_i, summed from the basis products (m s^t) * g_i.  A query
+    (`ppd._w0_queries`) must reduce against the blocks as against the whole
+    span (the same ints and den).  Returns the number of the other columns,
+    which the structural rule answers with zero, and how many of those do
+    not reduce to zero against the whole span."""
+    whole = _covered(w0_span(inp, l, bounds))
+    spoly, _ = integer_terms(RootMultiset({-inp.alpha: l}).coefficients())
+    answered, wrong = 0, 0
+    for k in (0, 1):
+        w0 = w0_span(inp, l, bounds)
+        _outcome(w0, k)
+        kept = ppd._kept_keys(w0.gens, (min(bounds.order, k + 2),
+                                        min(bounds.xdeg, 6), l + 2))
+        queries = ppd._w0_queries(w0, kept)
+        for i, (g, keys) in enumerate(zip(w0.gens, kept)):
+            for b, d, j in keys:
+                cols, den = basis_products([(b, d, j + t) for t in spoly], g,
+                                           w0.packing)
+                vec = {}
+                for c, col in zip(spoly.values(), cols):
+                    for code, v in col.items():
+                        vec[code] = vec.get(code, 0) + c * v
+                vec = {code: v for code, v in vec.items() if v}
+                if (b, d, j) in queries[i]:
+                    assert (w0.span.reduce(vec, den)
+                            == whole.span.reduce(vec, den)), (k, i, b, d, j)
+                else:
+                    answered += 1
+                    wrong += bool(whole.span.reduce(vec, den)[0])
+    return answered, wrong
+
+
+@pytest.mark.parametrize("name", sorted(PRUNED_INPUTS))
+def test_w0_blocks_answer_every_residual_as_the_whole_span(name):
+    text, bounds = PRUNED_INPUTS[name]
+    inp = parse_annihilator_file(text, None)
+    for l in _levels(inp):
+        answered, wrong = _block_checks(inp, l, bounds)
+        assert answered and not wrong, l
+
+
+def _looser_queries(w0, kept):
+    """_w0_queries with the s-window of w0 widened by one: j + t <= l + 3."""
+    top = w0.bounds.order - w0.l
+    return [{m for m in keys if sum(m[1]) + m[2] > top or m[2] > 3}
+            if g == g0 else set(keys)
+            for g, g0, keys in zip(w0.gens, w0.gens0, kept)]
+
+
+def test_a_wider_s_window_answers_residuals_that_are_not_zero(monkeypatch):
+    # negative control for the check above: a rule that takes s^3 * g for a
+    # w0 product at l = 1 answers columns whose residual is not zero.  It
+    # needs |g| + j + t = 4 <= order, so it shows at order 4, not in the
+    # order-2 and order-3 windows of PRUNED_INPUTS
+    monkeypatch.setattr(ppd, "_w0_queries", _looser_queries)
+    inp = parse_annihilator_file(GRADED_ANN["node"], None)
+    assert _block_checks(inp, 1, Bounds(order=4, xdeg=4, dt=6))[1]
+
+
+@pytest.mark.parametrize("name", sorted(PRUNED_INPUTS))
+def test_every_generator_is_homogeneous_for_the_w0_grading(name):
+    # each weight of the grading, and the one int weight folded from them
+    # (read off the x-part table at the unit vectors), gives every term of
+    # a generator the degree the span records for it
+    text, bounds = PRUNED_INPUTS[name]
+    inp = parse_annihilator_file(text, None)
+    w0 = w0_span(inp, 0, bounds)
+    ops = w0.gens + w0.gens0
+    grading = weyl.homogeneity_grading(inp.dim, [
+        [tuple(map(sub, b, g)) for b, g, _ in op.terms] for op in ops])
+    units = [tuple(int(i == v) for i in range(inp.dim))
+             for v in range(inp.dim)]
+    weight = tuple(w0.xw[u] for u in units)
+    assert grading and weight == tuple(w0.dw[u] for u in units)
+    for w, degrees in grading + [(weight, w0.degrees + w0.degrees0)]:
+        for op, deg in zip(ops, degrees):
+            assert {sum(wi * (bi - gi) for wi, bi, gi in zip(w, b, g))
+                    for b, g, _ in op.terms} <= {deg}
+
+
+def test_an_input_with_no_grading_builds_one_block():
+    # (1 + x1 + x2) * (x1*d1 - x2*d2) gives no weight but 0 one degree
+    text = GRADED_ANN["node"] + ("x1*d1 - x2*d2 + x1^2*d1 - x1*x2*d2"
+                                 " + x1*x2*d1 - x2^2*d2\n")
+    inp = parse_annihilator_file(text, None)
+    bounds = Bounds(order=3, xdeg=4, dt=6)
+    w0 = w0_span(inp, 0, bounds)
+    _outcome(w0, 0)
+    assert w0.built == {0}
+    whole, _, _ = _unpruned_build(w0.gens0, (bounds.order, bounds.xdeg, 2),
+                                  w0.packing)
+    assert w0.span.basis() == whole.basis()
+
+
+# inserts into the w0 Echelon and residual reduces of hodge_on_weight on the
+# node at (order 4, xdeg, l, k): a rule that answers fewer residuals, or a
+# build that reaches more degrees, leaves every envelope as it is, so only
+# these counts show the lost saving
+W0_WORK = {(10, 0, 0): (1933, 130), (8, 1, 1): (3399, 344)}
+
+
+@pytest.mark.parametrize("xdeg,l,k", sorted(W0_WORK))
+def test_hodge_on_weight_does_the_pinned_w0_work(xdeg, l, k, monkeypatch):
+    w0 = w0_span(parse_annihilator_file(GRADED_ANN["node"], None), l,
+                 Bounds(order=4, xdeg=xdeg, dt=6))
+    calls = []
+    for name in ("insert", "reduce"):
+        def counted(self, *args, name=name, real=getattr(Echelon, name)):
+            if self is w0.span:
+                calls.append(name)
+            return real(self, *args)
+
+        monkeypatch.setattr(Echelon, name, counted)
+    hodge_on_weight(w0, k)
+    assert (calls.count("insert"), calls.count("reduce")) == W0_WORK[xdeg, l,
+                                                                     k]

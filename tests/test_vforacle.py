@@ -614,7 +614,7 @@ def test_verify_bfunction_witness_is_w_homogeneous(
     operator = WeylOperator.parse(cert.witness["operator"], dim)
     assert operator.terms
     for xe, de, _ in operator.terms:
-        for w, deg in homogeneity_grading(f):
+        for w, (deg,) in homogeneity_grading(f.dim, [f.terms]):
             assert sum(wi * (bi - gi)
                        for wi, bi, gi in zip(w, xe, de)) == -deg
 

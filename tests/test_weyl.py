@@ -274,10 +274,10 @@ def test_homogeneity_grading(text, dim, rank):
     # a basis of int weights, each giving every term of f the same degree:
     # all of Q^n for a monomial, a line for a quasi-homogeneous germ
     f = poly_parse(text, dim)
-    grading = homogeneity_grading(f)
+    grading = homogeneity_grading(f.dim, [f.terms])
     assert len(grading) == rank
     independent = Echelon()
-    for w, deg in grading:
+    for w, (deg,) in grading:
         assert all(type(v) is int for v in (*w, deg))
         assert {sum(wi * ai for wi, ai in zip(w, a)) for a in f.terms} == {deg}
         assert independent.insert(
@@ -295,11 +295,11 @@ def test_graded_basis_is_one_degree_of_the_full_basis(text, dim, bounds,
     # the keys x^b d^g s^j with w.(b - g) = -deg_w f, found by filtering
     # the full basis, in its order
     f = poly_parse(text, dim)
-    grading = homogeneity_grading(f)
+    grading = homogeneity_grading(f.dim, [f.terms])
     full = bounded_operator_basis(dim, *bounds)
     want = [(b, g, j) for b, g, j in full
             if all(sum(wi * (bi - gi) for wi, bi, gi in zip(w, b, g)) == -deg
-                   for w, deg in grading)]
+                   for w, (deg,) in grading)]
     assert graded_operator_basis(f, *bounds) == want
     assert (len(want), len(full)) == (kept, total)
     with pytest.raises(ValueError):
