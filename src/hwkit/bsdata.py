@@ -3,8 +3,8 @@ b-function, the iterated radical-quotient chain, weighted minimal exponents,
 the beta factor, singularity-pair classification, highest-weight bounds,
 generating-level bounds, and the pole-order predicates on Hodge/weight steps.
 
-b-functions are kept as root multisets; no coefficient expansion is ever
-needed because every consumer reads roots and multiplicities.
+b-functions are kept as root multisets; `RootMultiset.coefficients` expands
+one, in integers, for the consumers that need its coefficients.
 """
 
 from __future__ import annotations
@@ -81,21 +81,24 @@ class RootMultiset:
     __str__ = product_string
     __repr__ = product_string
 
-    def coefficients(self) -> dict:
-        """Expansion of prod (s - r)^m as {s-power: Fraction}."""
-        coeffs = {0: Fraction(1)}
+    def coefficients(self) -> tuple:
+        """Expansion of prod (s - r)^m as ({s-power: int}, den), zeros
+        dropped: r = p/q gives the factor (q s - p)/q, so den = prod q^m."""
+        nums, den = {0: 1}, 1
         for r, m in sorted(self.roots.items()):
+            p, q = r.numerator, r.denominator
             for _ in range(m):
                 nxt = {}
-                for j, c in coeffs.items():
-                    nxt[j + 1] = nxt.get(j + 1, Fraction(0)) + c
-                    v = nxt.get(j, Fraction(0)) - c * r
+                for j, c in nums.items():
+                    nxt[j + 1] = nxt.get(j + 1, 0) + q * c
+                    v = nxt.get(j, 0) - p * c
                     if v:
                         nxt[j] = v
                     elif j in nxt:
                         del nxt[j]
-                coeffs = nxt
-        return coeffs
+                nums = nxt
+            den *= q ** m
+        return nums, den
 
     def to_json(self):
         return [{"root": fmt_rational(r), "mult": m}

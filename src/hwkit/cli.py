@@ -219,8 +219,8 @@ def _bfunction_source(args):
         f = _poly(args)
     else:
         raise PreconditionError("need --exponents or --poly")
-    if len(f.terms) == 1:
-        return {"exponents": list(next(iter(f.terms)))}, f, None
+    if len(f.nums) == 1:
+        return {"exponents": list(next(iter(f.nums)))}, f, None
     if not args.weights:
         raise PreconditionError(
             "non-monomial input needs --weights for the quasi-homogeneous "
@@ -232,7 +232,7 @@ def _bfunction_source(args):
 def _bfunction(f: Polynomial, w) -> BFunction:
     """The closed-form b-function of a source of _bfunction_source."""
     if w is None:
-        return bfunction_snc(next(iter(f.terms)))
+        return bfunction_snc(next(iter(f.nums)))
     return bfunction_whom_isolated(f, w, QuasiHomogeneousGerm(f, w).milnor)
 
 

@@ -2,9 +2,10 @@
 ideals, weight vectors and the weighted-graded slices of the polynomial ring.
 
 Everything here is immutable and pure.  No floating point is used anywhere
-in this package; products accumulate integer numerators (`mul_terms`), and
-every scalar a `Polynomial` returns is a `fractions.Fraction`.  The closed
-forms' twist ranges are checked here, once each (`unit_interval_alpha`,
+in this package.  A `Polynomial` holds int numerators over one denominator
+(`SparseTerms`, the layout of FLINT's fmpq_poly) and computes in ints; a
+`fractions.Fraction` is made only to parse, print or hand out a scalar.  The
+closed forms' twist ranges are checked here, once each (`unit_interval_alpha`,
 `positive_alpha`), so that the benchmark's tracer, which times the functions
 defined in bsdata, snc and whom, gains no spans.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add, sub
 from typing import Iterable, Iterator
 
@@ -61,15 +62,6 @@ def positive_alpha(alpha) -> Fraction:
         raise PreconditionError("alpha must be positive",
                                 hypothesis="alpha > 0")
     return alpha
-
-
-def integer_terms(terms: dict):
-    """(numerators, den) for a dict of Fractions: den is the lcm of the
-    denominators (1 for an empty dict), and numerators maps each key to the
-    int n with value == n/den."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    return {k: c.numerator * (den // c.denominator)
-            for k, c in terms.items()}, den
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +261,36 @@ def parse_terms(text: str, allow: str, dim: int):
 
 
 class SparseTerms:
-    """Canonical sparse dict {key: nonzero Fraction} in `dim` variables: the
-    arithmetic, identity and printing that `Polynomial` and
-    `weyl.WeylOperator` share.  A subclass supplies its own `__init__` (key
-    canonicalisation), `constant`, product, `sorted_keys` (printing order)
-    and `_factors(key)` (the key printed as a product, "" for a constant)."""
+    """Canonical sparse terms in `dim` variables: nonzero int numerators
+    `nums` {key: int}, in key insertion order, over one int `den` > 0
+    coprime to their content (1 for zero), so identity is a plain compare.
+    What `Polynomial` and `weyl.WeylOperator` share; a subclass supplies
+    `__init__` (defaults and a check of the keys), `constant`, product,
+    `sorted_keys` (printing order) and `_factors(key)` (the key printed as a
+    product, "" for a constant)."""
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ("dim", "nums", "den")
+
+    def __init__(self, dim: int, nums, den: int):
+        """nums over den, zeros dropped; Fraction values (parsed or literal
+        coefficients) are brought over the lcm of their denominators.  den's
+        common factor with the content is divided out (no gcd pass at 1)."""
+        self.dim = dim
+        nums = {k: c for k, c in nums.items() if c} if nums else {}
+        if not {*map(type, nums.values())} <= {int}:
+            nums = {k: Fraction(c) for k, c in nums.items()}
+            scale = lcm(*(c.denominator for c in nums.values()))
+            nums = {k: c.numerator * (scale // c.denominator)
+                    for k, c in nums.items() if c}
+            den *= scale
+        if den != 1:
+            if den < 1:
+                raise ValueError(f"denominator {den} is not positive")
+            g = gcd(den, *nums.values())
+            if g != 1:
+                nums = {k: c // g for k, c in nums.items()}
+                den //= g
+        self.nums, self.den = nums, den
 
     @classmethod
     def zero(cls, dim: int):
@@ -294,20 +309,21 @@ class SparseTerms:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return type(self)(self.dim, out)
+        den = lcm(self.den, other.den)
+        return type(self)(self.dim, combine_terms(
+            self.nums, den // self.den, other.nums, den // other.den), den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return type(self)(self.dim, {k: -c for k, c in self.terms.items()})
+        return self.scale(-1)
 
     def scale(self, c):
-        c = Fraction(c)
-        return type(self)(self.dim, {k: v * c for k, v in self.terms.items()})
+        """self times the int or Fraction c."""
+        n = c.numerator
+        return type(self)(self.dim, {k: v * n for k, v in self.nums.items()},
+                          self.den * c.denominator)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -318,61 +334,54 @@ class SparseTerms:
         return out
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __eq__(self, other):
         # type-exact: a Polynomial never equals a WeylOperator
         return (type(other) is type(self) and self.dim == other.dim
-                and self.terms == other.terms)
+                and self.den == other.den and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.dim, frozenset(self.terms.items())))
+        return hash((self.dim, self.den, frozenset(self.nums.items())))
 
     def __str__(self):
         """Signed sum in `sorted_keys` order: "-3/4*x1^2 + x2 - 1"."""
         parts = []
         for key in self.sorted_keys():
-            c = self.terms[key]
+            n = self.nums[key]
             body = self._factors(key)
-            if not body or abs(c) != 1:
-                body = fmt_rational(abs(c)) + (f"*{body}" if body else "")
+            if not body or abs(n) != self.den:
+                body = (fmt_rational(Fraction(abs(n), self.den))
+                        + (f"*{body}" if body else ""))
             if parts:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+                parts.append(f"+ {body}" if n > 0 else f"- {body}")
             else:
-                parts.append(body if c > 0 else f"-{body}")
+                parts.append(body if n > 0 else f"-{body}")
         return " ".join(parts) or "0"
 
     __repr__ = __str__
 
 
 class Polynomial(SparseTerms):
-    """Sparse multivariate polynomial over Q, canonical and immutable."""
+    """Sparse multivariate polynomial over Q, canonical and immutable: the
+    numerators nums {exponent vector: int} over den."""
 
     __slots__ = ()
 
-    def __init__(self, dim: int, terms=None):
-        self.dim = dim
-        clean = {}
-        if terms:
-            for m, c in terms.items():
-                if type(c) is not Fraction:  # a Fraction is already canonical
-                    c = Fraction(c)
-                if c:
-                    if len(m) != dim:
-                        raise DimensionMismatch(
-                            f"monomial {m} in dimension-{dim} polynomial")
-                    clean[tuple(m)] = c
-        self.terms = clean
+    def __init__(self, dim: int, nums=None, den: int = 1):
+        super().__init__(dim, nums, den)
+        if bad := [m for m in self.nums if len(m) != dim]:
+            raise DimensionMismatch(f"monomial {bad[0]} in dimension {dim}")
 
     # -- constructors
 
     @classmethod
     def constant(cls, dim: int, c) -> "Polynomial":
-        return cls(dim, {(0,) * dim: Fraction(c)})
+        return cls(dim, {(0,) * dim: c})
 
     @classmethod
     def monomial(cls, m: Mono) -> "Polynomial":
-        return cls(len(m), {tuple(m): Fraction(1)})
+        return cls(len(m), {tuple(m): 1})
 
     @classmethod
     def parse(cls, text: str, dim: int) -> "Polynomial":
@@ -382,77 +391,79 @@ class Polynomial(SparseTerms):
             for _, idx, e in factors:
                 exps[idx] += e
             key = tuple(exps)
-            terms[key] = terms.get(key, Fraction(0)) + coeff
+            terms[key] = terms.get(key, 0) + coeff
         return cls(dim, terms)
 
     # -- arithmetic
 
     def __mul__(self, other):
-        """The products of the operands' integer numerators (integer_terms)
-        summed per monomial, over the product of their denominators."""
+        """The products of the operands' numerators summed per monomial
+        (`mul_terms`), over the product of their denominators."""
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        num_a, den_a = integer_terms(self.terms)
-        num_b, den_b = integer_terms(other.terms)
-        den = den_a * den_b
-        # drops the sums that cancelled
-        return Polynomial(self.dim, {m: Fraction(c, den) for m, c
-                                     in mul_terms(num_a, num_b).items()})
+        return Polynomial(self.dim, mul_terms(self.nums, other.nums),
+                          self.den * other.den)
 
     __rmul__ = __mul__
 
     def partial(self, i: int) -> "Polynomial":
-        return Polynomial(self.dim, partial_terms(self.terms, i))
+        return Polynomial(self.dim, partial_terms(self.nums, i), self.den)
 
     # -- queries
 
     def total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
+        return max((sum(m) for m in self.nums), default=0)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.dim, Fraction(0))
+        return Fraction(self.nums.get((0,) * self.dim, 0), self.den)
 
     def sorted_keys(self):
         """Monomials in descending grlex order."""
-        return sorted(self.terms, key=grlex_key, reverse=True)
+        return sorted(self.nums, key=grlex_key, reverse=True)
 
     def _factors(self, m: Mono) -> str:
         return "*".join(power_factors("x", m))
 
     def leading_monomial(self) -> Mono:
-        if not self.terms:
+        if not self.nums:
             raise ValueError("zero polynomial")
-        return max(self.terms, key=grlex_key)
+        return max(self.nums, key=grlex_key)
 
     def div_exact(self, g: "Polynomial"):
         """Return q with self == q*g, or None when g does not divide exactly.
 
-        Long division by the single divisor g; for a principal ideal the
-        remainder vanishes iff the division is exact.
-        """
+        Long division by the single divisor g, in ints: with A and G the
+        numerators, s*A == quo*G + rem throughout, s raised only when a
+        leading coefficient of rem is no multiple of G's.  For a principal
+        ideal the remainder vanishes iff the division is exact, and then
+        q = quo * g.den / (s * self.den)."""
         self._check(g)
         if g.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         lead = g.leading_monomial()
-        lc = g.terms[lead]
-        rem = dict(self.terms)
-        quo = {}
+        lc = g.nums[lead]
+        rem, quo, s = dict(self.nums), {}, 1
         while rem:
             m = max(rem, key=grlex_key)
             if not mono_divides(lead, m):
                 return None
-            q = mono_div(m, lead)
-            c = rem[m] / lc
-            quo[q] = quo.get(q, Fraction(0)) + c
-            for gm, gc in g.terms.items():
+            k = abs(lc) // gcd(rem[m], lc)
+            if k != 1:
+                rem = {key: v * k for key, v in rem.items()}
+                quo = {key: v * k for key, v in quo.items()}
+                s *= k
+            q, c = mono_div(m, lead), rem[m] // lc
+            quo[q] = c
+            for gm, gc in g.nums.items():
                 key = mono_mul(q, gm)
-                nv = rem.get(key, Fraction(0)) - c * gc
+                nv = rem.get(key, 0) - c * gc
                 if nv:
                     rem[key] = nv
                 else:
                     rem.pop(key, None)
-        return Polynomial(self.dim, quo)
+        return Polynomial(self.dim, {key: v * g.den for key, v in quo.items()},
+                          s * self.den)
 
 
 def poly_parse(text: str, dim: int) -> Polynomial:

@@ -16,8 +16,8 @@ never mutates a caller's dict.
 Rows are primitive integer vectors, reduced fraction-free (Bareiss, Math.
 Comp. 1968, with the content divided out after each step that multiplies).
 Answers are integer too: `reduce`, `insert` and `nullspace` return integer
-numerators over one positive int denominator, and a caller builds a
-`Fraction` only where it makes an operator or prints a coefficient.
+numerators over one positive int denominator, the form a `Polynomial` or
+`WeylOperator` holds (`exactalg.SparseTerms`), so an answer becomes one as is.
 """
 
 from __future__ import annotations

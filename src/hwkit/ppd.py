@@ -22,13 +22,12 @@ from .bsdata import BFunction, RootMultiset, beta_factor, roots_in_interval
 from .errors import (InconclusiveAtBound, InternalCheckFailed, ParseError,
                      PreconditionError)
 from .exactalg import (Polynomial, combine_terms, fmt_rational, infer_dim,
-                       integer_terms, mono_mul, monomials_upto_degree,
-                       parse_rational)
+                       mono_mul, monomials_upto_degree, parse_rational)
 from .linalg import Echelon, nullspace
 from .snc import HodgePresentation
 from .vforacle import Bounds, clear_to_pole, pole_apply, reduce_presentation
 from .weyl import (KeyPacking, WeylOperator, _mul_into, apply_to_twisted,
-                   basis_products, bounded_operator_basis,
+                   basis_products, bounded_operator_basis, evaluate_s,
                    grlex_operator_key, homogeneity_grading, syzygy_kernel,
                    weyl_mul, window_packing)
 
@@ -42,7 +41,7 @@ def check_annihilator(zeta: WeylOperator, f: Polynomial) -> bool:
 
 
 def _is_derivation(op: WeylOperator) -> bool:
-    return all(sum(de) == 1 and sp == 0 for (_, de, sp) in op.terms)
+    return all(sum(de) == 1 and sp == 0 for (_, de, sp) in op.nums)
 
 
 @dataclass
@@ -137,8 +136,9 @@ def gamma_ideal(inp: AnnihilatorInput,
     # beta(-s), made monic: prod (s - r - 1) over b-roots r in (-alpha-1, -alpha)
     window = beta_factor(inp.b, alpha)
     z = (0,) * dim
-    beta_op = WeylOperator(dim, {(z, z, j): c for j, c in RootMultiset(
-        {-c: m for c, m in window.roots.items()}).coefficients().items()})
+    nums, den = RootMultiset(
+        {-c: m for c, m in window.roots.items()}).coefficients()
+    beta_op = WeylOperator(dim, {(z, z, j): c for j, c in nums.items()}, den)
     gens = [WeylOperator.from_polynomial(inp.f), beta_op]
     gens.extend(inp.zetas)
     euler_gen = inp.euler - WeylOperator.s(dim) + WeylOperator.one(dim)
@@ -156,8 +156,8 @@ def weight_module_generators(inp: AnnihilatorInput, l: int, bounds: Bounds):
     first component, via the tuple (f, 0, ..., 0, -(E+alpha)^l), so the
     generators are never empty.  The kernel's tuples are integer numerators
     over one den (`syzygy_kernel`); their first components and f go into one
-    `Echelon` as they are, and only the linearly independent ones, in
-    kernel order with f last, become WeylOperators.
+    `Echelon` as they are, and each linearly independent one, in kernel
+    order with f last, becomes a WeylOperator of those ints and den as is.
     """
     mult = inp.b.multiplicity(-inp.alpha - 1)
     if not l < mult:
@@ -181,7 +181,7 @@ def weight_module_generators(inp: AnnihilatorInput, l: int, bounds: Bounds):
 
     # the nonzero first components and f, as integer numerators over den
     firsts = [(parts[0], den) for parts, den in kernel if parts[0]]
-    firsts.append(integer_terms(fop.terms))
+    firsts.append((fop.nums, fop.den))
     # the packing of the first components themselves: radix one above their
     # largest exponent
     largest = max(max(*xe, *de, sp) for p0, _ in firsts for xe, de, sp in p0)
@@ -190,8 +190,7 @@ def weight_module_generators(inp: AnnihilatorInput, l: int, bounds: Bounds):
     gens = []
     for p0, den in firsts:
         if seen.insert(packing.pack_image(p0), den) is None:
-            gens.append(WeylOperator(dim, {key: Fraction(c, den)
-                                           for key, c in p0.items()}))
+            gens.append(WeylOperator(dim, p0, den))
     meta = {"complete_at_bounds": {"order": so, "xdeg": sx},
             "tuples": len(kernel)}
     return gens, meta
@@ -210,8 +209,8 @@ def operators_on_pole(ops, f: Polynomial, step: int, alpha: Fraction) -> list:
     if not all(op.is_s_free() for op in ops):
         raise InternalCheckFailed(
             "an operator evaluated on a pole still carries s")
-    f_int = integer_terms(f.terms)
-    images = pole_apply({de for op in ops for _, de, _ in op.terms},
+    f_int = f.nums, f.den
+    images = pole_apply({de for op in ops for _, de, _ in op.nums},
                         ({0: {(0,) * f.dim: 1}}, 1), step, (alpha, 0), f_int)
     den = lcm(*(d for _, d, _ in images.values()))
     image_nums = {de: [(m, c * (den // d))
@@ -219,17 +218,15 @@ def operators_on_pole(ops, f: Polynomial, step: int, alpha: Fraction) -> list:
                   for de, (layers, d, _) in images.items()}
     out = []
     for op in ops:
-        op_num, op_den = integer_terms(op.terms)
         sums = {}  # pole -> {monomial: int numerator}
-        for (xe, de, _), c in op_num.items():
+        for (xe, de, _), c in op.nums.items():
             acc = sums.setdefault(images[de][2], {})
             for m, v in image_nums[de]:
                 key = mono_mul(xe, m)
                 acc[key] = acc.get(key, 0) + c * v
         pole = max(sums, default=step)
-        num, scale = clear_to_pole(sums, op_den * den, f_int, pole)
-        total = Polynomial(f.dim, {m: Fraction(v, scale)
-                                   for m, v in num.items()})
+        total = Polynomial(f.dim, *clear_to_pole(sums, op.den * den, f_int,
+                                                 pole))
         while pole > 0 and not total.is_zero():
             q = total.div_exact(f)
             if q is None:
@@ -295,7 +292,7 @@ def _kept_keys(gens, window) -> list:
     gjs = {(g, j): (sum(g) + j, j, pack((one, g, j)))
            for g in monomials_upto_degree(dim, order)
            for j in range(min(s_bound, order - sum(g)) + 1)}
-    nums = [integer_terms(g.terms)[0] for g in gens]
+    nums = [g.nums for g in gens]
     lead = [max(num, key=grlex_operator_key, default=None) for num in nums]
     flat = [lt and (*lt[0], *lt[1], lt[2]) for lt in lead]
     reach = [_reach(num) for num in nums]
@@ -367,7 +364,8 @@ def _order_bounded_elements(gens, kept, k: int, packing, residual=None):
     product m * g_i, the residual block shifted by packing.top above the
     first, and the order <= k part is its companion.  A nullspace
     dependency cancels the order > k parts, so its companion combination is
-    an element of the answer.
+    an element of the answer, made a WeylOperator of the dependency's
+    numerators, unpacked, over its den.
 
     kept is `_kept_keys` of the caller's window: the products that a
     relation among the gens writes by earlier ones are not built.  Column
@@ -395,9 +393,8 @@ def _order_bounded_elements(gens, kept, k: int, packing, residual=None):
     out = []
     for dep, den in nullspace(cols, dens, comps):
         if dep and found.insert(dep, den) is None:
-            out.append(WeylOperator(dim, {packing.unpack(code):
-                                          Fraction(c, den)
-                                          for code, c in dep.items()}))
+            out.append(WeylOperator(dim, {packing.unpack(code): c
+                                          for code, c in dep.items()}, den))
     return out
 
 
@@ -476,7 +473,7 @@ def w0_span(inp: AnnihilatorInput, l: int, bounds: Bounds) -> W0Span:
     ops = gens + gens0
     packing = window_packing(ops, order, xdeg, l + 2, s_extra=l)
     grading = homogeneity_grading(dim, [[tuple(map(sub, b, g))
-                                         for b, g, _ in op.terms]
+                                         for b, g, _ in op.nums]
                                         for op in ops])
     # the weights as the digits of one int weight, in a balanced radix above
     # twice any degree a column reaches, so equal ints are equal degrees
@@ -531,7 +528,7 @@ def hodge_on_weight(w0: W0Span, k: int) -> HodgePresentation:
     gens, packing = w0.gens, w0.packing
     # (s + alpha)^l; s is central, so multiplying by s^j adds the packed key
     # of s^j
-    spoly, _ = integer_terms(RootMultiset({-inp.alpha: l}).coefficients())
+    spoly, _ = RootMultiset({-inp.alpha: l}).coefficients()
     spoly = {packing.shift((0,) * dim, j): c for j, c in spoly.items()}
     so, sx = min(bounds.order, k + 2), min(bounds.xdeg, 6)
     kept = _kept_keys(gens, (so, sx, l + 2))
@@ -557,9 +554,8 @@ def hodge_on_weight(w0: W0Span, k: int) -> HodgePresentation:
     if not sols:
         raise InconclusiveAtBound("no elements found at these bounds",
                                   bounds={"order": so, "xdeg": sx})
-    ops = [u.substitute_s(-inp.alpha) for u in sols]
-    summands = [(0, num, pole)
-                for num, pole in operators_on_pole(ops, inp.f, 1, inp.alpha)]
+    summands = [(0, num, pole) for num, pole in operators_on_pole(
+        evaluate_s(sols, -inp.alpha), inp.f, 1, inp.alpha)]
     return HodgePresentation.build(inp.alpha, dim, summands)
 
 

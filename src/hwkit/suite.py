@@ -284,15 +284,9 @@ def _random_operator(rng: random.Random) -> WeylOperator:
 
 
 def _operator_x_derivative(op: WeylOperator, i: int) -> WeylOperator:
-    out = {}
-    for (xe, de, sp), c in op.terms.items():
-        if xe[i] == 0:
-            continue
-        xe2 = list(xe)
-        xe2[i] -= 1
-        key = (tuple(xe2), de, sp)
-        out[key] = out.get(key, Fraction(0)) + c * xe[i]
-    return WeylOperator(op.dim, out)
+    return WeylOperator(op.dim, {
+        (xe[:i] + (xe[i] - 1,) + xe[i + 1:], de, sp): c * xe[i]
+        for (xe, de, sp), c in op.nums.items() if xe[i]}, op.den)
 
 
 def criterion_9() -> dict:

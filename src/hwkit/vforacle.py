@@ -22,8 +22,7 @@ from typing import NamedTuple
 
 from .errors import DimensionMismatch, InternalCheckFailed, PreconditionError
 from .exactalg import (Polynomial, combine_terms, fmt_rational,
-                       graded_ideal, grlex_key, integer_terms, mul_terms,
-                       partial_terms)
+                       graded_ideal, grlex_key, mul_terms, partial_terms)
 from .bsdata import BFunction, RootMultiset
 from .linalg import Echelon
 from .snc import HodgePresentation, SncDivisor, snc_hodge_weight
@@ -70,6 +69,13 @@ class SpanCertificate:
 
 # ---------------------------------------------------------------------------
 # elements of the graph-embedding module
+
+
+def _layer_nums(layers: dict) -> tuple:
+    """The layers {j: Polynomial} as int layers {j: {m: int}} over one den."""
+    den = math.lcm(*(p.den for p in layers.values()))
+    return {j: {m: c * (den // p.den) for m, c in p.nums.items()}
+            for j, p in layers.items()}, den
 
 
 class BfElement:
@@ -119,12 +125,9 @@ class BfElement:
         and has no layer above dt; d_i: g dt^j -> (df d_i(g) dt^j -
         d_i(F) g dt^(j+1)) / df.  bf_span and the cross-check's oracle take
         their graph-module images from it: one place makes the dt skip."""
-        fnum, df = integer_terms(f.terms)
+        fnum, df = f.nums, f.den
         dfs = [partial_terms(fnum, i) for i in range(self.dim)]
-        flat, den = integer_terms({(j, m): c for j, p in self.layers.items()
-                                   for m, c in p.terms.items()})
-        start = {j: {m: c for (i, m), c in flat.items() if i == j}
-                 for j in self.layers}
+        start, den = _layer_nums(self.layers)
 
         def step(image, i):
             layers, den = image
@@ -219,7 +222,7 @@ def verify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
         return not_found
     dim = f.dim
     keys = graded_operator_basis(f, order_bound, xdeg_bound, b.degree())
-    fnum, df = f_int = integer_terms(f.terms)
+    fnum, df = f_int = f.nums, f.den
     # d^g f^(s+1) for the kept d-parts g, f^(s+1) being the pole 0 of the
     # twist -1 - s; x^b and s^j only multiply the numerator
     d_parts = {g for _, g, _ in keys}
@@ -235,7 +238,7 @@ def verify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
 
     def rhs_layers(roots: RootMultiset):
         """The section roots(s) * f^s = roots(s) * f^(s+1) / f, cleared."""
-        nums, den = integer_terms(roots.coefficients())
+        nums, den = roots.coefficients()
         return cleared({j: {(0,) * dim: c} for j, c in nums.items() if c},
                        den, 1)
 
@@ -258,11 +261,11 @@ def verify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
     if residual:
         return not_found
     # distinct basis keys: one term per index
-    operator = WeylOperator(dim, {keys[idx]: Fraction(c, den)
-                                  for idx, c in carried.items()})
+    operator = WeylOperator(dim, {keys[idx]: c for idx, c in carried.items()},
+                            den)
     # re-evaluate the witness exactly, as an identity in Z[x, s] (docstring)
     h, aden, top = apply_to_twisted(operator, f, 1)
-    bnum, rden = integer_terms(b.coefficients())
+    bnum, rden = b.coefficients()
     got = {j: {m: rden * c for m, c in t.items()} for j, t in h.items()}
     want = {j: {(0,) * dim: df * aden * c} for j, c in bnum.items()}
 
@@ -501,9 +504,9 @@ def kernel_filtration_check(f: Polynomial, lam, l: int, kernel_gens,
         members.append(u.layers)
     witnesses = [{"generator": gi, "witness": [
         {"generator": g, "dgamma": list(gamma), "xbeta": list(beta),
-         "coeff": fmt_rational(combo[g, gamma, beta])}
+         "coeff": fmt_rational(Fraction(combo[g, gamma, beta], den))}
         for g, gamma, beta in sorted(combo, key=repr)]}
-        for gi, combo in enumerate(span.witness(members))]
+        for gi, (combo, den) in enumerate(span.witness(members))]
     return SpanCertificate("member", bounds.to_json(), witness=witnesses)
 
 
@@ -587,8 +590,8 @@ def pole_apply(gammas, start: tuple, pole: int, alpha: tuple,
     built; verify_bfunction passes -1 - s, f^(s+1) at the pole 0."""
     fnum, df = f_int
     dfs = [partial_terms(fnum, i) for i in range(len(next(iter(fnum))))]
-    q = math.lcm(*(Fraction(a).denominator for a in alpha))
-    a0, a1 = (int(a * q) for a in alpha)
+    q = math.lcm(*(a.denominator for a in alpha))
+    a0, a1 = (a.numerator * (q // a.denominator) for a in alpha)
 
     def step(image, i):
         layers, den, p = image
@@ -665,7 +668,7 @@ class WindowSpan:
                  table: ShiftTable):
         if (table.packing.dim, table.packing.radix) != (f.dim, xdeg + 1):
             raise InternalCheckFailed("shift table of another packing")
-        self._f_int = integer_terms(f.terms)
+        self._f_int = f.nums, f.den
         self.pole_target = pole_target
         self.xdeg = xdeg
         self.dt = dt
@@ -709,15 +712,16 @@ class WindowSpan:
         """Echelon.reduce of the element given by its layers
         {j: Polynomial}, the (residual, carried, den) triple; None when it
         leaves the window."""
-        packed = self._packed({j: p.terms for j, p in layers.items()})
-        return packed and self.echelon.reduce(*integer_terms(packed[0]))
+        nums, den = _layer_nums(layers)
+        packed = self._packed(nums)
+        return packed and self.echelon.reduce(packed[0], den)
 
     def witness(self, members: list) -> list:
         """For each element given by its layers {j: Polynomial}, the
-        combination {tag + (beta,): coefficient} of window vectors that
-        gives it, from one echelon of the queued vectors, each carrying its
-        tag as its companion, built on each call; None when it leaves the
-        window or is not in the span.  The record skipped only dependent
+        combination (in integer form, ({tag + (beta,): int}, den)) of window
+        vectors that gives it, from one echelon of the queued vectors, each
+        carrying its tag as its companion, built on each call; None when it
+        leaves the window or is not in the span.  The record skipped only dependent
         inserts, which change no row and no companion, so each combination
         is that of inserting every vector."""
         ech = Echelon()
@@ -727,18 +731,18 @@ class WindowSpan:
                            {tag + (beta,): den})
         out = []
         for layers in members:
-            packed = self._packed({j: p.terms for j, p in layers.items()})
-            reduced = packed and ech.reduce(*integer_terms(packed[0]))
+            nums, den = _layer_nums(layers)
+            packed = self._packed(nums)
+            reduced = packed and ech.reduce(packed[0], den)
             out.append(None if reduced is None or reduced[0] else
-                       {t: Fraction(c, reduced[2])
-                        for t, c in reduced[1].items()})
+                       reduced[1:])
         return out
 
     def contains(self, g: Polynomial, pole: int) -> bool | None:
         """Whether g * f^(-pole), cleared to pole_target, lies in the span
         (None outside the window); no scalar changes that, so dens drop."""
         packed = self._packed({0: clear_to_pole(
-            {pole: integer_terms(g.terms)[0]}, 1, self._f_int,
+            {pole: g.nums}, 1, self._f_int,
             self.pole_target)[0]})
         return packed and not self.echelon.reduce(packed[0], 1)[0]
 
@@ -784,8 +788,7 @@ class WindowSpan:
         list."""
         budget, g, j = summand
         gammas, _ = self._table.shifts(min(budget, self.pole_target - j))
-        num, den = integer_terms(g.terms)
-        images = pole_apply(gammas, ({0: num}, den), j, (alpha, 0),
+        images = pole_apply(gammas, ({0: g.nums}, g.den), j, (alpha, 0),
                             self._f_int)
         for gamma in gammas:
             layers, den, pole = images[gamma]

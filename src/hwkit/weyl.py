@@ -20,8 +20,8 @@ from math import comb, lcm, perm
 from operator import mul
 
 from .errors import DimensionMismatch, InternalCheckFailed
-from .exactalg import (Polynomial, SparseTerms, combine_terms, integer_terms,
-                       mono_mul, monomials_of_degree, mul_terms, parse_terms,
+from .exactalg import (Polynomial, SparseTerms, combine_terms, mono_mul,
+                       monomials_of_degree, mul_terms, parse_terms,
                        partial_terms, power_factors)
 from .linalg import nullspace
 
@@ -35,52 +35,45 @@ def grlex_operator_key(key: Key) -> tuple:
 
 
 class WeylOperator(SparseTerms):
-    """Normal-form element of the Weyl algebra over Q, with s central."""
+    """Normal-form element of the Weyl algebra over Q, with s central: the
+    numerators nums {(x exponents, d exponents, s power): int} over den."""
 
     __slots__ = ()
 
-    def __init__(self, dim: int, terms=None):
-        self.dim = dim
-        clean = {}
-        if terms:
-            for (xe, de, sp), c in terms.items():
-                if type(c) is not Fraction:  # a Fraction is already canonical
-                    c = Fraction(c)
-                if not c:
-                    continue
-                if len(xe) != dim or len(de) != dim:
-                    raise DimensionMismatch(f"key ({xe},{de}) in dimension {dim}")
-                clean[(tuple(xe), tuple(de), sp)] = c
-        self.terms = clean
+    def __init__(self, dim: int, nums=None, den: int = 1):
+        super().__init__(dim, nums, den)
+        for xe, de, _ in self.nums:
+            if len(xe) != dim or len(de) != dim:
+                raise DimensionMismatch(f"key ({xe},{de}) in dimension {dim}")
 
     # -- constructors
 
     @classmethod
     def constant(cls, dim: int, c) -> "WeylOperator":
         z = (0,) * dim
-        return cls(dim, {(z, z, 0): Fraction(c)})
+        return cls(dim, {(z, z, 0): c})
 
     @classmethod
     def x(cls, i: int, dim: int) -> "WeylOperator":
         e = [0] * dim
         e[i] = 1
-        return cls(dim, {(tuple(e), (0,) * dim, 0): Fraction(1)})
+        return cls(dim, {(tuple(e), (0,) * dim, 0): 1})
 
     @classmethod
     def d(cls, i: int, dim: int) -> "WeylOperator":
         e = [0] * dim
         e[i] = 1
-        return cls(dim, {((0,) * dim, tuple(e), 0): Fraction(1)})
+        return cls(dim, {((0,) * dim, tuple(e), 0): 1})
 
     @classmethod
     def s(cls, dim: int) -> "WeylOperator":
         z = (0,) * dim
-        return cls(dim, {(z, z, 1): Fraction(1)})
+        return cls(dim, {(z, z, 1): 1})
 
     @classmethod
     def from_polynomial(cls, p: Polynomial) -> "WeylOperator":
         z = (0,) * p.dim
-        return cls(p.dim, {(m, z, 0): c for m, c in p.terms.items()})
+        return cls(p.dim, {(m, z, 0): c for m, c in p.nums.items()}, p.den)
 
     @classmethod
     def parse(cls, text: str, dim: int) -> "WeylOperator":
@@ -105,26 +98,15 @@ class WeylOperator(SparseTerms):
             return self.scale(other)
         return weyl_mul(self, other)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__  # reached only with a scalar on the left
 
     # -- queries
 
     def is_s_free(self) -> bool:
-        return all(sp == 0 for (_, _, sp) in self.terms)
-
-    def substitute_s(self, value) -> "WeylOperator":
-        value = Fraction(value)
-        out = {}
-        for (xe, de, sp), c in self.terms.items():
-            key = (xe, de, 0)
-            out[key] = out.get(key, Fraction(0)) + c * value ** sp
-        return WeylOperator(self.dim, out)
+        return all(sp == 0 for (_, _, sp) in self.nums)
 
     def sorted_keys(self):
-        return sorted(self.terms, key=grlex_operator_key, reverse=True)
+        return sorted(self.nums, key=grlex_operator_key, reverse=True)
 
     def _factors(self, key: Key) -> str:
         xe, de, sp = key
@@ -134,19 +116,29 @@ class WeylOperator(SparseTerms):
 
 
 def weyl_mul(a: WeylOperator, b: WeylOperator) -> WeylOperator:
-    """Normal-ordered product.  Both operands are brought to integer
-    numerators over the lcm of their denominators, `_mul_into` accumulates
-    their product as ints, and each coefficient becomes one Fraction over
-    the product of the two denominators."""
+    """Normal-ordered product: `_mul_into` accumulates the product of the
+    operands' numerators as ints, over the product of their denominators;
+    the constructor drops the sums that cancelled."""
     a._check(b)
-    num_a, den_a = integer_terms(a.terms)
-    num_b, den_b = integer_terms(b.terms)
-    out = {}
-    _mul_into(out, num_a, num_b, a.dim)
-    den = den_a * den_b
-    # the constructor drops the sums that cancelled
-    return WeylOperator(a.dim, {key: Fraction(c, den)
-                                for key, c in out.items()})
+    return WeylOperator(a.dim, _mul_into({}, a.nums, b.nums, a.dim),
+                        a.den * b.den)
+
+
+def evaluate_s(ops, value: Fraction) -> list:
+    """Each operator of ops with s replaced by value = a/q, in ints from one
+    power table: a term c x^b d^g s^j over den becomes c a^j q^(top - j)
+    x^b d^g over den q^top, top the largest s power over ops."""
+    a, q = value.numerator, value.denominator
+    top = max((sp for op in ops for _, _, sp in op.nums), default=0)
+    powers = [a ** j * q ** (top - j) for j in range(top + 1)]
+    out = []
+    for op in ops:
+        nums = {}
+        for (xe, de, sp), c in op.nums.items():
+            key = (xe, de, 0)
+            nums[key] = nums.get(key, 0) + c * powers[sp]
+        out.append(WeylOperator(op.dim, nums, op.den * q ** top))
+    return out
 
 
 def _mul_into(out: dict, num_a: dict, num_b: dict, dim: int):
@@ -206,7 +198,7 @@ def apply_to_twisted(a: WeylOperator, f: Polynomial, shift: int) -> tuple:
     and brought to the pole G by one product with F per order."""
     if a.dim != f.dim:
         raise DimensionMismatch("operator/polynomial dimension mismatch")
-    fnum, _ = integer_terms(f.terms)
+    fnum = f.nums
     dfs = [partial_terms(fnum, i) for i in range(f.dim)]
     one = (0,) * f.dim
     chains = {one: {0: {one: 1}}}
@@ -229,7 +221,7 @@ def apply_to_twisted(a: WeylOperator, f: Polynomial, shift: int) -> tuple:
             chains[g] = out
         return out
 
-    num, den = integer_terms(a.terms)
+    num, den = a.nums, a.den
     by_order = {}  # k -> the layers of the terms x^b d^g s^j with |g| = k
     for (xe, de, sp), c in num.items():
         layers = by_order.setdefault(sum(de), {})
@@ -286,11 +278,11 @@ def homogeneity_grading(dim: int, families) -> list:
 def graded_operator_basis(f: Polynomial, order_bound: int, xdeg_bound: int,
                           s_bound: int) -> list:
     """The keys of bounded_operator_basis(f.dim, ...) with w.(b - g) =
-    -deg_w f for every weight w of homogeneity_grading(f.dim, [f.terms]),
+    -deg_w f for every weight w of homogeneity_grading(f.dim, [f.nums]),
     in the same order: the operators that carry f^(s+1) into the w-degree
     of f^s."""
     grading = [(w, deg) for w, (deg,) in homogeneity_grading(f.dim,
-                                                               [f.terms])]
+                                                               [f.nums])]
     return _graded_keys(f.dim, grading, order_bound, xdeg_bound, s_bound)
 
 
@@ -480,7 +472,7 @@ def window_packing(generators, order_bound: int, xdeg_bound: int,
     reaches.
     """
     generators = list(generators)
-    largest = max((e for t in generators for xe, de, sp in t.terms
+    largest = max((e for t in generators for xe, de, sp in t.nums
                    for e in (*xe, *de, sp)), default=0)
     reach = max(xdeg_bound, order_bound,
                 min(s_bound, order_bound) + s_extra)
@@ -515,7 +507,7 @@ def basis_products(keys, t: WeylOperator, packing: KeyPacking):
         if top > reach:
             raise InternalCheckFailed(f"key ({b},{g},{j}) shifts beyond the "
                                       f"packing's reach {reach}")
-    num, den = integer_terms(t.terms)
+    num, den = t.nums, t.den
     if not d_parts:
         return [], den
     for i in range(dim):
@@ -565,10 +557,9 @@ def syzygy_kernel(targets, order_bound: int, xdeg_bound: int):
         # the tag of column (ti, oi) is ti * n + oi, one int
         companions.extend({ti * n + oi: den} for oi in range(n))
     # the targets as integer numerators over one common denominator
-    scaled = [integer_terms(t.terms) for t in targets]
-    common = lcm(*(den for _, den in scaled))
-    scaled = [{key: c * (common // den) for key, c in num.items()}
-              for num, den in scaled]
+    common = lcm(*(t.den for t in targets))
+    scaled = [{key: c * (common // t.den) for key, c in t.nums.items()}
+              for t in targets]
     zero = (0,) * dim
     images = {}  # (ti, g) -> the integer terms of d^g * scaled[ti]
     out = []

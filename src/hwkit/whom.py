@@ -10,9 +10,8 @@ from fractions import Fraction
 from .errors import (NotIsolatedSingularity, NotQuasiHomogeneous,
                      PreconditionError)
 from .exactalg import (Polynomial, WeightVector, graded_ideal, grlex_key,
-                       integer_terms, monomials_of_degree,
-                       monomials_weighted_upto, unit_interval_alpha,
-                       weighted_degree)
+                       monomials_of_degree, monomials_weighted_upto,
+                       unit_interval_alpha, weighted_degree)
 from .linalg import Echelon
 from .snc import HodgePresentation
 from .weyl import KeyPacking
@@ -25,7 +24,7 @@ def check_weight_one(f: Polynomial, w: WeightVector) -> None:
         raise NotQuasiHomogeneous("weight vector dimension mismatch")
     if f.is_zero():
         raise NotQuasiHomogeneous("zero polynomial")
-    for m in f.terms:
+    for m in f.nums:
         if weighted_degree(m, w) != 1:
             raise NotQuasiHomogeneous(
                 f"monomial {m} has weighted degree {weighted_degree(m, w)} != 1")
@@ -60,8 +59,8 @@ def milnor_basis(f: Polynomial, w: WeightVector):
     # a product x^m * (a term of a partial) has no exponent above the
     # largest of the bucketed monomials plus the largest of f
     largest = max(e for ms in by_degree.values() for m in ms for e in m)
-    packing = KeyPacking(f.dim, 1 + largest + max(map(max, f.terms)), 0)
-    packed_partials = [integer_terms(packing.pack_terms({0: p.terms}))
+    packing = KeyPacking(f.dim, 1 + largest + max(map(max, f.nums)), 0)
+    packed_partials = [(packing.pack_terms({0: p.nums}), p.den)
                        for p in partials]
 
     def standard_at(gamma: Fraction):

@@ -13,8 +13,8 @@ from hwkit.bsdata import (RootMultiset, bfunction_snc,
                            bfunction_whom_isolated)
 from hwkit.errors import (DimensionMismatch, InconclusiveAtBound,
                           InternalCheckFailed, ParseError, PreconditionError)
-from hwkit.exactalg import (Polynomial, WeightVector, integer_terms,
-                            mono_mul, monomials_upto_degree, poly_parse)
+from hwkit.exactalg import (Polynomial, WeightVector, mono_mul,
+                            monomials_upto_degree, poly_parse)
 from hwkit.linalg import Echelon
 from hwkit.ppd import (AnnihilatorInput, check_annihilator, gamma_ideal,
                        hodge_on_weight, hodge_weight_interval21,
@@ -29,6 +29,7 @@ from hwkit.weyl import (WeylOperator, basis_products, bounded_operator_basis,
 from hwkit.whom import QuasiHomogeneousGerm
 from test_cli import CUSP_RATIONAL_ANN, CUSP_TWISTED_ANN
 from test_weyl import syzygy_operators
+from twisted_reference import fraction_terms
 
 F = Fraction
 B = Bounds(order=4, xdeg=10, dt=6)
@@ -101,9 +102,9 @@ def test_weight_generators_contain_f():
         # f itself lies in the span of the first components
         ech = Echelon()
         for g in gens:
-            ech.insert(*integer_terms(g.terms))
-        assert not ech.reduce(
-            *integer_terms(WeylOperator.from_polynomial(XY).terms))[0]
+            ech.insert(g.nums, g.den)
+        xy = WeylOperator.from_polynomial(XY)
+        assert not ech.reduce(xy.nums, xy.den)[0]
     with pytest.raises(PreconditionError):
         weight_module_generators(inp, 2, B)  # l not below multiplicity
 
@@ -185,10 +186,10 @@ def operator_on_pole_reference(op, f, step, alpha):
     built by partials in Polynomial arithmetic, cleared with
     f ** (pole - p), then divided down."""
     parts = []
-    for (xe, de, _), c in op.terms.items():
+    for (xe, de, _), c in fraction_terms(op).items():
         num, p = d_gamma_on_pole(de, Polynomial.one(f.dim), step, alpha, f)
-        parts.append((Polynomial(f.dim, {mono_mul(k, xe): v * c
-                                         for k, v in num.terms.items()}), p))
+        parts.append((Polynomial(f.dim, {mono_mul(k, xe): v * c for k, v
+                                         in fraction_terms(num).items()}), p))
     if not parts:
         return Polynomial.zero(f.dim), step
     pole = max(p for _, p in parts)
@@ -205,8 +206,10 @@ def operator_on_pole_reference(op, f, step, alpha):
 
 def hamiltonian(f):
     """f_2 d1 - f_1 d2, which kills every power of f: its terms cancel."""
-    terms = {(xe, (1, 0), 0): c for xe, c in f.partial(1).terms.items()}
-    terms.update({(xe, (0, 1), 0): -c for xe, c in f.partial(0).terms.items()})
+    terms = {(xe, (1, 0), 0): c
+             for xe, c in fraction_terms(f.partial(1)).items()}
+    terms.update({(xe, (0, 1), 0): -c
+                  for xe, c in fraction_terms(f.partial(0)).items()})
     return WeylOperator(2, terms)
 
 
@@ -252,7 +255,7 @@ def derivation_on(op, f):
     """E(f) for an order-1 derivation E: each term c x^b d_i as c x^b
     times Polynomial.partial(i) of f."""
     out = Polynomial.zero(f.dim)
-    for (xe, de, _), c in op.terms.items():
+    for (xe, de, _), c in fraction_terms(op).items():
         out = out + Polynomial.monomial(xe).scale(c) * f.partial(de.index(1))
     return out
 
@@ -437,7 +440,7 @@ GRADED_ANN = {
 def _w_degrees(op, w):
     """The values w.(b - g) over the terms x^b d^g s^j of op (s weighs 0)."""
     return {sum(wi * (b - g) for wi, b, g in zip(w, xe, de))
-            for xe, de, _ in op.terms}
+            for xe, de, _ in op.nums}
 
 
 @pytest.mark.parametrize("name", sorted(GRADED_ANN))
@@ -447,7 +450,7 @@ def test_syzygies_and_dependencies_are_w_homogeneous(name, monkeypatch):
     # dependency must be too; a packing alias or a wrong Leibniz factor
     # would mix degrees
     inp = parse_annihilator_file(GRADED_ANN[name], None)
-    grading = homogeneity_grading(inp.dim, [inp.f.terms])
+    grading = homogeneity_grading(inp.dim, [inp.f.nums])
     assert grading
     kernels, elements = [], []
     syzygy_kernel, order_bounded = (ppd.syzygy_kernel,
@@ -665,6 +668,45 @@ def test_kept_keys_makes_no_weyl_mul_call_and_no_operator(monkeypatch):
     assert (sum(map(len, kept)), sum(map(len, kept_w0))) == (1653, 5312)
 
 
+def test_kernels_build_no_fraction(monkeypatch):
+    # the kernels answer in int numerators over one den, and an operator is
+    # built from those as they are: with every input set up first, weyl_mul,
+    # basis_products and syzygy_kernel on the syzygy targets of the node,
+    # the cusp and the triple point, pole_apply on their f at the twist 1/6,
+    # and _order_bounded_elements on the interval21 site, make no Fraction
+    sites, twist = [], (Fraction(1, 6), 0)
+    for name in ("node", "cusp", "triple"):
+        inp = parse_annihilator_file(GRADED_ANN[name], None)
+        targets = [inp.euler + WeylOperator.constant(inp.dim, inp.alpha + 1),
+                   *inp.zetas, WeylOperator.from_polynomial(inp.f)]
+        sites.append((gamma_ideal(inp).generators, targets,
+                      bounded_operator_basis(inp.dim, 2, 4),
+                      window_packing(targets, 2, 4), inp.f))
+    gens, window = _node_interval21_site()
+    kept, packing = ppd._kept_keys(gens, window), window_packing(gens, 2, 4)
+    made, real_new = [], Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        made.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    products, columns, kernels, images = [], [], [], []
+    for ops, targets, keys, target_packing, f in sites:
+        products += [weyl.weyl_mul(a, b) for a in ops for b in ops]
+        columns += [basis_products(keys, t, target_packing)[0]
+                    for t in targets]
+        kernels.append(weyl.syzygy_kernel(targets, 2, 4))
+        images.append(ppd.pole_apply({g for _, g, _ in keys},
+                                     ({0: {(0, 0): 1}}, 1), 1, twist,
+                                     (f.nums, f.den)))
+    elements = ppd._order_bounded_elements(gens, kept, 0, packing)
+    monkeypatch.undo()
+    assert made == []
+    assert all(kernels) and elements and all(columns) and all(images)
+    assert len(products) == sum(len(ops) ** 2 for ops, *_ in sites)
+
+
 def _swapped(text):
     """The .ann text with x1, x2 and d1, d2 exchanged."""
     return re.sub(r"([xd])([12])", lambda m: m[1] + "21"[int(m[2]) - 1],
@@ -674,8 +716,8 @@ def _swapped(text):
 def _swapped_back(pres):
     """The two-variable presentation with x1 and x2 exchanged."""
     return HodgePresentation.build(pres.alpha, pres.dim, [
-        (budget, Polynomial(2, {m[::-1]: c for m, c in g.terms.items()}),
-         step) for budget, g, step in pres.summands])
+        (budget, Polynomial(2, {m[::-1]: c for m, c in g.nums.items()},
+                            g.den), step) for budget, g, step in pres.summands])
 
 
 def test_exchanging_the_variables_changes_pruning_not_spans():
@@ -722,7 +764,8 @@ def _permuted_back(pres, perm):
     back = [perm[i] - 1 for i in range(1, pres.dim + 1)]
     return HodgePresentation.build(pres.alpha, pres.dim, [
         (budget, Polynomial(pres.dim, {tuple(m[v] for v in back): c
-                                       for m, c in g.terms.items()}), step)
+                                       for m, c in g.nums.items()}, g.den),
+         step)
         for budget, g, step in pres.summands])
 
 
@@ -779,6 +822,62 @@ def test_ppd_exit_codes_survive_exchanging_the_variables(capsys, monkeypatch,
     assert codes[1] == codes[0]
 
 
+# the factors of the scaled inputs: f times c, and the annihilator generator
+# times its own rational
+ZETA_SCALES = (Fraction(-3, 2), Fraction(5, 7))
+
+
+def _scaled(text, c):
+    """The .ann text with f times c and the i-th annihilator generator times
+    ZETA_SCALES[i]; E, alpha, b and pp as they are (E(c f) = c f, and an
+    s-free operator kills (c f)^(s-1) exactly when it kills f^(s-1))."""
+    inp = parse_annihilator_file(text, None)
+    kept = [line for line in text.splitlines() if line.split(":")[0].strip()
+            .lower() in ("e", "alpha", "b", "pp")]
+    return "\n".join([f"f: {inp.f.scale(c)}", *kept, *(
+        str(z.scale(q)) for z, q in zip(inp.zetas, ZETA_SCALES))]) + "\n"
+
+
+def test_scaling_f_and_the_annihilators_changes_no_presentation(
+        capsys, monkeypatch, tmp_path):
+    # metamorphic, with non-unit denominators end to end: c f and rescaled
+    # annihilators give the kernel sizes, the exit codes and, summand by
+    # summand up to a constant factor, the spans of the unscaled input;
+    # each input is scaled by one c of {2/3, -5} for the spans (windows of
+    # the exchange test) and by both for the exit codes
+    wide = Bounds(order=B.order, xdeg=12, dt=B.dt)
+    for name, c in (("node", Fraction(2, 3)), ("cusp", Fraction(-5)),
+                    ("triple", Fraction(2, 3))):
+        inp = parse_annihilator_file(GRADED_ANN[name], None)
+        big = parse_annihilator_file(_scaled(GRADED_ANN[name], c), None)
+        assert big.f == inp.f.scale(c) and big.zetas == tuple(
+            z.scale(q) for z, q in zip(inp.zetas, ZETA_SCALES))
+        (gens, meta), (bgens, bmeta) = (weight_module_generators(i, 0, B)
+                                        for i in (inp, big))
+        assert meta["tuples"] == bmeta["tuples"], name
+        assert presentations_equal(
+            weight_step_presentation(inp, gens, B),
+            weight_step_presentation(big, bgens, B), inp.f,
+            wide).is_member(), name
+        w0, bw0 = w0_span(inp, 0, B), w0_span(big, 0, B)
+        for k in (0, 1):
+            assert presentations_equal(
+                hodge_on_weight(w0, k), hodge_on_weight(bw0, k), inp.f,
+                B).is_member(), (name, k)
+    monkeypatch.delenv("HWKIT_CACHE", raising=False)
+    codes = []
+    for tag, c in (("plain", None), ("two-thirds", Fraction(2, 3)),
+                   ("minus-five", Fraction(-5))):
+        for name, text in GRADED_ANN.items():
+            (tmp_path / f"{tag}-{name}.ann").write_text(
+                text if c is None else _scaled(text, c))
+        codes.append([cli.main(["ppd", "--input",
+                                str(tmp_path / f"{tag}-{name}.ann"), *argv])
+                      for name, *argv in PPD_POOL_ARGV])
+        capsys.readouterr()
+    assert codes[1] == codes[0] and codes[2] == codes[0]
+
+
 # ---------------------------------------------------------------------------
 # the w0 span built by weight blocks
 
@@ -825,7 +924,7 @@ def _block_checks(inp, l, bounds):
     which the structural rule answers with zero, and how many of those do
     not reduce to zero against the whole span."""
     whole = _covered(w0_span(inp, l, bounds))
-    spoly, _ = integer_terms(RootMultiset({-inp.alpha: l}).coefficients())
+    spoly, _ = RootMultiset({-inp.alpha: l}).coefficients()
     answered, wrong = 0, 0
     for k in (0, 1):
         w0 = w0_span(inp, l, bounds)
@@ -888,7 +987,7 @@ def test_every_generator_is_homogeneous_for_the_w0_grading(name):
     w0 = w0_span(inp, 0, bounds)
     ops = w0.gens + w0.gens0
     grading = weyl.homogeneity_grading(inp.dim, [
-        [tuple(map(sub, b, g)) for b, g, _ in op.terms] for op in ops])
+        [tuple(map(sub, b, g)) for b, g, _ in op.nums] for op in ops])
     units = [tuple(int(i == v) for i in range(inp.dim))
              for v in range(inp.dim)]
     weight = tuple(w0.xw[u] for u in units)
@@ -896,7 +995,7 @@ def test_every_generator_is_homogeneous_for_the_w0_grading(name):
     for w, degrees in grading + [(weight, w0.degrees + w0.degrees0)]:
         for op, deg in zip(ops, degrees):
             assert {sum(wi * (bi - gi) for wi, bi, gi in zip(w, b, g))
-                    for b, g, _ in op.terms} <= {deg}
+                    for b, g, _ in op.nums} <= {deg}
 
 
 def test_an_input_with_no_grading_builds_one_block():

@@ -44,7 +44,7 @@ def _graph_member(span, layers):
     """Reduce a member of a graph-module span and build its witness, so
     that both the span's echelon and the witness echelon are built."""
     assert not span.reduce(layers)[0]
-    assert span.witness([layers])[0]
+    assert span.witness([layers])[0][0]
 
 
 def test_package_hands_echelons_int_coordinates(monkeypatch, capsys):

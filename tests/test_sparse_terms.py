@@ -1,13 +1,17 @@
 """exactalg.SparseTerms: the one copy of the arithmetic, identity and
 printing that Polynomial and weyl.WeylOperator share."""
 
+import random
 from fractions import Fraction
+from itertools import product
+from math import comb, gcd, lcm, perm, prod
+from operator import add, sub
 
 import pytest
 
 from hwkit.errors import DimensionMismatch
-from hwkit.exactalg import Polynomial, SparseTerms
-from hwkit.weyl import WeylOperator
+from hwkit.exactalg import Polynomial, SparseTerms, grlex_key
+from hwkit.weyl import WeylOperator, grlex_operator_key
 
 SHARED = ("zero", "one", "_check", "__add__", "__sub__", "__neg__", "scale",
           "__pow__", "is_zero", "__eq__", "__hash__", "__str__", "__repr__")
@@ -113,3 +117,156 @@ def test_mixed_classes_refuse_to_combine():
         p * w
     with pytest.raises(DimensionMismatch):
         w * p
+
+
+# ---------------------------------------------------------------------------
+# the representation: int numerators over one den, against Fraction dicts
+
+
+def _nonzero(terms: dict) -> dict:
+    return {k: c for k, c in terms.items() if c}
+
+
+def _random_terms(rng, cls, dim) -> dict:
+    """A seeded {key: Fraction} dict of cls's keys: few exponents, so that
+    sums and products collide and cancel, and some values 0."""
+    def vector():
+        return tuple(rng.randint(0, 2) for _ in range(dim))
+
+    def key():
+        return vector() if cls is Polynomial else (vector(), vector(),
+                                                   rng.randint(0, 2))
+    return {key(): Fraction(rng.randint(-6, 6),
+                            rng.choice([1, 1, 2, 3, 4, 6, 9, 10]))
+            for _ in range(rng.randint(0, 5))}
+
+
+def _ref_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + c
+    return _nonzero(out)
+
+
+def _key_products(ka, kb, cls, dim):
+    """(key, int factor) of the normal-ordered product of two keys: d^c x^b
+    = sum_k C(c,k) b!/(b-k)! x^(b-k) d^(c-k) in each variable."""
+    if cls is Polynomial:
+        yield tuple(map(add, ka, kb)), 1
+        return
+    (xa, da, sa), (xb, db, sb) = ka, kb
+    for ks in product(*(range(min(da[i], xb[i]) + 1) for i in range(dim))):
+        yield ((tuple(xa[i] + xb[i] - k for i, k in enumerate(ks)),
+                tuple(da[i] + db[i] - k for i, k in enumerate(ks)), sa + sb),
+               prod(comb(da[i], k) * perm(xb[i], k) for i, k in enumerate(ks)))
+
+
+def _ref_mul(a: dict, b: dict, cls, dim) -> dict:
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            for key, n in _key_products(ka, kb, cls, dim):
+                out[key] = out.get(key, 0) + ca * cb * n
+    return _nonzero(out)
+
+
+def _ref_div_exact(a: dict, b: dict):
+    """Long division of Fraction polynomial dicts, or None when inexact."""
+    lead = max(b, key=grlex_key)
+    rem, quo = dict(a), {}
+    while rem:
+        m = max(rem, key=grlex_key)
+        if any(x > y for x, y in zip(lead, m)):
+            return None
+        q, c = tuple(map(sub, m, lead)), rem[m] / b[lead]
+        quo[q] = c
+        for gm, gc in b.items():
+            key = tuple(map(add, q, gm))
+            rem[key] = rem.get(key, 0) - c * gc
+            if not rem[key]:
+                del rem[key]
+    return quo
+
+
+def _ref_str(values: dict, p) -> str:
+    """The signed sum printed from Fraction values, p's class giving the
+    order and the printed keys."""
+    order = grlex_key if type(p) is Polynomial else grlex_operator_key
+    parts = []
+    for key in sorted(values, key=order, reverse=True):
+        c = values[key]
+        body = p._factors(key)
+        if not body or abs(c) != 1:
+            q = abs(c)
+            body = (f"{q.numerator}" if q.denominator == 1 else
+                    f"{q.numerator}/{q.denominator}") + (f"*{body}"
+                                                         if body else "")
+        sign = ("+ " if c > 0 else "- ") if parts else ("" if c > 0 else "-")
+        parts.append(sign + body)
+    return " ".join(parts) or "0"
+
+
+def _check(p, values: dict):
+    """p is canonical, holds the Fraction values in their key order, and
+    prints as the reference printer does."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int and c for c in p.nums.values())
+    assert gcd(p.den, *p.nums.values()) == 1
+    assert {k: Fraction(c, p.den) for k, c in p.nums.items()} == values
+    assert list(p.nums) == list(values)
+    assert str(p) == _ref_str(values, p)
+
+
+CASES = [(cls, dim, seed) for cls in (Polynomial, WeylOperator)
+         for dim in (1, 2, 3) for seed in range(4)]
+
+
+@pytest.mark.parametrize("cls,dim,seed", CASES,
+                         ids=[f"{c.__name__}-{d}-{s}" for c, d, s in CASES])
+def test_representation_matches_fraction_reference(cls, dim, seed):
+    rng = random.Random(1000 * dim + seed + 17 * (cls is WeylOperator))
+    pool = []
+    for _ in range(8):
+        terms = _random_terms(rng, cls, dim)
+        values = _nonzero(terms)
+        p = cls(dim, terms)
+        _check(p, values)
+        # the same value from numerators that share a factor with den
+        k, den = rng.choice([2, 3, 7, 30]), lcm(*(c.denominator
+                                                 for c in values.values()))
+        q = cls(dim, {key: int(c * den * k) for key, c in values.items()},
+                den * k)
+        _check(q, values)
+        assert q == p and hash(q) == hash(p)
+        # half the value: often the same numerators over twice the den
+        half = {key: c / 2 for key, c in values.items()}
+        _check(p.scale(Fraction(1, 2)), half)
+        pool += [(p, values), (q, values), (p.scale(Fraction(1, 2)), half)]
+    for p, a in pool:
+        for q, b in pool:
+            assert (p == q) == (a == b)
+            if p == q:
+                assert hash(p) == hash(q)
+    for (p, a), (q, b) in zip(pool[::3], pool[3::3]):
+        _check(p + q, _ref_add(a, b))
+        _check(p - q, _ref_add(a, {k: -c for k, c in b.items()}))
+        _check(-p, {k: -c for k, c in a.items()})
+        for c in (Fraction(-3, 4), 2, Fraction(5, 9), 0):
+            _check(p.scale(c), _nonzero({k: v * c for k, v in a.items()}))
+        _check(p * q, _ref_mul(a, b, cls, dim))
+        power = {p.one(dim).sorted_keys()[0]: Fraction(1)}
+        for n in range(3):
+            _check(p ** n, power)
+            power = _ref_mul(power, a, cls, dim)
+        if cls is Polynomial:
+            for i in range(dim):
+                _check(p.partial(i), {m[:i] + (m[i] - 1,) + m[i + 1:]:
+                                      c * m[i] for m, c in a.items() if m[i]})
+            if b:
+                for num in (p * q, p):
+                    got, want = num.div_exact(q), _ref_div_exact(
+                        {k: Fraction(c, num.den) for k, c in num.nums.items()},
+                        b)
+                    assert (got is None) == (want is None)
+                    if want is not None:
+                        _check(got, want)

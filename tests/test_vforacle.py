@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from hwkit.bsdata import BFunction, RootMultiset, bfunction_snc
 from hwkit.errors import InternalCheckFailed, PreconditionError
 from hwkit.cli import main
-from hwkit.exactalg import (Polynomial, WeightVector, grlex_key,
-                            integer_terms, mono_div, mono_divides, mono_mul,
-                            monomials_upto_degree, poly_parse)
+from hwkit.exactalg import (Polynomial, WeightVector, grlex_key, mono_div,
+                            mono_divides, mono_mul, monomials_upto_degree,
+                            poly_parse)
 from hwkit import vforacle, weyl
 from hwkit.linalg import Echelon
 from hwkit.snc import HodgePresentation, SncDivisor, snc_hodge_weight
@@ -30,7 +30,8 @@ from hwkit.weyl import (KeyPacking, ShiftTable, WeylOperator,
                         d_part_images, graded_operator_basis,
                         homogeneity_grading)
 from hwkit.whom import QuasiHomogeneousGerm, whom_hodge_weight
-from twisted_reference import TwistedSection, apply_section, roots_section
+from twisted_reference import (TwistedSection, apply_section, fraction_terms,
+                               integer_pair, roots_section)
 
 F = Fraction
 XY = poly_parse("x1*x2", 2)
@@ -39,14 +40,14 @@ XY = poly_parse("x1*x2", 2)
 def shifted(p, m, c=1):
     """c * x^m * p, built term by term."""
     return Polynomial(p.dim, {mono_mul(k, m): v * c
-                              for k, v in p.terms.items()})
+                              for k, v in p.nums.items()}, p.den)
 
 
 def packed_layers(packing, layers):
     """(integer numerators, den) of the layers {j: Polynomial}, each x^m
     at packed key j * top + shift(m, 0), over one denominator."""
-    return integer_terms(packing.pack_terms(
-        {j: p.terms for j, p in layers.items()}))
+    return integer_pair(packing.pack_terms(
+        {j: fraction_terms(p) for j, p in layers.items()}))
 
 
 def poly_parts(parts, den, dim):
@@ -61,8 +62,8 @@ def int_parts(parts):
     by_pole = {}
     for num, p in parts:
         by_pole[p] = by_pole.get(p, Polynomial.zero(num.dim)) + num
-    flat, den = integer_terms({(p, m): c for p, num in by_pole.items()
-                               for m, c in num.terms.items()})
+    flat, den = integer_pair({(p, m): c for p, num in by_pole.items()
+                              for m, c in fraction_terms(num).items()})
     out = {p: {} for p in by_pole}
     for (p, m), c in flat.items():
         out[p][m] = c
@@ -278,10 +279,10 @@ def test_member_witness_reevaluates():
                            1: poly_parse("-x1", 1)})
     span = bf_span([gen], f, B, ShiftTable(1, B.xdeg))
     assert not span.reduce(target.layers)[0]
-    witness, = span.witness([target.layers])
+    (witness, den), = span.witness([target.layers])
     assert len(witness) == 2
-    steps = [{"generator": gi, "dgamma": gamma, "xbeta": beta, "coeff": c}
-             for (gi, gamma, beta), c in witness.items()]
+    steps = [{"generator": gi, "dgamma": gamma, "xbeta": beta,
+              "coeff": F(c, den)} for (gi, gamma, beta), c in witness.items()]
     assert _reevaluated(steps, [gen], f) == target
 
 
@@ -295,9 +296,9 @@ def test_witness_answers_only_for_members():
     members = [{0: poly_parse("x1^2", 2)}, {1: poly_parse("x2", 2)}, {}]
     assert span.reduce(outside) is None
     assert span.reduce(off)[0]
-    assert span.witness([members[0], outside, members[1], off, members[2]]
-                        ) == [{(0, (0, 0), (2, 0)): 1}, None,
-                              {(0, (1, 0), (0, 0)): -1}, None, {}]
+    assert [w and _int_pair(*w) for w in span.witness(
+        [members[0], outside, members[1], off, members[2]])] == [
+        {(0, (0, 0), (2, 0)): 1}, None, {(0, (1, 0), (0, 0)): -1}, None, {}]
 
 
 def test_graph_module_span_window_edges():
@@ -345,9 +346,9 @@ def _every_graph_vector(gens, f, bounds):
             if not u.layers or _outside(u.layers, bounds):
                 continue
             deg = max(p.total_degree() for p in u.layers.values())
-            terms, den = integer_terms({(j, m): c
-                                        for j, p in u.layers.items()
-                                        for m, c in p.terms.items()})
+            terms, den = integer_pair({(j, m): c
+                                       for j, p in u.layers.items()
+                                       for m, c in fraction_terms(p).items()})
             for beta in monomials_upto_degree(f.dim, bounds.xdeg - deg):
                 yield ({(j, mono_mul(m, beta)): c
                         for (j, m), c in terms.items()}, den,
@@ -407,16 +408,17 @@ def test_graph_span_matches_every_vector_reference(seed):
                 member[key] = member.get(key, 0) + k * c
         member = {key: c for key, c in member.items() if c}
         layers = _as_layers(dim, member)
-        residual, carried, den = ref.reduce(*integer_terms(member))
+        residual, carried, den = ref.reduce(*integer_pair(member))
         assert not residual
         assert not span.reduce(layers)[0]
-        assert span.witness([layers]) == [_fractions(carried, den)]
+        assert [_int_pair(*w) for w in span.witness([layers])] == [
+            _fractions(carried, den)]
         # an element off the family: the same residual verdict
         other = BfElement(dim, {rng.randint(0, B.dt):
                                 rand_poly(rng, dim, B.xdeg)})
-        residual, _, _ = ref.reduce(*integer_terms(
+        residual, _, _ = ref.reduce(*integer_pair(
             {(j, m): c for j, p in other.layers.items()
-             for m, c in p.terms.items()}))
+             for m, c in fraction_terms(p).items()}))
         assert bool(span.reduce(other.layers)[0]) == bool(residual)
         # one step past either edge of the window: None
         for layers in ({B.dt + 1: Polynomial.one(dim)},
@@ -497,7 +499,7 @@ def test_verify_bfunction_columns_match_apply_to_twisted(
     bf = BFunction(b)
     verify_bfunction(f, bf, order, xdeg)
     columns = inserted[dim:]
-    if len(f.terms) == 1:  # a monomial has no exponent differences
+    if len(f.nums) == 1:  # a monomial has no exponent differences
         assert inserted[:dim] == [{}] * dim
     sec0 = TwistedSection.power(dim, 1)
     keys = graded_operator_basis(f, order, xdeg, bf.degree())
@@ -515,7 +517,7 @@ def _section_vector(sec, f, pole_target):
     columns."""
     mult = f ** (pole_target - sec.pole)
     return {(j, m): c for j, p in sec.coeffs.items()
-            for m, c in (p * mult).terms.items()}
+            for m, c in fraction_terms(p * mult).items()}
 
 
 def full_basis_certificate(f, b, order, xdeg):
@@ -535,12 +537,12 @@ def full_basis_certificate(f, b, order, xdeg):
     pole_target = max([sec.pole for sec in sections] + [1])
     ech = Echelon()
     for idx, sec in enumerate(sections):
-        vec, den = integer_terms(_section_vector(sec, f, pole_target))
+        vec, den = integer_pair(_section_vector(sec, f, pole_target))
         ech.insert(vec, den, {idx: den})
 
     def residual(roots):
         rhs = roots_section(f.dim, roots)
-        return ech.reduce(*integer_terms(
+        return ech.reduce(*integer_pair(
             _section_vector(rhs, f, pole_target)))
 
     res, carried, den = residual(b)
@@ -612,9 +614,9 @@ def test_verify_bfunction_witness_is_w_homogeneous(
     f = poly_parse(poly, dim)
     cert = verify_bfunction(f, BFunction.parse(b), order, xdeg)
     operator = WeylOperator.parse(cert.witness["operator"], dim)
-    assert operator.terms
-    for xe, de, _ in operator.terms:
-        for w, (deg,) in homogeneity_grading(f.dim, [f.terms]):
+    assert operator.nums
+    for xe, de, _ in operator.nums:
+        for w, (deg,) in homogeneity_grading(f.dim, [f.nums]):
             assert sum(wi * (bi - gi)
                        for wi, bi, gi in zip(w, xe, de)) == -deg
 
@@ -677,7 +679,7 @@ def test_verify_bfunction_inserts_canonical_pairs(germ, common, data):
     poly, dim, b, order, xdeg, pole = germ
     f = Polynomial(dim, {m: c * F(common * data.draw(st.sampled_from(
         [1, -1, 2, 3])), data.draw(st.integers(1, 6)))
-        for m, c in poly_parse(poly, dim).terms.items()})
+        for m, c in fraction_terms(poly_parse(poly, dim)).items()})
     bf = BFunction.parse(b)
     pole_target, packing, inserts, rhs = fraction_bfunction_system(
         f, bf, order, xdeg)
@@ -803,9 +805,8 @@ def test_d_gamma_images_match_step_chains(dim):
         f = f.scale(F(2, 3)) if draw % 2 else f
         g = rand_poly(rng, dim)
         pole, alpha = rng.randint(0, 2), F(rng.randint(0, 5), 6)
-        num, den = integer_terms(g.terms)
-        images = vforacle.pole_apply(gammas, ({0: num}, den), pole,
-                                     (alpha, 0), integer_terms(f.terms))
+        images = vforacle.pole_apply(gammas, ({0: g.nums}, g.den), pole,
+                                     (alpha, 0), (f.nums, f.den))
         assert set(images) == set(gammas)
         for gamma in gammas:
             layers, den, p = images[gamma]
@@ -844,15 +845,15 @@ def test_s_twisted_pole_apply_matches_apply_d_chains(dim, pole, alpha0,
     rng = random.Random(seed)
     x1 = Polynomial.monomial((1,) + (0,) * (dim - 1))
     f = (rand_poly(rng, dim) + x1).scale(F(2, 3))
-    assert integer_terms(f.terms)[1] != 1
+    assert f.den != 1
     start = {j: rand_poly(rng, dim) + x1 ** (j + 2) for j in range(n_layers)}
-    flat, den = integer_terms({(j, m): c for j, p in start.items()
-                               for m, c in p.terms.items()})
+    flat, den = integer_pair({(j, m): c for j, p in start.items()
+                              for m, c in fraction_terms(p).items()})
     layers = {j: {m: c for (i, m), c in flat.items() if i == j}
               for j in start}
     gammas = list(monomials_upto_degree(dim, 3))
     images = vforacle.pole_apply(gammas, (layers, den), pole,
-                                 (alpha0, alpha1), integer_terms(f.terms))
+                                 (alpha0, alpha1), (f.nums, f.den))
     assert set(images) == set(gammas)
     chain = {gammas[0]: TwistedSection(
         dim, -pole - alpha0, 0,
@@ -1342,7 +1343,7 @@ def _family(rng, label, base=(), xdeg=3):
                     rng.randint(-2, 2))
         if p.is_zero():
             p = _sparse_poly(rng, xdeg)
-        out.append((*integer_terms(p.terms), (label, i)))
+        out.append((p.nums, p.den, (label, i)))
     return out
 
 
@@ -1411,12 +1412,12 @@ def test_clear_to_pole_matches_powers(poles, pole):
             g = rand_poly(rng) + XY
             parts += [(g, poles[0]), (-g, poles[0])]
         num, den = vforacle.clear_to_pole(*int_parts(parts),
-                                          integer_terms(f.terms), pole)
+                                          (f.nums, f.den), pole)
         assert poly_parts({pole: num}, den, 2) == [
             (cleared_by_powers(parts, f, pole), pole)], (poles, pole, str(f))
     with pytest.raises(ValueError):
         vforacle.clear_to_pole(*int_parts([(XY, pole + 1)]),
-                               integer_terms(XY.terms), pole)
+                               (XY.nums, XY.den), pole)
 
 
 def every_window_vector(parts, f, pole_target, xdeg, tag):
@@ -1427,7 +1428,7 @@ def every_window_vector(parts, f, pole_target, xdeg, tag):
     num = cleared_by_powers(parts, f, pole_target)
     if num.is_zero() or num.total_degree() > xdeg:
         return
-    terms, den = integer_terms(num.terms)
+    terms, den = num.nums, num.den
     for beta in monomials_upto_degree(f.dim, xdeg - num.total_degree()):
         yield ({mono_mul(m, beta): c for m, c in terms.items()}, den,
                tag + (beta,))
@@ -1679,7 +1680,7 @@ def _reference_reduce(pres, f, xdeg):
             t[2], t[1].total_degree(), grlex_key(t[1].leading_monomial()))):
         vec = g * f ** (pole_target - j)
         if (vec.total_degree() <= xdeg and kept
-                and not span.reduce(*integer_terms(vec.terms))[0]):
+                and not span.reduce(vec.nums, vec.den)[0]):
             continue
         kept.append((budget, g, j))
         for gamma in monomials_upto_degree(f.dim, budget):
@@ -1734,7 +1735,8 @@ def _assert_queue_canonical(span, vector_of):
     for terms, den, tag, _ in span._queue:
         vec = vector_of(tag)
         assert _int_pair(terms, den) == {
-            span.packing.shift(m, 0): c for m, c in vec.terms.items()}, tag
+            span.packing.shift(m, 0): c
+            for m, c in fraction_terms(vec).items()}, tag
 
 
 def _twisted_vector(summands, alpha, f, pole_target):

@@ -13,10 +13,10 @@ from hwkit.exactalg import Polynomial, mono_mul, poly_parse
 from hwkit.linalg import Echelon, nullspace
 from hwkit.weyl import (KeyPacking, WeylOperator, apply_to_twisted,
                         basis_products, bounded_operator_basis,
-                        d_part_images, graded_operator_basis,
+                        d_part_images, evaluate_s, graded_operator_basis,
                         homogeneity_grading, syzygy_kernel, weyl_mul,
                         window_packing)
-from twisted_reference import TwistedSection, apply_section
+from twisted_reference import TwistedSection, apply_section, fraction_terms
 
 
 def op(text, dim):
@@ -37,9 +37,8 @@ def test_constructor_canonicalizes_coefficients():
     z = (0, 0)
     a = WeylOperator(2, {((1, 0), z, 0): 2, (z, (0, 1), 1): "-1/3",
                          (z, z, 0): Fraction(0), ((0, 1), z, 0): 0})
-    assert a.terms == {((1, 0), z, 0): Fraction(2),
-                       (z, (0, 1), 1): Fraction(-1, 3)}
-    assert all(type(c) is Fraction for c in a.terms.values())
+    assert (a.nums, a.den) == ({((1, 0), z, 0): 6, (z, (0, 1), 1): -1}, 3)
+    assert all(type(c) is int for c in a.nums.values())
     with pytest.raises(DimensionMismatch):
         WeylOperator(2, {((1,), z, 0): Fraction(1)})
 
@@ -71,9 +70,9 @@ def total_order(a):
     """Max of |dExponents| + sPower over the terms of a; None for the zero
     operator (the distinguished minus-infinity marker).  The measure of the
     principal-symbol property test."""
-    if not a.terms:
+    if not a.nums:
         return None
-    return max(sum(de) + sp for (_, de, sp) in a.terms)
+    return max(sum(de) + sp for (_, de, sp) in a.nums)
 
 
 def test_total_order():
@@ -134,12 +133,12 @@ def kernel_matches_reference(a, f, shift):
     a F^(s+shift) = H/den F^(s+shift-G) is a f^(s+shift) =
     H/(den df^G) f^(s+shift-G), so H/(den df^G) == N f^(G-pole)."""
     h, den, top = apply_to_twisted(a, f, shift)
-    assert top == max((sum(de) for _, de, _ in a.terms), default=0)
+    assert top == max((sum(de) for _, de, _ in a.nums), default=0)
     assert all(t and all(t.values()) for t in h.values())
     ref = apply_section(a, f, TwistedSection.power(f.dim, shift))
     assert ref.pole <= top
     scale = Fraction(1, den * math.lcm(
-        *(c.denominator for c in f.terms.values())) ** top)
+        *(c.denominator for c in fraction_terms(f).values())) ** top)
     mult = f ** (top - ref.pole)
     assert {j: Polynomial(f.dim, {m: c * scale for m, c in t.items()})
             for j, t in h.items()} == {j: p * mult
@@ -150,7 +149,8 @@ def kernel_identity(a, f, shift, r):
     """a f^(s+shift) == r(s) f^(s+shift), read from the kernel alone:
     H/den F^(s+shift-G) == r(s) F^(s+shift), that is H/den == r(s) F^G."""
     h, den, top = apply_to_twisted(a, f, shift)
-    big_f = f.scale(math.lcm(*(c.denominator for c in f.terms.values())))
+    big_f = f.scale(math.lcm(*(c.denominator
+                               for c in fraction_terms(f).values())))
     want = {j: Polynomial.constant(f.dim, c) * big_f ** top
             for j, c in r.items() if c}
     return {j: Polynomial(f.dim, {m: Fraction(c, den) for m, c in t.items()})
@@ -274,12 +274,12 @@ def test_homogeneity_grading(text, dim, rank):
     # a basis of int weights, each giving every term of f the same degree:
     # all of Q^n for a monomial, a line for a quasi-homogeneous germ
     f = poly_parse(text, dim)
-    grading = homogeneity_grading(f.dim, [f.terms])
+    grading = homogeneity_grading(f.dim, [f.nums])
     assert len(grading) == rank
     independent = Echelon()
     for w, (deg,) in grading:
         assert all(type(v) is int for v in (*w, deg))
-        assert {sum(wi * ai for wi, ai in zip(w, a)) for a in f.terms} == {deg}
+        assert {sum(wi * ai for wi, ai in zip(w, a)) for a in f.nums} == {deg}
         assert independent.insert(
             {i: wi for i, wi in enumerate(w) if wi}, 1) is None
 
@@ -295,7 +295,7 @@ def test_graded_basis_is_one_degree_of_the_full_basis(text, dim, bounds,
     # the keys x^b d^g s^j with w.(b - g) = -deg_w f, found by filtering
     # the full basis, in its order
     f = poly_parse(text, dim)
-    grading = homogeneity_grading(f.dim, [f.terms])
+    grading = homogeneity_grading(f.dim, [f.nums])
     full = bounded_operator_basis(dim, *bounds)
     want = [(b, g, j) for b, g, j in full
             if all(sum(wi * (bi - gi) for wi, bi, gi in zip(w, b, g)) == -deg
@@ -489,8 +489,8 @@ def test_d_part_route_equals_the_product(case):
         image = {}
         weyl._mul_into(image, {(zero, g, 0): 1}, t, dim)
         weyl._mul_into(got, x, image, dim)
-    assert {k: c for k, c in got.items() if c} == weyl_mul(
-        WeylOperator(dim, p), WeylOperator(dim, t)).terms
+    assert WeylOperator(dim, got) == weyl_mul(WeylOperator(dim, p),
+                                              WeylOperator(dim, t))
     for x in d_free.values():
         out = {}
         weyl._mul_into(out, x, t, dim)
@@ -499,10 +499,11 @@ def test_d_part_route_equals_the_product(case):
 
 
 def decoded_products(keys, t, packing):
-    """basis_products with every key unpacked and every numerator divided
-    by the shared denominator."""
+    """basis_products with every key unpacked, each column an operator over
+    the shared denominator."""
     columns, den = basis_products(keys, t, packing)
-    return [{packing.unpack(code): Fraction(c, den) for code, c in col.items()}
+    return [WeylOperator(t.dim, {packing.unpack(code): c
+                                 for code, c in col.items()}, den)
             for col in columns]
 
 
@@ -516,7 +517,7 @@ def test_basis_products_equal_weyl_mul(dim, with_s):
     for _ in range(6):
         t = rand_operator(rng, dim, with_s)
         packing = window_packing([t], order, xdeg, s_bound)
-        want = [weyl_mul(WeylOperator(dim, {key: 1}), t).terms for key in keys]
+        want = [weyl_mul(WeylOperator(dim, {key: 1}), t) for key in keys]
         assert decoded_products(keys, t, packing) == want
         shuffled = list(range(len(keys)))
         rng.shuffle(shuffled)
@@ -527,7 +528,7 @@ def test_basis_products_equal_weyl_mul(dim, with_s):
     packing = window_packing([t], order, xdeg, s_bound)
     assert basis_products(keys, t, packing)[1] == 12
     assert decoded_products(keys, t, packing) == [
-        weyl_mul(WeylOperator(dim, {key: 1}), t).terms for key in keys]
+        weyl_mul(WeylOperator(dim, {key: 1}), t) for key in keys]
     # at the smallest radix window_packing allows, the d digits of the
     # deepest images reach radix - 1 and the x digits are stepped down to
     # 0, so a carry or a borrow in the packed d-step would show; one less
@@ -538,9 +539,9 @@ def test_basis_products_equal_weyl_mul(dim, with_s):
     packing = window_packing([t], order, xdeg, s_bound)
     assert packing.radix == 3 + order
     assert max(de[0] for col in decoded_products(keys, t, packing)
-               for _, de, _ in col) == packing.radix - 1
+               for _, de, _ in col.nums) == packing.radix - 1
     assert decoded_products(keys, t, packing) == [
-        weyl_mul(WeylOperator(dim, {key: 1}), t).terms for key in keys]
+        weyl_mul(WeylOperator(dim, {key: 1}), t) for key in keys]
     with pytest.raises(InternalCheckFailed):
         basis_products(keys, t, KeyPacking(dim, packing.radix - 1,
                                            packing.reach))
@@ -644,7 +645,7 @@ def test_basis_products_bound_each_d_exponent_per_variable():
         basis_products(keys, op("d2^2", 2), packing)
     t = op("d1^2", 2)
     assert decoded_products(keys, t, packing) == [
-        weyl_mul(WeylOperator(2, {key: 1}), t).terms for key in keys]
+        weyl_mul(WeylOperator(2, {key: 1}), t) for key in keys]
 
 
 @st.composite
@@ -674,7 +675,7 @@ def test_packing_is_exact_inside_the_window(case):
     for t in gens:
         for g in {g for _, g, _ in basis}:
             image = weyl_mul(WeylOperator(dim, {((0,) * dim, g, 0): 1}), t)
-            for (xe, de, sp) in image.terms:
+            for (xe, de, sp) in image.nums:
                 code = packing.pack((xe, de, sp))
                 assert packing.order(code) == sum(de) + sp
                 for b, g2, j in basis:
@@ -703,15 +704,18 @@ def test_operator_parse_print_roundtrip():
 
 def test_substitute_s():
     a = op("x1*d1*s^2 - s + 3", 1)
-    got = a.substitute_s(Fraction(-1, 2))
-    assert got == op("1/4*x1*d1 + 7/2", 1)
+    got = evaluate_s([a, op("2*s^3 - x1", 1), op("d1", 1)], Fraction(-1, 2))
+    assert got == [op("1/4*x1*d1 + 7/2", 1), op("-1/4 - x1", 1), op("d1", 1)]
+    assert evaluate_s([a], Fraction(0)) == [op("3", 1)]
+    assert evaluate_s([], Fraction(2, 3)) == []
 
 
 def _leading_symbol(a):
     """Terms of maximal total order, as a commutative polynomial in
     (x, xi, s) encoded by the same keys."""
     top = total_order(a)
-    return {k: c for k, c in a.terms.items() if sum(k[1]) + k[2] == top}
+    return {k: c for k, c in fraction_terms(a).items()
+            if sum(k[1]) + k[2] == top}
 
 
 def _symbol_mul(sa, sb, dim):
@@ -763,8 +767,8 @@ def reference_weyl_mul(a, b):
     per key in first-seen order, zeros dropped."""
     dim = a.dim
     out = {}
-    for (xa, da, sa), ca in a.terms.items():
-        for (xb, db, sb), cb in b.terms.items():
+    for (xa, da, sa), ca in fraction_terms(a).items():
+        for (xb, db, sb), cb in fraction_terms(b).items():
             acc = [((), Fraction(1))]
             for i in range(dim):
                 c_i, b_i = da[i], xb[i]
@@ -792,10 +796,10 @@ def reference_weyl_mul(a, b):
 @given(operator_pairs())
 def test_weyl_mul_matches_fraction_reference(pair):
     a, b = pair
-    got, ref = weyl_mul(a, b).terms, reference_weyl_mul(a, b)
-    assert got == ref
-    assert list(got) == list(ref)
-    assert all(type(c) is Fraction for c in got.values())
+    got, ref = weyl_mul(a, b), reference_weyl_mul(a, b)
+    assert got == WeylOperator(a.dim, ref)
+    assert list(got.nums) == list(ref)
+    assert all(type(c) is int for c in got.nums.values())
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -6,8 +6,26 @@ divides f out until it no longer divides (`Polynomial.div_exact`), so it
 shares with the kernel only the `exactalg` term kernels that `Polynomial`
 products and partials run on."""
 
+import math
+from fractions import Fraction
+
 from hwkit.errors import DimensionMismatch
 from hwkit.exactalg import Polynomial
+
+
+def fraction_terms(a) -> dict:
+    """The coefficients of a Polynomial or WeylOperator as {key: Fraction},
+    in its key order: the view the Fraction references compute in."""
+    return {k: Fraction(c, a.den) for k, c in a.nums.items()}
+
+
+def integer_pair(terms: dict) -> tuple:
+    """(int numerators, den) of a {key: Fraction} dict over the lcm of its
+    denominators (1 for an empty dict): the references' own way into the
+    integer form the kernels take."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return {k: c.numerator * (den // c.denominator)
+            for k, c in terms.items()}, den
 
 
 class TwistedSection:
@@ -110,7 +128,7 @@ def apply_section(a, f: Polynomial, sec: TwistedSection) -> TwistedSection:
     if a.dim != f.dim or a.dim != sec.dim:
         raise DimensionMismatch("operator/section dimension mismatch")
     total = TwistedSection(a.dim, sec.shift, 0, {})
-    for (xe, de, sp), c in a.terms.items():
+    for (xe, de, sp), c in fraction_terms(a).items():
         cur = sec.mul_s_power(sp)
         for i, e in enumerate(de):
             for _ in range(e):
@@ -121,6 +139,15 @@ def apply_section(a, f: Polynomial, sec: TwistedSection) -> TwistedSection:
 
 
 def roots_section(dim: int, roots) -> TwistedSection:
-    """The section roots(s) * f^s, kept as roots(s) * f^(s+1) / f."""
+    """The section roots(s) * f^s, kept as roots(s) * f^(s+1) / f, with
+    roots(s) = prod (s - r)^m expanded here in Fractions."""
+    coeffs = {0: Fraction(1)}
+    for r, m in roots.roots.items():
+        for _ in range(m):
+            nxt = {}
+            for j, c in coeffs.items():
+                nxt[j + 1] = nxt.get(j + 1, 0) + c
+                nxt[j] = nxt.get(j, 0) - r * c
+            coeffs = nxt
     return TwistedSection(dim, 1, 1, {j: Polynomial.constant(dim, c)
-                                      for j, c in roots.coefficients().items()})
+                                      for j, c in coeffs.items()})
