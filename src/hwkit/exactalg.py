@@ -264,10 +264,11 @@ class SparseTerms:
     """Canonical sparse terms in `dim` variables: nonzero int numerators
     `nums` {key: int}, in key insertion order, over one int `den` > 0
     coprime to their content (1 for zero), so identity is a plain compare.
-    What `Polynomial` and `weyl.WeylOperator` share; a subclass supplies
-    `__init__` (defaults and a check of the keys), `constant`, product,
-    `sorted_keys` (printing order) and `_factors(key)` (the key printed as a
-    product, "" for a constant)."""
+    What `Polynomial`, `weyl.WeylOperator` and `vforacle.BfElement` share; a
+    subclass supplies `__init__` (defaults and a check of the keys) and
+    `_factors(key)` (the key printed as a product, "" for a constant), and
+    `sorted_keys` (printing order) where descending grlex does not fit;
+    `Polynomial` and `weyl.WeylOperator` add `constant` and a product."""
 
     __slots__ = ("dim", "nums", "den")
 
@@ -344,6 +345,10 @@ class SparseTerms:
     def __hash__(self):
         return hash((self.dim, self.den, frozenset(self.nums.items())))
 
+    def sorted_keys(self):
+        """Keys in descending grlex order."""
+        return sorted(self.nums, key=grlex_key, reverse=True)
+
     def __str__(self):
         """Signed sum in `sorted_keys` order: "-3/4*x1^2 + x2 - 1"."""
         parts = []
@@ -417,10 +422,6 @@ class Polynomial(SparseTerms):
 
     def constant_term(self) -> Fraction:
         return Fraction(self.nums.get((0,) * self.dim, 0), self.den)
-
-    def sorted_keys(self):
-        """Monomials in descending grlex order."""
-        return sorted(self.nums, key=grlex_key, reverse=True)
 
     def _factors(self, m: Mono) -> str:
         return "*".join(power_factors("x", m))
@@ -514,11 +515,17 @@ class WeightVector:
         return ",".join(fmt_rational(w) for w in self.weights)
 
 
-def weighted_degree(m: Mono, w: WeightVector) -> Fraction:
-    """One int dot product over w.nums, over w.den."""
+def scaled_degree(m: Mono, w: WeightVector) -> int:
+    """w.den times the weighted degree of m: one int dot product over
+    w.nums."""
     if len(m) != w.dim:
         raise DimensionMismatch(f"monomial length {len(m)} vs weights {w.dim}")
-    return Fraction(sum(e * n for e, n in zip(m, w.nums)), w.den)
+    return sum(e * n for e, n in zip(m, w.nums))
+
+
+def weighted_degree(m: Mono, w: WeightVector) -> Fraction:
+    """scaled_degree(m, w) over w.den."""
+    return Fraction(scaled_degree(m, w), w.den)
 
 
 def _scaled(w: WeightVector, bound) -> tuple:
@@ -583,29 +590,12 @@ class MonomialIdeal:
     def unit(cls, dim: int) -> "MonomialIdeal":
         return cls(dim, [(0,) * dim])
 
-    @classmethod
-    def zero(cls, dim: int) -> "MonomialIdeal":
-        return cls(dim, [])
-
     def _check(self, other: "MonomialIdeal"):
         if self.dim != other.dim:
             raise DimensionMismatch(f"{self.dim} vs {other.dim}")
 
-    def is_zero(self) -> bool:
-        return not self.gens
-
     def contains_monomial(self, m: Mono) -> bool:
         return any(mono_divides(g, m) for g in self.gens)
-
-    def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        self._check(other)
-        return MonomialIdeal(self.dim, self.gens + other.gens)
-
-    def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        self._check(other)
-        return MonomialIdeal(
-            self.dim,
-            [mono_mul(a, b) for a in self.gens for b in other.gens])
 
     def __le__(self, other: "MonomialIdeal") -> bool:
         self._check(other)

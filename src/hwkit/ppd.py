@@ -46,9 +46,10 @@ def _is_derivation(op: WeylOperator) -> bool:
 
 @dataclass
 class AnnihilatorInput:
-    """f with an Euler field, s-free annihilator generators of f^(s-1), a
-    verified b-function whose roots lie in (-2-alpha, -alpha), and the
-    asserted primality flag."""
+    """f with an Euler field, s-free annihilator generators of f^(s-1), the
+    b-function b that the input asserts, and the asserted primality flag.
+    b is not verified as the b-function of f: the only check on it is that
+    its roots lie in (-2-alpha, -alpha)."""
 
     f: Polynomial
     euler: WeylOperator

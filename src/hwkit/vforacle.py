@@ -7,9 +7,13 @@ a fixed pole order), using exact linear algebra only.  Verdicts are
 three-valued: "member" always carries a witness that re-evaluates exactly;
 "not-found-at-bound" is never treated as a refutation.
 
-Window vectors and b-function columns are built in integer form: numerators
-{m: int}, or layers {j: {m: int}} (dt layers or s-powers), over an int
-den > 0; f = F/df and alpha = a/q in integers.
+An element of the graph-embedding module (`BfElement`) holds int numerators
+keyed by its x exponents with the dt power appended, over one den, on the
+base `exactalg.SparseTerms` it shares with `Polynomial`.  Window vectors and
+b-function columns are built in integer form: numerators {m: int}, or
+layers {j: {m: int}} (dt layers or s-powers), over an int den > 0; an
+element's numerators are grouped into such layers once, to be packed.
+f = F/df and alpha = a/q in integers.
 """
 
 from __future__ import annotations
@@ -21,8 +25,9 @@ from itertools import chain, combinations
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, InternalCheckFailed, PreconditionError
-from .exactalg import (Polynomial, combine_terms, fmt_rational,
-                       graded_ideal, grlex_key, mul_terms, partial_terms)
+from .exactalg import (Polynomial, SparseTerms, combine_terms,
+                       fmt_rational, graded_ideal, grlex_key, mul_terms,
+                       partial_terms, power_factors)
 from .bsdata import BFunction, RootMultiset
 from .linalg import Echelon
 from .snc import HodgePresentation, SncDivisor, snc_hodge_weight
@@ -71,90 +76,74 @@ class SpanCertificate:
 # elements of the graph-embedding module
 
 
-def _layer_nums(layers: dict) -> tuple:
-    """The layers {j: Polynomial} as int layers {j: {m: int}} over one den."""
-    den = math.lcm(*(p.den for p in layers.values()))
-    return {j: {m: c * (den // p.den) for m, c in p.nums.items()}
-            for j, p in layers.items()}, den
+def _layers(nums: dict) -> dict:
+    """The numerators {m + (j,): c} of an element grouped into its dt layers
+    {j: {m: c}}, the form a KeyPacking packs."""
+    out = {}
+    for key, c in nums.items():
+        out.setdefault(key[-1], {})[key[:-1]] = c
+    return out
 
 
-class BfElement:
-    """Finitely many layers g_j * dt^j applied to the module generator."""
+class BfElement(SparseTerms):
+    """An element sum_j g_j dt^j of the graph-embedding module, applied to
+    its generator: the numerators nums {x exponents + (j,): int} over den,
+    the dt power j last in each key."""
 
-    __slots__ = ("dim", "layers")
+    __slots__ = ()
 
-    def __init__(self, dim: int, layers=None):
-        self.dim = dim
-        self.layers = {int(j): p for j, p in (layers or {}).items()
-                       if not p.is_zero()}
-        if any(j < 0 for j in self.layers):
-            raise ValueError("negative dt layer")
+    def __init__(self, dim: int, nums, den: int = 1):
+        super().__init__(dim, nums, den)
+        if bad := [k for k in self.nums if len(k) != dim + 1 or k[-1] < 0]:
+            raise DimensionMismatch(f"key {bad[0]} is no x exponents in "
+                                    f"dimension {dim} and a dt power")
 
     @classmethod
     def from_poly(cls, p: Polynomial, layer: int = 0):
-        return cls(p.dim, {layer: p})
+        """p * dt^layer."""
+        return cls(p.dim, {m + (layer,): c for m, c in p.nums.items()}, p.den)
 
     def max_layer(self) -> int:
-        return max(self.layers, default=0)
+        return max((key[-1] for key in self.nums), default=0)
 
-    def __add__(self, other: "BfElement") -> "BfElement":
-        if self.dim != other.dim:
-            raise DimensionMismatch("incompatible elements")
-        out = dict(self.layers)
-        for j, p in other.layers.items():
-            out[j] = out[j] + p if j in out else p
-        return BfElement(self.dim, out)
-
-    def scale(self, c) -> "BfElement":
-        return BfElement(self.dim,
-                         {j: p.scale(c) for j, p in self.layers.items()})
+    def _factors(self, key) -> str:
+        j = key[-1]
+        dt = ["dt" if j == 1 else f"dt^{j}"] if j else []
+        return "*".join(power_factors("x", key[:-1]) + dt)
 
     def t(self, f: Polynomial) -> "BfElement":
-        """t: g dt^j -> f g dt^j - j g dt^(j-1)."""
-        layers = self.layers.items()
-        return BfElement(self.dim, {j: p * f for j, p in layers}) + \
-            BfElement(self.dim, {j - 1: p.scale(-j) for j, p in layers if j})
+        """t u = f u - du/d(dt): g dt^j -> f g dt^j - j g dt^(j-1)."""
+        fnum = {m + (0,): c for m, c in f.nums.items()}
+        return BfElement(self.dim, combine_terms(
+            mul_terms(self.nums, fnum), 1,
+            partial_terms(self.nums, self.dim), -f.den), self.den * f.den)
 
     def dt(self) -> "BfElement":
         """dt: g dt^j -> g dt^(j+1)."""
-        return BfElement(self.dim, {j + 1: p for j, p in self.layers.items()})
+        return BfElement(self.dim, mul_terms(
+            self.nums, {(0,) * self.dim + (1,): 1}), self.den)
 
     def d_images(self, gammas, f: Polynomial, dt: int) -> list:
         """(gamma, layers, den) for the d-parts gamma of gammas (see
-        d_part_images) whose image d^gamma self, in integer form, is nonzero
-        and has no layer above dt; d_i: g dt^j -> (df d_i(g) dt^j -
-        d_i(F) g dt^(j+1)) / df.  bf_span and the cross-check's oracle take
-        their graph-module images from it: one place makes the dt skip."""
-        fnum, df = f.nums, f.den
-        dfs = [partial_terms(fnum, i) for i in range(self.dim)]
-        start, den = _layer_nums(self.layers)
+        d_part_images) whose image d^gamma self is nonzero and has no layer
+        above dt, its numerators grouped into layers {j: {m: int}} over den.
+        d_i u = d_i(u) - d_i(f) dt u, so with f = F/df, d_i: N/den ->
+        (df d_i(N) - d_i(F) dt N) / (df den).  bf_span and the cross-check's
+        oracle take their graph-module images from it: one place makes the
+        dt skip."""
+        df = f.den
+        dfdt = [{m + (1,): c for m, c in partial_terms(f.nums, i).items()}
+                for i in range(self.dim)]
 
         def step(image, i):
-            layers, den = image
-            out = {j: combine_terms(
-                partial_terms(layers.get(j, {}), i), df,
-                mul_terms(layers.get(j - 1, {}), dfs[i]), -1)
-                for j in {*layers, *(j + 1 for j in layers)}}
-            return {j: terms for j, terms in out.items() if terms}, den * df
+            nums, den = image
+            return combine_terms(partial_terms(nums, i), df,
+                                 mul_terms(nums, dfdt[i]), -1), den * df
 
-        images = d_part_images(gammas, (start, den), step)
-        return [(gamma, layers, den) for gamma, (layers, den) in images.items()
-                if layers and max(layers) <= dt]
-
-    def __eq__(self, other):
-        return (isinstance(other, BfElement) and self.dim == other.dim
-                and self.layers == other.layers)
-
-    def __str__(self):
-        if not self.layers:
-            return "0"
-        bits = []
-        for j in sorted(self.layers):
-            head = f"({self.layers[j]})"
-            bits.append(head if j == 0 else f"{head}*dt^{j}" if j > 1 else f"{head}*dt")
-        return " + ".join(bits)
-
-    __repr__ = __str__
+        images = d_part_images(gammas, (self.nums, self.den), step)
+        return [(gamma, _layers(nums), den)
+                for gamma, (nums, den) in images.items()
+                if nums and max(key[-1] for key in nums) <= dt]
 
 
 def apply_s_shifted(u: BfElement, f: Polynomial, shift: Fraction) -> BfElement:
@@ -311,7 +300,7 @@ def certify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
 def snc_v_generator_exponents(a, lam: Fraction):
     """Exponent vector of the level-lam generator monomial: per support index
     max(ceil(lam * a_i) - 1, 0)."""
-    return tuple(max(math.ceil(Fraction(lam) * ai) - 1, 0) if ai else 0 for ai in a)
+    return tuple(max(math.ceil(lam * ai) - 1, 0) if ai else 0 for ai in a)
 
 
 def candidate_v_snc(a, lam, jmax: int):
@@ -469,7 +458,7 @@ def verify_v_axioms(family, f: Polynomial, grid, bounds: Bounds) -> dict:
                 u = apply_s_shifted(u, f, gam)
             entries.append((f"(s+{fmt_rational(gam)})^{n}", u, span_strict))
             for name, elt, span in entries:
-                reduced = span.reduce(elt.layers)
+                reduced = span.reduce(elt)
                 verdict = ("window-exceeded" if reduced is None
                            else "not-found-at-bound" if reduced[0]
                            else "member")
@@ -496,12 +485,12 @@ def kernel_filtration_check(f: Polynomial, lam, l: int, kernel_gens,
     for gi, u in enumerate(kernel_gens):
         for _ in range(l):
             u = apply_s_shifted(u, f, lam)
-        reduced = span.reduce(u.layers)
+        reduced = span.reduce(u)
         if reduced is None or reduced[0]:
             why = "exceeds the window" if reduced is None else "not reduced"
             return SpanCertificate("not-found-at-bound", bounds.to_json(),
                                    detail=f"generator {gi} {why}")
-        members.append(u.layers)
+        members.append(u)
     witnesses = [{"generator": gi, "witness": [
         {"generator": g, "dgamma": list(gamma), "xbeta": list(beta),
          "coeff": fmt_rational(Fraction(combo[g, gamma, beta], den))}
@@ -529,7 +518,6 @@ def psi_map(layers: dict, den: int, beta) -> tuple:
     the denominator of beta and top the highest layer.  With beta = a/q,
     Q_j(beta) * q^top is the integer (a)(a+q)...(a+(j-1)q) * q^(top-j),
     one running product over the layers."""
-    beta = Fraction(beta)
     a, q = beta.numerator, beta.denominator
     top = max(layers, default=0)
     parts, poch, done = {}, 1, 0
@@ -548,30 +536,23 @@ def phi_shift(u: BfElement, alpha, f: Polynomial) -> BfElement:
     sum_i sum_{j>=i} g_j f^(i-j) C(j,i) Q_{j-i}(-alpha) dt^i.
     Fails when a required exact division by f does not hold."""
     alpha = Fraction(alpha)
-    k = u.max_layer()
-    out = {}
-    for i in range(k + 1):
-        total = Polynomial.zero(u.dim)
-        for j in range(i, k + 1):
-            g = u.layers.get(j)
-            if g is None:
-                continue
+    out = BfElement.zero(u.dim)
+    for j, num in _layers(u.nums).items():
+        layer = Polynomial(u.dim, num, u.den)
+        for i in range(j + 1):
             c = math.comb(j, i) * q_poch(j - i, -alpha)
             if not c:
                 continue
-            g = g.scale(c)
+            g = layer.scale(c)
             for _ in range(j - i):
-                gq = g.div_exact(f)
-                if gq is None:
+                g = g.div_exact(f)
+                if g is None:
                     raise PreconditionError(
                         "pole clearing failed: coefficient not divisible by f",
                         hypothesis="layers lie in the polynomial ring after "
                                    "clearing")
-                g = gq
-            total = total + g
-        if not total.is_zero():
-            out[i] = total
-    return BfElement(u.dim, out)
+            out = out + BfElement.from_poly(g, i)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -638,13 +619,14 @@ def _direction(terms: dict) -> tuple:
 
 
 class WindowSpan:
-    """A bounded span: the window vectors x^beta * v of its elements, v an
-    element's layers {j: numerator}, for every beta with deg v + |beta| <=
-    xdeg.  Graph-module spans (bf_span) have dt layers up to dt;
-    twisted-module spans have dt 0 and clear each element to the pole
-    pole_target.  The span owns its (xdeg, dt) window: add_layers skips an
-    element outside it, add_summand builds no image above pole_target, and
-    reduce, contains and witness answer None outside it.
+    """A bounded span: the window vectors x^beta * v of its elements v,
+    each packed from its layers {j: numerator} over one den, for every beta
+    with deg v + |beta| <= xdeg.  Graph-module spans (bf_span) have dt
+    layers up to dt; twisted-module spans have dt 0 and clear each element
+    to the pole pole_target.  The span owns its (xdeg, dt) window:
+    add_layers skips an element outside it, add_summand builds no image
+    above pole_target, and reduce, contains and witness answer None outside
+    it.
 
     Its coordinates are the layered keys of a KeyPacking at radix xdeg + 1,
     so x^beta adds the packed beta to every key.  Spans compared with each
@@ -708,32 +690,29 @@ class WindowSpan:
             return None
         return self.packing.pack_terms(layers), deg
 
-    def reduce(self, layers: dict):
-        """Echelon.reduce of the element given by its layers
-        {j: Polynomial}, the (residual, carried, den) triple; None when it
-        leaves the window."""
-        nums, den = _layer_nums(layers)
-        packed = self._packed(nums)
-        return packed and self.echelon.reduce(packed[0], den)
+    def reduce(self, u: BfElement):
+        """Echelon.reduce of the element u, the (residual, carried, den)
+        triple; None when it leaves the window."""
+        packed = self._packed(_layers(u.nums))
+        return packed and self.echelon.reduce(packed[0], u.den)
 
     def witness(self, members: list) -> list:
-        """For each element given by its layers {j: Polynomial}, the
-        combination (in integer form, ({tag + (beta,): int}, den)) of window
-        vectors that gives it, from one echelon of the queued vectors, each
-        carrying its tag as its companion, built on each call; None when it
-        leaves the window or is not in the span.  The record skipped only dependent
-        inserts, which change no row and no companion, so each combination
-        is that of inserting every vector."""
+        """For each element of members, the combination (in integer form,
+        ({tag + (beta,): int}, den)) of window vectors that gives it, from
+        one echelon of the queued vectors, each carrying its tag as its
+        companion, built on each call; None when it leaves the window or is
+        not in the span.  The record skipped only dependent inserts, which
+        change no row and no companion, so each combination is that of
+        inserting every vector."""
         ech = Echelon()
         for terms, den, tag, shifts in self._queue:
             for beta, code in shifts:
                 ech.insert({m + code: c for m, c in terms.items()}, den,
                            {tag + (beta,): den})
         out = []
-        for layers in members:
-            nums, den = _layer_nums(layers)
-            packed = self._packed(nums)
-            reduced = packed and ech.reduce(packed[0], den)
+        for u in members:
+            packed = self._packed(_layers(u.nums))
+            reduced = packed and ech.reduce(packed[0], u.den)
             out.append(None if reduced is None or reduced[0] else
                        reduced[1:])
         return out

@@ -11,7 +11,7 @@ from .errors import (NotIsolatedSingularity, NotQuasiHomogeneous,
                      PreconditionError)
 from .exactalg import (Polynomial, WeightVector, graded_ideal, grlex_key,
                        monomials_of_degree, monomials_weighted_upto,
-                       unit_interval_alpha, weighted_degree)
+                       scaled_degree, unit_interval_alpha, weighted_degree)
 from .linalg import Echelon
 from .snc import HodgePresentation
 from .weyl import KeyPacking
@@ -25,7 +25,7 @@ def check_weight_one(f: Polynomial, w: WeightVector) -> None:
     if f.is_zero():
         raise NotQuasiHomogeneous("zero polynomial")
     for m in f.nums:
-        if weighted_degree(m, w) != 1:
+        if scaled_degree(m, w) != w.den:
             raise NotQuasiHomogeneous(
                 f"monomial {m} has weighted degree {weighted_degree(m, w)} != 1")
 
@@ -40,9 +40,9 @@ def milnor_basis(f: Polynomial, w: WeightVector):
     into that window, so the certificate covers all degrees above the socle.
     The monomials up to weighted degree socle + max w, the largest queried,
     are enumerated once and bucketed by weighted degree (each bucket in
-    grlex order).  The partials are packed once, at a radix above every
-    product exponent, so each product x^m * d_i f is a shift, and the
-    pivots are unpacked back.
+    grlex order), each degree kept as its int numerator over w.den.  The
+    partials are packed once, at a radix above every product exponent, so
+    each product x^m * d_i f is a shift, and the pivots are unpacked back.
     """
     check_weight_one(f, w)
     if f.constant_term():
@@ -51,11 +51,11 @@ def milnor_basis(f: Polynomial, w: WeightVector):
     if any(p.constant_term() for p in partials):
         raise NotIsolatedSingularity("f is smooth at the origin")
 
-    socle = sum((1 - 2 * wi for wi in w.weights), Fraction(0))
-    maxw = max(w.weights)
+    den = w.den
+    socle = w.dim * den - 2 * sum(w.nums)  # sum(1 - 2 w_i), over den
     by_degree = {}
-    for m in monomials_weighted_upto(w, socle + maxw):
-        by_degree.setdefault(weighted_degree(m, w), []).append(m)
+    for m in monomials_weighted_upto(w, Fraction(socle + max(w.nums), den)):
+        by_degree.setdefault(scaled_degree(m, w), []).append(m)
     # a product x^m * (a term of a partial) has no exponent above the
     # largest of the bucketed monomials plus the largest of f
     largest = max(e for ms in by_degree.values() for m in ms for e in m)
@@ -63,16 +63,16 @@ def milnor_basis(f: Polynomial, w: WeightVector):
     packed_partials = [(packing.pack_terms({0: p.nums}), p.den)
                        for p in partials]
 
-    def standard_at(gamma: Fraction):
-        """(standard monomials, full_rank) at weighted degree gamma."""
+    def standard_at(gamma: int):
+        """(standard monomials, full_rank) at weighted degree gamma/den."""
         ech = Echelon()
-        for i, (num, den) in enumerate(packed_partials):
+        for i, (num, pden) in enumerate(packed_partials):
             if not num:
                 continue
-            mult_deg = gamma - (1 - w.weights[i])
+            mult_deg = gamma - den + w.nums[i]
             for m in by_degree.get(mult_deg, ()):
                 shift = packing.shift(m, 0)
-                ech.insert({k + shift: c for k, c in num.items()}, den)
+                ech.insert({k + shift: c for k, c in num.items()}, pden)
         pivots = {packing.unpack(code)[0] for code in ech.pivots()}
         standard = [m for m in by_degree[gamma] if m not in pivots]
         return standard, not standard
@@ -84,8 +84,8 @@ def milnor_basis(f: Polynomial, w: WeightVector):
             basis.extend(std)
         elif not full:
             raise NotIsolatedSingularity(
-                f"monomials of weighted degree {gamma} do not all reduce to 0 "
-                "modulo the Jacobian ideal")
+                f"monomials of weighted degree {Fraction(gamma, den)} do not "
+                "all reduce to 0 modulo the Jacobian ideal")
     basis.sort(key=grlex_key)
     return basis
 

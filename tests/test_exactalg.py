@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hwkit.errors import DimensionMismatch, ParseError
 from hwkit.exactalg import (MonomialIdeal, Polynomial, WeightVector,
                             fmt_rational, graded_ideal, grlex_key,
-                            infer_dim, minimalize, mono_divides,
+                            infer_dim, minimalize, mono_divides, mono_mul,
                             monomials_of_degree, monomials_upto_degree,
                             monomials_weighted_upto,
                             parse_rational, poly_parse,
@@ -87,7 +87,9 @@ def test_graded_ideal_products():
     w = WeightVector.parse("1/2,1/3")
     for a in (Fraction(1, 3), Fraction(1, 2), Fraction(1)):
         for b in (Fraction(1, 6), Fraction(2, 3)):
-            prod = graded_ideal(w, a, False) * graded_ideal(w, b, False)
+            left, right = graded_ideal(w, a, False), graded_ideal(w, b, False)
+            prod = MonomialIdeal(w.dim, [mono_mul(g, h) for g in left.gens
+                                         for h in right.gens])
             assert prod <= graded_ideal(w, a + b, False)
 
 
@@ -178,30 +180,9 @@ def test_monomials_weighted_upto_matches_brute_force(case):
 
 
 def test_ideal_operations():
-    x = MonomialIdeal(2, [(1, 0)])
-    y = MonomialIdeal(2, [(0, 1)])
+    x_or_y = MonomialIdeal(2, [(1, 0), (0, 1)])
     xy = MonomialIdeal(2, [(1, 1)])
-    assert x + y == MonomialIdeal(2, [(1, 0), (0, 1)])
-    assert xy <= x + y
-    assert (x + y) * xy == MonomialIdeal(
-        2, [(2, 1), (1, 2)])
-
-
-def test_ideal_monoid_laws_random():
-    rng = random.Random(11)
-
-    def rand_ideal():
-        gens = [tuple(rng.randint(0, 3) for _ in range(2))
-                for _ in range(rng.randint(0, 3))]
-        return MonomialIdeal(2, gens)
-
-    zero = MonomialIdeal.zero(2)
-    for _ in range(100):
-        a, b, c = rand_ideal(), rand_ideal(), rand_ideal()
-        assert (a + b) + c == a + (b + c)
-        assert a + b == b + a
-        assert a + zero == a
-        assert a + a == a
+    assert xy <= x_or_y
 
 
 def test_minimalization():

@@ -40,11 +40,11 @@ def test_only_linalg_touches_echelon_rows():
     assert not offenders, offenders
 
 
-def _graph_member(span, layers):
-    """Reduce a member of a graph-module span and build its witness, so
+def _graph_member(span, u):
+    """Reduce a member u of a graph-module span and build its witness, so
     that both the span's echelon and the witness echelon are built."""
-    assert not span.reduce(layers)[0]
-    assert span.witness([layers])[0][0]
+    assert not span.reduce(u)[0]
+    assert span.witness([u])[0][0]
 
 
 def test_package_hands_echelons_int_coordinates(monkeypatch, capsys):
@@ -103,7 +103,7 @@ def test_package_hands_echelons_int_coordinates(monkeypatch, capsys):
         "bf_span reduce and witness": lambda: _graph_member(
             bf_span([BfElement.from_poly(Polynomial.one(1))], x1, B,
                     ShiftTable(1, B.xdeg)),
-            {0: x1}),
+            BfElement.from_poly(x1)),
         "milnor_basis": lambda: milnor_basis(
             cusp, WeightVector.parse("1/2,1/3")),
         "weight_module_generators": lambda: weight_module_generators(

@@ -1,5 +1,5 @@
 """exactalg.SparseTerms: the one copy of the arithmetic, identity and
-printing that Polynomial and weyl.WeylOperator share."""
+printing that Polynomial, weyl.WeylOperator and vforacle.BfElement share."""
 
 import random
 from fractions import Fraction
@@ -11,6 +11,7 @@ import pytest
 
 from hwkit.errors import DimensionMismatch
 from hwkit.exactalg import Polynomial, SparseTerms, grlex_key
+from hwkit.vforacle import BfElement
 from hwkit.weyl import WeylOperator, grlex_operator_key
 
 SHARED = ("zero", "one", "_check", "__add__", "__sub__", "__neg__", "scale",
@@ -25,7 +26,8 @@ SAMPLES = [
     WeylOperator.s(3),
 ]
 
-# strings printed by the two classes before they shared a printer
+# strings printed by Polynomial and WeylOperator before they shared a
+# printer, and BfElement's, whose keys print with the dt power last
 PRINTED = [
     (Polynomial.constant(2, 3), "3"),
     (Polynomial.constant(2, Fraction(-1, 2)), "-1/2"),
@@ -46,6 +48,12 @@ PRINTED = [
     (WeylOperator.parse("-2/3*x1*d2^3 + s^3 - x2*d1*s", 2),
      "-2/3*x1*d2^3 - x2*d1*s + s^3"),
     (WeylOperator.parse("d1*x1", 1), "x1*d1 + 1"),
+    (BfElement.zero(2), "0"),
+    (BfElement(2, {(1, 0, 1): 1, (0, 0, 0): -3}), "x1*dt - 3"),
+    (BfElement.from_poly(Polynomial.parse("x1^2 - 1/2", 1), 2),
+     "x1^2*dt^2 - 1/2*dt^2"),
+    (BfElement(2, {(0, 1, 0): Fraction(2, 3), (0, 0, 3): 1}),
+     "dt^3 + 2/3*x2"),
 ]
 
 
@@ -54,7 +62,9 @@ def test_shared_members_have_one_definition():
         assert name in SparseTerms.__dict__, name
         assert name not in Polynomial.__dict__, name
         assert name not in WeylOperator.__dict__, name
+        assert name not in BfElement.__dict__, name
     assert Polynomial.__slots__ == WeylOperator.__slots__ == ()
+    assert BfElement.__slots__ == ()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -65,6 +75,8 @@ def test_equality_is_type_exact(dim):
     assert Polynomial.zero(dim) == Polynomial.zero(dim)
     assert WeylOperator.one(dim) == WeylOperator.constant(dim, 1)
     assert Polynomial.zero(dim) != Polynomial.zero(dim + 1)
+    assert BfElement.zero(dim) != Polynomial.zero(dim)
+    assert BfElement.zero(dim) == BfElement.zero(dim)
 
 
 def test_equal_values_hash_equal():
@@ -134,8 +146,9 @@ def _random_terms(rng, cls, dim) -> dict:
         return tuple(rng.randint(0, 2) for _ in range(dim))
 
     def key():
-        return vector() if cls is Polynomial else (vector(), vector(),
-                                                   rng.randint(0, 2))
+        if cls is WeylOperator:
+            return vector(), vector(), rng.randint(0, 2)
+        return vector() + ((rng.randint(0, 2),) if cls is BfElement else ())
     return {key(): Fraction(rng.randint(-6, 6),
                             rng.choice([1, 1, 2, 3, 4, 6, 9, 10]))
             for _ in range(rng.randint(0, 5))}
@@ -191,7 +204,7 @@ def _ref_div_exact(a: dict, b: dict):
 def _ref_str(values: dict, p) -> str:
     """The signed sum printed from Fraction values, p's class giving the
     order and the printed keys."""
-    order = grlex_key if type(p) is Polynomial else grlex_operator_key
+    order = grlex_operator_key if type(p) is WeylOperator else grlex_key
     parts = []
     for key in sorted(values, key=order, reverse=True):
         c = values[key]
@@ -217,14 +230,15 @@ def _check(p, values: dict):
     assert str(p) == _ref_str(values, p)
 
 
-CASES = [(cls, dim, seed) for cls in (Polynomial, WeylOperator)
+CASES = [(cls, dim, seed) for cls in (Polynomial, WeylOperator, BfElement)
          for dim in (1, 2, 3) for seed in range(4)]
 
 
 @pytest.mark.parametrize("cls,dim,seed", CASES,
                          ids=[f"{c.__name__}-{d}-{s}" for c, d, s in CASES])
 def test_representation_matches_fraction_reference(cls, dim, seed):
-    rng = random.Random(1000 * dim + seed + 17 * (cls is WeylOperator))
+    rng = random.Random(1000 * dim + seed + 17 * (cls is WeylOperator)
+                        + 31 * (cls is BfElement))
     pool = []
     for _ in range(8):
         terms = _random_terms(rng, cls, dim)
@@ -253,6 +267,8 @@ def test_representation_matches_fraction_reference(cls, dim, seed):
         _check(-p, {k: -c for k, c in a.items()})
         for c in (Fraction(-3, 4), 2, Fraction(5, 9), 0):
             _check(p.scale(c), _nonzero({k: v * c for k, v in a.items()}))
+        if cls is BfElement:  # a module element: no product
+            continue
         _check(p * q, _ref_mul(a, b, cls, dim))
         power = {p.one(dim).sorted_keys()[0]: Fraction(1)}
         for n in range(3):
