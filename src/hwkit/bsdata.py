@@ -50,12 +50,6 @@ class RootMultiset:
     def sorted_roots(self):
         return sorted(self.roots)
 
-    def __eq__(self, other):
-        return isinstance(other, RootMultiset) and self.roots == other.roots
-
-    def __hash__(self):
-        return hash(frozenset(self.roots.items()))
-
     def product_string(self) -> str:
         """e.g. (s+1)^2*(s+1/2); the (s+1) factor is printed first."""
         if not self.roots:
@@ -353,13 +347,14 @@ def hodge_pole_full(bred: ReducedBFunction, alpha, k: int, l: int) -> bool:
     return False
 
 
-def roots_in_interval(b: RootMultiset, lo, hi, lo_open: bool, hi_open: bool) -> bool:
-    """True iff every root lies in the given interval."""
+def roots_in_interval(b: RootMultiset, lo, hi, hi_open: bool) -> bool:
+    """True iff every root lies in the interval (lo, hi), or (lo, hi] when
+    not hi_open."""
     lo, hi = Fraction(lo), Fraction(hi)
     if lo >= hi:
         raise PreconditionError("empty interval")
     for r in b.roots:
-        if r < lo or (lo_open and r == lo):
+        if r <= lo:
             return False
         if r > hi or (hi_open and r == hi):
             return False

@@ -485,13 +485,12 @@ class WeightVector:
     """Strictly positive rational weights; `total` is their sum, and the
     weights are nums[i]/den over their common denominator den, in ints."""
 
-    __slots__ = ("weights", "total", "nums", "den")
+    __slots__ = ("total", "nums", "den")
 
     def __init__(self, weights: Iterable):
         ws = tuple(Fraction(w) for w in weights)
         if not ws or any(w <= 0 for w in ws):
             raise PreconditionError("weights must be strictly positive")
-        self.weights = ws
         self.total = sum(ws, Fraction(0))
         self.den = lcm(*(w.denominator for w in ws))
         self.nums = tuple(w.numerator * (self.den // w.denominator)
@@ -503,16 +502,10 @@ class WeightVector:
 
     @property
     def dim(self) -> int:
-        return len(self.weights)
-
-    def __eq__(self, other):
-        return isinstance(other, WeightVector) and self.weights == other.weights
-
-    def __hash__(self):
-        return hash(self.weights)
+        return len(self.nums)
 
     def __str__(self):
-        return ",".join(fmt_rational(w) for w in self.weights)
+        return ",".join(fmt_rational(Fraction(n, self.den)) for n in self.nums)
 
 
 def scaled_degree(m: Mono, w: WeightVector) -> int:
@@ -528,18 +521,11 @@ def weighted_degree(m: Mono, w: WeightVector) -> Fraction:
     return Fraction(scaled_degree(m, w), w.den)
 
 
-def _scaled(w: WeightVector, bound) -> tuple:
-    """(weights, numerator, denominator) of w and bound times w.den; the
-    weights come out as ints."""
-    bound = Fraction(bound)
-    return w.nums, bound.numerator * w.den, bound.denominator
-
-
 def monomials_weighted_upto(w: WeightVector, bound: Fraction):
     """All monomials of weighted degree <= bound (bound may be negative), in
     grlex order.  The weights and bound are scaled to integers once, so the
     enumeration adds and compares ints."""
-    ws, num, den = _scaled(w, bound)
+    ws, num, den = w.nums, bound.numerator * w.den, bound.denominator
     out = []
 
     def rec(prefix, i, rest):
@@ -605,9 +591,6 @@ class MonomialIdeal:
         return (isinstance(other, MonomialIdeal) and self.dim == other.dim
                 and self.gens == other.gens)
 
-    def __hash__(self):
-        return hash((self.dim, self.gens))
-
     def __str__(self):
         if not self.gens:
             return "(0)"
@@ -630,7 +613,7 @@ def graded_ideal(w: WeightVector, gamma, strict: bool) -> MonomialIdeal:
     the least that qualifies.  A monomial is kept when no exponent can drop
     by one: its excess over need is below each weight of its support.
     """
-    ws, num, den = _scaled(w, gamma)
+    ws, num, den = w.nums, gamma.numerator * w.den, gamma.denominator
     need = num // den + 1 if strict else -(-num // den)
     if need <= 0:
         return MonomialIdeal.unit(w.dim)

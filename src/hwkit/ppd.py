@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, lcm
-from operator import ge, mul, sub
+from operator import mul, sub
 from typing import NamedTuple
 
 from .bsdata import BFunction, RootMultiset, beta_factor, roots_in_interval
@@ -80,8 +80,7 @@ class AnnihilatorInput:
                 raise PreconditionError(
                     f"generator {i} does not annihilate f^(s-1)",
                     hypothesis="zetas annihilate f^(s-1)")
-        if not roots_in_interval(self.b, -2 - self.alpha, -self.alpha,
-                                 True, True):
+        if not roots_in_interval(self.b, -2 - self.alpha, -self.alpha, True):
             raise PreconditionError(
                 "b-function roots not contained in (-2-alpha,-alpha)",
                 hypothesis="roots of b lie in (-2-alpha,-alpha)")
@@ -197,10 +196,10 @@ def weight_module_generators(inp: AnnihilatorInput, l: int, bounds: Bounds):
     return gens, meta
 
 
-def operators_on_pole(ops, f: Polynomial, step: int, alpha: Fraction) -> list:
-    """Evaluate each s-free operator of ops applied to f^(-step-alpha) as
+def operators_on_pole(ops, f: Polynomial, alpha: Fraction) -> list:
+    """Evaluate each s-free operator of ops applied to f^(-1-alpha) as
     (numerator, pole), with the pole kept minimal.  One pole_apply call over
-    the d-parts of all the ops gives the images d^gamma f^(-step-alpha) that
+    the d-parts of all the ops gives the images d^gamma f^(-1-alpha) that
     their terms share, in integer numerators, brought over one denominator
     once.  Each op's terms x^a * c * image are summed per pole as ints and
     cleared in ints (clear_to_pole) to the largest pole of a term (a pole
@@ -212,7 +211,7 @@ def operators_on_pole(ops, f: Polynomial, step: int, alpha: Fraction) -> list:
             "an operator evaluated on a pole still carries s")
     f_int = f.nums, f.den
     images = pole_apply({de for op in ops for _, de, _ in op.nums},
-                        ({0: {(0,) * f.dim: 1}}, 1), step, (alpha, 0), f_int)
+                        ({0: {(0,) * f.dim: 1}}, 1), 1, (alpha, 0), f_int)
     den = lcm(*(d for _, d, _ in images.values()))
     image_nums = {de: [(m, c * (den // d))
                        for m, c in layers.get(0, {}).items()]
@@ -225,7 +224,7 @@ def operators_on_pole(ops, f: Polynomial, step: int, alpha: Fraction) -> list:
             for m, v in image_nums[de]:
                 key = mono_mul(xe, m)
                 acc[key] = acc.get(key, 0) + c * v
-        pole = max(sums, default=step)
+        pole = max(sums, default=1)
         total = Polynomial(f.dim, *clear_to_pole(sums, op.den * den, f_int,
                                                  pole))
         while pole > 0 and not total.is_zero():
@@ -245,7 +244,7 @@ def weight_step_presentation(inp: AnnihilatorInput, gens,
     (the step is a D-module, not just an O-module).  The generator list is
     minimalized at the given bounds."""
     summands = [(bounds.order, num, pole)
-                for num, pole in operators_on_pole(gens, inp.f, 1, inp.alpha)]
+                for num, pole in operators_on_pole(gens, inp.f, inp.alpha)]
     pres = HodgePresentation.build(inp.alpha, inp.dim, summands)
     return reduce_presentation(pres, inp.f, bounds)
 
@@ -279,7 +278,7 @@ def _kept_keys(gens, window) -> list:
     cross-multiplying at the leading key.  A check costs about as many term
     products as columns it could skip (|g_a| for P * g_a, 2 |g_a| |g_b| for
     c), so it is made only when it would skip at least that many columns
-    not skipped yet, and a P whose reach is >= that of a P taken skips none.
+    not skipped yet (a P whose reach is >= that of a P taken skips none).
     A zero generator gives no relation and gets none.  Keys are compared as
     ints packed in radix max(window) + 1, so a shift is an int addition."""
     order, xdeg, s_bound = window
@@ -320,21 +319,19 @@ def _kept_keys(gens, window) -> list:
     room = [size(r) for r in reach]  # size(r) <= room[a] for r >= reach[a]
     out = []
     for b, nb in enumerate(nums):
-        lb, skip, taken = lead[b], set(), []
+        lb, skip = lead[b], set()
         earlier = [a for a in range(b) if lead[a] and lb]
         # the P of smallest reach first, since it skips the most columns; p
         # is the key of P as one flat vector (x, d, then s exponents)
         for rp, p, a in sorted(
                 ((sum(p[:dim]), sum(p[dim:]), p[-1]), p, a) for a in earlier
                 for p in [tuple(map(sub, flat[b], flat[a]))] if min(p) >= 0):
-            if any(all(map(ge, rp, rq)) for rq in taken) or len(
-                    new := skipped((one, one, 0), rp) - skip) < len(nums[a]):
+            if len(new := skipped((one, one, 0), rp) - skip) < len(nums[a]):
                 continue
             # P * g_a = g_b for P = LC(g_b) / LC(g_a) times the monomial p
             if multiple(_mul_into({}, {(p[:dim], p[dim:-1], p[-1]): 1},
                                   nums[a], dim), lb, nums[a][lead[a]], b):
                 skip |= new
-                taken.append(rp)
         for a in earlier:
             na = nums[a]
             cost = 2 * len(na) * len(nb)
@@ -556,7 +553,7 @@ def hodge_on_weight(w0: W0Span, k: int) -> HodgePresentation:
         raise InconclusiveAtBound("no elements found at these bounds",
                                   bounds={"order": so, "xdeg": sx})
     summands = [(0, num, pole) for num, pole in operators_on_pole(
-        evaluate_s(sols, -inp.alpha), inp.f, 1, inp.alpha)]
+        evaluate_s(sols, -inp.alpha), inp.f, inp.alpha)]
     return HodgePresentation.build(inp.alpha, dim, summands)
 
 
@@ -570,7 +567,7 @@ def hodge_weight_interval21(inp: AnnihilatorInput, gens, k: int,
     if inp.alpha != 0:
         raise PreconditionError("this formula is for the untwisted module",
                                 hypothesis="alpha = 0")
-    if not roots_in_interval(inp.b, -2, -1, True, False):
+    if not roots_in_interval(inp.b, -2, -1, False):
         raise PreconditionError(
             "b-function roots not contained in (-2,-1]",
             hypothesis="roots of b lie in (-2,-1]")
@@ -582,7 +579,7 @@ def hodge_weight_interval21(inp: AnnihilatorInput, gens, k: int,
     ops = _order_bounded_elements(gens, _kept_keys(gens, (so, sx, 0)), k,
                                   packing)
     summands = [(0, num, pole)
-                for num, pole in operators_on_pole(ops, inp.f, 1, Fraction(0))]
+                for num, pole in operators_on_pole(ops, inp.f, Fraction(0))]
     pres = HodgePresentation.build(Fraction(0), dim, summands)
     if not pres.summands:
         raise InconclusiveAtBound("no elements found at these bounds",

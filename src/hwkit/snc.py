@@ -34,9 +34,8 @@ class SncDivisor:
         return tuple(i for i, e in enumerate(self.a) if e)
 
     def integral_indices(self, alpha) -> tuple:
-        alpha = Fraction(alpha)
         return tuple(i for i in self.support
-                     if (alpha * self.a[i]).denominator == 1)
+                     if self.a[i] % alpha.denominator == 0)
 
     def m_alpha(self, alpha) -> int:
         return len(self.integral_indices(alpha))
@@ -86,15 +85,6 @@ class HodgePresentation:
             "summands": [{"budget": b, "generator": str(g), "pole_step": j}
                          for b, g, j in self.summands],
         }
-
-    def __str__(self):
-        if not self.summands:
-            return "0"
-        bits = []
-        for b, g, j in self.summands:
-            exp = f"-{j}-a" if j else "-a"
-            bits.append(f"F_{b}D*({g})*f^({exp})")
-        return " + ".join(bits)
 
 
 def snc_weight_top(d: SncDivisor, alpha) -> int:

@@ -331,9 +331,7 @@ class SncVFamily:
         return candidate_v_snc(self.d.a, Fraction(lam) + self.eps, self.jmax)
 
     def nilpotency(self, lam) -> int:
-        lam = Fraction(lam)
-        return sum(1 for i in self.d.support
-                   if (lam * self.d.a[i]).denominator == 1 and lam > 0)
+        return self.d.m_alpha(lam) if lam > 0 else 0
 
     def kernel_gens(self, lam, l: int, budget: int) -> list:
         """Level-l kernel-filtration generators per the closed form: the

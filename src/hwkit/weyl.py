@@ -94,11 +94,7 @@ class WeylOperator(SparseTerms):
     # -- arithmetic
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         return weyl_mul(self, other)
-
-    __rmul__ = __mul__  # reached only with a scalar on the left
 
     # -- queries
 

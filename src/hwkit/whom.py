@@ -31,8 +31,9 @@ def check_weight_one(f: Polynomial, w: WeightVector) -> None:
 
 
 def milnor_basis(f: Polynomial, w: WeightVector):
-    """Monomial basis of the Jacobian quotient ring, computed degree by
-    degree in the weighted grading up to the socle degree sum(1 - 2 w_i).
+    """Monomial basis of the Jacobian quotient ring: the monomials of
+    weighted degree up to the socle degree sum(1 - 2 w_i) that are not
+    pivots of the products x^m * d_i f.
 
     Isolatedness is certified by checking that every monomial of weighted
     degree in (socle, socle + max w] reduces to zero modulo the Jacobian
@@ -43,6 +44,8 @@ def milnor_basis(f: Polynomial, w: WeightVector):
     grlex order), each degree kept as its int numerator over w.den.  The
     partials are packed once, at a radix above every product exponent, so
     each product x^m * d_i f is a shift, and the pivots are unpacked back.
+    The products of all degrees share one Echelon: products of different
+    degrees have disjoint supports, so each degree keeps its own pivots.
     """
     check_weight_one(f, w)
     if f.constant_term():
@@ -63,9 +66,8 @@ def milnor_basis(f: Polynomial, w: WeightVector):
     packed_partials = [(packing.pack_terms({0: p.nums}), p.den)
                        for p in partials]
 
-    def standard_at(gamma: int):
-        """(standard monomials, full_rank) at weighted degree gamma/den."""
-        ech = Echelon()
+    ech = Echelon()
+    for gamma in sorted(by_degree):
         for i, (num, pden) in enumerate(packed_partials):
             if not num:
                 continue
@@ -73,16 +75,14 @@ def milnor_basis(f: Polynomial, w: WeightVector):
             for m in by_degree.get(mult_deg, ()):
                 shift = packing.shift(m, 0)
                 ech.insert({k + shift: c for k, c in num.items()}, pden)
-        pivots = {packing.unpack(code)[0] for code in ech.pivots()}
-        standard = [m for m in by_degree[gamma] if m not in pivots]
-        return standard, not standard
+    pivots = {packing.unpack(code)[0] for code in ech.pivots()}
 
     basis = []
     for gamma in sorted(by_degree):
-        std, full = standard_at(gamma)
+        standard = [m for m in by_degree[gamma] if m not in pivots]
         if gamma <= socle:
-            basis.extend(std)
-        elif not full:
+            basis.extend(standard)
+        elif standard:
             raise NotIsolatedSingularity(
                 f"monomials of weighted degree {Fraction(gamma, den)} do not "
                 "all reduce to 0 modulo the Jacobian ideal")
@@ -122,7 +122,7 @@ def whom_weight_top(germ: QuasiHomogeneousGerm, alpha) -> int:
 def _graded_summands(germ, alpha, k, strict):
     out = []
     for j in range(k + 1):
-        ideal = graded_ideal(germ.w, Fraction(alpha) + j - germ.w.total, strict)
+        ideal = graded_ideal(germ.w, alpha + j - germ.w.total, strict)
         for g in ideal.gens:
             out.append((k - j, Polynomial.monomial(g), j))
     return out

@@ -170,10 +170,10 @@ def test_hodge_pole_full():
 
 def test_roots_in_interval():
     b2 = BFunction({F(-1): 2})
-    assert roots_in_interval(b2, -2, 0, True, True)
+    assert roots_in_interval(b2, -2, 0, True)
     cusp_b = BFunction({F(-1): 1, F(-5, 6): 1, F(-7, 6): 1})
-    assert not roots_in_interval(cusp_b, -2, -1, True, False)
-    assert roots_in_interval(cusp_b, -2, 0, True, True)
+    assert not roots_in_interval(cusp_b, -2, -1, False)
+    assert roots_in_interval(cusp_b, -2, 0, True)
 
 
 def test_parse_root_product():

@@ -397,8 +397,8 @@ MALFORMED = [
 
 
 def _with_ann_files(tmp_path, argv) -> list:
-    """argv with {} replaced by tmp_path, where the .ann files of MALFORMED
-    and ONE_VERB are written."""
+    """argv with {} replaced by tmp_path, where the .ann files of MALFORMED,
+    ONE_VERB and REFUSED are written."""
     (tmp_path / "latin1.ann").write_bytes("f: x1*x2 # caf\xe9\n".encode(
         "latin-1"))
     (tmp_path / "node.ann").write_text(NODE_ANN)
@@ -407,6 +407,10 @@ def _with_ann_files(tmp_path, argv) -> list:
     (tmp_path / "ture.ann").write_text(NODE_ANN.replace("pp: true",
                                                         "pp: ture"))
     (tmp_path / "twice.ann").write_text(NODE_ANN + "f: x1*x2\n")
+    (tmp_path / "negalpha.ann").write_text(NODE_ANN.replace("alpha: 0",
+                                                            "alpha: -1/2"))
+    (tmp_path / "order2e.ann").write_text(NODE_ANN.replace(
+        "x2*d2\nalpha", "x2*d2 + d1^2\nalpha"))
     return [a.replace("{}", str(tmp_path)) for a in argv]
 
 
@@ -421,6 +425,30 @@ def test_malformed_input_exits_2(capsys, tmp_path, argv):
     assert code == 2
     assert len(err.strip().splitlines()) == 1, err
     assert "Traceback" not in err
+
+
+# inputs refused with exit 2, each with its one stderr line
+REFUSED = [
+    (("ppd", "--input", "{}/negalpha.ann", "--weight-only"),
+     "hypothesis violated: alpha >= 0"),
+    (("ppd", "--input", "{}/order2e.ann", "--weight-only"),
+     "hypothesis violated: E is an order-1 vector field"),
+    (("verify", "bfun", "--poly", "1/0*x1", "--b", "(s+1)"),
+     "parse error: zero denominator (at position 0)"),
+    (("verify", "bfun", "--poly", "x1 x2", "--b", "(s+1)"),
+     "parse error: unexpected token 'x2' (at position 3)"),
+    (("whom", "--poly", "x1^2", "--weights", "1/2", "--alpha", "1/2", "--k",
+      "0", "--l", "0"), "hypothesis violated: n >= 2"),
+    (("bounds", "--exponents", "1", "--alpha", "1"),
+     "hypothesis violated: f is singular at the point"),
+]
+
+
+@pytest.mark.parametrize("argv,line", REFUSED, ids=[" ".join(a)
+                                                    for a, _ in REFUSED])
+def test_refused_input_exits_2_with_its_line(capsys, tmp_path, argv, line):
+    assert main(_with_ann_files(tmp_path, argv)) == 2
+    assert capsys.readouterr().err == line + "\n"
 
 
 def test_only_index_zero_names_dimension_one(capsys):

@@ -229,7 +229,7 @@ def test_whom_highest_weight_exhausts_the_weight_filtration():
     exhausted = []
     for text, w, B in germs:
         weights = WeightVector.parse(w)
-        germ = QuasiHomogeneousGerm(poly_parse(text, len(weights.weights)),
+        germ = QuasiHomogeneousGerm(poly_parse(text, weights.dim),
                                     weights)
         n = germ.dim
         bred = reduce(bfunction_whom_isolated(germ.f, germ.w, germ.milnor))

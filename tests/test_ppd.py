@@ -155,7 +155,7 @@ def test_cusp_weight_and_hodge():
 
 def test_operator_on_pole():
     (num, pole), (num2, pole2) = operators_on_pole(
-        [WeylOperator.from_polynomial(XY), WeylOperator.d(0, 2)], XY, 1, F(0))
+        [WeylOperator.from_polynomial(XY), WeylOperator.d(0, 2)], XY, F(0))
     assert (str(num), pole) == ("1", 0)
     assert (str(num2), pole2) == ("-x2", 2)
 
@@ -165,7 +165,7 @@ def test_operators_on_pole_rejects_s():
     # not a traceback
     with pytest.raises(InternalCheckFailed):
         operators_on_pole([WeylOperator.d(0, 2), WeylOperator.parse("s*d1", 2)],
-                          XY, 1, F(0))
+                          XY, F(0))
 
 
 def d_gamma_on_pole(gamma, g, pole, alpha, f):
@@ -234,12 +234,12 @@ OPS = st.one_of(
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(st.sampled_from(POLES), st.sampled_from([0, 1, 2]),
-       st.sampled_from([F(0), F(1, 2), F(5, 6)]), st.lists(OPS, max_size=4))
-def test_operators_on_pole_matches_one_at_a_time(f, step, alpha, makers):
+@given(st.sampled_from(POLES), st.sampled_from([F(0), F(1, 2), F(5, 6)]),
+       st.lists(OPS, max_size=4))
+def test_operators_on_pole_matches_one_at_a_time(f, alpha, makers):
     ops = [make(f) for make in makers]
-    assert operators_on_pole(ops, f, step, alpha) == [
-        operator_on_pole_reference(op, f, step, alpha) for op in ops]
+    assert operators_on_pole(ops, f, alpha) == [
+        operator_on_pole_reference(op, f, 1, alpha) for op in ops]
 
 
 # f with an Euler field E, E(f) = f; rational coefficients in the last two

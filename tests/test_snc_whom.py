@@ -155,8 +155,8 @@ def test_milnor_basis_pinned(poly, weights, basis):
 def test_milnor_number_formula():
     for germ in (cusp(), node()):
         expect = 1
-        for w in germ.w.weights:
-            expect *= (1 / w - 1)
+        for n in germ.w.nums:
+            expect *= Fraction(germ.w.den, n) - 1
         assert germ.mu == expect
 
 
@@ -164,12 +164,17 @@ def test_rejections():
     with pytest.raises(NotQuasiHomogeneous):
         QuasiHomogeneousGerm(poly_parse("x1^3+x2^3", 2),
                              WeightVector.parse("1/2,1/3"))
-    with pytest.raises(NotIsolatedSingularity):
+    # the message names the lowest weighted degree that fails to reduce
+    unreduced = ("monomials of weighted degree {} do not all reduce to 0 "
+                 "modulo the Jacobian ideal")
+    with pytest.raises(NotIsolatedSingularity) as err:
         QuasiHomogeneousGerm(poly_parse("x1^2*x2^3", 2),
                              WeightVector.parse("1/4,1/6"))
-    with pytest.raises(NotIsolatedSingularity):
+    assert str(err.value) == unreduced.format("5/4")
+    with pytest.raises(NotIsolatedSingularity) as err:
         QuasiHomogeneousGerm(poly_parse("x1^2", 2),
                              WeightVector.parse("1/2,1/3"))
+    assert str(err.value) == unreduced.format("2/3")
     with pytest.raises(NotIsolatedSingularity):
         # smooth at the origin
         QuasiHomogeneousGerm(poly_parse("x1", 1), WeightVector.parse("1"))
