@@ -11,7 +11,6 @@ expansions of a root multiset (`RootMultiset.coefficients`).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, lcm
@@ -44,43 +43,42 @@ def _is_derivation(op: WeylOperator) -> bool:
     return all(sum(de) == 1 and sp == 0 for (_, de, sp) in op.nums)
 
 
-@dataclass
 class AnnihilatorInput:
     """f with an Euler field, s-free annihilator generators of f^(s-1), the
     b-function b that the input asserts, and the asserted primality flag.
-    b is not verified as the b-function of f: the only check on it is that
-    its roots lie in (-2-alpha, -alpha)."""
+    Construction checks the hypotheses in order (PreconditionError).  b is
+    not verified as the b-function of f: the only check on it is that its
+    roots lie in (-2-alpha, -alpha)."""
 
-    f: Polynomial
-    euler: WeylOperator
-    zetas: tuple
-    alpha: Fraction
-    b: BFunction
-    pp_asserted: bool = False
+    __slots__ = ("f", "euler", "zetas", "alpha", "b", "pp_asserted")
 
-    def __post_init__(self):
-        self.alpha = Fraction(self.alpha)
-        self.zetas = tuple(self.zetas)
-        if not self.f.total_degree():
+    def __init__(self, f: Polynomial, euler: WeylOperator, zetas,
+                 alpha, b: BFunction, pp_asserted: bool = False):
+        self.f = f
+        self.euler = euler
+        self.zetas = tuple(zetas)
+        self.alpha = Fraction(alpha)
+        self.b = b
+        self.pp_asserted = pp_asserted
+        if not f.total_degree():
             raise PreconditionError("f is constant",
                                     hypothesis="f is non-constant")
         if self.alpha < 0:
             raise PreconditionError("alpha must be non-negative",
                                     hypothesis="alpha >= 0")
-        if not _is_derivation(self.euler):
+        if not _is_derivation(euler):
             raise PreconditionError("Euler field must be a pure derivation",
                                     hypothesis="E is an order-1 vector field")
         # a derivation E has (E - s) f^s = s f^(s-1) (E(f) - f)
-        if apply_to_twisted(self.euler - WeylOperator.s(self.dim), self.f,
-                            0)[0]:
+        if apply_to_twisted(euler - WeylOperator.s(self.dim), f, 0)[0]:
             raise PreconditionError("E(f) != f",
                                     hypothesis="f is Euler homogeneous")
         for i, z in enumerate(self.zetas):
-            if not check_annihilator(z, self.f):
+            if not check_annihilator(z, f):
                 raise PreconditionError(
                     f"generator {i} does not annihilate f^(s-1)",
                     hypothesis="zetas annihilate f^(s-1)")
-        if not roots_in_interval(self.b, -2 - self.alpha, -self.alpha, True):
+        if not roots_in_interval(b, -2 - self.alpha, -self.alpha, True):
             raise PreconditionError(
                 "b-function roots not contained in (-2-alpha,-alpha)",
                 hypothesis="roots of b lie in (-2-alpha,-alpha)")
@@ -106,16 +104,16 @@ class AnnihilatorInput:
 class GammaPresentation(NamedTuple):
     """Generators {f, beta(-s), zetas..., E - s + 1} of the ideal carrying
     the weight data, together with the perturbation used for the weighted
-    level (None for the unweighted ideal)."""
+    level-0 sub-ideal (None for the unweighted ideal): the JSON of a set
+    epsilon also carries "weighted_level": 0."""
 
     generators: tuple
-    weighted_level: int | None
     epsilon: Fraction | None
 
     def to_json(self):
         out = {"generators": [str(g) for g in self.generators]}
-        if self.weighted_level is not None:
-            out["weighted_level"] = self.weighted_level
+        if self.epsilon is not None:
+            out["weighted_level"] = 0
             out["epsilon"] = fmt_rational(self.epsilon)
         return out
 
@@ -143,7 +141,7 @@ def gamma_ideal(inp: AnnihilatorInput,
     gens.extend(inp.zetas)
     euler_gen = inp.euler - WeylOperator.s(dim) + WeylOperator.one(dim)
     gens.append(euler_gen)
-    return GammaPresentation(tuple(gens), 0 if weighted else None, eps)
+    return GammaPresentation(tuple(gens), eps)
 
 
 def weight_module_generators(inp: AnnihilatorInput, l: int, bounds: Bounds):
@@ -403,11 +401,13 @@ class W0Span(NamedTuple):
     for.
 
     The span is built one weight block at a time (`cover`).  The grading
-    makes every generator of gens and gens0 w-homogeneous, where x^b d^g s^j
-    weighs w.(b - g); its weights are folded into one int weight, so the
-    column m * g of the generator of degree e has degree e + xw[b] - dw[g]
-    (`degrees` and `degrees0` per generator, xw and dw per x-part and
-    d-part).  Columns of different degrees have disjoint supports, so a
+    makes every generator of gens w-homogeneous, where x^b d^g s^j weighs
+    w.(b - g); its weights are folded into one int weight, so the column
+    m * g of the generator of degree e has degree e + xw[b] - dw[g]
+    (`degrees` per generator, xw and dw per x-part and d-part).  The i-th
+    generators of gens and gens0 differ at most in beta(-s), which is
+    s-only and so of degree 0 under every weight: `degrees` grades both
+    lists.  Columns of different degrees have disjoint supports, so a
     block's rows, and the residual of a vector of one degree, are those of
     the whole span; built holds the degrees inserted so far."""
 
@@ -420,22 +420,23 @@ class W0Span(NamedTuple):
     gens0: tuple
     kept: list
     degrees: tuple
-    degrees0: tuple
     xw: dict
     dw: dict
     built: set
 
-    def cover(self, degrees: set):
-        """Insert the kept w0 columns of the degrees not built yet,
+    def cover(self, keys):
+        """Insert the kept w0 columns of the degrees not built yet that the
+        keys (b, g, j) reach, one collection of keys per generator,
         generator-major and grlex within a generator: covering every
         degree in one call inserts them in the order of the whole basis."""
-        new = degrees - self.built
+        xw, dw = self.xw, self.dw
+        new = {e + xw[b] - dw[g] for e, ks in zip(self.degrees, keys)
+               for b, g, _ in ks} - self.built
         if not new:
             return
-        xw, dw = self.xw, self.dw
-        for g, keys, e in zip(self.gens0, self.kept, self.degrees0):
-            keys = [m for m in keys if e + xw[m[0]] - dw[m[1]] in new]
-            products, den = basis_products(keys, g, self.packing)
+        for g, kept, e in zip(self.gens0, self.kept, self.degrees):
+            reached = [m for m in kept if e + xw[m[0]] - dw[m[1]] in new]
+            products, den = basis_products(reached, g, self.packing)
             for u in products:
                 self.span.insert(u, den)
         self.built.update(new)
@@ -461,23 +462,23 @@ def w0_span(inp: AnnihilatorInput, l: int, bounds: Bounds) -> W0Span:
     earlier ones (_kept_keys) are not built: each would be a dependent
     insert, which changes no row, so the span keeps the rows, in the same
     order, of the whole basis.  The grading is one `homogeneity_grading`
-    over the exponent differences b - g of every generator's terms; with
-    none, every column has degree 0 and the span is one block."""
+    over the exponent differences b - g of the gamma generators' terms,
+    which also grades the level-0 list (W0Span); with none, every column
+    has degree 0 and the span is one block."""
     if l < 0:
         raise PreconditionError("l must be non-negative")
     dim, order, xdeg = inp.dim, bounds.order, bounds.xdeg
     gens = gamma_ideal(inp).generators
     gens0 = gamma_ideal(inp, weighted=True).generators
-    ops = gens + gens0
-    packing = window_packing(ops, order, xdeg, l + 2, s_extra=l)
+    packing = window_packing(gens + gens0, order, xdeg, l + 2, s_extra=l)
     grading = homogeneity_grading(dim, [[tuple(map(sub, b, g))
                                          for b, g, _ in op.nums]
-                                        for op in ops])
+                                        for op in gens])
     # the weights as the digits of one int weight, in a balanced radix above
     # twice any degree a column reaches, so equal ints are equal degrees
     radix = 2 * max((max(map(abs, degs)) + sum(map(abs, w)) * (order + xdeg)
                      for w, degs in grading), default=0) + 1
-    weight, degrees, scale = (0,) * dim, (0,) * len(ops), 1
+    weight, degrees, scale = (0,) * dim, (0,) * len(gens), 1
     for w, degs in grading:
         weight = tuple(a + scale * b for a, b in zip(weight, w))
         degrees = tuple(a + scale * b for a, b in zip(degrees, degs))
@@ -486,8 +487,8 @@ def w0_span(inp: AnnihilatorInput, l: int, bounds: Bounds) -> W0Span:
                for m in monomials_upto_degree(dim, bound)}
               for bound in (xdeg, order))
     return W0Span(inp, l, bounds, gens, packing, Echelon(), gens0,
-                  _kept_keys(gens0, (order, xdeg, l + 2)),
-                  degrees[:len(gens)], degrees[len(gens):], xw, dw, set())
+                  _kept_keys(gens0, (order, xdeg, l + 2)), degrees, xw, dw,
+                  set())
 
 
 def _w0_queries(w0: W0Span, kept) -> list:
@@ -522,18 +523,14 @@ def hodge_on_weight(w0: W0Span, k: int) -> HodgePresentation:
         raise PreconditionError("k must be non-negative")
     if k >= 1:
         _require_pp(inp)
-    dim = inp.dim
     gens, packing = w0.gens, w0.packing
     # (s + alpha)^l; s is central, so multiplying by s^j adds the packed key
-    # of s^j
+    # of s^j, which is j
     spoly, _ = RootMultiset({-inp.alpha: l}).coefficients()
-    spoly = {packing.shift((0,) * dim, j): c for j, c in spoly.items()}
     so, sx = min(bounds.order, k + 2), min(bounds.xdeg, 6)
     kept = _kept_keys(gens, (so, sx, l + 2))
     queries = _w0_queries(w0, kept)
-    xw, dw = w0.xw, w0.dw
-    w0.cover({e + xw[b] - dw[g] for e, keys in zip(w0.degrees, queries)
-              for b, g, _ in keys})
+    w0.cover(queries)
 
     def residual(i, m, u):
         # spoly*u must lie in the bounded span of the w0 generators; spoly
@@ -554,7 +551,7 @@ def hodge_on_weight(w0: W0Span, k: int) -> HodgePresentation:
                                   bounds={"order": so, "xdeg": sx})
     summands = [(0, num, pole) for num, pole in operators_on_pole(
         evaluate_s(sols, -inp.alpha), inp.f, inp.alpha)]
-    return HodgePresentation.build(inp.alpha, dim, summands)
+    return HodgePresentation.build(inp.alpha, inp.dim, summands)
 
 
 def hodge_weight_interval21(inp: AnnihilatorInput, gens, k: int,

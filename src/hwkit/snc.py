@@ -6,9 +6,9 @@ lowest Hodge step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import PreconditionError
 from .exactalg import (MonomialIdeal, Polynomial, fmt_rational, grlex_key,
@@ -56,8 +56,7 @@ class SncDivisor:
     __repr__ = __str__
 
 
-@dataclass(frozen=True)
-class HodgePresentation:
+class HodgePresentation(NamedTuple):
     """Finite sum over summands (budget k_j, generator g_j, pole step j) of
     F_{k_j}D * g_j * f^(-j-alpha); summands with negative budget are dropped
     at construction."""

@@ -244,8 +244,6 @@ def criterion_8() -> dict:
             for k in range(3):
                 for l in (0, 1):
                     stratum = l + fl
-                    if alpha == 1 and stratum == 0:
-                        continue  # no closed form at this stratum
                     predicted = hodge_pole_full(bred, alpha, k, l)
                     pres = whom_hodge_weight(germ, alpha, k, stratum)
                     unit = HodgePresentation.build(
@@ -265,11 +263,7 @@ def _random_root_multiset(rng: random.Random) -> ReducedBFunction:
     roots = {}
     for _ in range(rng.randint(1, 4)):
         r = -Fraction(rng.randint(1, 12), rng.randint(1, 6))
-        if r >= 0:
-            continue
         roots[r] = roots.get(r, 0) + rng.randint(1, 3)
-    if not roots:
-        roots[Fraction(-1)] = 1
     return ReducedBFunction(roots)
 
 

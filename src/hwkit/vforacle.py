@@ -19,7 +19,6 @@ f = F/df and alpha = a/q in integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 from typing import NamedTuple
@@ -51,8 +50,7 @@ class Bounds(NamedTuple):
         return Bounds(self.order * 2, self.xdeg * 2, self.dt * 2)
 
 
-@dataclass
-class SpanCertificate:
+class SpanCertificate(NamedTuple):
     """Outcome of a bounded membership/equality test."""
 
     verdict: str  # "member" | "not-found-at-bound"

@@ -48,8 +48,6 @@ def milnor_basis(f: Polynomial, w: WeightVector):
     degrees have disjoint supports, so each degree keeps its own pivots.
     """
     check_weight_one(f, w)
-    if f.constant_term():
-        raise NotQuasiHomogeneous("f does not vanish at the origin")
     partials = [f.partial(i) for i in range(f.dim)]
     if any(p.constant_term() for p in partials):
         raise NotIsolatedSingularity("f is smooth at the origin")

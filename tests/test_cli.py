@@ -411,6 +411,8 @@ def _with_ann_files(tmp_path, argv) -> list:
                                                             "alpha: -1/2"))
     (tmp_path / "order2e.ann").write_text(NODE_ANN.replace(
         "x2*d2\nalpha", "x2*d2 + d1^2\nalpha"))
+    (tmp_path / "sgen.ann").write_text(NODE_ANN.replace(
+        "x1*d1 - x2*d2", "x1*d1 - x2*d2 + s"))
     return [a.replace("{}", str(tmp_path)) for a in argv]
 
 
@@ -433,6 +435,9 @@ REFUSED = [
      "hypothesis violated: alpha >= 0"),
     (("ppd", "--input", "{}/order2e.ann", "--weight-only"),
      "hypothesis violated: E is an order-1 vector field"),
+    # a generator that carries s is no annihilator of f^(s-1)
+    (("ppd", "--input", "{}/sgen.ann", "--weight-only"),
+     "hypothesis violated: zetas annihilate f^(s-1)"),
     (("verify", "bfun", "--poly", "1/0*x1", "--b", "(s+1)"),
      "parse error: zero denominator (at position 0)"),
     (("verify", "bfun", "--poly", "x1 x2", "--b", "(s+1)"),
@@ -589,6 +594,10 @@ PINNED = [
     (("verify", "bfun", "--poly", "1/2*x1^2+1/3*x2^3", "--b",
       "(s+1)(s+5/6)(s+7/6)", "--order", "3", "--xdeg", "6"),
      0, "5b8917475776a4830209ec924444cc8d4a0bba3542a53272c112ecc28dcc81eb"),
+    # a smooth point: lc, plt and klt, noted "smooth point", with reduced
+    # b-function 1 and no minimal exponent
+    (("classify", "--exponents", "1", "--alpha", "1/2"),
+     0, "a26eb77aea8f88244791a30d4a43f8d90ad4e138344b0fc69cc2595375384f4b"),
 ]
 
 

@@ -548,8 +548,7 @@ def _unpruned_build(gens, window, packing):
 def _covered(w0):
     """w0 with every degree of its kept columns covered in one call: the
     whole span, its rows in the order of a build of every column."""
-    w0.cover({e + w0.xw[b] - w0.dw[g]
-              for e, keys in zip(w0.degrees0, w0.kept) for b, g, _ in keys})
+    w0.cover(w0.kept)
     return w0
 
 
@@ -992,7 +991,7 @@ def test_every_generator_is_homogeneous_for_the_w0_grading(name):
              for v in range(inp.dim)]
     weight = tuple(w0.xw[u] for u in units)
     assert grading and weight == tuple(w0.dw[u] for u in units)
-    for w, degrees in grading + [(weight, w0.degrees + w0.degrees0)]:
+    for w, degrees in grading + [(weight, w0.degrees + w0.degrees)]:
         for op, deg in zip(ops, degrees):
             assert {sum(wi * (bi - gi) for wi, bi, gi in zip(w, b, g))
                     for b, g, _ in op.nums} <= {deg}

@@ -15,9 +15,9 @@ body, and a call counts as a call of every def of its name.  So a name
 shared by two defs hides a dead one behind a live one, e.g.
 `BfElement.unit` behind `MonomialIdeal.unit`.
 
-Every name of a `__slots__` is read as an attribute (`x.name`, loaded)
-somewhere in the package: a slot only ever written holds a value nothing
-uses."""
+Every name of a `__slots__`, and every field of a `NamedTuple`, is read
+as an attribute (`x.name`, loaded) somewhere in the package: a slot or a
+field only ever written holds a value nothing uses."""
 
 import ast
 import pathlib
@@ -259,11 +259,17 @@ def test_every_default_is_overridden():
 
 
 def slots(tree):
-    """(class name, slot) of every string of a class's `__slots__`."""
+    """(class name, slot) of every string of a class's `__slots__` and of
+    every annotated field of a `NamedTuple` class."""
     for cls in ast.walk(tree):
         if not isinstance(cls, ast.ClassDef):
             continue
+        named = any(isinstance(base, ast.Name) and base.id == "NamedTuple"
+                    for base in cls.bases)
         for stmt in cls.body:
+            if (named and isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)):
+                yield cls.name, stmt.target.id
             if (isinstance(stmt, ast.Assign)
                     and any(isinstance(target, ast.Name)
                             and target.id == "__slots__"
@@ -298,6 +304,12 @@ def test_guard_flags_an_unread_slot():
     assert unread_slots({
         "c": "class D:\n    __slots__ = [\"w\"]\n\n\nw = 1\nprint(w)\n",
     }) == [("c", "D.w")]
+    # a NamedTuple field counts as a slot; an annotation of another class
+    # does not
+    assert unread_slots({
+        "d": "class P(NamedTuple):\n    u: int\n    v: int = 0\n\n\n"
+             "class Q:\n    t: int\n\n\nprint(P(1).u)\n",
+    }) == [("d", "P.v")]
 
 
 def test_every_slot_is_read():
