@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ParseError, PreconditionError
-from .exactalg import (Polynomial, WeightVector, fmt_rational, parse_rational,
-                       positive_alpha, unit_interval_alpha, weighted_degree)
+from .exactalg import (fmt_rational, parse_rational, positive_alpha,
+                       unit_interval_alpha, weighted_degree)
 
 PROVENANCES = ("closed-form-snc", "closed-form-whom", "user-supplied")
 
@@ -188,19 +188,18 @@ def bfunction_snc(a) -> BFunction:
     return BFunction(roots, provenance="closed-form-snc", dim=len(a))
 
 
-def bfunction_whom_isolated(f: Polynomial, w: WeightVector,
-                            milnor_basis) -> BFunction:
+def bfunction_whom_isolated(germ) -> BFunction:
     """Closed-form root data for a weight-1 quasi-homogeneous polynomial with
-    isolated singularity at the origin, from its monomial Milnor basis:
-    (s+1) * prod over distinct values c = wdeg(m) + |w| of (s+c).
-    Marked unverified until certified by the oracle."""
-    if any(len(m) != f.dim for m in milnor_basis):
-        raise PreconditionError("Milnor basis dimension mismatch")
-    exponents = {weighted_degree(m, w) + w.total for m in milnor_basis}
+    isolated singularity at the origin, the whom.QuasiHomogeneousGerm germ,
+    from its monomial Milnor basis: (s+1) * prod over distinct values
+    c = wdeg(m) + |w| of (s+c).  Marked unverified until certified by the
+    oracle."""
+    w = germ.w
+    exponents = {weighted_degree(m, w) + w.total for m in germ.milnor}
     roots = {Fraction(-1): 1}
     for c in exponents:
         roots[-c] = roots.get(-c, 0) + 1
-    return BFunction(roots, provenance="closed-form-whom", dim=f.dim)
+    return BFunction(roots, provenance="closed-form-whom", dim=germ.dim)
 
 
 def reduce(b: BFunction) -> ReducedBFunction:

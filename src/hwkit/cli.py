@@ -233,7 +233,7 @@ def _bfunction(f: Polynomial, w) -> BFunction:
     """The closed-form b-function of a source of _bfunction_source."""
     if w is None:
         return bfunction_snc(next(iter(f.nums)))
-    return bfunction_whom_isolated(f, w, QuasiHomogeneousGerm(f, w).milnor)
+    return bfunction_whom_isolated(QuasiHomogeneousGerm(f, w))
 
 
 def _reduced_bfunction(f: Polynomial, w) -> BFunction:

@@ -404,13 +404,9 @@ class Polynomial(SparseTerms):
     def __mul__(self, other):
         """The products of the operands' numerators summed per monomial
         (`mul_terms`), over the product of their denominators."""
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         self._check(other)
         return Polynomial(self.dim, mul_terms(self.nums, other.nums),
                           self.den * other.den)
-
-    __rmul__ = __mul__
 
     def partial(self, i: int) -> "Polynomial":
         return Polynomial(self.dim, partial_terms(self.nums, i), self.den)

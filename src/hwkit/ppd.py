@@ -207,9 +207,8 @@ def operators_on_pole(ops, f: Polynomial, alpha: Fraction) -> list:
     if not all(op.is_s_free() for op in ops):
         raise InternalCheckFailed(
             "an operator evaluated on a pole still carries s")
-    f_int = f.nums, f.den
     images = pole_apply({de for op in ops for _, de, _ in op.nums},
-                        ({0: {(0,) * f.dim: 1}}, 1), 1, (alpha, 0), f_int)
+                        ({0: {(0,) * f.dim: 1}}, 1), 1, (alpha, 0), f)
     den = lcm(*(d for _, d, _ in images.values()))
     image_nums = {de: [(m, c * (den // d))
                        for m, c in layers.get(0, {}).items()]
@@ -223,8 +222,7 @@ def operators_on_pole(ops, f: Polynomial, alpha: Fraction) -> list:
                 key = mono_mul(xe, m)
                 acc[key] = acc.get(key, 0) + c * v
         pole = max(sums, default=1)
-        total = Polynomial(f.dim, *clear_to_pole(sums, op.den * den, f_int,
-                                                 pole))
+        total = Polynomial(f.dim, *clear_to_pole(sums, op.den * den, f, pole))
         while pole > 0 and not total.is_zero():
             q = total.div_exact(f)
             if q is None:

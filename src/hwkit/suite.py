@@ -40,7 +40,7 @@ def _node_germ() -> QuasiHomogeneousGerm:
 
 
 def _germ_reduced(germ: QuasiHomogeneousGerm) -> ReducedBFunction:
-    b = bfunction_whom_isolated(germ.f, germ.w, germ.milnor)
+    b = bfunction_whom_isolated(germ)
     return bsdata.reduce(b)
 
 
@@ -61,8 +61,7 @@ def criterion_1() -> dict:
     run("x1^2", poly_parse("x1^2", 1), bfunction_snc((2,)), 2, 2)
     run("x1*x2", poly_parse("x1*x2", 2), bfunction_snc((1, 1)), 2, 2)
     cusp = _cusp_germ()
-    run("x1^2+x2^3", cusp.f,
-        bfunction_whom_isolated(cusp.f, cusp.w, cusp.milnor), 3, 6)
+    run("x1^2+x2^3", cusp.f, bfunction_whom_isolated(cusp), 3, 6)
     return {"criterion": 1, "name": "b-function certification",
             "passed": ok, "cases": cases}
 
@@ -404,12 +403,12 @@ def negative_controls() -> dict:
             gs = super().gens(lam)
             return gs[1:] if Fraction(lam) == Fraction(3, 2) else gs
 
-    rep = verify_v_axioms(Corrupt(d, 4), f, [Fraction(1, 2)], Bounds(3, 8, 5))
+    rep = verify_v_axioms(Corrupt(d, 4), [Fraction(1, 2)], Bounds(3, 8, 5))
     rows.append({"control": "dropped filtration generator",
                  "expected_failure": not rep["all_member"]})
 
     # corrupted closed form fails the cross-check
-    honest = verify_v_axioms(SncVFamily(d, 4), f, [Fraction(1, 2)],
+    honest = verify_v_axioms(SncVFamily(d, 4), [Fraction(1, 2)],
                              Bounds(3, 8, 5))
     rows.append({"control": "honest filtration generators",
                  "expected_failure": False,
@@ -434,7 +433,7 @@ def starved_profile() -> dict:
     rows = []
     f = poly_parse("x1^2+x2^3", 2)
     cusp = _cusp_germ()
-    b = bfunction_whom_isolated(cusp.f, cusp.w, cusp.milnor)
+    b = bfunction_whom_isolated(cusp)
     cert = verify_bfunction(f, b, 1, 1)
     rows.append({"check": "cusp b-function at order 1",
                  "verdict": cert.verdict})

@@ -209,17 +209,16 @@ def verify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
         return not_found
     dim = f.dim
     keys = graded_operator_basis(f, order_bound, xdeg_bound, b.degree())
-    fnum, df = f_int = f.nums, f.den
+    fnum, df = f.nums, f.den
     # d^g f^(s+1) for the kept d-parts g, f^(s+1) being the pole 0 of the
     # twist -1 - s; x^b and s^j only multiply the numerator
     d_parts = {g for _, g, _ in keys}
-    images = pole_apply(d_parts, ({0: {(0,) * dim: 1}}, 1), 0, (-1, -1),
-                        f_int)
+    images = pole_apply(d_parts, ({0: {(0,) * dim: 1}}, 1), 0, (-1, -1), f)
     pole_target = max([sum(g) for g in d_parts] + [1])
 
     def cleared(layers, den, pole):
         """The layers over den, each written over the pole pole_target."""
-        return ({j: clear_to_pole({pole: num}, den, f_int, pole_target)[0]
+        return ({j: clear_to_pole({pole: num}, den, f, pole_target)[0]
                  for j, num in layers.items()},
                 den * df ** (pole_target - pole))
 
@@ -241,7 +240,7 @@ def verify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
     ech = Echelon()
     for idx, (xb, g, j) in enumerate(keys):
         vec, den = vectors[g]
-        shift = j * packing.top + packing.shift(xb, 0)
+        shift = j * packing.top + packing.shift(xb)
         ech.insert({k + shift: c for k, c in vec.items()}, den, {idx: den})
 
     residual, carried, den = ech.reduce(packing.pack_terms(rhs[0]), rhs[1])
@@ -318,6 +317,7 @@ class SncVFamily:
 
     def __init__(self, d: SncDivisor, jmax: int):
         self.d = d
+        self.f = d.polynomial()
         self.jmax = jmax
         # smallest positive grading step: 1/lcm of the nonzero exponents
         self.eps = Fraction(1, 2 * math.lcm(*[ai for ai in d.a if ai]))
@@ -381,13 +381,14 @@ class WhomVFamily:
 
     def __init__(self, germ: QuasiHomogeneousGerm, jmax: int):
         self.germ = germ
+        self.f = germ.f
         self.jmax = jmax
 
     def _graded_gens(self, lam, strict: bool) -> list:
         lam = Fraction(lam)
         if lam > 1:
             inner = self._graded_gens(lam - 1, strict)
-            return [u.t(self.germ.f) for u in inner]
+            return [u.t(self.f) for u in inner]
         return [u for _, u in
                 _graded_slices(self.germ, lam, strict, self.jmax)]
 
@@ -418,8 +419,11 @@ def bf_span(gens, f: Polynomial, bounds: Bounds,
             table: ShiftTable) -> WindowSpan:
     """The span of {x^beta d^gamma gen} over the BfElements gens, with
     |gamma| at most bounds.order, inside the (xdeg, dt) window of bounds,
-    tagged (generator, gamma, beta); its shift sets come from table."""
-    span = WindowSpan(f, 0, bounds.xdeg, bounds.dt, table)
+    tagged (generator, gamma, beta); its shift sets come from table, whose
+    radix must be bounds.xdeg + 1."""
+    if table.packing.radix != bounds.xdeg + 1:
+        raise InternalCheckFailed("shift table of another packing")
+    span = WindowSpan(f, 0, bounds.dt, table)
     gammas, _ = table.shifts(bounds.order)
     for gi, gen in enumerate(gens):
         for gamma, layers, den in gen.d_images(gammas, f, bounds.dt):
@@ -427,16 +431,18 @@ def bf_span(gens, f: Polynomial, bounds: Bounds,
     return span
 
 
-def verify_v_axioms(family, f: Polynomial, grid, bounds: Bounds) -> dict:
-    """Generator-wise bounded checks of the filtration axioms on a grid of
-    levels: t maps level gam into gam+1, dt into gam-1, and (s+gam)^N kills
-    generators into the strict part, N the claimed nilpotency order.
+def verify_v_axioms(family, grid, bounds: Bounds) -> dict:
+    """Generator-wise bounded checks of the filtration axioms of family, a
+    filtration of family.f, on a grid of levels: t maps level gam into
+    gam+1, dt into gam-1, and (s+gam)^N kills generators into the strict
+    part, N the claimed nilpotency order.
 
     Images that do not fit inside the truncation window are reported as
     "window-exceeded" and counted separately; all_member reflects only the
     checks that ran.  A failed check is always "not-found-at-bound".
     """
     report = {"checks": [], "all_member": True, "skipped": 0}
+    f = family.f
     table = ShiftTable(f.dim, bounds.xdeg)  # one for every span of the grid
     for gam in grid:
         gam = Fraction(gam)
@@ -556,16 +562,16 @@ def phi_shift(u: BfElement, alpha, f: Polynomial) -> BfElement:
 
 
 def pole_apply(gammas, start: tuple, pole: int, alpha: tuple,
-               f_int: tuple) -> dict:
+               f: Polynomial) -> dict:
     """Map each gamma of gammas to d^gamma of sum_j s^j N_j/den
     f^(-pole-alpha0-alpha1 s), start = ({j: N_j}, den) and alpha =
     (alpha0, alpha1), in integer form (layers, den', pole + |gamma|), zero
-    layers dropped, one step per gamma (d_part_images).  With f_int = (F,
-    df) and the twist (a0 + a1 s)/q, d_i gives layer j = q F d_i(N_j) -
+    layers dropped, one step per gamma (d_part_images).  With f = F/df in
+    integers and the twist (a0 + a1 s)/q, d_i gives layer j = q F d_i(N_j) -
     (pq+a0) N_j d_i(F) - a1 N_(j-1) d_i(F) over den q df at pole p + 1.
     The spans and ppd pass alpha1 = 0, so no layer above the start's is
     built; verify_bfunction passes -1 - s, f^(s+1) at the pole 0."""
-    fnum, df = f_int
+    fnum, df = f.nums, f.den
     dfs = [partial_terms(fnum, i) for i in range(len(next(iter(fnum))))]
     q = math.lcm(*(a.denominator for a in alpha))
     a0, a1 = (a.numerator * (q // a.denominator) for a in alpha)
@@ -584,15 +590,15 @@ def pole_apply(gammas, start: tuple, pole: int, alpha: tuple,
     return d_part_images(gammas, (*start, pole), step)
 
 
-def clear_to_pole(parts, den: int, f_int: tuple, pole: int) -> tuple:
+def clear_to_pole(parts, den: int, f: Polynomial, pole: int) -> tuple:
     """The parts {p: num} over den, each num/den f^(-p), written over one
     pole in integer form (numerator, den'), zero numerators skipped: cleared
-    by Horner's rule on F of f_int = (F, df), one product by F per pole
+    by Horner's rule on F of f = F/df in integers, one product by F per pole
     step, over den' = den df^(pole - lo), lo the lowest pole of a part."""
     by_pole = {p: num for p, num in parts.items() if num}
     if max(by_pole, default=pole) > pole:
         raise ValueError("a part lies above the pole")
-    fnum, df = f_int
+    fnum, df = f.nums, f.den
     lo = min(by_pole, default=pole)
     total = {}
     for p in range(lo, pole + 1):
@@ -624,31 +630,31 @@ class WindowSpan:
     above pole_target, and reduce, contains and witness answer None outside
     it.
 
-    Its coordinates are the layered keys of a KeyPacking at radix xdeg + 1,
-    so x^beta adds the packed beta to every key.  Spans compared with each
-    other share xdeg.  The shifts x^beta and d-parts gamma come from the
-    caller's ShiftTable of that packing, which the spans of a job share:
-    built once per job, not once per bound per span.  Each element is
-    packed and queued once with its shifts.  The record maps each S of
-    _direction to the positions k queued (a shift moves only k); a vector
-    it already holds is a multiple of a queued one and is not queued.  The
-    echelon is built from the queue, in queue order, when a query reads it;
-    its rows, tags (the tag of each row's vector, in rank-gain order) and
-    n_vectors are those of inserting every vector.  It carries no
-    companions: witness builds them on demand.
+    Its coordinates are the layered keys of the packing of the caller's
+    ShiftTable, and xdeg is that packing's radix less one, so x^beta adds
+    the packed beta to every key.  Spans compared with each other share
+    xdeg.  The shifts x^beta and d-parts gamma come from the table, which
+    the spans of a job share: built once per job, not once per bound per
+    span.  Each element is packed and queued once with its shifts.  The
+    record maps each S of _direction to the positions k queued (a shift
+    moves only k); a vector it already holds is a multiple of a queued one
+    and is not queued.  The echelon is built from the queue, in queue
+    order, when a query reads it; its rows, tags (the tag of each row's
+    vector, in rank-gain order) and n_vectors are those of inserting every
+    vector.  It carries no companions: witness builds them on demand.
     """
 
     __slots__ = ("pole_target", "xdeg", "dt", "packing", "n_vectors",
-                 "_f_int", "_echelon", "_tags", "_queue", "_built",
+                 "_f", "_echelon", "_tags", "_queue", "_built",
                  "_table", "_taken")
 
-    def __init__(self, f: Polynomial, pole_target: int, xdeg: int, dt: int,
+    def __init__(self, f: Polynomial, pole_target: int, dt: int,
                  table: ShiftTable):
-        if (table.packing.dim, table.packing.radix) != (f.dim, xdeg + 1):
+        if table.packing.dim != f.dim:
             raise InternalCheckFailed("shift table of another packing")
-        self._f_int = f.nums, f.den
+        self._f = f
         self.pole_target = pole_target
-        self.xdeg = xdeg
+        self.xdeg = table.packing.radix - 1
         self.dt = dt
         self.packing = table.packing
         self.n_vectors = 0
@@ -717,8 +723,7 @@ class WindowSpan:
         """Whether g * f^(-pole), cleared to pole_target, lies in the span
         (None outside the window); no scalar changes that, so dens drop."""
         packed = self._packed({0: clear_to_pole(
-            {pole: g.nums}, 1, self._f_int,
-            self.pole_target)[0]})
+            {pole: g.nums}, 1, self._f, self.pole_target)[0]})
         return packed and not self.echelon.reduce(packed[0], 1)[0]
 
     def insert(self, terms: dict, den: int, tag, betas, codes):
@@ -752,7 +757,7 @@ class WindowSpan:
     def add(self, parts, den: int, tag):
         """add_layers of the element given by its parts {p: num} over den,
         cleared to pole_target at layer 0; a part above it raises ValueError."""
-        num, den = clear_to_pole(parts, den, self._f_int, self.pole_target)
+        num, den = clear_to_pole(parts, den, self._f, self.pole_target)
         self.add_layers({0: num}, den, tag)
 
     def add_summand(self, si: int, summand, alpha: Fraction):
@@ -764,7 +769,7 @@ class WindowSpan:
         budget, g, j = summand
         gammas, _ = self._table.shifts(min(budget, self.pole_target - j))
         images = pole_apply(gammas, ({0: g.nums}, g.den), j, (alpha, 0),
-                            self._f_int)
+                            self._f)
         for gamma in gammas:
             layers, den, pole = images[gamma]
             self.add({pole: layers.get(0, {})}, den, (si, gamma))
@@ -781,27 +786,17 @@ def _twist_shift(alpha_base: Fraction, alpha: Fraction) -> int:
 
 
 def presentation_span(pres: HodgePresentation, f: Polynomial,
-                      alpha_base: Fraction, pole_target: int, xdeg: int,
+                      alpha_base: Fraction, pole_target: int,
                       table: ShiftTable) -> WindowSpan:
     """The span of all vectors x^beta d^gamma (g f^(-j-alpha)) of a
     presentation, cleared to the common pole (relative to alpha_base);
     elements whose clearing leaves the degree window are skipped.  Its
     shift sets come from table."""
     shift = _twist_shift(alpha_base, pres.alpha)
-    span = WindowSpan(f, pole_target, xdeg, 0, table)
+    span = WindowSpan(f, pole_target, 0, table)
     for si, (budget, g, j) in enumerate(pres.summands):
         span.add_summand(si, (budget, g, j + shift), alpha_base)
     return span
-
-
-def _verdict(name: str, count: int, expect_nonempty: bool):
-    """A passing direction over count source vectors.  With expect_nonempty,
-    an empty source family counts as inconclusive (guards against vacuous
-    verdicts when the window is too small to represent anything)."""
-    if expect_nonempty and count == 0:
-        return False, {"direction": name,
-                       "failed_at": "window too small to represent anything"}
-    return True, {"direction": name, "vectors": count}
 
 
 def _cross_containment(name: str, source: WindowSpan, target: WindowSpan,
@@ -814,12 +809,18 @@ def _cross_containment(name: str, source: WindowSpan, target: WindowSpan,
     Schweitzer, Computer Science Review 5(2), 2011).  Otherwise every source
     row is reduced: a row is its vector minus earlier rows, which span the
     earlier vectors, so the first row outside the target is that of the
-    first vector outside it.  Only this path names failed_at."""
+    first vector outside it.  With expect_nonempty, a source with no vector
+    is inconclusive (guards against vacuous verdicts when the window is too
+    small to represent anything); else the direction passes over the
+    source's vector count."""
     if not source.within(target):
         for (row, p), tag in zip(source.echelon.basis(), source.tags):
             if target.echelon.reduce(row, p)[0]:
                 return False, {"direction": name, "failed_at": repr(tag)}
-    return _verdict(name, source.n_vectors, expect_nonempty)
+    if expect_nonempty and source.n_vectors == 0:
+        return False, {"direction": name,
+                       "failed_at": "window too small to represent anything"}
+    return True, {"direction": name, "vectors": source.n_vectors}
 
 
 def _certificate(bounds: Bounds, directions) -> SpanCertificate:
@@ -839,7 +840,7 @@ def _common_pole_spans(p1: HodgePresentation, p2: HodgePresentation,
     pole_target = max(p1.max_pole(),
                       p2.max_pole() + _twist_shift(p1.alpha, p2.alpha), 0)
     table = ShiftTable(f.dim, xdeg)
-    return tuple(presentation_span(p, f, p1.alpha, pole_target, xdeg, table)
+    return tuple(presentation_span(p, f, p1.alpha, pole_target, table)
                  for p in (p1, p2))
 
 
@@ -862,8 +863,7 @@ def reduce_presentation(pres: HodgePresentation, f: Polynomial,
     steps and low degrees first); a generator outside the window is kept.
     Never changes the denoted span."""
     pole_target = max((j for _, _, j in pres.summands), default=0)
-    span = WindowSpan(f, pole_target, bounds.xdeg, 0,
-                      ShiftTable(f.dim, bounds.xdeg))
+    span = WindowSpan(f, pole_target, 0, ShiftTable(f.dim, bounds.xdeg))
     kept = []
     order = sorted(pres.summands,
                    key=lambda t: (t[2], t[1].total_degree(),
@@ -922,7 +922,7 @@ def dspans_equal(p1: HodgePresentation, p2: HodgePresentation, f: Polynomial,
             for depth in range(base, max(tgt.max_pole(), base) + 1):
                 if depth not in spans:
                     spans[depth] = presentation_span(
-                        tgt, f, alpha_base, depth, bounds.xdeg, table)
+                        tgt, f, alpha_base, depth, table)
                 inside = spans[depth].contains(g, j)
                 if inside is None or inside:
                     break
@@ -939,10 +939,10 @@ def dspans_equal(p1: HodgePresentation, p2: HodgePresentation, f: Polynomial,
 # the master cross-check
 
 
-# kind -> (candidate family, closed form, the polynomial of the source)
+# kind -> (candidate family, closed form)
 _SOURCES = {
-    "snc": (SncVFamily, snc_hodge_weight, SncDivisor.polynomial),
-    "whom": (WhomVFamily, whom_hodge_weight, lambda germ: germ.f),
+    "snc": (SncVFamily, snc_hodge_weight),
+    "whom": (WhomVFamily, whom_hodge_weight),
 }
 
 
@@ -954,11 +954,12 @@ def crosscheck_hodge_weight(kind: str, obj, alpha, k: int, l: int,
     """
     if kind not in _SOURCES:
         raise ValueError(f"unknown source {kind!r}")
-    family, closed_form, polynomial = _SOURCES[kind]
+    make_family, closed_form = _SOURCES[kind]
     alpha = Fraction(alpha)
-    f = polynomial(obj)
     pres = closed_form(obj, alpha, k, l)
-    gens = family(obj, bounds.dt).kernel_gens(alpha, l, k)
+    family = make_family(obj, bounds.dt)
+    f = family.f
+    gens = family.kernel_gens(alpha, l, k)
 
     pole_target = max(pres.max_pole(),
                       max((g.max_layer() + b for g, b in gens), default=0))
@@ -966,14 +967,13 @@ def crosscheck_hodge_weight(kind: str, obj, alpha, k: int, l: int,
     # oracle side: bounded operators in the graph module, collapsed; both
     # spans take their shift sets from one table
     table = ShiftTable(f.dim, bounds.xdeg)
-    oracle_span = WindowSpan(f, pole_target, bounds.xdeg, 0, table)
+    oracle_span = WindowSpan(f, pole_target, 0, table)
     for gi, (gen, budget) in enumerate(gens):
         gammas, _ = table.shifts(min(budget, bounds.order))
         for gamma, layers, den in gen.d_images(gammas, f, bounds.dt):
             oracle_span.add(*psi_map(layers, den, alpha), (gi, gamma))
 
-    closed_span = presentation_span(pres, f, alpha, pole_target, bounds.xdeg,
-                                    table)
+    closed_span = presentation_span(pres, f, alpha, pole_target, table)
     return _certificate(bounds, [
         _cross_containment("oracle-in-closed-form", oracle_span, closed_span,
                            bool(gens)),

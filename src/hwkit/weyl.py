@@ -156,10 +156,6 @@ def _mul_into(out: dict, num_a: dict, num_b: dict, dim: int):
             sp = sa + sb
             # a variable whose d^c x^b has c or b zero commutes as is
             active = [i for i in range(dim) if da[i] and xb[i]]
-            if not active:
-                key = (xe, de, sp)
-                out[key] = out.get(key, 0) + base
-                continue
             # distribute each active variable's commutator independently
             acc = [((), base)]  # (k vector prefix, coefficient)
             for i in active:
@@ -335,16 +331,16 @@ class KeyPacking:
     significant first in tuple order (the packed-exponent-vector technique of
     Monagan and Pearce, CASC 2007).  While every exponent stays below the
     radix, int order equals tuple order, so an `Echelon` picks the same
-    pivots, and multiplying by x^b s^j is adding `shift(b, j)`.  `reach` is
+    pivots, and multiplying by x^b s^j is adding `shift(b) + j`.  `reach` is
     the most a window may still add to an x or s exponent of an image
     d^g * t (`pack_image` checks it); `top` exceeds every packed key, so
     `code + top` stacks a second block of coordinates above the first.
 
     Every monomial coordinate an `Echelon` of the package gets is such an
     int.  A monomial x^m at layer j (a dt layer or an s power) is
-    `j * top + shift(m, 0)`: the layer is the most significant digit, so int
+    `j * top + shift(m)`: the layer is the most significant digit, so int
     order is (j, m) tuple order, and multiplying by x^b and raising the layer
-    by i is adding `i * top + shift(b, 0)`.  The x-monomials of a
+    by i is adding `i * top + shift(b)`.  The x-monomials of a
     twisted-module window are layer 0.  Callers size the radix so that no
     shifted exponent reaches it.
 
@@ -387,12 +383,12 @@ class KeyPacking:
             total += e
         return total
 
-    def shift(self, b, j: int) -> int:
-        """The packed key of x^b s^j: adding it multiplies by x^b s^j."""
-        return sum(map(mul, b, self._xplaces)) + j
+    def shift(self, b) -> int:
+        """The packed key of x^b: adding it multiplies by x^b."""
+        return sum(map(mul, b, self._xplaces))
 
     def pack_terms(self, layers: dict) -> dict:
-        """The layers {j: {m: c}} as {j * top + shift(m, 0): c}, each
+        """The layers {j: {m: c}} as {j * top + shift(m): c}, each
         exponent vector packed once."""
         places, top = self._xplaces, self.top
         return {j * top + sum(map(mul, m, places)): c
@@ -429,7 +425,7 @@ class KeyPacking:
 class ShiftTable:
     """The shift sets of a job's window spans at one packing (radix xdeg +
     1): a grlex prefix of exponent vectors beta and the packed keys
-    shift(beta, 0), grown a whole degree at a time by monomials_of_degree.
+    shift(beta), grown a whole degree at a time by monomials_of_degree.
     The vectors of degree <= b are the first C(n + b, n), so every bound's
     set is a prefix; a bound above those built (a d-part bound may exceed
     xdeg) extends it.  A job makes one and hands it to each span it builds,
@@ -449,7 +445,7 @@ class ShiftTable:
         while len(self._ends) <= bound:
             betas = monomials_of_degree(packing.dim, len(self._ends))
             self._betas += betas
-            self._codes += [packing.shift(beta, 0) for beta in betas]
+            self._codes += [packing.shift(beta) for beta in betas]
             self._ends.append(len(self._betas))
         n = self._ends[bound] if bound >= 0 else 0
         return self._betas[:n], self._codes[:n]
@@ -497,7 +493,7 @@ def basis_products(keys, t: WeylOperator, packing: KeyPacking):
         if b not in shifts or g not in d_parts:
             if len(b) != dim or len(g) != dim:
                 raise DimensionMismatch(f"key ({b},{g}) vs dimension {dim}")
-            shifts[b] = packing.shift(b, 0)
+            shifts[b] = packing.shift(b)
             d_parts[g] = None
             top = max(*b, j)
         if top > reach:

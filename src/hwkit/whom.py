@@ -71,7 +71,7 @@ def milnor_basis(f: Polynomial, w: WeightVector):
                 continue
             mult_deg = gamma - den + w.nums[i]
             for m in by_degree.get(mult_deg, ()):
-                shift = packing.shift(m, 0)
+                shift = packing.shift(m)
                 ech.insert({k + shift: c for k, c in num.items()}, pden)
     pivots = {packing.unpack(code)[0] for code in ech.pivots()}
 

@@ -32,15 +32,15 @@ def test_bfunction_snc_goldens():
 def test_bfunction_whom_goldens():
     cusp = QuasiHomogeneousGerm(poly_parse("x1^2+x2^3", 2),
                                 WeightVector.parse("1/2,1/3"))
-    b = bfunction_whom_isolated(cusp.f, cusp.w, cusp.milnor)
+    b = bfunction_whom_isolated(cusp)
     assert b.roots == {F(-1): 1, F(-5, 6): 1, F(-7, 6): 1}
     node = QuasiHomogeneousGerm(poly_parse("x1^2+x2^2", 2),
                                 WeightVector.parse("1/2,1/2"))
-    bn = bfunction_whom_isolated(node.f, node.w, node.milnor)
+    bn = bfunction_whom_isolated(node)
     assert bn.roots == {F(-1): 2}
     triple = QuasiHomogeneousGerm(poly_parse("x1^2*x2+x1*x2^2", 2),
                                   WeightVector.parse("1/3,1/3"))
-    bt = bfunction_whom_isolated(triple.f, triple.w, triple.milnor)
+    bt = bfunction_whom_isolated(triple)
     assert bt.roots == {F(-1): 2, F(-2, 3): 1, F(-4, 3): 1}
 
 

@@ -33,7 +33,7 @@ def triple():
     f = poly_parse("x1^2*x2 + x1*x2^2", 2)
     w = WeightVector.parse("1/3,1/3")
     germ = QuasiHomogeneousGerm(f, w)
-    b = bfunction_whom_isolated(f, w, germ.milnor)
+    b = bfunction_whom_isolated(germ)
     euler = WeylOperator.parse("1/3*x1*d1 + 1/3*x2*d2", 2)
     deriv = WeylOperator.parse("x1^2*d1 + 2*x1*x2*d1 + x2^2*d2", 2)
     zeta = deriv - WeylOperator.parse("2*x1 + 4*x2", 2) * euler
@@ -167,7 +167,7 @@ def test_generating_level_bound_in_the_window():
     cases = []  # (f, bred, alpha, l, step k -> closed form, bounds, k - bound)
     for text, w in (("x1^2+x2^3", "1/2,1/3"), ("x1^3+x2^4", "1/3,1/4")):
         germ = QuasiHomogeneousGerm(poly_parse(text, 2), WeightVector.parse(w))
-        bred = reduce(bfunction_whom_isolated(germ.f, germ.w, germ.milnor))
+        bred = reduce(bfunction_whom_isolated(germ))
         for alpha in (F(1, 2), F(5, 6), F(1)):
             l = 1 if alpha == 1 else 0
             cases.append((germ.f, bred, alpha, l, lambda k, g=germ, a=alpha,
@@ -177,7 +177,7 @@ def test_generating_level_bound_in_the_window():
                   lambda k: snc_hodge_weight(d, F(1, 2), k, 0), B, (0, 1)))
     sphere = QuasiHomogeneousGerm(poly_parse("x1^2+x2^2+x3^2", 3),
                                   WeightVector.parse("1/2,1/2,1/2"))
-    bred = reduce(bfunction_whom_isolated(sphere.f, sphere.w, sphere.milnor))
+    bred = reduce(bfunction_whom_isolated(sphere))
     for alpha in (F(1, 2), F(5, 6)):
         for l in (0, 1):
             cases.append((sphere.f, bred, alpha, l, lambda k, a=alpha, l=l:
@@ -232,7 +232,7 @@ def test_whom_highest_weight_exhausts_the_weight_filtration():
         germ = QuasiHomogeneousGerm(poly_parse(text, weights.dim),
                                     weights)
         n = germ.dim
-        bred = reduce(bfunction_whom_isolated(germ.f, germ.w, germ.milnor))
+        bred = reduce(bfunction_whom_isolated(germ))
         for alpha in (F(1, 2), F(5, 6), F(1)):
             s0 = 1 if alpha == 1 else 0
             top = whom_weight_top(germ, alpha)
@@ -284,8 +284,7 @@ def test_whom_checks_are_invariant_under_variable_permutation():
                         for g in (cusp, swapped))
             assert ref.is_member()
             assert (got.verdict, got.witness) == (ref.verdict, ref.witness)
-    ref, got = (verify_bfunction(g.f, bfunction_whom_isolated(g.f, g.w,
-                                                              g.milnor), 3, 6)
+    ref, got = (verify_bfunction(g.f, bfunction_whom_isolated(g), 3, 6)
                 for g in (cusp, swapped))
     assert ref.is_member() and ref.witness["minimal_at_bound"]
     assert got.verdict == ref.verdict
@@ -316,7 +315,7 @@ def test_checks_are_invariant_under_scaling_f(c):
                             for g in (germ, scaled))
                 assert ref.is_member(), (text, k, l)
                 assert got.to_json() == ref.to_json(), (text, c, k, l)
-        b = bfunction_whom_isolated(germ.f, germ.w, germ.milnor)
+        b = bfunction_whom_isolated(germ)
         for order, xdeg in ((3, 4), (3, 6)):
             ref, got = (verify_bfunction(f, b, order, xdeg)
                         for f in (germ.f, scaled.f))
@@ -338,7 +337,7 @@ def test_member_verdicts_survive_window_growth():
     cases = [(SncDivisor(a).polynomial(), bfunction_snc(a), window)
              for a in ((2,), (1, 1), (2, 3), (1, 1, 1))
              for window in (Bounds(2, 2, 0), Bounds(3, 4, 0))]
-    cases += [(g.f, bfunction_whom_isolated(g.f, g.w, g.milnor),
+    cases += [(g.f, bfunction_whom_isolated(g),
                Bounds(3, 4, 0)) for g in whom]
     members = 0
     for f, b, window in cases:

@@ -320,4 +320,3 @@ def test_polynomial_products_cancel():
     assert (poly_parse("x1 + 1/3", 1) * poly_parse("3*x1 - 1", 1)
             == poly_parse("3*x1^2 - 1/3", 1))
     assert (Polynomial.zero(2) * y) == Polynomial.zero(2)
-    assert (y * 0) == Polynomial.zero(2) and (y * Fraction(3, 2)) == y.scale(Fraction(3, 2))

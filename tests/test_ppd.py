@@ -51,7 +51,7 @@ def cusp_input(pp=True):
     return AnnihilatorInput(
         f, WeylOperator.parse("1/2*x1*d1 + 1/3*x2*d2", 2),
         [WeylOperator.parse("3*x2^2*d1 - 2*x1*d2", 2)],
-        F(0), bfunction_whom_isolated(f, w, germ.milnor), pp_asserted=pp)
+        F(0), bfunction_whom_isolated(germ), pp_asserted=pp)
 
 
 def test_check_annihilator():
@@ -697,8 +697,7 @@ def test_kernels_build_no_fraction(monkeypatch):
                     for t in targets]
         kernels.append(weyl.syzygy_kernel(targets, 2, 4))
         images.append(ppd.pole_apply({g for _, g, _ in keys},
-                                     ({0: {(0, 0): 1}}, 1), 1, twist,
-                                     (f.nums, f.den)))
+                                     ({0: {(0, 0): 1}}, 1), 1, twist, f))
     elements = ppd._order_bounded_elements(gens, kept, 0, packing)
     monkeypatch.undo()
     assert made == []

@@ -7,7 +7,7 @@ the chain.  So a README row cannot keep naming a class or function a change
 deleted or renamed.
 
 A cited call whose arguments are all identifiers, as in
-`WindowSpan(f, pole_target, xdeg, dt, table)`, names the leading
+`WindowSpan(f, pole_target, dt, table)`, names the leading
 parameters of what it calls (inspect.signature, a method's `self`
 dropped).  A qualified chain resolves from hwkit; a bare one, as in
 `bf_span(gens, f, bounds, table)`, from the module its Layout row names,
@@ -156,13 +156,13 @@ def test_readme_calls_name_their_parameters():
 
 def test_readme_call_check_flags_a_signature_mismatch():
     checked, wrong = call_mismatches(
-        "| `hwkit.vforacle` | `WindowSpan(f, pole_target, xdeg, dt, table)`, "
+        "| `hwkit.vforacle` | `WindowSpan(f, pole_target, dt, table)`, "
         "`bf_span(gens, f, table)`, `weyl.ShiftTable(xdeg)`, "
         "`reduce(vec, den)`, `WindowSpan(f, g + 1)`, "
         "`linalg.Echelon.insert(vec, den, companion)` |\n"
         "| `hwkit.cli` / `hwkit.suite` | `run_suite(profile)` |\n"
         "`bf_span(gens)` and `hwkit.linalg.nullspace(columns, dens)`\n")
-    assert checked == ["WindowSpan(f, pole_target, xdeg, dt, table)",
+    assert checked == ["WindowSpan(f, pole_target, dt, table)",
                        "bf_span(gens, f, table)", "weyl.ShiftTable(xdeg)",
                        "linalg.Echelon.insert(vec, den, companion)",
                        "run_suite(profile)",

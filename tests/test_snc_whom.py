@@ -227,7 +227,7 @@ def test_micromult_ideals():
 
 def test_micromult_unit_iff_below_minimal_exponent():
     for germ in (cusp(), node()):
-        b = bfunction_whom_isolated(germ.f, germ.w, germ.milnor)
+        b = bfunction_whom_isolated(germ)
         a0 = -max(bsdata.reduce(b).sorted_roots())
         for alpha in (F(1, 4), F(1, 2), F(5, 6), F(9, 10), F(1)):
             gens = whom_micromult_ideal(germ, alpha, 0)

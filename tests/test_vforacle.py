@@ -45,7 +45,7 @@ def shifted(p, m, c=1):
 
 def packed_layers(packing, layers):
     """(integer numerators, den) of the layers {j: Polynomial}, each x^m
-    at packed key j * top + shift(m, 0), over one denominator."""
+    at packed key j * top + shift(m), over one denominator."""
     return integer_pair(packing.pack_terms(
         {j: fraction_terms(p) for j, p in layers.items()}))
 
@@ -217,7 +217,7 @@ def _monomial(span, code):
     """The exponent vector m of a window span's packed key of x^m; a key
     that is no x-monomial within the span's radix fails."""
     m = span.packing.unpack(code)[0]
-    assert span.packing.shift(m, 0) == code
+    assert span.packing.shift(m) == code
     return m
 
 
@@ -228,12 +228,12 @@ def _unpacked(span, vec):
 
 
 def _layered(packing, code):
-    """(layer j, exponent vector m) of the packed key j * top + shift(m, 0),
+    """(layer j, exponent vector m) of the packed key j * top + shift(m),
     or code itself when it is no such key of packing (a coordinate no
     packing produced, such as a nullspace column's row index)."""
     j, rest = divmod(code, packing.top)
     m = packing.unpack(rest)[0]
-    return (j, m) if packing.shift(m, 0) == rest else code
+    return (j, m) if packing.shift(m) == rest else code
 
 
 def _queued(span, insert, *args):
@@ -324,7 +324,7 @@ def test_span_producers_stay_in_the_window(seed, inserted):
     check(lambda: bf_span(gens, f, B, ShiftTable(2, B.xdeg)),
           lambda key: key[0] <= B.dt and sum(key[1]) <= B.xdeg)
     check(lambda: vforacle.presentation_span(pres, f, pres.alpha,
-                                             pres.max_pole(), B.xdeg,
+                                             pres.max_pole(),
                                              ShiftTable(2, B.xdeg)),
           lambda key: key[0] == 0 and sum(key[1]) <= B.xdeg)
     for case in crosschecks:
@@ -723,7 +723,7 @@ def fraction_bfunction_system(f, bf, order, xdeg):
     inserts = []
     for xb, g, j in keys:
         vec, den = packed_layers(packing, columns[g])
-        shift = j * packing.top + packing.shift(xb, 0)
+        shift = j * packing.top + packing.shift(xb)
         inserts.append(({k + shift: c for k, c in vec.items()}, den))
     return (pole_target, packing, inserts,
             lambda roots: packed_layers(packing, rhs(roots)))
@@ -803,9 +803,9 @@ def test_verify_bfunction_applies_d_only_to_reevaluate(monkeypatch):
     applies = []
     real_apply = vforacle.pole_apply
 
-    def applied(gammas, start, pole, alpha, f_int):
+    def applied(gammas, start, pole, alpha, f):
         applies.append((start, pole, alpha))
-        return real_apply(gammas, start, pole, alpha, f_int)
+        return real_apply(gammas, start, pole, alpha, f)
 
     monkeypatch.setattr(vforacle, "pole_apply", applied)
     f, b = poly_parse("x1^2+x2^3", 2), BFunction.parse("(s+1)*(s+5/6)*(s+7/6)")
@@ -880,7 +880,7 @@ def test_d_gamma_images_match_step_chains(dim):
         g = rand_poly(rng, dim)
         pole, alpha = rng.randint(0, 2), F(rng.randint(0, 5), 6)
         images = vforacle.pole_apply(gammas, ({0: g.nums}, g.den), pole,
-                                     (alpha, 0), (f.nums, f.den))
+                                     (alpha, 0), f)
         assert set(images) == set(gammas)
         for gamma in gammas:
             layers, den, p = images[gamma]
@@ -927,7 +927,7 @@ def test_s_twisted_pole_apply_matches_apply_d_chains(dim, pole, alpha0,
               for j in start}
     gammas = list(monomials_upto_degree(dim, 3))
     images = vforacle.pole_apply(gammas, (layers, den), pole,
-                                 (alpha0, alpha1), (f.nums, f.den))
+                                 (alpha0, alpha1), f)
     assert set(images) == set(gammas)
     chain = {gammas[0]: TwistedSection(
         dim, -pole - alpha0, 0,
@@ -958,15 +958,14 @@ def test_candidate_v_snc_exponents():
 
 def test_v_axioms_snc():
     fam = SncVFamily(SncDivisor((1, 1)), 4)
-    rep = verify_v_axioms(fam, XY, [F(1, 2), 1, F(3, 2)], Bounds(3, 8, 5))
+    rep = verify_v_axioms(fam, [F(1, 2), 1, F(3, 2)], Bounds(3, 8, 5))
     assert rep["all_member"]
     assert any(c["verdict"] == "member" for c in rep["checks"])
 
 
 def test_v_axioms_whom():
     fam = WhomVFamily(cusp_germ(), 3)
-    rep = verify_v_axioms(fam, cusp_germ().f, [F(5, 6), 1, F(7, 6)],
-                          Bounds(3, 10, 5))
+    rep = verify_v_axioms(fam, [F(5, 6), 1, F(7, 6)], Bounds(3, 10, 5))
     assert rep["all_member"]
 
 
@@ -976,7 +975,7 @@ def test_v_axioms_negative_control():
             gs = super().gens(lam)
             return gs[1:] if F(lam) == F(3, 2) else gs
 
-    rep = verify_v_axioms(Corrupt(SncDivisor((1, 1)), 4), XY, [F(1, 2)],
+    rep = verify_v_axioms(Corrupt(SncDivisor((1, 1)), 4), [F(1, 2)],
                           Bounds(3, 8, 5))
     assert not rep["all_member"]
 
@@ -1050,7 +1049,7 @@ def test_graph_module_witnesses_pinned():
         strict = fam.strict_gens(lam)
         for bounds in WITNESS_BOUNDS:
             cert = kernel_filtration_check(f, lam, l, kernel, strict, bounds)
-            out.append((cert.to_json(), verify_v_axioms(fam, f, grid, bounds)))
+            out.append((cert.to_json(), verify_v_axioms(fam, grid, bounds)))
             if not cert.is_member():
                 continue
             members += 1
@@ -1216,7 +1215,7 @@ def test_kernel_filtration_window_details():
 def test_v_axioms_window_exceeded_is_skipped():
     # the images that leave the window are reported and counted, and do
     # not fail the report
-    rep = verify_v_axioms(SncVFamily(SncDivisor((1, 1)), 2), XY, [F(1, 2)],
+    rep = verify_v_axioms(SncVFamily(SncDivisor((1, 1)), 2), [F(1, 2)],
                           Bounds(2, 3, 2))
     assert [(c["generator"], c["axiom"])
             for c in rep["checks"] if c["verdict"] == "window-exceeded"] == [
@@ -1251,10 +1250,10 @@ def test_spans_build_no_image_above_their_pole(monkeypatch):
     requests, poles = [], []
     real_apply, real_summand = vforacle.pole_apply, WindowSpan.add_summand
 
-    def apply(gammas, start, pole, alpha, f_int):
+    def apply(gammas, start, pole, alpha, f):
         requests.append((poles[-1], pole, list(gammas)))
         assert alpha[1] == 0  # a span's twist carries no s
-        return real_apply(gammas, start, pole, alpha, f_int)
+        return real_apply(gammas, start, pole, alpha, f)
 
     def add_summand(self, *args):
         poles.append(self.pole_target)
@@ -1264,7 +1263,7 @@ def test_spans_build_no_image_above_their_pole(monkeypatch):
     monkeypatch.setattr(WindowSpan, "add_summand", add_summand)
     x1, x2 = poly_parse("x1", 2), poly_parse("x2", 2)
     pres = HodgePresentation.build(F(1), 2, [(4, x1, 0), (4, x2, 1)])
-    vforacle.presentation_span(pres, XY, F(1), 2, 8, ShiftTable(2, 8))
+    vforacle.presentation_span(pres, XY, F(1), 2, ShiftTable(2, 8))
     reduce_presentation(pres, XY, Bounds(4, 8, 4))
     unit = HodgePresentation.build(F(0), 2, [(0, Polynomial.one(2), 0)])
     deep = HodgePresentation.build(F(0), 2, [(0, XY, 1)])
@@ -1295,7 +1294,7 @@ def test_d_part_sets_reach_above_xdeg(monkeypatch):
 
 
 def test_window_span_add_refuses_a_part_above_its_pole():
-    span = WindowSpan(XY, 1, 4, 0, ShiftTable(2, 4))
+    span = WindowSpan(XY, 1, 0, ShiftTable(2, 4))
     with pytest.raises(ValueError):
         span.add({2: {(1, 0): 1}}, 1, (0,))
     assert span.n_vectors == 0
@@ -1425,9 +1424,9 @@ def _raw_span(family):
     """A window span holding the tagged vectors of family, each inserted
     as it is (the last entry of its tag as beta, with shift 0); a multiple
     of an earlier vector is skipped."""
-    span = WindowSpan(XY, 0, 3, 0, ShiftTable(2, 3))
+    span = WindowSpan(XY, 0, 0, ShiftTable(2, 3))
     for vec, den, tag in family:
-        span.insert({span.packing.shift(m, 0): c for m, c in vec.items()},
+        span.insert({span.packing.shift(m): c for m, c in vec.items()},
                     den, tag[:-1], tag[-1:], (0,))
     return span
 
@@ -1485,13 +1484,11 @@ def test_clear_to_pole_matches_powers(poles, pole):
         if poles:
             g = rand_poly(rng) + XY
             parts += [(g, poles[0]), (-g, poles[0])]
-        num, den = vforacle.clear_to_pole(*int_parts(parts),
-                                          (f.nums, f.den), pole)
+        num, den = vforacle.clear_to_pole(*int_parts(parts), f, pole)
         assert poly_parts({pole: num}, den, 2) == [
             (cleared_by_powers(parts, f, pole), pole)], (poles, pole, str(f))
     with pytest.raises(ValueError):
-        vforacle.clear_to_pole(*int_parts([(XY, pole + 1)]),
-                               (XY.nums, XY.den), pole)
+        vforacle.clear_to_pole(*int_parts([(XY, pole + 1)]), XY, pole)
 
 
 def every_window_vector(parts, f, pole_target, xdeg, tag):
@@ -1562,7 +1559,7 @@ class _RecordingSpan(WindowSpan):
 
 
 def _window_span(elements, f, xdeg, cls=WindowSpan):
-    span = cls(f, 1, xdeg, 0, ShiftTable(f.dim, xdeg))
+    span = cls(f, 1, 0, ShiftTable(f.dim, xdeg))
     for i, parts in enumerate(elements):
         span.add(*int_parts(parts), (i,))
     return span
@@ -1809,7 +1806,7 @@ def _assert_queue_canonical(span, vector_of):
     for terms, den, tag, _ in span._queue:
         vec = vector_of(tag)
         assert _int_pair(terms, den) == {
-            span.packing.shift(m, 0): c
+            span.packing.shift(m): c
             for m, c in fraction_terms(vec).items()}, tag
 
 
@@ -1842,7 +1839,7 @@ def test_twisted_span_queues_canonical_pairs(data):
         st.sampled_from([F(1), F(-2), F(1, 3), F(-5, 4)]), st.integers(0, 2))
     summands = [(0, Polynomial.one(dim), 2)] + data.draw(
         st.lists(summand, min_size=1, max_size=3))
-    span = WindowSpan(f, 2, 6, 0, ShiftTable(f.dim, 6))
+    span = WindowSpan(f, 2, 0, ShiftTable(f.dim, 6))
     for si, s in enumerate(summands):
         span.add_summand(si, s, alpha)
     _assert_queue_canonical(span, _twisted_vector(summands, alpha, f, 2))
@@ -1903,7 +1900,7 @@ def _every_vector_adder(f):
         for vec, den, t in every_window_vector(
                 poly_parts(parts, den, f.dim), f, span.pole_target,
                 span.xdeg, tag):
-            span.insert({span.packing.shift(m, 0): c for m, c in vec.items()},
+            span.insert({span.packing.shift(m): c for m, c in vec.items()},
                         den, t[:-1], t[-1:], (0,))
     return add
 
@@ -1923,12 +1920,11 @@ def test_window_packing_is_exact(case):
     # order is kept, shifts and shape offsets are int additions and
     # subtractions, and its packing reduce answers None above xdeg
     dim, xdeg, monos = case
-    span = WindowSpan(poly_parse("x1", dim), 0, xdeg, 0,
-                      ShiftTable(dim, xdeg))
+    span = WindowSpan(poly_parse("x1", dim), 0, 0, ShiftTable(dim, xdeg))
     assert span.packing.radix == xdeg + 1
 
     def pack(m):
-        return span.packing.shift(m, 0)
+        return span.packing.shift(m)
 
     for a in monos:
         assert _monomial(span, pack(a)) == a
@@ -2055,7 +2051,7 @@ def test_shift_table_serves_bounds_in_any_order(dim, xdeg):
     for bound in bounds:
         betas, codes = table.shifts(bound)
         assert tuple(betas) == tuple(monomials_upto_degree(dim, bound))
-        assert codes == [table.packing.shift(beta, 0) for beta in betas]
+        assert codes == [table.packing.shift(beta) for beta in betas]
         assert codes == [packing.pack((beta, (0,) * dim, 0))
                          for beta in betas]
 
@@ -2076,7 +2072,7 @@ def test_spans_sharing_a_table_match_spans_alone(seed):
                       rng.randint(0, 2)) for _ in range(3)])
     builds = [lambda table: bf_span(gens, f, B, table)] + [
         lambda table, pole=pole: vforacle.presentation_span(
-            pres, f, pres.alpha, pole, B.xdeg, table)
+            pres, f, pres.alpha, pole, table)
         for pole in (pres.max_pole(), pres.max_pole() + 2)]
     rng.shuffle(builds)
     table = ShiftTable(2, B.xdeg)
@@ -2089,14 +2085,18 @@ def test_spans_sharing_a_table_match_spans_alone(seed):
 
 
 def test_window_span_refuses_a_table_of_another_packing():
+    # a span takes its window from its table and refuses one of another
+    # dimension; bf_span, which gets the window in its bounds as well,
+    # refuses a table of another radix too
+    for table in (ShiftTable(3, 4), ShiftTable(1, 4)):
+        with pytest.raises(InternalCheckFailed):
+            WindowSpan(XY, 1, 0, table)
     for table in (ShiftTable(3, 4), ShiftTable(1, 4), ShiftTable(2, 5),
                   ShiftTable(2, 3)):
         with pytest.raises(InternalCheckFailed):
-            WindowSpan(XY, 1, 4, 0, table)
-    with pytest.raises(InternalCheckFailed):
-        bf_span([BfElement.from_poly(Polynomial.one(2))], XY,
-                Bounds(1, 4, 1), ShiftTable(2, 3))
-    assert WindowSpan(XY, 1, 4, 0, ShiftTable(2, 4)).packing.radix == 5
+            bf_span([BfElement.from_poly(Polynomial.one(2))], XY,
+                    Bounds(1, 4, 1), table)
+    assert WindowSpan(XY, 1, 0, ShiftTable(2, 4)).packing.radix == 5
 
 
 @pytest.mark.parametrize("case, bounds, top", [
@@ -2126,3 +2126,26 @@ def test_crosscheck_builds_each_shift_vector_once(monkeypatch, case, bounds,
     crosscheck_hodge_weight(*case, bounds)
     assert tables == [(2, bounds.xdeg)]
     assert built == list(monomials_upto_degree(2, top))
+
+
+def test_window_span_enforces_a_lowered_xdeg():
+    # a span's window is its table's radix less one; lowered below it, the
+    # span answers only inside the sub-window and keeps the table's keys
+    span = WindowSpan(XY, 0, 0, ShiftTable(2, 6))
+    assert span.xdeg == 6
+    span.xdeg = 4
+    span.add_layers({0: {(5, 0): 1}}, 1, (0,))
+    assert span.n_vectors == 0 and not span.tags
+    span.add_layers({0: {(1, 0): 1}}, 1, (1,))
+    betas = list(monomials_upto_degree(2, 3))
+    assert span.n_vectors == len(betas)
+    assert span.tags == [(1, beta) for beta in betas]
+    packing = KeyPacking(2, 7, 0)
+    assert span.packing.radix == packing.radix
+    assert span.echelon.pivots() == {
+        packing.shift(mono_mul((1, 0), beta)) for beta in betas}
+    assert span.reduce(BfElement.from_poly(poly_parse("x1^2*x2^3", 2))) is None
+    assert not span.reduce(BfElement.from_poly(poly_parse("x1^4", 2)))[0]
+    assert span.contains(poly_parse("x2^5", 2), 0) is None
+    assert span.contains(poly_parse("x1^3*x2", 2), 0) is True
+    assert span.contains(poly_parse("x2^4", 2), 0) is False

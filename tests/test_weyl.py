@@ -684,7 +684,7 @@ def test_packing_is_exact_inside_the_window(case):
                     for i in range(s_extra + 1):
                         key = (mono_mul(xe, b), de, sp + j + i)
                         # a shift is one addition, and unpacks exactly
-                        assert code + packing.shift(b, j + i) == \
+                        assert code + packing.shift(b) + j + i == \
                             packing.pack(key)
                         assert packing.unpack(packing.pack(key)) == key
                         reached.add(key)
