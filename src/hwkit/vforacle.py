@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, InternalCheckFailed, PreconditionError
@@ -424,7 +424,7 @@ def bf_span(gens, f: Polynomial, bounds: Bounds,
     if table.packing.radix != bounds.xdeg + 1:
         raise InternalCheckFailed("shift table of another packing")
     span = WindowSpan(f, 0, bounds.dt, table)
-    gammas, _ = table.shifts(bounds.order)
+    gammas = table.betas(bounds.order)
     for gi, gen in enumerate(gens):
         for gamma, layers, den in gen.d_images(gammas, f, bounds.dt):
             span.add_layers(layers, den, (gi, gamma))
@@ -633,15 +633,16 @@ class WindowSpan:
     Its coordinates are the layered keys of the packing of the caller's
     ShiftTable, and xdeg is that packing's radix less one, so x^beta adds
     the packed beta to every key.  Spans compared with each other share
-    xdeg.  The shifts x^beta and d-parts gamma come from the table, which
-    the spans of a job share: built once per job, not once per bound per
-    span.  Each element is packed and queued once with its shifts.  The
-    record maps each S of _direction to the positions k queued (a shift
-    moves only k); a vector it already holds is a multiple of a queued one
-    and is not queued.  The echelon is built from the queue, in queue
-    order, when a query reads it; its rows, tags (the tag of each row's
-    vector, in rank-gain order) and n_vectors are those of inserting every
-    vector.  It carries no companions: witness builds them on demand.
+    xdeg.  The shift codes, d-parts and packed monomials come from the
+    table the spans of a job share.  Each element is packed and queued once,
+    as (terms, den, tag, top, bound, fresh), shifted by the codes of degree
+    <= bound.  The record maps each S of _direction to the positions k =
+    top + code taken (a shift moves only k); fresh holds those it lacked
+    (None: all), and a vector it holds is a multiple of a queued one.  The
+    echelon is built from the queue, in queue order, when a query reads it;
+    its rows, tags (the tag of each row's vector, in rank-gain order) and
+    n_vectors are those of inserting every vector.  It carries no
+    companions: witness builds them on demand.
     """
 
     __slots__ = ("pole_target", "xdeg", "dt", "packing", "n_vectors",
@@ -665,13 +666,21 @@ class WindowSpan:
 
     @property
     def echelon(self) -> Echelon:
-        for terms, den, tag, shifts in self._queue[self._built:]:
-            for beta, code in shifts:
-                if self._echelon.insert({m + code: c for m, c in terms.items()},
-                                        den) is None:
-                    self._tags.append(tag + (beta,))
+        for vec, den, tag in self._vectors(self._built):
+            if self._echelon.insert(vec, den) is None:
+                self._tags.append(tag)
         self._built = len(self._queue)
         return self._echelon
+
+    def _vectors(self, start: int = 0):
+        """(vector, den, tag + (beta,)) of each queued vector x^beta *
+        terms/den from queue entry start on, in queue order."""
+        table = self._table
+        for terms, den, tag, top, bound, fresh in self._queue[start:]:
+            for code, beta in zip(table.codes(bound), table.betas(bound)):
+                if fresh is None or top + code in fresh:
+                    yield ({m + code: c for m, c in terms.items()}, den,
+                           tag + (beta,))
 
     @property
     def tags(self) -> list:
@@ -686,11 +695,12 @@ class WindowSpan:
 
     def _packed(self, layers: dict):
         """(packed terms, largest term degree or -1) of the layers
-        {j: {m: c}}; None outside the (xdeg, dt) window, where keys alias."""
-        deg = max(map(sum, chain.from_iterable(layers.values())), default=-1)
-        if deg > self.xdeg or any(j > self.dt for j in layers):
+        {j: {m: c}}, by the table; None outside the (xdeg, dt) window, where
+        keys alias."""
+        if any(j > self.dt for j in layers):
             return None
-        return self.packing.pack_terms(layers), deg
+        packed = self._table.pack(layers)
+        return packed if packed[1] <= self.xdeg else None
 
     def reduce(self, u: BfElement):
         """Echelon.reduce of the element u, the (residual, carried, den)
@@ -707,10 +717,8 @@ class WindowSpan:
         change no row and no companion, so each combination is that of
         inserting every vector."""
         ech = Echelon()
-        for terms, den, tag, shifts in self._queue:
-            for beta, code in shifts:
-                ech.insert({m + code: c for m, c in terms.items()}, den,
-                           {tag + (beta,): den})
+        for vec, den, tag in self._vectors():
+            ech.insert(vec, den, {tag: den})
         out = []
         for u in members:
             packed = self._packed(_layers(u.nums))
@@ -726,23 +734,22 @@ class WindowSpan:
             {pole: g.nums}, 1, self._f, self.pole_target)[0]})
         return packed and not self.echelon.reduce(packed[0], 1)[0]
 
-    def insert(self, terms: dict, den: int, tag, betas, codes):
+    def insert(self, terms: dict, den: int, tag, bound: int):
         """Queue and record the vectors x^beta * terms/den (integer
-        numerators, packed keys), tagged tag + (beta,), for the betas (packed:
-        codes) whose position the record lacks.  Each counts in n_vectors,
-        a skipped one as the dependent insert it would be."""
+        numerators, packed keys), tagged tag + (beta,), for the betas of
+        degree <= bound whose position the record lacks.  Each counts in
+        n_vectors, a skipped one as the dependent insert it would be."""
         shape, top = _direction(terms)
+        positions = {top + code for code in self._table.codes(bound)}
         taken = self._taken.get(shape)
         if taken is None:  # no position recorded: every shift is fresh
-            self._taken[shape] = {top + code for code in codes}
-            fresh = list(zip(betas, codes))
+            self._taken[shape], fresh = positions, None
         else:
-            fresh = [(beta, code) for beta, code in zip(betas, codes)
-                     if top + code not in taken]
-            taken.update(top + code for _, code in fresh)
-        self.n_vectors += len(codes)
-        if fresh:
-            self._queue.append((terms, den, tag, fresh))
+            fresh = positions - taken
+            taken |= fresh
+        self.n_vectors += len(positions)
+        if fresh is None or fresh:
+            self._queue.append((terms, den, tag, top, bound, fresh))
 
     def add_layers(self, layers: dict, den: int, tag):
         """Add the window vectors of an element given by its layers over den
@@ -752,7 +759,7 @@ class WindowSpan:
         packed = self._packed(layers)
         if packed is not None and packed[1] >= 0:
             terms, deg = packed
-            self.insert(terms, den, tag, *self._table.shifts(self.xdeg - deg))
+            self.insert(terms, den, tag, self.xdeg - deg)
 
     def add(self, parts, den: int, tag):
         """add_layers of the element given by its parts {p: num} over den,
@@ -767,7 +774,7 @@ class WindowSpan:
         built: a grlex prefix, in the order and with the tags of the full
         list."""
         budget, g, j = summand
-        gammas, _ = self._table.shifts(min(budget, self.pole_target - j))
+        gammas = self._table.betas(min(budget, self.pole_target - j))
         images = pole_apply(gammas, ({0: g.nums}, g.den), j, (alpha, 0),
                             self._f)
         for gamma in gammas:
@@ -969,7 +976,7 @@ def crosscheck_hodge_weight(kind: str, obj, alpha, k: int, l: int,
     table = ShiftTable(f.dim, bounds.xdeg)
     oracle_span = WindowSpan(f, pole_target, 0, table)
     for gi, (gen, budget) in enumerate(gens):
-        gammas, _ = table.shifts(min(budget, bounds.order))
+        gammas = table.betas(min(budget, bounds.order))
         for gamma, layers, den in gen.d_images(gammas, f, bounds.dt):
             oracle_span.add(*psi_map(layers, den, alpha), (gi, gamma))
 

@@ -16,6 +16,7 @@ shift sets.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import comb, lcm, perm
 from operator import mul
 
@@ -424,31 +425,51 @@ class KeyPacking:
 
 class ShiftTable:
     """The shift sets of a job's window spans at one packing (radix xdeg +
-    1): a grlex prefix of exponent vectors beta and the packed keys
-    shift(beta), grown a whole degree at a time by monomials_of_degree.
-    The vectors of degree <= b are the first C(n + b, n), so every bound's
-    set is a prefix; a bound above those built (a d-part bound may exceed
-    xdeg) extends it.  A job makes one and hands it to each span it builds,
-    so each vector is built once per job and lives no longer than it."""
+    1), grown a degree at a time by monomials_of_degree: the vectors beta of
+    degree <= b are the first C(n + b, n) in grlex order.  Their codes
+    shift(beta) are built as ints, up to xdeg (above it they alias), and
+    exponent tuples (a d-part bound may exceed xdeg) only when asked for.
+    A job makes one and hands it to each span it builds, so each code, tuple
+    and packed monomial is built once per job and lives no longer than it."""
 
-    __slots__ = ("packing", "_betas", "_codes", "_ends")
+    __slots__ = ("packing", "_codes", "_betas", "_monos")
 
     def __init__(self, dim: int, xdeg: int):
         self.packing = KeyPacking(dim, xdeg + 1, 0)
-        self._betas, self._codes = [], []
-        self._ends = []  # _ends[d]: the number of vectors of degree <= d
+        self._codes, self._betas = [], []  # [d]: those of degree d
+        self._monos = {}  # x-monomial m -> (shift(m), |m|)
 
-    def shifts(self, bound: int) -> tuple:
-        """(the exponent vectors of total degree <= bound, in grlex order,
-        and the packed keys of their x-monomials); both empty below 0."""
-        packing = self.packing
-        while len(self._ends) <= bound:
-            betas = monomials_of_degree(packing.dim, len(self._ends))
-            self._betas += betas
-            self._codes += [packing.shift(beta) for beta in betas]
-            self._ends.append(len(self._betas))
-        n = self._ends[bound] if bound >= 0 else 0
-        return self._betas[:n], self._codes[:n]
+    def _upto(self, degrees: list, bound: int, places) -> list:
+        """degrees[:bound + 1], grown first by monomials_of_degree(places)."""
+        while len(degrees) <= bound:
+            degrees.append(monomials_of_degree(self.packing.dim, len(degrees),
+                                               places))
+        return degrees[:max(bound + 1, 0)]
+
+    def codes(self, bound: int):
+        """The codes of degree <= bound, in grlex order, none below 0, read
+        from the table; above xdeg InternalCheckFailed."""
+        if bound >= self.packing.radix:
+            raise InternalCheckFailed("shift codes above xdeg alias")
+        return chain.from_iterable(
+            self._upto(self._codes, bound, self.packing._xplaces))
+
+    def betas(self, bound: int) -> list:
+        """The vectors of degree <= bound, in grlex order; none below 0."""
+        return list(chain.from_iterable(self._upto(self._betas, bound, None)))
+
+    def pack(self, layers: dict) -> tuple:
+        """(the layers {j: {m: c}} as {j * top + shift(m): c}, the largest
+        degree of an m or -1), each m packed once per table."""
+        monos, top, out, deg = self._monos, self.packing.top, {}, -1
+        for j, terms in layers.items():
+            for m, c in terms.items():
+                code, d = monos.get(m) or monos.setdefault(
+                    m, (self.packing.shift(m), sum(m)))
+                out[j * top + code] = c
+                if d > deg:
+                    deg = d
+        return out, deg
 
 
 def window_packing(generators, order_bound: int, xdeg_bound: int,

@@ -236,16 +236,27 @@ def _layered(packing, code):
     return (j, m) if packing.shift(m) == rest else code
 
 
+def _queue_vectors(span, start=0):
+    """The vectors queued in the window span from queue entry start on, as
+    (vector with its keys read back as (layer, exponent vector), den,
+    tag): an entry (terms, den, tag, top, bound, fresh) stands for x^beta *
+    terms at the positions top + shift(beta) of fresh (all when None), for
+    the betas of degree <= bound in grlex order."""
+    packing = span.packing
+    return [({_layered(packing, m + code): c for m, c in terms.items()}, den,
+             tag + (beta,))
+            for terms, den, tag, top, bound, fresh in span._queue[start:]
+            for beta in monomials_upto_degree(packing.dim, bound)
+            for code in [packing.shift(beta)]
+            if fresh is None or top + code in fresh]
+
+
 def _queued(span, insert, *args):
     """The vectors insert(span, *args) queues in the window span, as
-    (vector with its keys read back as (layer, exponent vector), den,
-    tag)."""
+    _queue_vectors gives them."""
     start = len(span._queue)
     insert(span, *args)
-    return [({_layered(span.packing, m + code): c
-              for m, c in terms.items()}, den, tag + (beta,))
-            for terms, den, tag, shifts in span._queue[start:]
-            for beta, code in shifts]
+    return _queue_vectors(span, start)
 
 
 @pytest.fixture
@@ -255,19 +266,23 @@ def inserted(monkeypatch):
     its packed keys read back as (layer, exponent vector), and each vector
     inserted into any other Echelon, its keys read back as (layer, exponent
     vector) through the KeyPacking that last packed layers, by pack_terms
-    (kept as they are before any did).  A window span's echelon inserts
-    only vectors it queued."""
+    or by a ShiftTable's pack (kept as they are before any did).  A window
+    span's echelon inserts only vectors it queued."""
     out = []
     packing = [None]  # the KeyPacking that last packed layers
     building = [False]  # whether a window span is building its echelon
     insert = Echelon.insert
     span_insert, span_echelon = WindowSpan.insert, WindowSpan.echelon
 
-    pack_terms = KeyPacking.pack_terms
+    pack_terms, table_pack = KeyPacking.pack_terms, ShiftTable.pack
 
     def packing_noted(self, layers):
         packing[0] = self
         return pack_terms(self, layers)
+
+    def table_packing_noted(self, layers):
+        packing[0] = self.packing
+        return table_pack(self, layers)
 
     def recording(self, vec, den, companion=None):
         if not building[0]:
@@ -288,6 +303,7 @@ def inserted(monkeypatch):
             building[0] = False
 
     monkeypatch.setattr(KeyPacking, "pack_terms", packing_noted)
+    monkeypatch.setattr(ShiftTable, "pack", table_packing_noted)
     monkeypatch.setattr(Echelon, "insert", recording)
     monkeypatch.setattr(WindowSpan, "insert", queueing)
     monkeypatch.setattr(WindowSpan, "echelon", property(building_echelon))
@@ -392,7 +408,7 @@ def test_graph_module_span_window_edges():
     # d1 dt = -2 x1 dt^2 the dt window: the span skips both images and
     # holds only the shifts of x1^3 (one) and of dt (x1^0..x1^3), and
     # reduce answers None for the skipped images
-    queued = sum(len(fresh) for *_, fresh in span._queue)
+    queued = len(_queue_vectors(span))
     assert span.n_vectors == queued == 1 + 4
     assert all(span.reduce(graph_d(gen, 0, f)) is None for gen in gens)
     # the span keys an element with its own packing: dt^3 is no multiple
@@ -471,7 +487,7 @@ def test_graph_span_matches_every_vector_reference(seed):
     assert len(span.echelon.pivots()) == len(ref.pivots())
     assert span.n_vectors == len(every)
     if multiples:
-        assert sum(len(fresh) for *_, fresh in span._queue) < span.n_vectors
+        assert len(_queue_vectors(span)) < span.n_vectors
     for _ in range(6):
         picked = rng.sample(every, min(len(every), rng.randint(1, 4)))
         member = {}
@@ -1406,7 +1422,8 @@ def _sparse_poly(rng, xdeg=3):
 def _family(rng, label, base=(), xdeg=3):
     """Tagged integer terms dicts (numerators, den, tag) of nonzero
     polynomials: random ones, and (given base) random combinations of base,
-    so that containment both holds and fails."""
+    so that containment both holds and fails.  Each tag ends in the zero
+    beta, that of the one shift _raw_span gives the vector."""
     out = []
     for i in range(rng.randint(0, 6)):
         p = Polynomial.zero(2)
@@ -1416,18 +1433,18 @@ def _family(rng, label, base=(), xdeg=3):
                     rng.randint(-2, 2))
         if p.is_zero():
             p = _sparse_poly(rng, xdeg)
-        out.append((p.nums, p.den, (label, i)))
+        out.append((p.nums, p.den, (label, i, (0, 0))))
     return out
 
 
 def _raw_span(family):
     """A window span holding the tagged vectors of family, each inserted
-    as it is (the last entry of its tag as beta, with shift 0); a multiple
-    of an earlier vector is skipped."""
+    as it is (shift bound 0: the one beta is the zero vector, which ends
+    its tag); a multiple of an earlier vector is skipped."""
     span = WindowSpan(XY, 0, 0, ShiftTable(2, 3))
     for vec, den, tag in family:
         span.insert({span.packing.shift(m): c for m, c in vec.items()},
-                    den, tag[:-1], tag[-1:], (0,))
+                    den, tag[:-1], 0)
     return span
 
 
@@ -1803,7 +1820,7 @@ def _assert_queue_canonical(span, vector_of):
     """Every queued (terms, den) of the span, integer numerators over a
     positive int den, stands for vector_of(tag), its vector built in
     Fraction polynomials, at the span's packed keys."""
-    for terms, den, tag, _ in span._queue:
+    for terms, den, tag, *_ in span._queue:
         vec = vector_of(tag)
         assert _int_pair(terms, den) == {
             span.packing.shift(m): c
@@ -1895,13 +1912,14 @@ def _unshared_direction(terms):
 
 def _every_vector_adder(f):
     """WindowSpan.add for spans over f with no window vector skipped: each
-    vector of every_window_vector inserted as it is, with shift 0."""
+    vector of every_window_vector inserted as it is (shift bound 0), its
+    tag t + (beta,) followed by the zero beta."""
     def add(span, parts, den, tag):
         for vec, den, t in every_window_vector(
                 poly_parts(parts, den, f.dim), f, span.pole_target,
                 span.xdeg, tag):
             span.insert({span.packing.shift(m): c for m, c in vec.items()},
-                        den, t[:-1], t[-1:], (0,))
+                        den, t, 0)
     return add
 
 
@@ -2040,20 +2058,51 @@ def test_whom_presentation_monotone():
 @pytest.mark.parametrize("dim, xdeg", [(1, 0), (1, 3), (2, 2), (2, 5),
                                        (3, 1), (3, 3)])
 def test_shift_table_serves_bounds_in_any_order(dim, xdeg):
-    # bounds asked in random order, twice each, above xdeg and below 0
-    # included: every set is the grlex enumeration up to its bound, each
-    # vector with the packed key of its x-monomial
+    # codes and tuples asked in interleaved random order, twice each, bounds
+    # above xdeg and below 0 included: every set is the grlex enumeration up
+    # to its bound, each code the packed key of its vector's x-monomial;
+    # above xdeg, where codes alias, tuples are served and codes refused
     rng = random.Random(1200 + 10 * dim + xdeg)
     table = ShiftTable(dim, xdeg)
     packing = KeyPacking(dim, xdeg + 1, 0)
-    bounds = list(range(-1, xdeg + 4)) * 2
-    rng.shuffle(bounds)
-    for bound in bounds:
-        betas, codes = table.shifts(bound)
-        assert tuple(betas) == tuple(monomials_upto_degree(dim, bound))
-        assert codes == [table.packing.shift(beta) for beta in betas]
-        assert codes == [packing.pack((beta, (0,) * dim, 0))
-                         for beta in betas]
+    asks = [(kind, bound) for kind in ("codes", "betas")
+            for bound in range(-1, xdeg + 4)] * 2
+    rng.shuffle(asks)
+    for kind, bound in asks:
+        betas = list(monomials_upto_degree(dim, bound))
+        if kind == "betas":
+            assert table.betas(bound) == betas
+        elif bound > xdeg:
+            with pytest.raises(InternalCheckFailed):
+                table.codes(bound)
+        else:
+            codes = list(table.codes(bound))
+            assert codes == [packing.shift(beta) for beta in betas]
+            assert codes == [packing.pack((beta, (0,) * dim, 0))
+                             for beta in betas]
+    # the table packs layers as pack_terms does, with their largest degree,
+    # each time it is asked (monomials above xdeg, whose keys alias, too)
+    monos = list(monomials_upto_degree(dim, xdeg + 1))
+    for _ in range(6):
+        layers = {j: {m: rng.randint(1, 9) for m in rng.sample(
+            monos, rng.randint(0, min(4, len(monos))))}
+            for j in rng.sample(range(3), rng.randint(0, 3))}
+        deg = max((sum(m) for terms in layers.values() for m in terms),
+                  default=-1)
+        for _ in range(2):
+            assert table.pack(layers) == (packing.pack_terms(layers), deg)
+    # a span on the table answers None for a layer above its dt and a
+    # degree above its lowered xdeg, and packs inside them
+    span = WindowSpan(poly_parse("x1", dim), 0, 1, table)
+    span.xdeg = low = max(xdeg - 1, 0)
+    x1 = (1,) + (0,) * (dim - 1)
+
+    def reduced(e, j):
+        return span.reduce(BfElement.from_poly(
+            Polynomial.monomial(tuple(e * a for a in x1)), j))
+
+    assert reduced(low, 2) is None and reduced(low + 1, 1) is None
+    assert reduced(low, 1) is not None and reduced(0, 0) is not None
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -2099,33 +2148,45 @@ def test_window_span_refuses_a_table_of_another_packing():
     assert WindowSpan(XY, 1, 0, ShiftTable(2, 4)).packing.radix == 5
 
 
-@pytest.mark.parametrize("case, bounds, top", [
-    (("snc", SncDivisor((1, 1)), 1, 2, 1), Bounds(2, 4, 2), 2),
-    (("snc", SncDivisor((2, 3)), F(1, 2), 2, 0), Bounds(3, 1, 3), 2),
-    (("whom", cusp_germ(), F(5, 6), 2, 1), Bounds(2, 4, 2), 2),
+@pytest.mark.parametrize("case, bounds, shift_top, top", [
+    (("snc", SncDivisor((1, 1)), 1, 2, 1), Bounds(2, 4, 2), 1, 2),
+    (("snc", SncDivisor((2, 3)), F(1, 2), 2, 0), Bounds(3, 1, 3), -1, 2),
+    (("whom", cusp_germ(), F(5, 6), 2, 1), Bounds(2, 4, 2), 1, 2),
 ])
 def test_crosscheck_builds_each_shift_vector_once(monkeypatch, case, bounds,
-                                                  top):
+                                                  shift_top, top):
     # one cross-check makes one table and grows it a degree at a time: each
-    # exponent vector up to the largest bound its two spans ask for, top, is
-    # built once (in the second case top is a d-part bound above xdeg)
-    built, tables = [], []
+    # code up to the largest shift bound its two spans ask for, shift_top,
+    # is built once, as an int, and each exponent tuple up to the largest
+    # d-part bound, top, once (in the second case top is above xdeg and no
+    # element is in the window); the records settle each cross-check, with
+    # no Echelon insert, so no row asks for a tuple above top
+    codes, betas, tables, inserts = [], [], [], []
     build, init = weyl.monomials_of_degree, ShiftTable.__init__
+    echelon_insert = Echelon.insert
 
-    def building(dim, degree):
-        out = build(dim, degree)
-        built.extend(out)
+    def building(dim, degree, places=None):
+        out = build(dim, degree, places)
+        (betas if places is None else codes).extend(out)
         return out
 
     def noted(self, *args):
         tables.append(args)
         init(self, *args)
 
+    def counted(self, *args):
+        inserts.append(args)
+        return echelon_insert(self, *args)
+
     monkeypatch.setattr(weyl, "monomials_of_degree", building)
     monkeypatch.setattr(ShiftTable, "__init__", noted)
+    monkeypatch.setattr(Echelon, "insert", counted)
     crosscheck_hodge_weight(*case, bounds)
-    assert tables == [(2, bounds.xdeg)]
-    assert built == list(monomials_upto_degree(2, top))
+    assert tables == [(2, bounds.xdeg)] and inserts == []
+    packing = KeyPacking(2, bounds.xdeg + 1, 0)
+    assert codes == [packing.shift(beta)
+                     for beta in monomials_upto_degree(2, shift_top)]
+    assert betas == list(monomials_upto_degree(2, top))
 
 
 def test_window_span_enforces_a_lowered_xdeg():
