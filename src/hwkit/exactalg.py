@@ -119,33 +119,25 @@ def mono_str(m: Mono) -> str:
     return "*".join(power_factors("x", m)) or "1"
 
 
-def monomials_of_degree(dim: int, degree: int, places=None) -> list:
+def monomials_of_degree(dim: int, degree: int) -> list:
     """All exponent vectors of total degree `degree`, in lex order: the first
     exponent e ascending, each followed by the vectors of degree
-    `degree` - e over the other exponents; none for a negative degree.
-    Given places, one int per exponent, each vector v comes packed as the
-    int sum(v_i * places[i]), built by the same recursion with no tuple."""
+    `degree` - e over the other exponents; none for a negative degree."""
     if not dim or degree < 0:
-        return [] if degree else [() if places is None else 0]
-    places = places or [None] * dim
+        return [] if degree else [()]
     # below[d]: the vectors of total degree d over the last exponents, in lex
     # order, from the last exponent alone; each pass puts one more exponent
     # in front, and the last pass builds the one degree asked for
-    below = [[(d,) if places[-1] is None else d * places[-1]]
-             for d in range(degree + 1)]
-    for i in range(dim - 2, 0, -1):
-        below = [_put_in_front(below, d, places[i]) for d in range(degree + 1)]
-    return _put_in_front(below, degree, places[0]) if dim > 1 else below[degree]
+    below = [[(d,)] for d in range(degree + 1)]
+    for _ in range(dim - 2):
+        below = [_put_in_front(below, d) for d in range(degree + 1)]
+    return _put_in_front(below, degree) if dim > 1 else below[degree]
 
 
-def _put_in_front(below: list, degree: int, place) -> list:
+def _put_in_front(below: list, degree: int) -> list:
     """The vectors e + rest of total degree `degree`, rest from below (by
-    degree, in lex order), e ascending: in lex order; packed as
-    e * place + rest for an int place."""
-    if place is None:
-        return [(e,) + rest for e in range(degree + 1)
-                for rest in below[degree - e]]
-    return [e * place + rest for e in range(degree + 1)
+    degree, in lex order), e ascending: in lex order."""
+    return [(e,) + rest for e in range(degree + 1)
             for rest in below[degree - e]]
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, InternalCheckFailed, PreconditionError
@@ -424,7 +425,7 @@ def bf_span(gens, f: Polynomial, bounds: Bounds,
     if table.packing.radix != bounds.xdeg + 1:
         raise InternalCheckFailed("shift table of another packing")
     span = WindowSpan(f, 0, bounds.dt, table)
-    gammas = table.betas(bounds.order)
+    gammas = list(table.betas(bounds.order))
     for gi, gen in enumerate(gens):
         for gamma, layers, den in gen.d_images(gammas, f, bounds.dt):
             span.add_layers(layers, den, (gi, gamma))
@@ -633,16 +634,15 @@ class WindowSpan:
     Its coordinates are the layered keys of the packing of the caller's
     ShiftTable, and xdeg is that packing's radix less one, so x^beta adds
     the packed beta to every key.  Spans compared with each other share
-    xdeg.  The shift codes, d-parts and packed monomials come from the
-    table the spans of a job share.  Each element is packed and queued once,
-    as (terms, den, tag, top, bound, fresh), shifted by the codes of degree
-    <= bound.  The record maps each S of _direction to the positions k =
-    top + code taken (a shift moves only k); fresh holds those it lacked
-    (None: all), and a vector it holds is a multiple of a queued one.  The
-    echelon is built from the queue, in queue order, when a query reads it;
-    its rows, tags (the tag of each row's vector, in rank-gain order) and
-    n_vectors are those of inserting every vector.  It carries no
-    companions: witness builds them on demand.
+    xdeg.  The shift codes and d-parts come from the table the spans of a
+    job share.  Each element is packed and queued once, as (terms, den, tag,
+    top, bound, fresh): shifted by the codes of degree <= bound.  The record
+    maps each S of _direction to the positions k = top + code taken (a
+    shift moves only k); fresh holds those it lacked (None: all), and a
+    vector it holds is a multiple of a queued one.  The echelon is built
+    from the queue, in queue order, when a query reads it; its rows, tags
+    (the tag of each row's vector, in rank-gain order) and n_vectors are
+    those of inserting every vector.  No companions: witness builds them.
     """
 
     __slots__ = ("pole_target", "xdeg", "dt", "packing", "n_vectors",
@@ -666,21 +666,21 @@ class WindowSpan:
 
     @property
     def echelon(self) -> Echelon:
-        for vec, den, tag in self._vectors(self._built):
+        for vec, den, tag, beta in self._vectors(self._built):
             if self._echelon.insert(vec, den) is None:
-                self._tags.append(tag)
+                self._tags.append(tag + (beta,))
         self._built = len(self._queue)
         return self._echelon
 
     def _vectors(self, start: int = 0):
-        """(vector, den, tag + (beta,)) of each queued vector x^beta *
-        terms/den from queue entry start on, in queue order."""
+        """(vector, den, tag, beta) of each queued vector x^beta * terms/den,
+        tagged tag + (beta,), from queue entry start on, in queue order."""
         table = self._table
         for terms, den, tag, top, bound, fresh in self._queue[start:]:
             for code, beta in zip(table.codes(bound), table.betas(bound)):
                 if fresh is None or top + code in fresh:
-                    yield ({m + code: c for m, c in terms.items()}, den,
-                           tag + (beta,))
+                    yield ({m + code: c for m, c in terms.items()}, den, tag,
+                           beta)
 
     @property
     def tags(self) -> list:
@@ -695,12 +695,17 @@ class WindowSpan:
 
     def _packed(self, layers: dict):
         """(packed terms, largest term degree or -1) of the layers
-        {j: {m: c}}, by the table; None outside the (xdeg, dt) window, where
+        {j: {m: c}}, in one pass; None outside the (xdeg, dt) window, where
         keys alias."""
         if any(j > self.dt for j in layers):
             return None
-        packed = self._table.pack(layers)
-        return packed if packed[1] <= self.xdeg else None
+        places, top = self.packing.xplaces, self.packing.top
+        out, deg = {}, -1
+        for j, terms in layers.items():
+            for m, c in terms.items():
+                out[j * top + sum(map(mul, m, places))] = c
+                deg = max(deg, sum(m))
+        return (out, deg) if deg <= self.xdeg else None
 
     def reduce(self, u: BfElement):
         """Echelon.reduce of the element u, the (residual, carried, den)
@@ -717,8 +722,8 @@ class WindowSpan:
         change no row and no companion, so each combination is that of
         inserting every vector."""
         ech = Echelon()
-        for vec, den, tag in self._vectors():
-            ech.insert(vec, den, {tag: den})
+        for vec, den, tag, beta in self._vectors():
+            ech.insert(vec, den, {tag + (beta,): den})
         out = []
         for u in members:
             packed = self._packed(_layers(u.nums))
@@ -774,7 +779,7 @@ class WindowSpan:
         built: a grlex prefix, in the order and with the tags of the full
         list."""
         budget, g, j = summand
-        gammas = self._table.betas(min(budget, self.pole_target - j))
+        gammas = list(self._table.betas(min(budget, self.pole_target - j)))
         images = pole_apply(gammas, ({0: g.nums}, g.den), j, (alpha, 0),
                             self._f)
         for gamma in gammas:

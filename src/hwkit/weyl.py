@@ -350,14 +350,14 @@ class KeyPacking:
     the x_i place from it with a_i, its x_i digit, as a factor.
     """
 
-    __slots__ = ("dim", "radix", "reach", "top", "_xplaces", "_dplaces")
+    __slots__ = ("dim", "radix", "reach", "top", "xplaces", "_dplaces")
 
     def __init__(self, dim: int, radix: int, reach: int):
         self.dim = dim
         self.radix = radix
         self.reach = reach
         self.top = radix ** (2 * dim + 1)
-        self._xplaces = tuple(radix ** (2 * dim - i) for i in range(dim))
+        self.xplaces = tuple(radix ** (2 * dim - i) for i in range(dim))
         self._dplaces = tuple(radix ** (dim - i) for i in range(dim))
 
     def pack(self, key: Key) -> int:
@@ -386,12 +386,12 @@ class KeyPacking:
 
     def shift(self, b) -> int:
         """The packed key of x^b: adding it multiplies by x^b."""
-        return sum(map(mul, b, self._xplaces))
+        return sum(map(mul, b, self.xplaces))
 
     def pack_terms(self, layers: dict) -> dict:
         """The layers {j: {m: c}} as {j * top + shift(m): c}, each
         exponent vector packed once."""
-        places, top = self._xplaces, self.top
+        places, top = self.xplaces, self.top
         return {j * top + sum(map(mul, m, places)): c
                 for j, terms in layers.items() for m, c in terms.items()}
 
@@ -411,7 +411,7 @@ class KeyPacking:
         of t, none zero: d_i x^a d^e s^k = x^a d^(e+e_i) s^k + a_i
         x^(a-e_i) d^e s^k.  The caller keeps every d_i digit of the result
         below the radix; an x digit only falls, and only when it is not 0."""
-        dplace, xplace, radix = self._dplaces[i], self._xplaces[i], self.radix
+        dplace, xplace, radix = self._dplaces[i], self.xplaces[i], self.radix
         out = {}
         for code, c in terms.items():
             key = code + dplace
@@ -423,53 +423,54 @@ class KeyPacking:
         return {k: c for k, c in out.items() if c}
 
 
+def _codes_of_degree(places, degree: int) -> list:
+    """The packed codes sum(v_i * places[i]) of the exponent vectors v of
+    total degree `degree`, in the lex order of monomials_of_degree and by
+    its recursion, built as ints with no tuple."""
+    below = [[d * places[-1]] for d in range(degree + 1)]
+    for place in places[-2:0:-1]:
+        below = [[e * place + rest for e in range(d + 1)
+                  for rest in below[d - e]] for d in range(degree + 1)]
+    if len(places) == 1:
+        return below[degree]
+    return [e * places[0] + rest for e in range(degree + 1)
+            for rest in below[degree - e]]
+
+
 class ShiftTable:
     """The shift sets of a job's window spans at one packing (radix xdeg +
-    1), grown a degree at a time by monomials_of_degree: the vectors beta of
-    degree <= b are the first C(n + b, n) in grlex order.  Their codes
-    shift(beta) are built as ints, up to xdeg (above it they alias), and
+    1), grown a degree at a time: the vectors beta of degree <= b in grlex
+    order, as codes shift(beta) up to xdeg (above it they alias) and as
     exponent tuples (a d-part bound may exceed xdeg) only when asked for.
-    A job makes one and hands it to each span it builds, so each code, tuple
-    and packed monomial is built once per job and lives no longer than it."""
+    A job makes one and hands it to each span it builds, so each code and
+    tuple is built once per job and lives no longer than it."""
 
-    __slots__ = ("packing", "_codes", "_betas", "_monos")
+    __slots__ = ("packing", "_codes", "_betas")
 
     def __init__(self, dim: int, xdeg: int):
         self.packing = KeyPacking(dim, xdeg + 1, 0)
         self._codes, self._betas = [], []  # [d]: those of degree d
-        self._monos = {}  # x-monomial m -> (shift(m), |m|)
 
-    def _upto(self, degrees: list, bound: int, places) -> list:
-        """degrees[:bound + 1], grown first by monomials_of_degree(places)."""
+    @staticmethod
+    def _upto(degrees: list, bound: int, build, first):
+        """The entries of degrees[:bound + 1] in order, degrees grown first
+        by build(first, degree)."""
         while len(degrees) <= bound:
-            degrees.append(monomials_of_degree(self.packing.dim, len(degrees),
-                                               places))
-        return degrees[:max(bound + 1, 0)]
+            degrees.append(build(first, len(degrees)))
+        return chain.from_iterable(degrees[:max(bound + 1, 0)])
 
     def codes(self, bound: int):
-        """The codes of degree <= bound, in grlex order, none below 0, read
-        from the table; above xdeg InternalCheckFailed."""
+        """The codes of degree <= bound, in grlex order, none below 0; above
+        xdeg InternalCheckFailed."""
         if bound >= self.packing.radix:
             raise InternalCheckFailed("shift codes above xdeg alias")
-        return chain.from_iterable(
-            self._upto(self._codes, bound, self.packing._xplaces))
+        return self._upto(self._codes, bound, _codes_of_degree,
+                          self.packing.xplaces)
 
-    def betas(self, bound: int) -> list:
+    def betas(self, bound: int):
         """The vectors of degree <= bound, in grlex order; none below 0."""
-        return list(chain.from_iterable(self._upto(self._betas, bound, None)))
-
-    def pack(self, layers: dict) -> tuple:
-        """(the layers {j: {m: c}} as {j * top + shift(m): c}, the largest
-        degree of an m or -1), each m packed once per table."""
-        monos, top, out, deg = self._monos, self.packing.top, {}, -1
-        for j, terms in layers.items():
-            for m, c in terms.items():
-                code, d = monos.get(m) or monos.setdefault(
-                    m, (self.packing.shift(m), sum(m)))
-                out[j * top + code] = c
-                if d > deg:
-                    deg = d
-        return out, deg
+        return self._upto(self._betas, bound, monomials_of_degree,
+                          self.packing.dim)
 
 
 def window_packing(generators, order_bound: int, xdeg_bound: int,

@@ -266,23 +266,23 @@ def inserted(monkeypatch):
     its packed keys read back as (layer, exponent vector), and each vector
     inserted into any other Echelon, its keys read back as (layer, exponent
     vector) through the KeyPacking that last packed layers, by pack_terms
-    or by a ShiftTable's pack (kept as they are before any did).  A window
-    span's echelon inserts only vectors it queued."""
+    or by a window span's _packed (kept as they are before any did).  A
+    window span's echelon inserts only vectors it queued."""
     out = []
     packing = [None]  # the KeyPacking that last packed layers
     building = [False]  # whether a window span is building its echelon
     insert = Echelon.insert
     span_insert, span_echelon = WindowSpan.insert, WindowSpan.echelon
 
-    pack_terms, table_pack = KeyPacking.pack_terms, ShiftTable.pack
+    pack_terms, span_packed = KeyPacking.pack_terms, WindowSpan._packed
 
     def packing_noted(self, layers):
         packing[0] = self
         return pack_terms(self, layers)
 
-    def table_packing_noted(self, layers):
+    def span_packing_noted(self, layers):
         packing[0] = self.packing
-        return table_pack(self, layers)
+        return span_packed(self, layers)
 
     def recording(self, vec, den, companion=None):
         if not building[0]:
@@ -303,7 +303,7 @@ def inserted(monkeypatch):
             building[0] = False
 
     monkeypatch.setattr(KeyPacking, "pack_terms", packing_noted)
-    monkeypatch.setattr(ShiftTable, "pack", table_packing_noted)
+    monkeypatch.setattr(WindowSpan, "_packed", span_packing_noted)
     monkeypatch.setattr(Echelon, "insert", recording)
     monkeypatch.setattr(WindowSpan, "insert", queueing)
     monkeypatch.setattr(WindowSpan, "echelon", property(building_echelon))
@@ -2071,7 +2071,7 @@ def test_shift_table_serves_bounds_in_any_order(dim, xdeg):
     for kind, bound in asks:
         betas = list(monomials_upto_degree(dim, bound))
         if kind == "betas":
-            assert table.betas(bound) == betas
+            assert list(table.betas(bound)) == betas
         elif bound > xdeg:
             with pytest.raises(InternalCheckFailed):
                 table.codes(bound)
@@ -2080,17 +2080,18 @@ def test_shift_table_serves_bounds_in_any_order(dim, xdeg):
             assert codes == [packing.shift(beta) for beta in betas]
             assert codes == [packing.pack((beta, (0,) * dim, 0))
                              for beta in betas]
-    # the table packs layers as pack_terms does, with their largest degree,
-    # each time it is asked (monomials above xdeg, whose keys alias, too)
+    # a span on the table packs layers as pack_terms does, with their
+    # largest degree, and answers None above xdeg, where keys alias
     monos = list(monomials_upto_degree(dim, xdeg + 1))
-    for _ in range(6):
+    span = WindowSpan(poly_parse("x1", dim), 0, 2, table)
+    for _ in range(8):
         layers = {j: {m: rng.randint(1, 9) for m in rng.sample(
             monos, rng.randint(0, min(4, len(monos))))}
             for j in rng.sample(range(3), rng.randint(0, 3))}
         deg = max((sum(m) for terms in layers.values() for m in terms),
                   default=-1)
-        for _ in range(2):
-            assert table.pack(layers) == (packing.pack_terms(layers), deg)
+        assert span._packed(layers) == (
+            (packing.pack_terms(layers), deg) if deg <= xdeg else None)
     # a span on the table answers None for a layer above its dt and a
     # degree above its lowered xdeg, and packs inside them
     span = WindowSpan(poly_parse("x1", dim), 0, 1, table)
@@ -2162,13 +2163,14 @@ def test_crosscheck_builds_each_shift_vector_once(monkeypatch, case, bounds,
     # element is in the window); the records settle each cross-check, with
     # no Echelon insert, so no row asks for a tuple above top
     codes, betas, tables, inserts = [], [], [], []
-    build, init = weyl.monomials_of_degree, ShiftTable.__init__
-    echelon_insert = Echelon.insert
+    init, echelon_insert = ShiftTable.__init__, Echelon.insert
 
-    def building(dim, degree, places=None):
-        out = build(dim, degree, places)
-        (betas if places is None else codes).extend(out)
-        return out
+    def noting(build, out):
+        def building(*args):
+            built = build(*args)
+            out.extend(built)
+            return built
+        return building
 
     def noted(self, *args):
         tables.append(args)
@@ -2178,7 +2180,10 @@ def test_crosscheck_builds_each_shift_vector_once(monkeypatch, case, bounds,
         inserts.append(args)
         return echelon_insert(self, *args)
 
-    monkeypatch.setattr(weyl, "monomials_of_degree", building)
+    monkeypatch.setattr(weyl, "_codes_of_degree",
+                        noting(weyl._codes_of_degree, codes))
+    monkeypatch.setattr(weyl, "monomials_of_degree",
+                        noting(weyl.monomials_of_degree, betas))
     monkeypatch.setattr(ShiftTable, "__init__", noted)
     monkeypatch.setattr(Echelon, "insert", counted)
     crosscheck_hodge_weight(*case, bounds)
