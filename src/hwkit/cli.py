@@ -37,7 +37,37 @@ from .whom import QuasiHomogeneousGerm, whom_hodge_weight, whom_weight_top
 
 
 def _canonical_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The text of json.dumps(obj, indent=2, sort_keys=True) and a newline,
+    written directly: with indent set, json.dumps runs its pure-Python
+    encoder.  A float, a key that is not a str or another type raises
+    TypeError."""
+    out = []
+    put, escape = out.append, json.encoder.encode_basestring_ascii
+
+    def write(o, pad):
+        if isinstance(o, str):
+            put(escape(o))
+        elif o is None or o is True or o is False:
+            put("null" if o is None else "true" if o else "false")
+        elif isinstance(o, int):
+            put(int.__repr__(o))
+        elif isinstance(o, (dict, list, tuple)) and o:
+            is_dict, inner = isinstance(o, dict), pad + "  "
+            sep = ("{\n" if is_dict else "[\n") + inner
+            for key in sorted(o) if is_dict else range(len(o)):
+                # escape raises TypeError on a key that is not a str
+                put(sep + escape(key) + ": " if is_dict else sep)
+                write(o[key], inner)
+                sep = ",\n" + inner
+            put("\n" + pad + ("}" if is_dict else "]"))
+        elif isinstance(o, (dict, list, tuple)):
+            put("{}" if isinstance(o, dict) else "[]")
+        else:
+            raise TypeError(f"{type(o).__name__} is not written as JSON")
+
+    write(obj, "")
+    put("\n")
+    return "".join(out)
 
 
 def envelope(command: str, inputs: dict, outputs: dict,
@@ -57,9 +87,9 @@ def envelope(command: str, inputs: dict, outputs: dict,
 def _cache_lookup(args, payload: dict):
     """(envelope, path) of a valid cache entry, (None, path) on a miss and
     (None, None) with caching off or a root that cannot be created.  An
-    entry that cannot be read or decoded, or is not the canonical text of a
-    JSON object (a truncated write), is a miss.  The key is computed only
-    with caching on."""
+    entry that cannot be read or decoded, or is not the canonical text of
+    this call's envelope, is a miss.  The key is computed only with caching
+    on."""
     root = os.environ.get("HWKIT_CACHE")
     if not root:
         return None, None
@@ -68,17 +98,18 @@ def _cache_lookup(args, payload: dict):
     except OSError:
         return None, None
     path = os.path.join(root, _cache_key(args, payload) + ".json")
-    if not os.path.exists(path):
-        return None, path
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
         env = json.loads(text)
-    except (OSError, ValueError):
+        # the writer raises on a float and on nesting too deep to write;
+        # putting in this call's tool, version, command and inputs (and the
+        # entry's outputs, which must be there) changes none of the text
+        valid = isinstance(env, dict) and _canonical_json({
+            **env, **envelope(args.verb, payload, env.get("outputs"))}) == text
+    except (OSError, ValueError, RecursionError, TypeError):
         return None, path
-    if not isinstance(env, dict) or _canonical_json(env) != text:
-        return None, path
-    return env, path
+    return (env if valid else None), path
 
 
 def _cache_store(path: str, text: str):

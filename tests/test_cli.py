@@ -9,7 +9,7 @@ import shutil
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hwkit import cli, vforacle, weyl
 from hwkit.cli import _cache_key, build_parser, main, parse_argv
@@ -674,6 +674,49 @@ def test_envelope_roundtrip_and_determinism(capsys):
     assert json.dumps(env, indent=2, sort_keys=True) + "\n" == out1
 
 
+# non-ASCII, control characters, quote, backslash and lone surrogates
+JSON_TEXT = st.text(st.one_of(st.characters(exclude_categories=()),
+                              st.sampled_from('"\\\x00\n\x1f\x7f\xe9\ud800'
+                                              '\udfff\U0001f600')),
+                    max_size=6)
+JSON_LEAVES = st.one_of(JSON_TEXT, st.integers(), st.integers(-2**200, 2**200),
+                        st.booleans(), st.none())
+
+
+def json_trees(depth: int):
+    """Trees of JSON_LEAVES in lists, tuples and str-keyed dicts, empty
+    ones included, nested to at most depth levels."""
+    if depth == 0:
+        return JSON_LEAVES
+    kids = json_trees(depth - 1)
+    return st.one_of(JSON_LEAVES, st.sampled_from([[], (), {}]),
+                     st.lists(kids, min_size=1, max_size=2),
+                     st.lists(kids, min_size=1, max_size=2).map(tuple),
+                     st.dictionaries(JSON_TEXT, kids, min_size=1, max_size=2))
+
+
+# a drawn tree is seldom more than 5 deep; this one is 8
+DEEP_TREE = -2**70
+for level in range(8):
+    DEEP_TREE = ({"\ud800\xe9": DEEP_TREE}, (DEEP_TREE,),
+                 [DEEP_TREE, [], None])[level % 3]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(json_trees(8))
+@example(DEEP_TREE)
+def test_canonical_json_is_indented_sorted_json_dumps(tree):
+    assert cli._canonical_json(tree) \
+        == json.dumps(tree, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("obj", [0.5, {"a": [1, float("nan")]}, {1: "a"},
+                                 [{"a", "b"}]])
+def test_canonical_json_rejects_what_it_cannot_write(obj):
+    with pytest.raises(TypeError):
+        cli._canonical_json(obj)
+
+
 def test_cache_hit_identical(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("HWKIT_CACHE", str(tmp_path))
     _, cold = run(capsys, "classify", "--exponents", "1,1", "--alpha", "1",
@@ -1129,17 +1172,35 @@ def test_console_script_reads_sys_argv(capsys, monkeypatch):
     assert (main(), capsys.readouterr().out) == expected
 
 
-def test_corrupt_cache_entry_is_a_miss(capsys, tmp_path, monkeypatch):
-    argv = ("classify", "--exponents", "1,1", "--alpha", "1", "--json")
+@pytest.mark.parametrize("argv, other", [
+    (("classify", "--exponents", "1,1", "--alpha", "1", "--json"),
+     ("bounds", "--exponents", "1,1", "--alpha", "1", "--json")),
+    # its handler reads outputs of the envelope it is served
+    (("verify", "bfun", "--poly", "x1^2", "--b", "(s+1)(s+1/2)", "--order",
+      "2", "--xdeg", "2", "--json"),
+     ("classify", "--exponents", "1,1", "--alpha", "1", "--json"))])
+def test_corrupt_cache_entry_is_a_miss(capsys, tmp_path, monkeypatch, argv,
+                                       other):
     monkeypatch.delenv("HWKIT_CACHE", raising=False)
-    _, cold = run(capsys, *argv)
+    cold_code, cold = run(capsys, *argv)
+    _, foreign = run(capsys, *other)
+    env = json.loads(cold)
+    floating = {**env, "outputs": {**env["outputs"], "x": 0.5}}
     monkeypatch.setenv("HWKIT_CACHE", str(tmp_path))
     run(capsys, *argv)
     (entry,) = tmp_path.iterdir()
-    for garbage in (b"", cold[:len(cold) // 2].encode(), cold[:-1].encode(),
-                    b"[]\n", b"\xff\xfe garbage"):
-        entry.write_bytes(garbage)
-        code, out = run(capsys, *argv)
-        assert code == 0 and out == cold
+    for garbage in ("", cold[:len(cold) // 2], cold[:-1], "[]\n", "{}\n",
+                    "[" * 100000 + "]" * 100000, '{"a": NaN}',
+                    json.dumps(floating, indent=2, sort_keys=True) + "\n",
+                    json.dumps(env, separators=(",", ":")),
+                    json.dumps(env, indent=4, sort_keys=True) + "\n",
+                    json.dumps(dict(reversed(env.items())), indent=2) + "\n",
+                    foreign):
+        assert garbage != cold
+        entry.write_text(garbage, encoding="utf-8")
+        assert run(capsys, *argv) == (cold_code, cold)
         assert entry.read_text(encoding="utf-8") == cold
+    entry.write_bytes(b"\xff\xfe garbage")
+    assert run(capsys, *argv) == (cold_code, cold)
+    assert entry.read_text(encoding="utf-8") == cold
     assert [p.name for p in tmp_path.iterdir()] == [entry.name]

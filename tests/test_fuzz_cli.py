@@ -1,10 +1,12 @@
 """Derandomized fuzz over every parser entry of the CLI at tiny bounds:
 polynomials, operators, b-functions, exponents, weights, alpha and `.ann`
 files.  Whatever the input, hwkit exits 0, 2 or 3 with at most one stderr
-line and no traceback."""
+line and no traceback, and a drawn share of the options runs with --json,
+whose envelope must be the text json.dumps writes for it."""
 
 import contextlib
 import io
+import json
 import os
 import pathlib
 import tempfile
@@ -73,25 +75,29 @@ ANN = st.builds(
 
 
 def run(argv):
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(err):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse rejects the option
             code = exc.code
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
-@given(ARGVS)
-def test_fuzzed_options_exit_cleanly(argv):
+@given(ARGVS, st.booleans())
+def test_fuzzed_options_exit_cleanly(argv, as_json):
+    argv = argv + ["--json"] if as_json else argv
     with mock.patch.dict(os.environ):
         os.environ.pop("HWKIT_CACHE", None)
-        code, err = run(argv)
+        code, out, err = run(argv)
     assert code in (0, 2, 3), (argv, code, err)
     assert len(err.strip().splitlines()) <= 1, (argv, err)
     assert "Traceback" not in err
+    # an inconclusive bound exits 3 with no envelope
+    if as_json and (code == 0 or code == 3 and out):
+        assert out == json.dumps(json.loads(out), indent=2,
+                                 sort_keys=True) + "\n", argv
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -101,7 +107,8 @@ def test_fuzzed_ann_files_exit_cleanly(text):
         os.environ.pop("HWKIT_CACHE", None)
         path = pathlib.Path(tmp) / "fuzz.ann"
         path.write_text(text, encoding="utf-8")
-        code, err = run(["ppd", "--input", str(path), "--weight-only", *TINY])
+        code, _, err = run(["ppd", "--input", str(path), "--weight-only",
+                            *TINY])
     assert code in (0, 2, 3), (text, code, err)
     assert len(err.strip().splitlines()) <= 1, (text, err)
     assert "Traceback" not in err
