@@ -1189,18 +1189,16 @@ def test_corrupt_cache_entry_is_a_miss(capsys, tmp_path, monkeypatch, argv,
     monkeypatch.setenv("HWKIT_CACHE", str(tmp_path))
     run(capsys, *argv)
     (entry,) = tmp_path.iterdir()
-    for garbage in ("", cold[:len(cold) // 2], cold[:-1], "[]\n", "{}\n",
-                    "[" * 100000 + "]" * 100000, '{"a": NaN}',
-                    json.dumps(floating, indent=2, sort_keys=True) + "\n",
-                    json.dumps(env, separators=(",", ":")),
-                    json.dumps(env, indent=4, sort_keys=True) + "\n",
-                    json.dumps(dict(reversed(env.items())), indent=2) + "\n",
-                    foreign):
-        assert garbage != cold
-        entry.write_text(garbage, encoding="utf-8")
+    texts = ("", cold[:len(cold) // 2], cold[:-1], "[]\n", "{}\n",
+             "[" * 100000 + "]" * 100000, '{"a": NaN}',
+             json.dumps(floating, indent=2, sort_keys=True) + "\n",
+             json.dumps(env, separators=(",", ":")),
+             json.dumps(env, indent=4, sort_keys=True) + "\n",
+             json.dumps(dict(reversed(env.items())), indent=2) + "\n",
+             foreign)
+    for garbage in (b"\xff\xfe garbage", *(t.encode() for t in texts)):
+        assert garbage != cold.encode()
+        entry.write_bytes(garbage)
         assert run(capsys, *argv) == (cold_code, cold)
         assert entry.read_text(encoding="utf-8") == cold
-    entry.write_bytes(b"\xff\xfe garbage")
-    assert run(capsys, *argv) == (cold_code, cold)
-    assert entry.read_text(encoding="utf-8") == cold
     assert [p.name for p in tmp_path.iterdir()] == [entry.name]
