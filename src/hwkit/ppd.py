@@ -24,7 +24,8 @@ from .exactalg import (Polynomial, combine_terms, fmt_rational, infer_dim,
                        mono_mul, monomials_upto_degree, parse_rational)
 from .linalg import Echelon, nullspace
 from .snc import HodgePresentation
-from .vforacle import Bounds, clear_to_pole, pole_apply, reduce_presentation
+from .vforacle import (Bounds, PowerTable, clear_to_pole, pole_apply,
+                       reduce_presentation)
 from .weyl import (KeyPacking, WeylOperator, _mul_into, apply_to_twisted,
                    basis_products, bounded_operator_basis, evaluate_s,
                    grlex_operator_key, homogeneity_grading, syzygy_kernel,
@@ -200,9 +201,9 @@ def operators_on_pole(ops, f: Polynomial, alpha: Fraction) -> list:
     the d-parts of all the ops gives the images d^gamma f^(-1-alpha) that
     their terms share, in integer numerators, brought over one denominator
     once.  Each op's terms x^a * c * image are summed per pole as ints and
-    cleared in ints (clear_to_pole) to the largest pole of a term (a pole
-    whose sum is zero included); the one Polynomial this gives is divided
-    down to the minimal pole.  An operator that still carries s raises
+    cleared in ints (clear_to_pole, from the call's one PowerTable) to the
+    largest pole of a term (a pole whose sum is zero included); the one
+    Polynomial this gives is divided down to the minimal pole.  An operator that still carries s raises
     InternalCheckFailed."""
     if not all(op.is_s_free() for op in ops):
         raise InternalCheckFailed(
@@ -213,6 +214,7 @@ def operators_on_pole(ops, f: Polynomial, alpha: Fraction) -> list:
     image_nums = {de: [(m, c * (den // d))
                        for m, c in layers.get(0, {}).items()]
                   for de, (layers, d, _) in images.items()}
+    powers = PowerTable(f)
     out = []
     for op in ops:
         sums = {}  # pole -> {monomial: int numerator}
@@ -222,7 +224,8 @@ def operators_on_pole(ops, f: Polynomial, alpha: Fraction) -> list:
                 key = mono_mul(xe, m)
                 acc[key] = acc.get(key, 0) + c * v
         pole = max(sums, default=1)
-        total = Polynomial(f.dim, *clear_to_pole(sums, op.den * den, f, pole))
+        total = Polynomial(f.dim,
+                           *clear_to_pole(sums, op.den * den, powers, pole))
         while pole > 0 and not total.is_zero():
             q = total.div_exact(f)
             if q is None:

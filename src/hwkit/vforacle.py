@@ -175,9 +175,11 @@ def verify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
     An image d^g f^(s+1) is pole_apply's (layers, den, pole) at the twist
     -1 - s: sum_j s^j N_j/den times f^(s+1-pole), at its natural pole |g|,
     one pole_apply step per d-part; nothing is divided out.  Images are
-    built for the kept d-parts only, and each s-layer of every column and
-    right-hand side is cleared (clear_to_pole) to pole_target, the largest
-    kept |g| (at least 1, the pole of b(s) f^s).
+    built for the kept d-parts only, and each s-layer of every column is
+    cleared (clear_to_pole) to pole_target, the largest kept |g| (at least
+    1, the pole of b(s) f^s), by one product with F^(pole_target - |g|) from
+    the call's PowerTable; a right-hand-side layer, a constant at the pole 1,
+    is that constant times F^(pole_target - 1) from the same table.
     Any common pole gives the same solve: another one multiplies every
     column and every right-hand side by one power of f, a linear and one to
     one map, and no window truncates a column (the radix is sized from the
@@ -216,18 +218,22 @@ def verify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
     d_parts = {g for _, g, _ in keys}
     images = pole_apply(d_parts, ({0: {(0,) * dim: 1}}, 1), 0, (-1, -1), f)
     pole_target = max([sum(g) for g in d_parts] + [1])
+    powers = PowerTable(f)
 
     def cleared(layers, den, pole):
         """The layers over den, each written over the pole pole_target."""
-        return ({j: clear_to_pole({pole: num}, den, f, pole_target)[0]
+        return ({j: clear_to_pole({pole: num}, den, powers, pole_target)[0]
                  for j, num in layers.items()},
                 den * df ** (pole_target - pole))
 
     def rhs_layers(roots: RootMultiset):
-        """The section roots(s) * f^s = roots(s) * f^(s+1) / f, cleared."""
+        """The section roots(s) * f^s = roots(s) * f^(s+1) / f, cleared: each
+        layer a constant times F^(pole_target - 1)."""
         nums, den = roots.coefficients()
-        return cleared({j: {(0,) * dim: c} for j, c in nums.items() if c},
-                       den, 1)
+        top = powers[pole_target - 1]
+        return ({j: {m: c * v for m, v in top.items()}
+                 for j, c in nums.items() if c},
+                den * df ** (pole_target - 1))
 
     columns = {g: cleared(*images[g]) for g in d_parts}
     rhs = rhs_layers(b)
@@ -591,22 +597,54 @@ def pole_apply(gammas, start: tuple, pole: int, alpha: tuple,
     return d_part_images(gammas, (*start, pole), step)
 
 
-def clear_to_pole(parts, den: int, f: Polynomial, pole: int) -> tuple:
+class PowerTable:
+    """The powers F^0, F^1, ... of f = F/df in integers, zero terms dropped
+    (table[k] is F^k): F^0 and F^1 = f.nums from the start, each higher one
+    built once, from the one below, when a clearing first asks for it.  A
+    caller that clears to a pole makes one and passes it to every
+    clear_to_pole call of its f."""
+
+    __slots__ = ("f", "_powers")
+
+    def __init__(self, f: Polynomial):
+        self.f = f
+        self._powers = [{(0,) * f.dim: 1}, f.nums]
+
+    def __getitem__(self, k: int) -> dict:
+        powers = self._powers
+        while len(powers) <= k:
+            powers.append({m: c for m, c in
+                           mul_terms(powers[-1], self.f.nums).items() if c})
+        return powers[k]
+
+    def times(self, terms: dict, k: int) -> dict:
+        """terms * F^k, one product (none for k = 0: terms itself); a sum
+        that cancels stays, as 0."""
+        return mul_terms(terms, self[k]) if k else terms
+
+
+def clear_to_pole(parts, den: int, powers: PowerTable, pole: int) -> tuple:
     """The parts {p: num} over den, each num/den f^(-p), written over one
-    pole in integer form (numerator, den'), zero numerators skipped: cleared
-    by Horner's rule on F of f = F/df in integers, one product by F per pole
-    step, over den' = den df^(pole - lo), lo the lowest pole of a part."""
+    pole in integer form (numerator, den'), zero numerators skipped: each
+    part is one product by F^(pole - p) from powers, the caller's table of
+    f = F/df, over den' = den df^(pole - lo), lo the lowest pole of a part
+    (den with no part).  A lone part is its product alone; several are
+    summed in one pass, part p scaled by df^(p - lo)."""
     by_pole = {p: num for p, num in parts.items() if num}
-    if max(by_pole, default=pole) > pole:
+    if not by_pole:
+        return {}, den
+    lo, hi = min(by_pole), max(by_pole)
+    if hi > pole:
         raise ValueError("a part lies above the pole")
-    fnum, df = f.nums, f.den
-    lo = min(by_pole, default=pole)
-    total = {}
-    for p in range(lo, pole + 1):
-        if total:
-            total = mul_terms(total, fnum)
-        if p in by_pole:
-            total = combine_terms(total, 1, by_pole[p], df ** (p - lo))
+    df = powers.f.den
+    if lo == hi:
+        total = powers.times(by_pole[lo], pole - lo)
+    else:
+        total = {}
+        for p, num in by_pole.items():
+            scale = df ** (p - lo)
+            for m, c in powers.times(num, pole - p).items():
+                total[m] = total.get(m, 0) + scale * c
     return {m: c for m, c in total.items() if c}, den * df ** (pole - lo)
 
 
@@ -626,10 +664,10 @@ class WindowSpan:
     each packed from its layers {j: numerator} over one den, for every beta
     with deg v + |beta| <= xdeg.  Graph-module spans (bf_span) have dt
     layers up to dt; twisted-module spans have dt 0 and clear each element
-    to the pole pole_target.  The span owns its (xdeg, dt) window:
-    add_layers skips an element outside it, add_summand builds no image
-    above pole_target, and reduce, contains and witness answer None outside
-    it.
+    to the pole pole_target, by products with the powers of the span's own
+    PowerTable of f.  The span owns its (xdeg, dt) window: add_layers skips
+    an element outside it, add_summand builds no image above pole_target,
+    and reduce, contains and witness answer None outside it.
 
     Its coordinates are the layered keys of the packing of the caller's
     ShiftTable, and xdeg is that packing's radix less one, so x^beta adds
@@ -646,14 +684,14 @@ class WindowSpan:
     """
 
     __slots__ = ("pole_target", "xdeg", "dt", "packing", "n_vectors",
-                 "_f", "_echelon", "_tags", "_queue", "_built",
+                 "_powers", "_echelon", "_tags", "_queue", "_built",
                  "_table", "_taken")
 
     def __init__(self, f: Polynomial, pole_target: int, dt: int,
                  table: ShiftTable):
         if table.packing.dim != f.dim:
             raise InternalCheckFailed("shift table of another packing")
-        self._f = f
+        self._powers = PowerTable(f)
         self.pole_target = pole_target
         self.xdeg = table.packing.radix - 1
         self.dt = dt
@@ -736,7 +774,7 @@ class WindowSpan:
         """Whether g * f^(-pole), cleared to pole_target, lies in the span
         (None outside the window); no scalar changes that, so dens drop."""
         packed = self._packed({0: clear_to_pole(
-            {pole: g.nums}, 1, self._f, self.pole_target)[0]})
+            {pole: g.nums}, 1, self._powers, self.pole_target)[0]})
         return packed and not self.echelon.reduce(packed[0], 1)[0]
 
     def insert(self, terms: dict, den: int, tag, bound: int):
@@ -769,7 +807,7 @@ class WindowSpan:
     def add(self, parts, den: int, tag):
         """add_layers of the element given by its parts {p: num} over den,
         cleared to pole_target at layer 0; a part above it raises ValueError."""
-        num, den = clear_to_pole(parts, den, self._f, self.pole_target)
+        num, den = clear_to_pole(parts, den, self._powers, self.pole_target)
         self.add_layers({0: num}, den, tag)
 
     def add_summand(self, si: int, summand, alpha: Fraction):
@@ -781,7 +819,7 @@ class WindowSpan:
         budget, g, j = summand
         gammas = list(self._table.betas(min(budget, self.pole_target - j)))
         images = pole_apply(gammas, ({0: g.nums}, g.den), j, (alpha, 0),
-                            self._f)
+                            self._powers.f)
         for gamma in gammas:
             layers, den, pole = images[gamma]
             self.add({pole: layers.get(0, {})}, den, (si, gamma))

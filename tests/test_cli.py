@@ -1172,15 +1172,20 @@ def test_console_script_reads_sys_argv(capsys, monkeypatch):
     assert (main(), capsys.readouterr().out) == expected
 
 
-@pytest.mark.parametrize("argv, other", [
+@pytest.mark.parametrize("argv, other, unread", [
     (("classify", "--exponents", "1,1", "--alpha", "1", "--json"),
-     ("bounds", "--exponents", "1,1", "--alpha", "1", "--json")),
-    # its handler reads outputs of the envelope it is served
+     ("bounds", "--exponents", "1,1", "--alpha", "1", "--json"), ()),
+    # these handlers read outputs of the envelope they are served, so
+    # outputs that lack what they read are other outputs
     (("verify", "bfun", "--poly", "x1^2", "--b", "(s+1)(s+1/2)", "--order",
       "2", "--xdeg", "2", "--json"),
-     ("classify", "--exponents", "1,1", "--alpha", "1", "--json"))])
+     ("classify", "--exponents", "1,1", "--alpha", "1", "--json"),
+     ({}, {"certificate": {}}, {"certificate": []}, {"attempts": []})),
+    (("suite", "--profile", "starved", "--json"),
+     ("classify", "--exponents", "1,1", "--alpha", "1", "--json"),
+     ({}, {"results": []}))])
 def test_corrupt_cache_entry_is_a_miss(capsys, tmp_path, monkeypatch, argv,
-                                       other):
+                                       other, unread):
     monkeypatch.delenv("HWKIT_CACHE", raising=False)
     cold_code, cold = run(capsys, *argv)
     _, foreign = run(capsys, *other)
@@ -1189,13 +1194,18 @@ def test_corrupt_cache_entry_is_a_miss(capsys, tmp_path, monkeypatch, argv,
     monkeypatch.setenv("HWKIT_CACHE", str(tmp_path))
     run(capsys, *argv)
     (entry,) = tmp_path.iterdir()
+    # this call's tool, version, command and inputs over outputs that are
+    # not a dict, or that the handler cannot read
+    others = [json.dumps({**env, "outputs": outputs}, indent=2,
+                         sort_keys=True) + "\n"
+              for outputs in ([], None, "outputs", *unread)]
     texts = ("", cold[:len(cold) // 2], cold[:-1], "[]\n", "{}\n",
              "[" * 100000 + "]" * 100000, '{"a": NaN}',
              json.dumps(floating, indent=2, sort_keys=True) + "\n",
              json.dumps(env, separators=(",", ":")),
              json.dumps(env, indent=4, sort_keys=True) + "\n",
              json.dumps(dict(reversed(env.items())), indent=2) + "\n",
-             foreign)
+             foreign, *others)
     for garbage in (b"\xff\xfe garbage", *(t.encode() for t in texts)):
         assert garbage != cold.encode()
         entry.write_bytes(garbage)

@@ -1484,15 +1484,19 @@ def cleared_by_powers(parts, f, pole):
     return total
 
 
+CLEARED_FS = (XY, poly_parse("x1^2+x2^3", 2), poly_parse("x2^2 - 1/2", 2))
+
+
 @pytest.mark.parametrize("poles,pole", [
     ([], 0), ([], 3),                # no parts
     ([1, 1, 1], 1), ([2, 0, 2], 2),  # repeated poles
     ([0, 3], 3), ([4, 1], 4),        # gaps between poles
     ([0, 1], 4), ([2], 5),           # the pole above every part
+    ([0], 4),                        # a lone part at pole 0
 ])
 def test_clear_to_pole_matches_powers(poles, pole):
     rng = random.Random(10 * len(poles) + pole)
-    for f in (XY, poly_parse("x1^2+x2^3", 2), poly_parse("x2^2 - 1/2", 2)):
+    for f in CLEARED_FS:
         parts = [(rand_poly(rng).scale(F(1, rng.randint(1, 6))), p)
                  for p in poles]
         # zero numerators, one of them above the pole, are skipped; a part
@@ -1501,11 +1505,38 @@ def test_clear_to_pole_matches_powers(poles, pole):
         if poles:
             g = rand_poly(rng) + XY
             parts += [(g, poles[0]), (-g, poles[0])]
-        num, den = vforacle.clear_to_pole(*int_parts(parts), f, pole)
+        num, den = vforacle.clear_to_pole(*int_parts(parts),
+                                          vforacle.PowerTable(f), pole)
         assert poly_parts({pole: num}, den, 2) == [
             (cleared_by_powers(parts, f, pole), pole)], (poles, pole, str(f))
     with pytest.raises(ValueError):
-        vforacle.clear_to_pole(*int_parts([(XY, pole + 1)]), XY, pole)
+        vforacle.clear_to_pole(*int_parts([(XY, pole + 1)]),
+                               vforacle.PowerTable(XY), pole)
+
+
+def test_one_power_table_serves_rising_and_falling_poles():
+    """One table clears calls whose poles rise and then fall, each with a
+    part at pole 0 cleared to the call's pole, and holds F^k up to the
+    largest pole asked for (F^0 and F^1 from the start), no further."""
+    rng = random.Random(3)
+    for f in CLEARED_FS:
+        powers = vforacle.PowerTable(f)
+        big_f = f.scale(f.den)
+        reached = 0
+        for pole in (0, 1, 3, 6, 5, 2, 0, 4, 6):
+            for lone in (True, False):
+                parts = [(rand_poly(rng) + XY, 0)]
+                if not lone:
+                    parts += [(rand_poly(rng).scale(F(1, rng.randint(1, 6))),
+                               rng.randint(0, pole)) for _ in range(2)]
+                num, den = vforacle.clear_to_pole(*int_parts(parts), powers,
+                                                  pole)
+                assert poly_parts({pole: num}, den, 2) == [
+                    (cleared_by_powers(parts, f, pole), pole)], (pole, str(f))
+            reached = max(reached, pole, 1)
+            assert len(powers._powers) == reached + 1
+        assert [Polynomial(2, powers[k]) for k in range(reached + 1)] == [
+            big_f ** k for k in range(reached + 1)]
 
 
 def every_window_vector(parts, f, pole_target, xdeg, tag):
