@@ -203,8 +203,8 @@ def operators_on_pole(ops, f: Polynomial, alpha: Fraction) -> list:
     once.  Each op's terms x^a * c * image are summed per pole as ints and
     cleared in ints (clear_to_pole, from the call's one PowerTable) to the
     largest pole of a term (a pole whose sum is zero included); the one
-    Polynomial this gives is divided down to the minimal pole.  An operator that still carries s raises
-    InternalCheckFailed."""
+    Polynomial this gives is divided down to the minimal pole.  An operator
+    that still carries s raises InternalCheckFailed."""
     if not all(op.is_s_free() for op in ops):
         raise InternalCheckFailed(
             "an operator evaluated on a pole still carries s")
