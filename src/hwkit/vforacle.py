@@ -674,10 +674,14 @@ class WindowSpan:
     the packed beta to every key.  Spans compared with each other share
     xdeg.  The shift codes and d-parts come from the table the spans of a
     job share.  Each element is packed and queued once, as (terms, den, tag,
-    top, bound, fresh): shifted by the codes of degree <= bound.  The record
-    maps each S of _direction to the positions k = top + code taken (a
-    shift moves only k); fresh holds those it lacked (None: all), and a
-    vector it holds is a multiple of a queued one.  The echelon is built
+    S, top, bound): shifted by the codes of degree <= bound, its vectors
+    take the positions k = top + code (a shift moves only k) of the
+    direction S of _direction.  The record maps each S to the simplices
+    (top, bound) of its elements, in queue order, and builds no position.
+    The first read of the vectors (echelon, witness) settles the entries
+    queued since, in queue order: _fresh holds, for each, the positions no
+    earlier entry of its S took (None: all), and a vector at another is a
+    multiple of an earlier one, so it is skipped.  The echelon is built
     from the queue, in queue order, when a query reads it; its rows, tags
     (the tag of each row's vector, in rank-gain order) and n_vectors are
     those of inserting every vector.  No companions: witness builds them.
@@ -685,7 +689,7 @@ class WindowSpan:
 
     __slots__ = ("pole_target", "xdeg", "dt", "packing", "n_vectors",
                  "_powers", "_echelon", "_tags", "_queue", "_built",
-                 "_table", "_taken")
+                 "_table", "_record", "_fresh", "_taken")
 
     def __init__(self, f: Polynomial, pole_target: int, dt: int,
                  table: ShiftTable):
@@ -700,7 +704,8 @@ class WindowSpan:
         self._echelon, self._tags, self._queue = Echelon(), [], []
         self._built = 0  # queue entries inserted into _echelon
         self._table = table
-        self._taken = {}   # the record: S -> positions k taken
+        self._record = {}  # S -> simplices (top, bound)
+        self._fresh, self._taken = [], {}  # settled: S -> positions taken
 
     @property
     def echelon(self) -> Echelon:
@@ -710,11 +715,29 @@ class WindowSpan:
         self._built = len(self._queue)
         return self._echelon
 
+    def _settle(self) -> list:
+        """_fresh, each queue entry's positions that no earlier entry of its
+        direction took (None: all), once the entries not settled yet are,
+        in queue order."""
+        codes, taken_of = self._table.codes, self._taken
+        for *_, shape, top, bound in self._queue[len(self._fresh):]:
+            positions = {top + code for code in codes(bound)}
+            taken = taken_of.get(shape)
+            if taken is None:  # no position taken: every shift is fresh
+                taken_of[shape], fresh = positions, None
+            else:
+                fresh = positions - taken
+                taken |= fresh
+            self._fresh.append(fresh)
+        return self._fresh
+
     def _vectors(self, start: int = 0):
-        """(vector, den, tag, beta) of each queued vector x^beta * terms/den,
-        tagged tag + (beta,), from queue entry start on, in queue order."""
-        table = self._table
-        for terms, den, tag, top, bound, fresh in self._queue[start:]:
+        """(vector, den, tag, beta) of each queued vector x^beta * terms/den
+        at a fresh position, tagged tag + (beta,), from queue entry start
+        on, in queue order."""
+        table, fresh_of = self._table, self._settle()
+        for (terms, den, tag, _, top, bound), fresh in zip(
+                self._queue[start:], fresh_of[start:]):
             for code, beta in zip(table.codes(bound), table.betas(bound)):
                 if fresh is None or top + code in fresh:
                     yield ({m + code: c for m, c in terms.items()}, den, tag,
@@ -726,10 +749,33 @@ class WindowSpan:
         return self._tags
 
     def within(self, other: "WindowSpan") -> bool:
-        """Whether other's record holds this span's: then each vector of this
-        span is a multiple of one of other's."""
-        return all(ks <= other._taken.get(shape, set())
-                   for shape, ks in self._taken.items())
+        """Whether each simplex (top, bound) of this span's record lies in
+        one (top', bound') of other's of the same direction S: top - top' =
+        shift(gamma), gamma >= 0 (greedy divmod by the x places, remainder
+        0), and |gamma| + bound <= bound'.  Then each vector of this span is
+        a multiple of one of other's.  It is the test whether other's
+        positions of S hold this span's: the apex top lies among them only
+        if top = top' + shift(v) with |v| <= bound', and the same S there
+        makes its element x^v times the other's, up to a scalar, so that
+        bound = xdeg - deg = bound' - |v| and the simplex lies in the
+        other's."""
+        places = self.packing.xplaces
+
+        def inside(shape, top, bound):
+            for top_t, bound_t in other._record.get(shape, ()):
+                rest, room = top - top_t, bound_t - bound
+                if rest < 0 or room < 0:
+                    continue
+                for place in places:
+                    digit, rest = divmod(rest, place)
+                    room -= digit
+                if not rest and room >= 0:
+                    return True
+            return False
+
+        return all(inside(shape, top, bound)
+                   for shape, simplices in self._record.items()
+                   for top, bound in simplices)
 
     def _packed(self, layers: dict):
         """(packed terms, largest term degree or -1) of the layers
@@ -778,21 +824,15 @@ class WindowSpan:
         return packed and not self.echelon.reduce(packed[0], 1)[0]
 
     def insert(self, terms: dict, den: int, tag, bound: int):
-        """Queue and record the vectors x^beta * terms/den (integer
-        numerators, packed keys), tagged tag + (beta,), for the betas of
-        degree <= bound whose position the record lacks.  Each counts in
-        n_vectors, a skipped one as the dependent insert it would be."""
+        """Queue the vectors x^beta * terms/den (integer numerators, packed
+        keys), tagged tag + (beta,), for the betas of degree <= bound, and
+        record their simplex, building no position.  Each counts in
+        n_vectors, one at a position an earlier element took as the
+        dependent insert it would be."""
         shape, top = _direction(terms)
-        positions = {top + code for code in self._table.codes(bound)}
-        taken = self._taken.get(shape)
-        if taken is None:  # no position recorded: every shift is fresh
-            self._taken[shape], fresh = positions, None
-        else:
-            fresh = positions - taken
-            taken |= fresh
-        self.n_vectors += len(positions)
-        if fresh is None or fresh:
-            self._queue.append((terms, den, tag, top, bound, fresh))
+        self._record.setdefault(shape, []).append((top, bound))
+        self.n_vectors += math.comb(bound + self.packing.dim, bound)
+        self._queue.append((terms, den, tag, shape, top, bound))
 
     def add_layers(self, layers: dict, den: int, tag):
         """Add the window vectors of an element given by its layers over den
@@ -854,15 +894,16 @@ def _cross_containment(name: str, source: WindowSpan, target: WindowSpan,
     """One direction of a containment, settled by the record or by the rows
     and by nothing else: the tag of the first source vector outside the
     target span, or the vector count.  When the target's record holds the
-    source's, every source vector is a multiple of a target vector, and
-    nothing is reduced: a certifying check (McConnell, Mehlhorn, Naher and
-    Schweitzer, Computer Science Review 5(2), 2011).  Otherwise every source
-    row is reduced: a row is its vector minus earlier rows, which span the
-    earlier vectors, so the first row outside the target is that of the
-    first vector outside it.  With expect_nonempty, a source with no vector
-    is inconclusive (guards against vacuous verdicts when the window is too
-    small to represent anything); else the direction passes over the
-    source's vector count."""
+    source's (each source simplex lies in one target simplex, by the digit
+    test of WindowSpan.within), every source vector is a multiple of a
+    target vector, and no vector is built or reduced: a certifying check
+    (McConnell, Mehlhorn, Naher and Schweitzer, Computer Science Review
+    5(2), 2011).  Otherwise every source row is reduced: a row is its
+    vector minus earlier rows, which span the earlier vectors, so the first
+    row outside the target is that of the first vector outside it.  With
+    expect_nonempty, a source with no vector is inconclusive (guards
+    against vacuous verdicts when the window is too small to represent
+    anything); else the direction passes over the source's vector count."""
     if not source.within(target):
         for (row, p), tag in zip(source.echelon.basis(), source.tags):
             if target.echelon.reduce(row, p)[0]:

@@ -239,13 +239,15 @@ def _layered(packing, code):
 def _queue_vectors(span, start=0):
     """The vectors queued in the window span from queue entry start on, as
     (vector with its keys read back as (layer, exponent vector), den,
-    tag): an entry (terms, den, tag, top, bound, fresh) stands for x^beta *
-    terms at the positions top + shift(beta) of fresh (all when None), for
-    the betas of degree <= bound in grlex order."""
+    tag), the entries settled first: an entry (terms, den, tag, S, top,
+    bound) with its settled fresh positions stands for x^beta * terms at
+    the positions top + shift(beta) of fresh (all when None), for the betas
+    of degree <= bound in grlex order."""
     packing = span.packing
     return [({_layered(packing, m + code): c for m, c in terms.items()}, den,
              tag + (beta,))
-            for terms, den, tag, top, bound, fresh in span._queue[start:]
+            for (terms, den, tag, _, top, bound), fresh
+            in zip(span._queue[start:], span._settle()[start:])
             for beta in monomials_upto_degree(packing.dim, bound)
             for code in [packing.shift(beta)]
             if fresh is None or top + code in fresh]
@@ -1667,8 +1669,14 @@ def test_window_family_inserts_each_vector_once(case):
 
 
 def _record(span) -> set:
-    """The (direction, position) pairs of a window span's record."""
-    return {(shape, k) for shape, ks in span._taken.items() for k in ks}
+    """The (direction, position) pairs of a window span's record: each
+    simplex (top, bound) of a direction expanded to its positions top +
+    shift(beta), |beta| <= bound."""
+    packing = span.packing
+    return {(shape, top + packing.shift(beta))
+            for shape, simplices in span._record.items()
+            for top, bound in simplices
+            for beta in monomials_upto_degree(packing.dim, bound)}
 
 
 def _record_case(rng, case):
@@ -1788,6 +1796,53 @@ def test_equal_spans_neither_record_holds_are_reduced_both_ways():
         "bounds": {"order": 2, "xdeg": 4, "dt": 0}, "verdict": "member",
         "witness": [{"direction": "first-in-second", "vectors": 20},
                     {"direction": "second-in-first", "vectors": 20}]}
+
+
+@st.composite
+def record_pairs(draw):
+    """(source, target) window spans with dt 1 on one table, in dimension 2
+    or 3: the target's elements c * x^a * base at layer 0 or 1, and the
+    source's drawn from them (rescaled, moved by a further x^e, which keeps
+    the direction and moves the simplex inside the other's, moved to
+    another x^a', or to the other layer) and from bases of their own, so
+    that the records are equal, shifted, partly overlapping or apart.
+    add_layers skips an element that leaves the window."""
+    dim, xdeg = draw(st.sampled_from([2, 3])), draw(st.integers(2, 5))
+    coeffs = st.sampled_from([F(1), F(-1), F(2), F(-3, 2), F(1, 3)])
+    drawn = st.tuples(st.integers(0, len(BASES[dim]) - 1),
+                      st.sampled_from(SHIFTS[dim]), st.integers(0, 1), coeffs)
+    target = draw(st.lists(drawn, max_size=5))
+
+    def moved(element, how, shift, c):
+        base, a, layer, _ = element
+        return {"scale": (base, a, layer, c),
+                "further": (base, mono_mul(a, shift), layer, c),
+                "sibling": (base, shift, layer, c),
+                "layer": (base, a, 1 - layer, c)}[how]
+
+    move = st.builds(moved, st.sampled_from(target), st.sampled_from(
+        ["scale", "further", "sibling", "layer"]),
+        st.sampled_from(SHIFTS[dim]), coeffs) if target else drawn
+    source = draw(st.lists(st.one_of(move, drawn), max_size=5))
+    table = ShiftTable(dim, xdeg)
+    spans = []
+    for elements in (source, target):
+        span = WindowSpan(poly_parse("x1", dim), 0, 1, table)
+        for i, (base, a, layer, c) in enumerate(elements):
+            p = shifted(poly_parse(BASES[dim][base], dim), a, c)
+            span.add_layers({layer: p.nums}, p.den, (i,))
+        spans.append(span)
+    return tuple(spans)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(record_pairs())
+def test_within_is_the_subset_test_on_positions(spans):
+    # the digit test on simplices answers what the subset test on the
+    # (direction, position) pairs of the expanded records answers, both ways
+    source, target = spans
+    assert source.within(target) == (_record(source) <= _record(target))
+    assert target.within(source) == (_record(target) <= _record(source))
 
 
 def _reference_reduce(pres, f, xdeg):
@@ -2160,7 +2215,7 @@ def test_spans_sharing_a_table_match_spans_alone(seed):
     for build in builds:
         alone, shared = build(ShiftTable(2, B.xdeg)), build(table)
         assert shared._queue == alone._queue
-        assert shared._taken == alone._taken
+        assert shared._record == alone._record
         assert shared.tags == alone.tags
         assert shared.echelon.basis() == alone.echelon.basis()
 
@@ -2180,19 +2235,19 @@ def test_window_span_refuses_a_table_of_another_packing():
     assert WindowSpan(XY, 1, 0, ShiftTable(2, 4)).packing.radix == 5
 
 
-@pytest.mark.parametrize("case, bounds, shift_top, top", [
-    (("snc", SncDivisor((1, 1)), 1, 2, 1), Bounds(2, 4, 2), 1, 2),
-    (("snc", SncDivisor((2, 3)), F(1, 2), 2, 0), Bounds(3, 1, 3), -1, 2),
-    (("whom", cusp_germ(), F(5, 6), 2, 1), Bounds(2, 4, 2), 1, 2),
+@pytest.mark.parametrize("case, bounds, top", [
+    (("snc", SncDivisor((1, 1)), 1, 2, 1), Bounds(2, 4, 2), 2),
+    (("snc", SncDivisor((2, 3)), F(1, 2), 2, 0), Bounds(3, 1, 3), 2),
+    (("whom", cusp_germ(), F(5, 6), 2, 1), Bounds(2, 4, 2), 2),
 ])
 def test_crosscheck_builds_each_shift_vector_once(monkeypatch, case, bounds,
-                                                  shift_top, top):
+                                                  top):
     # one cross-check makes one table and grows it a degree at a time: each
-    # code up to the largest shift bound its two spans ask for, shift_top,
-    # is built once, as an int, and each exponent tuple up to the largest
-    # d-part bound, top, once (in the second case top is above xdeg and no
-    # element is in the window); the records settle each cross-check, with
-    # no Echelon insert, so no row asks for a tuple above top
+    # exponent tuple up to the largest d-part bound, top, is built once (in
+    # the second case top is above xdeg and no element is in the window);
+    # the records settle each cross-check, with no Echelon insert, so no
+    # row asks for a tuple above top, and the spans record simplices, so no
+    # shift code is built at all
     codes, betas, tables, inserts = [], [], [], []
     init, echelon_insert = ShiftTable.__init__, Echelon.insert
 
@@ -2219,9 +2274,7 @@ def test_crosscheck_builds_each_shift_vector_once(monkeypatch, case, bounds,
     monkeypatch.setattr(Echelon, "insert", counted)
     crosscheck_hodge_weight(*case, bounds)
     assert tables == [(2, bounds.xdeg)] and inserts == []
-    packing = KeyPacking(2, bounds.xdeg + 1, 0)
-    assert codes == [packing.shift(beta)
-                     for beta in monomials_upto_degree(2, shift_top)]
+    assert codes == []
     assert betas == list(monomials_upto_degree(2, top))
 
 
