@@ -716,9 +716,9 @@ class WindowSpan:
         return self._echelon
 
     def _settle(self) -> list:
-        """_fresh, each queue entry's positions that no earlier entry of its
-        direction took (None: all), once the entries not settled yet are,
-        in queue order."""
+        """Settle the entries queued since the last call, in queue order,
+        and return _fresh: for each queue entry, the positions that no
+        earlier entry of its direction took (None: all)."""
         codes, taken_of = self._table.codes, self._taken
         for *_, shape, top, bound in self._queue[len(self._fresh):]:
             positions = {top + code for code in codes(bound)}
