@@ -705,7 +705,7 @@ class WindowSpan:
         self._built = 0  # queue entries inserted into _echelon
         self._table = table
         self._record = {}  # S -> simplices (top, bound)
-        self._fresh, self._taken = [], {}  # settled: S -> positions taken
+        self._fresh, self._taken = [], {}  # of the settled entries
 
     @property
     def echelon(self) -> Echelon:
