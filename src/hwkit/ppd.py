@@ -28,8 +28,8 @@ from .vforacle import (Bounds, PowerTable, clear_to_pole, pole_apply,
                        reduce_presentation)
 from .weyl import (KeyPacking, WeylOperator, _mul_into, apply_to_twisted,
                    basis_products, bounded_operator_basis, evaluate_s,
-                   grlex_operator_key, homogeneity_grading, syzygy_kernel,
-                   weyl_mul, window_packing)
+                   fold_grading, grlex_operator_key, homogeneity_grading,
+                   syzygy_kernel, weyl_mul, window_packing)
 
 
 def check_annihilator(zeta: WeylOperator, f: Polynomial) -> bool:
@@ -155,8 +155,9 @@ def weight_module_generators(inp: AnnihilatorInput, l: int, bounds: Bounds):
     first component, via the tuple (f, 0, ..., 0, -(E+alpha)^l), so the
     generators are never empty.  The kernel's tuples are integer numerators
     over one den (`syzygy_kernel`); their first components and f go into one
-    `Echelon` as they are, and each linearly independent one, in kernel
-    order with f last, becomes a WeylOperator of those ints and den as is.
+    `Echelon` as they are, each operator key an int coordinate, and each
+    linearly independent one, in kernel order with f last, becomes a
+    WeylOperator of those ints and den as is.
     """
     mult = inp.b.multiplicity(-inp.alpha - 1)
     if not l < mult:
@@ -178,17 +179,17 @@ def weight_module_generators(inp: AnnihilatorInput, l: int, bounds: Bounds):
         raise InternalCheckFailed(
             "Euler witness tuple failed re-multiplication")
 
-    # the nonzero first components and f, as integer numerators over den
+    # the nonzero first components and f, as integer numerators over den,
+    # each operator key given an int index at first sight: whether an insert
+    # is independent does not depend on the order of the coordinates
     firsts = [(parts[0], den) for parts, den in kernel if parts[0]]
     firsts.append((fop.nums, fop.den))
-    # the packing of the first components themselves: radix one above their
-    # largest exponent
-    largest = max(max(*xe, *de, sp) for p0, _ in firsts for xe, de, sp in p0)
-    packing = KeyPacking(dim, largest + 1, 0)
+    index = {}
     seen = Echelon()
     gens = []
     for p0, den in firsts:
-        if seen.insert(packing.pack_image(p0), den) is None:
+        vec = {index.setdefault(key, len(index)): c for key, c in p0.items()}
+        if seen.insert(vec, den) is None:
             gens.append(WeylOperator(dim, p0, den))
     meta = {"complete_at_bounds": {"order": so, "xdeg": sx},
             "tuples": len(kernel)}
@@ -475,15 +476,8 @@ def w0_span(inp: AnnihilatorInput, l: int, bounds: Bounds) -> W0Span:
     grading = homogeneity_grading(dim, [[tuple(map(sub, b, g))
                                          for b, g, _ in op.nums]
                                         for op in gens])
-    # the weights as the digits of one int weight, in a balanced radix above
-    # twice any degree a column reaches, so equal ints are equal degrees
-    radix = 2 * max((max(map(abs, degs)) + sum(map(abs, w)) * (order + xdeg)
-                     for w, degs in grading), default=0) + 1
-    weight, degrees, scale = (0,) * dim, (0,) * len(gens), 1
-    for w, degs in grading:
-        weight = tuple(a + scale * b for a, b in zip(weight, w))
-        degrees = tuple(a + scale * b for a, b in zip(degrees, degs))
-        scale *= radix
+    # one int weight, over every degree a column reaches
+    weight, degrees = fold_grading(dim, len(gens), grading, order + xdeg)
     xw, dw = ({m: sum(map(mul, weight, m))
                for m in monomials_upto_degree(dim, bound)}
               for bound in (xdeg, order))

@@ -32,7 +32,7 @@ from .bsdata import BFunction, RootMultiset
 from .linalg import Echelon
 from .snc import HodgePresentation, SncDivisor, snc_hodge_weight
 from .weyl import (KeyPacking, ShiftTable, WeylOperator, apply_to_twisted,
-                   d_part_images, graded_operator_basis)
+                   bfunction_operator_basis, d_part_images)
 from .whom import QuasiHomogeneousGerm, whom_hodge_weight
 
 
@@ -160,32 +160,42 @@ def verify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
     exact linear system for P over the bounded operator basis (s adjoined),
     then refute every maximal proper divisor of b at the same bounds.
 
-    Only the columns of graded_operator_basis are built.  For each weight w
-    making f homogeneous, the column of x^b d^g s^j, cleared to a common
-    pole, is w-homogeneous of degree w.(b - g) plus a shared
+    Only the columns of graded_operator_basis are candidates.  For each
+    weight w making f homogeneous, the column of x^b d^g s^j, cleared to a
+    common pole, is w-homogeneous of degree w.(b - g) plus a shared
     constant.  So the elimination is block-diagonal, and b(s) f^s and its
     divisors lie in the kept block w.(b - g) = -deg_w f, whose rows,
     residuals and witness are those of the full system.  The kept-block part
     of a solution is itself one: not-found-at-bound covers the whole window.
-    On the cusp, 5 of 300 columns are built at order 3, xdeg 4.  A basis
-    operator x^b d^g s^j has j <= order_bound - |g|, and d^g adds at most
-    |g| to the s-degree; so when deg b exceeds order_bound, not-found-at-bound
-    comes before any build.
+    A basis operator x^b d^g s^j has j <= order_bound - |g|, and d^g adds at
+    most |g| to the s-degree; so when deg b exceeds order_bound,
+    not-found-at-bound comes before any build.
+
+    Of the block, the keys that the Euler rule (b_p, g_p >= 1 and j < deg b,
+    p the first index of a weight) or a Hamiltonian rule (b >= a and
+    g_k >= 1, x^a d_k the largest term of f_j d_i - f_i d_j) drops are not
+    built (bfunction_operator_basis, which computes the call's one
+    homogeneity_grading).  Each dropped column is a combination of earlier
+    columns of the block, so it would be a dependent insert, which changes
+    no row and no companion: the rows, residuals, witness and divisor
+    verdicts, and so every envelope, are those of the whole block.
 
     An image d^g f^(s+1) is pole_apply's (layers, den, pole) at the twist
     -1 - s: sum_j s^j N_j/den times f^(s+1-pole), at its natural pole |g|,
     one pole_apply step per d-part; nothing is divided out.  Images are
-    built for the kept d-parts only, and each s-layer of every column is
-    cleared (clear_to_pole) to pole_target, the largest kept |g| (at least
-    1, the pole of b(s) f^s), by one product with F^(pole_target - |g|) from
-    the call's PowerTable; a right-hand-side layer, a constant at the pole 1,
-    is that constant times F^(pole_target - 1) from the same table.
-    Any common pole gives the same solve: another one multiplies every
-    column and every right-hand side by one power of f, a linear and one to
-    one map, and no window truncates a column (the radix is sized from the
-    built columns).  So the same columns gain rank, hence every divisor's
-    verdict is the same, and b(s) f^s has the same unique coordinates in
-    them, hence the same witness.
+    built for the d-parts of the kept keys only, and each s-layer of every
+    column is cleared (clear_to_pole) to pole_target, the largest kept |g|
+    (at least 1, the pole of b(s) f^s), by one product with
+    F^(pole_target - |g|) from the call's PowerTable; a right-hand-side
+    layer, a constant at the pole 1, is that constant times
+    F^(pole_target - 1) from the same table.  A dropped key may lower
+    pole_target, which moves no verdict: any common pole gives the same
+    solve.  Another one multiplies every column and every right-hand side
+    by one power of f, a linear and one to one map, and no window truncates
+    a column (the radix is sized from the built columns).  So the same
+    columns gain rank, hence every divisor's verdict is the same, and
+    b(s) f^s has the same unique coordinates in them, hence the same
+    witness.
 
     The witness P is re-evaluated by apply_to_twisted, which shares only
     exactalg's term kernels with the columns: P F^(s+1) = H/aden F^(s+1-G)
@@ -211,7 +221,7 @@ def verify_bfunction(f: Polynomial, b: BFunction, order_bound: int,
     if b.degree() > order_bound:
         return not_found
     dim = f.dim
-    keys = graded_operator_basis(f, order_bound, xdeg_bound, b.degree())
+    keys = bfunction_operator_basis(f, order_bound, xdeg_bound, b.degree())
     fnum, df = f.nums, f.den
     # d^g f^(s+1) for the kept d-parts g, f^(s+1) being the pole 0 of the
     # twist -1 - s; x^b and s^j only multiply the numerator

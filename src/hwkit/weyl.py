@@ -16,9 +16,9 @@ shift sets.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
 from math import comb, lcm, perm
-from operator import mul
+from operator import ge, mul
 
 from .errors import DimensionMismatch, InternalCheckFailed
 from .exactalg import (Polynomial, SparseTerms, combine_terms, mono_mul,
@@ -245,8 +245,9 @@ def bounded_operator_basis(dim: int, order_bound: int, xdeg_bound: int,
                            s_bound: int = 0) -> list:
     """Keys (b, g, j) of x^b d^g s^j with |g|+j <= order_bound, |b| <=
     xdeg_bound and j <= s_bound, walked in grlex_operator_key order with no
-    sort (_graded_keys).  s_bound = 0 gives the s-free basis."""
-    return _graded_keys(dim, [], order_bound, xdeg_bound, s_bound)
+    sort (graded_operator_basis with no weight).  s_bound = 0 gives the
+    s-free basis."""
+    return graded_operator_basis(dim, [], order_bound, xdeg_bound, s_bound)
 
 
 def homogeneity_grading(dim: int, families) -> list:
@@ -254,53 +255,111 @@ def homogeneity_grading(dim: int, families) -> list:
     the exponent vectors of each family one w-degree, degrees[i] that of
     family i (0 for an empty one).  The w are the numerators of the
     dependencies of one `nullspace` call over the differences of each
-    family's vectors from its first (each w at a positive scale).  For the
-    one family of f's exponents: all of Q^n for a monomial, a line for a
+    family's vectors from its first (each w at a positive scale), taken
+    from the last coordinate down, so the basis is in echelon form by the
+    first index: no two w share their first nonzero index.  For the one
+    family of f's exponents: all of Q^n for a monomial, a line for a
     quasi-homogeneous germ, none for a generic f."""
     bases = [next(iter(fam), (0,) * dim) for fam in families]
     rows = [(a, base) for fam, base in zip(families, bases) for a in fam]
+    places = range(dim - 1, -1, -1)
     columns = [{r: a[i] - base[i] for r, (a, base) in enumerate(rows)
-                if a[i] != base[i]} for i in range(dim)]
+                if a[i] != base[i]} for i in places]
     grading = []
-    for dep, _ in nullspace(columns, [1] * dim, [{i: 1} for i in range(dim)]):
+    for dep, _ in nullspace(columns, [1] * dim, [{i: 1} for i in places]):
         w = tuple(dep.get(i, 0) for i in range(dim))
         grading.append((w, tuple(sum(map(mul, w, base)) for base in bases)))
     return grading
 
 
-def graded_operator_basis(f: Polynomial, order_bound: int, xdeg_bound: int,
-                          s_bound: int) -> list:
-    """The keys of bounded_operator_basis(f.dim, ...) with w.(b - g) =
-    -deg_w f for every weight w of homogeneity_grading(f.dim, [f.nums]),
-    in the same order: the operators that carry f^(s+1) into the w-degree
-    of f^s."""
-    grading = [(w, deg) for w, (deg,) in homogeneity_grading(f.dim,
-                                                               [f.nums])]
-    return _graded_keys(f.dim, grading, order_bound, xdeg_bound, s_bound)
+def fold_grading(dim: int, families: int, grading, reach: int) -> tuple:
+    """(weight, degrees): the weights w of grading, a homogeneity_grading
+    over the given number of families, as the digits of one int weight,
+    and each family's degrees as those of one int, in a balanced radix
+    above twice any |w.v - deg| for v of total degree at most reach, so
+    equal ints are equal degrees under every w.  No weight folds to zeros."""
+    radix = 2 * max((max(map(abs, degs)) + sum(map(abs, w)) * reach
+                     for w, degs in grading), default=0) + 1
+    weight, degrees, scale = (0,) * dim, (0,) * families, 1
+    for w, degs in grading:
+        weight = tuple(a + scale * b for a, b in zip(weight, w))
+        degrees = tuple(a + scale * b for a, b in zip(degrees, degs))
+        scale *= radix
+    return weight, degrees
 
 
-def _graded_keys(dim, grading, order_bound, xdeg_bound, s_bound) -> list:
-    """The bounded basis keys (b, g, j) with w.(b - g) = -deg for every
-    (w, deg) of grading, in grlex order with no sort: each b, in lex order,
-    files its (g, j) bucket, grade(g) - deg = grade(b), by |b| + |g| + j.
-    Lex walks: monomials_of_degree(dim + 1, n), last exponent dropped."""
+def graded_operator_basis(dim: int, grading, order_bound: int,
+                          xdeg_bound: int, s_bound: int) -> list:
+    """The keys (b, g, j) of bounded_operator_basis(dim, ...) with
+    w.(b - g) = -deg for every (w, (deg,)) of grading, in the same order;
+    for grading = homogeneity_grading(dim, [f.nums]), the operators that
+    carry f^(s+1) into the w-degree of f^s.  Grlex order with no sort: each
+    b, in lex order, files its (g, j) bucket, grade(g) - deg = grade(b), by
+    |b| + |g| + j, grades taken in the one int weight of fold_grading.  Lex
+    walks: monomials_of_degree(dim + 1, n), last exponent dropped."""
     if min(order_bound, xdeg_bound, s_bound) < 0:
         raise ValueError("bounds must be non-negative")
 
+    # grade(v) = weight.v, the last (slack) exponent of m outside the zip
+    weight, (deg,) = fold_grading(dim, 1, grading, order_bound + xdeg_bound)
     parts = {}  # grade(g) - deg -> {|g| + j: [(g, j) in lex order]}
     for m in monomials_of_degree(dim + 1, order_bound):
         g, r = m[:-1], order_bound - m[-1]
-        by_r = parts.setdefault(tuple(sum(map(mul, w, g)) - deg
-                                      for w, deg in grading), {})
+        by_r = parts.setdefault(sum(map(mul, weight, m)) - deg, {})
         for j in range(min(s_bound, order_bound - r) + 1):
             by_r.setdefault(r + j, []).append((g, j))
     rows = [[] for _ in range(xdeg_bound + order_bound + 1)]
     for m in monomials_of_degree(dim + 1, xdeg_bound):
         b, nb = m[:-1], xdeg_bound - m[-1]
-        for r, gjs in parts.get(tuple(sum(map(mul, w, b))
-                                      for w, _ in grading), {}).items():
+        for r, gjs in parts.get(sum(map(mul, weight, m)), {}).items():
             rows[nb + r].append((b, gjs))
     return [(b, g, j) for row in rows for b, gjs in row for g, j in gjs]
+
+
+def bfunction_operator_basis(f: Polynomial, order_bound: int,
+                             xdeg_bound: int, s_bound: int) -> list:
+    """The keys (b, g, j) of graded_operator_basis(f.dim, grading, ...),
+    grading = homogeneity_grading(f.dim, [f.nums]) computed once here, in
+    that order, whose column x^b d^g s^j f^(s+1) no annihilator of f^(s+1)
+    writes by columns of the graded keys strictly before it: F5's criterion
+    (Faugere, ISSAC 2002) on this Macaulay-style matrix.  Two rules drop a
+    key:
+
+    - Euler: E = sum_i w_i x_i d_i, for a w of grading with first nonzero
+      index p, acts on d^c f^(s+1) as the scalar (s+1) deg_w f - w.c.  So
+      for b_p, g_p >= 1, w_p x^b d^g s^j f^(s+1) is x^(b-e_p) s^j
+      ((s+1) deg_w f - w.(g-e_p)) d^(g-e_p) f^(s+1) minus the terms
+      w_k x^(b-e_p+e_k) d^(g-e_p+e_k) s^j f^(s+1), k > p: two keys of lower
+      degree, one with s^(j+1) (hence j < s_bound), and keys of the same
+      degree that are lex smaller in b.
+    - Hamiltonian: for i < j, H = f_j d_i - f_i d_j kills f^(s+1).  With
+      x^a d_k its largest term by grlex_operator_key, and b >= a, g_k >= 1,
+      x^b d^g s^j is x^(b-a) s^j (x^a d_k) d^(g-e_k), and x^a d_k is H
+      minus its other terms (earlier keys) over its coefficient, while
+      H d^(g-e_k) f^(s+1) is the commutator [H, d^(g-e_k)] f^(s+1), whose
+      terms have lower degree.
+
+    Each key a rule writes by stays in the window, and in the weight block
+    of the dropped key: the Euler rule shifts b and g alike, and H is
+    w-homogeneous for every w.  So a dropped column is a combination of
+    earlier graded columns, and by induction of earlier kept ones.  The
+    rules read only exponents: grading's echelon form gives one first index
+    per w, and f's exponents give each H's terms."""
+    dim = f.dim
+    grading = homogeneity_grading(dim, [f.nums])
+    firsts = [next(i for i, c in enumerate(w) if c) for w, _ in grading]
+    units = [tuple(int(i == k) for i in range(dim)) for k in range(dim)]
+    leads = []  # (a, k) of the largest term x^a d_k of each nonzero H
+    for i, j in combinations(range(dim), 2):
+        terms = [(tuple(e - (t == q) for t, e in enumerate(m)), units[k], 0)
+                 for q, k in ((j, i), (i, j)) for m in f.nums if m[q]]
+        if terms:
+            a, g, _ = max(terms, key=grlex_operator_key)
+            leads.append((a, g.index(1)))
+    return [(b, g, j) for b, g, j in graded_operator_basis(
+                dim, grading, order_bound, xdeg_bound, s_bound)
+            if not (j < s_bound and any(b[p] and g[p] for p in firsts))
+            and not any(g[k] and all(map(ge, b, a)) for a, k in leads)]
 
 
 def d_part_images(d_parts, start, step) -> dict:

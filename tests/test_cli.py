@@ -543,6 +543,15 @@ PINNED = [
     (("verify", "bfun", "--poly", "x1^2+x2^3", "--b", "(s+1)(s+5/6)(s+7/6)",
       "--order", "1", "--xdeg", "2", "--escalate", "2"),
      0, "b29c438c71c17f06b6d364cf5621e3f3a463c037bd52b079f6ffd2491d7c0676"),
+    # the cusp at (12, 24), where the Euler and Hamiltonian rules drop the
+    # most keys: pinned before either rule, as the divisor (exit 3) and the
+    # b-function itself
+    (("verify", "bfun", "--poly", "x1^2+x2^3", "--b", "(s+1)(s+5/6)",
+      "--order", "12", "--xdeg", "24"),
+     3, "85034bb08963ff6991d4d3b3441e69039f35e73a419e32c19cc0543ea3848dee"),
+    (("verify", "bfun", "--poly", "x1^2+x2^3", "--b", "(s+1)(s+5/6)(s+7/6)",
+      "--order", "12", "--xdeg", "24"),
+     0, "789cf772192ee3de92c1c7ce12418ee2097dd28d18557590cf2137f973e35615"),
     (("ppd", "--input", CUSP_ANN, "--weight-only"),
      0, "5bab4be062bf5a3a642552660eb3f3438e5f4606325ed7c7505e7a7d6364e364"),
     (("ppd", "--input", "{}/node.ann", "--l", "0", "--k", "0"),

@@ -26,7 +26,7 @@ from hwkit.vforacle import (BfElement, Bounds, SncVFamily,
                             psi_map, q_poch, reduce_presentation,
                             verify_bfunction, verify_v_axioms)
 from hwkit.weyl import (KeyPacking, ShiftTable, WeylOperator,
-                        bounded_operator_basis,
+                        bfunction_operator_basis, bounded_operator_basis,
                         d_part_images, graded_operator_basis,
                         homogeneity_grading)
 from hwkit.whom import QuasiHomogeneousGerm, whom_hodge_weight
@@ -583,9 +583,9 @@ def test_verify_bfunction_degree_above_order_builds_nothing(inserted):
 ])
 def test_verify_bfunction_columns_match_apply_to_twisted(
         inserted, poly, dim, b, order, xdeg):
-    # the columns built from one image per d-part equal every graded basis
-    # operator applied to f^(s+1) on its own by the Fraction reference walk,
-    # over the pole of the largest kept d-part; the dim columns of
+    # the columns built from one image per d-part equal every kept graded
+    # basis operator applied to f^(s+1) on its own by the Fraction reference
+    # walk, over the pole of the largest kept d-part; the dim columns of
     # homogeneity_grading's nullspace come first
     f = poly_parse(poly, dim)
     bf = BFunction(b)
@@ -594,13 +594,21 @@ def test_verify_bfunction_columns_match_apply_to_twisted(
     if len(f.nums) == 1:  # a monomial has no exponent differences
         assert inserted[:dim] == [{}] * dim
     sec0 = TwistedSection.power(dim, 1)
-    keys = graded_operator_basis(f, order, xdeg, bf.degree())
+    keys = bfunction_keys(f, order, xdeg, bf.degree())[1]
     pole_target = max([sum(g) for _, g, _ in keys] + [1])
     want = [_section_vector(
                 apply_section(WeylOperator(dim, {key: 1}), f, sec0), f,
                 pole_target)
             for key in keys]
     assert columns == want
+
+
+def bfunction_keys(f, order, xdeg, s_bound):
+    """(the graded basis keys of f at the window, the keys verify_bfunction
+    keeps of them), both in basis order."""
+    grading = homogeneity_grading(f.dim, [f.nums])
+    return (graded_operator_basis(f.dim, grading, order, xdeg, s_bound),
+            bfunction_operator_basis(f, order, xdeg, s_bound))
 
 
 def _section_vector(sec, f, pole_target):
@@ -612,17 +620,19 @@ def _section_vector(sec, f, pole_target):
             for m, c in fraction_terms(p * mult).items()}
 
 
-def full_basis_certificate(f, b, order, xdeg):
+def full_basis_certificate(f, b, order, xdeg, keys=None):
     """The JSON of verify_bfunction's certificate, solved as before the
-    restriction to one weighted degree: every bounded_operator_basis column
-    inserted into one Echelon, in basis order."""
+    restriction to one weighted degree and the key rules: every column of
+    keys (by default every bounded_operator_basis key) inserted into one
+    Echelon, in basis order."""
     bounds = {"order": order, "xdeg": xdeg}
     not_found = {"verdict": "not-found-at-bound", "bounds": bounds,
                  "detail": "no operator at these bounds satisfies the "
                            "functional equation"}
     if b.degree() > order:
         return not_found
-    keys = bounded_operator_basis(f.dim, order, xdeg, b.degree())
+    if keys is None:
+        keys = bounded_operator_basis(f.dim, order, xdeg, b.degree())
     sec0 = TwistedSection.power(f.dim, 1)
     sections = [apply_section(WeylOperator(f.dim, {key: 1}), f, sec0)
                 for key in keys]
@@ -713,15 +723,102 @@ def test_verify_bfunction_witness_is_w_homogeneous(
                        for wi, bi, gi in zip(w, xe, de)) == -deg
 
 
+# (f, dim, b, order, xdeg): monomial, quasi-homogeneous (one line or a plane
+# of weights) and generic f, at windows where the key rules drop columns
+PRUNED_BFUN_CASES = [
+    ("x1*x2", 2, "(s+1)^2", 4, 3),
+    ("x1^2*x2", 2, "(s+1)^2*(s+1/2)", 5, 3),
+    ("x1*x2*x3", 3, "(s+1)^3", 4, 2),
+    ("x1^2+x2^3", 2, "(s+1)*(s+5/6)", 6, 12),
+    ("x1^2+x2^3", 2, "(s+1)*(s+5/6)*(s+7/6)", 4, 8),
+    ("x1^2*x2+x1*x2^2", 2, "(s+1)^2*(s+4/3)*(s+2/3)", 4, 6),
+    ("x1*x2+x3^2", 3, "(s+1)^2", 3, 3),
+    ("x1^2+x2^3+x1*x2", 2, "(s+1)^2", 3, 3),
+    ("x1^2+x2^2+x3^3+x1*x2*x3", 3, "(s+1)^2", 2, 2),
+]
+
+
+def check_pruned_solve(f, bf, order, xdeg):
+    """Assert that each graded key verify_bfunction drops has a column that
+    reduces to zero against the kept columns before it, and that the solve
+    gives the certificate of every graded column; return the numbers of
+    graded and kept keys."""
+    keys, kept = bfunction_keys(f, order, xdeg, bf.degree())
+    sec0 = TwistedSection.power(f.dim, 1)
+    sections = [apply_section(WeylOperator(f.dim, {key: 1}), f, sec0)
+                for key in keys]
+    pole_target = max([sec.pole for sec in sections] + [1])
+    earlier, kept_set = Echelon(), set(kept)
+    for key, sec in zip(keys, sections):
+        vec, den = integer_pair(_section_vector(sec, f, pole_target))
+        if key in kept_set:
+            earlier.insert(vec, den)
+        else:
+            assert not earlier.reduce(vec, den)[0], key
+    assert verify_bfunction(f, bf, order, xdeg).to_json() == \
+        full_basis_certificate(f, bf, order, xdeg, keys)
+    return len(keys), len(kept)
+
+
+@pytest.mark.parametrize("case", PRUNED_BFUN_CASES)
+@settings(derandomize=True, max_examples=3, deadline=None)
+@given(data=st.data())
+def test_dropped_bfunction_columns_depend_on_earlier_ones(case, data):
+    # the Euler and Hamiltonian rules drop only columns that the kept
+    # columns before them span, so the solve keeps the rows, witness and
+    # divisor verdicts of the unpruned graded one; f's terms are scaled by
+    # rationals, which moves every column but no rule
+    poly, dim, b, order, xdeg = case
+    f = Polynomial(dim, {m: c * F(data.draw(st.sampled_from([1, -1, 2, 3])),
+                                  data.draw(st.integers(1, 6)))
+                         for m, c in fraction_terms(poly_parse(poly,
+                                                               dim)).items()})
+    graded, kept = check_pruned_solve(f, BFunction.parse(b), order, xdeg)
+    assert kept < graded
+
+
+def test_bfunction_keys_dropped_by_each_rule():
+    # the cusp's Euler field 3 x1 d1 + 2 x2 d2 drops x^b d^g s^j with
+    # b_1, g_1 >= 1 and j < deg b; its Hamiltonian 3 x2^2 d1 - 2 x1 d2, led
+    # by x2^2 d1, drops b_2 >= 2, g_1 >= 1; the basis keys at (6, 12) go
+    # 62 -> 33 -> 20.  A generic f has only Hamiltonians, a monomial in one
+    # variable only the Euler rule
+    keys, kept = bfunction_keys(poly_parse("x1^2+x2^3", 2), 6, 12, 2)
+    euler = [k for k in keys if not (k[2] < 2 and k[0][0] and k[1][0])]
+    both = [k for k in euler if not (k[0][1] >= 2 and k[1][0])]
+    assert (len(keys), len(euler), len(both)) == (62, 33, 20)
+    assert kept == both
+    keys, kept = bfunction_keys(poly_parse("x1^2+x2^3+x1*x2", 2), 3, 3, 1)
+    assert kept == [k for k in keys
+                    if not (k[0][1] >= 2 and k[1][0])]  # led by 3 x2^2 d1
+    keys, kept = bfunction_keys(poly_parse("x1^3", 1), 4, 3, 3)
+    assert kept == [k for k in keys
+                    if not (k[2] < 3 and k[0][0] and k[1][0])]
+
+
+def test_a_rule_led_by_the_smallest_term_fails_the_check(monkeypatch):
+    # x1 d2, the smallest term of the cusp's Hamiltonian, as its lead: then
+    # the other term x2^2 d1 comes later, and some dropped column is not
+    # spanned by the ones before it
+    def reversed_key(key):
+        return tuple(-e for e in (sum(key[0]) + sum(key[1]) + key[2],
+                                  *key[0], *key[1], key[2]))
+
+    monkeypatch.setattr(weyl, "grlex_operator_key", reversed_key)
+    with pytest.raises(AssertionError):
+        check_pruned_solve(poly_parse("x1^2+x2^3", 2),
+                           BFunction.parse("(s+1)*(s+5/6)"), 6, 12)
+
+
 def fraction_bfunction_system(f, bf, order, xdeg):
     """verify_bfunction's linear system built in Fraction polynomials:
-    d-part images by apply_d for the kept d-parts, pole_target the largest
-    of their poles, each column and right-hand side times
+    d-part images by apply_d for the d-parts of the kept keys, pole_target
+    the largest of their poles, each column and right-hand side times
     f ** (pole_target - pole) and packed by packed_layers.  Returns
     (pole_target, packing, the (vec, den) inserts in basis order, the
     right-hand side (vec, den) of a RootMultiset)."""
     dim = f.dim
-    keys = graded_operator_basis(f, order, xdeg, bf.degree())
+    keys = bfunction_keys(f, order, xdeg, bf.degree())[1]
     d_parts = {g for _, g, _ in keys}
     images = d_part_images(d_parts, TwistedSection.power(dim, 1),
                            lambda sec, i: sec.apply_d(i, f))
@@ -748,11 +845,12 @@ def fraction_bfunction_system(f, bf, order, xdeg):
 
 
 # (f, dim, b, order, xdeg, pole_target): pole_target is the largest |g|
-# over the kept d-parts g, whose images are not divided by f; x1^2 and
-# x1^2*x2 are not reduced, so their columns carry extra factors of F, and
-# the kept d-parts of x1^2 in dimension 1, (2) and (3), skip (1)
+# over the d-parts g of the kept keys, whose images are not divided by f;
+# x1^2 and x1^2*x2 are not reduced, so their columns carry extra factors of
+# F, and the graded d-parts of x1^2 in dimension 1, (2) and (3), skip (1),
+# and the Euler rule drops the one key x1 d1^3 of (3), so the pole is 2
 BFUN_GERMS = [
-    ("x1^2", 1, "(s+1)*(s+1/2)", 3, 3, 3),
+    ("x1^2", 1, "(s+1)*(s+1/2)", 3, 3, 2),
     ("x1^2", 2, "(s+1)*(s+1/2)", 2, 2, 2),
     ("x1^2*x2", 2, "(s+1)^2*(s+1/2)", 3, 2, 3),
     ("x1*x2", 2, "(s+1)^2", 2, 3, 2),

@@ -272,10 +272,14 @@ def test_bounded_basis_size_closed_form(dim):
 ])
 def test_homogeneity_grading(text, dim, rank):
     # a basis of int weights, each giving every term of f the same degree:
-    # all of Q^n for a monomial, a line for a quasi-homogeneous germ
+    # all of Q^n for a monomial, a line for a quasi-homogeneous germ; in
+    # echelon form by the first index, which the Euler rule of
+    # verify_bfunction keys by
     f = poly_parse(text, dim)
     grading = homogeneity_grading(f.dim, [f.nums])
     assert len(grading) == rank
+    firsts = [next(i for i, c in enumerate(w) if c) for w, _ in grading]
+    assert len(set(firsts)) == rank
     independent = Echelon()
     for w, (deg,) in grading:
         assert all(type(v) is int for v in (*w, deg))
@@ -289,6 +293,10 @@ def test_homogeneity_grading(text, dim, rank):
     ("x1*x2*x3", 3, (5, 6, 3), 15, 10164),
     ("x1^2*x2+x1*x2^2", 2, (5, 6, 4), 50, 1540),
     ("x1^2+x2^3+x1*x2", 2, (3, 4, 2), 285, 285),
+    # a negative weight digit, and two weights folded into one int
+    ("x1*x2+1", 2, (4, 5, 2), 77, 651),
+    ("x1*x2*x3+x1", 3, (3, 4, 2), 34, 1190),
+    ("x1*x2+x3^2", 3, (4, 5, 2), 32, 3640),
 ])
 def test_graded_basis_is_one_degree_of_the_full_basis(text, dim, bounds,
                                                       kept, total):
@@ -300,10 +308,10 @@ def test_graded_basis_is_one_degree_of_the_full_basis(text, dim, bounds,
     want = [(b, g, j) for b, g, j in full
             if all(sum(wi * (bi - gi) for wi, bi, gi in zip(w, b, g)) == -deg
                    for w, (deg,) in grading)]
-    assert graded_operator_basis(f, *bounds) == want
+    assert graded_operator_basis(dim, grading, *bounds) == want
     assert (len(want), len(full)) == (kept, total)
     with pytest.raises(ValueError):
-        graded_operator_basis(f, 1, -1, 0)
+        graded_operator_basis(dim, grading, 1, -1, 0)
 
 
 def syzygy_operators(tup, dim):
